@@ -214,6 +214,13 @@ fn main() {
         std::hint::black_box(masked_update(&seeds, 3, &wm));
     });
 
+    // --- micro: the share-commitment digest at the paper's CNN size ---
+    let cnn_dim = 1_248_394usize;
+    let wc = WeightVector::random(cnn_dim, 1.0, &mut StdRng::seed_from_u64(SEED + 9));
+    h.bench("weights_digest", scale(21), (cnn_dim * 8) as u64, || {
+        std::hint::black_box(std::hint::black_box(&wc).digest());
+    });
+
     // --- micro: wire codec over a model-sized vector ---
     let encoded = to_bytes(&w);
     let enc_bytes = encoded.len() as u64;

@@ -5,6 +5,10 @@
 //! refactor deletes either, this rule fails the lint directly instead
 //! of waiting for a soak to stumble over the leak.
 //!
+//! The bulk `f64` decode added with the slice-level codec sizes one
+//! allocation from a length read off the wire; the two expressions that
+//! bound it first are pinned the same way.
+//!
 //! A pin is a (file, function, required token sequence) triple. Token
 //! sequences are matched against the function's body tokens at any
 //! nesting depth, so formatting changes cannot break a pin — only
@@ -29,8 +33,23 @@ pub struct Pin {
     pub why: &'static str,
 }
 
-/// Production pins: the PR 6 Ring-SAC share-confinement fix.
+/// Production pins: the PR 6 Ring-SAC share-confinement fix and the
+/// bulk-decode bounds check.
 pub const PRODUCTION: &[Pin] = &[
+    Pin {
+        file_suffix: "crates/simnet/src/codec.rs",
+        fn_name: "de_f64_seq",
+        pattern: &[".", "checked_mul", "(", "8", ")"],
+        why: "bulk f64 decode: the byte count of a declared element count is computed \
+              without wrapping, so a hostile prefix cannot alias a small one",
+    },
+    Pin {
+        file_suffix: "crates/simnet/src/codec.rs",
+        fn_name: "de_f64_seq",
+        pattern: &["self", ".", "take", "(", "nbytes", ")", "?"],
+        why: "bulk f64 decode: all 8*n input bytes are taken (bounds-checked against the \
+              remaining input) before the output vector is allocated from n",
+    },
     Pin {
         file_suffix: "crates/secagg/src/ring/plan.rs",
         fn_name: "stage_k",

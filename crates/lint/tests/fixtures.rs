@@ -393,11 +393,47 @@ const PLAN_WITH_FIX: &str = r#"
     }
 "#;
 
+const CODEC_WITH_CHECK: &str = r#"
+    pub struct BinDeserializer { pos: usize }
+    impl BinDeserializer {
+        fn de_f64_seq(&mut self) -> Result<Vec<f64>, CodecError> {
+            let n = self.read_len()?;
+            let nbytes = n.checked_mul(8).ok_or(CodecError::Eof)?;
+            let (elems, _) = self.take(nbytes)?.as_chunks::<8>();
+            Ok(elems.iter().map(|b| f64::from_le_bytes(*b)).collect())
+        }
+    }
+"#;
+
+const PLAN_PATH: &str = "crates/secagg/src/ring/plan.rs";
+const CODEC_PATH: &str = "crates/simnet/src/codec.rs";
+
 #[test]
 fn pins_pass_while_fix_is_present() {
-    let ws = ws(&[("secagg", "crates/secagg/src/ring/plan.rs", PLAN_WITH_FIX)]);
+    let ws = ws(&[
+        ("secagg", PLAN_PATH, PLAN_WITH_FIX),
+        ("simnet", CODEC_PATH, CODEC_WITH_CHECK),
+    ]);
     let findings = pins::check(&ws, pins::PRODUCTION);
     assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn pins_fire_when_bulk_decode_bounds_check_dropped() {
+    // A refactor that allocates from the declared count and fills it
+    // element by element: no `take` of the whole run up front, and the
+    // byte count computed with a plain multiply.
+    let unchecked = CODEC_WITH_CHECK
+        .replace("n.checked_mul(8).ok_or(CodecError::Eof)?", "n * 8")
+        .replace("self.take(nbytes)?", "self.peek(nbytes)");
+    let ws = ws(&[
+        ("secagg", PLAN_PATH, PLAN_WITH_FIX),
+        ("simnet", CODEC_PATH, unchecked.as_str()),
+    ]);
+    let findings = pins::check(&ws, pins::PRODUCTION);
+    let hits = rule_findings(&findings, Rule::Pin);
+    assert_eq!(hits.len(), 2, "both decode pins must fire: {findings:?}");
+    assert!(hits.iter().all(|f| f.item == "de_f64_seq"));
 }
 
 #[test]
@@ -405,11 +441,10 @@ fn pins_fire_when_share_confinement_fix_reverted() {
     // The PR 6 fix reverted: thresholds and stage counts lose their
     // `.max(2)` floors — exactly the singleton-stage leak shape.
     let reverted = PLAN_WITH_FIX.replace(".max(2)", "");
-    let ws = ws(&[(
-        "secagg",
-        "crates/secagg/src/ring/plan.rs",
-        reverted.as_str(),
-    )]);
+    let ws = ws(&[
+        ("secagg", PLAN_PATH, reverted.as_str()),
+        ("simnet", CODEC_PATH, CODEC_WITH_CHECK),
+    ]);
     let findings = pins::check(&ws, pins::PRODUCTION);
     let hits = rule_findings(&findings, Rule::Pin);
     assert_eq!(hits.len(), 2, "both pins must fire: {findings:?}");
@@ -419,13 +454,12 @@ fn pins_fire_when_share_confinement_fix_reverted() {
 
 #[test]
 fn pins_fire_when_pinned_function_disappears() {
-    let ws = ws(&[(
-        "secagg",
-        "crates/secagg/src/ring/plan.rs",
-        "pub fn unrelated() {}",
-    )]);
+    let ws = ws(&[
+        ("secagg", PLAN_PATH, "pub fn unrelated() {}"),
+        ("simnet", CODEC_PATH, "pub fn unrelated() {}"),
+    ]);
     let findings = pins::check(&ws, pins::PRODUCTION);
-    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert_eq!(findings.len(), pins::PRODUCTION.len(), "{findings:?}");
     assert!(findings.iter().all(|f| f.msg.contains("not found")));
 }
 

@@ -363,7 +363,7 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream) {
         loop {
             match fb.next_frame() {
                 Ok(Some(frame)) => match from {
-                    None => match parse_hello(&frame) {
+                    None => match parse_hello(frame) {
                         Some(id) => from = Some(id),
                         // Not one of ours; refuse the connection.
                         None => return,
@@ -375,7 +375,7 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream) {
                             .fetch_add(frame.len() as u64 + 4, Ordering::Relaxed);
                         (shared.sink)(NetEvent::Frame {
                             from: id,
-                            payload: frame,
+                            payload: frame.to_vec(),
                         });
                     }
                 },

@@ -199,39 +199,30 @@ pub(crate) fn flush_link(
     }
 }
 
-/// Result of draining a readable connection.
+/// Outcome of one read attempt on a readable connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReadStatus {
-    /// Connection still open (kernel buffer drained).
-    Open,
+    /// Bytes were appended to the link's frame buffer.
+    Data,
+    /// Kernel buffer drained; the connection is still open.
+    Drained,
     /// Clean EOF or fatal read error.
     Closed,
-    /// Unframeable input (oversize/corrupt length prefix): the stream
-    /// cannot be resynchronized.
-    Corrupt,
 }
 
-/// Reads everything currently available, appending complete frames to
-/// `out`. `scratch` is the reactor's shared read buffer.
-pub(crate) fn read_frames(
-    link: &mut Link,
-    scratch: &mut [u8],
-    out: &mut Vec<Vec<u8>>,
-) -> ReadStatus {
+/// Reads once into the link's frame buffer. `scratch` is the reactor's
+/// shared read buffer.
+pub(crate) fn read_some(link: &mut Link, scratch: &mut [u8]) -> ReadStatus {
     loop {
-        loop {
-            match link.rx.next_frame() {
-                Ok(Some(frame)) => out.push(frame),
-                Ok(None) => break,
-                Err(_) => return ReadStatus::Corrupt,
-            }
-        }
         match link.stream.read(scratch) {
             Ok(0) => return ReadStatus::Closed,
             // `n <= scratch.len()` per the `Read` contract; `get` keeps a
             // misbehaving implementation from panicking the reactor.
-            Ok(n) => link.rx.extend(scratch.get(..n).unwrap_or(scratch)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadStatus::Open,
+            Ok(n) => {
+                link.rx.extend(scratch.get(..n).unwrap_or(scratch));
+                return ReadStatus::Data;
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadStatus::Drained,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return ReadStatus::Closed,
         }
@@ -258,7 +249,7 @@ mod tests {
         let mut fb = FrameBuffer::new();
         fb.extend(&framed);
         let payload = fb.next_frame().unwrap().unwrap();
-        assert_eq!(parse_hello_v2(&payload), Some((NodeId(7), NodeId(1042))));
+        assert_eq!(parse_hello_v2(payload), Some((NodeId(7), NodeId(1042))));
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod timer;
 pub use queue::SendQueue;
 pub use timer::TimerWheel;
 
-use crate::codec;
+use crate::codec::{self, CodecError, FrameBuffer};
 use crate::fault::FaultLayer;
 use crate::hub::{backoff_jitter, BACKOFF_INITIAL, BACKOFF_MAX};
 use crate::registry::{NetStats, StatsCells};
@@ -678,76 +678,102 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
         }
     }
 
-    /// Reads everything available on a connection and dispatches the
-    /// complete frames it yielded.
+    /// Reads everything available on a connection, dispatching complete
+    /// frames as they form.
     fn handle_readable(&mut self, token: u64) {
-        let mut frames = Vec::new();
-        let status = {
+        loop {
+            // Frames are decoded in place, borrowed from the link's frame
+            // buffer, while delivery needs `&mut self`: the buffer leaves
+            // the link for the duration and goes back unless delivery
+            // closed the connection.
             let Some(link) = self.conns.get_mut(&token) else {
                 return;
             };
-            conn::read_frames(link, &mut self.scratch, &mut frames)
-        };
-        self.process_frames(token, frames);
-        match status {
-            conn::ReadStatus::Open => {}
-            conn::ReadStatus::Closed | conn::ReadStatus::Corrupt => {
-                self.close_conn(token, true);
+            let mut rx = std::mem::take(&mut link.rx);
+            let framing = self.deliver_frames(token, &mut rx);
+            let Some(link) = self.conns.get_mut(&token) else {
+                return;
+            };
+            link.rx = rx;
+            // Unframeable input (oversize/corrupt length prefix) cannot
+            // be resynchronized.
+            let status = match framing {
+                Ok(()) => conn::read_some(link, &mut self.scratch),
+                Err(_) => conn::ReadStatus::Closed,
+            };
+            match status {
+                conn::ReadStatus::Data => {}
+                conn::ReadStatus::Drained => return,
+                conn::ReadStatus::Closed => {
+                    self.close_conn(token, true);
+                    return;
+                }
             }
         }
     }
 
-    /// Delivers frames read from one connection: a hello attaches the
-    /// connection to its destination peer, payloads decode and dispatch.
-    fn process_frames(&mut self, token: u64, frames: Vec<Vec<u8>>) {
-        for frame in frames {
-            // Re-read the link identity each frame: the hello that
-            // attaches it may arrive in the same batch as payloads.
-            let Some((got_hello, local, remote)) = self
-                .conns
-                .get(&token)
-                .map(|l| (l.got_hello, l.local, l.remote))
-            else {
-                return;
-            };
-            if !got_hello {
-                match conn::parse_hello_v2(&frame) {
-                    Some((src, dst)) if self.peers.contains_key(&dst) => {
-                        self.attach_accepted(token, src, dst);
-                    }
-                    _ => {
-                        // Wrong protocol or a peer this reactor does not
-                        // host (yet): drop the connection, the dialer's
-                        // backoff will retry.
-                        self.close_conn(token, false);
-                        return;
-                    }
-                }
-                continue;
+    /// Delivers every complete frame buffered in `rx`, stopping early if
+    /// the connection goes away underneath.
+    fn deliver_frames(&mut self, token: u64, rx: &mut FrameBuffer) -> Result<(), CodecError> {
+        while let Some(frame) = rx.next_frame()? {
+            if !self.deliver_frame(token, frame) {
+                break;
             }
-            let (Some(local), Some(remote)) = (local, remote) else {
-                continue;
-            };
-            {
-                let Some(slot) = self.peers.get_mut(&local) else {
-                    continue;
-                };
-                slot.stats.frames_received.fetch_add(1, Ordering::Relaxed);
-                slot.stats
-                    .bytes_received
-                    .fetch_add(frame.len() as u64 + 4, Ordering::Relaxed);
-            }
-            match codec::from_bytes::<M>(&frame) {
-                Ok(msg) => {
-                    self.dispatch(local, move |a, ctx| a.on_message(ctx, remote, msg));
+        }
+        Ok(())
+    }
+
+    /// Delivers one frame read from a connection: a hello attaches the
+    /// connection to its destination peer, a payload decodes and
+    /// dispatches. Returns whether the connection is still there.
+    fn deliver_frame(&mut self, token: u64, frame: &[u8]) -> bool {
+        // Re-read the link identity each frame: the hello that attaches
+        // it may arrive in the same read as payloads.
+        let Some((got_hello, local, remote)) = self
+            .conns
+            .get(&token)
+            .map(|l| (l.got_hello, l.local, l.remote))
+        else {
+            return false;
+        };
+        if !got_hello {
+            return match conn::parse_hello_v2(frame) {
+                Some((src, dst)) if self.peers.contains_key(&dst) => {
+                    self.attach_accepted(token, src, dst);
+                    true
                 }
-                Err(_) => {
-                    if let Some(slot) = self.peers.get(&local) {
-                        slot.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    }
+                _ => {
+                    // Wrong protocol or a peer this reactor does not
+                    // host (yet): drop the connection, the dialer's
+                    // backoff will retry.
+                    self.close_conn(token, false);
+                    false
+                }
+            };
+        }
+        let (Some(local), Some(remote)) = (local, remote) else {
+            return true;
+        };
+        {
+            let Some(slot) = self.peers.get_mut(&local) else {
+                return true;
+            };
+            slot.stats.frames_received.fetch_add(1, Ordering::Relaxed);
+            slot.stats
+                .bytes_received
+                .fetch_add(frame.len() as u64 + 4, Ordering::Relaxed);
+        }
+        match codec::from_bytes::<M>(frame) {
+            Ok(msg) => {
+                self.dispatch(local, move |a, ctx| a.on_message(ctx, remote, msg));
+            }
+            Err(_) => {
+                if let Some(slot) = self.peers.get(&local) {
+                    slot.decode_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
+        true
     }
 
     /// Binds an accepted connection to the hosted peer its hello named,

@@ -7,7 +7,7 @@ use p2pfl_hierraft::{
     ElasticGroup, FedCmd, FedConfig, HierMsg, RobustCombiner, SubCmd, SubMembers, Topology,
     TopologyCmd,
 };
-use p2pfl_net::codec::{from_bytes, to_bytes, write_frame, FrameBuffer, MAX_FRAME};
+use p2pfl_net::codec::{from_bytes, to_bytes, write_frame, CodecError, FrameBuffer, MAX_FRAME};
 use p2pfl_raft::{Entry, LogCmd, PersistOp, RaftMsg};
 use p2pfl_secagg::{RingMsg, SacEngine, SacMsg, WeightVector};
 use p2pfl_simnet::{
@@ -519,6 +519,53 @@ proptest! {
     }
 
     #[test]
+    fn weight_vector_overlong_prefix_is_a_typed_error(
+        v in arb_weights(64),
+        extra in 1u32..=u32::MAX,
+    ) {
+        // The bulk `f64` decode sizes one allocation from the declared
+        // element count, so a count the input cannot back — by one
+        // element or by four billion — must be refused before that.
+        let mut bytes = to_bytes(&v);
+        let declared = (v.dim() as u32).saturating_add(extra);
+        bytes[..4].copy_from_slice(&declared.to_le_bytes());
+        match from_bytes::<WeightVector>(&bytes) {
+            Err(CodecError::Eof) => prop_assert!(declared as usize <= bytes.len() - 4),
+            Err(CodecError::LengthOverrun { declared: d, available }) => {
+                prop_assert_eq!(d, declared as usize);
+                prop_assert_eq!(available, bytes.len() - 4);
+                prop_assert!(d > available);
+            }
+            other => prop_assert!(false, "declared {} over {}: {:?}", declared, v.dim(), other),
+        }
+    }
+
+    #[test]
+    fn weight_vector_cut_mid_element_is_eof(
+        v in prop::collection::vec(any::<f64>(), 1..=64usize).prop_map(WeightVector::new),
+        cut in 1usize..8,
+    ) {
+        let bytes = to_bytes(&v);
+        prop_assert_eq!(
+            from_bytes::<WeightVector>(&bytes[..bytes.len() - cut]),
+            Err(CodecError::Eof)
+        );
+    }
+
+    #[test]
+    fn weight_vector_bit_flips_never_panic(v in arb_weights(64), at in 0usize..1024, bit in 0u8..8) {
+        let mut bytes = to_bytes(&v);
+        let at = at % bytes.len();
+        bytes[at] ^= 1 << bit;
+        match from_bytes::<WeightVector>(&bytes) {
+            // A flipped payload bit is just another float.
+            Ok(back) => prop_assert!(at >= 4 && back.dim() == v.dim()),
+            // A flipped prefix bit no longer matches the payload.
+            Err(_) => prop_assert!(at < 4),
+        }
+    }
+
+    #[test]
     fn fed_commands_round_trip(cmd in arb_fedcmd()) {
         // Round markers and topology ops share the FedAvg-layer log; both
         // must survive the wire (and FileStorage, which uses the same
@@ -589,6 +636,120 @@ fn zero_length_share_vectors_round_trip() {
     assert_eq!(back, msg);
 }
 
+/// A vector whose elements are not `f64` to serde: `Vec<Elem>` takes the
+/// provided element-by-element loops, the encoding and decoding
+/// `WeightVector` used before `f64` overrode the slice hooks. Kept as the
+/// oracle for the bulk path.
+#[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
+struct ElementWise(Vec<Elem>);
+#[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
+struct Elem(f64);
+
+/// `SacMsg` up to `ShareBlock` and `RingMsg` up to `StageShare`, over
+/// element-wise vectors. The binary format carries variant indices, not
+/// names, so matching the declaration order is what makes these mirrors.
+#[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
+enum SacMirror {
+    Begin {
+        round: u64,
+    },
+    Commit {
+        round: u64,
+        from_pos: usize,
+        digests: Vec<u64>,
+    },
+    ShareBlock {
+        round: u64,
+        from_pos: usize,
+        parts: Vec<(usize, ElementWise)>,
+    },
+}
+#[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
+enum RingMirror {
+    Begin {
+        round: u64,
+    },
+    StageShare {
+        round: u64,
+        from_pos: usize,
+        parts: Vec<(usize, ElementWise)>,
+    },
+}
+
+#[test]
+fn bulk_share_messages_match_the_element_wise_oracle() {
+    // Every dimension around the codec's internal block sizes, and one
+    // that is a multiple of nothing.
+    let mut state = 0x243f_6a88_85a3_08d3u64;
+    let mut next_bits = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for dim in [0usize, 1, 3, 4, 5, 4095, 4096, 4097, 100_003] {
+        // Raw bit patterns: NaNs, infinities, subnormals, both zeros.
+        let values: Vec<f64> = (0..dim).map(|_| f64::from_bits(next_bits())).collect();
+        let bulk = || {
+            vec![
+                (0, WeightVector::new(values.clone())),
+                (5, WeightVector::zeros(3)),
+            ]
+        };
+        let oracle = || {
+            vec![
+                (0, ElementWise(values.iter().map(|&x| Elem(x)).collect())),
+                (5, ElementWise(vec![Elem(0.0), Elem(0.0), Elem(0.0)])),
+            ]
+        };
+        let sac = to_bytes(&SacMsg::ShareBlock {
+            round: 9,
+            from_pos: 2,
+            parts: bulk(),
+        });
+        let ring = to_bytes(&RingMsg::StageShare {
+            round: 9,
+            from_pos: 2,
+            parts: bulk(),
+        });
+        let sac_oracle = to_bytes(&SacMirror::ShareBlock {
+            round: 9,
+            from_pos: 2,
+            parts: oracle(),
+        });
+        let ring_oracle = to_bytes(&RingMirror::StageShare {
+            round: 9,
+            from_pos: 2,
+            parts: oracle(),
+        });
+        assert!(sac == sac_oracle, "SacMsg encode differs at dim {dim}");
+        assert!(ring == ring_oracle, "RingMsg encode differs at dim {dim}");
+
+        // Decode through both paths, compare bit patterns (NaN != NaN).
+        let SacMsg::ShareBlock { parts, .. } = from_bytes::<SacMsg>(&sac).unwrap() else {
+            panic!("wrong variant");
+        };
+        let SacMirror::ShareBlock { parts: want, .. } = from_bytes::<SacMirror>(&sac).unwrap()
+        else {
+            panic!("wrong variant");
+        };
+        let RingMsg::StageShare {
+            parts: ring_parts, ..
+        } = from_bytes::<RingMsg>(&ring).unwrap()
+        else {
+            panic!("wrong variant");
+        };
+        for (((p, got), (rp, ring_got)), (wp, want)) in parts.iter().zip(&ring_parts).zip(&want) {
+            assert_eq!((p, rp), (wp, wp));
+            let want: Vec<u64> = want.0.iter().map(|e| e.0.to_bits()).collect();
+            let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+            let ring_got: Vec<u64> = ring_got.iter().map(|x| x.to_bits()).collect();
+            assert!(got == want, "SacMsg decode differs at dim {dim}");
+            assert!(ring_got == want, "RingMsg decode differs at dim {dim}");
+        }
+    }
+}
+
 #[test]
 fn frame_buffer_reassembles_one_byte_feeds() {
     // TCP can fragment arbitrarily — even splitting the 4-byte length
@@ -608,7 +769,7 @@ fn frame_buffer_reassembles_one_byte_feeds() {
     for (i, b) in wire.iter().enumerate() {
         fb.extend(std::slice::from_ref(b));
         while let Some(frame) = fb.next_frame().unwrap() {
-            got.push((i, frame));
+            got.push((i, frame.to_vec()));
         }
     }
     let frames: Vec<Vec<u8>> = got.iter().map(|(_, f)| f.clone()).collect();

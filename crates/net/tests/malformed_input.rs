@@ -9,9 +9,56 @@ use p2pfl_net::PeerRuntime;
 use p2pfl_raft::{Entry, LogCmd, RaftMsg};
 use p2pfl_secagg::{RingMsg, SacEngine, SacMsg, WeightVector};
 use p2pfl_simnet::{Actor, NodeId, Transport};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// Records, per thread, the largest single allocation requested — how the
+/// tests below see that a hostile length prefix sized nothing. Per thread
+/// because the harness runs tests concurrently.
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; `note` only touches a `Cell<usize>`.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestAlloc = LargestAlloc;
+
+/// Runs `f`, returning its result and the largest allocation it made.
+fn largest_alloc_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|c| c.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
 
 /// Valid encodings of representative wire messages, used as mutation
 /// seeds.
@@ -128,6 +175,79 @@ fn codec_rejects_hostile_length_prefixes_with_typed_error() {
         }
         other => panic!("expected LengthOverrun, got {other:?}"),
     }
+}
+
+#[test]
+fn hostile_f64_sequence_prefixes_size_no_allocation() {
+    // The bulk `f64` decode makes one allocation of `8 * n` bytes for a
+    // vector of `n`. Each prefix below declares far more than the input
+    // holds; the decode must fail typed, having allocated nothing that
+    // large — or anything much at all.
+    const SMALL: usize = 4096;
+    let subtotal_with = |declared: u32, payload_bytes: usize| {
+        let mut bytes = to_bytes(&SacMsg::Subtotal {
+            round: 1,
+            idx: 0,
+            value: WeightVector::zeros(0),
+        });
+        // Layout: variant (4) + round (8) + idx (8) + vector length (4).
+        let len_at = bytes.len() - 4;
+        bytes[len_at..].copy_from_slice(&declared.to_le_bytes());
+        bytes.resize(bytes.len() + payload_bytes, 0x3c);
+        bytes
+    };
+
+    // n fits the one-byte-per-element plausibility check (n <= remaining)
+    // but 8n does not: a million elements over a megabyte of input.
+    let bytes = subtotal_with(1 << 20, 1 << 20);
+    let (got, largest) = largest_alloc_in(|| from_bytes::<SacMsg>(&bytes));
+    assert_eq!(got, Err(CodecError::Eof));
+    assert!(
+        largest <= SMALL,
+        "allocated {largest} B from a hostile prefix"
+    );
+
+    // The largest declarable count.
+    let bytes = subtotal_with(u32::MAX, 64);
+    let (got, largest) = largest_alloc_in(|| from_bytes::<SacMsg>(&bytes));
+    assert_eq!(
+        got,
+        Err(CodecError::LengthOverrun {
+            declared: u32::MAX as usize,
+            available: 64
+        })
+    );
+    assert!(
+        largest <= SMALL,
+        "allocated {largest} B from a hostile prefix"
+    );
+
+    // An honest prefix over a frame cut mid-element, at every byte of the
+    // last element, inside a share block and a ring share.
+    let value = WeightVector::new((0..10_000).map(|i| i as f64).collect());
+    let sac = to_bytes(&SacMsg::ShareBlock {
+        round: 1,
+        from_pos: 0,
+        parts: vec![(0, value.clone())],
+    });
+    let ring = to_bytes(&RingMsg::StageShare {
+        round: 1,
+        from_pos: 0,
+        parts: vec![(0, value)],
+    });
+    for cut in 1..=8 {
+        let (got, largest) = largest_alloc_in(|| from_bytes::<SacMsg>(&sac[..sac.len() - cut]));
+        assert_eq!(got, Err(CodecError::Eof), "sac cut {cut}");
+        assert!(largest <= SMALL, "sac cut {cut}: allocated {largest} B");
+        let (got, largest) = largest_alloc_in(|| from_bytes::<RingMsg>(&ring[..ring.len() - cut]));
+        assert_eq!(got, Err(CodecError::Eof), "ring cut {cut}");
+        assert!(largest <= SMALL, "ring cut {cut}: allocated {largest} B");
+    }
+
+    // The tracker does see the honest decode's one bulk allocation.
+    let (got, largest) = largest_alloc_in(|| from_bytes::<SacMsg>(&sac));
+    assert!(got.is_ok());
+    assert_eq!(largest, 8 * 10_000);
 }
 
 #[test]

@@ -24,7 +24,7 @@
 //! counted in its own ledger phase as a small control message.
 
 use crate::divide::{divide, ShareScheme};
-use crate::replicated::{assigned_partitions, holders};
+use crate::replicated::{assigned_partitions, hand_out, holders, replication_factor};
 use crate::ring::SacEngine;
 use crate::weights::WeightVector;
 use p2pfl_simnet::{Actor, NodeId, Payload, SimDuration, Transport};
@@ -544,7 +544,6 @@ impl SacPeerActor {
 
     fn distribute_shares(&mut self, ctx: &mut dyn Transport<SacMsg>) {
         let n = self.cfg.n();
-        #[allow(unused_mut)]
         let mut parts = divide(&self.model, n, self.cfg.scheme, &mut self.rng);
         #[cfg(feature = "mutants")]
         if crate::mutants::active(crate::mutants::Mutant::ShareSkew) {
@@ -560,7 +559,7 @@ impl SacPeerActor {
         let digests: Vec<u64> = parts.iter().map(|p| p.digest()).collect();
         let round = self.round;
         let me = self.me();
-        for &peer in &self.cfg.group.clone() {
+        for &peer in &self.cfg.group {
             if peer != me {
                 ctx.send(
                     peer,
@@ -572,32 +571,28 @@ impl SacPeerActor {
                 );
             }
         }
-        for (j, &peer) in self.cfg.group.clone().iter().enumerate() {
-            let block: Vec<(usize, WeightVector)> = assigned_partitions(n, self.cfg.k, j)
+        let mut uses_left = vec![replication_factor(n, self.cfg.k); n];
+        for (j, &peer) in self.cfg.group.iter().enumerate() {
+            let mut block: Vec<(usize, WeightVector)> = assigned_partitions(n, self.cfg.k, j)
                 .into_iter()
-                .map(|p| (p, parts[p].clone()))
+                .map(|p| (p, hand_out(&mut parts, &mut uses_left, p)))
                 .collect();
             if j == self.cfg.position {
                 // Keep our own block locally.
-                let mine = self.blocks.entry(self.cfg.position).or_default();
-                for (p, v) in block {
-                    mine.insert(p, v);
-                }
+                self.blocks
+                    .entry(self.cfg.position)
+                    .or_default()
+                    .extend(block);
             } else {
-                let block = match self.byz_share_skew {
-                    Some(factor) => block
-                        .into_iter()
-                        .map(|(p, mut v)| {
-                            v.scale(factor);
-                            (p, v)
-                        })
-                        .collect(),
-                    None => block,
-                };
+                if let Some(factor) = self.byz_share_skew {
+                    for (_, v) in &mut block {
+                        v.scale(factor);
+                    }
+                }
                 ctx.send(
                     peer,
                     SacMsg::ShareBlock {
-                        round: self.round,
+                        round,
                         from_pos: self.cfg.position,
                         parts: block,
                     },

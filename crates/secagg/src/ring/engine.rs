@@ -30,6 +30,7 @@
 
 use crate::divide::divide;
 use crate::engine::{SacConfig, SacPhase};
+use crate::replicated::{hand_out, replication_factor};
 use crate::ring::plan::RingPlan;
 use crate::weights::WeightVector;
 use p2pfl_simnet::{Actor, NodeId, Payload, Transport};
@@ -481,7 +482,6 @@ impl RingSacActor {
         let t = self.plan.stage_of(self.cfg.position);
         let s = self.plan.succ_stage(t);
         let m = self.plan.stage_len(s);
-        #[allow(unused_mut)]
         let mut parts = divide(&self.model, m, self.cfg.scheme, &mut self.rng);
         #[cfg(feature = "mutants")]
         if crate::mutants::active(crate::mutants::Mutant::ShareSkew) {
@@ -489,20 +489,21 @@ impl RingSacActor {
                 p0.scale(0.5);
             }
         }
+        let mut uses_left = vec![replication_factor(m, self.plan.stage_k(s)); m];
         for i in 0..m {
             let gpos = self.plan.global_pos(s, i);
             let block: Vec<(usize, WeightVector)> = self
                 .plan
                 .assigned(s, i)
                 .into_iter()
-                .map(|p| (p, parts[p].clone()))
+                .map(|p| (p, hand_out(&mut parts, &mut uses_left, p)))
                 .collect();
             if gpos == self.cfg.position {
                 // Single-stage ring (L = 1): keep our own block locally.
-                let mine = self.blocks.entry(self.cfg.position).or_default();
-                for (p, v) in block {
-                    mine.insert(p, v);
-                }
+                self.blocks
+                    .entry(self.cfg.position)
+                    .or_default()
+                    .extend(block);
             } else {
                 ctx.send(
                     self.cfg.group[gpos],

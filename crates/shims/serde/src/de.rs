@@ -26,6 +26,12 @@ pub trait Deserializer {
     fn seq_element(&mut self) -> Result<(), Self::Error>;
     /// Ends the current sequence.
     fn end_seq(&mut self) -> Result<(), Self::Error>;
+    /// Reads a whole `f64` sequence. Provided as the element-wise event
+    /// stream; a backend whose sequence encoding is a flat run of fixed-
+    /// width elements overrides it with one bounds-checked bulk copy.
+    fn de_f64_seq(&mut self) -> Result<Vec<f64>, Self::Error> {
+        element_wise(self)
+    }
 
     /// Starts a struct with `len` expected fields.
     fn begin_struct(&mut self, name: &'static str, len: usize) -> Result<(), Self::Error>;
@@ -54,6 +60,27 @@ pub trait Deserializer {
 pub trait Deserialize: Sized {
     /// Reads one value from `d`.
     fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, D::Error>;
+
+    /// Reads one sequence of `Self` — what `Vec<T>` deserializes through.
+    /// Provided element by element; `f64` overrides it to reach
+    /// [`Deserializer::de_f64_seq`].
+    fn deserialize_vec<D: Deserializer + ?Sized>(d: &mut D) -> Result<Vec<Self>, D::Error> {
+        element_wise(d)
+    }
+}
+
+/// A sequence from its event stream: length, then each element in turn.
+/// The up-front capacity is capped so a declared length alone sizes
+/// little; the vector grows with the elements that actually decode.
+fn element_wise<T: Deserialize, D: Deserializer + ?Sized>(d: &mut D) -> Result<Vec<T>, D::Error> {
+    let n = d.begin_seq()?;
+    let mut out = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        d.seq_element()?;
+        out.push(T::deserialize(d)?);
+    }
+    d.end_seq()?;
+    Ok(out)
 }
 
 macro_rules! de_uint {
@@ -108,6 +135,9 @@ impl Deserialize for f64 {
     fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, D::Error> {
         d.de_f64()
     }
+    fn deserialize_vec<D: Deserializer + ?Sized>(d: &mut D) -> Result<Vec<f64>, D::Error> {
+        d.de_f64_seq()
+    }
 }
 
 impl Deserialize for String {
@@ -118,14 +148,7 @@ impl Deserialize for String {
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, D::Error> {
-        let n = d.begin_seq()?;
-        let mut out = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            d.seq_element()?;
-            out.push(T::deserialize(d)?);
-        }
-        d.end_seq()?;
-        Ok(out)
+        T::deserialize_vec(d)
     }
 }
 

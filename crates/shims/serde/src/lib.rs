@@ -10,6 +10,9 @@
 //! `#[derive(serde::Serialize, serde::Deserialize)]` works via the companion
 //! `serde_derive` proc-macro crate, re-exported here.
 
+// The derives name `::serde::...`; this lets the shim's own tests use them.
+extern crate self as serde;
+
 pub use serde_derive::{Deserialize, Serialize};
 
 mod de;
@@ -69,6 +72,10 @@ mod tests {
         assert_eq!(json::to_string(&Pair(1, 0.5)), r#"{"0":1,"1":0.5}"#);
         assert_eq!(json::to_string(&Some(4u8)), "4");
         assert_eq!(json::to_string(&(1u8, -2i64)), "[1,-2]");
+        // `Vec<f64>` goes through the provided `f64` slice hook, which a
+        // backend that does not override it sees as the same events.
+        assert_eq!(json::to_string(&vec![1.5f64, -0.25]), "[1.5,-0.25]");
+        assert_eq!(json::to_string(&Vec::<f64>::new()), "[]");
     }
 
     #[test]

@@ -26,6 +26,13 @@ pub trait Serializer {
     fn seq_element(&mut self) -> Result<(), Self::Error>;
     /// Ends the current sequence.
     fn end_seq(&mut self) -> Result<(), Self::Error>;
+    /// Writes a whole `f64` sequence. Provided as the element-wise event
+    /// stream; a backend whose sequence encoding is a flat run of fixed-
+    /// width elements overrides it with one bulk copy producing the same
+    /// output.
+    fn ser_f64_seq(&mut self, v: &[f64]) -> Result<(), Self::Error> {
+        element_wise(v, self)
+    }
 
     /// Starts a struct with `len` fields.
     fn begin_struct(&mut self, name: &'static str, len: usize) -> Result<(), Self::Error>;
@@ -55,6 +62,29 @@ pub trait Serializer {
 pub trait Serialize {
     /// Streams `self` into `s`.
     fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error>;
+
+    /// Streams a slice of `Self` as one sequence — what `[T]` and `Vec<T>`
+    /// serialize through. Provided element by element; `f64` overrides it
+    /// to reach [`Serializer::ser_f64_seq`].
+    fn serialize_slice<S: Serializer + ?Sized>(slice: &[Self], s: &mut S) -> Result<(), S::Error>
+    where
+        Self: Sized,
+    {
+        element_wise(slice, s)
+    }
+}
+
+/// A sequence as its event stream: length, then each element in turn.
+fn element_wise<T: Serialize, S: Serializer + ?Sized>(
+    slice: &[T],
+    s: &mut S,
+) -> Result<(), S::Error> {
+    s.begin_seq(slice.len())?;
+    for item in slice {
+        s.seq_element()?;
+        item.serialize(s)?;
+    }
+    s.end_seq()
 }
 
 macro_rules! ser_uint {
@@ -95,6 +125,9 @@ impl Serialize for f64 {
     fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
         s.ser_f64(*self)
     }
+    fn serialize_slice<S: Serializer + ?Sized>(slice: &[f64], s: &mut S) -> Result<(), S::Error> {
+        s.ser_f64_seq(slice)
+    }
 }
 
 impl Serialize for str {
@@ -117,12 +150,7 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 
 impl<T: Serialize> Serialize for [T] {
     fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
-        s.begin_seq(self.len())?;
-        for item in self {
-            s.seq_element()?;
-            item.serialize(s)?;
-        }
-        s.end_seq()
+        T::serialize_slice(self, s)
     }
 }
 

@@ -71,16 +71,7 @@ impl std::error::Error for CodecError {}
 
 /// Serializes `value` into a fresh byte buffer.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    let mut ser = BinSerializer { buf: Vec::new() };
-    // Encoding fails only for a sequence longer than `u32::MAX` elements,
-    // which could never fit inside a MAX_FRAME-capped frame anyway. An
-    // empty buffer is returned so the failure surfaces as a framing /
-    // decode error instead of a crash in the send path.
-    if value.serialize(&mut ser).is_err() {
-        debug_assert!(false, "unencodable value: sequence longer than u32::MAX");
-        return Vec::new();
-    }
-    ser.buf
+    encode_with_prefix(value, 0).unwrap_or_default()
 }
 
 /// Deserializes one `T` from `bytes`, requiring the value to consume the
@@ -94,37 +85,99 @@ pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
     Ok(value)
 }
 
-/// Event-stream serializer writing the compact binary format.
-pub struct BinSerializer {
-    buf: Vec<u8>,
+/// Encodes `value` behind `prefix` zero bytes (room for a frame header)
+/// into a buffer allocated once at its exact final size: a counting pass
+/// over the same serializer sizes it, so a 20 MB share block costs one
+/// allocation and one copy, like a 20-byte control message.
+///
+/// Encoding fails only for a sequence longer than `u32::MAX` elements,
+/// which could never fit inside a MAX_FRAME-capped frame anyway; `None`
+/// lets the failure surface as a framing / decode error instead of a
+/// crash in the send path.
+fn encode_with_prefix<T: Serialize + ?Sized>(value: &T, prefix: usize) -> Option<Vec<u8>> {
+    let mut count = BinSerializer { out: ByteCount(0) };
+    if value.serialize(&mut count).is_err() {
+        debug_assert!(false, "unencodable value: sequence longer than u32::MAX");
+        return None;
+    }
+    let mut out = Vec::with_capacity(prefix.checked_add(count.out.0)?);
+    out.resize(prefix, 0);
+    let mut ser = BinSerializer { out };
+    value.serialize(&mut ser).ok()?;
+    Some(ser.out)
 }
 
-impl Serializer for BinSerializer {
+/// Where [`BinSerializer`] puts its bytes: a growing buffer, or a counter
+/// that only sizes one.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+    /// A run of `f64`s as consecutive little-endian bit patterns.
+    fn put_f64s(&mut self, v: &[f64]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn put_f64s(&mut self, v: &[f64]) {
+        // Staged through a stack block so the buffer is written once, by
+        // `extend_from_slice`, with no zero-fill pass before it.
+        let mut block = [[0u8; 8]; 512];
+        self.reserve(v.len().saturating_mul(8));
+        for chunk in v.chunks(block.len()) {
+            let staged = block.get_mut(..chunk.len()).unwrap_or_default();
+            for (dst, x) in staged.iter_mut().zip(chunk) {
+                *dst = x.to_le_bytes();
+            }
+            self.extend_from_slice(staged.as_flattened());
+        }
+    }
+}
+
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 = self.0.saturating_add(bytes.len());
+    }
+
+    fn put_f64s(&mut self, v: &[f64]) {
+        self.0 = self.0.saturating_add(v.len().saturating_mul(8));
+    }
+}
+
+/// Event-stream serializer writing the compact binary format.
+struct BinSerializer<S> {
+    out: S,
+}
+
+impl<S: Sink> Serializer for BinSerializer<S> {
     type Error = CodecError;
 
     fn ser_bool(&mut self, v: bool) -> Result<(), CodecError> {
-        self.buf.push(v as u8);
+        self.out.put(&[v as u8]);
         Ok(())
     }
     fn ser_u64(&mut self, v: u64) -> Result<(), CodecError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
         Ok(())
     }
     fn ser_i64(&mut self, v: i64) -> Result<(), CodecError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
         Ok(())
     }
     fn ser_f32(&mut self, v: f32) -> Result<(), CodecError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
         Ok(())
     }
     fn ser_f64(&mut self, v: f64) -> Result<(), CodecError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
         Ok(())
     }
     fn ser_str(&mut self, v: &str) -> Result<(), CodecError> {
         self.write_len(v.len())?;
-        self.buf.extend_from_slice(v.as_bytes());
+        self.out.put(v.as_bytes());
         Ok(())
     }
 
@@ -135,6 +188,14 @@ impl Serializer for BinSerializer {
         Ok(())
     }
     fn end_seq(&mut self) -> Result<(), CodecError> {
+        Ok(())
+    }
+    /// The bulk path of a model vector: prefix, then every element's bit
+    /// pattern in one copy — byte for byte what the element-wise events
+    /// produce.
+    fn ser_f64_seq(&mut self, v: &[f64]) -> Result<(), CodecError> {
+        self.write_len(v.len())?;
+        self.out.put_f64s(v);
         Ok(())
     }
 
@@ -155,7 +216,7 @@ impl Serializer for BinSerializer {
         _variant: &'static str,
         _len: usize,
     ) -> Result<(), CodecError> {
-        self.buf.extend_from_slice(&index.to_le_bytes());
+        self.out.put(&index.to_le_bytes());
         Ok(())
     }
     fn end_variant(&mut self) -> Result<(), CodecError> {
@@ -163,20 +224,20 @@ impl Serializer for BinSerializer {
     }
 
     fn ser_none(&mut self) -> Result<(), CodecError> {
-        self.buf.push(0);
+        self.out.put(&[0]);
         Ok(())
     }
     fn begin_some(&mut self) -> Result<(), CodecError> {
-        self.buf.push(1);
+        self.out.put(&[1]);
         Ok(())
     }
 }
 
-impl BinSerializer {
+impl<S: Sink> BinSerializer<S> {
     fn write_len(&mut self, len: usize) -> Result<(), CodecError> {
         let len =
             u32::try_from(len).map_err(|_| CodecError::Invalid("sequence longer than u32::MAX"))?;
-        self.buf.extend_from_slice(&len.to_le_bytes());
+        self.out.put(&len.to_le_bytes());
         Ok(())
     }
 }
@@ -258,6 +319,16 @@ impl Deserializer for BinDeserializer<'_> {
     fn end_seq(&mut self) -> Result<(), CodecError> {
         Ok(())
     }
+    /// The bulk path of a model vector. The declared count is checked
+    /// against the remaining input twice before anything is allocated —
+    /// `read_len` (one byte per element at least) and then `take` of the
+    /// full `8 * n` bytes — so a hostile prefix sizes nothing.
+    fn de_f64_seq(&mut self) -> Result<Vec<f64>, CodecError> {
+        let n = self.read_len()?;
+        let nbytes = n.checked_mul(8).ok_or(CodecError::Eof)?;
+        let (elems, _) = self.take(nbytes)?.as_chunks::<8>();
+        Ok(elems.iter().map(|b| f64::from_le_bytes(*b)).collect())
+    }
 
     fn begin_struct(&mut self, _name: &'static str, _len: usize) -> Result<(), CodecError> {
         Ok(())
@@ -313,23 +384,19 @@ pub fn frame_bytes(payload: &[u8]) -> Option<Vec<u8>> {
 }
 
 /// Serializes `value` directly into wire-frame form (length prefix +
-/// payload) in a single allocation — the batched write path of the async
-/// reactor queues these verbatim and hands them to vectored writes, so
-/// no per-frame copy or extra syscall happens later. Returns `None` when
-/// the value cannot be encoded or exceeds [`MAX_FRAME`].
+/// payload) in a single exact-size allocation — the batched write path of
+/// the async reactor queues these verbatim and hands them to vectored
+/// writes, so no per-frame copy or extra syscall happens later. Returns
+/// `None` when the value cannot be encoded or exceeds [`MAX_FRAME`].
 pub fn to_frame_bytes<T: Serialize + ?Sized>(value: &T) -> Option<Vec<u8>> {
-    let mut ser = BinSerializer { buf: vec![0u8; 4] };
-    if value.serialize(&mut ser).is_err() {
-        debug_assert!(false, "unencodable value: sequence longer than u32::MAX");
-        return None;
-    }
-    let len = ser.buf.len().saturating_sub(4);
+    let mut framed = encode_with_prefix(value, 4)?;
+    let len = framed.len().checked_sub(4)?;
     if len > MAX_FRAME {
         return None;
     }
     let prefix = (len as u32).to_le_bytes();
-    ser.buf.get_mut(..4)?.copy_from_slice(&prefix);
-    Some(ser.buf)
+    framed.get_mut(..4)?.copy_from_slice(&prefix);
+    Some(framed)
 }
 
 /// Writes `payload` as one length-delimited frame. Prefix and payload go
@@ -352,9 +419,16 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// [`FrameBuffer::next_frame`] yields complete frames as they become
 /// available, preserving partial frames across reads so a read timeout in
 /// the middle of a frame never desynchronizes the stream.
+///
+/// Frames are handed out in place, behind a read cursor, so popping the
+/// `k` frames of one read costs `O(1)` each and moves no bytes; consumed
+/// space is reclaimed by the next `extend`, which moves at most as many
+/// bytes as were consumed since the last reclaim.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// Read cursor: everything before it was already handed out.
+    head: usize,
 }
 
 impl FrameBuffer {
@@ -365,24 +439,44 @@ impl FrameBuffer {
 
     /// Appends freshly received bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
+        if self.head == self.buf.len() {
+            self.buf.clear();
+            self.head = 0;
+        } else if self.head > self.buf.len() / 2 {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
         self.buf.extend_from_slice(bytes);
+        // With the header in, make room for the whole frame in one step
+        // instead of doubling up to it 64 KiB read by 64 KiB read. The
+        // MAX_FRAME cap bounds what a hostile header can reserve.
+        if let Some(len) = self.pending_len().filter(|&len| len <= MAX_FRAME) {
+            let buffered = self.buf.len() - self.head;
+            self.buf.reserve((4 + len).saturating_sub(buffered));
+        }
     }
 
-    /// Pops the next complete frame, if one is buffered.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, CodecError> {
-        let Some(header) = self.buf.first_chunk::<4>() else {
+    /// Payload length declared by the next frame's header, once buffered.
+    fn pending_len(&self) -> Option<usize> {
+        let header = self.buf.get(self.head..)?.first_chunk::<4>()?;
+        Some(u32::from_le_bytes(*header) as usize)
+    }
+
+    /// Pops the next complete frame, if one is buffered. The payload is
+    /// borrowed from the buffer and stays valid until the next `extend`.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, CodecError> {
+        let Some(len) = self.pending_len() else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes(*header) as usize;
         if len > MAX_FRAME {
             return Err(CodecError::Invalid("frame exceeds MAX_FRAME"));
         }
-        let Some(payload) = self.buf.get(4..4 + len) else {
+        let start = self.head + 4;
+        let Some(payload) = self.buf.get(start..start + len) else {
             return Ok(None);
         };
-        let frame = payload.to_vec();
-        self.buf.drain(..4 + len);
-        Ok(Some(frame))
+        self.head = start + len;
+        Ok(Some(payload))
     }
 }
 
@@ -430,6 +524,148 @@ mod tests {
         }
     }
 
+    /// A model vector as the engines put it on the wire.
+    #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq, Clone)]
+    struct Weights(Vec<f64>);
+
+    /// The same vector routed around the `f64` slice hooks: its elements
+    /// are not `f64` to serde, so `Vec<Elem>` takes the provided element-
+    /// wise loops — the encoding and decoding the bulk path replaced,
+    /// kept as its oracle.
+    #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq, Clone)]
+    struct ElementWise(Vec<Elem>);
+    #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq, Clone)]
+    struct Elem(f64);
+
+    const ORACLE_DIMS: [usize; 9] = [0, 1, 3, 4, 5, 4095, 4096, 4097, 100_003];
+
+    /// Deterministic bit patterns covering signs, exponents and NaNs.
+    fn patterned(dim: usize) -> Vec<f64> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..dim)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                f64::from_bits(x)
+            })
+            .collect()
+    }
+
+    fn same_bits(a: &[f64], b: impl Iterator<Item = f64>) -> bool {
+        a.len() == b.size_hint().0 && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn bulk_f64_path_matches_the_element_wise_oracle() {
+        for dim in ORACLE_DIMS {
+            let values = patterned(dim);
+            let bulk = Weights(values.clone());
+            let oracle = ElementWise(values.iter().map(|&x| Elem(x)).collect());
+
+            let bytes = to_bytes(&bulk);
+            assert_eq!(bytes, to_bytes(&oracle), "encode differs at dim {dim}");
+            assert_eq!(bytes.len(), 4 + 8 * dim);
+
+            let Weights(via_bulk) = from_bytes(&bytes).unwrap();
+            let ElementWise(via_oracle) = from_bytes(&bytes).unwrap();
+            assert!(same_bits(&values, via_bulk.into_iter()), "dim {dim}");
+            assert!(
+                same_bits(&values, via_oracle.into_iter().map(|e| e.0)),
+                "dim {dim}"
+            );
+
+            // The frame form is the same payload behind its length.
+            let framed = to_frame_bytes(&bulk).unwrap();
+            assert_eq!(framed.len(), framed.capacity(), "frame not exact-size");
+            assert_eq!(framed[..4], (bytes.len() as u32).to_le_bytes());
+            assert_eq!(framed[4..], bytes[..]);
+        }
+    }
+
+    #[test]
+    fn bulk_f64_path_matches_the_oracle_inside_a_message() {
+        // The shape of a share block: vectors nested in tuples in a
+        // sequence in an enum variant, between other fields.
+        #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq, Clone)]
+        enum Block<V> {
+            Share {
+                round: u64,
+                parts: Vec<(usize, V)>,
+                note: Option<String>,
+            },
+        }
+        let values = [patterned(4097), patterned(0), patterned(5)];
+        let bulk = Block::Share {
+            round: 9,
+            parts: values.iter().cloned().map(Weights).enumerate().collect(),
+            note: Some("x".into()),
+        };
+        let oracle = Block::Share {
+            round: 9,
+            parts: values
+                .iter()
+                .map(|v| ElementWise(v.iter().map(|&x| Elem(x)).collect()))
+                .enumerate()
+                .collect(),
+            note: Some("x".into()),
+        };
+        let bytes = to_bytes(&bulk);
+        assert_eq!(bytes, to_bytes(&oracle));
+        let Block::Share { parts, .. } = from_bytes::<Block<Weights>>(&bytes).unwrap();
+        for ((_, Weights(got)), want) in parts.into_iter().zip(&values) {
+            assert!(same_bits(want, got.into_iter()));
+        }
+    }
+
+    #[test]
+    fn encoded_size_is_counted_exactly() {
+        for v in [
+            Probe::Unit,
+            Probe::Named {
+                a: 7,
+                b: Some("héllo".into()),
+            },
+            Probe::Named { a: 0, b: None },
+            Probe::Tuple(patterned(1000), false),
+        ] {
+            let bytes = to_bytes(&v);
+            assert_eq!(bytes.len(), bytes.capacity(), "{v:?}");
+            let framed = to_frame_bytes(&v).unwrap();
+            assert_eq!(framed.len(), framed.capacity(), "{v:?}");
+            assert_eq!(framed.len(), bytes.len() + 4);
+        }
+    }
+
+    #[test]
+    fn hostile_f64_sequence_prefixes_allocate_nothing() {
+        // n elements declared, fewer than 8n bytes behind the prefix.
+        let mut bytes = 1000u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0u8; 1000]); // passes n <= remaining
+        assert_eq!(from_bytes::<Weights>(&bytes), Err(CodecError::Eof));
+        assert_eq!(from_bytes::<ElementWise>(&bytes), Err(CodecError::Eof));
+
+        // The largest declarable count, with nothing behind it.
+        let bytes = u32::MAX.to_le_bytes();
+        assert_eq!(
+            from_bytes::<Weights>(&bytes),
+            Err(CodecError::LengthOverrun {
+                declared: u32::MAX as usize,
+                available: 0
+            })
+        );
+
+        // Cut mid-element, at every byte of the last element.
+        let whole = to_bytes(&Weights(patterned(3)));
+        for cut in 1..=8 {
+            assert_eq!(
+                from_bytes::<Weights>(&whole[..whole.len() - cut]),
+                Err(CodecError::Eof),
+                "cut {cut}"
+            );
+        }
+    }
+
     #[test]
     fn rejects_trailing_and_truncated() {
         let mut bytes = to_bytes(&Probe::Unit);
@@ -463,10 +699,91 @@ mod tests {
         for &b in &wire {
             fb.extend(&[b]);
             while let Some(f) = fb.next_frame().unwrap() {
-                frames.push(f);
+                frames.push(f.to_vec());
             }
         }
         assert_eq!(frames, vec![b"hello".to_vec(), vec![], b"world!".to_vec()]);
+    }
+
+    #[test]
+    fn popping_buffered_frames_moves_no_bytes() {
+        // k small frames arriving in one read is the common case on a
+        // busy link. Each pop must be O(1): frames come out in place, at
+        // the offsets they were received at, so no pop can have shifted
+        // the bytes behind it (a shift per pop is O(k^2) over the read).
+        let k = 10_000usize;
+        let mut wire = Vec::new();
+        for i in 0..k {
+            write_frame(&mut wire, &vec![i as u8; i % 7]).unwrap();
+        }
+        let mut fb = FrameBuffer::new();
+        fb.extend(&wire);
+        let base = fb.buf.as_ptr() as usize;
+        let mut offset = 0usize;
+        for i in 0..k {
+            let frame = fb.next_frame().unwrap().unwrap();
+            assert_eq!(frame, &vec![i as u8; i % 7][..]);
+            assert_eq!(
+                frame.as_ptr() as usize,
+                base + offset + 4,
+                "frame {i} moved"
+            );
+            offset += 4 + frame.len();
+        }
+        assert!(matches!(fb.next_frame(), Ok(None)));
+        assert_eq!(offset, wire.len());
+    }
+
+    #[test]
+    fn frame_buffer_reclaims_consumed_space() {
+        // A long stream through small reads must not grow the buffer:
+        // consumed bytes are reclaimed on `extend`, and each reclaim
+        // moves less than what was consumed since the previous one.
+        let payload = vec![0xabu8; 1000];
+        let mut wire = Vec::new();
+        for _ in 0..5_000 {
+            write_frame(&mut wire, &payload).unwrap();
+        }
+        let mut fb = FrameBuffer::new();
+        let mut frames = 0usize;
+        for piece in wire.chunks(700) {
+            fb.extend(piece);
+            while let Some(f) = fb.next_frame().unwrap() {
+                assert_eq!(f, &payload[..]);
+                frames += 1;
+            }
+            assert!(fb.head <= fb.buf.len());
+        }
+        assert_eq!(frames, 5_000);
+        assert!(
+            fb.buf.capacity() < 16 * 1024,
+            "5 MB streamed through 700-byte reads left {} bytes of buffer",
+            fb.buf.capacity()
+        );
+    }
+
+    #[test]
+    fn frame_buffer_sizes_itself_from_the_header() {
+        // The first read of a bulk frame carries its header; the buffer
+        // must take its final size then, not by doubling read after read.
+        let payload = vec![7u8; 3 << 20];
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let mut fb = FrameBuffer::new();
+        let mut pieces = wire.chunks(64 << 10);
+        fb.extend(pieces.next().unwrap());
+        let (ptr, cap) = (fb.buf.as_ptr(), fb.buf.capacity());
+        assert!(cap >= wire.len());
+        for piece in pieces {
+            assert!(matches!(fb.next_frame(), Ok(None)));
+            fb.extend(piece);
+        }
+        assert_eq!(
+            (fb.buf.as_ptr(), fb.buf.capacity()),
+            (ptr, cap),
+            "buffer regrew"
+        );
+        assert_eq!(fb.next_frame().unwrap().unwrap(), &payload[..]);
     }
 
     #[test]

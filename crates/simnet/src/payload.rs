@@ -11,9 +11,13 @@
 /// message (the [`crate::FaultAction::Duplicate`] fault); every real payload
 /// in the workspace is a cheaply cloneable enum or reference-counted blob.
 pub trait Payload: Clone + Send + 'static {
-    /// Serialized size of the message in bytes, used for the communication
-    /// cost ledger. Implementations should count what a real wire format
-    /// would carry (weight tensors dominate in this workspace).
+    /// Size of the message in bytes for the communication cost ledger.
+    /// Implementations count what the paper's wire format would carry
+    /// (weight tensors dominate in this workspace, at 4 bytes per `f32`
+    /// parameter). This is the figures' ledger, not the length of a
+    /// [`crate::codec`] frame: that codec ships model vectors as `f64`, 8
+    /// bytes per parameter, so real-network results match the simulator's
+    /// bit for bit.
     fn size_bytes(&self) -> u64;
 
     /// A short static label grouping messages of the same protocol step,
