@@ -2,7 +2,7 @@
 # The full local CI gate: formatting, lints (warnings are errors), the
 # wire-surface lint, the protocol static-analysis pass (p2pfl-lint), a
 # release build, the complete test suite, the bounded model-checking
-# explorer with its mutation self-check, the loom concurrency models,
+# explorer with its mutation self-check, the loom concurrency model,
 # and (where the tools exist) sanitizers, Miri, and cargo-deny.
 # Run from the repo root.
 set -euo pipefail
@@ -32,9 +32,9 @@ cargo run --release -p p2pfl-check --bin explore -- --ci
 echo "==> p2pfl-check: mutation self-check (seeded mutants must be caught)"
 cargo run --release -p p2pfl-check --features mutants --bin mutation_check
 
-echo "==> loom models over the hub's and reactor's shared state"
+echo "==> loom model over the reactor's cross-thread task injector (loom_reactor)"
 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
-    cargo test -p p2pfl-net --test loom_hub --test loom_reactor -q
+    cargo test -p p2pfl-net --test loom_reactor -q
 
 # Sanitizers (nightly-only, soft gates). ThreadSanitizer needs an
 # *instrumented* std (-Zbuild-std, which needs the rust-src component):
@@ -46,7 +46,7 @@ RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
 HOST_TARGET="$(rustc --version --verbose | sed -n 's/^host: //p')"
 NIGHTLY_SRC="$(rustc +nightly --print sysroot 2>/dev/null || true)/lib/rustlib/src/rust/library/Cargo.lock"
 if [ -f "$NIGHTLY_SRC" ]; then
-    echo "==> ThreadSanitizer (p2pfl-net TCP runtime tests)"
+    echo "==> ThreadSanitizer (p2pfl-net reactor tests)"
     RUSTFLAGS="-Zsanitizer=thread" CARGO_TARGET_DIR=target/tsan \
         cargo +nightly test -Zbuild-std --target "$HOST_TARGET" -p p2pfl-net --lib -q
 else
@@ -54,7 +54,7 @@ else
 fi
 
 if rustc +nightly --version >/dev/null 2>&1; then
-    echo "==> AddressSanitizer smoke (codec + runtime malformed-input tests)"
+    echo "==> AddressSanitizer smoke (codec + reactor malformed-input tests)"
     RUSTFLAGS="-Zsanitizer=address" CARGO_TARGET_DIR=target/asan \
         cargo +nightly test --target "$HOST_TARGET" -p p2pfl-net --test malformed_input -q
 else
@@ -108,7 +108,7 @@ else
     echo "==> perf gate: SKIPPED (no BENCH_hotpath.json baseline checked in)"
 fi
 
-# Scale gate: quick two-layer round (64 peers on the async reactor)
+# Scale gate: quick two-layer round (64 peers on one reactor)
 # digest-checked against the simulator twin and compared against the
 # checked-in 1000-peer baseline's _quick entries; fails on a >2x median
 # regression above an absolute 250ms floor (1-core scheduler noise).

@@ -11,8 +11,8 @@
 //! Every epoch runs a lossy randomized [`FaultPlan`] (link chaos) with the
 //! case's crash/restart events spliced in, applied to the simulator-backed
 //! [`ResilientSession`]. A final TCP leg replays a plan's crash/restart
-//! schedule against real `PeerRuntime` peers with on-disk Raft storage and
-//! verifies recovery from the files alone.
+//! schedule against reactor-hosted peers with on-disk Raft storage and
+//! verifies recovery, at a new address, from the files alone.
 //!
 //! Run: `cargo run -rp p2pfl-bench --bin chaos_soak -- --seed 7`
 //! Smoke: `cargo run -rp p2pfl-bench --bin chaos_soak -- --smoke --seed 7`
@@ -34,14 +34,14 @@
 //! same digest over real TCP as on the simulator).
 
 use p2pfl::runner::{ResilientConfig, ResilientSession};
-use p2pfl_bench::{banner, print_csv, Args};
+use p2pfl_bench::{banner, mesh, print_csv, Args};
 use p2pfl_fed::Client;
 use p2pfl_hierraft::{
     ElasticBounds, FedCmd, HierActor, HierMsg, HierPeerConfig, RobustCombiner, SubCmd,
 };
 use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Dataset, Partition};
 use p2pfl_ml::models::mlp;
-use p2pfl_net::PeerRuntime;
+use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
 use p2pfl_raft::FileStorage;
 use p2pfl_secagg::{
     RingMsg, RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme,
@@ -489,7 +489,6 @@ fn flash_crowd_leg(seed: u64, engine: SacEngine) -> Vec<(u64, Vec<NodeId>)> {
 /// peers adopted), and checks the result bit-for-bit against a simulator
 /// twin of the identical round — and against the plain mean.
 fn flash_crowd_reactor_leg(rosters: &[(u64, Vec<NodeId>)], seed: u64) {
-    use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
     let wall = Instant::now();
     for (gi, (roster_key, roster)) in rosters.iter().enumerate() {
         let n = roster.len();
@@ -556,14 +555,7 @@ fn flash_crowd_reactor_leg(rosters: &[(u64, Vec<NodeId>)], seed: u64) {
                     .expect("spawn peer")
             })
             .collect();
-        let addr = reactor.local_addr();
-        for a in &handles {
-            for b in &handles {
-                if a.node_id() != b.node_id() {
-                    a.add_peer(b.node_id(), addr);
-                }
-            }
-        }
+        mesh(&handles);
         handles[0].with(|a, ctx| a.start_round(ctx, 1));
         wait_for(
             &format!("flash-crowd tcp round, subgroup {gi}"),
@@ -595,7 +587,7 @@ fn flash_crowd_reactor_leg(rosters: &[(u64, Vec<NodeId>)], seed: u64) {
 const TCP_GROUPS: usize = 2;
 const TCP_SIZE: usize = 3;
 
-type HierRt = PeerRuntime<HierMsg, HierActor>;
+type HierRt = PeerHandle<HierMsg, HierActor>;
 
 fn hier_cfg(
     id: NodeId,
@@ -695,21 +687,17 @@ fn tcp_crash_restart_leg(seed: u64, engine: SacEngine) {
     let founding: Vec<NodeId> = subgroups.iter().map(|g| g[0]).collect();
     let all: Vec<NodeId> = subgroups.iter().flatten().copied().collect();
 
-    let mut rts: HashMap<NodeId, HierRt> = all
+    let home: Reactor<HierMsg, HierActor> =
+        Reactor::start(ReactorConfig::default()).expect("bind reactor");
+    let handles: Vec<HierRt> = all
         .iter()
         .map(|&id| {
             let actor = storage_actor(&dir, hier_cfg(id, &subgroups, &founding, seed, engine));
-            let rt = PeerRuntime::start(id, "127.0.0.1:0", &[], actor).expect("bind");
-            (id, rt)
+            home.spawn_peer(id, actor).expect("spawn peer")
         })
         .collect();
-    for a in &all {
-        for b in &all {
-            if a != b {
-                rts[a].add_peer(*b, rts[b].local_addr());
-            }
-        }
-    }
+    mesh(&handles);
+    let mut rts: HashMap<NodeId, HierRt> = handles.into_iter().map(|h| (h.node_id(), h)).collect();
     wait_for(
         "initial TCP two-layer stability",
         Duration::from_secs(30),
@@ -726,6 +714,9 @@ fn tcp_crash_restart_leg(seed: u64, engine: SacEngine) {
         let r = a.sub_raft();
         (r.term(), r.log().last_index())
     });
+    // The restarted process gets a listener of its own: a new address.
+    let away: Reactor<HierMsg, HierActor> =
+        Reactor::start(ReactorConfig::default()).expect("bind reactor");
     for ev in plan.process_events() {
         let due = origin + Duration::from_nanos(ev.at.as_nanos());
         if let Some(wait) = due.checked_duration_since(Instant::now()) {
@@ -744,10 +735,9 @@ fn tcp_crash_restart_leg(seed: u64, engine: SacEngine) {
                     "log entries lost on restart"
                 );
                 assert!(actor.is_fed_member(), "fed seat not restored from disk");
-                let peers: Vec<(NodeId, std::net::SocketAddr)> =
-                    rts.iter().map(|(&id, rt)| (id, rt.local_addr())).collect();
-                let rt = PeerRuntime::start(ev.node, "127.0.0.1:0", &peers, actor).expect("rebind");
+                let rt = away.spawn_peer(ev.node, actor).expect("respawn");
                 for other in rts.values() {
+                    rt.add_peer(other.node_id(), other.local_addr());
                     other.add_peer(ev.node, rt.local_addr());
                 }
                 rts.insert(ev.node, rt);
@@ -919,7 +909,9 @@ fn byzantine_leg(seed: u64) {
     println!("# byzantine leg (sim): attacker detected by all honest peers, honest mean intact");
 
     // TCP sub-leg: same attack over real sockets.
-    let runtimes: Vec<PeerRuntime<SacMsg, SacPeerActor>> = (0..BYZ_N)
+    let reactor: Reactor<SacMsg, SacPeerActor> =
+        Reactor::start(ReactorConfig::default()).expect("bind reactor");
+    let runtimes: Vec<PeerHandle<SacMsg, SacPeerActor>> = (0..BYZ_N)
         .map(|pos| {
             let mut actor = SacPeerActor::new(
                 byz_sac_cfg(&ids, pos, SimDuration::from_secs(2), seed),
@@ -928,16 +920,10 @@ fn byzantine_leg(seed: u64) {
             if pos == BYZ_POS {
                 actor.byz_share_skew = Some(BYZ_SKEW);
             }
-            PeerRuntime::start(ids[pos], "127.0.0.1:0", &[], actor).expect("bind")
+            reactor.spawn_peer(ids[pos], actor).expect("spawn peer")
         })
         .collect();
-    for a in &runtimes {
-        for b in &runtimes {
-            if a.node_id() != b.node_id() {
-                a.add_peer(b.node_id(), b.local_addr());
-            }
-        }
-    }
+    mesh(&runtimes);
     runtimes[0].with(|a, ctx| a.start_round(ctx, 1));
     wait_for("tcp byzantine round", Duration::from_secs(30), || {
         runtimes[0].with(|a, _| a.result.is_some() || matches!(a.phase, SacPhase::Failed(_)))

@@ -23,12 +23,12 @@ use p2pfl::experiment::{build_system, SweepSpec};
 use p2pfl::system::SystemKind;
 use p2pfl_bench::alloc::CountingAlloc;
 use p2pfl_bench::hotpath::{check_regressions, parse_baseline, Harness};
-use p2pfl_bench::Args;
+use p2pfl_bench::{mesh, wait_round, Args};
 use p2pfl_ml::data::Partition;
 use p2pfl_ml::layers::Conv2d;
 use p2pfl_ml::reference::matmul_naive;
 use p2pfl_ml::{Layer, Tensor};
-use p2pfl_net::PeerRuntime;
+use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
 use p2pfl_secagg::pairwise::{masked_update, PairwiseSeeds};
 use p2pfl_secagg::{
     divide_masked, RingMsg, RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase,
@@ -38,7 +38,6 @@ use p2pfl_simnet::codec::{from_bytes, to_bytes};
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -54,27 +53,17 @@ fn seeded_tensor(shape: &[usize], seed: u64) -> Tensor {
     )
 }
 
-/// Polls one group leader until its SAC round completes, returning the
-/// result digest.
-fn wait_done(leader: &PeerRuntime<SacMsg, SacPeerActor>, round: u64) -> u64 {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let state = leader.with(|a, _| (a.phase.clone(), a.result.as_ref().map(|r| r.digest())));
-        match state {
-            (SacPhase::Done, Some(d)) => return d,
-            (SacPhase::Failed(e), _) => panic!("tcp round {round} failed: {e}"),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "tcp round {round} stalled");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// Starts a full-mesh loopback group of `n` SAC peers with fresh models.
-fn tcp_group(base_id: u32, n: usize, dim: usize) -> Vec<PeerRuntime<SacMsg, SacPeerActor>> {
+/// Hosts a full-mesh loopback group of `n` SAC peers with fresh models on
+/// `reactor`.
+fn tcp_group(
+    reactor: &Reactor<SacMsg, SacPeerActor>,
+    base_id: u32,
+    n: usize,
+    dim: usize,
+) -> Vec<PeerHandle<SacMsg, SacPeerActor>> {
     let ids: Vec<NodeId> = (0..n).map(|i| NodeId(base_id + i as u32)).collect();
     let mut rng = StdRng::seed_from_u64(SEED + base_id as u64);
-    let runtimes: Vec<PeerRuntime<SacMsg, SacPeerActor>> = (0..n)
+    let handles: Vec<PeerHandle<SacMsg, SacPeerActor>> = (0..n)
         .map(|i| {
             let cfg = SacConfig {
                 group: ids.clone(),
@@ -89,18 +78,13 @@ fn tcp_group(base_id: u32, n: usize, dim: usize) -> Vec<PeerRuntime<SacMsg, SacP
                 seed: SEED + base_id as u64 + i as u64,
             };
             let model = WeightVector::random(dim, 1.0, &mut rng);
-            PeerRuntime::start(ids[i], "127.0.0.1:0", &[], SacPeerActor::new(cfg, model))
-                .expect("bind loopback")
+            reactor
+                .spawn_peer(ids[i], SacPeerActor::new(cfg, model))
+                .expect("spawn peer")
         })
         .collect();
-    for a in &runtimes {
-        for b in &runtimes {
-            if a.node_id() != b.node_id() {
-                a.add_peer(b.node_id(), b.local_addr());
-            }
-        }
-    }
-    runtimes
+    mesh(&handles);
+    handles
 }
 
 /// One clean (no-dropout) simulated SAC round at subgroup size `n` under
@@ -246,22 +230,20 @@ fn main() {
     });
 
     // --- macro: one full N=10 two-layer round over TCP loopback ---
-    // Two subgroups of 5 run their SAC rounds over real sockets; the
-    // fed-layer combine averages the two leader results.
-    let group_a = tcp_group(0, 5, 1_000);
-    let group_b = tcp_group(100, 5, 1_000);
+    // Two subgroups of 5 run their SAC rounds over real sockets, all ten
+    // peers on one reactor; the fed-layer combine averages the two leader
+    // results.
+    let reactor = Reactor::start(ReactorConfig::default()).expect("bind loopback");
+    let group_a = tcp_group(&reactor, 0, 5, 1_000);
+    let group_b = tcp_group(&reactor, 100, 5, 1_000);
     let mut tcp_round = 0u64;
     h.bench("macro_round_tcp", scale(3).max(1), 0, || {
         tcp_round += 1;
         let r = tcp_round;
         group_a[0].with(move |actor, ctx| actor.start_round(ctx, r));
         group_b[0].with(move |actor, ctx| actor.start_round(ctx, r));
-        wait_done(&group_a[0], r);
-        wait_done(&group_b[0], r);
-        let (ra, rb) = (
-            group_a[0].with(|actor, _| actor.result.clone().expect("group A result")),
-            group_b[0].with(|actor, _| actor.result.clone().expect("group B result")),
-        );
+        let ra = wait_round(&group_a[0], "tcp round, group A");
+        let rb = wait_round(&group_b[0], "tcp round, group B");
         std::hint::black_box(WeightVector::mean([&ra, &rb]));
     });
 

@@ -26,7 +26,7 @@
 //! with a full (non-`--quick`) run on a quiet machine.
 
 use p2pfl_bench::hotpath::{parse_baseline, BenchResult};
-use p2pfl_bench::{banner, Args};
+use p2pfl_bench::{banner, mesh, wait_round, Args};
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
 use p2pfl_secagg::{
     SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
@@ -187,25 +187,6 @@ fn sim_twin(shape: &Shape, rounds: u64) -> (Vec<Vec<u64>>, Vec<u64>) {
 
 type Handle = PeerHandle<SacMsg, SacPeerActor>;
 
-fn wait_round(leader: &Handle, what: &str) -> (u64, WeightVector) {
-    let deadline = Instant::now() + Duration::from_secs(600);
-    loop {
-        let state = leader.with(|a, _| {
-            (
-                a.phase.clone(),
-                a.result.as_ref().map(|r| (r.digest(), r.clone())),
-            )
-        });
-        match state {
-            (SacPhase::Done, Some(dr)) => return dr,
-            (SacPhase::Failed(e), _) => panic!("{what} failed: {e}"),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "{what} stalled");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 struct RoundOutcome {
     /// Per-subgroup completion latency, seconds, subgroup order.
     latencies: Vec<f64>,
@@ -285,17 +266,10 @@ fn run_l2_round(shape: &Shape, results: Vec<WeightVector>, expected: u64) -> f64
                 .expect("spawn layer-2 peer")
         })
         .collect();
-    let addr = reactor.local_addr();
-    for a in &handles {
-        for b in &handles {
-            if a.node_id() != b.node_id() {
-                a.add_peer(b.node_id(), addr);
-            }
-        }
-    }
+    mesh(&handles);
     let t = Instant::now();
     handles[0].with(|a, ctx| a.start_round(ctx, 1));
-    let (digest, _) = wait_round(&handles[0], "layer-2 round");
+    let digest = wait_round(&handles[0], "layer-2 round").digest();
     let latency = t.elapsed().as_secs_f64();
     assert_eq!(digest, expected, "layer 2 diverged from the simulator");
     for h in &handles {
@@ -438,16 +412,8 @@ fn run_shape(shape: &Shape, soak: bool, suffix: &str) -> (Vec<BenchResult>, Vec<
             .expect("spawn peer")
         })
         .collect();
-    let addr = reactor.local_addr();
-    for g in 0..shape.subgroups {
-        let ids = subgroup_ids(shape, g);
-        for &a in &ids {
-            for &b in &ids {
-                if a != b {
-                    handles[a.0 as usize].add_peer(b, addr);
-                }
-            }
-        }
+    for subgroup in handles.chunks(shape.sub_size) {
+        mesh(subgroup);
     }
 
     let mut outcome = run_l1_round(shape, &handles, 1, &l1_expected[0]);

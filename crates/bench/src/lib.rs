@@ -95,6 +95,39 @@ pub fn print_csv(header: &str, rows: impl IntoIterator<Item = String>) {
     }
 }
 
+/// Tells every reactor-hosted peer in `handles` where every other one
+/// listens (full mesh; the lower id of each pair dials).
+pub fn mesh<M, A>(handles: &[p2pfl_net::PeerHandle<M, A>]) {
+    for a in handles {
+        for b in handles {
+            if a.node_id() != b.node_id() {
+                a.add_peer(b.node_id(), b.local_addr());
+            }
+        }
+    }
+}
+
+/// Polls a reactor-hosted pairwise leader until its round completes and
+/// returns the published result; panics, naming `what`, if the round
+/// fails or stalls.
+pub fn wait_round(
+    leader: &p2pfl_net::PeerHandle<p2pfl_secagg::SacMsg, p2pfl_secagg::SacPeerActor>,
+    what: &str,
+) -> p2pfl_secagg::WeightVector {
+    use p2pfl_secagg::SacPhase;
+    use std::time::{Duration, Instant};
+    let deadline = Instant::now() + Duration::from_secs(600);
+    loop {
+        match leader.with(|a, _| (a.phase.clone(), a.result.clone())) {
+            (SacPhase::Done, Some(result)) => return result,
+            (SacPhase::Failed(e), _) => panic!("{what} failed: {e}"),
+            _ => {}
+        }
+        assert!(Instant::now() < deadline, "{what} stalled");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 /// A figure banner with the paper reference, so output is self-describing.
 pub fn banner(figure: &str, claim: &str) {
     println!("# {figure}");

@@ -2,7 +2,7 @@
 //!
 //! Builds an intra-workspace call graph and walks it from the hostile-
 //! input roots — the binary codec decode surface, the `FrameBuffer`
-//! feed, the hub/runtime socket loops, and every actor callback
+//! feed, the reactor's socket loop, and every actor callback
 //! (`on_start`/`on_message`/`on_timer`, plus raft's `Node::handle`).
 //! Any `unwrap()`, `expect()`, `panic!`, `unreachable!`, `todo!`, or
 //! `unimplemented!` inside a reachable function is a finding: a peer
@@ -33,6 +33,7 @@ use crate::walk::Workspace;
 use crate::{Finding, Rule};
 
 /// Selects root functions: all present fields must match.
+#[derive(Debug)]
 pub struct RootMatcher {
     /// Crate directory name (`net`, `simnet`, ...), if constrained.
     pub crate_name: Option<&'static str>,
@@ -54,8 +55,10 @@ pub struct Config {
     /// Method names excluded from dot-call edge resolution because they
     /// collide with std trait/collection methods.
     pub dot_blocklist: Vec<&'static str>,
-    /// Root functions that must exist — if the matcher stops matching,
-    /// the lint reports scope rot instead of passing silently.
+    /// Functions that must be reachable from the roots under these names
+    /// — if one is renamed away, the lint reports scope rot instead of
+    /// passing silently. (A root matcher that matches no function at all
+    /// is reported the same way.)
     pub required_roots: Vec<&'static str>,
 }
 
@@ -71,14 +74,8 @@ impl Config {
                     self_ty: None,
                     fn_name: None,
                 },
-                // Socket-facing loops in the TCP runtime.
-                root_fn("net", "reader_loop"),
-                root_fn("net", "accept_loop"),
-                root_fn("net", "writer_loop"),
-                root_fn("net", "event_loop"),
-                root_fn("net", "parse_hello"),
-                // The async reactor's single event loop: every byte any
-                // peer sends is processed inside this call tree.
+                // The reactor's single event loop: every byte any peer
+                // sends is processed inside this call tree.
                 root_fn("net", "reactor_loop"),
                 // Actor callbacks: every message a peer sends lands here.
                 root_cb("on_start"),
@@ -242,10 +239,16 @@ pub fn check(ws: &Workspace, cfg: &Config) -> Output {
     let mut queue = VecDeque::new();
     let mut parent: Vec<Option<usize>> = vec![None; nodes.len()];
     let mut reached = vec![false; nodes.len()];
+    let mut root_matched = vec![false; cfg.roots.len()];
     for (i, n) in nodes.iter().enumerate() {
-        if cfg.roots.iter().any(|r| root_matches(r, n)) {
-            reached[i] = true;
-            queue.push_back(i);
+        for (r, matched) in cfg.roots.iter().zip(&mut root_matched) {
+            if root_matches(r, n) {
+                *matched = true;
+                if !reached[i] {
+                    reached[i] = true;
+                    queue.push_back(i);
+                }
+            }
         }
     }
     while let Some(i) = queue.pop_front() {
@@ -299,21 +302,30 @@ pub fn check(ws: &Workspace, cfg: &Config) -> Output {
         }
     }
 
-    // 6. Scope-rot self-check: the roots the analysis depends on must
-    // still exist under their expected names.
+    // 6. Scope-rot self-check: every configured root must still select
+    // something, and the functions the analysis depends on must still be
+    // reachable under their expected names.
+    let rot = |what: String| Finding {
+        rule: Rule::SelfCheck,
+        file: "<workspace>".to_string(),
+        line: 0,
+        item: "wire-panic".to_string(),
+        msg: format!("{what} — scope rot"),
+    };
+    for (r, matched) in cfg.roots.iter().zip(&root_matched) {
+        if !matched {
+            findings.push(rot(format!("root {r:?} matches no function")));
+        }
+    }
     for req in &cfg.required_roots {
         let found = nodes
             .iter()
             .enumerate()
             .any(|(i, n)| reached[i] && n.qual() == *req);
         if !found {
-            findings.push(Finding {
-                rule: Rule::SelfCheck,
-                file: "<workspace>".to_string(),
-                line: 0,
-                item: "wire-panic".to_string(),
-                msg: format!("expected wire root/function `{req}` not found — scope rot"),
-            });
+            findings.push(rot(format!(
+                "expected wire root/function `{req}` not found"
+            )));
         }
     }
 

@@ -278,12 +278,45 @@ fn panic_scope_rot_when_required_root_vanishes() {
         impl D {
             pub fn handle_renamed(&mut self) {}
         }
+        pub struct E;
+        impl E {
+            pub fn on_message(&mut self) {}
+        }
         "#,
     )]);
     let out = panics::check(&ws, &cfg);
     let rot = rule_findings(&out.findings, Rule::SelfCheck);
     assert_eq!(rot.len(), 1, "{:?}", out.findings);
     assert!(rot[0].msg.contains("D::on_message"));
+}
+
+#[test]
+fn panic_scope_rot_when_a_root_matcher_matches_nothing() {
+    let mut cfg = fixture_panic_cfg();
+    cfg.roots.push(panics::RootMatcher {
+        crate_name: Some("fake"),
+        file_suffix: None,
+        self_ty: None,
+        fn_name: Some("reader_loop"),
+    });
+    let ws = ws(&[(
+        "fake",
+        "crates/fake/src/actor.rs",
+        r#"
+        pub struct A;
+        impl A {
+            pub fn on_message(&mut self) {}
+        }
+        "#,
+    )]);
+    let out = panics::check(&ws, &cfg);
+    let rot = rule_findings(&out.findings, Rule::SelfCheck);
+    assert_eq!(rot.len(), 1, "{:?}", out.findings);
+    assert!(
+        rot[0].msg.contains("reader_loop") && rot[0].msg.contains("scope rot"),
+        "{}",
+        rot[0].msg
+    );
 }
 
 // ---------------------------------------------------------------------

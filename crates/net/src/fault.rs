@@ -1,22 +1,18 @@
-//! Wall-clock [`FaultPlan`] interposition shared by both real
-//! transports.
+//! Wall-clock [`FaultPlan`] interposition for the reactor.
 //!
-//! The threaded [`PeerRuntime`](crate::PeerRuntime) and the async
-//! [`Reactor`](crate::reactor::Reactor) both interpose the *same*
+//! The [`Reactor`](crate::reactor::Reactor) interposes the *same*
 //! [`LinkFaults`] interpreter the simulator consults between actor sends
-//! and their sockets, so one declarative plan exercises all three
-//! transports identically. This module holds the pieces they share: the
-//! delayed-frame heap that holds back copies inside a delay window, and
-//! the actor-facing timer bookkeeping of the threaded event loop.
+//! and its sockets, so one declarative plan exercises both transports
+//! identically. This module holds the delayed-frame heap that holds back
+//! copies inside a delay window.
 //!
-//! Time axis: both hosts hand the interpreter *peer-relative* time —
-//! nanoseconds elapsed since the hosting runtime (or hosted peer) was
-//! started — which is exactly how the simulator anchors a plan at
-//! virtual time zero.
+//! Time axis: the reactor hands the interpreter *peer-relative* time —
+//! nanoseconds elapsed since the hosted peer was spawned — which is
+//! exactly how the simulator anchors a plan at virtual time zero.
 
 use p2pfl_simnet::{FaultPlan, LinkFaults, LinkVerdict, NodeId, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// An encoded frame held back by a fault-plan delay; ordered by due time
 /// (then insertion order) so a min-heap releases the earliest first.
@@ -82,30 +78,5 @@ impl FaultLayer {
             return None;
         }
         self.delayed.pop().map(|Reverse(d)| (d.to, d.bytes))
-    }
-
-    /// Due time of the earliest held-back frame, if any.
-    pub(crate) fn next_due(&self) -> Option<SimTime> {
-        self.delayed.peek().map(|Reverse(d)| d.due)
-    }
-}
-
-/// The threaded event loop's timer bookkeeping: a min-heap of
-/// `(deadline, id, tag)` plus a cancellation set. (The async reactor
-/// uses the [`crate::reactor::timer`] wheel instead, which scales to
-/// thousands of peers' worth of round deadlines.)
-pub(crate) struct Timers {
-    pub(crate) heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    pub(crate) cancelled: HashSet<u64>,
-    pub(crate) next_id: u64,
-}
-
-impl Timers {
-    pub(crate) fn new() -> Self {
-        Timers {
-            heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
-            next_id: 1,
-        }
     }
 }

@@ -7,23 +7,22 @@
 //! deployment the paper describes (virtual peers on one machine talking
 //! TCP).
 //!
-//! Three layers, bottom to top:
+//! Two layers, bottom to top:
 //!
 //! * [`codec`] — a compact binary serializer/deserializer for the
 //!   workspace serde data model, plus `u32`-length-delimited framing with
 //!   a [`codec::MAX_FRAME`] guard.
-//! * [`hub`] — a threaded TCP endpoint: a listener with per-connection
-//!   reader threads, one writer thread per peer with reconnect-and-retry
-//!   (capped exponential backoff), connection hellos attributing traffic
-//!   to [`p2pfl_simnet::NodeId`]s, byte/frame/reconnect counters, and
-//!   test hooks for severing connections.
-//! * [`runtime`] — [`PeerRuntime`] hosts one
-//!   [`Actor`](p2pfl_simnet::Actor) on an event-loop thread behind the
-//!   [`Transport`](p2pfl_simnet::Transport) trait: wall-clock timers,
-//!   loopback delivery, and codec-framed sends through the hub.
+//! * [`reactor`] — a [`Reactor`] hosts any number of
+//!   [`Actor`](p2pfl_simnet::Actor)s on one epoll loop thread behind the
+//!   [`Transport`](p2pfl_simnet::Transport) trait: one shared listener,
+//!   one socket per peer pair opened by a hello naming both ends, bounded
+//!   drop-and-count send queues, redial with capped jittered backoff,
+//!   wall-clock timers, loopback delivery, and per-peer byte/frame/
+//!   reconnect counters ([`NetStats`]). Each hosted peer is driven through
+//!   its [`PeerHandle`].
 //!
 //! ```no_run
-//! use p2pfl_net::PeerRuntime;
+//! use p2pfl_net::{Reactor, ReactorConfig};
 //! use p2pfl_simnet::{Actor, NodeId, Payload, Transport};
 //!
 //! #[derive(serde::Serialize, serde::Deserialize, Clone)]
@@ -41,9 +40,11 @@
 //!     }
 //! }
 //!
-//! let a = PeerRuntime::start(NodeId(0), "127.0.0.1:0", &[], Counter(0)).unwrap();
-//! let b = PeerRuntime::start(NodeId(1), "127.0.0.1:0", &[(NodeId(0), a.local_addr())],
-//!     Counter(0)).unwrap();
+//! let reactor: Reactor<Ping, Counter> = Reactor::start(ReactorConfig::default()).unwrap();
+//! let a = reactor.spawn_peer(NodeId(0), Counter(0)).unwrap();
+//! let b = reactor.spawn_peer(NodeId(1), Counter(0)).unwrap();
+//! a.add_peer(NodeId(1), reactor.local_addr());
+//! b.add_peer(NodeId(0), reactor.local_addr());
 //! b.with(|_, ctx| ctx.send(NodeId(0), Ping(1)));
 //! ```
 
@@ -55,13 +56,7 @@
 
 pub mod codec;
 mod fault;
-pub mod hub;
 pub mod reactor;
-pub mod registry;
-pub mod runtime;
-mod sync;
 
 pub use codec::{from_bytes, to_bytes, CodecError, FrameBuffer, MAX_FRAME};
-pub use hub::{Hub, NetEvent, NetStats};
-pub use reactor::{PeerHandle, Reactor, ReactorConfig};
-pub use runtime::{PeerRuntime, WireMsg};
+pub use reactor::{NetStats, PeerHandle, Reactor, ReactorConfig, WireMsg};

@@ -2,15 +2,21 @@
 //!
 //! A [`Link`] is a non-blocking `TcpStream` registered with the reactor's
 //! poller. Dialed links start `Connecting` (completion is signalled by
-//! writability plus a clean `SO_ERROR`); accepted links start `Open` and
-//! must present a v2 hello before any payload.
+//! writability plus a clean `SO_ERROR`); accepted links start `Open`.
+//! Either end must see the other's hello before any payload: the dialer
+//! opens with `hello(src, dst)`, and the acceptor, once it has attached
+//! the connection to the hosted peer `dst`, answers `hello(dst, src)`.
+//! The dialer holds its queue until that answer, so frames are only ever
+//! written at a listener that hosts their destination — one that does not
+//! (yet) closes the connection and the frames stay queued for the redial.
 //!
-//! The v2 hello extends the hub's v1 (magic, version, sender) with the
-//! *destination* peer, because one reactor listener fronts every peer it
-//! hosts: `p2pf · 0x02 · src NodeId · dst NodeId` (13 bytes, framed like
-//! any other frame). Replies flow back over the same socket, so one TCP
+//! The hello names the sender *and* the destination peer, because one
+//! reactor listener fronts every peer it hosts:
+//! `p2pf · 0x02 · src NodeId · dst NodeId` (13 bytes, framed like any
+//! other frame; version 1, sender only, is no longer spoken and is
+//! refused). Replies flow back over the same socket, so one TCP
 //! connection carries a peer pair's traffic in both directions — at 1000
-//! peers that halves the fd bill versus the hub's directional model.
+//! peers that halves the fd bill versus a socket per direction.
 //!
 //! Writes are vectored: [`flush_link`] offers the kernel up to
 //! [`WRITE_BATCH`] queued frames (plus any unsent hello preamble) in one
@@ -18,15 +24,15 @@
 //! connection never splits a frame across reconnects.
 
 use super::queue::SendQueue;
+use super::stats::StatsCells;
 use super::sys;
 use crate::codec::FrameBuffer;
-use crate::registry::StatsCells;
-use crate::sync::atomic::Ordering;
 use p2pfl_simnet::NodeId;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 
-/// Hello protocol version spoken between reactors (the hub speaks v1).
+/// Hello protocol version spoken between reactors.
 const HELLO_V2: u8 = 2;
 const HELLO_MAGIC: &[u8; 4] = b"p2pf";
 
@@ -83,10 +89,11 @@ pub(crate) struct Link {
     pub(crate) remote: Option<NodeId>,
     /// Whether this end initiated the connection (and thus owns redial).
     pub(crate) dialed: bool,
-    /// Accepted links must present a hello before payload frames.
+    /// Whether the other end's hello has arrived; payload moves in
+    /// neither direction before it.
     pub(crate) got_hello: bool,
     pub(crate) rx: FrameBuffer,
-    /// Unsent tail of the dialer's hello: (bytes, offset).
+    /// Unsent tail of this end's hello: (bytes, offset).
     pub(crate) preamble: Option<(Vec<u8>, usize)>,
     /// Whether the poller registration currently includes writability.
     pub(crate) want_write: bool,
@@ -100,7 +107,7 @@ impl Link {
             local: Some(local),
             remote: Some(remote),
             dialed: true,
-            got_hello: true, // dialer needs no hello from the acceptor
+            got_hello: false,
             rx: FrameBuffer::new(),
             preamble: Some((hello_frame_v2(local, remote), 0)),
             want_write: true,
@@ -133,8 +140,9 @@ pub(crate) enum FlushOutcome {
     Dead,
 }
 
-/// Writes as much of `queue` (preceded by any hello preamble) as the
-/// kernel will take, in vectored batches. Retired frames are counted into
+/// Writes as much of `queue` (preceded by any hello preamble; held back
+/// until the other end's hello is in) as the kernel will take, in
+/// vectored batches. Retired frames are counted into
 /// `stats` (`frames_sent`, `bytes_sent`, and `frames_coalesced` for
 /// frames that shared a `writev` with another frame).
 pub(crate) fn flush_link(
@@ -156,8 +164,10 @@ pub(crate) fn flush_link(
         } else {
             0
         };
-        for frame in queue.batch(WRITE_BATCH) {
-            bufs.push(IoSlice::new(frame));
+        if link.got_hello {
+            for frame in queue.batch(WRITE_BATCH) {
+                bufs.push(IoSlice::new(frame));
+            }
         }
         if bufs.is_empty() {
             return FlushOutcome::Drained;

@@ -16,11 +16,14 @@
 //! * After `close` wins the race, every subsequent push returns `Err`
 //!   (the reactor is gone; the caller must not assume delivery).
 //!
-//! Built exclusively on [`crate::sync`] primitives so the loom build
-//! swaps the real mutex for the model checker's.
+//! Under `RUSTFLAGS="--cfg loom"` the mutex is loom's, so the model
+//! checker explores interleavings over the exact code that ships.
 
-use crate::sync::Mutex;
+#[cfg(loom)]
+use loom::sync::Mutex;
 use std::collections::VecDeque;
+#[cfg(not(loom))]
+use std::sync::Mutex;
 use std::sync::PoisonError;
 
 struct Inner<T> {

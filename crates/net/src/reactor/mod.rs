@@ -1,12 +1,9 @@
 //! Single-reactor async peer runtime: many actors, one epoll loop.
 //!
-//! The threaded [`PeerRuntime`](crate::PeerRuntime) spends ~4 OS threads
-//! per peer (event loop, accept, readers, writers), which tops out around
-//! a hundred peers on one machine. The [`Reactor`] hosts *hundreds* of
-//! sans-IO actors on **one** thread driving an epoll readiness loop
-//! ([`sys`]), with:
+//! The [`Reactor`] hosts *hundreds* of sans-IO actors on **one** thread
+//! driving an epoll readiness loop ([`sys`]), with:
 //!
-//! * **One shared listener** fronting every hosted peer. The v2 hello
+//! * **One shared listener** fronting every hosted peer. The hello
 //!   ([`conn`]) carries the *destination* peer, so a single bound port
 //!   multiplexes all of them.
 //! * **One socket per peer pair**, used in both directions. Only the
@@ -22,30 +19,36 @@
 //!   actor round deadline, redial backoff, and fault-plan delayed-frame
 //!   release across all hosted peers.
 //!
-//! The actor contract is identical to the simulator's and the threaded
-//! runtime's: callbacks run one at a time on the loop thread, `now()` is
-//! elapsed time since the peer was spawned, loopback sends are delivered
-//! after the current callback, and [`FaultPlan`]s interpose the same
-//! [`FaultLayer`] interpreter between sends and sockets. The sans-IO
-//! crates (`raft`, `hierraft`, `secagg`) run byte-for-byte unmodified on
-//! all three transports.
+//! The actor contract is identical to the simulator's: callbacks run one
+//! at a time on the loop thread, `now()` is elapsed time since the peer
+//! was spawned, loopback sends are delivered after the current callback,
+//! and [`FaultPlan`]s interpose the same [`FaultLayer`] interpreter
+//! between sends and sockets. The sans-IO crates (`raft`, `hierraft`,
+//! `secagg`) run byte-for-byte unmodified on both.
+//!
+//! A dead connection is redialed by the side that dialed it after a
+//! capped exponential backoff (10 ms doubling up to 640 ms) with
+//! deterministic per-peer jitter, so simultaneously severed links
+//! de-synchronize reproducibly; frames sent meanwhile wait in the link's
+//! queue.
 
 pub(crate) mod conn;
 pub mod injector;
 mod queue;
+mod stats;
 mod sys;
 mod timer;
 
 pub use queue::SendQueue;
+pub use stats::NetStats;
 pub use timer::TimerWheel;
 
 use crate::codec::{self, CodecError, FrameBuffer};
 use crate::fault::FaultLayer;
-use crate::hub::{backoff_jitter, BACKOFF_INITIAL, BACKOFF_MAX};
-use crate::registry::{NetStats, StatsCells};
-use crate::runtime::WireMsg;
 use injector::Injector;
-use p2pfl_simnet::{Actor, FaultPlan, NodeId, SimDuration, SimTime, TimerId, Transport};
+use p2pfl_simnet::{Actor, FaultPlan, NodeId, Payload, SimDuration, SimTime, TimerId, Transport};
+use serde::{Deserialize, Serialize};
+use stats::StatsCells;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -64,6 +67,34 @@ const TOKEN_LISTEN: u64 = 1;
 /// First token handed to a connection; tokens are never reused, so a
 /// stale readiness event for a closed connection simply misses the map.
 const TOKEN_CONN0: u64 = 2;
+
+/// First redial delay.
+const BACKOFF_INITIAL: Duration = Duration::from_millis(10);
+/// Redial delay cap.
+const BACKOFF_MAX: Duration = Duration::from_millis(640);
+
+/// Messages a reactor can host: simulator payloads that also encode to the
+/// binary wire format.
+pub trait WireMsg: Payload + Serialize + Deserialize {}
+impl<M: Payload + Serialize + Deserialize> WireMsg for M {}
+
+/// Deterministic jitter in `[0, base/2)` derived from the dialing peer's
+/// id and its link's attempt counter (splitmix64 finalizer). Redialing
+/// links de-synchronize without a shared RNG, and a given (peer, attempt)
+/// pair always jitters the same way — reconnect schedules stay
+/// reproducible across runs.
+fn backoff_jitter(id: NodeId, attempt: u64, base: Duration) -> Duration {
+    let mut x = (id.0 as u64)
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(attempt);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^= x >> 31;
+    let half = (base.as_nanos() as u64) / 2;
+    Duration::from_nanos(if half == 0 { 0 } else { x % half })
+}
 
 /// Configuration for a [`Reactor`].
 #[derive(Debug, Clone)]
@@ -86,14 +117,24 @@ impl Default for ReactorConfig {
     }
 }
 
+/// One timer-wheel entry, owned by one incarnation of a hosted peer.
+struct TimerEntry {
+    peer: NodeId,
+    /// [`PeerSlot::epoch`] of the incarnation that armed it. An entry that
+    /// outlives its peer (kill, then respawn under the same id) must not
+    /// fire into the successor.
+    epoch: u64,
+    kind: TimerKind,
+}
+
 /// What a fired timer-wheel entry means.
-enum TimerEntry {
+enum TimerKind {
     /// An actor timer from [`Transport::set_timer`].
-    Actor { peer: NodeId, id: u64, tag: u64 },
-    /// A backoff-delayed redial of `peer`'s link to `remote`.
-    Redial { peer: NodeId, remote: NodeId },
-    /// A fault-plan delayed frame of `peer`'s may have come due.
-    FaultFlush { peer: NodeId },
+    Actor { id: u64, tag: u64 },
+    /// A backoff-delayed redial of the peer's link to `remote`.
+    Redial { remote: NodeId },
+    /// A fault-plan delayed frame of the peer's may have come due.
+    FaultFlush,
 }
 
 /// A closure run on the loop thread with the actor and live transport.
@@ -175,6 +216,8 @@ impl OutLink {
 /// One hosted peer: its actor plus everything the loop needs to run it.
 struct PeerSlot<M, A> {
     actor: A,
+    /// Distinguishes this incarnation from earlier ones of the same id.
+    epoch: u64,
     /// Wall-clock zero of this peer's `now()` and fault-plan time axis.
     origin: Instant,
     stats: Arc<StatsCells>,
@@ -190,6 +233,39 @@ struct PeerSlot<M, A> {
     touched: Vec<NodeId>,
 }
 
+impl<M, A> PeerSlot<M, A> {
+    /// Splits the slot into its actor and the transport that actor's
+    /// callbacks see.
+    fn split<'a>(
+        &'a mut self,
+        id: NodeId,
+        reactor_origin: Instant,
+        caps: (usize, usize),
+        wheel: &'a mut TimerWheel<TimerEntry>,
+    ) -> (&'a mut A, ReactorCtx<'a, M>) {
+        let offset_ns = self
+            .origin
+            .saturating_duration_since(reactor_origin)
+            .as_nanos() as u64;
+        let ctx = ReactorCtx {
+            id,
+            epoch: self.epoch,
+            origin: self.origin,
+            offset_ns,
+            caps,
+            links: &mut self.links,
+            faults: &mut self.faults,
+            loopback: &mut self.loopback,
+            next_timer_id: &mut self.next_timer_id,
+            cancelled: &mut self.cancelled,
+            wheel,
+            stats: &self.stats,
+            touched: &mut self.touched,
+        };
+        (&mut self.actor, ctx)
+    }
+}
+
 /// The loop thread's whole world.
 struct Core<M, A> {
     cfg: ReactorConfig,
@@ -202,6 +278,7 @@ struct Core<M, A> {
     peers: HashMap<NodeId, PeerSlot<M, A>>,
     conns: HashMap<u64, conn::Link>,
     next_token: u64,
+    next_epoch: u64,
     wheel: TimerWheel<TimerEntry>,
     scratch: Vec<u8>,
     shutdown: bool,
@@ -218,6 +295,7 @@ fn sim_elapsed(origin: Instant) -> SimTime {
 /// The [`Transport`] handed to actor callbacks on the loop thread.
 struct ReactorCtx<'a, M> {
     id: NodeId,
+    epoch: u64,
     origin: Instant,
     /// Peer-relative nanoseconds → reactor-wheel nanoseconds offset.
     offset_ns: u64,
@@ -304,7 +382,11 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
                 fl.push_delayed(due, to, framed.clone());
                 self.wheel.insert(
                     self.offset_ns.saturating_add(due.as_nanos()),
-                    TimerEntry::FaultFlush { peer: self.id },
+                    TimerEntry {
+                        peer: self.id,
+                        epoch: self.epoch,
+                        kind: TimerKind::FaultFlush,
+                    },
                 );
             }
         }
@@ -316,10 +398,10 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
         let deadline = self.now() + delay;
         self.wheel.insert(
             self.offset_ns.saturating_add(deadline.as_nanos()),
-            TimerEntry::Actor {
+            TimerEntry {
                 peer: self.id,
-                id,
-                tag,
+                epoch: self.epoch,
+                kind: TimerKind::Actor { id, tag },
             },
         );
         TimerId(id)
@@ -341,48 +423,13 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
         let reactor_origin = self.origin;
         let caps = (self.cfg.max_queue_frames, self.cfg.max_queue_bytes);
         {
-            let peers = &mut self.peers;
-            let wheel = &mut self.wheel;
-            let Some(slot) = peers.get_mut(&peer) else {
+            let Some(slot) = self.peers.get_mut(&peer) else {
                 return;
             };
-            let offset_ns = slot
-                .origin
-                .saturating_duration_since(reactor_origin)
-                .as_nanos() as u64;
-            {
-                let mut ctx = ReactorCtx {
-                    id: peer,
-                    origin: slot.origin,
-                    offset_ns,
-                    caps,
-                    links: &mut slot.links,
-                    faults: &mut slot.faults,
-                    loopback: &mut slot.loopback,
-                    next_timer_id: &mut slot.next_timer_id,
-                    cancelled: &mut slot.cancelled,
-                    wheel: &mut *wheel,
-                    stats: &slot.stats,
-                    touched: &mut slot.touched,
-                };
-                f(&mut slot.actor, &mut ctx);
-            }
-            while let Some(m) = slot.loopback.pop_front() {
-                let mut ctx = ReactorCtx {
-                    id: peer,
-                    origin: slot.origin,
-                    offset_ns,
-                    caps,
-                    links: &mut slot.links,
-                    faults: &mut slot.faults,
-                    loopback: &mut slot.loopback,
-                    next_timer_id: &mut slot.next_timer_id,
-                    cancelled: &mut slot.cancelled,
-                    wheel: &mut *wheel,
-                    stats: &slot.stats,
-                    touched: &mut slot.touched,
-                };
-                slot.actor.on_message(&mut ctx, peer, m);
+            let (actor, mut ctx) = slot.split(peer, reactor_origin, caps, &mut self.wheel);
+            f(actor, &mut ctx);
+            while let Some(m) = ctx.loopback.pop_front() {
+                actor.on_message(&mut ctx, peer, m);
             }
             slot.stats
                 .stash_evicted
@@ -475,41 +522,52 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
     /// Schedules a jittered-backoff redial of `local`'s link to `remote`.
     fn arm_redial(&mut self, local: NodeId, remote: NodeId) {
         let now_ns = ns_since(self.origin);
-        let due = {
-            let Some(slot) = self.peers.get_mut(&local) else {
-                return;
-            };
-            let Some(ol) = slot.links.get_mut(&remote) else {
-                return;
-            };
-            if ol.redial_armed {
-                return;
-            }
-            ol.redial_armed = true;
-            ol.attempt = ol.attempt.saturating_add(1);
-            slot.stats
-                .reconnect_attempts
-                .fetch_add(1, Ordering::Relaxed);
-            let delay = ol.backoff + backoff_jitter(local, ol.attempt, ol.backoff);
-            ol.backoff = (ol.backoff * 2).min(BACKOFF_MAX);
-            now_ns.saturating_add(delay.as_nanos() as u64)
+        let Some(slot) = self.peers.get_mut(&local) else {
+            return;
         };
+        let Some(ol) = slot.links.get_mut(&remote) else {
+            return;
+        };
+        if ol.redial_armed {
+            return;
+        }
+        ol.redial_armed = true;
+        ol.attempt = ol.attempt.saturating_add(1);
+        slot.stats
+            .reconnect_attempts
+            .fetch_add(1, Ordering::Relaxed);
+        let delay = ol.backoff + backoff_jitter(local, ol.attempt, ol.backoff);
+        ol.backoff = (ol.backoff * 2).min(BACKOFF_MAX);
         self.wheel.insert(
-            due,
-            TimerEntry::Redial {
+            now_ns.saturating_add(delay.as_nanos() as u64),
+            TimerEntry {
                 peer: local,
-                remote,
+                epoch: slot.epoch,
+                kind: TimerKind::Redial { remote },
             },
         );
     }
 
-    /// A dialed connection finished connecting: reset backoff, count the
-    /// reconnect, and push whatever queued up while it was away.
+    /// A dialed connection finished connecting: send the hello. Payload
+    /// waits for the acceptor's answer ([`Core::on_hello_answered`]).
     fn on_connected(&mut self, token: u64) {
-        let pair = self.conns.get(&token).and_then(|l| l.local.zip(l.remote));
-        let Some((local, remote)) = pair else {
-            return;
-        };
+        // Stay write-interested until the first flush decides otherwise.
+        if let Some(link) = self.conns.get_mut(&token) {
+            link.want_write = true;
+            let _ = self
+                .poller
+                .modify(link.stream.as_raw_fd(), token, sys::Interest::BOTH);
+        }
+        self.flush_conn(token);
+    }
+
+    /// The acceptor attached a dialed connection to `remote` and said so:
+    /// reset backoff, count the reconnect, and push whatever queued up
+    /// while the link was away.
+    fn on_hello_answered(&mut self, token: u64, local: NodeId, remote: NodeId) {
+        if let Some(link) = self.conns.get_mut(&token) {
+            link.got_hello = true;
+        }
         if let Some(slot) = self.peers.get_mut(&local) {
             if let Some(ol) = slot.links.get_mut(&remote) {
                 if ol.ever_connected {
@@ -519,13 +577,6 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
                 ol.backoff = BACKOFF_INITIAL;
                 ol.attempt = 0;
             }
-        }
-        // Stay write-interested until the first flush decides otherwise.
-        if let Some(link) = self.conns.get_mut(&token) {
-            link.want_write = true;
-            let _ = self
-                .poller
-                .modify(link.stream.as_raw_fd(), token, sys::Interest::BOTH);
         }
         self.flush_conn(token);
     }
@@ -737,16 +788,22 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
             return false;
         };
         if !got_hello {
-            return match conn::parse_hello_v2(frame) {
-                Some((src, dst)) if self.peers.contains_key(&dst) => {
+            return match (local.zip(remote), conn::parse_hello_v2(frame)) {
+                // Accepted: attach to the hosted peer the dialer named.
+                (None, Some((src, dst))) if self.peers.contains_key(&dst) => {
                     self.attach_accepted(token, src, dst);
                     true
                 }
+                // Dialed: the acceptor answers with the hello reversed.
+                (Some((local, remote)), Some((src, dst))) if src == remote && dst == local => {
+                    self.on_hello_answered(token, local, remote);
+                    true
+                }
                 _ => {
-                    // Wrong protocol or a peer this reactor does not
-                    // host (yet): drop the connection, the dialer's
-                    // backoff will retry.
-                    self.close_conn(token, false);
+                    // Wrong protocol, wrong identity, or a peer this
+                    // reactor does not host (yet): drop the connection;
+                    // a dialer's backoff will retry.
+                    self.close_conn(token, true);
                     false
                 }
             };
@@ -777,7 +834,8 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
     }
 
     /// Binds an accepted connection to the hosted peer its hello named,
-    /// adopting it as the pair's (single) socket in both directions.
+    /// adopting it as the pair's (single) socket in both directions, and
+    /// answers the hello so the dialer starts sending.
     fn attach_accepted(&mut self, token: u64, src: NodeId, dst: NodeId) {
         let caps = (self.cfg.max_queue_frames, self.cfg.max_queue_bytes);
         let old = {
@@ -787,6 +845,7 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
             link.got_hello = true;
             link.local = Some(dst);
             link.remote = Some(src);
+            link.preamble = Some((conn::hello_frame_v2(dst, src), 0));
             let Some(slot) = self.peers.get_mut(&dst) else {
                 return;
             };
@@ -845,23 +904,22 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
     /// Fires every due wheel entry.
     fn fire_timers(&mut self, fired: &mut Vec<TimerEntry>) {
         self.wheel.advance(ns_since(self.origin), fired);
-        for entry in fired.drain(..) {
-            match entry {
-                TimerEntry::Actor { peer, id, tag } => {
-                    let live = match self.peers.get_mut(&peer) {
-                        Some(slot) => !slot.cancelled.remove(&id),
-                        None => false,
-                    };
-                    if live {
+        for TimerEntry { peer, epoch, kind } in fired.drain(..) {
+            let Some(slot) = self.peers.get_mut(&peer) else {
+                continue;
+            };
+            if slot.epoch != epoch {
+                // Armed by a killed incarnation of this id.
+                continue;
+            }
+            match kind {
+                TimerKind::Actor { id, tag } => {
+                    if !slot.cancelled.remove(&id) {
                         self.dispatch(peer, move |a, ctx| a.on_timer(ctx, tag));
                     }
                 }
-                TimerEntry::Redial { peer, remote } => {
-                    let should = match self
-                        .peers
-                        .get_mut(&peer)
-                        .and_then(|s| s.links.get_mut(&remote))
-                    {
+                TimerKind::Redial { remote } => {
+                    let should = match slot.links.get_mut(&remote) {
                         Some(ol) => {
                             ol.redial_armed = false;
                             ol.conn.is_none()
@@ -872,7 +930,7 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
                         self.dial(peer, remote);
                     }
                 }
-                TimerEntry::FaultFlush { peer } => self.flush_faults(peer),
+                TimerKind::FaultFlush => self.flush_faults(peer),
             }
         }
     }
@@ -895,10 +953,13 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
                     )));
                     return;
                 }
+                let epoch = self.next_epoch;
+                self.next_epoch += 1;
                 self.peers.insert(
                     id,
                     PeerSlot {
                         actor,
+                        epoch,
                         origin: Instant::now(),
                         stats,
                         decode_errors,
@@ -1081,6 +1142,7 @@ where
             peers: HashMap::new(),
             conns: HashMap::new(),
             next_token: TOKEN_CONN0,
+            next_epoch: 0,
             wheel: TimerWheel::new(0),
             scratch: vec![0u8; 64 << 10],
             shutdown: false,
@@ -1150,8 +1212,7 @@ where
     }
 
     /// Severs every TCP connection on this reactor; dialers recover via
-    /// jittered backoff. Chaos-test hook, mirroring
-    /// [`PeerRuntime::kill_connections`](crate::PeerRuntime::kill_connections).
+    /// jittered backoff. Chaos-test hook.
     pub fn kill_connections(&self) {
         self.shared.submit(Task::SeverAll);
     }
@@ -1173,9 +1234,9 @@ fn stopped() -> io::Error {
 
 /// Handle to one peer hosted on a [`Reactor`].
 ///
-/// The API mirrors [`PeerRuntime`](crate::PeerRuntime): register remote
-/// peers, run closures against the actor on the loop thread, read
-/// transport counters, and stop (retrieving the actor) or kill it.
+/// Register remote peers, run closures against the actor on the loop
+/// thread, read transport counters, and stop (retrieving the actor) or
+/// kill it. Dropping the handle leaves the peer running.
 pub struct PeerHandle<M, A> {
     id: NodeId,
     shared: Arc<Shared<M, A>>,
@@ -1217,8 +1278,9 @@ impl<M, A> PeerHandle<M, A> {
     }
 
     /// Runs `f` against the actor *on the loop thread* with the live
-    /// transport, returning its result — the reactor analogue of
-    /// [`PeerRuntime::with`](crate::PeerRuntime::with).
+    /// transport, returning its result. The closure can send messages
+    /// and arm timers exactly like an actor callback (e.g. a SAC leader's
+    /// `start_round`).
     ///
     /// # Panics
     /// Panics if the reactor has stopped or the peer was despawned.
@@ -1259,9 +1321,16 @@ impl<M, A> PeerHandle<M, A> {
             .expect("peer alive on reactor")
     }
 
-    /// Crash-stops the peer, discarding its actor — the reactor analogue
-    /// of [`PeerRuntime::kill`](crate::PeerRuntime::kill). Its
-    /// connections close; surviving peers redial until it respawns.
+    /// Crash-stops the peer, discarding its actor, its timers and
+    /// everything it had queued — a process kill, after which only durable
+    /// state (e.g. a file-backed Raft record) survives. Its connections
+    /// close. Restart by spawning a fresh actor under the same id, on this
+    /// reactor or another (then re-point the neighbours with
+    /// [`PeerHandle::add_peer`]): higher-id neighbours keep queueing for it
+    /// until it dials them again, lower-id neighbours redial with backoff,
+    /// and what they write at a listener that does not host the id (yet)
+    /// is lost with the refused connection, like any frame in flight to a
+    /// crashed process.
     pub fn kill(self) {
         let (tx, rx) = mpsc::channel();
         if self.shared.submit(Task::Despawn {
@@ -1291,8 +1360,7 @@ mod tests {
     }
 
     /// Echoes every message back with tag+1 until tag 3, counts
-    /// deliveries, and proves timers + loopback work — the same actor the
-    /// threaded runtime's tests host.
+    /// deliveries, and proves timers + loopback work.
     #[derive(Default)]
     struct Echo {
         seen: u64,
@@ -1482,15 +1550,17 @@ mod tests {
         r2.kill_connections();
         a.with(|_, ctx| ctx.send(NodeId(1), WireBlob { size: 8, tag: 3 }));
         wait_until("delivery after sever", || b.with(|e, _| e.seen) >= 2);
+        let stats = a.stats();
+        assert!(stats.reconnects >= 1, "reconnect not counted: {stats:?}");
         assert!(
-            a.stats().reconnects >= 1,
-            "reconnect not counted: {:?}",
-            a.stats()
+            stats.reconnect_attempts >= 1,
+            "redial not counted: {stats:?}"
         );
     }
 
-    /// An actor whose bounded stash rejects everything — the reactor must
-    /// mirror its cumulative eviction count into [`NetStats`].
+    /// An actor whose bounded stash evicts everything it is sent and
+    /// whose commitment check rejects it twice over — the reactor must
+    /// mirror both cumulative counts into [`NetStats`].
     #[derive(Default)]
     struct Stashy {
         evicted: u64,
@@ -1503,20 +1573,215 @@ mod tests {
         fn stash_evicted(&self) -> u64 {
             self.evicted
         }
+        fn shares_rejected(&self) -> u64 {
+            2 * self.evicted
+        }
     }
 
     #[test]
-    fn actor_stash_evictions_surface_in_net_stats() {
+    fn actor_stash_evictions_and_share_rejections_surface_in_net_stats() {
         let r: Reactor<WireBlob, Stashy> = Reactor::start(ReactorConfig::default()).unwrap();
         let h = r.spawn_peer(NodeId(0), Stashy::default()).unwrap();
-        assert_eq!(h.stats().stash_evicted, 0);
+        assert_eq!((h.stats().stash_evicted, h.stats().shares_rejected), (0, 0));
         h.with(|a, ctx| {
             for _ in 0..3 {
                 a.on_message(ctx, NodeId(1), WireBlob { size: 1, tag: 0 });
             }
         });
-        wait_until("stash mirror", || h.stats().stash_evicted >= 3);
-        assert_eq!(h.stats().stash_evicted, 3);
+        wait_until("counter mirror", || h.stats().shares_rejected >= 6);
+        assert_eq!((h.stats().stash_evicted, h.stats().shares_rejected), (3, 6));
         h.stop();
+    }
+
+    #[test]
+    fn backoff_jitter_is_deterministic_and_bounded() {
+        for attempt in 0..50u64 {
+            let j1 = backoff_jitter(NodeId(3), attempt, BACKOFF_MAX);
+            let j2 = backoff_jitter(NodeId(3), attempt, BACKOFF_MAX);
+            assert_eq!(j1, j2, "jitter must be a pure function");
+            assert!(j1 < BACKOFF_MAX / 2, "jitter exceeds half the base");
+        }
+        assert!(
+            (0..50u64).any(|a| backoff_jitter(NodeId(1), a, BACKOFF_MAX)
+                != backoff_jitter(NodeId(2), a, BACKOFF_MAX)),
+            "distinct dialers should de-synchronize"
+        );
+    }
+
+    /// Records who sent which tag; sends only when driven via `with`.
+    #[derive(Default)]
+    struct Log {
+        got: Vec<(u32, u64)>,
+    }
+
+    impl Actor<WireBlob> for Log {
+        fn on_message(&mut self, _ctx: &mut dyn Transport<WireBlob>, from: NodeId, m: WireBlob) {
+            self.got.push((from.0, m.tag));
+        }
+    }
+
+    type LogHandle = PeerHandle<WireBlob, Log>;
+
+    fn log_reactor_at(bind_addr: &str) -> Reactor<WireBlob, Log> {
+        Reactor::start(ReactorConfig {
+            bind_addr: bind_addr.to_owned(),
+            ..ReactorConfig::default()
+        })
+        .unwrap()
+    }
+
+    fn send_tags(from: &LogHandle, to: u32, tags: std::ops::Range<u64>) {
+        from.with(move |_, ctx| {
+            for tag in tags {
+                ctx.send(NodeId(to), WireBlob { size: 8, tag });
+            }
+        });
+    }
+
+    /// Tags `at` has received from `from`, in arrival order.
+    fn tags_from(at: &LogHandle, from: u32) -> Vec<u64> {
+        at.with(move |a, _| {
+            let of_sender = a.got.iter().filter(|(f, _)| *f == from);
+            of_sender.map(|(_, t)| *t).collect()
+        })
+    }
+
+    fn wait_tags(what: &str, at: &LogHandle, from: u32, want: std::ops::Range<u64>) {
+        let want: Vec<u64> = want.collect();
+        wait_until(what, || tags_from(at, from) == want);
+    }
+
+    #[test]
+    fn messages_queued_before_listener_peer_arrive() {
+        // Register b at its future address before anything listens there:
+        // a (the dialer) must keep retrying and deliver once b is hosted.
+        // Reserve a port by binding then dropping (racy in principle, fine
+        // on loopback in practice).
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = probe.local_addr().unwrap();
+        drop(probe);
+
+        let r1 = log_reactor_at("127.0.0.1:0");
+        let a = r1.spawn_peer(NodeId(0), Log::default()).unwrap();
+        a.add_peer(NodeId(1), addr);
+        send_tags(&a, 1, 0..3);
+        wait_until("refused dials", || a.stats().reconnect_attempts >= 2);
+
+        // The listener comes up before the peer does: a dial landing in
+        // between is refused at the hello and must cost no frame.
+        let r2 = log_reactor_at(&addr.to_string());
+        std::thread::sleep(Duration::from_millis(30));
+        let b = r2.spawn_peer(NodeId(1), Log::default()).unwrap();
+        wait_tags("early frames", &b, 0, 0..3);
+        assert_eq!(a.stats().sends_dropped, 0);
+        assert_eq!(a.stats().frames_sent, 3);
+    }
+
+    /// Kills peer 1 of a {0, 1, 2} mesh on `r1` once every link is up,
+    /// then has both neighbours send it `tags` while it is gone.
+    fn mesh_with_peer_1_killed(
+        r1: &Reactor<WireBlob, Log>,
+        tags: std::ops::Range<u64>,
+    ) -> (LogHandle, LogHandle) {
+        let spawn = |id| r1.spawn_peer(NodeId(id), Log::default()).unwrap();
+        let (l, p, h) = (spawn(0), spawn(1), spawn(2));
+        for a in [&l, &p, &h] {
+            for b in 0..3 {
+                if a.node_id() != NodeId(b) {
+                    a.add_peer(NodeId(b), r1.local_addr());
+                }
+            }
+        }
+        send_tags(&l, 1, 0..1);
+        send_tags(&h, 1, 0..1);
+        wait_until("links to the first incarnation", || {
+            p.with(|a, _| a.got.len()) == 2
+        });
+        p.kill();
+        send_tags(&l, 1, tags.clone());
+        send_tags(&h, 1, tags);
+        (l, h)
+    }
+
+    /// Both neighbours' downtime frames reach the new incarnation `p` in
+    /// order, and fresh frames flow both ways on both links.
+    fn assert_rejoined(l: &LogHandle, p: &LogHandle, h: &LogHandle, queued: std::ops::Range<u64>) {
+        wait_tags("lower-id neighbour's queue", p, 0, queued.clone());
+        wait_tags("higher-id neighbour's queue", p, 2, queued.clone());
+        for n in [l, h] {
+            let s = n.stats();
+            assert_eq!(s.sends_dropped, 0, "{:?}: {s:?}", n.node_id());
+            assert_eq!(s.frames_sent, 1 + queued.clone().count() as u64);
+        }
+        assert!(
+            l.stats().reconnects >= 1,
+            "redial not counted: {:?}",
+            l.stats()
+        );
+
+        send_tags(p, 0, 50..52);
+        send_tags(p, 2, 50..52);
+        wait_tags("new incarnation -> lower", l, 1, 50..52);
+        wait_tags("new incarnation -> higher", h, 1, 50..52);
+        send_tags(l, 1, 90..91);
+        wait_until("lower -> new incarnation", || {
+            tags_from(p, 0).last() == Some(&90)
+        });
+    }
+
+    #[test]
+    fn killed_peer_respawns_on_the_same_reactor() {
+        let r1 = log_reactor_at("127.0.0.1:0");
+        let (l, h) = mesh_with_peer_1_killed(&r1, 10..15);
+        // Long enough for the lower-id neighbour to redial a listener
+        // that no longer hosts peer 1 and be refused.
+        wait_until("refused redial", || l.stats().reconnect_attempts >= 2);
+
+        let p = r1.spawn_peer(NodeId(1), Log::default()).unwrap();
+        p.add_peer(NodeId(0), r1.local_addr());
+        p.add_peer(NodeId(2), r1.local_addr());
+        assert_rejoined(&l, &p, &h, 10..15);
+    }
+
+    #[test]
+    fn killed_peer_respawns_on_a_fresh_reactor() {
+        let r1 = log_reactor_at("127.0.0.1:0");
+        let (l, h) = mesh_with_peer_1_killed(&r1, 10..15);
+
+        // Crash-rejoin at a new address: a second reactor hosts the new
+        // incarnation and the neighbours are re-pointed.
+        let r2 = log_reactor_at("127.0.0.1:0");
+        let p = r2.spawn_peer(NodeId(1), Log::default()).unwrap();
+        p.add_peer(NodeId(0), r1.local_addr());
+        p.add_peer(NodeId(2), r1.local_addr());
+        l.add_peer(NodeId(1), r2.local_addr());
+        h.add_peer(NodeId(1), r2.local_addr());
+        assert_rejoined(&l, &p, &h, 10..15);
+    }
+
+    #[test]
+    fn timers_of_a_killed_incarnation_do_not_fire_into_its_successor() {
+        struct Alarm {
+            incarnation: u64,
+            fired: Vec<u64>,
+        }
+        impl Actor<WireBlob> for Alarm {
+            fn on_start(&mut self, ctx: &mut dyn Transport<WireBlob>) {
+                ctx.set_timer(SimDuration::from_millis(40), self.incarnation);
+            }
+            fn on_message(&mut self, _: &mut dyn Transport<WireBlob>, _: NodeId, _: WireBlob) {}
+            fn on_timer(&mut self, _: &mut dyn Transport<WireBlob>, tag: u64) {
+                self.fired.push(tag);
+            }
+        }
+        let alarm = |incarnation| Alarm {
+            incarnation,
+            fired: Vec::new(),
+        };
+        let r: Reactor<WireBlob, Alarm> = Reactor::start(ReactorConfig::default()).unwrap();
+        r.spawn_peer(NodeId(0), alarm(1)).unwrap().kill();
+        let h = r.spawn_peer(NodeId(0), alarm(2)).unwrap();
+        std::thread::sleep(Duration::from_millis(120));
+        assert_eq!(h.stop().fired, vec![2]);
     }
 }

@@ -3,16 +3,15 @@
 //! One wheel serves all hosted peers: actor round deadlines
 //! ([`Transport::set_timer`](p2pfl_simnet::Transport::set_timer)), redial
 //! backoffs, and fault-plan delayed-frame releases. A wheel keeps insert
-//! and fire O(1) amortized regardless of how many peers share it — the
-//! binary heap the threaded runtime uses per peer would serialize 1000
-//! peers' timers through one log-n heap here.
+//! and fire O(1) amortized regardless of how many peers share it, where a
+//! binary heap would serialize 1000 peers' timers through one log-n
+//! structure.
 //!
 //! Deadlines are nanoseconds on the hosting reactor's monotonic clock
 //! (zeroed at reactor start). Entries hash into `SLOTS` slots of
 //! `GRANULARITY_NS` each; an entry further than one rotation out simply
 //! stays in its slot until the cursor passes it with the right tick, so
-//! there is no cascading. Firing order within a tick is insertion order,
-//! matching the threaded runtime's (deadline, id) heap tie-break.
+//! there is no cascading. Firing order within a tick is insertion order.
 //!
 //! Pure sans-IO state (no clocks of its own — the caller supplies `now`),
 //! held to that by the `p2pfl-lint` purity gate.

@@ -52,6 +52,13 @@ fn slow_sink(listener: TcpListener, stop: Arc<AtomicBool>, drained: Arc<AtomicU6
     let Ok((mut sock, _)) = listener.accept() else {
         return;
     };
+    // Answer the sender's hello as peer 2 would, or it sends no payload.
+    let mut answer = b"p2pf\x02".to_vec();
+    answer.extend_from_slice(&2u32.to_le_bytes());
+    answer.extend_from_slice(&0u32.to_le_bytes());
+    if p2pfl_net::codec::write_frame(&mut sock, &answer).is_err() {
+        return;
+    }
     let _ = sock.set_read_timeout(Some(Duration::from_millis(20)));
     let mut buf = [0u8; 256];
     while !stop.load(Ordering::Relaxed) {

@@ -1,17 +1,20 @@
 //! Negative-path hardening: truncated, oversized, and garbage input on
 //! every untrusted surface — the binary codec, the incremental
-//! [`FrameBuffer`], and a live [`PeerRuntime`] fed raw hostile frames over
-//! TCP — must produce typed errors (or counted drops), never a panic.
+//! [`FrameBuffer`], and a live [`Reactor`] peer fed raw hostile frames and
+//! hellos over TCP — must produce typed errors (or counted drops, or a
+//! closed connection), never a panic.
 
 use p2pfl_hierraft::{FedConfig, HierMsg, RobustCombiner, SubCmd};
-use p2pfl_net::codec::{from_bytes, to_bytes, write_frame, CodecError, FrameBuffer, MAX_FRAME};
-use p2pfl_net::PeerRuntime;
+use p2pfl_net::codec::{
+    from_bytes, read_frame, to_bytes, write_frame, CodecError, FrameBuffer, MAX_FRAME,
+};
+use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
 use p2pfl_raft::{Entry, LogCmd, RaftMsg};
 use p2pfl_secagg::{RingMsg, SacEngine, SacMsg, WeightVector};
 use p2pfl_simnet::{Actor, NodeId, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -282,36 +285,100 @@ impl Actor<SacMsg> for Sink {
     }
 }
 
+/// A reactor hosting one [`Sink`] as peer 0.
+fn sink_reactor() -> (Reactor<SacMsg, Sink>, PeerHandle<SacMsg, Sink>) {
+    let reactor = Reactor::start(ReactorConfig::default()).expect("bind");
+    let sink = reactor
+        .spawn_peer(NodeId(0), Sink { got: 0 })
+        .expect("spawn");
+    (reactor, sink)
+}
+
+/// The hello payload of `src` dialing `dst`.
+fn hello_v2(src: u32, dst: u32) -> Vec<u8> {
+    let mut hello = b"p2pf\x02".to_vec();
+    hello.extend_from_slice(&src.to_le_bytes());
+    hello.extend_from_slice(&dst.to_le_bytes());
+    hello
+}
+
+fn wait_until(what: &str, mut ok: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !ok() {
+        assert!(Instant::now() < deadline, "timed out waiting: {what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 #[test]
-fn runtime_survives_raw_garbage_frames_over_tcp() {
-    let rt: PeerRuntime<SacMsg, Sink> =
-        PeerRuntime::start(NodeId(0), "127.0.0.1:0", &[], Sink { got: 0 }).expect("bind");
-    let addr = rt.local_addr();
+fn reactor_survives_raw_garbage_frames_over_tcp() {
+    let (reactor, sink) = sink_reactor();
 
     // Handshake as peer 9, then send: a garbage payload, a truncated
     // message, and finally a valid one.
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    let mut hello = Vec::new();
-    hello.extend_from_slice(b"p2pf");
-    hello.push(1);
-    hello.extend_from_slice(&9u32.to_le_bytes());
-    write_frame(&mut conn, &hello).unwrap();
+    let mut conn = TcpStream::connect(reactor.local_addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_frame(&mut conn, &hello_v2(9, 0)).unwrap();
     write_frame(&mut conn, &[0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
     let valid = to_bytes(&SacMsg::Begin { round: 1 });
     write_frame(&mut conn, &valid[..valid.len() - 2]).unwrap();
     write_frame(&mut conn, &valid).unwrap();
     conn.flush().unwrap();
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let (errors, got) = (rt.decode_errors(), rt.with(|a, _| a.got));
-        if errors >= 2 && got >= 1 {
-            break;
+    assert_eq!(
+        read_frame(&mut conn).expect("answer"),
+        hello_v2(0, 9),
+        "hello not answered"
+    );
+    wait_until("hostile frames absorbed", || {
+        sink.decode_errors() >= 2 && sink.with(|a, _| a.got) >= 1
+    });
+    assert_eq!(sink.decode_errors(), 2);
+    assert_eq!(sink.with(|a, _| a.got), 1);
+}
+
+/// A connection that opens with anything but a hello naming a hosted peer
+/// is closed without reaching an actor, and without disturbing a healthy
+/// link on the same listener.
+#[test]
+fn bad_hellos_close_only_their_own_connection() {
+    let (reactor, sink) = sink_reactor();
+    let valid = to_bytes(&SacMsg::Begin { round: 1 });
+
+    let mut healthy = TcpStream::connect(reactor.local_addr()).expect("connect");
+    write_frame(&mut healthy, &hello_v2(9, 0)).unwrap();
+    write_frame(&mut healthy, &valid).unwrap();
+    wait_until("healthy link up", || sink.with(|a, _| a.got) == 1);
+
+    let mut v1 = b"p2pf\x01".to_vec();
+    v1.extend_from_slice(&8u32.to_le_bytes());
+    let hostile: [(&str, &[u8]); 3] = [
+        ("a v1 hello", &v1),
+        ("a hello for a peer not hosted here", &hello_v2(8, 7)),
+        ("payload before any hello", &valid),
+    ];
+    for (what, first_frame) in hostile {
+        let mut conn = TcpStream::connect(reactor.local_addr()).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write_frame(&mut conn, first_frame).unwrap();
+        // More would follow; it must never be looked at.
+        let _ = write_frame(&mut conn, &valid);
+        let mut buf = [0u8; 32];
+        match conn.read(&mut buf) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("{what}: connection not closed: {other:?}"),
         }
-        assert!(
-            Instant::now() < deadline,
-            "runtime did not absorb hostile frames: {errors} decode errors, {got} delivered"
-        );
-        std::thread::sleep(Duration::from_millis(20));
     }
+
+    write_frame(&mut healthy, &valid).unwrap();
+    wait_until("healthy link still up", || sink.with(|a, _| a.got) == 2);
+    assert_eq!(
+        sink.decode_errors(),
+        0,
+        "a refused connection reached the decoder"
+    );
+    assert_eq!(sink.stats().frames_received, 2);
 }

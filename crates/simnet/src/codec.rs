@@ -480,8 +480,8 @@ impl FrameBuffer {
     }
 }
 
-/// Reads one frame from a blocking reader (test helper; the hub uses
-/// [`FrameBuffer`] so it can interleave timeout checks).
+/// Reads one frame from a blocking reader (test helper; the reactor
+/// uses [`FrameBuffer`], which never blocks).
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
     let mut header = [0u8; 4];
     r.read_exact(&mut header)?;

@@ -7,14 +7,14 @@
 //!
 //! * the simulator ([`crate::Sim::apply_fault_plan`]) applies link faults at
 //!   send time on the virtual clock and schedules crash/restart events;
-//! * `p2pfl-net` wraps the TCP hub's send path with the same [`LinkFaults`]
-//!   interpreter, mapping wall-clock elapsed time since runtime start onto
-//!   the plan's [`SimTime`] axis, and its drivers execute the plan's
-//!   crash/restart events as process kill/recover.
+//! * `p2pfl-net` wraps its reactor's send path with the same
+//!   [`LinkFaults`] interpreter, mapping wall-clock time elapsed since the
+//!   peer was spawned onto the plan's [`SimTime`] axis, and its drivers
+//!   execute the plan's crash/restart events as process kill/recover.
 //!
 //! All randomness comes from a single seed stored in the plan, so a failing
 //! chaos run reproduces from its logged seed. Times are relative to when the
-//! plan is applied (virtual time zero in the simulator, runtime start on the
+//! plan is applied (virtual time zero in the simulator, peer spawn on the
 //! real transport).
 
 use crate::node::NodeId;

@@ -4,17 +4,19 @@
 //! two-layer protocol outside the simulator:
 //!
 //! 1. **Election** — every peer runs `HierActor` (subgroup Raft + FedAvg
-//!    layer) over sockets until each subgroup has a leader and the two
-//!    leaders form the FedAvg layer.
+//!    layer) over sockets, all six hosted on one reactor thread behind one
+//!    listener, until each subgroup has a leader and the two leaders form
+//!    the FedAvg layer.
 //! 2. **Crash** — the subgroup leader that is a FedAvg-layer *follower*
 //!    is killed mid-round. (With only two subgroups the FedAvg layer has
 //!    two members, so losing its leader leaves no quorum to admit a
 //!    replacement — that flow needs ≥3 subgroups and is exercised by
 //!    `p2pfl-hierraft`'s experiments.) The survivors elect a replacement,
 //!    which joins the FedAvg layer in the dead peer's place.
-//! 3. **Rejoin** — the killed peer restarts *at a new port*; every other
-//!    peer is re-pointed via `add_peer` and the transport's reconnect
-//!    machinery picks it back up. It rejoins as a plain follower and
+//! 3. **Rejoin** — the killed peer restarts *at a new port* (a second
+//!    reactor, as a restarted process would have); every other peer is
+//!    re-pointed via `add_peer` and the transport's reconnect machinery
+//!    picks it back up. It rejoins as a plain follower and
 //!    retires its stale FedAvg membership from the replicated subgroup log.
 //! 4. **SAC** — each subgroup runs fault-tolerant secure aggregation over
 //!    TCP with the *elected* leaders (including the rejoined peer as a
@@ -27,7 +29,7 @@
 //! Run with `cargo run --example real_net`.
 
 use p2pfl_hierraft::{HierActor, HierMsg, HierPeerConfig, RobustCombiner};
-use p2pfl_net::{NetStats, PeerRuntime};
+use p2pfl_net::{NetStats, PeerHandle, Reactor, ReactorConfig};
 use p2pfl_secagg::{
     SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
 };
@@ -73,8 +75,8 @@ fn hier_config(id: u32) -> HierPeerConfig {
     }
 }
 
-type HierRt = PeerRuntime<HierMsg, HierActor>;
-type SacRt = PeerRuntime<SacMsg, SacPeerActor>;
+type HierRt = PeerHandle<HierMsg, HierActor>;
+type SacRt = PeerHandle<SacMsg, SacPeerActor>;
 
 /// Polls `pred` across the live runtimes until it holds or `what` times out.
 fn wait_for(runtimes: &[Option<HierRt>], what: &str, pred: impl Fn(&[Option<HierRt>]) -> bool) {
@@ -180,28 +182,16 @@ fn wait_sac_done(leader: &SacRt) -> WeightVector {
 fn main() {
     // ---- Phase 1: bring up the two-layer Raft over TCP -----------------
     println!("[1/5] electing subgroup + FedAvg leaders over TCP");
+    let home: Reactor<HierMsg, HierActor> = Reactor::start(ReactorConfig::default()).expect("bind");
     let mut hier: Vec<Option<HierRt>> = (0..6u32)
         .map(|i| {
-            Some(
-                PeerRuntime::start(
-                    NodeId(i),
-                    "127.0.0.1:0",
-                    &[],
-                    HierActor::new(hier_config(i)),
-                )
-                .expect("bind"),
-            )
+            let actor = HierActor::new(hier_config(i));
+            Some(home.spawn_peer(NodeId(i), actor).expect("spawn"))
         })
         .collect();
-    let addrs: Vec<_> = hier
-        .iter()
-        .map(|rt| rt.as_ref().unwrap().local_addr())
-        .collect();
     for rt in hier.iter().flatten() {
-        for (j, &addr) in addrs.iter().enumerate() {
-            if NodeId(j as u32) != rt.node_id() {
-                rt.add_peer(NodeId(j as u32), addr);
-            }
+        for j in (0..6u32).filter(|&j| NodeId(j) != rt.node_id()) {
+            rt.add_peer(NodeId(j), home.local_addr());
         }
     }
     wait_for(&hier, "stable two-layer leadership", |rts| {
@@ -226,28 +216,20 @@ fn main() {
         (la, &GROUP_A)
     };
     println!("[2/5] killing subgroup leader {victim} (a FedAvg follower)");
-    drop(hier[victim as usize].take());
+    hier[victim as usize].take().expect("victim running").kill();
     wait_for(&hier, "replacement leader joined the FedAvg layer", |rts| {
         sub_leader_of(rts, victim_group).is_some_and(|l| l != victim) && fed_leader_count(rts) == 1
     });
 
     // ---- Phase 3: rejoin the dead peer at a NEW port -------------------
     println!("[3/5] rejoining peer {victim} at a fresh port");
-    let rejoined = PeerRuntime::start(
-        NodeId(victim),
-        "127.0.0.1:0",
-        &[],
-        HierActor::new(hier_config(victim)),
-    )
-    .expect("bind");
-    for (j, &addr) in addrs.iter().enumerate() {
-        if j as u32 != victim {
-            rejoined.add_peer(NodeId(j as u32), addr);
-        }
-    }
-    let new_addr = rejoined.local_addr();
+    let away: Reactor<HierMsg, HierActor> = Reactor::start(ReactorConfig::default()).expect("bind");
+    let rejoined = away
+        .spawn_peer(NodeId(victim), HierActor::new(hier_config(victim)))
+        .expect("spawn");
     for rt in hier.iter().flatten() {
-        rt.add_peer(NodeId(victim), new_addr); // re-point the mesh
+        rejoined.add_peer(rt.node_id(), home.local_addr());
+        rt.add_peer(NodeId(victim), away.local_addr()); // re-point the mesh
     }
     hier[victim as usize] = Some(rejoined);
     wait_for(&hier, "rejoined peer settled as follower", |rts| {
@@ -267,6 +249,8 @@ fn main() {
     // ---- Phase 4: secure aggregation per subgroup over TCP -------------
     println!("[4/5] running SAC in both subgroups (leaders: {leader_a}, {leader_b})");
     let models = models();
+    let sac_reactor: Reactor<SacMsg, SacPeerActor> =
+        Reactor::start(ReactorConfig::default()).expect("bind");
     let sac: Vec<SacRt> = (0..6u32)
         .map(|i| {
             let (group, pos, leader) = if GROUP_A.contains(&i) {
@@ -281,7 +265,7 @@ fn main() {
                 sac_config(group, pos, leader, 10_000),
                 models[i as usize].clone(),
             );
-            PeerRuntime::start(NodeId(i), "127.0.0.1:0", &[], actor).expect("bind")
+            sac_reactor.spawn_peer(NodeId(i), actor).expect("spawn")
         })
         .collect();
     for rt in &sac {
@@ -292,7 +276,7 @@ fn main() {
         };
         for &j in group {
             if NodeId(j) != rt.node_id() {
-                rt.add_peer(NodeId(j), sac[j as usize].local_addr());
+                rt.add_peer(NodeId(j), sac_reactor.local_addr());
             }
         }
     }

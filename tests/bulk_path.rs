@@ -12,8 +12,10 @@
 //!   one reactor publish the simulator's digest bit for bit, and a
 //!   commit-then-skew sender is still convicted by the new digest.
 
+mod common;
+
+use common::{assert_clean_wire, mesh, reactor, spawn_group, wait_done};
 use p2pfl_net::codec::{from_bytes, to_bytes, to_frame_bytes, FrameBuffer};
-use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
 use p2pfl_secagg::{
     RingMsg, RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme,
     WeightVector,
@@ -21,7 +23,6 @@ use p2pfl_secagg::{
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
 
 const DIM: usize = 80_003;
 const SEED: u64 = 0xB01C;
@@ -203,34 +204,6 @@ fn config(n: usize, k: usize, position: usize, engine: SacEngine, deadline_ms: u
     }
 }
 
-fn wait_until<T>(what: &str, mut poll: impl FnMut() -> Option<T>) -> T {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        if let Some(v) = poll() {
-            return v;
-        }
-        assert!(Instant::now() < deadline, "{what} stalled");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-fn full_mesh<M, A>(handles: &[PeerHandle<M, A>], addr: std::net::SocketAddr) {
-    for a in handles {
-        for b in handles {
-            if a.node_id() != b.node_id() {
-                a.add_peer(b.node_id(), addr);
-            }
-        }
-    }
-}
-
-fn assert_clean_wire<M, A>(handles: &[PeerHandle<M, A>]) {
-    for h in handles {
-        assert_eq!(h.decode_errors(), 0, "peer {:?}", h.node_id());
-        assert_eq!(h.stats().sends_dropped, 0, "peer {:?}", h.node_id());
-    }
-}
-
 const PAIRWISE_N: usize = 3;
 const SKEWER: usize = 2;
 
@@ -275,22 +248,14 @@ fn pairwise_round_matches_simulator_and_convicts_the_skewer() {
     let want = pairwise_outcome(sim.actor::<SacPeerActor>(ids[0])).expect("sim round unfinished");
     assert_eq!(want.0, vec![0, 1], "skewer not excluded on the simulator");
 
-    let reactor: Reactor<SacMsg, SacPeerActor> =
-        Reactor::start(ReactorConfig::default()).expect("bind reactor");
-    let handles: Vec<PeerHandle<SacMsg, SacPeerActor>> = models
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            reactor
-                .spawn_peer(ids[i], pairwise_actor(i, 2_000, m))
-                .expect("spawn peer")
-        })
-        .collect();
-    full_mesh(&handles, reactor.local_addr());
+    let reactor = reactor::<SacMsg, SacPeerActor>();
+    let actors = models.iter().enumerate();
+    let actors = actors.map(|(i, m)| (ids[i], pairwise_actor(i, 2_000, m)));
+    let handles = spawn_group(&reactor, actors, None);
+    mesh(&handles);
     handles[0].with(|a, ctx| a.start_round(ctx, 1));
-    let got = wait_until("pairwise round", || {
-        handles[0].with(|a, _| pairwise_outcome(a))
-    });
+    wait_done(&handles[0], "pairwise round");
+    let got = handles[0].with(|a, _| pairwise_outcome(a)).expect("done");
 
     assert_eq!(got.0, want.0, "contributor sets diverged");
     assert_eq!(got.1, want.1, "reactor digest diverged from the simulator");
@@ -339,18 +304,17 @@ fn ring_round_matches_simulator() {
     sim.run_until(sim.now() + SimDuration::from_secs(30));
     let want = ring_digest(sim.actor::<RingSacActor>(ids[0])).expect("sim round unfinished");
 
-    let reactor: Reactor<RingMsg, RingSacActor> =
-        Reactor::start(ReactorConfig::default()).expect("bind reactor");
-    let handles: Vec<PeerHandle<RingMsg, RingSacActor>> = (0..RING_N)
-        .map(|i| {
-            reactor
-                .spawn_peer(ids[i], actor(i, 30_000))
-                .expect("spawn peer")
-        })
-        .collect();
-    full_mesh(&handles, reactor.local_addr());
+    let reactor = reactor::<RingMsg, RingSacActor>();
+    let actors = (0..RING_N).map(|i| (ids[i], actor(i, 30_000)));
+    let handles = spawn_group(&reactor, actors, None);
+    mesh(&handles);
     handles[0].with(|a, ctx| a.start_round(ctx, 1));
-    let got = wait_until("ring round", || handles[0].with(|a, _| ring_digest(a)));
-    assert_eq!(got, want, "reactor digest diverged from the simulator");
+    let (contributors, got) = wait_done(&handles[0], "ring round");
+    assert_eq!(contributors, (0..RING_N).collect::<Vec<_>>());
+    assert_eq!(
+        got.digest(),
+        want,
+        "reactor digest diverged from the simulator"
+    );
     assert_clean_wire(&handles);
 }

@@ -6,19 +6,20 @@
 //!   fingerprints across runs, and (against unmutated code) no violation.
 //! * Its projected [`FaultPlan`] re-executes the fault pattern on both
 //!   transports: applied to a fresh simulator deployment and to a real
-//!   TCP `PeerRuntime` deployment, the fault-tolerant SAC round still
+//!   TCP deployment on the reactor, the fault-tolerant SAC round still
 //!   completes and the published result is exactly the mean of the frozen
 //!   contributor set — the KofNReconstructability oracle, checked by hand
 //!   on the transport the explorer cannot drive.
 
+mod common;
+
+use common::{mesh, reactor, spawn_group, wait_done};
 use p2pfl_check::models::Sac3Model;
 use p2pfl_check::{Counterexample, ExploreConfig, Explorer, Model};
-use p2pfl_net::PeerRuntime;
 use p2pfl_secagg::{
     SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
 };
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
-use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xCE11;
 
@@ -152,39 +153,18 @@ fn projected_fault_plan_reexecutes_on_tcp() {
     }
 
     let ids: Vec<NodeId> = (0..3).map(NodeId).collect();
-    let runtimes: Vec<PeerRuntime<SacMsg, SacPeerActor>> = (0..3)
-        .map(|pos| {
-            let actor = SacPeerActor::new(
-                sac_cfg(&ids, pos, SimDuration::from_secs(2)),
-                peer_model(pos),
-            );
-            PeerRuntime::start_with_faults(ids[pos], "127.0.0.1:0", &[], actor, &plan)
-                .expect("bind")
-        })
-        .collect();
-    for a in &runtimes {
-        for b in &runtimes {
-            if a.node_id() != b.node_id() {
-                a.add_peer(b.node_id(), b.local_addr());
-            }
-        }
-    }
+    let reactor = reactor::<SacMsg, SacPeerActor>();
+    let handles = spawn_group(
+        &reactor,
+        (0..3).map(|pos| {
+            let cfg = sac_cfg(&ids, pos, SimDuration::from_secs(2));
+            (ids[pos], SacPeerActor::new(cfg, peer_model(pos)))
+        }),
+        Some(&plan),
+    );
+    mesh(&handles);
 
-    runtimes[0].with(|a, ctx| a.start_round(ctx, 1));
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let (contributors, result) = loop {
-        let state =
-            runtimes[0].with(|a, _| (a.phase.clone(), a.contributors.clone(), a.result.clone()));
-        match state {
-            (SacPhase::Done, contributors, Some(result)) => break (contributors, result),
-            (SacPhase::Failed(e), _, _) => panic!("tcp round failed under projected plan: {e}"),
-            _ => {}
-        }
-        assert!(
-            Instant::now() < deadline,
-            "tcp round stalled under projected plan"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    handles[0].with(|a, ctx| a.start_round(ctx, 1));
+    let (contributors, result) = wait_done(&handles[0], "tcp round under projected plan");
     assert_kofn(&contributors, &result);
 }

@@ -1,6 +1,8 @@
 //! Whole-stack determinism: the repository's core promise that any
 //! distributed failure scenario replays bit-for-bit from a seed.
 
+mod common;
+
 use p2pfl::experiment::{accuracy_sweep, SweepSpec};
 use p2pfl::runner::{ResilientConfig, ResilientSession};
 use p2pfl_fed::Client;
@@ -65,14 +67,11 @@ fn reactor_sac_round_replays_exactly() {
     // The single-thread reactor transport inherits the stack's replay
     // promise: the same seed, models, and fault plan give a bit-identical
     // aggregate on every run, even though TCP delivery timing differs.
-    // (Cross-transport equality — sim vs threaded vs reactor — is covered
-    // in `fault_plan.rs`; this pins run-to-run stability of one leg.)
-    use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
-    use p2pfl_secagg::{
-        SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
-    };
-    use p2pfl_simnet::{FaultPlan, NodeId, SimDuration, SimTime};
-    use std::time::{Duration, Instant};
+    // (Cross-transport equality — sim vs reactor — is covered in
+    // `fault_plan.rs`; this pins run-to-run stability of one leg.)
+    use common::{ids, mesh, reactor, spawn_group, wait_done};
+    use p2pfl_secagg::{SacConfig, SacEngine, SacMsg, SacPeerActor, ShareScheme, WeightVector};
+    use p2pfl_simnet::{FaultPlan, SimDuration, SimTime};
 
     const N: usize = 5;
     const SEED: u64 = 0xD3;
@@ -87,55 +86,28 @@ fn reactor_sac_round_replays_exactly() {
             )
             .duplicate(SimTime::ZERO, SimTime::from_secs(600), 0.4);
         let mut rng = StdRng::seed_from_u64(SEED + 999);
-        let models: Vec<WeightVector> = (0..N)
-            .map(|_| WeightVector::random(24, 1.0, &mut rng))
-            .collect();
-        let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
-        let reactor: Reactor<SacMsg, SacPeerActor> =
-            Reactor::start(ReactorConfig::default()).expect("bind");
-        let handles: Vec<PeerHandle<SacMsg, SacPeerActor>> = (0..N)
-            .map(|i| {
-                let cfg = SacConfig {
-                    group: ids.clone(),
-                    position: i,
-                    leader_pos: 0,
-                    k: 3,
-                    scheme: ShareScheme::Masked,
-                    engine: SacEngine::Pairwise,
-                    share_deadline: SimDuration::from_secs(30),
-                    collect_deadline: SimDuration::from_secs(30),
-                    round_deadline: None,
-                    seed: SEED + i as u64,
-                };
-                reactor
-                    .spawn_peer_with_faults(
-                        ids[i],
-                        SacPeerActor::new(cfg, models[i].clone()),
-                        &plan,
-                    )
-                    .expect("spawn")
-            })
-            .collect();
-        for a in &handles {
-            for b in &handles {
-                if a.node_id() != b.node_id() {
-                    a.add_peer(b.node_id(), reactor.local_addr());
-                }
-            }
-        }
+        let ids = ids(N);
+        let reactor = reactor::<SacMsg, SacPeerActor>();
+        let actors = (0..N).map(|i| {
+            let cfg = SacConfig {
+                group: ids.clone(),
+                position: i,
+                leader_pos: 0,
+                k: 3,
+                scheme: ShareScheme::Masked,
+                engine: SacEngine::Pairwise,
+                share_deadline: SimDuration::from_secs(30),
+                collect_deadline: SimDuration::from_secs(30),
+                round_deadline: None,
+                seed: SEED + i as u64,
+            };
+            let model = WeightVector::random(24, 1.0, &mut rng);
+            (ids[i], SacPeerActor::new(cfg, model))
+        });
+        let handles = spawn_group(&reactor, actors, Some(&plan));
+        mesh(&handles);
         handles[0].with(|a, ctx| a.start_round(ctx, 1));
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let state =
-                handles[0].with(|a, _| (a.phase.clone(), a.result.as_ref().map(|r| r.digest())));
-            match state {
-                (SacPhase::Done, Some(d)) => return d,
-                (SacPhase::Failed(e), _) => panic!("reactor round failed: {e}"),
-                _ => {}
-            }
-            assert!(Instant::now() < deadline, "reactor round stalled");
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        wait_done(&handles[0], "reactor round").1.digest()
     }
 
     assert_eq!(run_once(), run_once(), "reactor run diverged from itself");

@@ -8,10 +8,12 @@
 //! rounding, leaving a documented `RING_DIFF_TOL` gap between them. What
 //! *is* bit-identical is each engine against itself across transports:
 //! in the no-dropout case the same engine run under the simulator and
-//! over real TCP sockets freezes the same contributor set and sums in
+//! over real TCP sockets (the reactor) freezes the same contributor set and sums in
 //! the same (position-sorted) order, so its digests must match exactly.
 
-use p2pfl_net::PeerRuntime;
+mod common;
+
+use common::{assert_clean_wire, mesh, reactor, spawn_group, wait_done};
 use p2pfl_secagg::{
     RingMsg, RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme,
     WeightVector,
@@ -19,7 +21,6 @@ use p2pfl_secagg::{
 use p2pfl_simnet::{FaultPlan, NodeId, Sim, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
 
 const N: usize = 6;
 const K: usize = 2;
@@ -178,77 +179,40 @@ fn sim_ring_digests(rounds: u64) -> Vec<u64> {
     out
 }
 
-fn wait_result<A, M, F>(leader: &PeerRuntime<M, A>, round: u64, state: F) -> WeightVector
-where
-    M: p2pfl_net::WireMsg + Send + 'static,
-    A: p2pfl_simnet::Actor<M> + Send + 'static,
-    F: Fn(&A) -> (SacPhase, Option<WeightVector>) + Send + Copy + 'static,
-{
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match leader.with(move |a, _| state(a)) {
-            (SacPhase::Done, Some(v)) => return v,
-            (SacPhase::Failed(e), _) => panic!("round {round} failed: {e}"),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "round {round} stalled");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn mesh<M, A>(runtimes: &[PeerRuntime<M, A>])
-where
-    M: p2pfl_net::WireMsg + Send + 'static,
-    A: p2pfl_simnet::Actor<M> + Send + 'static,
-{
-    for a in runtimes {
-        for b in runtimes {
-            if a.node_id() != b.node_id() {
-                a.add_peer(b.node_id(), b.local_addr());
-            }
-        }
-    }
-}
-
 #[test]
 fn tcp_engines_agree_and_match_their_simulator_runs_bitwise() {
     let expected_pairwise = sim_pairwise_digests(2);
     let expected_ring = sim_ring_digests(2);
     let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
     let ms = models();
+    let cfg = |i: usize, engine| config(&ids, i, engine, SimDuration::from_secs(10));
 
-    let pairwise: Vec<PeerRuntime<SacMsg, SacPeerActor>> = (0..N)
-        .map(|i| {
-            let cfg = config(&ids, i, SacEngine::Pairwise, SimDuration::from_secs(10));
-            PeerRuntime::start(
-                ids[i],
-                "127.0.0.1:0",
-                &[],
-                SacPeerActor::new(cfg, ms[i].clone()),
-            )
-            .expect("bind")
-        })
-        .collect();
+    let pairwise_reactor = reactor::<SacMsg, SacPeerActor>();
+    let pairwise = spawn_group(
+        &pairwise_reactor,
+        (0..N).map(|i| {
+            let actor = SacPeerActor::new(cfg(i, SacEngine::Pairwise), ms[i].clone());
+            (ids[i], actor)
+        }),
+        None,
+    );
     mesh(&pairwise);
-    let ring: Vec<PeerRuntime<RingMsg, RingSacActor>> = (0..N)
-        .map(|i| {
-            let cfg = config(&ids, i, SacEngine::Ring, SimDuration::from_secs(10));
-            PeerRuntime::start(
-                ids[i],
-                "127.0.0.1:0",
-                &[],
-                RingSacActor::new(cfg, ms[i].clone()),
-            )
-            .expect("bind")
-        })
-        .collect();
+    let ring_reactor = reactor::<RingMsg, RingSacActor>();
+    let ring = spawn_group(
+        &ring_reactor,
+        (0..N).map(|i| {
+            let actor = RingSacActor::new(cfg(i, SacEngine::Ring), ms[i].clone());
+            (ids[i], actor)
+        }),
+        None,
+    );
     mesh(&ring);
 
     // Round 1 on a healthy network.
     pairwise[0].with(|a, ctx| a.start_round(ctx, 1));
     ring[0].with(|a, ctx| a.start_round(ctx, 1));
-    let pv = wait_result(&pairwise[0], 1, |a| (a.phase.clone(), a.result.clone()));
-    let rv = wait_result(&ring[0], 1, |a| (a.phase.clone(), a.result.clone()));
+    let (_, pv) = wait_done(&pairwise[0], "pairwise round 1");
+    let (_, rv) = wait_done(&ring[0], "ring round 1");
     assert_eq!(pv.digest(), expected_pairwise[0], "pairwise TCP != sim");
     assert_eq!(rv.digest(), expected_ring[0], "ring TCP != sim");
     let gap = pv.linf_distance(&rv);
@@ -256,16 +220,12 @@ fn tcp_engines_agree_and_match_their_simulator_runs_bitwise() {
 
     // The same transport fault against both engines: sever every TCP
     // connection, then run round 2 straight through the reconnect path.
-    for rt in &pairwise {
-        rt.kill_connections();
-    }
-    for rt in &ring {
-        rt.kill_connections();
-    }
+    pairwise_reactor.kill_connections();
+    ring_reactor.kill_connections();
     pairwise[0].with(|a, ctx| a.start_round(ctx, 2));
     ring[0].with(|a, ctx| a.start_round(ctx, 2));
-    let pv = wait_result(&pairwise[0], 2, |a| (a.phase.clone(), a.result.clone()));
-    let rv = wait_result(&ring[0], 2, |a| (a.phase.clone(), a.result.clone()));
+    let (_, pv) = wait_done(&pairwise[0], "pairwise round 2");
+    let (_, rv) = wait_done(&ring[0], "ring round 2");
     assert_eq!(pv.digest(), expected_pairwise[1], "pairwise TCP != sim");
     assert_eq!(rv.digest(), expected_ring[1], "ring TCP != sim");
     let gap = pv.linf_distance(&rv);
@@ -273,7 +233,6 @@ fn tcp_engines_agree_and_match_their_simulator_runs_bitwise() {
         gap <= RING_DIFF_TOL,
         "TCP engines {gap} apart after blackout"
     );
-    for rt in &ring {
-        assert_eq!(rt.decode_errors(), 0, "ring peer dropped frames");
-    }
+    assert_clean_wire(&pairwise);
+    assert_clean_wire(&ring);
 }

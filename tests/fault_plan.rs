@@ -10,15 +10,20 @@
 //!   simulator still reaches a stable elected state and commits a round
 //!   marker through the FedAvg layer.
 //! * A crash/restart event pair taken from a plan's process-fault schedule
-//!   kills a real `PeerRuntime` peer mid-deployment and recovers it from
-//!   its on-disk Raft record: the rebuilt actor restores term, log, and
-//!   its FedAvg-layer seat from the files alone, and the deployment then
-//!   commits a fresh round marker.
+//!   kills a reactor-hosted peer mid-deployment and recovers it, at a new
+//!   address, from its on-disk Raft record: the rebuilt actor restores
+//!   term, log, and its FedAvg-layer seat from the files alone, and the
+//!   deployment then commits a fresh round marker.
 
+mod common;
+
+use common::{
+    assert_clean_wire, commit_marker, hier_stable, ids, mesh, reactor, spawn_group, wait_done,
+    wait_for, HierPeers,
+};
 use p2pfl_hierraft::{
     Deployment, DeploymentSpec, FedCmd, HierActor, HierMsg, HierPeerConfig, RobustCombiner, SubCmd,
 };
-use p2pfl_net::PeerRuntime;
 use p2pfl_raft::FileStorage;
 use p2pfl_secagg::{
     SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
@@ -26,7 +31,6 @@ use p2pfl_secagg::{
 use p2pfl_simnet::{FaultPlan, NodeId, ProcessFault, Sim, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -106,159 +110,61 @@ fn plan_preserves_sac_digest_on_simulator() {
     );
 }
 
-#[test]
-fn same_plan_preserves_sac_digest_on_tcp() {
-    let clean = sim_sac_digest(None);
-
-    let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
+/// One SAC round over real sockets, every peer filtering its sends
+/// through `plan`: all peers on one reactor (one loop thread, one shared
+/// listener), or split over two. Returns the leader's digest.
+fn tcp_sac_digest(plan: &FaultPlan, reactors: usize) -> u64 {
+    let ids = ids(N);
     let models = models();
-    let plan = shared_plan();
-    let runtimes: Vec<PeerRuntime<SacMsg, SacPeerActor>> = (0..N)
-        .map(|i| {
-            let actor = SacPeerActor::new(
-                sac_config(&ids, i, SimDuration::from_secs(30)),
-                models[i].clone(),
-            );
-            PeerRuntime::start_with_faults(ids[i], "127.0.0.1:0", &[], actor, &plan).expect("bind")
-        })
-        .collect();
-    for a in &runtimes {
-        for b in &runtimes {
-            if a.node_id() != b.node_id() {
-                a.add_peer(b.node_id(), b.local_addr());
-            }
-        }
-    }
-
-    runtimes[0].with(|a, ctx| a.start_round(ctx, 1));
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let digest = loop {
-        let state =
-            runtimes[0].with(|a, _| (a.phase.clone(), a.result.as_ref().map(|r| r.digest())));
-        match state {
-            (SacPhase::Done, Some(d)) => break d,
-            (SacPhase::Failed(e), _) => panic!("tcp round failed: {e}"),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "tcp round stalled");
-        std::thread::sleep(Duration::from_millis(20));
+    let actor = |i: usize| {
+        let cfg = sac_config(&ids, i, SimDuration::from_secs(30));
+        (ids[i], SacPeerActor::new(cfg, models[i].clone()))
     };
-    assert_eq!(digest, clean, "tcp aggregate diverged under the fault plan");
+    let hosts: Vec<_> = (0..reactors)
+        .map(|_| reactor::<SacMsg, SacPeerActor>())
+        .collect();
+    let mut handles = Vec::new();
+    for (r, host) in hosts.iter().enumerate() {
+        let share = (0..N).filter(|i| i % reactors == r).map(actor);
+        handles.extend(spawn_group(host, share, Some(plan)));
+    }
+    mesh(&handles);
+    // Peer 0, the leader, is the first reactor's first.
+    handles[0].with(|a, ctx| a.start_round(ctx, 1));
+    let digest = wait_done(&handles[0], "tcp round under the plan")
+        .1
+        .digest();
 
     // The duplication window must actually have fired: more frames hit the
     // wire than a clean all-to-all round needs.
-    let dup_extra: u64 = runtimes.iter().map(|rt| rt.stats().frames_sent).sum();
-    let clean_run: u64 = (N * (N - 1)) as u64 * 2; // generous clean-round bound
-    assert!(
-        dup_extra > clean_run,
-        "duplication never fired: {dup_extra} frames"
-    );
-}
-
-/// One SAC round on the reactor (single loop thread hosting all peers),
-/// every peer filtering its sends through `plan`; returns the leader's
-/// digest.
-fn reactor_sac_digest(plan: &FaultPlan) -> u64 {
-    use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
-    let reactor: Reactor<SacMsg, SacPeerActor> =
-        Reactor::start(ReactorConfig::default()).expect("bind reactor");
-    let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
-    let models = models();
-    let handles: Vec<PeerHandle<SacMsg, SacPeerActor>> = (0..N)
-        .map(|i| {
-            let actor = SacPeerActor::new(
-                sac_config(&ids, i, SimDuration::from_secs(30)),
-                models[i].clone(),
-            );
-            reactor
-                .spawn_peer_with_faults(ids[i], actor, plan)
-                .expect("spawn")
-        })
-        .collect();
-    for a in &handles {
-        for b in &handles {
-            if a.node_id() != b.node_id() {
-                a.add_peer(b.node_id(), reactor.local_addr());
-            }
-        }
-    }
-    handles[0].with(|a, ctx| a.start_round(ctx, 1));
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let digest = loop {
-        let state =
-            handles[0].with(|a, _| (a.phase.clone(), a.result.as_ref().map(|r| r.digest())));
-        match state {
-            (SacPhase::Done, Some(d)) => break d,
-            (SacPhase::Failed(e), _) => panic!("reactor round failed: {e}"),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "reactor round stalled");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    // The plan's duplication window must have fired on this transport too.
     let frames: u64 = handles.iter().map(|h| h.stats().frames_sent).sum();
-    let clean_run: u64 = (N * (N - 1)) as u64 * 2;
+    let clean_run: u64 = (N * (N - 1)) as u64 * 2; // generous clean-round bound
     assert!(
         frames > clean_run,
         "duplication never fired: {frames} frames"
     );
-    for h in &handles {
-        assert_eq!(
-            h.decode_errors(),
-            0,
-            "peer {:?} dropped frames",
-            h.node_id()
-        );
-    }
+    assert_clean_wire(&handles);
     digest
 }
 
-/// The acceptance differential for the async runtime: the same seed,
-/// models, and declarative fault plan produce a bit-identical aggregate
-/// on all three executions — discrete-event simulator, thread-per-peer
-/// TCP transport, and the single-thread reactor transport.
 #[test]
-fn plan_digest_identical_across_sim_threaded_and_reactor() {
+fn same_plan_preserves_sac_digest_on_tcp() {
+    assert_eq!(
+        tcp_sac_digest(&shared_plan(), 2),
+        sim_sac_digest(None),
+        "tcp aggregate diverged under the fault plan"
+    );
+}
+
+/// The acceptance differential for the transport: the same seed, models,
+/// and declarative fault plan produce a bit-identical aggregate on the
+/// discrete-event simulator and on the single-thread reactor.
+#[test]
+fn plan_digest_identical_across_sim_and_reactor() {
     let clean = sim_sac_digest(None);
     let plan = shared_plan();
     assert_eq!(sim_sac_digest(Some(&plan)), clean, "simulator leg diverged");
-    assert_eq!(reactor_sac_digest(&plan), clean, "reactor leg diverged");
-
-    // Threaded leg, same plan (mirrors `same_plan_preserves_sac_digest_on_tcp`).
-    let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
-    let models = models();
-    let runtimes: Vec<PeerRuntime<SacMsg, SacPeerActor>> = (0..N)
-        .map(|i| {
-            let actor = SacPeerActor::new(
-                sac_config(&ids, i, SimDuration::from_secs(30)),
-                models[i].clone(),
-            );
-            PeerRuntime::start_with_faults(ids[i], "127.0.0.1:0", &[], actor, &plan).expect("bind")
-        })
-        .collect();
-    for a in &runtimes {
-        for b in &runtimes {
-            if a.node_id() != b.node_id() {
-                a.add_peer(b.node_id(), b.local_addr());
-            }
-        }
-    }
-    runtimes[0].with(|a, ctx| a.start_round(ctx, 1));
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let state =
-            runtimes[0].with(|a, _| (a.phase.clone(), a.result.as_ref().map(|r| r.digest())));
-        match state {
-            (SacPhase::Done, Some(d)) => {
-                assert_eq!(d, clean, "threaded leg diverged");
-                break;
-            }
-            (SacPhase::Failed(e), _) => panic!("threaded round failed: {e}"),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "threaded round stalled");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    assert_eq!(tcp_sac_digest(&plan, 1), clean, "reactor leg diverged");
 }
 
 #[test]
@@ -333,59 +239,6 @@ fn storage_actor(dir: &std::path::Path, cfg: HierPeerConfig) -> HierActor {
     )
 }
 
-type HierRt = PeerRuntime<HierMsg, HierActor>;
-
-fn wait_for(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// Whether the TCP deployment is stable: per subgroup exactly one leader
-/// who holds a FedAvg-layer seat, and exactly one FedAvg leader overall.
-fn tcp_stable(rts: &HashMap<NodeId, HierRt>, subgroups: &[Vec<NodeId>]) -> bool {
-    let mut fed_leaders = 0;
-    for rt in rts.values() {
-        if rt.with(|a, _| a.is_fed_leader()) {
-            fed_leaders += 1;
-        }
-    }
-    if fed_leaders != 1 {
-        return false;
-    }
-    subgroups.iter().all(|g| {
-        let leaders: Vec<&HierRt> = g
-            .iter()
-            .filter_map(|id| rts.get(id))
-            .filter(|rt| rt.with(|a, _| a.is_sub_leader()))
-            .collect();
-        leaders.len() == 1 && leaders[0].with(|a, _| a.is_fed_member())
-    })
-}
-
-fn commit_marker(rts: &HashMap<NodeId, HierRt>, subgroups: &[Vec<NodeId>], marker: u64) {
-    let fl = rts
-        .values()
-        .find(|rt| rt.with(|a, _| a.is_fed_leader()))
-        .expect("fed leader");
-    fl.with(move |a, ctx| a.propose_fed(ctx, FedCmd::Round(marker)).unwrap());
-    wait_for(
-        &format!("marker {marker} at every subgroup leader"),
-        Duration::from_secs(30),
-        || {
-            subgroups.iter().all(|g| {
-                g.iter().filter_map(|id| rts.get(id)).any(|rt| {
-                    rt.with(move |a, _| {
-                        a.is_sub_leader() && a.fed_rounds_applied().contains(&marker)
-                    })
-                })
-            })
-        },
-    );
-}
-
 #[test]
 fn plan_crash_restart_recovers_tcp_peer_from_disk() {
     let dir = std::env::temp_dir().join(format!("p2pfl-fault-plan-{}", std::process::id()));
@@ -396,29 +249,19 @@ fn plan_crash_restart_recovers_tcp_peer_from_disk() {
         .collect();
     let founding: Vec<NodeId> = subgroups.iter().map(|g| g[0]).collect();
     let all: Vec<NodeId> = subgroups.iter().flatten().copied().collect();
+    let actor = |id| storage_actor(&dir, hier_cfg(id, &subgroups, &founding));
 
-    let mut rts: HashMap<NodeId, HierRt> = all
-        .iter()
-        .map(|&id| {
-            let actor = storage_actor(&dir, hier_cfg(id, &subgroups, &founding));
-            let rt = PeerRuntime::start(id, "127.0.0.1:0", &[], actor).expect("bind");
-            (id, rt)
-        })
-        .collect();
-    for a in &all {
-        for b in &all {
-            if a != b {
-                rts[a].add_peer(*b, rts[b].local_addr());
-            }
-        }
-    }
+    let home = reactor::<HierMsg, HierActor>();
+    let handles = spawn_group(&home, all.iter().map(|&id| (id, actor(id))), None);
+    mesh(&handles);
+    let mut peers: HierPeers = handles.into_iter().map(|h| (h.node_id(), h)).collect();
 
     wait_for(
         "initial two-layer stability",
         Duration::from_secs(30),
-        || tcp_stable(&rts, &subgroups),
+        || hier_stable(&peers, &subgroups),
     );
-    commit_marker(&rts, &subgroups, 1);
+    commit_marker(&peers, &subgroups, 1);
 
     // The fault plan's process schedule: kill subgroup 0's representative,
     // bring it back 2 s later. Everything below is driven by the plan.
@@ -427,12 +270,14 @@ fn plan_crash_restart_recovers_tcp_peer_from_disk() {
         .crash(SimTime::from_millis(10), victim)
         .restart(SimTime::from_millis(2000), victim);
     let origin = Instant::now();
-    let (pre_term, pre_last) = rts[&victim].with(|a, _| {
+    let (pre_term, pre_last) = peers[&victim].with(|a, _| {
         let r = a.sub_raft();
         (r.term(), r.log().last_index())
     });
     assert!(pre_last > 0, "no durable log before the crash");
 
+    // The restarted process gets a listener of its own: a new address.
+    let away = reactor::<HierMsg, HierActor>();
     for ev in plan.process_events() {
         let due = origin + Duration::from_nanos(ev.at.as_nanos());
         if let Some(wait) = due.checked_duration_since(Instant::now()) {
@@ -440,10 +285,10 @@ fn plan_crash_restart_recovers_tcp_peer_from_disk() {
         }
         match ev.fault {
             ProcessFault::Crash => {
-                rts.remove(&ev.node).expect("victim running").kill();
+                peers.remove(&ev.node).expect("victim running").kill();
             }
             ProcessFault::Restart => {
-                let actor = storage_actor(&dir, hier_cfg(ev.node, &subgroups, &founding));
+                let actor = actor(ev.node);
                 // Recovery happens *before* any network traffic: the files
                 // alone restore term, log, and the FedAvg-layer seat.
                 assert!(actor.sub_raft().term() >= pre_term, "term lost");
@@ -452,13 +297,12 @@ fn plan_crash_restart_recovers_tcp_peer_from_disk() {
                     "log entries lost"
                 );
                 assert!(actor.is_fed_member(), "fed seat not restored from disk");
-                let peers: Vec<(NodeId, std::net::SocketAddr)> =
-                    rts.iter().map(|(&id, rt)| (id, rt.local_addr())).collect();
-                let rt = PeerRuntime::start(ev.node, "127.0.0.1:0", &peers, actor).expect("rebind");
-                for other in rts.values() {
-                    other.add_peer(ev.node, rt.local_addr());
+                let back = away.spawn_peer(ev.node, actor).expect("respawn");
+                for other in peers.values() {
+                    back.add_peer(other.node_id(), other.local_addr());
+                    other.add_peer(ev.node, back.local_addr());
                 }
-                rts.insert(ev.node, rt);
+                peers.insert(ev.node, back);
             }
         }
     }
@@ -467,12 +311,12 @@ fn plan_crash_restart_recovers_tcp_peer_from_disk() {
     // leader replaces the victim in the FedAvg layer or the victim's
     // restored seat resumes) and commits another round marker.
     wait_for("post-restart stability", Duration::from_secs(60), || {
-        tcp_stable(&rts, &subgroups)
+        hier_stable(&peers, &subgroups)
     });
-    commit_marker(&rts, &subgroups, 2);
+    commit_marker(&peers, &subgroups, 2);
 
-    for (_, rt) in rts.drain() {
-        drop(rt.stop());
+    for (_, h) in peers.drain() {
+        drop(h.stop());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,16 +2,19 @@
 //! rounds on localhost TCP, survives an injected connection blackout via
 //! the transport's reconnect/backoff machinery, and produces results
 //! bit-for-bit identical to the same protocol executed under the
-//! deterministic simulator with the same seeds and models.
+//! deterministic simulator with the same seeds and models. A follower
+//! killed between rounds and restarted at a new address contributes to
+//! the next round.
 
-use p2pfl_net::PeerRuntime;
+mod common;
+
+use common::{assert_clean_wire, ids, mesh, reactor, spawn_group, wait_done};
 use p2pfl_secagg::{
     SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
 };
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
 
 const N: usize = 5;
 const K: usize = 3;
@@ -49,7 +52,7 @@ fn config(ids: &[NodeId], position: usize, deadline: SimDuration) -> SacConfig {
 /// leader's result digest after each round.
 fn simulator_digests(rounds: u64) -> Vec<u64> {
     let mut sim: Sim<SacMsg> = Sim::new(SEED);
-    let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
+    let ids = ids(N);
     let models = models();
     for (i, model) in models.iter().enumerate() {
         let cfg = config(&ids, i, SimDuration::from_millis(500));
@@ -72,78 +75,92 @@ fn simulator_digests(rounds: u64) -> Vec<u64> {
     digests
 }
 
-fn wait_done(leader: &PeerRuntime<SacMsg, SacPeerActor>, round: u64) -> u64 {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let state = leader.with(|a, _| (a.phase.clone(), a.result.as_ref().map(|r| r.digest())));
-        match state {
-            (SacPhase::Done, Some(d)) => return d,
-            (SacPhase::Failed(e), _) => panic!("round {round} failed: {e}"),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "round {round} stalled");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
 #[test]
 fn tcp_rounds_match_simulator_bitwise_across_connection_drops() {
     let expected = simulator_digests(2);
 
-    // Same actors, same seeds and models — but on real sockets. Generous
-    // deadlines (wall-clock here!) so reconnect backoff after the injected
-    // blackout can never shrink the contributor set.
-    let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
+    // Same actors, same seeds and models — but on real sockets, split
+    // over two reactors so some pairs share a listener and some do not.
+    // Generous deadlines (wall-clock here!) so reconnect backoff after the
+    // injected blackout can never shrink the contributor set.
+    let ids = ids(N);
     let models = models();
-    let runtimes: Vec<PeerRuntime<SacMsg, SacPeerActor>> = (0..N)
-        .map(|i| {
-            let actor = SacPeerActor::new(
-                config(&ids, i, SimDuration::from_secs(10)),
-                models[i].clone(),
-            );
-            PeerRuntime::start(ids[i], "127.0.0.1:0", &[], actor).expect("bind")
-        })
-        .collect();
-    for a in &runtimes {
-        for b in &runtimes {
-            if a.node_id() != b.node_id() {
-                a.add_peer(b.node_id(), b.local_addr());
-            }
-        }
-    }
+    let actor = |i: usize| {
+        let cfg = config(&ids, i, SimDuration::from_secs(10));
+        (ids[i], SacPeerActor::new(cfg, models[i].clone()))
+    };
+    let (r1, r2) = (reactor::<SacMsg, SacPeerActor>(), reactor());
+    let mut handles = spawn_group(&r1, (0..3).map(actor), None);
+    handles.extend(spawn_group(&r2, (3..N).map(actor), None));
+    mesh(&handles);
 
     // Round 1 on a healthy network.
-    runtimes[0].with(|a, ctx| a.start_round(ctx, 1));
+    handles[0].with(|a, ctx| a.start_round(ctx, 1));
     assert_eq!(
-        wait_done(&runtimes[0], 1),
+        wait_done(&handles[0], "round 1").1.digest(),
         expected[0],
         "round 1 diverged from simulator"
     );
 
     // Sever every TCP connection in the mesh, then immediately run round 2:
-    // the first sends hit dead sockets and the writers must reconnect
-    // (with backoff) before any share can flow.
-    for rt in &runtimes {
-        rt.kill_connections();
-    }
-    runtimes[0].with(|a, ctx| a.start_round(ctx, 2));
+    // the first sends find no socket and the dialers must reconnect (with
+    // backoff) before any share can flow.
+    r1.kill_connections();
+    r2.kill_connections();
+    handles[0].with(|a, ctx| a.start_round(ctx, 2));
     assert_eq!(
-        wait_done(&runtimes[0], 2),
+        wait_done(&handles[0], "round 2").1.digest(),
         expected[1],
         "round 2 diverged from simulator"
     );
 
-    let reconnects: u64 = runtimes.iter().map(|rt| rt.stats().reconnects).sum();
+    let reconnects: u64 = handles.iter().map(|h| h.stats().reconnects).sum();
     assert!(
         reconnects >= 1,
         "blackout did not exercise the reconnect path"
     );
-    for rt in &runtimes {
-        assert_eq!(
-            rt.decode_errors(),
-            0,
-            "peer {:?} dropped frames",
-            rt.node_id()
-        );
+    assert_clean_wire(&handles);
+}
+
+#[test]
+fn follower_killed_between_rounds_rejoins_at_a_new_address() {
+    const VICTIM: usize = 2;
+    let ids = ids(N);
+    let models = models();
+    let actor = |i: usize| {
+        let cfg = config(&ids, i, SimDuration::from_secs(10));
+        (ids[i], SacPeerActor::new(cfg, models[i].clone()))
+    };
+    let home = reactor::<SacMsg, SacPeerActor>();
+    let mut handles = spawn_group(&home, (0..N).map(actor), None);
+    mesh(&handles);
+    handles[0].with(|a, ctx| a.start_round(ctx, 1));
+    assert_eq!(
+        wait_done(&handles[0], "round 1").0,
+        (0..N).collect::<Vec<_>>()
+    );
+
+    // A process kill: the restarted peer has a fresh actor, no sockets and
+    // a listener of its own, and its neighbours (one lower id that dials
+    // it, three higher ones it dials) are re-pointed.
+    handles.remove(VICTIM).kill();
+    let away = reactor::<SacMsg, SacPeerActor>();
+    let (id, fresh) = actor(VICTIM);
+    let back = away.spawn_peer(id, fresh).expect("respawn");
+    for other in &handles {
+        back.add_peer(other.node_id(), other.local_addr());
+        other.add_peer(back.node_id(), back.local_addr());
     }
+
+    handles[0].with(|a, ctx| a.start_round(ctx, 2));
+    let (contributors, result) = wait_done(&handles[0], "round 2");
+    assert_eq!(
+        contributors,
+        (0..N).collect::<Vec<_>>(),
+        "rejoiner left out"
+    );
+    let mean = WeightVector::mean(models.iter());
+    assert!(result.linf_distance(&mean) < 1e-9);
+    assert_clean_wire(&handles);
+    assert_eq!(back.decode_errors(), 0);
 }

@@ -8,14 +8,15 @@
 //! subgroups): same topology shape, same digest-vs-sim oracle, sized to
 //! run in tier-1 CI.
 
-use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
+mod common;
+
+use common::{assert_clean_wire, mesh, reactor, spawn_group, wait_done};
 use p2pfl_secagg::{
     SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
 };
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
 
 const SUBGROUPS: usize = 8;
 const SUB_SIZE: usize = 8;
@@ -86,70 +87,38 @@ fn simulator_digests() -> Vec<u64> {
         .collect()
 }
 
-fn wait_done(leader: &PeerHandle<SacMsg, SacPeerActor>, g: usize) -> u64 {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let state = leader.with(|a, _| (a.phase.clone(), a.result.as_ref().map(|r| r.digest())));
-        match state {
-            (SacPhase::Done, Some(d)) => return d,
-            (SacPhase::Failed(e), _) => panic!("subgroup {g} failed: {e}"),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "subgroup {g} stalled");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
 #[test]
 fn sixty_four_peers_on_one_reactor_match_simulator() {
     let expected = simulator_digests();
 
-    let reactor: Reactor<SacMsg, SacPeerActor> =
-        Reactor::start(ReactorConfig::default()).expect("bind reactor");
+    let reactor = reactor::<SacMsg, SacPeerActor>();
     let models = models();
-    let handles: Vec<PeerHandle<SacMsg, SacPeerActor>> = (0..N)
-        .map(|id| {
-            let actor =
-                SacPeerActor::new(config(id, SimDuration::from_secs(30)), models[id].clone());
-            reactor
-                .spawn_peer(NodeId(id as u32), actor)
-                .expect("spawn peer")
-        })
-        .collect();
+    let handles = spawn_group(
+        &reactor,
+        (0..N).map(|id| {
+            let cfg = config(id, SimDuration::from_secs(30));
+            (
+                NodeId(id as u32),
+                SacPeerActor::new(cfg, models[id].clone()),
+            )
+        }),
+        None,
+    );
 
     // Full mesh within each subgroup only — all 64 peers share the one
     // reactor listener, so every address is the same socket.
-    let addr = reactor.local_addr();
-    for g in 0..SUBGROUPS {
-        let ids = subgroup_ids(g);
-        for &a in &ids {
-            for &b in &ids {
-                if a != b {
-                    handles[a.0 as usize].add_peer(b, addr);
-                }
-            }
-        }
+    for subgroup in handles.chunks(SUB_SIZE) {
+        mesh(subgroup);
     }
 
     // Kick off all 8 subgroup rounds concurrently.
-    for g in 0..SUBGROUPS {
-        let leader = &handles[g * SUB_SIZE];
-        leader.with(|a, ctx| a.start_round(ctx, 1));
+    for subgroup in handles.chunks(SUB_SIZE) {
+        subgroup[0].with(|a, ctx| a.start_round(ctx, 1));
     }
 
     for (g, want) in expected.iter().enumerate() {
-        let got = wait_done(&handles[g * SUB_SIZE], g);
-        assert_eq!(got, *want, "subgroup {g} diverged from simulator");
+        let (_, got) = wait_done(&handles[g * SUB_SIZE], &format!("subgroup {g}"));
+        assert_eq!(got.digest(), *want, "subgroup {g} diverged from simulator");
     }
-
-    for h in &handles {
-        assert_eq!(
-            h.decode_errors(),
-            0,
-            "peer {:?} dropped frames",
-            h.node_id()
-        );
-        let stats = h.stats();
-        assert_eq!(stats.sends_dropped, 0, "peer {:?}: {stats:?}", h.node_id());
-    }
+    assert_clean_wire(&handles);
 }
