@@ -1,7 +1,8 @@
 //! Hot-path wall-clock benchmark harness (`BENCH_hotpath.json`).
 //!
 //! Seeded, deterministic workloads over the kernels the round loop spends
-//! its time in — dense matmul, im2col convolution, share generation, mask
+//! its time in — dense matmul, the session's MLP training step and its
+//! narrow-output head product, im2col convolution, share generation, mask
 //! application, the wire codec — plus two macro benchmarks running one
 //! full N=10 two-layer aggregation round on the simulator and on real TCP
 //! loopback sockets. Every workload is seeded with fixed constants, so
@@ -24,8 +25,10 @@ use p2pfl::system::SystemKind;
 use p2pfl_bench::alloc::CountingAlloc;
 use p2pfl_bench::hotpath::{check_regressions, parse_baseline, Harness};
 use p2pfl_bench::{mesh, wait_round, Args};
-use p2pfl_ml::data::Partition;
+use p2pfl_ml::data::{features_like, Partition};
 use p2pfl_ml::layers::Conv2d;
+use p2pfl_ml::models::mlp;
+use p2pfl_ml::optim::Adam;
 use p2pfl_ml::reference::matmul_naive;
 use p2pfl_ml::{Layer, Tensor};
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
@@ -158,6 +161,33 @@ fn main() {
     });
     h.bench("matmul_blocked_256", scale(21), matmul_bytes, || {
         std::hint::black_box(a.matmul(&b));
+    });
+
+    // --- micro: the session's training step and its narrow-output product ---
+    // MLP 64-128-10, batch 50, Adam 2e-4 (the `session_mlp_30` step). The
+    // batches rotate through real feature data so activations and Adam
+    // moments stay in the normal range; one fixed batch trained for
+    // hundreds of steps drives gradients to subnormals and times the
+    // microcode assist instead of the kernel.
+    let steps = features_like(64, 400, SEED + 10);
+    let batches: Vec<(Tensor, Vec<usize>)> = (0..8)
+        .map(|i| steps.gather(&(i * 50..(i + 1) * 50).collect::<Vec<_>>()))
+        .collect();
+    let mut mlp_model = mlp(&[64, 128, 10], &mut StdRng::seed_from_u64(SEED + 11));
+    let mut adam = Adam::new(2e-4);
+    let mut step = 0usize;
+    h.bench("mlp_train_step", scale(600), 0, || {
+        let (x, y) = &batches[step % batches.len()];
+        step += 1;
+        std::hint::black_box(mlp_model.train_batch(x, y, &mut adam));
+    });
+    // The 10-class head: 64 k MACs whose output rows are 10 wide, the shape
+    // the register-tiled narrow path of the GEMM routine exists for.
+    let head_a = seeded_tensor(&[50, 128], SEED + 12);
+    let head_b = seeded_tensor(&[128, 10], SEED + 13);
+    let head_bytes = ((50 * 128 + 128 * 10 + 50 * 10) * 4) as u64;
+    h.bench("matmul_head_50x128x10", scale(600), head_bytes, || {
+        std::hint::black_box(head_a.matmul(&head_b));
     });
 
     // --- micro: im2col convolution, forward and backward ---

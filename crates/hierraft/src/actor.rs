@@ -18,12 +18,69 @@
 //! of waiting for the first change to commit; with a single proposer this
 //! is safe in our setting and keeps recovery latency low.
 
-use crate::config::{FedCmd, FedConfig, HierMsg, HierPeerConfig, SubCmd, SubMembers};
+use crate::config::{
+    FedCmd, FedConfig, FedSnapshot, HierMsg, HierPeerConfig, SubCmd, SubMembers, SubSnapshot,
+};
 use crate::detector::{FailureDetector, Liveness};
 use crate::elastic::{rekey_key, ElasticGroup, Topology, TopologyCmd, TopologyEvent};
-use p2pfl_raft::{Effect, Entry, LogCmd, RaftConfig, RaftNode, RaftStorage};
-use p2pfl_simnet::{Actor, NodeId, SimDuration, SimTime, TimerId, Transport};
+use p2pfl_raft::{Command, Effect, Entry, LogCmd, LogIndex, RaftConfig, RaftNode, RaftStorage};
+use p2pfl_simnet::{codec, Actor, NodeId, SimDuration, SimTime, TimerId, Transport};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The most applied entries either Raft log of a peer retains; a log
+/// longer than this (plus what one settle window has in flight) is a bug.
+/// A peer's per-round state must be bounded however long the session
+/// runs, and both logs fold to a few hundred bytes of replicated state, so
+/// this is a property of the protocol, not a tuning knob.
+pub const COMPACT_AFTER: u64 = 256;
+
+/// Applied entries between two checkpoints of a layer's replicated state.
+/// Taking a checkpoint cuts the log at the *previous* one, so a log holds
+/// between one and two intervals: a follower less than an interval behind
+/// (every follower of a fault-free round) is still caught up by entries,
+/// and only one further behind, or restarted from nothing, is sent the
+/// snapshot.
+const CHECKPOINT_EVERY: u64 = COMPACT_AFTER / 2;
+
+/// Applied [`FedConfig`] digests kept as the reference incoming
+/// [`HierMsg::ConfigEcho`]es are cross-checked against (one is added per
+/// config re-commit, so the map is pruned like the logs are).
+const ECHO_VERSIONS_KEPT: usize = 64;
+
+/// A layer's replicated state as of an applied log index.
+type Checkpoint = (LogIndex, Vec<u8>);
+
+/// Whether applying `entry` takes `node` a checkpoint interval past its
+/// last checkpoint (or snapshot). The entry must still be in this node's
+/// log: applying a topology change can replace the instance mid-batch, and
+/// the old instance's remaining commits say nothing about the new log.
+fn checkpoint_due<C: Command>(
+    node: &RaftNode<C>,
+    last: &Option<Checkpoint>,
+    index: LogIndex,
+    term: u64,
+) -> bool {
+    let base = last
+        .as_ref()
+        .map_or(node.log().snapshot_index(), |(at, _)| *at);
+    node.log().term_at(index) == Some(term) && index >= base + CHECKPOINT_EVERY
+}
+
+/// Records `(index, blob)` as `node`'s checkpoint and cuts its log at the
+/// one it replaces, persisting the cut.
+fn roll_checkpoint<C: Command>(
+    node: &mut RaftNode<C>,
+    storage: &mut Option<Box<dyn RaftStorage<C>>>,
+    last: &mut Option<Checkpoint>,
+    index: LogIndex,
+    blob: Vec<u8>,
+) {
+    if let Some((at, state)) = last.replace((index, blob)) {
+        if let (Some(op), Some(st)) = (node.take_snapshot(at, state), storage.as_mut()) {
+            st.record(&op);
+        }
+    }
+}
 
 const TIMER_SUB_ELECTION: u64 = 1;
 const TIMER_SUB_HEARTBEAT: u64 = 2;
@@ -41,6 +98,8 @@ pub struct HierActor {
     fed: Option<RaftNode<FedCmd>>,
     sub_storage: Option<Box<dyn RaftStorage<SubCmd>>>,
     fed_storage: Option<Box<dyn RaftStorage<FedCmd>>>,
+    sub_checkpoint: Option<Checkpoint>,
+    fed_checkpoint: Option<Checkpoint>,
     sub_election_timer: Option<TimerId>,
     sub_heartbeat_timer: Option<TimerId>,
     fed_election_timer: Option<TimerId>,
@@ -97,8 +156,9 @@ pub struct HierActor {
     /// evicted from the aggregation roster and never re-admitted by the
     /// liveness path — Byzantine is not a transient condition.
     pub byzantine_peers: BTreeSet<NodeId>,
-    /// Digest of the [`FedConfig`] this peer applied, per version; the
-    /// reference against which incoming echoes are cross-checked.
+    /// Digest of the [`FedConfig`] this peer applied, per version (the
+    /// latest [`ECHO_VERSIONS_KEPT`]); the reference against which incoming
+    /// echoes are cross-checked.
     echo_digests: BTreeMap<u64, u64>,
     /// The adopted elastic layout. Static deployments freeze it at
     /// version 0; elastic ones advance it through replicated
@@ -225,6 +285,8 @@ impl HierActor {
             fed,
             sub_storage,
             fed_storage,
+            sub_checkpoint: None,
+            fed_checkpoint: None,
             sub_election_timer: None,
             sub_heartbeat_timer: None,
             fed_election_timer: None,
@@ -310,6 +372,15 @@ impl HierActor {
     /// The FedAvg-layer Raft state, if active.
     pub fn fed_raft(&self) -> Option<&RaftNode<FedCmd>> {
         self.fed.as_ref()
+    }
+
+    /// The last round marker applied through the FedAvg-layer log: with
+    /// [`HierActor::topology`], what that log folds to.
+    fn last_fed_round(&self) -> Option<u64> {
+        self.fed_cmds_applied.iter().rev().find_map(|c| match c {
+            FedCmd::Round(r) => Some(*r),
+            FedCmd::Topology(_) => None,
+        })
     }
 
     /// The round markers applied through the FedAvg-layer log, in order
@@ -418,7 +489,10 @@ impl HierActor {
                 Effect::ArmHeartbeatTimer(d) => {
                     Self::arm(ctx, &mut self.sub_heartbeat_timer, d, TIMER_SUB_HEARTBEAT)
                 }
-                Effect::Commit(entry) => self.apply_sub_entry(ctx, &entry),
+                Effect::Commit(entry) => {
+                    self.apply_sub_entry(ctx, &entry);
+                    self.checkpoint_sub(entry.index, entry.term);
+                }
                 Effect::BecameLeader(_) => {
                     self.sub_leader_history.push(ctx.now());
                     self.on_became_sub_leader(ctx);
@@ -428,9 +502,7 @@ impl HierActor {
                         st.record(&op);
                     }
                 }
-                // Subgroup logs are tiny (configs + round markers); this
-                // deployment never compacts them.
-                Effect::RestoreSnapshot(_) => {}
+                Effect::RestoreSnapshot(blob) => self.restore_sub_snapshot(ctx, &blob),
                 Effect::SteppedDown(_) | Effect::ConfigChanged(_) => {}
             }
         }
@@ -455,6 +527,7 @@ impl HierActor {
                         }
                         self.fed_cmds_applied.push(v);
                     }
+                    self.checkpoint_fed(entry.index, entry.term);
                 }
                 Effect::BecameLeader(_) => self.fed_leader_history.push(ctx.now()),
                 Effect::ConfigChanged(cluster) => {
@@ -472,62 +545,155 @@ impl HierActor {
                         st.record(&op);
                     }
                 }
-                Effect::RestoreSnapshot(_) => {}
+                Effect::RestoreSnapshot(blob) => self.restore_fed_snapshot(ctx, &blob),
                 Effect::SteppedDown(_) => {}
             }
         }
         if retire {
-            self.fed = None;
-            for slot in [&mut self.fed_election_timer, &mut self.fed_heartbeat_timer] {
-                if let Some(t) = slot.take() {
-                    ctx.cancel_timer(t);
-                }
+            self.retire_fed(ctx);
+        }
+    }
+
+    /// Drops this peer's FedAvg-layer instance (its seat went to a
+    /// replacement) together with everything that belonged to it.
+    fn retire_fed(&mut self, ctx: &mut dyn Transport<HierMsg>) {
+        self.fed = None;
+        self.fed_checkpoint = None;
+        for slot in [&mut self.fed_election_timer, &mut self.fed_heartbeat_timer] {
+            if let Some(t) = slot.take() {
+                ctx.cancel_timer(t);
             }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Log compaction: each layer's log folds to a small replicated state
+    // ------------------------------------------------------------------
+
+    fn checkpoint_sub(&mut self, index: LogIndex, term: u64) {
+        if !checkpoint_due(&self.sub, &self.sub_checkpoint, index, term) {
+            return;
+        }
+        let blob = codec::to_bytes(&SubSnapshot {
+            fed_config: self.fed_config.clone(),
+            sub_members: self.sub_members.clone(),
+            topology: self.topology.clone(),
+        });
+        roll_checkpoint(
+            &mut self.sub,
+            &mut self.sub_storage,
+            &mut self.sub_checkpoint,
+            index,
+            blob,
+        );
+    }
+
+    fn checkpoint_fed(&mut self, index: LogIndex, term: u64) {
+        let Some(fed) = self.fed.as_ref() else { return };
+        if !checkpoint_due(fed, &self.fed_checkpoint, index, term) {
+            return;
+        }
+        let blob = codec::to_bytes(&FedSnapshot {
+            last_round: self.last_fed_round(),
+            topology: self.topology.clone(),
+        });
+        let Some(fed) = self.fed.as_mut() else { return };
+        roll_checkpoint(
+            fed,
+            &mut self.fed_storage,
+            &mut self.fed_checkpoint,
+            index,
+            blob,
+        );
+    }
+
+    /// The subgroup log was replaced by a snapshot (shipped by the leader
+    /// or recovered from disk): adopt what it folds to, exactly as if the
+    /// compacted entries had been applied. An undecodable blob leaves the
+    /// state as it is; the log above the snapshot still applies.
+    fn restore_sub_snapshot(&mut self, ctx: &mut dyn Transport<HierMsg>, blob: &[u8]) {
+        self.sub_checkpoint = None;
+        let Ok(snap) = codec::from_bytes::<SubSnapshot>(blob) else {
+            return;
+        };
+        self.adopt_fed_config(ctx, &snap.fed_config);
+        self.adopt_sub_members(&snap.sub_members);
+        self.adopt_topology(ctx, &snap.topology);
+    }
+
+    /// The FedAvg-layer counterpart of [`Self::restore_sub_snapshot`]. The
+    /// round markers the snapshot covers are gone; the last one is
+    /// recorded so the applied history still ends where the layer is.
+    fn restore_fed_snapshot(&mut self, ctx: &mut dyn Transport<HierMsg>, blob: &[u8]) {
+        self.fed_checkpoint = None;
+        let Ok(snap) = codec::from_bytes::<FedSnapshot>(blob) else {
+            return;
+        };
+        if let Some(r) = snap
+            .last_round
+            .filter(|r| Some(*r) != self.last_fed_round())
+        {
+            self.fed_cmds_applied.push(FedCmd::Round(r));
+        }
+        self.adopt_topology(ctx, &snap.topology);
+    }
+
+    /// A FedAvg-layer instance recovered from a compacted durable log
+    /// starts from the snapshot the dropped prefix built; the retained tail
+    /// re-applies on top.
+    fn restore_stored_fed_snapshot(&mut self, ctx: &mut dyn Transport<HierMsg>) {
+        let stored = self.fed.as_ref().and_then(|f| f.snapshot());
+        if let Some(blob) = stored.map(|(_, _, _, blob)| blob.clone()) {
+            self.restore_fed_snapshot(ctx, &blob);
+        }
+    }
+
+    /// Adopts a replicated FedAvg-layer configuration (version
+    /// max-advance).
+    fn adopt_fed_config(&mut self, ctx: &mut dyn Transport<HierMsg>, c: &FedConfig) {
+        if c.version >= self.fed_config.version {
+            self.fed_config = c.clone();
+        }
+        // A restarted ex-representative learns through its subgroup log
+        // that the FedAvg layer moved on without it: retire the stale
+        // FedAvg-layer instance.
+        if self.fed.is_some()
+            && !self.sub.is_leader()
+            && !self.fed_config.current.contains(&self.cfg.id)
+        {
+            self.retire_fed(ctx);
+        }
+    }
+
+    /// Adopts a replicated aggregation roster (version max-advance).
+    fn adopt_sub_members(&mut self, m: &SubMembers) {
+        // Bogus-roster defense: a replicated roster may only name members
+        // of the configured subgroup. A Byzantine leader that smuggles a
+        // phantom member into the aggregation roster is ignored — the
+        // previous roster stays in force.
+        if !m.members.iter().all(|p| self.cfg.subgroup.contains(p)) {
+            self.bogus_rosters_rejected += 1;
+            return;
+        }
+        if m.version >= self.sub_members.version {
+            self.sub_members = m.clone();
+        }
+        if self
+            .proposed_roster
+            .as_ref()
+            .is_some_and(|p| m.version >= p.version)
+        {
+            self.proposed_roster = None;
         }
     }
 
     fn apply_sub_entry(&mut self, ctx: &mut dyn Transport<HierMsg>, entry: &Entry<SubCmd>) {
         match &entry.cmd {
             LogCmd::App(SubCmd::FedConfig(c)) => {
-                if c.version >= self.fed_config.version {
-                    self.fed_config = c.clone();
-                }
+                self.adopt_fed_config(ctx, c);
                 self.broadcast_config_echo(ctx, c);
-                // A restarted ex-representative learns through its
-                // subgroup log that the FedAvg layer moved on without it:
-                // retire the stale FedAvg-layer instance.
-                if self.fed.is_some()
-                    && !self.sub.is_leader()
-                    && !self.fed_config.current.contains(&self.cfg.id)
-                {
-                    self.fed = None;
-                    for slot in [&mut self.fed_election_timer, &mut self.fed_heartbeat_timer] {
-                        if let Some(t) = slot.take() {
-                            ctx.cancel_timer(t);
-                        }
-                    }
-                }
             }
-            LogCmd::App(SubCmd::Members(m)) => {
-                // Bogus-roster defense: a replicated roster may only name
-                // members of the configured subgroup. A Byzantine leader
-                // that smuggles a phantom member into the aggregation
-                // roster is ignored — the previous roster stays in force.
-                if !m.members.iter().all(|p| self.cfg.subgroup.contains(p)) {
-                    self.bogus_rosters_rejected += 1;
-                    return;
-                }
-                if m.version >= self.sub_members.version {
-                    self.sub_members = m.clone();
-                }
-                if self
-                    .proposed_roster
-                    .as_ref()
-                    .is_some_and(|p| m.version >= p.version)
-                {
-                    self.proposed_roster = None;
-                }
-            }
+            LogCmd::App(SubCmd::Members(m)) => self.adopt_sub_members(m),
             LogCmd::App(SubCmd::App(v)) => self.sub_cmds_applied.push(*v),
             LogCmd::App(SubCmd::Topology(t)) => {
                 let t = t.clone();
@@ -688,6 +854,7 @@ impl HierActor {
             }
         }
         self.sub_storage = None;
+        self.sub_checkpoint = None;
         self.sub = RaftNode::new(raft_cfg);
         self.topology_commit_version = 0;
         let eff = self.sub.start();
@@ -823,6 +990,11 @@ impl HierActor {
     fn broadcast_config_echo(&mut self, ctx: &mut dyn Transport<HierMsg>, c: &FedConfig) {
         let digest = c.digest();
         self.echo_digests.insert(c.version, digest);
+        // Echoes answer an apply within a link delay or two; a reference
+        // older than this many versions has no honest echo left to meet.
+        while self.echo_digests.len() > ECHO_VERSIONS_KEPT {
+            self.echo_digests.pop_first();
+        }
         for &peer in &self.cfg.subgroup.clone() {
             if peer == self.cfg.id {
                 continue;
@@ -1112,6 +1284,7 @@ impl HierActor {
         let eff = fed.start();
         self.fed = Some(fed);
         self.fed_active_at = Some(ctx.now());
+        self.restore_stored_fed_snapshot(ctx);
         self.run_fed_effects(ctx, eff);
         if let Some(t) = self.join_tick_timer.take() {
             ctx.cancel_timer(t);
@@ -1275,6 +1448,11 @@ impl Actor<HierMsg> for HierActor {
             self.send_rendezvous(ctx);
             return;
         }
+        // Restored from a compacted durable log: the snapshot is the state
+        // the dropped prefix built; the retained tail re-applies on top.
+        if let Some(blob) = self.sub.snapshot().map(|(_, _, _, blob)| blob.clone()) {
+            self.restore_sub_snapshot(ctx, &blob);
+        }
         let eff = self.sub.start();
         self.run_sub_effects(ctx, eff);
         if let Some(fed) = self.fed.as_mut() {
@@ -1283,6 +1461,7 @@ impl Actor<HierMsg> for HierActor {
             // peer restarts into already exists.
             let eff = fed.start();
             self.fed_active_at = Some(ctx.now());
+            self.restore_stored_fed_snapshot(ctx);
             self.run_fed_effects(ctx, eff);
         } else if self.cfg.is_founding() {
             // Shorten the genesis election so founding members win their

@@ -73,6 +73,30 @@ pub struct SubMembers {
     pub version: u64,
 }
 
+/// What a subgroup log folds to: the snapshot blob a [`crate::HierActor`]
+/// cuts its subgroup log into, persists through `PersistOp::Compact` and
+/// ships in `InstallSnapshot`. Each field is the latest value by version;
+/// a restored follower adopts each under its usual max-advance rule.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct SubSnapshot {
+    /// Latest replicated FedAvg-layer configuration.
+    pub fed_config: FedConfig,
+    /// Latest replicated aggregation roster.
+    pub sub_members: SubMembers,
+    /// Latest adopted elastic layout.
+    pub topology: Topology,
+}
+
+/// What the FedAvg-layer log folds to (see [`SubSnapshot`]): the last
+/// committed round marker and the layout the topology commands built.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct FedSnapshot {
+    /// The last [`FedCmd::Round`] marker applied, if any.
+    pub last_round: Option<u64>,
+    /// The layout after every applied [`FedCmd::Topology`] command.
+    pub topology: Topology,
+}
+
 /// Commands carried by a *subgroup* (SAC-layer) Raft log.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum SubCmd {

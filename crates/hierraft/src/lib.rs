@@ -21,9 +21,10 @@ mod elastic;
 pub mod experiments;
 mod topology;
 
-pub use actor::HierActor;
+pub use actor::{HierActor, COMPACT_AFTER};
 pub use config::{
-    ElasticPeerConfig, FedCmd, FedConfig, HierMsg, HierPeerConfig, SubCmd, SubMembers,
+    ElasticPeerConfig, FedCmd, FedConfig, FedSnapshot, HierMsg, HierPeerConfig, SubCmd, SubMembers,
+    SubSnapshot,
 };
 pub use detector::{FailureDetector, Liveness};
 pub use elastic::{

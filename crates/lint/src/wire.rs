@@ -42,6 +42,8 @@ pub const EXTRA_WIRE_TYPES: &[&str] = &[
     "TopologyCmd",    // elastic split/merge/admit/depart operations
     "Topology",       // the versioned elastic layout, shipped in syncs/acks
     "ElasticGroup",   // one subgroup of a Topology
+    "SubSnapshot",    // what a compacted subgroup log folds to (InstallSnapshot, FileStorage)
+    "FedSnapshot",    // ditto for the FedAvg-layer log
 ];
 
 /// Files in which a wire type must be mentioned to count as having a

@@ -38,15 +38,24 @@ impl Param {
 ///
 /// `forward` caches whatever `backward` needs; `backward` consumes the
 /// gradient w.r.t. the layer output and returns the gradient w.r.t. the
-/// layer input, accumulating parameter gradients along the way. Layers
-/// are `Send` so whole models can move across worker threads (the
-/// two-layer system trains its peers in parallel).
+/// layer input, accumulating parameter gradients along the way;
+/// `backward_params` is the same minus the input gradient, for the layer
+/// nobody sits below. Layers are `Send` so whole models can move across
+/// worker threads (the two-layer system trains its peers in parallel).
 pub trait Layer: Send {
     /// Forward pass. `train` toggles training-only behavior (dropout).
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
     /// Backward pass; must be preceded by a `forward` with `train = true`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// Backward pass of a layer whose input gradient is not needed (the
+    /// first layer of a model): accumulates exactly the parameter
+    /// gradients [`Layer::backward`] would and skips the input gradient.
+    /// Layers with parameters override this with the accumulation alone.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
 
     /// The layer's trainable parameters (empty for stateless layers).
     fn params(&self) -> Vec<&Param> {

@@ -33,13 +33,16 @@ impl Layer for Relu {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mask = self.cached_mask.take().expect("backward before forward");
-        let mut dx = grad_out.clone();
-        for (g, keep) in dx.data_mut().iter_mut().zip(&mask) {
-            if !keep {
-                *g = 0.0;
-            }
-        }
-        dx
+        // A select, not a conditional store: the mask of a hidden layer is
+        // a coin flip per element, and a branch on it mispredicts half the
+        // time (it was a sixth of the MLP training step).
+        let dx = grad_out
+            .data()
+            .iter()
+            .zip(&mask)
+            .map(|(&g, &keep)| if keep { g } else { 0.0 })
+            .collect();
+        Tensor::from_vec(grad_out.shape(), dx)
     }
 
     fn name(&self) -> &'static str {

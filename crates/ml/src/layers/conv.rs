@@ -2,7 +2,7 @@
 //!
 //! Stride is fixed at 1 (all convolutions in the Fig. 5 CNN are 3×3/s1 with
 //! "same" padding). The im2col transform turns convolution into one big
-//! matrix product, which reuses the cache-blocked `matmul`.
+//! matrix product, which reuses the one GEMM routine in `tensor`.
 
 use crate::init;
 use crate::layer::{Layer, Param};
@@ -136,6 +136,34 @@ impl Conv2d {
         Tensor::from_vec(&[b, c, h, w], out)
     }
 
+    /// The parameter half of the backward pass: `dW += colsᵀ g`, `db +=
+    /// column sums of g`. Returns `g` as the `[B*OH*OW, OC]` matrix the
+    /// input gradient is computed from, for the caller that needs one.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Tensor {
+        let (b, oh, ow) = self.cached_dims.expect("backward before forward");
+        // Un-permute [b, oc, oy, ox] -> rows [b, oy, ox][oc].
+        let mut g = vec![0.0f32; b * oh * ow * self.out_c];
+        let gd = grad_out.data();
+        for bi in 0..b {
+            for oc in 0..self.out_c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        g[((bi * oh + oy) * ow + ox) * self.out_c + oc] =
+                            gd[((bi * self.out_c + oc) * oh + oy) * ow + ox];
+                    }
+                }
+            }
+        }
+        let gmat = Tensor::from_vec(&[b * oh * ow, self.out_c], g);
+        let cols = self.cached_cols.take().expect("backward before forward");
+        self.weight.grad.add_assign(&cols.matmul_tn(&gmat));
+        let db = gmat.sum_rows();
+        for (gacc, d) in self.bias.grad.data_mut().iter_mut().zip(&db) {
+            *gacc += d;
+        }
+        gmat
+    }
+
     fn cached_input_hw(&self) -> (usize, usize) {
         let (_, oh, ow) = self.cached_dims.expect("backward before forward");
         (
@@ -173,31 +201,15 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (b, oh, ow) = self.cached_dims.expect("backward before forward");
-        // Un-permute [b, oc, oy, ox] -> rows [b, oy, ox][oc].
-        let mut g = vec![0.0f32; b * oh * ow * self.out_c];
-        let gd = grad_out.data();
-        for bi in 0..b {
-            for oc in 0..self.out_c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        g[((bi * oh + oy) * ow + ox) * self.out_c + oc] =
-                            gd[((bi * self.out_c + oc) * oh + oy) * ow + ox];
-                    }
-                }
-            }
-        }
-        let gmat = Tensor::from_vec(&[b * oh * ow, self.out_c], g);
-        let cols = self.cached_cols.take().expect("backward before forward");
-        let dw = cols.transposed().matmul(&gmat);
-        self.weight.grad.add_assign(&dw);
-        let db = gmat.sum_rows();
-        for (gacc, d) in self.bias.grad.data_mut().iter_mut().zip(&db) {
-            *gacc += d;
-        }
+        let gmat = self.accumulate_param_grads(grad_out);
+        let (b, _, _) = self.cached_dims.expect("backward before forward");
         let dcols = gmat.matmul(&self.weight.value.transposed());
         let (h, w) = self.cached_input_hw();
         self.col2im(&dcols, b, h, w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.accumulate_param_grads(grad_out);
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -58,15 +58,19 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // dx = g W^T
+        grad_out.matmul(&self.weight.value.transposed())
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self.cached_input.as_ref().expect("backward before forward");
-        // dW = x^T g ; db = column sums of g ; dx = g W^T
-        let dw = x.transposed().matmul(grad_out);
-        self.weight.grad.add_assign(&dw);
+        // dW = x^T g ; db = column sums of g
+        self.weight.grad.add_assign(&x.matmul_tn(grad_out));
         let db = grad_out.sum_rows();
         for (g, d) in self.bias.grad.data_mut().iter_mut().zip(&db) {
             *g += d;
         }
-        grad_out.matmul(&self.weight.value.transposed())
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -41,7 +41,9 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
     ((loss / b as f64) as f32, grad)
 }
 
-/// Fraction of rows whose argmax matches the label.
+/// Fraction of rows whose argmax matches the label. A row holding a NaN
+/// logit has no argmax and counts as a wrong prediction: a poisoned or
+/// diverged model scores zero here, it does not panic the caller.
 pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
     let b = logits.shape()[0];
     let c = logits.shape()[1];
@@ -49,13 +51,15 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
     let mut correct = 0usize;
     for (i, &y) in labels.iter().enumerate() {
         let row = &logits.data()[i * c..(i + 1) * c];
+        if row.iter().any(|v| v.is_nan()) {
+            continue;
+        }
         let pred = row
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(j, _)| j)
-            .unwrap();
-        if pred == y {
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN in the row"))
+            .map(|(j, _)| j);
+        if pred == Some(y) {
             correct += 1;
         }
     }
@@ -113,6 +117,15 @@ mod tests {
                 g.data()[i]
             );
         }
+    }
+
+    #[test]
+    fn nan_logit_counts_as_wrong_prediction() {
+        let l = Tensor::from_vec(&[3, 2], vec![0.9, 0.1, f32::NAN, 0.8, 0.2, f32::INFINITY]);
+        // Row 0 right, row 1 has a NaN (wrong whatever the label), row 2's
+        // infinite logit is a legitimate argmax.
+        assert_eq!(accuracy(&l, &[0, 1, 1]), 2.0 / 3.0);
+        assert_eq!(accuracy(&l, &[0, 0, 1]), 2.0 / 3.0);
     }
 
     #[test]

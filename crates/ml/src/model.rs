@@ -41,11 +41,17 @@ impl Sequential {
     }
 
     /// Backward pass through all layers (after a `forward(_, true)`).
+    /// Nothing consumes the gradient w.r.t. the model input, so the first
+    /// layer only accumulates its parameter gradients.
     pub fn backward(&mut self, grad: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
         let mut cur = grad.clone();
-        for l in self.layers.iter_mut().rev() {
+        for l in rest.iter_mut().rev() {
             cur = l.backward(&cur);
         }
+        first.backward_params(&cur);
     }
 
     /// All trainable parameters, in layer order.
@@ -177,6 +183,23 @@ mod tests {
         assert!(last < 0.05, "final loss {last}");
         let (_, acc) = m.eval_batch(&x, &labels);
         assert_eq!(acc, 1.0);
+    }
+
+    #[test]
+    fn nan_parameters_train_and_evaluate_without_unwinding() {
+        // A poisoned or diverged global reaches every client's
+        // `set_params_flat`; the training fan-out must survive it.
+        let mut m = tiny_model(6);
+        let mut flat = m.params_flat();
+        // The output bias: ReLU would swallow a NaN below it.
+        *flat.last_mut().unwrap() = f64::NAN;
+        m.set_params_flat(&flat);
+        let data = crate::data::synthetic(&[2], 2, 8, 0.5, 1);
+        let (x, labels) = data.full_batch();
+        let (_, acc) = m.train_batch(&x, &labels, &mut Sgd::new(0.1));
+        assert_eq!(acc, 0.0, "every row has a NaN logit");
+        let (_, acc) = crate::metrics::evaluate(&mut m, &data, 4);
+        assert_eq!(acc, 0.0);
     }
 
     #[test]

@@ -2,9 +2,34 @@
 //!
 //! Row-major `f32` storage with an explicit shape. Only the operations the
 //! paper's CNN/MLP need are implemented — 2-D matrix product, transpose,
-//! broadcasting bias addition, elementwise maps — all in safe Rust. The
-//! matrix product is cache-blocked over the inner dimension (ikj loop
-//! order), which is enough to train the Fig. 5 CNN on synthetic data.
+//! broadcasting bias addition, elementwise maps — all in safe Rust.
+//!
+//! # The one GEMM routine and its bit-identity contract
+//!
+//! Every matrix product in the crate — [`Tensor::matmul`] (`A · B`) and
+//! [`Tensor::matmul_tn`] (`Aᵀ · B`, the weight-gradient shape) — is the
+//! private [`gemm`] below. It reads the left operand through a pair of
+//! strides, so the transposed entry allocates and copies nothing, and it
+//! picks between two tilings by the output width alone:
+//!
+//! * **wide** (`n > 16`): four output rows advance together down `k` (ikj
+//!   order), so each row of `B` streamed from memory feeds four rows of
+//!   the result and the contiguous loop over `j` auto-vectorizes;
+//! * **narrow** (`n <= 16`, e.g. the 10-class head): there the wide loop
+//!   would reload and restore four short output rows for every `k`, so
+//!   `B` is packed once into fixed-width zero-padded rows and a 4-row tile
+//!   of accumulators lives in registers for the whole `k` loop, written
+//!   once.
+//!
+//! The contract both tilings keep, and any future one must: **each output
+//! element is `acc = +0.0; for p in 0..k { acc += a[i][p] * b[p][j] }`** —
+//! ascending `p`, a separate multiply and add (no FMA), no split or
+//! reordered sums. Tiling only changes which elements are in flight
+//! together, never the operation sequence of one element, so results are
+//! bit-identical to the three-line loop (`tests/gemm_exact.rs` checks
+//! `to_bits` equality across shapes and remainders, `tests/train_golden.rs`
+//! at the repo root pins trained parameters), and trained models do not
+//! depend on which tiling ran.
 
 use std::fmt;
 
@@ -102,13 +127,9 @@ impl Tensor {
 
     /// Matrix product `self (m×k) · other (k×n) -> (m×n)`.
     ///
-    /// Row-blocked ikj kernel: four rows of the left operand advance
-    /// together, so every row of `other` streamed from memory feeds four
-    /// output rows instead of one (4× less B-matrix bandwidth), while the
-    /// contiguous inner loop over `j` stays auto-vectorizable. Each output
-    /// element still accumulates in ascending-`k` order, so the result is
-    /// bit-identical to the plain ikj loop (and within float-reassociation
-    /// error of [`crate::reference::matmul_naive`], the test oracle).
+    /// Bit-identical to the plain ascending-`k` triple loop (see the module
+    /// header), and within float-reassociation error of
+    /// [`crate::reference::matmul_naive`], the test oracle.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape.len(), 2, "lhs not a matrix");
         assert_eq!(other.shape.len(), 2, "rhs not a matrix");
@@ -119,41 +140,24 @@ impl Tensor {
             "inner dimensions differ: lhs {:?} vs rhs {:?}",
             self.shape, other.shape
         );
-        let mut out = vec![0.0f32; m * n];
-        const MR: usize = 4; // rows of A advanced per pass over B
-        let mut i = 0;
-        while i + MR <= m {
-            let (r0, rest) = out[i * n..].split_at_mut(n);
-            let (r1, rest) = rest.split_at_mut(n);
-            let (r2, rest) = rest.split_at_mut(n);
-            let r3 = &mut rest[..n];
-            for p in 0..k {
-                let a0 = self.data[i * k + p];
-                let a1 = self.data[(i + 1) * k + p];
-                let a2 = self.data[(i + 2) * k + p];
-                let a3 = self.data[(i + 3) * k + p];
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (j, &b) in b_row.iter().enumerate() {
-                    r0[j] += a0 * b;
-                    r1[j] += a1 * b;
-                    r2[j] += a2 * b;
-                    r3[j] += a3 * b;
-                }
-            }
-            i += MR;
-        }
-        // Remainder rows (m not a multiple of the row block).
-        for i in i..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (p, &a) in a_row.iter().enumerate() {
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        Tensor::from_vec(&[m, n], out)
+        Tensor::from_vec(&[m, n], gemm(&self.data, (k, 1), (m, k, n), &other.data))
+    }
+
+    /// Transposed-lhs product `selfᵀ · other`: `self` is `(k×m)`, `other`
+    /// is `(k×n)`, the result `(m×n)`. Bit-identical to
+    /// `self.transposed().matmul(other)` without materializing the
+    /// transpose — the shape of every weight gradient (`xᵀ · g`).
+    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        assert_eq!(self.shape.len(), 2, "lhs not a matrix");
+        assert_eq!(other.shape.len(), 2, "rhs not a matrix");
+        let (k, m) = (self.shape[0], self.shape[1]);
+        let (k2, n) = (other.shape[0], other.shape[1]);
+        assert_eq!(
+            k, k2,
+            "row counts differ: lhs {:?} vs rhs {:?}",
+            self.shape, other.shape
+        );
+        Tensor::from_vec(&[m, n], gemm(&self.data, (1, m), (m, k, n), &other.data))
     }
 
     /// Transpose of a 2-D tensor.
@@ -225,6 +229,117 @@ impl Tensor {
 impl fmt::Display for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor{:?}", self.shape)
+    }
+}
+
+/// Rows of the left operand advanced together, in both tilings.
+const MR: usize = 4;
+/// Widest output the register-tiled narrow path takes.
+const NARROW_MAX: usize = 16;
+
+/// `A (m×k) · B (k×n)`, row-major result. `A[i][p]` is
+/// `a[i * row_stride + p * col_stride]` — `(k, 1)` for a row-major `A`,
+/// `(1, m)` for the transpose of a row-major `(k×m)` matrix. See the module
+/// header for the bit-identity contract.
+fn gemm(
+    a: &[f32],
+    (row_stride, col_stride): (usize, usize),
+    (m, k, n): (usize, usize, usize),
+    b: &[f32],
+) -> Vec<f32> {
+    let at = |i: usize, p: usize| a[i * row_stride + p * col_stride];
+    let mut out = vec![0.0f32; m * n];
+    if n == 0 {
+        return out;
+    }
+    if n <= NARROW_MAX {
+        match n.div_ceil(4) {
+            1 => gemm_narrow::<4>(at, k, n, b, &mut out),
+            2 => gemm_narrow::<8>(at, k, n, b, &mut out),
+            3 => gemm_narrow::<12>(at, k, n, b, &mut out),
+            _ => gemm_narrow::<16>(at, k, n, b, &mut out),
+        }
+        return out;
+    }
+    let mut blocks = out.chunks_exact_mut(MR * n);
+    for (blk, rows) in blocks.by_ref().enumerate() {
+        let i = blk * MR;
+        let (r0, rest) = rows.split_at_mut(n);
+        let (r1, rest) = rest.split_at_mut(n);
+        let (r2, r3) = rest.split_at_mut(n);
+        for (p, b_row) in b.chunks_exact(n).enumerate() {
+            let (a0, a1, a2, a3) = (at(i, p), at(i + 1, p), at(i + 2, p), at(i + 3, p));
+            for (j, &bv) in b_row.iter().enumerate() {
+                r0[j] += a0 * bv;
+                r1[j] += a1 * bv;
+                r2[j] += a2 * bv;
+                r3[j] += a3 * bv;
+            }
+        }
+    }
+    // Remainder rows (m not a multiple of the row block).
+    let done = m - m % MR;
+    for (r, out_row) in blocks.into_remainder().chunks_exact_mut(n).enumerate() {
+        for (p, b_row) in b.chunks_exact(n).enumerate() {
+            let av = at(done + r, p);
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+    out
+}
+
+/// The narrow tiling of [`gemm`]: `n <= W`, `W` a multiple of the 4-lane
+/// vector width. `B` is packed into `W`-wide zero-padded rows so the inner
+/// loops have a compile-time trip count and the `R × W` accumulators stay
+/// in registers across the whole `k` loop; the padding lanes accumulate
+/// `a * 0.0` and are dropped on the single write-back.
+fn gemm_narrow<const W: usize>(
+    at: impl Fn(usize, usize) -> f32,
+    k: usize,
+    n: usize,
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let mut packed = vec![0.0f32; k * W];
+    for (dst, src) in packed.chunks_exact_mut(W).zip(b.chunks_exact(n)) {
+        dst[..n].copy_from_slice(src);
+    }
+    let done = out.len() / (MR * n) * MR;
+    let mut blocks = out.chunks_exact_mut(MR * n);
+    for (blk, rows) in blocks.by_ref().enumerate() {
+        narrow_tile::<MR, W>(&at, blk * MR, &packed, n, rows);
+    }
+    for (r, row) in blocks.into_remainder().chunks_exact_mut(n).enumerate() {
+        narrow_tile::<1, W>(&at, done + r, &packed, n, row);
+    }
+}
+
+/// `R` output rows starting at row `i0`, accumulated in registers.
+#[inline(always)]
+fn narrow_tile<const R: usize, const W: usize>(
+    at: &impl Fn(usize, usize) -> f32,
+    i0: usize,
+    packed: &[f32],
+    n: usize,
+    rows: &mut [f32],
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (p, b_row) in packed.chunks_exact(W).enumerate() {
+        // A fixed-size view: the trip counts below are compile-time, which
+        // is what lets the accumulators live in registers.
+        let b_row: &[f32; W] = b_row.try_into().expect("chunks_exact yields W lanes");
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let av = at(i0 + r, p);
+            for (o, &bv) in acc_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+    // By value: iterating `&acc` would pin the accumulators in memory.
+    for (row, acc_row) in rows.chunks_exact_mut(n).zip(acc) {
+        row.copy_from_slice(&acc_row[..n]);
     }
 }
 

@@ -4,8 +4,8 @@
 //! batches) and large share blocks.
 
 use p2pfl_hierraft::{
-    ElasticGroup, FedCmd, FedConfig, HierMsg, RobustCombiner, SubCmd, SubMembers, Topology,
-    TopologyCmd,
+    ElasticGroup, FedCmd, FedConfig, FedSnapshot, HierMsg, RobustCombiner, SubCmd, SubMembers,
+    SubSnapshot, Topology, TopologyCmd,
 };
 use p2pfl_net::codec::{from_bytes, to_bytes, write_frame, CodecError, FrameBuffer, MAX_FRAME};
 use p2pfl_raft::{Entry, LogCmd, PersistOp, RaftMsg};
@@ -578,6 +578,27 @@ proptest! {
     fn topologies_round_trip(t in arb_topology()) {
         let bytes = to_bytes(&t);
         prop_assert_eq!(from_bytes::<Topology>(&bytes).unwrap(), t);
+    }
+
+    #[test]
+    fn log_snapshots_round_trip(
+        fed_config in arb_fedconfig(),
+        sub_members in arb_sub_members(),
+        topology in arb_topology(),
+        last_round in proptest::option::of(any::<u64>()),
+        cut in 0usize..64,
+    ) {
+        // The blobs both HierActor logs are compacted into: persisted by
+        // FileStorage and shipped in InstallSnapshot, so a truncated one
+        // must be a typed error, never a panic.
+        let sub = SubSnapshot { fed_config, sub_members, topology: topology.clone() };
+        let bytes = to_bytes(&sub);
+        prop_assert_eq!(from_bytes::<SubSnapshot>(&bytes).unwrap(), sub);
+        let _ = from_bytes::<SubSnapshot>(&bytes[..cut.min(bytes.len())]);
+        let fed = FedSnapshot { last_round, topology };
+        let bytes = to_bytes(&fed);
+        prop_assert_eq!(from_bytes::<FedSnapshot>(&bytes).unwrap(), fed);
+        let _ = from_bytes::<FedSnapshot>(&bytes[..cut.min(bytes.len())]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::log::Entry;
 use crate::message::RaftMsg;
 use crate::node::{Effect, NotLeader, RaftConfig, RaftNode};
-use crate::storage::{PersistOp, RaftStorage};
+use crate::storage::RaftStorage;
 use crate::types::{Command, LogCmd, LogIndex, Role, Term};
 use p2pfl_simnet::{Actor, NodeId, SimTime, TimerId, Transport};
 
@@ -154,21 +154,14 @@ impl<C: Command, SM: StateMachine<C>> RaftActor<C, SM> {
     /// state machine; slow or freshly restarted followers will receive the
     /// snapshot instead of the full log.
     pub fn compact_log(&mut self) -> usize {
+        let before = self.node.log().live_entries();
         let blob = self.sm.snapshot();
-        let dropped = self.node.take_snapshot(blob);
-        if dropped > 0 {
-            if let (Some(st), Some((last_index, last_term, cluster, data))) =
-                (self.storage.as_mut(), self.node.snapshot())
-            {
-                st.record(&PersistOp::Compact {
-                    last_index: *last_index,
-                    last_term: *last_term,
-                    cluster: cluster.clone(),
-                    data: data.clone(),
-                });
+        if let Some(op) = self.node.take_snapshot(LogIndex::MAX, blob) {
+            if let Some(st) = self.storage.as_mut() {
+                st.record(&op);
             }
         }
-        dropped
+        before - self.node.log().live_entries()
     }
 
     /// Proposes a membership change on this node (leader only).

@@ -328,15 +328,17 @@ impl<C: Command> RaftNode<C> {
         eff
     }
 
-    /// Compacts the committed log prefix into a snapshot carrying the
-    /// application blob `data`. Returns the number of entries dropped
-    /// (0 when there is nothing new to compact). Slow followers whose
-    /// next entry falls inside the compacted prefix will be sent the
-    /// snapshot instead of entries.
-    pub fn take_snapshot(&mut self, data: Vec<u8>) -> usize {
-        let upto = self.commit_index.min(self.last_applied);
+    /// Compacts the log prefix up to and including `upto` (clamped to what
+    /// is committed and applied) into a snapshot carrying the application
+    /// blob `data`, which must be the state machine as of that index.
+    /// Returns the [`PersistOp::Compact`] the driver must record, or `None`
+    /// when there was nothing new to compact. Followers whose next entry
+    /// falls inside the compacted prefix will be sent the snapshot instead
+    /// of entries.
+    pub fn take_snapshot(&mut self, upto: LogIndex, data: Vec<u8>) -> Option<PersistOp<C>> {
+        let upto = upto.min(self.commit_index).min(self.last_applied);
         if upto <= self.log.snapshot_index() {
-            return 0;
+            return None;
         }
         // Membership as of the snapshot point: initial + changes <= upto.
         let mut cluster = match &self.snapshot {
@@ -353,9 +355,15 @@ impl<C: Command> RaftNode<C> {
                 _ => {}
             }
         }
-        let dropped = self.log.compact(upto);
-        self.snapshot = Some((upto, self.log.snapshot_term(), cluster, data));
-        dropped
+        self.log.compact(upto);
+        let last_term = self.log.snapshot_term();
+        self.snapshot = Some((upto, last_term, cluster.clone(), data.clone()));
+        Some(PersistOp::Compact {
+            last_index: upto,
+            last_term,
+            cluster,
+            data,
+        })
     }
 
     /// Proposes a command (leader only). On success returns the assigned

@@ -13,7 +13,9 @@
 //!   kills a reactor-hosted peer mid-deployment and recovers it, at a new
 //!   address, from its on-disk Raft record: the rebuilt actor restores
 //!   term, log, and its FedAvg-layer seat from the files alone, and the
-//!   deployment then commits a fresh round marker.
+//!   deployment then commits a fresh round marker. Both of the victim's
+//!   logs are pushed past a compaction point first, so what the files hold
+//!   is a snapshot plus a log tail, not a whole log.
 
 mod common;
 
@@ -23,6 +25,7 @@ use common::{
 };
 use p2pfl_hierraft::{
     Deployment, DeploymentSpec, FedCmd, HierActor, HierMsg, HierPeerConfig, RobustCombiner, SubCmd,
+    COMPACT_AFTER,
 };
 use p2pfl_raft::FileStorage;
 use p2pfl_secagg::{
@@ -263,9 +266,47 @@ fn plan_crash_restart_recovers_tcp_peer_from_disk() {
     );
     commit_marker(&peers, &subgroups, 1);
 
+    // Push both of the victim's logs across a compaction point, in bursts
+    // its links can queue: application commands through its subgroup's
+    // leader, round markers through the FedAvg leader.
+    let victim = founding[0];
+    const BURST: u64 = 64;
+    for burst in 0..=COMPACT_AFTER / BURST {
+        let first = 1_000 + burst * BURST;
+        for h in peers.values() {
+            h.with(move |a, ctx| {
+                for v in first..first + BURST {
+                    if a.is_sub_leader() && a.subgroup().contains(&victim) {
+                        a.propose_sub(ctx, v).unwrap();
+                    }
+                    if a.is_fed_leader() {
+                        a.propose_fed(ctx, FedCmd::Round(v)).unwrap();
+                    }
+                }
+            });
+        }
+        let last = first + BURST - 1;
+        wait_for("burst applied", Duration::from_secs(30), || {
+            peers[&victim].with(move |a, _| {
+                a.sub_cmds_applied.last() == Some(&last)
+                    && a.fed_rounds_applied().last() == Some(&last)
+            })
+        });
+    }
+    let (pre_sub_cut, pre_fed_cut, pre_config) = peers[&victim].with(|a, _| {
+        (
+            a.sub_raft().log().snapshot_index(),
+            a.fed_raft().expect("fed seat").log().snapshot_index(),
+            a.fed_config.version,
+        )
+    });
+    assert!(
+        pre_sub_cut > 0 && pre_fed_cut > 0,
+        "both logs should have been cut (sub {pre_sub_cut}, fed {pre_fed_cut})"
+    );
+
     // The fault plan's process schedule: kill subgroup 0's representative,
     // bring it back 2 s later. Everything below is driven by the plan.
-    let victim = founding[0];
     let plan = FaultPlan::new(SEED ^ 0xdead)
         .crash(SimTime::from_millis(10), victim)
         .restart(SimTime::from_millis(2000), victim);
@@ -297,6 +338,18 @@ fn plan_crash_restart_recovers_tcp_peer_from_disk() {
                     "log entries lost"
                 );
                 assert!(actor.is_fed_member(), "fed seat not restored from disk");
+                // ... and each file holds a snapshot plus the tail above it.
+                let sub = actor.sub_raft();
+                let fed = actor.fed_raft().expect("fed seat");
+                assert!(sub.log().snapshot_index() >= pre_sub_cut, "sub cut lost");
+                assert!(fed.log().snapshot_index() >= pre_fed_cut, "fed cut lost");
+                assert!(sub.snapshot().is_some() && fed.snapshot().is_some());
+                assert_eq!(
+                    sub.log().live_entries() as u64,
+                    sub.log().last_index() - sub.log().snapshot_index(),
+                    "log tail above the snapshot"
+                );
+                assert!(sub.log().live_entries() <= COMPACT_AFTER as usize + 8);
                 let back = away.spawn_peer(ev.node, actor).expect("respawn");
                 for other in peers.values() {
                     back.add_peer(other.node_id(), other.local_addr());
@@ -314,6 +367,13 @@ fn plan_crash_restart_recovers_tcp_peer_from_disk() {
         hier_stable(&peers, &subgroups)
     });
     commit_marker(&peers, &subgroups, 2);
+    // The restarted peer took its replicated state from the snapshot (the
+    // config versions under the cut are in no log any more) and kept
+    // recording: files and live state still agree.
+    let (config, roundtrip) =
+        peers[&victim].with(|a, _| (a.fed_config.version, a.verify_storage_roundtrip()));
+    assert!(config >= pre_config, "config {config} < {pre_config}");
+    assert_eq!(roundtrip, Ok(()));
 
     for (_, h) in peers.drain() {
         drop(h.stop());
