@@ -23,6 +23,27 @@ cargo run --release -p xtask -- lint
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# The repo benchmark's noise-free half: each workload for two seconds.
+# Exit 0 means `failed` = 0 - every round's result digest matched its
+# simulator twin - and the wire bytes of a round are exact, so a change
+# to what the engines put on the wire fails here, byte for byte, before
+# anyone measures a timing. (Timings are compared under the BENCHMARK.json
+# protocol, not in CI.)
+echo "==> repo benchmark: round digests vs sim twin + exact wire bytes (4 workloads x 2 s)"
+for spec in session_mlp_30: sac_bulk_cnn_3:129833796 sac_fanout_256:18930176 ring_bulk_16:164008152; do
+    workload="${spec%%:*}"
+    wire_bytes="${spec#*:}"
+    result="$(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 42 --seconds 2 --trace 0 | tail -n 1)"
+    grep -q '"failed": 0,' <<<"$result" \
+        || { echo "benchmark $workload: failed checks: $result"; exit 1; }
+    if [ -n "$wire_bytes" ]; then
+        grep -q "\"wire_bytes_per_round\": {\"value\": $wire_bytes," <<<"$result" \
+            || { echo "benchmark $workload: wire_bytes_per_round is not $wire_bytes: $result"; exit 1; }
+    fi
+    echo "    $workload ok"
+done
+
 echo "==> cargo test"
 cargo test --workspace -q
 

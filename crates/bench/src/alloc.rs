@@ -8,25 +8,42 @@
 //! `BENCH_hotpath.json` and (b) assert that steady-state aggregation
 //! loops stay allocation-free.
 //!
-//! Counters are monotonically increasing atomics; concurrent allocations
-//! from other threads during a measured region show up in the delta, so
-//! measured regions should run single-threaded (the bench harness does).
+//! The process-wide counters ([`allocations`], [`allocated_bytes`]) are
+//! monotonically increasing atomics; concurrent allocations from other
+//! threads during a measured region show up in their deltas, so `hotpath`
+//! measures single-threaded. [`count_allocs`] instead reads a per-thread
+//! counter: an assertion of *zero* allocations must not depend on what
+//! the test harness's other threads happen to allocate meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // `const`-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor registers anything.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
 /// System-allocator wrapper that counts every allocation.
 pub struct CountingAlloc;
 
 // SAFETY: pure passthrough to `System`; the only extra work is two
-// relaxed atomic increments, which allocate nothing.
+// relaxed atomic increments and a thread-local `Cell` bump, none of which
+// allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -36,8 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow-in-place still reserves new capacity: count it.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -52,11 +68,11 @@ pub fn allocated_bytes() -> u64 {
     BYTES.load(Ordering::Relaxed)
 }
 
-/// Runs `f` and returns `(result, allocation calls during f)`. Only
-/// meaningful when [`CountingAlloc`] is installed as the global allocator
-/// and no other thread allocates concurrently.
+/// Runs `f` and returns `(result, allocation calls `f` made on this
+/// thread)`. Only meaningful when [`CountingAlloc`] is installed as the
+/// global allocator; what other threads allocate meanwhile is not counted.
 pub fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = allocations();
+    let before = THREAD_ALLOCS.with(Cell::get);
     let out = f();
-    (out, allocations() - before)
+    (out, THREAD_ALLOCS.with(Cell::get) - before)
 }

@@ -34,8 +34,8 @@ use p2pfl_ml::{Layer, Tensor};
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
 use p2pfl_secagg::pairwise::{masked_update, PairwiseSeeds};
 use p2pfl_secagg::{
-    divide_masked, RingMsg, RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase,
-    ShareScheme, WeightVector,
+    divide_masked, PairwiseWire, RingWire, RoundCore, SacConfig, SacEngine, SacMsg, SacPeerActor,
+    SacPhase, ShareScheme, WeightVector, Wire,
 };
 use p2pfl_simnet::codec::{from_bytes, to_bytes};
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
@@ -96,7 +96,6 @@ fn tcp_group(
 /// counted once, so the pair is the engine's full per-round traffic.
 fn sweep_round(engine: SacEngine, n: usize, dim: usize) -> (u64, u64) {
     let ids: Vec<NodeId> = (0..n).map(|i| NodeId(i as u32)).collect();
-    let mut rng = StdRng::seed_from_u64(SEED + n as u64);
     let cfg = |i: usize| SacConfig {
         group: ids.clone(),
         position: i,
@@ -110,33 +109,25 @@ fn sweep_round(engine: SacEngine, n: usize, dim: usize) -> (u64, u64) {
         seed: SEED + i as u64,
     };
     match engine {
-        SacEngine::Pairwise => {
-            let mut sim: Sim<SacMsg> = Sim::new(SEED + n as u64);
-            for i in 0..n {
-                let model = WeightVector::random(dim, 1.0, &mut rng);
-                sim.add_node(SacPeerActor::new(cfg(i), model));
-            }
-            sim.exec::<SacPeerActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
-            sim.run_until(sim.now() + SimDuration::from_secs(5));
-            let leader = sim.actor::<SacPeerActor>(ids[0]);
-            assert_eq!(leader.phase, SacPhase::Done, "pairwise n={n}");
-            let t = sim.metrics().total();
-            (t.msgs, t.bytes)
-        }
-        SacEngine::Ring => {
-            let mut sim: Sim<RingMsg> = Sim::new(SEED + n as u64);
-            for i in 0..n {
-                let model = WeightVector::random(dim, 1.0, &mut rng);
-                sim.add_node(RingSacActor::new(cfg(i), model));
-            }
-            sim.exec::<RingSacActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
-            sim.run_until(sim.now() + SimDuration::from_secs(5));
-            let leader = sim.actor::<RingSacActor>(ids[0]);
-            assert_eq!(leader.phase, SacPhase::Done, "ring n={n}");
-            let t = sim.metrics().total();
-            (t.msgs, t.bytes)
-        }
+        SacEngine::Pairwise => sweep_on::<PairwiseWire>(&ids, dim, cfg),
+        SacEngine::Ring => sweep_on::<RingWire>(&ids, dim, cfg),
     }
+}
+
+fn sweep_on<W: Wire>(ids: &[NodeId], dim: usize, cfg: impl Fn(usize) -> SacConfig) -> (u64, u64) {
+    let n = ids.len();
+    let mut rng = StdRng::seed_from_u64(SEED + n as u64);
+    let mut sim: Sim<W::Msg> = Sim::new(SEED + n as u64);
+    for i in 0..n {
+        let model = WeightVector::random(dim, 1.0, &mut rng);
+        sim.add_node(RoundCore::<W>::new(cfg(i), model));
+    }
+    sim.exec::<RoundCore<W>, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
+    sim.run_until(sim.now() + SimDuration::from_secs(5));
+    let leader = sim.actor::<RoundCore<W>>(ids[0]);
+    assert_eq!(leader.phase, SacPhase::Done, "{:?} n={n}", cfg(0).engine);
+    let t = sim.metrics().total();
+    (t.msgs, t.bytes)
 }
 
 fn main() {

@@ -9,19 +9,15 @@ use p2pfl_bench::alloc::{count_allocs, CountingAlloc};
 use p2pfl_secagg::WeightVector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-// The allocation counter is process-wide, so the two tests must not
-// overlap: the sanity test's Vec would land inside the zero-assert
-// test's measured window when the harness runs them on parallel threads.
-static SERIAL: Mutex<()> = Mutex::new(());
+// `count_allocs` counts on the measuring thread only, so the two tests
+// (and the harness's own threads) may overlap freely.
 
 #[test]
 fn steady_state_share_aggregation_does_not_allocate() {
-    let _serial = SERIAL.lock().unwrap();
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let dim = 4096;
     // Setup phase (allocations fine here): the shares a subgroup leader
@@ -57,7 +53,6 @@ fn steady_state_share_aggregation_does_not_allocate() {
 fn counting_allocator_sees_allocations() {
     // Sanity check that the counter is actually installed: an allocating
     // workload must register, or the zero-assertion above proves nothing.
-    let _serial = SERIAL.lock().unwrap();
     let ((), allocs) = count_allocs(|| {
         let v: Vec<u64> = (0..1000).collect();
         std::hint::black_box(v);

@@ -13,11 +13,12 @@
 //! peers). The `EquivocationDetection` oracle must hold on every reachable
 //! state: only peer 2 is ever convicted, and any counted conflict convicts.
 
+use super::sac::{config, hash_round_state, ids, peer_model};
 use super::{hash_raft_node, hasher};
 use crate::{oracles, Model, Violation};
 use p2pfl_hierraft::{FedCmd, HierActor, HierMsg, HierPeerConfig, RobustCombiner, SubCmd};
 use p2pfl_raft::MemStorage;
-use p2pfl_secagg::{SacConfig, SacEngine, SacMsg, SacPeerActor, ShareScheme, WeightVector};
+use p2pfl_secagg::{SacEngine, SacMsg, SacPeerActor, WeightVector};
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
@@ -32,18 +33,6 @@ const SEED: u64 = 0xb42;
 #[derive(Clone, Copy)]
 pub struct ByzModel;
 
-impl ByzModel {
-    fn ids() -> Vec<NodeId> {
-        (0..N as u32).map(NodeId).collect()
-    }
-
-    /// Deterministic per-peer input models.
-    fn peer_model(pos: usize) -> WeightVector {
-        let b = (pos + 1) as f64;
-        WeightVector::new(vec![b, -2.0 * b, 0.5 * b])
-    }
-}
-
 impl Model for ByzModel {
     type Msg = SacMsg;
 
@@ -53,21 +42,9 @@ impl Model for ByzModel {
 
     fn build(&self) -> Sim<Self::Msg> {
         let mut sim = Sim::new(SEED);
-        let group = Self::ids();
         for pos in 0..N {
-            let cfg = SacConfig {
-                group: group.clone(),
-                position: pos,
-                leader_pos: 0,
-                k: K,
-                scheme: ShareScheme::Masked,
-                engine: SacEngine::Pairwise,
-                share_deadline: SimDuration::from_millis(80),
-                collect_deadline: SimDuration::from_millis(80),
-                round_deadline: None,
-                seed: SEED ^ (pos as u64 * 0x9e37_79b9),
-            };
-            sim.add_node(SacPeerActor::new(cfg, Self::peer_model(pos)));
+            let cfg = config(N, pos, K, SacEngine::Pairwise, SEED, None);
+            sim.add_node(SacPeerActor::new(cfg, peer_model(NodeId(pos as u32))));
         }
         sim.actor_mut::<SacPeerActor>(NodeId(BYZ_POS as u32))
             .byz_share_skew = Some(SKEW);
@@ -80,33 +57,19 @@ impl Model for ByzModel {
 
     fn fingerprint(&self, sim: &mut Sim<Self::Msg>) -> u64 {
         let mut h = hasher();
-        for id in Self::ids() {
+        for id in ids(N) {
             let a = sim.actor::<SacPeerActor>(id);
-            a.round.hash(&mut h);
-            format!("{:?}", a.phase).hash(&mut h);
-            a.result.as_ref().map(WeightVector::digest).hash(&mut h);
-            a.contributors.hash(&mut h);
+            hash_round_state(a, &mut h);
             a.shares_rejected.hash(&mut h);
             a.byzantine_detected.hash(&mut h);
-            for (j, parts) in a.held_blocks() {
-                for (p, v) in parts {
-                    (j, p, v.digest()).hash(&mut h);
-                }
-            }
-            format!("{:?}", a.frozen_set()).hash(&mut h);
-            for (p, v) in a.held_subtotals() {
-                (p, v.digest()).hash(&mut h);
-            }
         }
         h.finish()
     }
 
     fn check(&self, sim: &mut Sim<Self::Msg>) -> Result<(), Violation> {
         let sim = &*sim;
-        let actors: Vec<(NodeId, &SacPeerActor)> = Self::ids()
-            .iter()
-            .map(|&id| (id, sim.actor::<SacPeerActor>(id)))
-            .collect();
+        let actors: Vec<(NodeId, &SacPeerActor)> =
+            ids(N).into_iter().map(|id| (id, sim.actor(id))).collect();
         // The honest inputs; position 2's *intended* contribution. The
         // mask-cancellation oracle is deliberately not run here — the
         // attacker's shares do not sum to any model, which is exactly the

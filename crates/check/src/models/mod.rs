@@ -9,16 +9,14 @@ mod byz;
 mod elastic;
 mod hier;
 mod raft3;
-mod ringsac;
-mod sac3;
+mod sac;
 mod sac3_churn;
 
 pub use byz::{ByzEquivModel, ByzModel};
 pub use elastic::ElasticModel;
 pub use hier::HierModel;
 pub use raft3::Raft3Model;
-pub use ringsac::RingSacModel;
-pub use sac3::Sac3Model;
+pub use sac::{RingSacModel, Sac3Model, SacShape};
 pub use sac3_churn::SacChurnModel;
 
 use std::collections::hash_map::DefaultHasher;

@@ -11,9 +11,9 @@
 //! after degradation carries a sane `n'`/`k'`/contributor set, and a
 //! `Failed` is only ever issued after an abort was tried).
 
-use crate::oracles::{self, ShareCopy};
-use crate::{Model, Violation};
-use p2pfl_secagg::{SacConfig, SacEngine, SacMsg, SacPeerActor, ShareScheme, WeightVector};
+use super::sac::{config, hash_round_state, ids, peer_model};
+use crate::{oracles, Model, Violation};
+use p2pfl_secagg::{SacEngine, SacMsg, SacPeerActor, WeightVector};
 use p2pfl_simnet::{NodeId, Sim, SimDuration, SimTime};
 use std::hash::{Hash, Hasher};
 
@@ -27,19 +27,6 @@ const SEED: u64 = 0x5ac2;
 #[derive(Clone, Copy)]
 pub struct SacChurnModel;
 
-impl SacChurnModel {
-    fn ids() -> Vec<NodeId> {
-        (0..N as u32).map(NodeId).collect()
-    }
-
-    /// Deterministic per-peer input models, keyed by node id (stable
-    /// across roster reconfigurations).
-    fn peer_model(id: NodeId) -> WeightVector {
-        let b = (id.0 + 1) as f64;
-        WeightVector::new(vec![b, -2.0 * b, 0.5 * b])
-    }
-}
-
 impl Model for SacChurnModel {
     type Msg = SacMsg;
 
@@ -49,23 +36,12 @@ impl Model for SacChurnModel {
 
     fn build(&self) -> Sim<Self::Msg> {
         let mut sim = Sim::new(SEED);
-        let group = Self::ids();
+        // > share + 2 * collect, so phase deadlines get their chance
+        // before the supervisor pulls the plug.
+        let round_deadline = Some(SimDuration::from_millis(400));
         for pos in 0..N {
-            let cfg = SacConfig {
-                group: group.clone(),
-                position: pos,
-                leader_pos: 0,
-                k: K,
-                scheme: ShareScheme::Masked,
-                engine: SacEngine::Pairwise,
-                share_deadline: SimDuration::from_millis(80),
-                collect_deadline: SimDuration::from_millis(80),
-                // > share + 2 * collect, so phase deadlines get their
-                // chance before the supervisor pulls the plug.
-                round_deadline: Some(SimDuration::from_millis(400)),
-                seed: SEED ^ (pos as u64 * 0x9e37_79b9),
-            };
-            sim.add_node(SacPeerActor::new(cfg, Self::peer_model(group[pos])));
+            let cfg = config(N, pos, K, SacEngine::Pairwise, SEED, round_deadline);
+            sim.add_node(SacPeerActor::new(cfg, peer_model(NodeId(pos as u32))));
         }
         sim
     }
@@ -79,14 +55,10 @@ impl Model for SacChurnModel {
 
     fn fingerprint(&self, sim: &mut Sim<Self::Msg>) -> u64 {
         let mut h = super::hasher();
-        for id in Self::ids() {
+        for id in ids(N) {
             sim.is_crashed(id).hash(&mut h);
             let a = sim.actor::<SacPeerActor>(id);
-            a.round.hash(&mut h);
-            format!("{:?}", a.phase).hash(&mut h);
-            a.result.as_ref().map(WeightVector::digest).hash(&mut h);
-            a.contributors.hash(&mut h);
-            a.recoveries.hash(&mut h);
+            hash_round_state(a, &mut h);
             a.aborts.hash(&mut h);
             a.abandoned.hash(&mut h);
             let cfg = a.sac_config();
@@ -97,21 +69,12 @@ impl Model for SacChurnModel {
                 .hash(&mut h);
             cfg.k.hash(&mut h);
             cfg.position.hash(&mut h);
-            for (j, parts) in a.held_blocks() {
-                for (p, v) in parts {
-                    (j, p, v.digest()).hash(&mut h);
-                }
-            }
-            format!("{:?}", a.frozen_set()).hash(&mut h);
-            for (p, v) in a.held_subtotals() {
-                (p, v.digest()).hash(&mut h);
-            }
         }
         h.finish()
     }
 
     fn check(&self, sim: &mut Sim<Self::Msg>) -> Result<(), Violation> {
-        let ids = Self::ids();
+        let ids = ids(N);
         let quiescent = sim.pending_events().is_empty();
         let sim = &*sim;
         let actors: Vec<(NodeId, &SacPeerActor)> = ids
@@ -130,43 +93,17 @@ impl Model for SacChurnModel {
         } else {
             ids.clone()
         };
-        let mut copies = oracles::held_share_copies(
+        let current = || {
             actors
                 .iter()
                 .copied()
-                .filter(|(_, a)| a.sac_config().group == roster),
-            round,
-        );
-        for (src, dst, msg) in sim.pending_deliveries() {
-            if let SacMsg::ShareBlock {
-                round: r,
-                from_pos,
-                parts,
-            } = msg
-            {
-                if *r != round {
-                    continue;
-                }
-                for (p, v) in parts {
-                    copies.push(ShareCopy {
-                        from_pos: *from_pos,
-                        idx: *p,
-                        value: v,
-                        site: format!("in flight {src}->{dst}"),
-                    });
-                }
-            }
-        }
-        let models: Vec<WeightVector> = roster.iter().map(|&m| Self::peer_model(m)).collect();
+                .filter(|(_, a)| a.sac_config().group == roster)
+        };
+        let copies = oracles::share_copies(current(), sim.pending_deliveries(), round);
+        let models: Vec<WeightVector> = roster.iter().map(|&m| peer_model(m)).collect();
         let model_refs: Vec<&WeightVector> = models.iter().collect();
-        oracles::mask_cancellation(&copies, &model_refs)?;
-        oracles::kofn_result(
-            actors
-                .iter()
-                .copied()
-                .filter(|(_, a)| a.sac_config().group == roster),
-            &model_refs,
-        )
+        oracles::mask_cancellation(&copies, &model_refs, |_| roster.len())?;
+        oracles::kofn_result(current(), &model_refs)
     }
 }
 

@@ -7,9 +7,9 @@
 
 use crate::Violation;
 use p2pfl_raft::{Command, RaftNode, Role};
-use p2pfl_secagg::replicated::assigned_partitions;
-use p2pfl_secagg::{RingSacActor, SacPeerActor, SacPhase, WeightVector};
+use p2pfl_secagg::{RoundCore, RoundEvent, SacPhase, WeightVector, Wire};
 use p2pfl_simnet::NodeId;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Numerical tolerance for mask-cancellation and averaging checks. The
@@ -141,23 +141,26 @@ pub fn fed_config_replication(
 }
 
 /// One share partition copy seen somewhere in the system — held by a peer
-/// or still in flight.
+/// or still in flight to one.
 pub struct ShareCopy<'a> {
     /// Contributor position `j` the partition belongs to.
     pub from_pos: usize,
     /// Partition index `p`.
     pub idx: usize,
     /// The partition value.
-    pub value: &'a WeightVector,
+    pub value: Cow<'a, WeightVector>,
+    /// The peer that holds the copy, or will once it is delivered.
+    pub holder: NodeId,
     /// Where the copy was observed (for violation messages).
     pub site: String,
 }
 
-/// Collects every share partition copy held by the given actors for
-/// `round`. The caller appends in-flight copies gathered from
-/// [`p2pfl_simnet::Sim::pending_deliveries`].
-pub fn held_share_copies<'a>(
-    actors: impl IntoIterator<Item = (NodeId, &'a SacPeerActor)>,
+/// Collects every share partition copy of `round`: those held by the
+/// given actors and those still in flight among `pending` (from
+/// [`p2pfl_simnet::Sim::pending_deliveries`]).
+pub fn share_copies<'a, W: Wire>(
+    actors: impl IntoIterator<Item = (NodeId, &'a RoundCore<W>)>,
+    pending: impl IntoIterator<Item = (NodeId, NodeId, &'a W::Msg)>,
     round: u64,
 ) -> Vec<ShareCopy<'a>> {
     let mut out = Vec::new();
@@ -170,10 +173,33 @@ pub fn held_share_copies<'a>(
                 out.push(ShareCopy {
                     from_pos: j,
                     idx: p,
-                    value: v,
+                    value: Cow::Borrowed(v),
+                    holder: id,
                     site: format!("held by {id}"),
                 });
             }
+        }
+    }
+    for (src, dst, msg) in pending {
+        let RoundEvent::Share {
+            round: r,
+            from_pos,
+            parts,
+        } = W::decode(msg.clone())
+        else {
+            continue;
+        };
+        if r != round {
+            continue;
+        }
+        for (p, v) in parts {
+            out.push(ShareCopy {
+                from_pos,
+                idx: p,
+                value: Cow::Owned(v),
+                holder: dst,
+                site: format!("in flight {src}->{dst}"),
+            });
         }
     }
     out
@@ -184,12 +210,14 @@ pub fn held_share_copies<'a>(
 /// 1. *Replica consistency*: every copy of partition `(j, p)` in the system
 ///    (held or in flight) is identical — replication must duplicate, never
 ///    re-randomize.
-/// 2. *Cancellation*: whenever all `n` partitions of contributor `j`'s model
+/// 2. *Cancellation*: contributor `j` divides its model into `parts_of(j)`
+///    partitions (the size of its successor stage); whenever all of them
 ///    are visible somewhere, they sum back to `j`'s input model — the
 ///    masks cancel exactly.
 pub fn mask_cancellation(
     copies: &[ShareCopy<'_>],
     models: &[&WeightVector],
+    parts_of: impl Fn(usize) -> usize,
 ) -> Result<(), Violation> {
     let mut by_key: BTreeMap<(usize, usize), Vec<&ShareCopy<'_>>> = BTreeMap::new();
     for c in copies {
@@ -197,7 +225,7 @@ pub fn mask_cancellation(
     }
     for ((j, p), reps) in &by_key {
         for r in &reps[1..] {
-            if reps[0].value.linf_distance(r.value) > TOL {
+            if reps[0].value.linf_distance(&r.value) > TOL {
                 return Err(Violation::new(
                     "SacMaskCancellation",
                     format!(
@@ -208,12 +236,12 @@ pub fn mask_cancellation(
             }
         }
     }
-    let n = models.len();
     for (j, model) in models.iter().enumerate() {
-        let parts: Vec<&WeightVector> = (0..n)
-            .filter_map(|p| by_key.get(&(j, p)).map(|reps| reps[0].value))
+        let m = parts_of(j);
+        let parts: Vec<&WeightVector> = (0..m)
+            .filter_map(|p| by_key.get(&(j, p)).map(|reps| &*reps[0].value))
             .collect();
-        if parts.len() < n {
+        if parts.len() < m {
             continue; // not fully visible yet — nothing to check
         }
         let sum = WeightVector::sum(parts);
@@ -232,12 +260,11 @@ pub fn mask_cancellation(
 
 /// **KofNReconstructability** — paper Alg. 4. When the leader reports
 /// `Done`, the frozen contributor set is a valid subset of positions, the
-/// leader holds all `n` partition subtotals, and the published result is
-/// the plain mean of the contributors' input models. Also sanity-checks
-/// that every contributor's assigned-partition pattern is consistent with
-/// the `(n, k)` replication scheme.
-pub fn kofn_result<'a>(
-    actors: impl IntoIterator<Item = (NodeId, &'a SacPeerActor)>,
+/// leader holds all `n` `(stage, partition)` totals of the grid, every
+/// stage's share assignment is non-degenerate under its threshold, and the
+/// published result is the plain mean of the contributors' input models.
+pub fn kofn_result<'a, W: Wire>(
+    actors: impl IntoIterator<Item = (NodeId, &'a RoundCore<W>)>,
     models: &[&WeightVector],
 ) -> Result<(), Violation> {
     let n = models.len();
@@ -258,20 +285,22 @@ pub fn kofn_result<'a>(
                 format!("{id}: bad contributor set {:?}", a.contributors),
             ));
         }
-        if a.held_subtotals().len() != n {
+        let plan = a.plan();
+        if a.held_totals().len() != plan.total_partitions() {
             return Err(Violation::new(
                 "KofNReconstructability",
                 format!(
-                    "{id}: Done with {} of {n} partition subtotals",
-                    a.held_subtotals().len()
+                    "{id}: Done with {} of {} totals",
+                    a.held_totals().len(),
+                    plan.total_partitions()
                 ),
             ));
         }
-        for &j in &a.contributors {
-            if assigned_partitions(n, cfg.k, j).is_empty() {
+        for (t, i) in plan.grid() {
+            if plan.assigned(t, i).is_empty() {
                 return Err(Violation::new(
                     "KofNReconstructability",
-                    format!("{id}: contributor {j} has an empty partition assignment"),
+                    format!("{id}: stage {t} member {i} has an empty block assignment"),
                 ));
             }
         }
@@ -290,179 +319,37 @@ pub fn kofn_result<'a>(
     Ok(())
 }
 
-/// Collects every stage-share partition copy held by the given Ring-SAC
-/// actors for `round`. The caller appends in-flight copies gathered from
-/// [`p2pfl_simnet::Sim::pending_deliveries`].
-pub fn ring_held_share_copies<'a>(
-    actors: impl IntoIterator<Item = (NodeId, &'a RingSacActor)>,
-    round: u64,
-) -> Vec<ShareCopy<'a>> {
-    let mut out = Vec::new();
-    for (id, a) in actors {
-        if a.round != round {
-            continue;
-        }
-        for (&j, parts) in a.held_blocks() {
-            for (&p, v) in parts {
-                out.push(ShareCopy {
-                    from_pos: j,
-                    idx: p,
-                    value: v,
-                    site: format!("held by {id}"),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// **SacMaskCancellation**, ported to the ring scheme. Identical contract
-/// to [`mask_cancellation`], except contributor `j`'s model is divided into
-/// `parts_of[j]` blocks (the size of `j`'s successor stage) rather than a
-/// uniform `n`: replicas of any block must be identical, and whenever all
-/// of `j`'s blocks are visible somewhere they must sum back to `j`'s model.
-pub fn ring_mask_cancellation(
-    copies: &[ShareCopy<'_>],
-    models: &[&WeightVector],
-    parts_of: &[usize],
-) -> Result<(), Violation> {
-    let mut by_key: BTreeMap<(usize, usize), Vec<&ShareCopy<'_>>> = BTreeMap::new();
-    for c in copies {
-        by_key.entry((c.from_pos, c.idx)).or_default().push(c);
-    }
-    for ((j, p), reps) in &by_key {
-        for r in &reps[1..] {
-            if reps[0].value.linf_distance(r.value) > TOL {
-                return Err(Violation::new(
-                    "SacMaskCancellation",
-                    format!(
-                        "ring replica divergence for block (j={j}, p={p}): {} vs {}",
-                        reps[0].site, r.site
-                    ),
-                ));
-            }
-        }
-    }
-    for (j, model) in models.iter().enumerate() {
-        let m = parts_of[j];
-        let parts: Vec<&WeightVector> = (0..m)
-            .filter_map(|p| by_key.get(&(j, p)).map(|reps| reps[0].value))
-            .collect();
-        if parts.len() < m {
-            continue; // not fully visible yet — nothing to check
-        }
-        let sum = WeightVector::sum(parts);
-        if sum.linf_distance(model) > TOL {
-            return Err(Violation::new(
-                "SacMaskCancellation",
-                format!(
-                    "ring blocks of contributor {j} sum to distance {} from its model",
-                    sum.linf_distance(model)
-                ),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// **KofNReconstructability**, ported to the ring scheme. When the ring
-/// leader reports `Done`, the frozen contributor set is a valid subset of
-/// positions, the leader holds all `n` `(stage, partition)` totals of the
-/// grid, every stage's share assignment is non-degenerate under the
-/// per-stage threshold, and the published result is the plain mean of the
-/// contributors' input models.
-pub fn ring_kofn_result<'a>(
-    actors: impl IntoIterator<Item = (NodeId, &'a RingSacActor)>,
-    models: &[&WeightVector],
-) -> Result<(), Violation> {
-    let n = models.len();
-    for (id, a) in actors {
-        let cfg = a.sac_config();
-        if cfg.position != cfg.leader_pos || a.phase != SacPhase::Done {
-            continue;
-        }
-        let Some(result) = a.result.as_ref() else {
-            return Err(Violation::new(
-                "KofNReconstructability",
-                format!("{id}: ring phase Done with no result"),
-            ));
-        };
-        if a.contributors.is_empty() || a.contributors.iter().any(|&c| c >= n) {
-            return Err(Violation::new(
-                "KofNReconstructability",
-                format!("{id}: bad ring contributor set {:?}", a.contributors),
-            ));
-        }
-        let plan = a.plan();
-        if a.held_totals().len() != plan.total_partitions() {
-            return Err(Violation::new(
-                "KofNReconstructability",
-                format!(
-                    "{id}: ring Done with {} of {} stage totals",
-                    a.held_totals().len(),
-                    plan.total_partitions()
-                ),
-            ));
-        }
-        for t in 0..plan.num_stages() {
-            let m = plan.stage_len(t);
-            for i in 0..m {
-                if plan.assigned(t, i).is_empty() {
-                    return Err(Violation::new(
-                        "KofNReconstructability",
-                        format!("{id}: stage {t} member {i} has an empty block assignment"),
-                    ));
-                }
-            }
-        }
-        let expected = WeightVector::mean(a.contributors.iter().map(|&c| models[c]));
-        if result.linf_distance(&expected) > TOL {
-            return Err(Violation::new(
-                "KofNReconstructability",
-                format!(
-                    "{id}: ring result is distance {} from the mean of contributors {:?}",
-                    result.linf_distance(&expected),
-                    a.contributors
-                ),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// **RingShareConfinement** — the ring engine's receiver-side privacy
+/// **RingShareConfinement** — the staged layout's receiver-side privacy
 /// invariant (the reviewable core of the `k_m >= 2` stage-threshold
 /// floor): no peer may ever be in a position to assemble all `m` additive
 /// shares of another contributor's model, counting both the blocks it
-/// already holds and in-flight `StageShare` deliveries addressed to it
-/// (`(dst, from_pos, idx)` triples). A full share set sums back to the
-/// contributor's individual model; any strict subset is
-/// information-theoretically independent of it.
-pub fn ring_share_confinement<'a>(
-    actors: impl IntoIterator<Item = (NodeId, &'a RingSacActor)>,
-    in_flight: &[(NodeId, usize, usize)],
-    parts_of: &[usize],
+/// already holds and in-flight shares addressed to it. A full share set
+/// sums back to the contributor's individual model; any strict subset is
+/// information-theoretically independent of it. On the one-stage layout
+/// the floor is absent and the property is whatever the operator's `k`
+/// buys: it holds for every `k >= 2` and is exactly what `k = 1` gives up.
+pub fn ring_share_confinement<'a, W: Wire>(
+    actors: impl IntoIterator<Item = (NodeId, &'a RoundCore<W>)>,
+    copies: &[ShareCopy<'_>],
+    parts_of: impl Fn(usize) -> usize,
 ) -> Result<(), Violation> {
-    let mut pos_of: BTreeMap<NodeId, usize> = BTreeMap::new();
+    let pos_of: BTreeMap<NodeId, usize> = actors
+        .into_iter()
+        .map(|(id, a)| (id, a.sac_config().position))
+        .collect();
     let mut views: BTreeMap<(NodeId, usize), BTreeSet<usize>> = BTreeMap::new();
-    for (id, a) in actors {
-        pos_of.insert(id, a.sac_config().position);
-        for (&j, parts) in a.held_blocks() {
-            views
-                .entry((id, j))
-                .or_default()
-                .extend(parts.keys().copied());
-        }
+    for c in copies {
+        views
+            .entry((c.holder, c.from_pos))
+            .or_default()
+            .insert(c.idx);
     }
-    for &(dst, j, p) in in_flight {
-        views.entry((dst, j)).or_default().insert(p);
-    }
-    for ((dst, j), idxs) in &views {
-        let m = parts_of[*j];
-        if m >= 2 && pos_of.get(dst).copied() != Some(*j) && idxs.len() >= m {
+    for ((holder, j), idxs) in &views {
+        let m = parts_of(*j);
+        if m >= 2 && pos_of.get(holder).copied() != Some(*j) && idxs.len() >= m {
             return Err(Violation::new(
                 "RingShareConfinement",
-                format!("{dst} can assemble all {m} shares of contributor {j}"),
+                format!("{holder} can assemble all {m} shares of contributor {j}"),
             ));
         }
     }
@@ -474,9 +361,9 @@ pub fn ring_share_confinement<'a>(
 /// that stage's totals sum to the lone peer's individual model, shrinking
 /// the anonymity set from "contributors" to "contributors per stage".
 /// Single-stage plans are exempt — there the stage sum is the published
-/// round aggregate, the same disclosure the pairwise engine makes.
-pub fn ring_stage_anonymity<'a>(
-    actors: impl IntoIterator<Item = (NodeId, &'a RingSacActor)>,
+/// round aggregate, the disclosure every secure average makes.
+pub fn ring_stage_anonymity<'a, W: Wire>(
+    actors: impl IntoIterator<Item = (NodeId, &'a RoundCore<W>)>,
 ) -> Result<(), Violation> {
     for (id, a) in actors {
         if let Some(frozen) = a.frozen_set() {
@@ -539,9 +426,9 @@ pub fn engine_agreement(peers: &[(NodeId, &p2pfl_hierraft::FedConfig)]) -> Resul
 /// a leader that started a round must sit in `Done` or `Failed`, never
 /// mid-round: the supervisor's abort/retry machinery must convert every
 /// dead end into one of the two terminal verdicts.
-pub fn round_termination<'a>(
+pub fn round_termination<'a, W: Wire>(
     quiescent: bool,
-    actors: impl IntoIterator<Item = (NodeId, &'a SacPeerActor)>,
+    actors: impl IntoIterator<Item = (NodeId, &'a RoundCore<W>)>,
 ) -> Result<(), Violation> {
     if !quiescent {
         return Ok(());
@@ -571,9 +458,9 @@ pub fn round_termination<'a>(
 ///   contributors — whether or not aborts happened on the way;
 /// * a leader may report `Failed` only after at least one abort: the
 ///   supervisor never gives up on a round it did not first try to salvage.
-pub fn degraded_liveness<'a>(
+pub fn degraded_liveness<'a, W: Wire>(
     k0: usize,
-    actors: impl IntoIterator<Item = (NodeId, &'a SacPeerActor)>,
+    actors: impl IntoIterator<Item = (NodeId, &'a RoundCore<W>)>,
 ) -> Result<(), Violation> {
     for (id, a) in actors {
         let cfg = a.sac_config();
@@ -627,8 +514,8 @@ pub fn degraded_liveness<'a>(
 ///    result lies inside the honest contributors' per-coordinate envelope
 ///    `[min, max]` (the convexity bound `B` — an adversary that escaped
 ///    detection still cannot drag the aggregate outside the honest hull).
-pub fn byzantine_bounded_influence<'a>(
-    actors: impl IntoIterator<Item = (NodeId, &'a SacPeerActor)>,
+pub fn byzantine_bounded_influence<'a, W: Wire>(
+    actors: impl IntoIterator<Item = (NodeId, &'a RoundCore<W>)>,
     models: &[&WeightVector],
     byzantine: &BTreeSet<usize>,
 ) -> Result<(), Violation> {

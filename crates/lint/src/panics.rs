@@ -16,8 +16,12 @@
 //! soaks) exercise them.
 //!
 //! Call-graph resolution is name-based: `Type::method(...)` paths
-//! resolve exactly; bare `f(...)` calls resolve to workspace free
-//! functions named `f`; `.m(...)` dot calls resolve to every workspace
+//! resolve exactly; a path through a name that is no workspace type —
+//! a generic parameter, as in the round core's `W::decode(...)` — resolves
+//! to every impl of a workspace trait's method of that name, so a generic
+//! caller reaches all of its instantiations' code; bare `f(...)` calls
+//! resolve to workspace free functions named `f`; `.m(...)` dot calls
+//! resolve to every workspace
 //! method named `m` *except* names on [`Config::dot_blocklist`] —
 //! std-trait names (`sum`, `extend`, ...) that would otherwise alias
 //! iterator/collection calls onto unrelated workspace methods. That
@@ -112,8 +116,12 @@ impl Config {
                 "FrameBuffer::next_frame",
                 "reactor_loop",
                 "RaftNode::handle",
-                "SacPeerActor::on_message",
-                "RingSacActor::on_message",
+                // Both aggregation engines are `RoundCore<W>`: one actor
+                // callback, and behind its `W::decode` / `W::encode` the
+                // two adaptors, reachable only through the generic.
+                "RoundCore::on_message",
+                "PairwiseWire::decode",
+                "RingWire::decode",
                 "HierActor::on_message",
             ],
         }
@@ -150,6 +158,7 @@ struct FnNode {
     rel_path: String,
     crate_name: String,
     self_ty: Option<String>,
+    trait_name: Option<String>,
     name: String,
     body: Option<TokenStream>,
 }
@@ -175,6 +184,7 @@ pub fn check(ws: &Workspace, cfg: &Config) -> Output {
             rel_path: f.file.rel_path.clone(),
             crate_name: f.file.crate_name.clone(),
             self_ty: f.self_ty.clone(),
+            trait_name: f.trait_name.clone(),
             name: f.f.ident.clone(),
             body: f.f.block.clone(),
         });
@@ -196,6 +206,18 @@ pub fn check(ws: &Workspace, cfg: &Config) -> Output {
             None => free_fns.entry(n.name.as_str()).or_default().push(i),
         }
     }
+    // Impls of workspace-declared trait methods, by method name: what a
+    // call through a generic parameter (`W::decode(..)`) can land in. A
+    // trait's own declaration walks as `(self_ty = Trait, name)`.
+    let known_types: BTreeSet<&str> = nodes.iter().filter_map(|n| n.self_ty.as_deref()).collect();
+    let mut trait_impls: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    for (i, n) in nodes.iter().enumerate() {
+        if let Some(tr) = n.trait_name.as_deref() {
+            if by_typed.contains_key(&(tr, n.name.as_str())) {
+                trait_impls.entry(n.name.as_str()).or_default().push(i);
+            }
+        }
+    }
 
     // 3. Edges from call-shaped token patterns.
     let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
@@ -213,9 +235,17 @@ pub fn check(ws: &Workspace, cfg: &Config) -> Output {
                     };
                     if let Some(tgts) = by_typed.get(&(ty.as_str(), name.as_str())) {
                         edges[i].extend(tgts.iter().copied());
-                    } else if let Some(tgts) = free_fns.get(name.as_str()) {
-                        // `module::function(...)` paths.
+                        continue;
+                    }
+                    // `module::function(...)` paths.
+                    if let Some(tgts) = free_fns.get(name.as_str()) {
                         edges[i].extend(tgts.iter().copied());
+                    }
+                    // `W::method(...)` through a generic parameter.
+                    if !known_types.contains(ty.as_str()) {
+                        if let Some(tgts) = trait_impls.get(name.as_str()) {
+                            edges[i].extend(tgts.iter().copied());
+                        }
                     }
                 }
                 Call::Bare(name) => {

@@ -5,8 +5,10 @@
 //! additive shares (and their digests) do. This pass codifies that as a
 //! per-function taint check: a value derived from `self.model` (or a
 //! `model` parameter) may appear inside a `SacMsg::...` / `RingMsg::...`
-//! constructor only after passing through one of the [`APPROVED`]
-//! masking/sharing functions. The `RingShareConfinement` oracle checks
+//! constructor — or a `RoundEvent::...` one, the round core's vocabulary
+//! that the two adaptors turn into those messages field for field — only
+//! after passing through one of the [`APPROVED`] masking/sharing
+//! functions. The `RingShareConfinement` oracle checks
 //! the same property dynamically; this rule makes the obvious
 //! violations (cleartext weights in a message) unrepresentable in
 //! merged code.
@@ -40,6 +42,13 @@ pub const APPROVED: &[&str] = &[
     "is_empty",
 ];
 
+/// Floor on sink sites in the production crate. It has 136 today (the
+/// core's event constructors, both adaptors' two-way mappings and the
+/// wire enums' own `Payload` matches; 84 before the adaptors existed);
+/// losing either adaptor from the scan drops it below this, adding a
+/// message only raises it.
+pub const MIN_SINK_SITES: usize = 100;
+
 /// Secret-flow configuration.
 pub struct Config {
     /// The crate holding the secure-aggregation engines.
@@ -48,6 +57,11 @@ pub struct Config {
     pub sinks: Vec<&'static str>,
     /// Field/binding names that carry raw weights.
     pub source_idents: Vec<&'static str>,
+    /// Fewest sink constructor sites the crate must show. The pass
+    /// reports scope rot below this, so a refactor that moves message
+    /// construction somewhere the scan no longer looks (another crate, a
+    /// macro, a renamed type) cannot pass by having nothing to check.
+    pub min_sink_sites: usize,
 }
 
 impl Config {
@@ -55,8 +69,11 @@ impl Config {
     pub fn production() -> Config {
         Config {
             crate_name: "secagg",
-            sinks: vec!["SacMsg", "RingMsg"],
+            // The core builds `RoundEvent`s; each adaptor's `encode`
+            // moves their fields into the wire enum.
+            sinks: vec!["SacMsg", "RingMsg", "RoundEvent"],
             source_idents: vec!["model"],
+            min_sink_sites: MIN_SINK_SITES,
         }
     }
 }
@@ -112,15 +129,19 @@ pub fn check(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
         }
     }
     // Scope-rot self-check: the engines build wire messages; finding
-    // zero sink sites means the pass is no longer looking at them.
-    if sink_sites == 0 && ws.files.iter().any(|f| f.crate_name == cfg.crate_name) {
+    // fewer sink sites than they are known to have means the pass is no
+    // longer looking at all of them.
+    if sink_sites < cfg.min_sink_sites && ws.files.iter().any(|f| f.crate_name == cfg.crate_name) {
         findings.push(Finding {
             rule: Rule::SelfCheck,
             file: "<workspace>".to_string(),
             line: 0,
             item: "secret-flow".to_string(),
-            msg: "no wire-message constructor sites found in the secagg crate — scope rot"
-                .to_string(),
+            msg: format!(
+                "{sink_sites} wire-message constructor sites found in the secagg crate, \
+                 expected at least {} — scope rot",
+                cfg.min_sink_sites
+            ),
         });
     }
     findings

@@ -222,6 +222,90 @@ fn panic_fires_on_unwrap_reachable_from_decode_root() {
 }
 
 #[test]
+fn panic_follows_a_generic_core_into_every_adaptor() {
+    // The shape of the secagg round core: one actor generic over a wire
+    // adaptor. A panic reachable only through the core's own dispatch and
+    // one reachable only through an adaptor's `decode` — called as
+    // `W::decode(..)`, a path through a generic parameter — must both be
+    // flagged, each with the path that reaches it.
+    let ws = ws(&[
+        (
+            "fake",
+            "crates/fake/src/engine.rs",
+            r#"
+            pub trait Wire {
+                type Msg;
+                fn decode(msg: Self::Msg) -> u64;
+            }
+            pub struct RoundCore<W: Wire> { round: u64, wire: std::marker::PhantomData<W> }
+            impl<W: Wire> RoundCore<W> {
+                fn dispatch(&mut self, event: u64) {
+                    let slot: Option<u64> = self.round.checked_sub(event);
+                    self.round = slot.unwrap();
+                }
+            }
+            impl<W: Wire> Actor<W::Msg> for RoundCore<W> {
+                fn on_message(&mut self, msg: W::Msg) {
+                    self.dispatch(W::decode(msg));
+                }
+            }
+            "#,
+        ),
+        (
+            "fake",
+            "crates/fake/src/ring.rs",
+            r#"
+            pub struct RingWire;
+            impl Wire for RingWire {
+                type Msg = Vec<u64>;
+                fn decode(msg: Vec<u64>) -> u64 {
+                    msg.first().copied().expect("adaptor trusts the frame")
+                }
+            }
+            pub struct QuietWire;
+            impl Wire for QuietWire {
+                type Msg = u64;
+                fn decode(msg: u64) -> u64 { msg }
+            }
+            impl QuietWire {
+                fn unrelated(&self) -> u64 {
+                    let v: Option<u64> = None;
+                    v.expect("not a trait method, not reachable")
+                }
+            }
+            "#,
+        ),
+    ]);
+    let mut cfg = fixture_panic_cfg();
+    cfg.required_roots = vec!["RoundCore::on_message", "RingWire::decode"];
+    let out = panics::check(&ws, &cfg);
+    assert!(
+        rule_findings(&out.findings, Rule::SelfCheck).is_empty(),
+        "core and adaptor are both reachable: {:?}",
+        out.findings
+    );
+    let hits = rule_findings(&out.findings, Rule::WirePanic);
+    assert_eq!(hits.len(), 2, "{:?}", out.findings);
+    let core = hits.iter().find(|f| f.item == "RoundCore::dispatch");
+    let core = core.expect("panic in the generic core's dispatch");
+    assert!(
+        core.msg
+            .contains("RoundCore::on_message -> RoundCore::dispatch"),
+        "{}",
+        core.msg
+    );
+    let adaptor = hits.iter().find(|f| f.item == "RingWire::decode");
+    let adaptor = adaptor.expect("panic in the adaptor's decode");
+    assert!(
+        adaptor
+            .msg
+            .contains("RoundCore::on_message -> RingWire::decode"),
+        "{}",
+        adaptor.msg
+    );
+}
+
+#[test]
 fn panic_decode_layer_flags_indexing_and_asserts() {
     let ws = ws(&[(
         "fake",
@@ -323,6 +407,15 @@ fn panic_scope_rot_when_a_root_matcher_matches_nothing() {
 // Rule 3: secret-flow confinement
 // ---------------------------------------------------------------------
 
+/// The production sinks and sources; fixtures are a few lines long, so
+/// only the production crate is held to the production sink-site floor.
+fn fixture_secret_cfg() -> secrets::Config {
+    secrets::Config {
+        min_sink_sites: 1,
+        ..secrets::Config::production()
+    }
+}
+
 #[test]
 fn secret_flow_fires_on_raw_weights_into_wire_constructor() {
     let ws = ws(&[(
@@ -338,7 +431,7 @@ fn secret_flow_fires_on_raw_weights_into_wire_constructor() {
         }
         "#,
     )]);
-    let findings = secrets::check(&ws, &secrets::Config::production());
+    let findings = secrets::check(&ws, &fixture_secret_cfg());
     let hits = rule_findings(&findings, Rule::SecretFlow);
     assert_eq!(hits.len(), 1, "{findings:?}");
     assert_eq!(hits[0].item, "E::leak");
@@ -362,7 +455,7 @@ fn secret_flow_tracks_let_bindings() {
         }
         "#,
     )]);
-    let findings = secrets::check(&ws, &secrets::Config::production());
+    let findings = secrets::check(&ws, &fixture_secret_cfg());
     let hits = rule_findings(&findings, Rule::SecretFlow);
     assert_eq!(hits.len(), 1, "taint must survive let chains: {findings:?}");
 }
@@ -386,7 +479,7 @@ fn secret_flow_quiet_on_approved_laundering() {
         }
         "#,
     )]);
-    let findings = secrets::check(&ws, &secrets::Config::production());
+    let findings = secrets::check(&ws, &fixture_secret_cfg());
     assert!(
         rule_findings(&findings, Rule::SecretFlow).is_empty(),
         "divide()/digest() launder the flow: {findings:?}"
@@ -396,13 +489,84 @@ fn secret_flow_quiet_on_approved_laundering() {
 }
 
 #[test]
+fn secret_flow_follows_the_core_into_an_adaptor_constructor() {
+    // The round core never names a wire enum: it builds the event the
+    // adaptor's `encode` turns into one. Raw weights handed to that event
+    // are reported where they enter it — the `divide()`d ones beside them
+    // are not — and the adaptor's own constructor, fed only the event's
+    // fields, stays clean.
+    let ws = ws(&[
+        (
+            "secagg",
+            "crates/secagg/src/engine.rs",
+            r#"
+            pub struct RoundCore<W> { model: Vec<f64>, wire: W }
+            pub enum RoundEvent { Share { parts: Vec<f64> } }
+            fn divide(w: &[f64], n: usize) -> Vec<f64> { let _ = n; w.to_vec() }
+            impl<W: Wire> RoundCore<W> {
+                fn leak(&self) -> Option<W::Msg> {
+                    let parts = self.model.clone();
+                    W::encode(RoundEvent::Share { parts })
+                }
+                fn share(&self) -> Option<W::Msg> {
+                    let parts = divide(&self.model, 4);
+                    W::encode(RoundEvent::Share { parts })
+                }
+            }
+            "#,
+        ),
+        (
+            "secagg",
+            "crates/secagg/src/ring/engine.rs",
+            r#"
+            pub enum RingMsg { StageShare { parts: Vec<f64> } }
+            pub struct RingWire;
+            impl Wire for RingWire {
+                type Msg = RingMsg;
+                fn encode(event: RoundEvent) -> Option<RingMsg> {
+                    match event {
+                        RoundEvent::Share { parts } => Some(RingMsg::StageShare { parts }),
+                    }
+                }
+            }
+            "#,
+        ),
+    ]);
+    let findings = secrets::check(&ws, &fixture_secret_cfg());
+    let hits = rule_findings(&findings, Rule::SecretFlow);
+    assert_eq!(hits.len(), 1, "{findings:?}");
+    assert_eq!(hits[0].item, "RoundCore::leak");
+    assert!(hits[0].msg.contains("RoundEvent::Share"));
+}
+
+#[test]
+fn secret_flow_scope_rot_when_sink_sites_drop() {
+    // One constructor is plenty for a fixture but far below what the
+    // production crate is known to hold: under the production floor the
+    // pass must report that it is no longer seeing the adaptors.
+    let ws = ws(&[(
+        "secagg",
+        "crates/secagg/src/engine.rs",
+        r#"
+        pub enum SacMsg { Begin { round: u64 } }
+        pub fn begin() -> SacMsg { SacMsg::Begin { round: 1 } }
+        "#,
+    )]);
+    assert!(secrets::check(&ws, &fixture_secret_cfg()).is_empty());
+    let findings = secrets::check(&ws, &secrets::Config::production());
+    let rot = rule_findings(&findings, Rule::SelfCheck);
+    assert_eq!(rot.len(), 1, "{findings:?}");
+    assert!(rot[0].msg.contains("scope rot"));
+}
+
+#[test]
 fn secret_flow_scope_rot_when_no_sinks_seen() {
     let ws = ws(&[(
         "secagg",
         "crates/secagg/src/engine.rs",
         "pub fn nothing_here() {}",
     )]);
-    let findings = secrets::check(&ws, &secrets::Config::production());
+    let findings = secrets::check(&ws, &fixture_secret_cfg());
     let rot = rule_findings(&findings, Rule::SelfCheck);
     assert_eq!(rot.len(), 1, "{findings:?}");
     assert!(rot[0].msg.contains("scope rot"));

@@ -31,8 +31,9 @@ pub struct NetStats {
     /// [`Actor::stash_evicted`](p2pfl_simnet::Actor::stash_evicted) after
     /// every callback) — the protocol-level analogue of `sends_dropped`.
     pub stash_evicted: u64,
-    /// Share blocks the actor rejected because they failed their sender's
-    /// hash commitment (mirrored from
+    /// Messages the actor refused at a protocol gate — not from the peer
+    /// entitled to send them, malformed, or a share block failing its
+    /// sender's hash commitment (mirrored from
     /// [`Actor::shares_rejected`](p2pfl_simnet::Actor::shares_rejected)
     /// after every callback) — each one is evidence of a Byzantine peer.
     pub shares_rejected: u64,

@@ -1,145 +1,67 @@
-//! Message-driven fault-tolerant SAC engine over `p2pfl-simnet`.
+//! The supervised round core: the paper's fault-tolerant SAC (Alg. 4) as
+//! real message exchange between actors, once, for every share layout.
 //!
-//! [`crate::ftsac`] executes Alg. 4 synchronously; this module runs the same
-//! protocol as real message exchange between simulator actors, with crash
-//! detection by timeout and subtotal recovery from replica holders — the
-//! form the paper actually deploys inside each subgroup.
+//! [`crate::ftsac`] and [`crate::ring::ring_secure_average`] execute the
+//! protocol synchronously; [`RoundCore`] runs it over a
+//! [`Transport`] with crash detection by timeout and recovery from
+//! replica holders — the form deployed inside each subgroup. One
+//! aggregation round, leader-driven:
 //!
-//! Protocol (one aggregation round, leader-driven):
-//!
-//! 1. every peer divides its model into `n` partitions and sends each other
-//!    peer its consecutive `n-k+1`-partition block (`ShareBlock`);
-//! 2. when the leader has blocks from everyone — or its share deadline
-//!    expires — it freezes the contributor set and broadcasts `ComputeOver`;
-//! 3. every live peer computes the subtotals of its block over that set and
-//!    the *primary owner* of each index sends it to the leader (`Subtotal`);
-//! 4. after a collection deadline the leader requests missing subtotals
-//!    from alternate replica holders (`SubtotalRequest`), which respond with
-//!    the recovered `Subtotal`;
-//! 5. with all `n` subtotals the leader averages and completes.
+//! 1. every peer divides its model into `m` additive shares (`m` = size
+//!    of its successor stage in the [`RingPlan`]) and sends each member of
+//!    that stage its replicated block;
+//! 2. when the leader has heard from everyone — or its share deadline
+//!    expires — it freezes the contributor set and broadcasts
+//!    `ComputeOver`;
+//! 3. every live peer totals its block over that set and the *primary
+//!    owner* of each `(stage, partition)` sends its total to the leader;
+//! 4. after a collection deadline the leader requests missing totals from
+//!    alternate replica holders, which respond with the recovered total;
+//! 5. with the whole grid of `n` totals the leader averages and completes.
 //!
 //! The `ComputeOver` control broadcast has no counterpart in the paper's
 //! pseudo-code (which assumes a synchronous view of who contributed); it is
 //! required for consistency once peers can crash mid-protocol, and is
 //! counted in its own ledger phase as a small control message.
+//!
+//! Around those five steps sits the supervision contract, also owned here
+//! and nowhere else: round-tagged deadlines, the bounded next-round stash,
+//! `Abort` plus one degraded retry with `k' = min(k, n')` (refusing below
+//! two members), follower abandonment, roster reconfiguration and
+//! re-keying, and the sender-binding gate.
+//!
+//! What differs between the two deployed engines is confined to a
+//! [`Wire`] adaptor each — [`PairwiseWire`] (paper Alg. 4, all-to-all)
+//! and [`crate::ring::RingWire`] (staged ring): the layout, the message
+//! enum on the wire, and how the leader learns who contributed.
+
+mod pairwise;
+
+pub use pairwise::{PairwiseWire, SacMsg};
 
 use crate::divide::{divide, ShareScheme};
-use crate::replicated::{assigned_partitions, hand_out, holders, replication_factor};
-use crate::ring::SacEngine;
+use crate::replicated::{hand_out, replication_factor};
+use crate::ring::plan::RingPlan;
 use crate::weights::WeightVector;
 use p2pfl_simnet::{Actor, NodeId, Payload, SimDuration, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
 
-/// Messages exchanged by the SAC engine.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum SacMsg {
-    /// Leader tells followers to begin round `round` (the trigger the
-    /// FedAvg layer sends down in the full system).
-    Begin {
-        /// Round number.
-        round: u64,
-    },
-    /// A contributor's digest commitments to its full partition set for
-    /// the round, broadcast *before* its `ShareBlock`s: `digests[p]` is
-    /// the [`WeightVector::digest`] of partition `p`. Receivers check the
-    /// blocks they are later sent against these digests — a sender whose
-    /// share disagrees with its own commitment is Byzantine, and its
-    /// contribution is rejected (links are FIFO, so the commitment always
-    /// precedes the block it covers).
-    Commit {
-        /// Round number.
-        round: u64,
-        /// Sender's position within the subgroup.
-        from_pos: usize,
-        /// Per-partition digests, indexed by partition.
-        digests: Vec<u64>,
-    },
-    /// A contributor's block of `(partition index, partition)` pairs.
-    ShareBlock {
-        /// Round number.
-        round: u64,
-        /// Sender's position within the subgroup.
-        from_pos: usize,
-        /// The consecutive partitions assigned to the receiver.
-        parts: Vec<(usize, WeightVector)>,
-    },
-    /// Leader freezes the contributor set.
-    ComputeOver {
-        /// Round number.
-        round: u64,
-        /// Positions whose models are included this round.
-        contributors: Vec<usize>,
-    },
-    /// A computed subtotal for one partition index.
-    Subtotal {
-        /// Round number.
-        round: u64,
-        /// Partition index.
-        idx: usize,
-        /// The subtotal vector.
-        value: WeightVector,
-    },
-    /// Leader asks a replica holder for a missing subtotal.
-    SubtotalRequest {
-        /// Round number.
-        round: u64,
-        /// Partition index to recover.
-        idx: usize,
-    },
-    /// Leader aborts the round: the supervisor deadline expired or a
-    /// partition became unrecoverable. Receivers discard every share and
-    /// subtotal of the round — the mask material is never reused, so an
-    /// abort cannot leak a pairwise secret.
-    Abort {
-        /// The aborted round.
-        round: u64,
-        /// Human-readable cause, for logs and traces.
-        reason: String,
-    },
-    /// Leader restarts aggregation after an abort with a degraded roster:
-    /// the receiver recomputes its position in `group`, adopts `k`, and
-    /// begins `round` as if a fresh `Begin` had arrived. Peers absent from
-    /// `group` have been evicted for this round and simply ignore it.
-    Reconfigure {
-        /// The retry round (always a fresh round number).
-        round: u64,
-        /// Surviving subgroup members, in position order.
-        group: Vec<NodeId>,
-        /// Recomputed threshold `k' = min(k, n')`.
-        k: usize,
-    },
-}
-
-impl Payload for SacMsg {
-    fn size_bytes(&self) -> u64 {
-        match self {
-            SacMsg::Begin { .. } => 16,
-            SacMsg::Commit { digests, .. } => 16 + 8 * digests.len() as u64,
-            SacMsg::ShareBlock { parts, .. } => {
-                parts.iter().map(|(_, v)| v.wire_bytes()).sum::<u64>() + 8
-            }
-            SacMsg::ComputeOver { contributors, .. } => 16 + contributors.len() as u64,
-            SacMsg::Subtotal { value, .. } => value.wire_bytes() + 8,
-            SacMsg::SubtotalRequest { .. } => 16,
-            SacMsg::Abort { reason, .. } => 16 + reason.len() as u64,
-            SacMsg::Reconfigure { group, .. } => 24 + 4 * group.len() as u64,
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            SacMsg::Begin { .. } => "sac.begin",
-            SacMsg::Commit { .. } => "sac.commit",
-            SacMsg::ShareBlock { .. } => "sac.share",
-            SacMsg::ComputeOver { .. } => "sac.ctrl",
-            SacMsg::Subtotal { .. } => "sac.subtotal",
-            SacMsg::SubtotalRequest { .. } => "sac.request",
-            SacMsg::Abort { .. } => "sac.abort",
-            SacMsg::Reconfigure { .. } => "sac.reconf",
-        }
-    }
+/// Which secure-aggregation engine a subgroup runs. Replicated through
+/// the FedAvg-layer config (`FedConfig`) so every member of a subgroup
+/// agrees on the engine before a round starts — a round must never mix
+/// engines, which the checker's `EngineAgreement` oracle enforces.
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
+)]
+pub enum SacEngine {
+    /// Paper Alg. 4: all-to-all replicated share blocks, O(n²) messages.
+    #[default]
+    Pairwise,
+    /// Staged ring layout: successor-stage sharing, O(n log n) messages.
+    Ring,
 }
 
 /// Where the engine is in the round.
@@ -149,24 +71,12 @@ pub enum SacPhase {
     Idle,
     /// Shares sent; collecting blocks.
     Sharing,
-    /// Contributor set frozen; collecting subtotals (leader only).
+    /// Contributor set frozen; collecting totals (leader only).
     Collecting,
     /// Round finished; `result` holds the average (leader only).
     Done,
     /// Round failed.
     Failed(String),
-}
-
-const TIMER_SHARE_DEADLINE: u64 = 1;
-const TIMER_COLLECT_DEADLINE: u64 = 2;
-const TIMER_ROUND_DEADLINE: u64 = 3;
-
-/// Timer tags carry the round in their upper bits so a deadline armed for
-/// an aborted round can never misfire into its successor: abort/retry
-/// re-enters the `Sharing` phase under a *new* round number, which a bare
-/// phase guard cannot distinguish from the round the timer was armed for.
-fn timer_tag(base: u64, round: u64) -> u64 {
-    (round << 8) | base
 }
 
 /// Static configuration of one SAC engine participant.
@@ -190,7 +100,7 @@ pub struct SacConfig {
     pub engine: SacEngine,
     /// Leader grace period for the share phase.
     pub share_deadline: SimDuration,
-    /// Leader grace period for subtotal collection before recovery kicks in.
+    /// Leader grace period for total collection before recovery kicks in.
     pub collect_deadline: SimDuration,
     /// Supervisor deadline for the whole round. `None` keeps the legacy
     /// behavior (an unrecoverable partition fails the round terminally).
@@ -216,9 +126,163 @@ impl SacConfig {
     }
 }
 
-/// A subgroup member executing fault-tolerant SAC over the simulator.
-pub struct SacPeerActor {
+/// What a wire message means to the round core: the one vocabulary both
+/// engines' message enums decode into and are encoded from ([`SacMsg`] and
+/// [`crate::RingMsg`] document each message where it is defined).
+/// Positions are subgroup positions; partition indices are stage-local,
+/// and a one-stage layout only ever uses stage 0.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RoundEvent {
+    /// Leader tells followers to begin `round`.
+    Begin {
+        /// Round number.
+        round: u64,
+    },
+    /// A contributor's per-partition digest commitments, sent *before* its
+    /// shares (links are FIFO, so a commitment precedes what it covers).
+    Commit {
+        /// Round number.
+        round: u64,
+        /// Sender's position.
+        from_pos: usize,
+        /// [`WeightVector::digest`] of each partition, by index.
+        digests: Vec<u64>,
+    },
+    /// A contributor's replicated block for one member of its successor
+    /// stage.
+    Share {
+        /// Round number.
+        round: u64,
+        /// Sender's position.
+        from_pos: usize,
+        /// `(partition index, share)` pairs assigned to the receiver.
+        parts: Vec<(usize, WeightVector)>,
+    },
+    /// A peer tells the leader its shares are distributed.
+    Shared {
+        /// Round number.
+        round: u64,
+        /// Announcer's position.
+        from_pos: usize,
+    },
+    /// Leader freezes the contributor set.
+    ComputeOver {
+        /// Round number.
+        round: u64,
+        /// Positions whose models are included this round.
+        contributors: Vec<usize>,
+    },
+    /// One partition's sum over the frozen contributors.
+    Total {
+        /// Round number.
+        round: u64,
+        /// Receiving stage the total belongs to.
+        stage: usize,
+        /// Partition index within that stage.
+        idx: usize,
+        /// The summed shares.
+        value: WeightVector,
+    },
+    /// Leader asks a replica holder for a missing total.
+    TotalRequest {
+        /// Round number.
+        round: u64,
+        /// Receiving stage of the missing total.
+        stage: usize,
+        /// Partition index within that stage.
+        idx: usize,
+    },
+    /// Leader aborts the round; receivers discard all of its shares and
+    /// totals — mask material is never reused, so an abort cannot leak a
+    /// pairwise secret.
+    Abort {
+        /// The aborted round.
+        round: u64,
+        /// Human-readable cause, for logs and traces.
+        reason: String,
+    },
+    /// Leader restarts after an abort with a degraded roster; a receiver
+    /// in `group` adopts it and begins `round` as if by a fresh `Begin`.
+    Reconfigure {
+        /// The retry round (always a fresh round number).
+        round: u64,
+        /// Surviving members, in position order.
+        group: Vec<NodeId>,
+        /// Recomputed threshold `k' = min(k, n')`.
+        k: usize,
+    },
+}
+
+impl RoundEvent {
+    /// The round a message belongs to, for the next-round stash and the
+    /// aborted-round discard. `Begin` and `Reconfigure` advance the round
+    /// themselves, so they are never stashed.
+    fn stash_round(&self) -> Option<u64> {
+        match self {
+            RoundEvent::Begin { .. } | RoundEvent::Reconfigure { .. } => None,
+            RoundEvent::Commit { round, .. }
+            | RoundEvent::Share { round, .. }
+            | RoundEvent::Shared { round, .. }
+            | RoundEvent::ComputeOver { round, .. }
+            | RoundEvent::Total { round, .. }
+            | RoundEvent::TotalRequest { round, .. }
+            | RoundEvent::Abort { round, .. } => Some(*round),
+        }
+    }
+}
+
+/// What one engine supplies to the round core: its share layout, its
+/// message enum, and the two properties of its wire protocol the core
+/// branches on. An adaptor holds no state and makes no protocol decision
+/// — it never sees a transport, a timer or a phase.
+pub trait Wire: 'static {
+    /// The engine's message enum.
+    type Msg: Payload;
+
+    /// Whether contributors broadcast digest commitments before sharing,
+    /// which every receiver then checks its blocks against.
+    const COMMITS: bool;
+
+    /// Whether the leader learns who contributed from `Shared`
+    /// announcements (it never sees most shares) rather than from the
+    /// blocks it received itself.
+    const ANNOUNCES: bool;
+
+    /// The share layout for `n` members with threshold `k`.
+    fn layout(n: usize, k: usize) -> RingPlan;
+
+    /// What a received message means.
+    fn decode(msg: Self::Msg) -> RoundEvent;
+
+    /// The message carrying `event`, or `None` if this wire protocol has
+    /// no such message.
+    fn encode(event: RoundEvent) -> Option<Self::Msg>;
+
+    /// How this engine names total `(stage, idx)` in abort reasons, which
+    /// travel on the wire.
+    fn total_label(stage: usize, idx: usize) -> String;
+}
+
+/// A subgroup member executing pairwise fault-tolerant SAC (paper Alg. 4).
+pub type SacPeerActor = RoundCore<PairwiseWire>;
+
+const TIMER_SHARE_DEADLINE: u64 = 1;
+const TIMER_COLLECT_DEADLINE: u64 = 2;
+const TIMER_ROUND_DEADLINE: u64 = 3;
+
+/// Timer tags carry the round in their upper bits so a deadline armed for
+/// an aborted round can never misfire into its successor: abort/retry
+/// re-enters the `Sharing` phase under a *new* round number, which a bare
+/// phase guard cannot distinguish from the round the timer was armed for.
+fn timer_tag(base: u64, round: u64) -> u64 {
+    (round << 8) | base
+}
+
+/// A subgroup member executing one supervised secure-aggregation round
+/// after another over wire protocol `W`.
+pub struct RoundCore<W: Wire> {
     cfg: SacConfig,
+    plan: RingPlan,
     model: WeightVector,
     rng: StdRng,
     /// Current round number.
@@ -248,32 +312,41 @@ pub struct SacPeerActor {
     /// this factor — the commit-then-skew attack the commitment check is
     /// built to catch. Set by the fault-plan interpreters.
     pub byz_share_skew: Option<f64>,
-    /// Share blocks rejected because they disagreed with the sender's own
-    /// commitment.
+    /// Messages refused at a gate: not from the peer entitled to send
+    /// them, outside the roster/grid/model shape, or a share block that
+    /// disagreed with its sender's own commitment.
     pub shares_rejected: u64,
-    /// Positions convicted of sending shares inconsistent with their
-    /// commitments (cumulative across rounds; the round supervisor reads
-    /// this to drive roster evictions).
+    /// Positions convicted of sending malformed shares or shares
+    /// inconsistent with their commitments (cumulative across rounds; the
+    /// round supervisor reads this to drive roster evictions). Only a
+    /// message bound to its sender can convict.
     pub byzantine_detected: BTreeSet<usize>,
     // commitments[from_pos] = per-partition digests for the current round
     commitments: BTreeMap<usize, Vec<u64>>,
-    // blocks[from_pos][idx] = partition
+    // blocks[from_pos][idx] = share of partition idx from the
+    // predecessor-stage contributor at position from_pos
     blocks: BTreeMap<usize, BTreeMap<usize, WeightVector>>,
+    // Leader, announcing wires: positions that announced `Shared` this
+    // round (self included).
+    announced: BTreeSet<usize>,
     frozen: Option<BTreeSet<usize>>,
-    subtotals: BTreeMap<usize, WeightVector>,
-    requested: BTreeSet<usize>,
+    // totals[(stage, idx)]: on every peer the own-block totals; on the
+    // leader additionally everything collected via `Total`.
+    totals: BTreeMap<(usize, usize), WeightVector>,
+    requested: BTreeSet<(usize, usize)>,
     sent_primary: bool,
-    pending_requests: Vec<(usize, NodeId)>,
+    // Recovery requests from the leader waiting on missing blocks.
+    pending_requests: Vec<(usize, usize)>,
     // Messages that arrived for the *next* round before this peer's
     // `Begin` did. Real transports order frames per connection only, so a
-    // fast peer's `ShareBlock` for round r+1 can beat the leader's
+    // fast peer's share for round r+1 can beat the leader's
     // `Begin { r+1 }`; dropping it would stall the round into recovery
     // (or unrecoverability). Stashed here and replayed after the round
     // advances. Bounded to one message burst per peer.
-    future: Vec<(NodeId, SacMsg)>,
+    future: Vec<(NodeId, RoundEvent)>,
     // The most recently aborted round: messages addressed to it are dead
-    // on arrival (its mask material was discarded; a late ShareBlock must
-    // not resurrect partial state), and a re-delivered `Begin` for it must
+    // on arrival (its mask material was discarded; a late share must not
+    // resurrect partial state), and a re-delivered `Begin` for it must
     // not redistribute shares — the same single-randomization rule the
     // Begin-idempotence guard enforces.
     aborted: Option<u64>,
@@ -284,18 +357,21 @@ pub struct SacPeerActor {
     // order (construction seed, then one per `rekey`). The checker's
     // NoMaskReuseAcrossRekey oracle asserts all entries are distinct.
     mask_keys: Vec<u64>,
+    wire: PhantomData<fn() -> W>,
 }
 
-impl SacPeerActor {
+impl<W: Wire> RoundCore<W> {
     /// Creates an idle engine participant holding `model`.
     pub fn new(cfg: SacConfig, model: WeightVector) -> Self {
         assert!(cfg.position < cfg.n(), "position out of range");
         assert!(cfg.leader_pos < cfg.n(), "leader position out of range");
         assert!(cfg.k >= 1 && cfg.k <= cfg.n(), "invalid threshold");
+        let plan = W::layout(cfg.n(), cfg.k);
         let mask_domain = cfg.seed ^ (cfg.position as u64) << 32;
         let rng = StdRng::seed_from_u64(mask_domain);
-        SacPeerActor {
+        RoundCore {
             cfg,
+            plan,
             model,
             rng,
             round: 0,
@@ -312,8 +388,9 @@ impl SacPeerActor {
             byzantine_detected: BTreeSet::new(),
             commitments: BTreeMap::new(),
             blocks: BTreeMap::new(),
+            announced: BTreeSet::new(),
             frozen: None,
-            subtotals: BTreeMap::new(),
+            totals: BTreeMap::new(),
             requested: BTreeSet::new(),
             sent_primary: false,
             pending_requests: Vec::new(),
@@ -321,6 +398,7 @@ impl SacPeerActor {
             aborted: None,
             retried: false,
             mask_keys: vec![mask_domain],
+            wire: PhantomData,
         }
     }
 
@@ -338,6 +416,11 @@ impl SacPeerActor {
         &self.cfg
     }
 
+    /// The share layout this participant derived from `(n, k)`.
+    pub fn plan(&self) -> &RingPlan {
+        &self.plan
+    }
+
     /// The local model being aggregated this round.
     pub fn model(&self) -> &WeightVector {
         &self.model
@@ -353,51 +436,33 @@ impl SacPeerActor {
         self.frozen.as_ref()
     }
 
-    /// Subtotals held locally (`idx -> value`); on the leader these are the
-    /// collected per-partition sums over the frozen set.
-    pub fn held_subtotals(&self) -> &BTreeMap<usize, WeightVector> {
-        &self.subtotals
+    /// Totals held locally (`(stage, idx) -> value`); on the leader these
+    /// are the collected per-partition sums over the frozen set.
+    pub fn held_totals(&self) -> &BTreeMap<(usize, usize), WeightVector> {
+        &self.totals
+    }
+
+    /// The mask-stream domains this engine has drawn from, in adoption
+    /// order (construction seed first, then one entry per re-key).
+    pub fn mask_keys(&self) -> &[u64] {
+        &self.mask_keys
     }
 
     /// Leader entry point: begins round `round`, instructing followers and
     /// distributing this peer's own shares.
-    pub fn start_round(&mut self, ctx: &mut dyn Transport<SacMsg>, round: u64) {
+    pub fn start_round(&mut self, ctx: &mut dyn Transport<W::Msg>, round: u64) {
         assert!(self.cfg.is_leader(), "only the leader starts rounds");
         self.retried = false;
-        self.reset_for(round);
-        let group = self.cfg.group.clone();
-        let me = self.me();
-        for &peer in &group {
-            if peer != me {
-                ctx.send(peer, SacMsg::Begin { round });
-            }
-        }
-        self.distribute_shares(ctx);
-        ctx.set_timer(
-            self.cfg.share_deadline,
-            timer_tag(TIMER_SHARE_DEADLINE, round),
-        );
-        self.arm_round_deadline(ctx);
-        self.phase = SacPhase::Sharing;
-        self.replay_future(ctx);
-    }
-
-    fn me(&self) -> NodeId {
-        self.cfg.group[self.cfg.position]
-    }
-
-    fn arm_round_deadline(&mut self, ctx: &mut dyn Transport<SacMsg>) {
-        if let Some(d) = self.cfg.round_deadline {
-            ctx.set_timer(d, timer_tag(TIMER_ROUND_DEADLINE, self.round));
-        }
+        self.send_to_peers(ctx, RoundEvent::Begin { round });
+        self.enter_round(ctx, round);
     }
 
     /// Adopts a new roster mid-life (after a supervised abort or a
     /// membership change replicated by the layer above): recomputes this
-    /// peer's position, moves the leadership to `leader`, adopts `k`, and
-    /// discards all state of the current round. The caller starts the next
-    /// round (with a fresh round number) afterwards. Returns whether the
-    /// roster was adopted.
+    /// peer's position, moves the leadership to `leader`, adopts `k`,
+    /// re-derives the layout and discards all state of the current round.
+    /// The caller starts the next round (with a fresh round number)
+    /// afterwards. Returns whether the roster was adopted.
     pub fn reconfigure(&mut self, group: Vec<NodeId>, leader: NodeId, k: usize) -> bool {
         let me = self.me();
         // A roster that drops this peer or its leader, or carries an
@@ -413,17 +478,17 @@ impl SacPeerActor {
         if k < 1 || k > group.len() {
             return false;
         }
+        self.plan = W::layout(group.len(), k);
         self.cfg.group = group;
         self.cfg.position = position;
         self.cfg.leader_pos = leader_pos;
         self.cfg.k = k;
-        let round = self.round;
-        self.reset_for(round);
+        self.reset_for(self.round);
         true
     }
 
     /// Adopts a new roster *and* a fresh mask domain — the elastic
-    /// split/merge re-key. Beyond [`SacPeerActor::reconfigure`], the RNG
+    /// split/merge re-key. Beyond [`RoundCore::reconfigure`], the RNG
     /// driving every subsequent share polynomial and mask partition is
     /// reseeded under `roster_key` (the replicated layer derives it per
     /// peer and transition, strictly fresh), so no mask drawn for the old
@@ -440,34 +505,414 @@ impl SacPeerActor {
         true
     }
 
-    /// The mask-stream domains this engine has drawn from, in adoption
-    /// order (construction seed first, then one entry per re-key).
-    pub fn mask_keys(&self) -> &[u64] {
-        &self.mask_keys
+    fn me(&self) -> NodeId {
+        self.cfg.group[self.cfg.position]
+    }
+
+    fn leader(&self) -> NodeId {
+        self.cfg.group[self.cfg.leader_pos]
+    }
+
+    fn send(ctx: &mut dyn Transport<W::Msg>, to: NodeId, event: RoundEvent) {
+        if let Some(msg) = W::encode(event) {
+            ctx.send(to, msg);
+        }
+    }
+
+    /// Serves the leader total `(stage, idx)` of this peer's own stage, if
+    /// it is computable yet.
+    fn send_total(&self, ctx: &mut dyn Transport<W::Msg>, stage: usize, idx: usize) -> bool {
+        let Some(value) = self.total_over_frozen(idx) else {
+            return false;
+        };
+        let total = RoundEvent::Total {
+            round: self.round,
+            stage,
+            idx,
+            value,
+        };
+        Self::send(ctx, self.leader(), total);
+        true
+    }
+
+    /// Sends `event` to every other member, in position order.
+    fn send_to_peers(&self, ctx: &mut dyn Transport<W::Msg>, event: RoundEvent) {
+        let Some(msg) = W::encode(event) else {
+            return;
+        };
+        let me = self.me();
+        for &peer in &self.cfg.group {
+            if peer != me {
+                ctx.send(peer, msg.clone());
+            }
+        }
+    }
+
+    fn reset_for(&mut self, round: u64) {
+        self.round = round;
+        self.phase = SacPhase::Idle;
+        self.result = None;
+        self.contributors.clear();
+        self.recoveries = 0;
+        self.commitments.clear();
+        self.blocks.clear();
+        self.announced.clear();
+        self.frozen = None;
+        self.totals.clear();
+        self.requested.clear();
+        self.sent_primary = false;
+        self.pending_requests.clear();
+    }
+
+    /// Opens `round` on this peer: shares go out, deadlines are armed,
+    /// and whatever arrived early for the round is replayed.
+    fn enter_round(&mut self, ctx: &mut dyn Transport<W::Msg>, round: u64) {
+        self.reset_for(round);
+        self.distribute_shares(ctx);
+        if self.cfg.is_leader() {
+            ctx.set_timer(
+                self.cfg.share_deadline,
+                timer_tag(TIMER_SHARE_DEADLINE, round),
+            );
+        }
+        if let Some(d) = self.cfg.round_deadline {
+            ctx.set_timer(d, timer_tag(TIMER_ROUND_DEADLINE, round));
+        }
+        self.phase = SacPhase::Sharing;
+        self.maybe_freeze(ctx); // a roster of one has nobody to wait for
+        self.replay_future(ctx);
+    }
+
+    /// Re-dispatches stashed next-round messages now that the round has
+    /// advanced; anything not matching the current round, or no longer
+    /// from a peer entitled to send it under the roster now in force, is
+    /// filtered out by [`RoundCore::dispatch`].
+    fn replay_future(&mut self, ctx: &mut dyn Transport<W::Msg>) {
+        for (from, event) in std::mem::take(&mut self.future) {
+            self.dispatch(ctx, from, event);
+        }
+    }
+
+    /// Splits the model into `m` shares (`m` = successor-stage size) and
+    /// sends each successor-stage member its replicated block.
+    fn distribute_shares(&mut self, ctx: &mut dyn Transport<W::Msg>) {
+        let (round, pos) = (self.round, self.cfg.position);
+        let s = self.plan.succ_stage(self.plan.stage_of(pos));
+        let m = self.plan.stage_len(s);
+        let mut parts = divide(&self.model, m, self.cfg.scheme, &mut self.rng);
+        #[cfg(feature = "mutants")]
+        if crate::mutants::active(crate::mutants::Mutant::ShareSkew) {
+            if let Some(p0) = parts.get_mut(0) {
+                p0.scale(0.5);
+            }
+        }
+        if W::COMMITS {
+            // Commit to the partition digests before sending any shares.
+            // Links are FIFO, so every receiver sees the commitment before
+            // the block it covers. A Byzantine peer injected with
+            // `byz_share_skew` still commits honestly here and skews only
+            // what it sends below — which is exactly what the receivers'
+            // digest check convicts.
+            let digests = parts.iter().map(|p| p.digest()).collect();
+            let commit = RoundEvent::Commit {
+                round,
+                from_pos: pos,
+                digests,
+            };
+            self.send_to_peers(ctx, commit);
+        }
+        let mut uses_left = vec![replication_factor(m, self.plan.stage_k(s)); m];
+        for i in 0..m {
+            let gpos = self.plan.global_pos(s, i);
+            let mut block: Vec<(usize, WeightVector)> = self
+                .plan
+                .assigned(s, i)
+                .into_iter()
+                .map(|p| (p, hand_out(&mut parts, &mut uses_left, p)))
+                .collect();
+            if gpos == pos {
+                // One-stage layout: keep our own block locally.
+                self.blocks.entry(pos).or_default().extend(block);
+                continue;
+            }
+            if let Some(factor) = self.byz_share_skew {
+                for (_, v) in &mut block {
+                    v.scale(factor);
+                }
+            }
+            let share = RoundEvent::Share {
+                round,
+                from_pos: pos,
+                parts: block,
+            };
+            Self::send(ctx, self.cfg.group[gpos], share);
+        }
+        if W::ANNOUNCES {
+            if self.cfg.is_leader() {
+                self.announced.insert(pos);
+            } else {
+                let shared = RoundEvent::Shared {
+                    round,
+                    from_pos: pos,
+                };
+                Self::send(ctx, self.leader(), shared);
+            }
+        }
+    }
+
+    /// Leader: whether position `p` is known to have shared this round.
+    fn heard(&self, p: usize) -> bool {
+        if W::ANNOUNCES {
+            self.announced.contains(&p)
+        } else {
+            self.blocks.contains_key(&p)
+        }
+    }
+
+    /// Leader: the positions not heard from — whom a dead end suspects.
+    fn unheard(&self) -> BTreeSet<usize> {
+        (0..self.cfg.n()).filter(|&p| !self.heard(p)).collect()
+    }
+
+    /// Leader: freeze as soon as every member is settled. Convicted
+    /// senders will never be heard from again this round; counting them
+    /// lets the leader freeze as soon as every *honest* member is in
+    /// instead of burning the share deadline.
+    fn maybe_freeze(&mut self, ctx: &mut dyn Transport<W::Msg>) {
+        let n = self.cfg.n();
+        if self.cfg.is_leader()
+            && self.phase == SacPhase::Sharing
+            && (0..n).all(|p| self.heard(p) || self.byzantine_detected.contains(&p))
+        {
+            self.freeze(ctx);
+        }
+    }
+
+    /// A dead end on the leader: supervised rounds abort and retry without
+    /// `suspects`; unsupervised rounds fail.
+    fn dead_end(
+        &mut self,
+        ctx: &mut dyn Transport<W::Msg>,
+        suspects: &BTreeSet<usize>,
+        reason: &str,
+        detail: &str,
+    ) {
+        if self.cfg.round_deadline.is_some() {
+            self.supervise(ctx, suspects, reason);
+        } else {
+            self.phase = SacPhase::Failed(format!("{reason}{detail}"));
+        }
+    }
+
+    fn freeze(&mut self, ctx: &mut dyn Transport<W::Msg>) {
+        let absent = self.unheard();
+        let contributors: BTreeSet<usize> =
+            (0..self.cfg.n()).filter(|p| !absent.contains(p)).collect();
+        if contributors.is_empty() {
+            self.phase = SacPhase::Failed("no contributors".into());
+            return;
+        }
+        if contributors.len() < self.cfg.k {
+            // Freezing below the threshold would publish an average the
+            // round's `k` policy does not sanction (a retry round can get
+            // here when its `Reconfigure` reaches the survivors after the
+            // new share deadline).
+            let detail = format!(" ({} < {})", contributors.len(), self.cfg.k);
+            self.dead_end(ctx, &absent, "fewer than k contributors at freeze", &detail);
+            return;
+        }
+        if let Some(stage) = self
+            .plan
+            .lone_contributor_stage(|p| contributors.contains(&p))
+        {
+            // A stage frozen down to one contributor would make that
+            // stage's totals sum to the lone peer's individual model,
+            // shrinking the anonymity set from "contributors" to
+            // "contributors per stage". Supervised rounds retry on the
+            // contributor roster (the re-derived plan re-chunks the
+            // stages, restoring balance); unsupervised rounds fail rather
+            // than disclose. Never fires on a one-stage layout.
+            self.dead_end(
+                ctx,
+                &absent,
+                &format!("stage {stage} frozen to a single contributor"),
+                " (per-stage anonymity set below 2)",
+            );
+            return;
+        }
+        let compute_over = RoundEvent::ComputeOver {
+            round: self.round,
+            contributors: contributors.iter().copied().collect(),
+        };
+        self.frozen = Some(contributors);
+        self.send_to_peers(ctx, compute_over);
+        // Total our own block immediately (predecessor-stage blocks may
+        // still be in flight; late arrivals re-trigger this).
+        self.compute_own_totals();
+        self.phase = SacPhase::Collecting;
+        ctx.set_timer(
+            self.cfg.collect_deadline,
+            timer_tag(TIMER_COLLECT_DEADLINE, self.round),
+        );
+        self.maybe_finish();
+    }
+
+    /// Total of own-stage partition `p` over the frozen contributors of
+    /// the predecessor stage, ascending by position; `None` while some
+    /// contributor's block is missing locally. Zero contributors in the
+    /// predecessor stage yield a zero vector — the leader still needs the
+    /// total to close the sum.
+    fn total_over_frozen(&self, p: usize) -> Option<WeightVector> {
+        let frozen = self.frozen.as_ref()?;
+        let pred = self.plan.pred_stage(self.plan.stage_of(self.cfg.position));
+        let mut acc = WeightVector::zeros(self.model.dim());
+        for c in self.plan.members(pred) {
+            if frozen.contains(&c) {
+                acc.add_assign(self.blocks.get(&c)?.get(&p)?);
+            }
+        }
+        Some(acc)
+    }
+
+    fn compute_own_totals(&mut self) {
+        let t = self.plan.stage_of(self.cfg.position);
+        let i = self.plan.local_index(self.cfg.position);
+        for p in self.plan.assigned(t, i) {
+            if self.totals.contains_key(&(t, p)) {
+                continue;
+            }
+            if let Some(v) = self.total_over_frozen(p) {
+                self.totals.insert((t, p), v);
+            }
+        }
+    }
+
+    fn maybe_finish(&mut self) {
+        if self.phase != SacPhase::Collecting {
+            return;
+        }
+        if self.totals.len() < self.plan.total_partitions() {
+            return;
+        }
+        let Some(frozen) = self.frozen.as_ref() else {
+            return;
+        };
+        // Walk the grid explicitly so a spurious key can never substitute
+        // for a missing total: the count alone does not prove every
+        // partition is present.
+        let mut avg = WeightVector::zeros(self.model.dim());
+        for key in self.plan.grid() {
+            let Some(v) = self.totals.get(&key) else {
+                return;
+            };
+            avg.add_assign(v);
+        }
+        avg.scale(1.0 / frozen.len() as f64);
+        self.contributors = frozen.iter().copied().collect();
+        self.result = Some(avg);
+        self.phase = SacPhase::Done;
+    }
+
+    /// Progress after a share block or `ComputeOver` arrives: recompute
+    /// own totals, let the leader try to finish, let a follower send its
+    /// primary total as soon as it is computable (share blocks can arrive
+    /// *after* `ComputeOver` on slow links), and serve recovery requests
+    /// that were waiting on missing blocks.
+    fn progress(&mut self, ctx: &mut dyn Transport<W::Msg>) {
+        if self.frozen.is_none() {
+            return;
+        }
+        self.compute_own_totals();
+        if self.cfg.is_leader() {
+            self.maybe_finish();
+        } else if !self.sent_primary {
+            // Primary-owner rule (paper lines 14-16): each peer owns the
+            // total whose index is its own, and sends it unless the leader
+            // computes that total itself.
+            let stage = self.plan.stage_of(self.cfg.position);
+            let idx = self.plan.local_index(self.cfg.position);
+            if !self.plan.is_holder(self.cfg.leader_pos, stage, idx) {
+                if let Some(value) = self.totals.get(&(stage, idx)).cloned() {
+                    self.sent_primary = true;
+                    let total = RoundEvent::Total {
+                        round: self.round,
+                        stage,
+                        idx,
+                        value,
+                    };
+                    Self::send(ctx, self.leader(), total);
+                }
+            }
+        }
+        for (stage, idx) in std::mem::take(&mut self.pending_requests) {
+            if !self.send_total(ctx, stage, idx) {
+                self.pending_requests.push((stage, idx));
+            }
+        }
+    }
+
+    fn request_missing(&mut self, ctx: &mut dyn Transport<W::Msg>) {
+        let missing: Vec<(usize, usize)> = self
+            .plan
+            .grid()
+            .filter(|key| !self.totals.contains_key(key))
+            .collect();
+        if missing.is_empty() {
+            return;
+        }
+        for &(t, p) in &missing {
+            if self.requested.contains(&(t, p)) {
+                // Second deadline with the request still unanswered: the
+                // whole replica neighborhood is gone. Under supervision
+                // the round aborts and retries without the unresponsive
+                // holders; without it this is terminal.
+                let suspects: BTreeSet<usize> = missing
+                    .iter()
+                    .filter(|key| self.requested.contains(key))
+                    .flat_map(|&(qt, qp)| self.plan.holders_of(qt, qp))
+                    .collect();
+                let reason = format!("{} unrecoverable", W::total_label(t, p));
+                self.dead_end(ctx, &suspects, &reason, "");
+                return;
+            }
+            self.requested.insert((t, p));
+            // Ask every alternate holder; first response wins, duplicates
+            // are idempotent inserts.
+            for g in self.plan.holders_of(t, p) {
+                if g != self.cfg.position && self.plan.local_index(g) != p {
+                    let request = RoundEvent::TotalRequest {
+                        round: self.round,
+                        stage: t,
+                        idx: p,
+                    };
+                    Self::send(ctx, self.cfg.group[g], request);
+                }
+            }
+            self.recoveries += 1;
+        }
+        ctx.set_timer(
+            self.cfg.collect_deadline,
+            timer_tag(TIMER_COLLECT_DEADLINE, self.round),
+        );
     }
 
     /// Leader-side dead end: abort the round everywhere, then — unless the
     /// round was already a retry, or fewer than two members survive —
-    /// restart with the surviving roster and `k' = min(k, n')`.
+    /// restart with the surviving roster and `k' = min(k, n')`. The leader
+    /// itself always survives.
     fn supervise(
         &mut self,
-        ctx: &mut dyn Transport<SacMsg>,
+        ctx: &mut dyn Transport<W::Msg>,
         suspects: &BTreeSet<usize>,
         reason: &str,
     ) {
         let old_round = self.round;
         let me = self.me();
-        for &peer in &self.cfg.group.clone() {
-            if peer != me {
-                ctx.send(
-                    peer,
-                    SacMsg::Abort {
-                        round: old_round,
-                        reason: reason.to_string(),
-                    },
-                );
-            }
-        }
+        let abort = RoundEvent::Abort {
+            round: old_round,
+            reason: reason.to_string(),
+        };
+        self.send_to_peers(ctx, abort);
         self.aborted = Some(old_round);
         self.aborts += 1;
         let survivors: Vec<NodeId> = self
@@ -495,408 +940,132 @@ impl SacPeerActor {
         let k = self.cfg.k.min(survivors.len());
         let next = old_round + 1;
         self.reconfigure(survivors.clone(), me, k);
-        for &peer in &survivors {
-            if peer != me {
-                ctx.send(
-                    peer,
-                    SacMsg::Reconfigure {
-                        round: next,
-                        group: survivors.clone(),
-                        k,
-                    },
-                );
-            }
-        }
-        self.reset_for(next);
-        self.distribute_shares(ctx);
-        ctx.set_timer(
-            self.cfg.share_deadline,
-            timer_tag(TIMER_SHARE_DEADLINE, next),
-        );
-        self.arm_round_deadline(ctx);
-        self.phase = SacPhase::Sharing;
-        self.replay_future(ctx);
-    }
-
-    /// Re-dispatches stashed next-round messages now that the round has
-    /// advanced; anything not matching the current round is filtered out
-    /// by the per-message round guards.
-    fn replay_future(&mut self, ctx: &mut dyn Transport<SacMsg>) {
-        for (from, msg) in std::mem::take(&mut self.future) {
-            self.on_message(ctx, from, msg);
-        }
-    }
-
-    fn reset_for(&mut self, round: u64) {
-        self.round = round;
-        self.phase = SacPhase::Idle;
-        self.result = None;
-        self.contributors.clear();
-        self.recoveries = 0;
-        self.commitments.clear();
-        self.blocks.clear();
-        self.frozen = None;
-        self.subtotals.clear();
-        self.requested.clear();
-        self.sent_primary = false;
-        self.pending_requests.clear();
-    }
-
-    fn distribute_shares(&mut self, ctx: &mut dyn Transport<SacMsg>) {
-        let n = self.cfg.n();
-        let mut parts = divide(&self.model, n, self.cfg.scheme, &mut self.rng);
-        #[cfg(feature = "mutants")]
-        if crate::mutants::active(crate::mutants::Mutant::ShareSkew) {
-            if let Some(p0) = parts.get_mut(0) {
-                p0.scale(0.5);
-            }
-        }
-        // Commit to the partition digests before sending any shares. Links
-        // are FIFO, so every receiver sees the commitment before the block
-        // it covers. A Byzantine peer injected with `byz_share_skew` still
-        // commits honestly here and skews only what it sends below — which
-        // is exactly what the receivers' digest check convicts.
-        let digests: Vec<u64> = parts.iter().map(|p| p.digest()).collect();
-        let round = self.round;
-        let me = self.me();
-        for &peer in &self.cfg.group {
-            if peer != me {
-                ctx.send(
-                    peer,
-                    SacMsg::Commit {
-                        round,
-                        from_pos: self.cfg.position,
-                        digests: digests.clone(),
-                    },
-                );
-            }
-        }
-        let mut uses_left = vec![replication_factor(n, self.cfg.k); n];
-        for (j, &peer) in self.cfg.group.iter().enumerate() {
-            let mut block: Vec<(usize, WeightVector)> = assigned_partitions(n, self.cfg.k, j)
-                .into_iter()
-                .map(|p| (p, hand_out(&mut parts, &mut uses_left, p)))
-                .collect();
-            if j == self.cfg.position {
-                // Keep our own block locally.
-                self.blocks
-                    .entry(self.cfg.position)
-                    .or_default()
-                    .extend(block);
-            } else {
-                if let Some(factor) = self.byz_share_skew {
-                    for (_, v) in &mut block {
-                        v.scale(factor);
-                    }
-                }
-                ctx.send(
-                    peer,
-                    SacMsg::ShareBlock {
-                        round,
-                        from_pos: self.cfg.position,
-                        parts: block,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Positions whose blocks this peer has fully received.
-    fn received_from(&self) -> BTreeSet<usize> {
-        self.blocks.keys().copied().collect()
-    }
-
-    fn freeze_and_request_subtotals(&mut self, ctx: &mut dyn Transport<SacMsg>) {
-        let contributors = self.received_from();
-        if contributors.is_empty() {
-            self.phase = SacPhase::Failed("no contributors".into());
-            return;
-        }
-        if contributors.len() < self.cfg.k {
-            // Freezing below the threshold would publish an average the
-            // round's `k` policy does not sanction (a retry round can get
-            // here when its `Reconfigure` reaches the survivors after the
-            // new share deadline). Treat it as a dead end: supervised
-            // rounds abort and retry/fail, unsupervised rounds just fail.
-            if self.cfg.round_deadline.is_some() {
-                let suspects: BTreeSet<usize> = (0..self.cfg.n())
-                    .filter(|j| !contributors.contains(j))
-                    .collect();
-                self.supervise(ctx, &suspects, "fewer than k contributors at freeze");
-            } else {
-                self.phase = SacPhase::Failed(format!(
-                    "fewer than k contributors at freeze ({} < {})",
-                    contributors.len(),
-                    self.cfg.k
-                ));
-            }
-            return;
-        }
-        self.frozen = Some(contributors.clone());
-        let msg = SacMsg::ComputeOver {
-            round: self.round,
-            contributors: contributors.iter().copied().collect(),
+        let reconfigure = RoundEvent::Reconfigure {
+            round: next,
+            group: survivors,
+            k,
         };
-        let me = self.cfg.group[self.cfg.position];
-        for &peer in &self.cfg.group.clone() {
-            if peer != me {
-                ctx.send(peer, msg.clone());
+        self.send_to_peers(ctx, reconfigure);
+        self.enter_round(ctx, next);
+    }
+
+    /// The sender-binding gate: whether `from` — the peer the transport
+    /// authenticated as the sender — is entitled to send `event` under
+    /// the roster in force. Position-stamped messages must come from the
+    /// member at that position (shares: one in the receiver's predecessor
+    /// stage); control messages and total requests only from the leader;
+    /// totals go to the leader only, from a holder of that total.
+    fn authorised(&self, from: NodeId, event: &RoundEvent) -> bool {
+        let cfg = &self.cfg;
+        let is = |pos: usize| cfg.group.get(pos) == Some(&from);
+        match event {
+            RoundEvent::Begin { .. }
+            | RoundEvent::ComputeOver { .. }
+            | RoundEvent::TotalRequest { .. }
+            | RoundEvent::Abort { .. }
+            | RoundEvent::Reconfigure { .. } => is(cfg.leader_pos),
+            RoundEvent::Commit { from_pos, .. } => is(*from_pos),
+            RoundEvent::Shared { from_pos, .. } => cfg.is_leader() && is(*from_pos),
+            RoundEvent::Share { from_pos, .. } => {
+                is(*from_pos)
+                    && self.plan.stage_of(*from_pos)
+                        == self.plan.pred_stage(self.plan.stage_of(cfg.position))
             }
-        }
-        // Compute our own block's subtotals immediately.
-        self.compute_own_subtotals();
-        self.phase = SacPhase::Collecting;
-        ctx.set_timer(
-            self.cfg.collect_deadline,
-            timer_tag(TIMER_COLLECT_DEADLINE, self.round),
-        );
-        self.maybe_finish();
-    }
-
-    /// Subtotal for partition `p` over the frozen contributor set; `None`
-    /// if some contributor's partition is missing locally.
-    fn subtotal_over_frozen(&self, p: usize) -> Option<WeightVector> {
-        let frozen = self.frozen.as_ref()?;
-        let mut acc = WeightVector::zeros(self.model.dim());
-        for &c in frozen {
-            acc.add_assign(self.blocks.get(&c)?.get(&p)?);
-        }
-        Some(acc)
-    }
-
-    fn compute_own_subtotals(&mut self) {
-        let n = self.cfg.n();
-        for p in assigned_partitions(n, self.cfg.k, self.cfg.position) {
-            if let Some(s) = self.subtotal_over_frozen(p) {
-                self.subtotals.insert(p, s);
-            }
-        }
-    }
-
-    fn maybe_finish(&mut self) {
-        if self.phase != SacPhase::Collecting {
-            return;
-        }
-        let n = self.cfg.n();
-        if self.subtotals.len() < n {
-            return;
-        }
-        let Some(frozen) = self.frozen.as_ref() else {
-            return;
-        };
-        let mut avg = WeightVector::zeros(self.model.dim());
-        for p in 0..n {
-            // Explicit grid check: the count alone does not prove every
-            // partition 0..n is present.
-            let Some(s) = self.subtotals.get(&p) else {
-                return;
-            };
-            avg.add_assign(s);
-        }
-        avg.scale(1.0 / frozen.len() as f64);
-        self.contributors = frozen.iter().copied().collect();
-        self.result = Some(avg);
-        self.phase = SacPhase::Done;
-    }
-
-    /// Follower-side progress: once the contributor set is frozen, send
-    /// the primary subtotal as soon as it becomes computable (share blocks
-    /// can arrive *after* `ComputeOver` on slow links), and answer any
-    /// recovery requests that were waiting on missing partitions.
-    fn follower_progress(&mut self, ctx: &mut dyn Transport<SacMsg>) {
-        if self.frozen.is_none() {
-            return;
-        }
-        self.compute_own_subtotals();
-        if !self.cfg.is_leader() && !self.sent_primary {
-            let leader_block = assigned_partitions(self.cfg.n(), self.cfg.k, self.cfg.leader_pos);
-            if !leader_block.contains(&self.cfg.position) {
-                if let Some(s) = self.subtotals.get(&self.cfg.position).cloned() {
-                    self.sent_primary = true;
-                    ctx.send(
-                        self.cfg.group[self.cfg.leader_pos],
-                        SacMsg::Subtotal {
-                            round: self.round,
-                            idx: self.cfg.position,
-                            value: s,
-                        },
-                    );
-                }
-            }
-        }
-        let pending = std::mem::take(&mut self.pending_requests);
-        for (idx, from) in pending {
-            if let Some(s) = self.subtotal_over_frozen(idx) {
-                ctx.send(
-                    from,
-                    SacMsg::Subtotal {
-                        round: self.round,
-                        idx,
-                        value: s,
-                    },
-                );
-            } else {
-                self.pending_requests.push((idx, from));
-            }
-        }
-    }
-
-    fn request_missing(&mut self, ctx: &mut dyn Transport<SacMsg>) {
-        let n = self.cfg.n();
-        let missing: Vec<usize> = (0..n).filter(|p| !self.subtotals.contains_key(p)).collect();
-        if missing.is_empty() {
-            return;
-        }
-        for &p in &missing {
-            if self.requested.contains(&p) {
-                // Second deadline with the request still unanswered: the
-                // whole replica neighborhood is gone. Under supervision
-                // the round aborts and retries without the unresponsive
-                // holders; without it this is terminal.
-                if self.cfg.round_deadline.is_some() {
-                    let suspects: BTreeSet<usize> = missing
+            RoundEvent::Total { stage, idx, .. } => {
+                cfg.is_leader()
+                    && cfg
+                        .group
                         .iter()
-                        .filter(|q| self.requested.contains(q))
-                        .flat_map(|&q| holders(n, self.cfg.k, q))
-                        .collect();
-                    self.supervise(ctx, &suspects, &format!("partition {p} unrecoverable"));
-                } else {
-                    self.phase = SacPhase::Failed(format!("partition {p} unrecoverable"));
-                }
-                return;
+                        .position(|&p| p == from)
+                        .is_some_and(|pos| self.plan.is_holder(pos, *stage, *idx))
             }
-            self.requested.insert(p);
-            // Ask every alternate holder; first response wins, duplicates
-            // are idempotent inserts.
-            for h in holders(n, self.cfg.k, p) {
-                if h != self.cfg.position && h != p {
-                    let peer = self.cfg.group[h];
-                    ctx.send(
-                        peer,
-                        SacMsg::SubtotalRequest {
-                            round: self.round,
-                            idx: p,
-                        },
-                    );
-                }
-            }
-            self.recoveries += 1;
         }
-        ctx.set_timer(
-            self.cfg.collect_deadline,
-            timer_tag(TIMER_COLLECT_DEADLINE, self.round),
-        );
     }
-}
 
-impl Actor<SacMsg> for SacPeerActor {
-    fn on_message(&mut self, ctx: &mut dyn Transport<SacMsg>, from: NodeId, msg: SacMsg) {
-        // Stash anything addressed to the round right after ours: our
-        // `Begin` is still in flight on another connection. `Begin` and
-        // `Reconfigure` advance the round themselves, so they are never
-        // stashed. The bound makes a hostile or deeply desynchronized peer
-        // a no-op, not a memory leak — and evictions are counted and
-        // logged, not silent.
-        let msg_round = match &msg {
-            SacMsg::Begin { .. } | SacMsg::Reconfigure { .. } => None,
-            SacMsg::Commit { round, .. }
-            | SacMsg::ShareBlock { round, .. }
-            | SacMsg::ComputeOver { round, .. }
-            | SacMsg::Subtotal { round, .. }
-            | SacMsg::SubtotalRequest { round, .. }
-            | SacMsg::Abort { round, .. } => Some(*round),
-        };
-        if let Some(r) = msg_round {
+    /// Same freshness rules for `Begin` and `Reconfigure`: never regress,
+    /// never re-randomize a round in progress, never revive an aborted
+    /// round. Share distribution draws fresh randomness, so it must run
+    /// exactly once per round: a duplicated `Begin` for the round in
+    /// progress would emit a *different* share set and break mask
+    /// cancellation, and a stale one re-delivered from an earlier round
+    /// would regress the actor.
+    fn stale_opening(&self, round: u64) -> bool {
+        round < self.round
+            || (round == self.round && self.phase != SacPhase::Idle)
+            || self.aborted == Some(round)
+    }
+
+    /// The one place a received message is judged: next-round stash,
+    /// dead-round discard, sender binding, then the protocol step.
+    fn dispatch(&mut self, ctx: &mut dyn Transport<W::Msg>, from: NodeId, event: RoundEvent) {
+        if let Some(r) = event.stash_round() {
+            // Stash anything addressed to the round right after ours: our
+            // `Begin` is still in flight on another connection. The stash
+            // comes before the sender gate on purpose: the roster may
+            // change with the round, so a stashed message is judged
+            // against the roster in force when it is replayed. The bound
+            // makes a hostile or deeply desynchronized peer a no-op, not a
+            // memory leak — and evictions are counted, not silent.
             if r == self.round + 1 {
                 if self.future.len() < 4 * self.cfg.n() {
-                    self.future.push((from, msg));
+                    self.future.push((from, event));
                 } else {
-                    // Counted in `stash_evicted`, surfaced via NetStats.
                     self.stash_evicted += 1;
                 }
                 return;
             }
-            // Messages for an aborted round are dead on arrival: its mask
-            // material is gone, and a late ShareBlock (or a re-delivered
-            // Abort) must not resurrect partial round state.
-            if self.aborted == Some(r) && r == self.round {
+            // Other rounds are stale, and messages for an aborted round
+            // are dead on arrival: its mask material is gone, and a late
+            // share (or a re-delivered Abort) must not resurrect partial
+            // round state.
+            if r != self.round || self.aborted == Some(r) {
                 return;
             }
         }
-        match msg {
-            SacMsg::Begin { round } => {
-                if self.cfg.is_leader() {
-                    return; // only followers react to Begin
-                }
-                // Share distribution draws fresh randomness, so it must
-                // run exactly once per round: a duplicated Begin for the
-                // round in progress would emit a *different* share set and
-                // break mask cancellation, and a stale Begin re-delivered
-                // from an earlier round would regress the actor.
+        if !self.authorised(from, &event) {
+            self.shares_rejected += 1;
+            return;
+        }
+        match event {
+            RoundEvent::Begin { round } => {
                 #[cfg(feature = "mutants")]
                 let guard_disabled =
                     crate::mutants::active(crate::mutants::Mutant::BeginRerandomize);
                 #[cfg(not(feature = "mutants"))]
                 let guard_disabled = false;
-                if !guard_disabled
-                    && (round < self.round
-                        || (round == self.round && self.phase != SacPhase::Idle)
-                        || self.aborted == Some(round))
-                {
-                    return;
+                if guard_disabled || !self.stale_opening(round) {
+                    self.enter_round(ctx, round);
                 }
-                self.reset_for(round);
-                self.distribute_shares(ctx);
-                self.arm_round_deadline(ctx);
-                self.phase = SacPhase::Sharing;
-                self.replay_future(ctx);
             }
-            SacMsg::Commit {
-                round,
-                from_pos,
-                digests,
+            RoundEvent::Commit {
+                from_pos, digests, ..
             } => {
-                // Out-of-roster sender positions are rejected so the
-                // commitment table stays bounded by the roster size.
-                if round != self.round || from_pos >= self.cfg.n() {
-                    return;
-                }
                 self.commitments.insert(from_pos, digests);
             }
-            SacMsg::ShareBlock {
-                round,
-                from_pos,
-                parts,
+            RoundEvent::Share {
+                from_pos, parts, ..
             } => {
-                if round != self.round {
-                    return;
-                }
-                // Shape gate: a block whose sender position, partition
-                // indices, or dimensions don't fit the roster/model is
-                // Byzantine by construction. Reject it *before* it can
-                // reach the subtotal arithmetic, whose `add_assign`
+                // Shape gate: a block whose partition indices or
+                // dimensions don't fit the receiver's grid row or the
+                // model is Byzantine by construction. Reject it *before*
+                // it can reach the total arithmetic, whose `add_assign`
                 // panics on dimension mismatch.
                 let dim = self.model.dim();
-                if from_pos >= self.cfg.n()
-                    || parts
-                        .iter()
-                        .any(|(p, v)| *p >= self.cfg.n() || v.dim() != dim)
-                {
+                let row = self.plan.stage_len(self.plan.stage_of(self.cfg.position));
+                if parts.iter().any(|(p, v)| *p >= row || v.dim() != dim) {
                     self.shares_rejected += 1;
-                    if from_pos < self.cfg.n() {
-                        self.byzantine_detected.insert(from_pos);
-                    }
+                    self.byzantine_detected.insert(from_pos);
                     return;
                 }
                 // Commitment check: every partition in the block must hash
                 // to the digest its sender committed to for this round. A
                 // mismatch convicts the sender (the commitment and the
-                // block carry the same signature — its position — over the
-                // same FIFO link) and rejects the whole block, turning the
-                // Byzantine sender into an ordinary dropout. An absent
-                // commitment is *not* a conviction: a peer that never
-                // committed simply predates the check (mixed versions) and
-                // is accepted as before.
+                // block both came from it, over the same FIFO link) and
+                // rejects the whole block, turning the Byzantine sender
+                // into an ordinary dropout. An absent commitment is *not*
+                // a conviction: a peer that never committed simply
+                // predates the check (mixed versions) — or speaks a wire
+                // protocol without commitments — and is accepted.
                 if self.verify_commitments {
                     if let Some(digests) = self.commitments.get(&from_pos) {
                         let consistent = parts
@@ -910,127 +1079,94 @@ impl Actor<SacMsg> for SacPeerActor {
                         }
                     }
                 }
-                let entry = self.blocks.entry(from_pos).or_default();
-                for (p, v) in parts {
-                    entry.insert(p, v);
-                }
-                if self.cfg.is_leader() {
-                    // Rejected senders will never be heard from again this
-                    // round; counting them lets the leader freeze as soon
-                    // as every *honest* block is in instead of burning the
-                    // share deadline.
-                    let settled = self.received_from().len()
-                        + self
-                            .byzantine_detected
-                            .iter()
-                            .filter(|p| !self.blocks.contains_key(p))
-                            .count();
-                    if self.phase == SacPhase::Sharing && settled == self.cfg.n() {
-                        self.freeze_and_request_subtotals(ctx);
-                    }
-                } else {
-                    self.follower_progress(ctx);
+                self.blocks.entry(from_pos).or_default().extend(parts);
+                self.maybe_freeze(ctx);
+                self.progress(ctx);
+            }
+            RoundEvent::Shared { from_pos, .. } => {
+                // A late announcement after the freeze changes nothing.
+                if self.phase == SacPhase::Sharing {
+                    self.announced.insert(from_pos);
+                    self.maybe_freeze(ctx);
                 }
             }
-            SacMsg::ComputeOver {
-                round,
-                contributors,
-            } => {
-                if round != self.round || self.cfg.is_leader() {
-                    return;
+            RoundEvent::ComputeOver { contributors, .. } => {
+                if self.frozen.is_some() {
+                    return; // the set freezes once per round
                 }
-                let _ = from; // leader is the sender of ComputeOver
-                self.frozen = Some(contributors.into_iter().collect());
-                // Primary-owner rule (paper lines 14-16): the k-1 peers
-                // whose index the leader does not hold send their subtotal
-                // — as soon as it is computable (blocks may still be in
-                // flight on slow links).
-                self.follower_progress(ctx);
-            }
-            SacMsg::Subtotal { round, idx, value } => {
-                if round != self.round || !self.cfg.is_leader() {
-                    return;
-                }
-                // Bounds/shape gate: an out-of-range index or a wrong-
-                // dimension value must not enter the average.
-                if idx >= self.cfg.n() || value.dim() != self.model.dim() {
+                let set: BTreeSet<usize> = contributors.into_iter().collect();
+                if set.iter().any(|&c| c >= self.cfg.n())
+                    || self
+                        .plan
+                        .lone_contributor_stage(|p| set.contains(&p))
+                        .is_some()
+                {
+                    // A correct leader never freezes a set outside the
+                    // roster, or one that isolates a contributor in a
+                    // stage (see `freeze`); totalling the latter would
+                    // hand a curious leader that peer's model. Refuse —
+                    // the round ends via Abort or this follower's round
+                    // deadline.
                     self.shares_rejected += 1;
                     return;
                 }
-                self.subtotals.entry(idx).or_insert(value);
+                self.frozen = Some(set);
+                self.progress(ctx);
+            }
+            RoundEvent::Total {
+                stage, idx, value, ..
+            } => {
+                // A wrong-dimension value must not enter the average.
+                if value.dim() != self.model.dim() {
+                    self.shares_rejected += 1;
+                    return;
+                }
+                self.totals.entry((stage, idx)).or_insert(value);
                 self.maybe_finish();
             }
-            SacMsg::SubtotalRequest { round, idx } => {
-                if round != self.round || idx >= self.cfg.n() {
+            RoundEvent::TotalRequest { stage, idx, .. } => {
+                // Never servable means never queued: only a holder of
+                // `(stage, idx)` can ever total it.
+                if !self.plan.is_holder(self.cfg.position, stage, idx) {
+                    self.shares_rejected += 1;
                     return;
                 }
-                if let Some(s) = self.subtotal_over_frozen(idx) {
-                    ctx.send(
-                        from,
-                        SacMsg::Subtotal {
-                            round: self.round,
-                            idx,
-                            value: s,
-                        },
-                    );
-                } else {
-                    // Can't serve yet (missing partitions); answer when the
-                    // missing blocks arrive.
-                    self.pending_requests.push((idx, from));
+                // Can't serve yet (missing blocks, or the contributor set
+                // is not frozen here yet)? Answer when the pieces arrive.
+                if !self.send_total(ctx, stage, idx) {
+                    self.pending_requests.push((stage, idx));
                 }
             }
-            SacMsg::Abort { round, reason } => {
-                if round != self.round || self.cfg.is_leader() {
-                    return;
-                }
-                let _ = reason;
+            RoundEvent::Abort { round, .. } => {
                 self.reset_for(round);
                 self.aborted = Some(round);
                 self.aborts += 1;
             }
-            SacMsg::Reconfigure { round, group, k } => {
-                if self.cfg.is_leader() {
-                    return;
+            RoundEvent::Reconfigure { round, group, k } => {
+                // A roster without this peer evicts it for the retry; it
+                // sits the round out (the layer above re-admits it via
+                // the join path). `reconfigure` refuses such a roster.
+                if !self.stale_opening(round) && self.reconfigure(group, from, k) {
+                    self.enter_round(ctx, round);
                 }
-                // Same freshness rules as Begin: never regress, never
-                // re-randomize a round in progress, never revive an
-                // aborted round.
-                if round < self.round
-                    || (round == self.round && self.phase != SacPhase::Idle)
-                    || self.aborted == Some(round)
-                {
-                    return;
-                }
-                if k < 1 || k > group.len() {
-                    return;
-                }
-                let me = self.me();
-                if !group.contains(&me) {
-                    // Evicted from the retry roster; sit this round out
-                    // (the layer above re-admits us via the join path).
-                    return;
-                }
-                if !group.contains(&from) {
-                    return;
-                }
-                self.reconfigure(group, from, k);
-                self.reset_for(round);
-                self.distribute_shares(ctx);
-                self.arm_round_deadline(ctx);
-                self.phase = SacPhase::Sharing;
-                self.replay_future(ctx);
             }
         }
     }
+}
 
-    fn on_timer(&mut self, ctx: &mut dyn Transport<SacMsg>, tag: u64) {
+impl<W: Wire> Actor<W::Msg> for RoundCore<W> {
+    fn on_message(&mut self, ctx: &mut dyn Transport<W::Msg>, from: NodeId, msg: W::Msg) {
+        self.dispatch(ctx, from, W::decode(msg));
+    }
+
+    fn on_timer(&mut self, ctx: &mut dyn Transport<W::Msg>, tag: u64) {
         let (base, round) = (tag & 0xff, tag >> 8);
         if round != self.round {
             return; // armed for a round that has since ended or aborted
         }
         match base {
             TIMER_SHARE_DEADLINE if self.cfg.is_leader() && self.phase == SacPhase::Sharing => {
-                self.freeze_and_request_subtotals(ctx);
+                self.freeze(ctx);
             }
             TIMER_COLLECT_DEADLINE
                 if self.cfg.is_leader() && self.phase == SacPhase::Collecting =>
@@ -1043,9 +1179,7 @@ impl Actor<SacMsg> for SacPeerActor {
                         // The phase deadlines failed to finish the round in
                         // a whole supervisor window: abort and retry with
                         // whoever has been heard from.
-                        let heard = self.received_from();
-                        let suspects: BTreeSet<usize> =
-                            (0..self.cfg.n()).filter(|j| !heard.contains(j)).collect();
+                        let suspects = self.unheard();
                         self.supervise(ctx, &suspects, "round deadline expired");
                     }
                 } else if self.phase == SacPhase::Sharing {
@@ -1074,113 +1208,210 @@ impl Actor<SacMsg> for SacPeerActor {
     }
 }
 
+/// Shared harness for the engine tests here and beside each adaptor.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testkit {
     use super::*;
-    use p2pfl_simnet::{Sim, SimTime, TimerId};
+    pub(crate) use p2pfl_simnet::{Sim, SimTime, TimerId};
 
-    fn build(
+    pub(crate) fn ids(n: usize) -> Vec<NodeId> {
+        (0..n as u32).map(NodeId).collect()
+    }
+
+    pub(crate) fn config(ids: &[NodeId], i: usize, k: usize, seed: u64) -> SacConfig {
+        SacConfig {
+            group: ids.to_vec(),
+            position: i,
+            leader_pos: 0,
+            k,
+            scheme: ShareScheme::Masked,
+            // Informational here: the engine is chosen by the actor type.
+            engine: SacEngine::default(),
+            share_deadline: SimDuration::from_millis(100),
+            collect_deadline: SimDuration::from_millis(100),
+            round_deadline: None,
+            seed,
+        }
+    }
+
+    /// `n` engines on a simulator, `on_start` flushed; supervised when a
+    /// round deadline is given.
+    pub(crate) fn build<W: Wire>(
         n: usize,
         k: usize,
         dim: usize,
         seed: u64,
-    ) -> (Sim<SacMsg>, Vec<NodeId>, Vec<WeightVector>) {
+        round_deadline: Option<SimDuration>,
+    ) -> (Sim<W::Msg>, Vec<NodeId>, Vec<WeightVector>) {
         let mut sim = Sim::new(seed);
-        let ids: Vec<NodeId> = (0..n).map(|i| NodeId(i as u32)).collect();
+        let ids = ids(n);
         let mut rng = StdRng::seed_from_u64(seed + 999);
         let models: Vec<WeightVector> = (0..n)
             .map(|_| WeightVector::random(dim, 1.0, &mut rng))
             .collect();
         for i in 0..n {
-            let cfg = SacConfig {
-                group: ids.clone(),
-                position: i,
-                leader_pos: 0,
-                k,
-                scheme: ShareScheme::Masked,
-                engine: SacEngine::Pairwise,
-                share_deadline: SimDuration::from_millis(100),
-                collect_deadline: SimDuration::from_millis(100),
-                round_deadline: None,
-                seed: seed + i as u64,
-            };
-            let actual = sim.add_node(SacPeerActor::new(cfg, models[i].clone()));
+            let mut cfg = config(&ids, i, k, seed + i as u64);
+            cfg.round_deadline = round_deadline;
+            let actual = sim.add_node(RoundCore::<W>::new(cfg, models[i].clone()));
             assert_eq!(actual, ids[i]);
         }
+        sim.run_until_quiet(100);
         (sim, ids, models)
     }
 
-    fn start(sim: &mut Sim<SacMsg>, leader: NodeId, round: u64) {
-        sim.run_until_quiet(100); // flush on_start events
-        sim.exec::<SacPeerActor, _, _>(leader, |a, ctx| a.start_round(ctx, round));
+    pub(crate) fn start<W: Wire>(sim: &mut Sim<W::Msg>, leader: NodeId, round: u64) {
+        sim.exec::<RoundCore<W>, _, _>(leader, |a, ctx| a.start_round(ctx, round));
     }
 
-    /// Like [`build`] but with the round supervisor enabled on every peer.
-    fn build_supervised(
-        n: usize,
-        k: usize,
-        dim: usize,
-        seed: u64,
-        round_deadline: SimDuration,
-    ) -> (Sim<SacMsg>, Vec<NodeId>, Vec<WeightVector>) {
-        let mut sim = Sim::new(seed);
-        let ids: Vec<NodeId> = (0..n).map(|i| NodeId(i as u32)).collect();
-        let mut rng = StdRng::seed_from_u64(seed + 999);
-        let models: Vec<WeightVector> = (0..n)
-            .map(|_| WeightVector::random(dim, 1.0, &mut rng))
-            .collect();
-        for i in 0..n {
-            let cfg = SacConfig {
-                group: ids.clone(),
-                position: i,
-                leader_pos: 0,
-                k,
-                scheme: ShareScheme::Masked,
-                engine: SacEngine::Pairwise,
-                share_deadline: SimDuration::from_millis(100),
-                collect_deadline: SimDuration::from_millis(100),
-                round_deadline: Some(round_deadline),
-                seed: seed + i as u64,
-            };
-            let actual = sim.add_node(SacPeerActor::new(cfg, models[i].clone()));
-            assert_eq!(actual, ids[i]);
-        }
-        (sim, ids, models)
-    }
-
-    fn plain_mean(models: &[WeightVector], idx: &[usize]) -> WeightVector {
+    pub(crate) fn plain_mean(models: &[WeightVector], idx: &[usize]) -> WeightVector {
         WeightVector::mean(idx.iter().map(|&i| &models[i]))
     }
 
-    #[test]
-    fn rekey_reseeds_and_the_round_still_averages() {
+    /// Asserts the leader finished over `contributors` with their mean.
+    pub(crate) fn assert_done<W: Wire>(
+        leader: &RoundCore<W>,
+        models: &[WeightVector],
+        contributors: &[usize],
+    ) {
+        assert_eq!(leader.phase, SacPhase::Done, "phase: {:?}", leader.phase);
+        assert_eq!(leader.contributors, contributors);
+        let avg = leader.result.as_ref().unwrap();
+        let err = avg.linf_distance(&plain_mean(models, contributors));
+        assert!(err < 1e-9, "error {err}");
+    }
+
+    /// Transport stub recording sends — for driving an actor directly with
+    /// an adversarial message *order*, which the simulator cannot express
+    /// (its per-link delivery never reorders a `Begin` behind a later
+    /// cross-peer share deterministically).
+    pub(crate) struct StubNet<M> {
+        pub(crate) id: NodeId,
+        pub(crate) sent: Vec<(NodeId, M)>,
+    }
+
+    impl<M: Payload> Transport<M> for StubNet<M> {
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn node_id(&self) -> NodeId {
+            self.id
+        }
+        fn send(&mut self, to: NodeId, msg: M) {
+            self.sent.push((to, msg));
+        }
+        fn set_timer(&mut self, _delay: SimDuration, _tag: u64) -> TimerId {
+            TimerId(0)
+        }
+        fn cancel_timer(&mut self, _id: TimerId) {}
+    }
+
+    /// A lone engine at `position` of `n` (leader 0) with a stub transport,
+    /// fed events as if they arrived from `from`.
+    pub(crate) struct Solo<W: Wire> {
+        pub(crate) actor: RoundCore<W>,
+        pub(crate) net: StubNet<W::Msg>,
+        pub(crate) ids: Vec<NodeId>,
+    }
+
+    impl<W: Wire> Solo<W> {
+        pub(crate) fn new(n: usize, position: usize, k: usize, supervised: bool) -> Self {
+            let ids = ids(n);
+            let mut cfg = config(&ids, position, k, 77);
+            cfg.share_deadline = SimDuration::from_secs(1);
+            cfg.collect_deadline = SimDuration::from_secs(1);
+            cfg.round_deadline = supervised.then_some(SimDuration::from_secs(10));
+            Solo {
+                actor: RoundCore::new(cfg, WeightVector::new(vec![1.0, 2.0])),
+                net: StubNet {
+                    id: ids[position],
+                    sent: Vec::new(),
+                },
+                ids,
+            }
+        }
+
+        pub(crate) fn deliver(&mut self, from: usize, event: RoundEvent) {
+            let msg = W::encode(event).expect("event exists on this wire");
+            self.actor.on_message(&mut self.net, self.ids[from], msg);
+        }
+
+        /// A share of partition 0 from `from`.
+        pub(crate) fn share(round: u64, from: usize) -> RoundEvent {
+            RoundEvent::Share {
+                round,
+                from_pos: from,
+                parts: vec![(0, WeightVector::new(vec![0.5, 0.5]))],
+            }
+        }
+    }
+}
+
+/// The supervision contract, checked once per share plan: every test
+/// body below is generic over the [`Wire`] and instantiated for both.
+#[cfg(test)]
+mod tests {
+    use super::testkit::*;
+    use super::*;
+
+    /// Generates one `#[test]` per listed body and share plan.
+    macro_rules! per_plan {
+        ($($body:ident),* $(,)?) => {
+            mod pairwise {
+                $(#[test] fn $body() { super::$body::<crate::PairwiseWire>(); })*
+            }
+            mod ring {
+                $(#[test] fn $body() { super::$body::<crate::ring::RingWire>(); })*
+            }
+        };
+    }
+
+    per_plan!(
+        rekey_reseeds_and_the_round_still_averages,
+        rekey_history_stays_fresh_and_rejects_bad_rosters,
+        happy_path_completes_with_plain_mean_across_sizes,
+        after_share_crash_is_recovered,
+        before_share_crash_is_excluded,
+        unrecoverable_when_every_holder_dies,
+        supervised_unrecoverable_degrades_and_completes,
+        supervised_refuses_below_two_members,
+        next_round_share_arriving_before_begin_is_replayed,
+        stash_eviction_is_counted_not_silent,
+        begin_aimed_at_leader_is_ignored,
+        duplicate_and_stale_begins_are_ignored,
+        stale_round_messages_are_ignored,
+        abort_after_late_share_is_idempotent,
+        reconfigure_excluding_this_peer_is_ignored,
+        follower_round_deadline_abandons_unclosed_round,
+        second_round_reuses_the_engine,
+        bogus_total_cannot_complete_the_round,
+        hostile_shapes_are_counted_and_bounded_by_the_grid,
+        unservable_requests_are_never_queued,
+    );
+
+    fn leader<W: Wire>(sim: &Sim<W::Msg>) -> &RoundCore<W> {
+        sim.actor(NodeId(0))
+    }
+
+    fn rekey_reseeds_and_the_round_still_averages<W: Wire>() {
         // Re-keying every member onto the same roster must leave the
         // arithmetic intact: the fresh mask streams still cancel, so the
         // next round's result is exactly the plain mean.
-        let (mut sim, ids, models) = build(4, 2, 8, 51);
-        start(&mut sim, ids[0], 1);
+        let (mut sim, ids, models) = build::<W>(5, 2, 8, 51, None);
+        start::<W>(&mut sim, ids[0], 1);
         sim.run_until(SimTime::from_secs(2));
-        assert_eq!(sim.actor::<SacPeerActor>(ids[0]).phase, SacPhase::Done);
+        assert_eq!(leader::<W>(&sim).phase, SacPhase::Done);
         for (i, &id) in ids.iter().enumerate() {
-            let group = ids.clone();
-            let adopted =
-                sim.actor_mut::<SacPeerActor>(id)
-                    .rekey(group, ids[0], 2, 0xe1a5_71c0 + i as u64);
-            assert!(adopted);
+            let a = sim.actor_mut::<RoundCore<W>>(id);
+            assert!(a.rekey(ids.clone(), ids[0], 2, 0xe1a5_71c0 + i as u64));
         }
-        sim.exec::<SacPeerActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 2));
+        start::<W>(&mut sim, ids[0], 2);
         sim.run_until(SimTime::from_secs(4));
-        let leader = sim.actor::<SacPeerActor>(ids[0]);
-        assert_eq!(leader.phase, SacPhase::Done);
-        let avg = leader.result.as_ref().unwrap();
-        assert!(avg.linf_distance(&plain_mean(&models, &[0, 1, 2, 3])) < 1e-9);
+        assert_done(leader::<W>(&sim), &models, &[0, 1, 2, 3, 4]);
     }
 
-    #[test]
-    fn rekey_history_stays_fresh_for_identical_rosters() {
-        let (mut sim, ids, _) = build(3, 2, 4, 52);
-        sim.run_until_quiet(100);
-        let a = sim.actor_mut::<SacPeerActor>(ids[1]);
+    fn rekey_history_stays_fresh_and_rejects_bad_rosters<W: Wire>() {
+        let (mut sim, ids, _) = build::<W>(4, 2, 4, 52, None);
+        let a = sim.actor_mut::<RoundCore<W>>(ids[1]);
         assert_eq!(a.mask_keys().len(), 1);
         // Same roster, same leader, twice — only the roster key differs
         // (a split immediately undone by a merge). Every domain is fresh.
@@ -1192,529 +1423,399 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), hist.len(), "mask domain reused: {hist:?}");
-    }
-
-    #[test]
-    fn rekey_rejects_roster_without_this_peer() {
-        let (mut sim, ids, _) = build(3, 2, 4, 53);
-        sim.run_until_quiet(100);
-        let a = sim.actor_mut::<SacPeerActor>(ids[2]);
-        let before = a.mask_keys().to_vec();
-        // A roster that drops this peer (or its leader) must be refused
-        // without touching the mask stream.
-        assert!(!a.rekey(vec![ids[0], ids[1]], ids[0], 2, 9));
+        // A roster that drops this peer or its leader, or carries an
+        // unsatisfiable threshold, is refused without touching the stream.
+        assert!(!a.rekey(vec![ids[0], ids[2]], ids[0], 2, 9));
         assert!(!a.rekey(ids.clone(), NodeId(99), 2, 9));
-        assert!(!a.rekey(ids.clone(), ids[0], 4, 9));
-        assert_eq!(a.mask_keys(), &before[..]);
+        assert!(!a.rekey(ids.clone(), ids[0], 5, 9));
+        assert_eq!(a.mask_keys(), &hist[..]);
     }
 
-    #[test]
-    fn happy_path_completes_with_plain_mean() {
-        let (mut sim, ids, models) = build(5, 3, 16, 42);
-        start(&mut sim, ids[0], 1);
+    fn happy_path_completes_with_plain_mean_across_sizes<W: Wire>() {
+        // On the staged layout this covers L = 1 (all-to-all degenerate),
+        // L = 2 and L = 4 rings.
+        for (n, k) in [(3usize, 2usize), (4, 2), (5, 3), (6, 2), (8, 4), (16, 8)] {
+            let (mut sim, ids, models) = build::<W>(n, k, 16, 42 + n as u64, None);
+            start::<W>(&mut sim, ids[0], 1);
+            sim.run_until(SimTime::from_secs(2));
+            let all: Vec<usize> = (0..n).collect();
+            assert_done(leader::<W>(&sim), &models, &all);
+            assert_eq!(leader::<W>(&sim).recoveries, 0, "n={n}");
+        }
+    }
+
+    /// A position other than the leader whose primary total the leader
+    /// does not compute itself — crashing it after it shared forces a
+    /// recovery (or, without replicas, a dead end).
+    fn primary_owner<W: Wire>(n: usize, k: usize) -> usize {
+        let plan = W::layout(n, k);
+        (1..n)
+            .rev()
+            .find(|&p| !plan.is_holder(0, plan.stage_of(p), plan.local_index(p)))
+            .expect("some total is not the leader's")
+    }
+
+    fn after_share_crash_is_recovered<W: Wire>() {
+        // The victim shares, then dies before sending its primary total:
+        // the leader recovers it from a replica holder, and the victim
+        // still contributes.
+        let (n, k) = if W::ANNOUNCES { (6, 2) } else { (5, 3) };
+        let victim = primary_owner::<W>(n, k);
+        let (mut sim, ids, models) = build::<W>(n, k, 8, 7, None);
+        start::<W>(&mut sim, ids[0], 1);
+        // Shares settle within ~2 link delays (30ms); crash after.
+        sim.schedule_crash(ids[victim], sim.now() + SimDuration::from_millis(40));
         sim.run_until(SimTime::from_secs(2));
-        let leader = sim.actor::<SacPeerActor>(ids[0]);
-        assert_eq!(leader.phase, SacPhase::Done);
-        assert_eq!(leader.contributors, vec![0, 1, 2, 3, 4]);
-        assert_eq!(leader.recoveries, 0);
-        let avg = leader.result.as_ref().unwrap();
-        assert!(avg.linf_distance(&plain_mean(&models, &[0, 1, 2, 3, 4])) < 1e-9);
+        let all: Vec<usize> = (0..n).collect();
+        assert_done(leader::<W>(&sim), &models, &all);
+        assert!(leader::<W>(&sim).recoveries >= 1);
     }
 
-    #[test]
-    fn after_share_crash_is_recovered() {
-        let (mut sim, ids, models) = build(5, 3, 8, 7);
-        start(&mut sim, ids[0], 1);
-        // Shares settle within ~2 link delays (30ms); crash peer 4 after.
-        sim.schedule_crash(ids[4], SimTime::from_millis(40));
-        sim.run_until(SimTime::from_secs(2));
-        let leader = sim.actor::<SacPeerActor>(ids[0]);
-        assert_eq!(leader.phase, SacPhase::Done, "phase: {:?}", leader.phase);
-        // Crashed peer shared before dying, so it still contributes.
-        assert_eq!(leader.contributors, vec![0, 1, 2, 3, 4]);
-        assert!(leader.recoveries >= 1);
-        let avg = leader.result.as_ref().unwrap();
-        assert!(avg.linf_distance(&plain_mean(&models, &[0, 1, 2, 3, 4])) < 1e-9);
-    }
-
-    #[test]
-    fn before_share_crash_is_excluded() {
-        let (mut sim, ids, models) = build(5, 3, 8, 11);
+    fn before_share_crash_is_excluded<W: Wire>() {
+        let (mut sim, ids, models) = build::<W>(6, 2, 8, 11, None);
         // Peer 3 dies before the round even starts.
-        sim.run_until_quiet(100);
         sim.schedule_crash(ids[3], sim.now() + SimDuration::from_millis(1));
         sim.run_until_quiet(100);
-        sim.exec::<SacPeerActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
+        start::<W>(&mut sim, ids[0], 1);
         sim.run_until(SimTime::from_secs(2));
-        let leader = sim.actor::<SacPeerActor>(ids[0]);
-        assert_eq!(leader.phase, SacPhase::Done, "phase: {:?}", leader.phase);
-        assert_eq!(leader.contributors, vec![0, 1, 2, 4]);
-        let avg = leader.result.as_ref().unwrap();
-        assert!(avg.linf_distance(&plain_mean(&models, &[0, 1, 2, 4])) < 1e-9);
+        assert_done(leader::<W>(&sim), &models, &[0, 1, 2, 4, 5]);
     }
 
-    #[test]
-    fn unrecoverable_when_all_holders_die() {
-        // k = n means no replication: one post-share crash is fatal.
-        let (mut sim, ids, _) = build(4, 4, 4, 13);
-        start(&mut sim, ids[0], 1);
-        sim.schedule_crash(ids[2], SimTime::from_millis(40));
+    fn unrecoverable_when_every_holder_dies<W: Wire>() {
+        // k = n means no replication: one post-share crash outside the
+        // leader's block is fatal without supervision.
+        let victim = primary_owner::<W>(4, 4);
+        let (mut sim, ids, _) = build::<W>(4, 4, 4, 13, None);
+        start::<W>(&mut sim, ids[0], 1);
+        sim.schedule_crash(ids[victim], sim.now() + SimDuration::from_millis(40));
         sim.run_until(SimTime::from_secs(3));
-        let leader = sim.actor::<SacPeerActor>(ids[0]);
+        let phase = &leader::<W>(&sim).phase;
         assert!(
-            matches!(leader.phase, SacPhase::Failed(_)),
-            "phase: {:?}",
-            leader.phase
+            matches!(phase, SacPhase::Failed(r) if r.contains("unrecoverable")),
+            "phase: {phase:?}"
         );
     }
 
-    /// Transport stub recording sends — for driving an actor directly with
-    /// an adversarial message *order*, which the simulator cannot express
-    /// (its per-link delivery never reorders a `Begin` behind a later
-    /// cross-peer `ShareBlock` deterministically).
-    struct StubNet {
-        id: NodeId,
-        sent: Vec<(NodeId, SacMsg)>,
-    }
-
-    impl Transport<SacMsg> for StubNet {
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
-        }
-        fn node_id(&self) -> NodeId {
-            self.id
-        }
-        fn send(&mut self, to: NodeId, msg: SacMsg) {
-            self.sent.push((to, msg));
-        }
-        fn set_timer(&mut self, _delay: SimDuration, _tag: u64) -> TimerId {
-            TimerId(0)
-        }
-        fn cancel_timer(&mut self, _id: TimerId) {}
-    }
-
-    #[test]
-    fn next_round_share_arriving_before_begin_is_replayed() {
-        // Real transports only order frames per connection: peer 2 can see
-        // peer 1's round-1 ShareBlock before the leader's Begin { 1 }.
-        // The block must survive the race and count after Begin arrives.
-        let ids: Vec<NodeId> = (0..3).map(|i| NodeId(i as u32)).collect();
-        let cfg = SacConfig {
-            group: ids.clone(),
-            position: 2,
-            leader_pos: 0,
-            k: 3,
-            scheme: ShareScheme::Masked,
-            engine: SacEngine::Pairwise,
-            share_deadline: SimDuration::from_secs(1),
-            collect_deadline: SimDuration::from_secs(1),
-            round_deadline: None,
-            seed: 77,
-        };
-        let mut actor = SacPeerActor::new(cfg, WeightVector::new(vec![1.0, 2.0]));
-        let mut net = StubNet {
-            id: ids[2],
-            sent: Vec::new(),
-        };
-        let early = SacMsg::ShareBlock {
-            round: 1,
-            from_pos: 1,
-            parts: vec![(0, WeightVector::new(vec![0.5, 0.5]))],
-        };
-        actor.on_message(&mut net, ids[1], early);
-        assert_eq!(actor.round, 0, "early block must not advance the round");
-        assert!(
-            actor.blocks.is_empty(),
-            "early block must not be applied before Begin"
-        );
-        actor.on_message(&mut net, ids[0], SacMsg::Begin { round: 1 });
-        assert_eq!(actor.round, 1);
-        assert_eq!(actor.phase, SacPhase::Sharing);
-        assert!(
-            actor.blocks.contains_key(&1),
-            "stashed block must be replayed after Begin"
-        );
-
-        // A message two rounds ahead is outside the stash window and a
-        // flood cannot grow the stash without bound.
-        actor.on_message(
-            &mut net,
-            ids[1],
-            SacMsg::SubtotalRequest { round: 3, idx: 0 },
-        );
-        assert!(actor.future.is_empty(), "round+2 must not be stashed");
-        for _ in 0..100 {
-            actor.on_message(
-                &mut net,
-                ids[1],
-                SacMsg::SubtotalRequest { round: 2, idx: 0 },
-            );
-        }
-        assert!(actor.future.len() <= 12, "stash must stay bounded");
-    }
-
-    #[test]
-    fn begin_aimed_at_leader_is_ignored() {
-        let (mut sim, ids, _) = build(3, 2, 4, 42);
-        sim.inject(
-            ids[1],
-            ids[0],
-            SacMsg::Begin { round: 5 },
-            SimDuration::from_millis(1),
-        );
-        sim.run_until(SimTime::from_millis(50));
-        assert_eq!(sim.actor::<SacPeerActor>(ids[0]).phase, SacPhase::Idle);
-    }
-
-    #[test]
-    fn duplicate_and_stale_begins_are_ignored() {
-        let (mut sim, ids, models) = build(5, 3, 8, 31);
-        start(&mut sim, ids[0], 2);
-        // Re-deliver the in-flight Begin to one follower and a stale
-        // round-1 Begin to another: neither may trigger a second share
-        // distribution (fresh randomness would break mask cancellation)
-        // or regress the follower's round.
-        sim.inject(
-            ids[0],
-            ids[2],
-            SacMsg::Begin { round: 2 },
-            SimDuration::from_millis(20),
-        );
-        sim.inject(
-            ids[0],
-            ids[3],
-            SacMsg::Begin { round: 1 },
-            SimDuration::from_millis(25),
-        );
-        sim.run_until(SimTime::from_secs(2));
-        let leader = sim.actor::<SacPeerActor>(ids[0]);
-        assert_eq!(leader.phase, SacPhase::Done, "phase: {:?}", leader.phase);
-        assert_eq!(leader.contributors, vec![0, 1, 2, 3, 4]);
-        let avg = leader.result.as_ref().unwrap();
-        assert!(avg.linf_distance(&plain_mean(&models, &[0, 1, 2, 3, 4])) < 1e-9);
-        assert_eq!(sim.actor::<SacPeerActor>(ids[3]).round, 2);
-    }
-
-    #[test]
-    fn stale_round_messages_are_ignored() {
-        let (mut sim, ids, _) = build(3, 2, 4, 21);
-        start(&mut sim, ids[0], 3);
-        // A stray share from an old round must not pollute round 3.
-        sim.inject(
-            ids[1],
-            ids[0],
-            SacMsg::Subtotal {
-                round: 2,
-                idx: 0,
-                value: WeightVector::zeros(4),
-            },
-            SimDuration::from_millis(1),
-        );
-        sim.run_until(SimTime::from_secs(2));
-        let leader = sim.actor::<SacPeerActor>(ids[0]);
-        assert_eq!(leader.phase, SacPhase::Done);
-        assert_eq!(leader.round, 3);
-    }
-
-    #[test]
-    fn share_traffic_dominates_ledger() {
-        let (mut sim, ids, models) = build(5, 3, 64, 33);
-        let wire = models[0].wire_bytes();
-        start(&mut sim, ids[0], 1);
-        sim.run_until(SimTime::from_secs(2));
-        let m = sim.metrics();
-        // Share phase: n(n-1) block messages of (n-k+1)|w| each (+8B header).
-        let share = m.kind("sac.share");
-        assert_eq!(share.msgs, 20);
-        assert_eq!(share.bytes, 20 * (3 * wire + 8));
-        // Subtotal phase: primary owners outside the leader's block.
-        let sub = m.kind("sac.subtotal");
-        assert_eq!(sub.msgs, 2); // k-1 = 2
-    }
-
-    #[test]
-    fn supervised_unrecoverable_degrades_and_completes() {
-        // Same scenario as `unrecoverable_when_all_holders_die` (k = n, so
-        // a post-share crash kills the only holder of one partition), but
-        // with the supervisor enabled: instead of a terminal failure the
+    fn supervised_unrecoverable_degrades_and_completes<W: Wire>() {
+        // Same dead end, but supervised: instead of a terminal failure the
         // leader aborts, evicts the unresponsive holder, and retries with
         // n' = 3 survivors and k' = min(4, 3) = 3 — the exact n' = k edge.
-        let (mut sim, ids, models) = build_supervised(4, 4, 4, 13, SimDuration::from_millis(600));
-        start(&mut sim, ids[0], 1);
-        sim.schedule_crash(ids[2], SimTime::from_millis(40));
+        let victim = primary_owner::<W>(4, 4);
+        let deadline = Some(SimDuration::from_millis(600));
+        let (mut sim, ids, models) = build::<W>(4, 4, 4, 13, deadline);
+        start::<W>(&mut sim, ids[0], 1);
+        sim.schedule_crash(ids[victim], sim.now() + SimDuration::from_millis(40));
         sim.run_until(SimTime::from_secs(5));
-        let leader = sim.actor::<SacPeerActor>(ids[0]);
+        let survivors: Vec<usize> = (0..4).filter(|&p| p != victim).collect();
+        let leader = leader::<W>(&sim);
         assert_eq!(leader.phase, SacPhase::Done, "phase: {:?}", leader.phase);
         assert_eq!(leader.aborts, 1);
         assert_eq!(leader.round, 2, "retry must use a fresh round number");
-        assert_eq!(leader.sac_config().group, vec![ids[0], ids[1], ids[3]]);
+        let roster: Vec<NodeId> = survivors.iter().map(|&p| ids[p]).collect();
+        assert_eq!(leader.sac_config().group, roster);
         assert_eq!(leader.sac_config().k, 3, "k' = min(k, n') at n' = k");
+        assert_eq!(leader.plan().n(), 3, "layout re-derived for the roster");
         assert_eq!(leader.contributors, vec![0, 1, 2]);
         let avg = leader.result.as_ref().unwrap();
-        assert!(avg.linf_distance(&plain_mean(&models, &[0, 1, 3])) < 1e-9);
+        assert!(avg.linf_distance(&plain_mean(&models, &survivors)) < 1e-9);
     }
 
-    #[test]
-    fn supervised_refuses_below_two_members() {
+    fn supervised_refuses_below_two_members<W: Wire>() {
         // Everyone but the leader dies before sharing: no retry roster of
         // size >= 2 exists, so the supervisor degrades to a refusal rather
         // than looping.
-        let (mut sim, ids, _) = build_supervised(3, 3, 4, 17, SimDuration::from_millis(600));
-        sim.run_until_quiet(100);
+        let (mut sim, ids, _) = build::<W>(3, 3, 4, 17, Some(SimDuration::from_millis(600)));
         let t = sim.now() + SimDuration::from_millis(1);
         sim.schedule_crash(ids[1], t);
         sim.schedule_crash(ids[2], t);
         sim.run_until_quiet(100);
-        sim.exec::<SacPeerActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
+        start::<W>(&mut sim, ids[0], 1);
         sim.run_until(SimTime::from_secs(5));
-        let leader = sim.actor::<SacPeerActor>(ids[0]);
+        let phase = &leader::<W>(&sim).phase;
         assert!(
-            matches!(&leader.phase, SacPhase::Failed(r) if r.contains("no contributors")
-                || r.contains("below 2 members")),
-            "phase: {:?}",
-            leader.phase
+            matches!(phase, SacPhase::Failed(r) if r.contains("below 2 members")),
+            "phase: {phase:?}"
         );
     }
 
-    #[test]
-    fn abort_after_late_share_block_is_idempotent() {
-        let ids: Vec<NodeId> = (0..3).map(|i| NodeId(i as u32)).collect();
-        let cfg = SacConfig {
-            group: ids.clone(),
-            position: 2,
-            leader_pos: 0,
-            k: 2,
-            scheme: ShareScheme::Masked,
-            engine: SacEngine::Pairwise,
-            share_deadline: SimDuration::from_secs(1),
-            collect_deadline: SimDuration::from_secs(1),
-            round_deadline: Some(SimDuration::from_secs(10)),
-            seed: 99,
-        };
-        let mut actor = SacPeerActor::new(cfg, WeightVector::new(vec![1.0, 2.0]));
-        let mut net = StubNet {
-            id: ids[2],
-            sent: Vec::new(),
-        };
-        actor.on_message(&mut net, ids[0], SacMsg::Begin { round: 1 });
-        assert_eq!(actor.phase, SacPhase::Sharing);
-        let block = SacMsg::ShareBlock {
-            round: 1,
-            from_pos: 1,
-            parts: vec![(0, WeightVector::new(vec![0.5, 0.5]))],
-        };
-        actor.on_message(&mut net, ids[1], block.clone());
-        assert!(actor.blocks.contains_key(&1));
-        actor.on_message(
-            &mut net,
-            ids[0],
-            SacMsg::Abort {
-                round: 1,
-                reason: "test".into(),
-            },
+    fn next_round_share_arriving_before_begin_is_replayed<W: Wire>() {
+        // Real transports only order frames per connection: peer 2 can see
+        // peer 1's round-1 share before the leader's Begin { 1 }. The
+        // block must survive the race and count after Begin arrives.
+        // (Position 2 of 4 sits in the second stage of the staged layout,
+        // so position 1 is in its predecessor stage on both plans.)
+        let mut solo = Solo::<W>::new(4, 2, 2, false);
+        solo.deliver(1, Solo::<W>::share(1, 1));
+        assert_eq!(
+            solo.actor.round, 0,
+            "early block must not advance the round"
         );
-        assert_eq!(actor.phase, SacPhase::Idle);
-        assert!(actor.blocks.is_empty(), "abort must drop all mask material");
-        assert_eq!(actor.aborts, 1);
+        assert!(
+            solo.actor.blocks.is_empty(),
+            "early block must not be applied before Begin"
+        );
+        solo.deliver(0, RoundEvent::Begin { round: 1 });
+        assert_eq!(solo.actor.round, 1);
+        assert_eq!(solo.actor.phase, SacPhase::Sharing);
+        assert!(
+            solo.actor.blocks.contains_key(&1),
+            "stashed block must be replayed after Begin"
+        );
+        // A message two rounds ahead is outside the stash window.
+        solo.deliver(1, Solo::<W>::share(3, 1));
+        assert!(solo.actor.future.is_empty(), "round+2 must not be stashed");
+    }
 
-        // A late ShareBlock for the aborted round must not resurrect it.
-        actor.on_message(&mut net, ids[0], block);
-        assert!(actor.blocks.is_empty(), "late block after abort ignored");
-        // A duplicate Abort is a no-op.
-        actor.on_message(
-            &mut net,
-            ids[0],
-            SacMsg::Abort {
-                round: 1,
-                reason: "dup".into(),
-            },
+    fn stash_eviction_is_counted_not_silent<W: Wire>() {
+        // 4n = 16 messages fill the stash; a flood cannot grow it further,
+        // and everything beyond the bound is evicted *and counted*.
+        let mut solo = Solo::<W>::new(4, 2, 2, false);
+        for _ in 0..100 {
+            solo.deliver(1, Solo::<W>::share(1, 1));
+        }
+        assert_eq!(solo.actor.future.len(), 16);
+        assert_eq!(solo.actor.stash_evicted, 84);
+        assert_eq!(Actor::stash_evicted(&solo.actor), 84);
+    }
+
+    fn begin_aimed_at_leader_is_ignored<W: Wire>() {
+        let (mut sim, ids, _) = build::<W>(3, 2, 4, 42, None);
+        let begin = W::encode(RoundEvent::Begin { round: 5 }).unwrap();
+        sim.inject(ids[1], ids[0], begin, SimDuration::from_millis(1));
+        sim.run_until(SimTime::from_millis(50));
+        assert_eq!(leader::<W>(&sim).phase, SacPhase::Idle);
+        assert_eq!(leader::<W>(&sim).round, 0);
+    }
+
+    fn duplicate_and_stale_begins_are_ignored<W: Wire>() {
+        let (mut sim, ids, models) = build::<W>(5, 3, 8, 31, None);
+        start::<W>(&mut sim, ids[0], 2);
+        // Re-deliver the in-flight Begin to one follower and a stale
+        // round-1 Begin to another: neither may trigger a second share
+        // distribution (fresh randomness would break mask cancellation)
+        // or regress the follower's round.
+        for (to, round, ms) in [(2, 2, 20), (3, 1, 25)] {
+            let begin = W::encode(RoundEvent::Begin { round }).unwrap();
+            sim.inject(ids[0], ids[to], begin, SimDuration::from_millis(ms));
+        }
+        sim.run_until(SimTime::from_secs(2));
+        assert_done(leader::<W>(&sim), &models, &[0, 1, 2, 3, 4]);
+        assert_eq!(sim.actor::<RoundCore<W>>(ids[3]).round, 2);
+    }
+
+    fn stale_round_messages_are_ignored<W: Wire>() {
+        let (mut sim, ids, _) = build::<W>(3, 2, 4, 21, None);
+        start::<W>(&mut sim, ids[0], 3);
+        // A stray total from an old round must not pollute round 3.
+        let stray = RoundEvent::Total {
+            round: 2,
+            stage: 0,
+            idx: 0,
+            value: WeightVector::zeros(4),
+        };
+        let stray = W::encode(stray).unwrap();
+        sim.inject(ids[1], ids[0], stray, SimDuration::from_millis(1));
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(leader::<W>(&sim).phase, SacPhase::Done);
+        assert_eq!(leader::<W>(&sim).round, 3);
+        assert_eq!(leader::<W>(&sim).shares_rejected, 0, "stale is not hostile");
+    }
+
+    fn abort_after_late_share_is_idempotent<W: Wire>() {
+        let mut solo = Solo::<W>::new(4, 2, 2, true);
+        solo.deliver(0, RoundEvent::Begin { round: 1 });
+        assert_eq!(solo.actor.phase, SacPhase::Sharing);
+        solo.deliver(1, Solo::<W>::share(1, 1));
+        assert!(solo.actor.blocks.contains_key(&1));
+        let abort = |reason: &str| RoundEvent::Abort {
+            round: 1,
+            reason: reason.into(),
+        };
+        solo.deliver(0, abort("test"));
+        assert_eq!(solo.actor.phase, SacPhase::Idle);
+        assert!(
+            solo.actor.blocks.is_empty(),
+            "abort must drop all mask material"
         );
-        assert_eq!(actor.aborts, 1, "duplicate abort must not double-count");
+        assert_eq!(solo.actor.aborts, 1);
+
+        // A late share for the aborted round must not resurrect it.
+        solo.deliver(1, Solo::<W>::share(1, 1));
+        assert!(
+            solo.actor.blocks.is_empty(),
+            "late block after abort ignored"
+        );
+        // A duplicate Abort is a no-op.
+        solo.deliver(0, abort("dup"));
+        assert_eq!(
+            solo.actor.aborts, 1,
+            "duplicate abort must not double-count"
+        );
         // A re-delivered Begin for the aborted round must not redistribute
         // shares (single-randomization rule).
-        let sends_before = net.sent.len();
-        actor.on_message(&mut net, ids[0], SacMsg::Begin { round: 1 });
-        assert_eq!(actor.phase, SacPhase::Idle);
-        assert_eq!(net.sent.len(), sends_before, "no re-randomized shares");
+        let sends_before = solo.net.sent.len();
+        solo.deliver(0, RoundEvent::Begin { round: 1 });
+        assert_eq!(solo.actor.phase, SacPhase::Idle);
+        assert_eq!(solo.net.sent.len(), sends_before, "no re-randomized shares");
 
-        // The retry Reconfigure restarts cleanly under the new roster.
-        actor.on_message(
-            &mut net,
-            ids[0],
-            SacMsg::Reconfigure {
+        // The retry Reconfigure restarts cleanly under the new roster and
+        // a freshly derived layout.
+        let group = vec![solo.ids[0], solo.ids[2], solo.ids[3]];
+        solo.deliver(
+            0,
+            RoundEvent::Reconfigure {
                 round: 2,
-                group: vec![ids[0], ids[2]],
+                group,
                 k: 2,
             },
         );
-        assert_eq!(actor.round, 2);
-        assert_eq!(actor.phase, SacPhase::Sharing);
-        assert_eq!(actor.sac_config().position, 1);
-        assert_eq!(actor.sac_config().k, 2);
+        assert_eq!(solo.actor.round, 2);
+        assert_eq!(solo.actor.phase, SacPhase::Sharing);
+        assert_eq!(solo.actor.sac_config().position, 1);
+        assert_eq!(solo.actor.sac_config().k, 2);
+        assert_eq!(solo.actor.plan().n(), 3);
         assert!(
-            net.sent.len() > sends_before,
+            solo.net.sent.len() > sends_before,
             "retry must distribute fresh shares"
         );
     }
 
-    #[test]
-    fn reconfigure_excluding_this_peer_is_ignored() {
-        let ids: Vec<NodeId> = (0..3).map(|i| NodeId(i as u32)).collect();
-        let cfg = SacConfig {
-            group: ids.clone(),
-            position: 1,
-            leader_pos: 0,
-            k: 2,
-            scheme: ShareScheme::Masked,
-            engine: SacEngine::Pairwise,
-            share_deadline: SimDuration::from_secs(1),
-            collect_deadline: SimDuration::from_secs(1),
-            round_deadline: None,
-            seed: 5,
-        };
-        let mut actor = SacPeerActor::new(cfg, WeightVector::new(vec![1.0]));
-        let mut net = StubNet {
-            id: ids[1],
-            sent: Vec::new(),
-        };
-        actor.on_message(
-            &mut net,
-            ids[0],
-            SacMsg::Reconfigure {
+    fn reconfigure_excluding_this_peer_is_ignored<W: Wire>() {
+        let mut solo = Solo::<W>::new(4, 1, 2, false);
+        let group = vec![solo.ids[0], solo.ids[2]];
+        solo.deliver(
+            0,
+            RoundEvent::Reconfigure {
                 round: 2,
-                group: vec![ids[0], ids[2]],
+                group,
                 k: 2,
             },
         );
-        assert_eq!(actor.round, 0, "evicted peer sits the round out");
-        assert_eq!(actor.phase, SacPhase::Idle);
-        assert!(net.sent.is_empty());
+        assert_eq!(solo.actor.round, 0, "evicted peer sits the round out");
+        assert_eq!(solo.actor.phase, SacPhase::Idle);
+        assert_eq!(solo.actor.sac_config().group.len(), 4);
+        assert!(solo.net.sent.is_empty());
     }
 
-    #[test]
-    fn follower_round_deadline_abandons_unclosed_round() {
-        let ids: Vec<NodeId> = (0..3).map(|i| NodeId(i as u32)).collect();
-        let cfg = SacConfig {
-            group: ids.clone(),
-            position: 1,
-            leader_pos: 0,
-            k: 2,
-            scheme: ShareScheme::Masked,
-            engine: SacEngine::Pairwise,
-            share_deadline: SimDuration::from_secs(1),
-            collect_deadline: SimDuration::from_secs(1),
-            round_deadline: Some(SimDuration::from_secs(2)),
-            seed: 6,
-        };
-        let mut actor = SacPeerActor::new(cfg, WeightVector::new(vec![1.0]));
-        let mut net = StubNet {
-            id: ids[1],
-            sent: Vec::new(),
-        };
-        actor.on_message(&mut net, ids[0], SacMsg::Begin { round: 1 });
-        assert_eq!(actor.phase, SacPhase::Sharing);
+    fn follower_round_deadline_abandons_unclosed_round<W: Wire>() {
+        let mut solo = Solo::<W>::new(4, 1, 2, true);
+        solo.deliver(0, RoundEvent::Begin { round: 1 });
+        assert_eq!(solo.actor.phase, SacPhase::Sharing);
         // Deadline for a *different* round is ignored.
-        actor.on_timer(&mut net, timer_tag(TIMER_ROUND_DEADLINE, 7));
-        assert_eq!(actor.phase, SacPhase::Sharing);
+        solo.actor
+            .on_timer(&mut solo.net, timer_tag(TIMER_ROUND_DEADLINE, 7));
+        assert_eq!(solo.actor.phase, SacPhase::Sharing);
         // Deadline for the open round retires it: the leader never froze
         // the contributor set, so this counts as an abandonment.
-        actor.on_timer(&mut net, timer_tag(TIMER_ROUND_DEADLINE, 1));
-        assert_eq!(actor.phase, SacPhase::Idle);
-        assert_eq!(actor.abandoned, 1);
-        assert!(actor.blocks.is_empty());
+        solo.actor
+            .on_timer(&mut solo.net, timer_tag(TIMER_ROUND_DEADLINE, 1));
+        assert_eq!(solo.actor.phase, SacPhase::Idle);
+        assert_eq!(solo.actor.abandoned, 1);
+        assert!(solo.actor.blocks.is_empty());
         // A late recovery request for the retired round is not served.
-        let sends = net.sent.len();
-        actor.on_message(
-            &mut net,
-            ids[0],
-            SacMsg::SubtotalRequest { round: 1, idx: 1 },
-        );
-        assert_eq!(net.sent.len(), sends);
-        assert!(actor.pending_requests.is_empty());
+        let sends = solo.net.sent.len();
+        let plan = solo.actor.plan().clone();
+        let request = RoundEvent::TotalRequest {
+            round: 1,
+            stage: plan.stage_of(1),
+            idx: plan.local_index(1),
+        };
+        solo.deliver(0, request);
+        assert_eq!(solo.net.sent.len(), sends);
+        assert!(solo.actor.pending_requests.is_empty());
     }
 
-    #[test]
-    fn skewed_shares_are_rejected_and_sender_evicted_from_round() {
-        // Peer 3 commits to honest digests but sends shares scaled by 0.5
-        // (the commit-then-skew attack). Every receiver's digest check must
-        // reject its blocks, so the round completes over the honest four —
-        // and the leader's average is the honest mean, not a poisoned one.
-        let (mut sim, ids, models) = build(5, 3, 8, 51);
-        sim.run_until_quiet(100);
-        sim.exec::<SacPeerActor, _, _>(ids[3], |a, _| a.byz_share_skew = Some(0.5));
-        sim.exec::<SacPeerActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
-        sim.run_until(SimTime::from_secs(2));
-        let leader = sim.actor::<SacPeerActor>(ids[0]);
-        assert_eq!(leader.phase, SacPhase::Done, "phase: {:?}", leader.phase);
-        assert_eq!(leader.contributors, vec![0, 1, 2, 4], "skewer excluded");
-        assert!(leader.shares_rejected >= 1);
-        assert!(leader.byzantine_detected.contains(&3));
-        let avg = leader.result.as_ref().unwrap();
-        assert!(avg.linf_distance(&plain_mean(&models, &[0, 1, 2, 4])) < 1e-9);
-        // Followers reject the same blocks independently.
-        for &id in &[ids[1], ids[2], ids[4]] {
-            assert!(
-                sim.actor::<SacPeerActor>(id).shares_rejected >= 1,
-                "follower {id:?} accepted a skewed block"
-            );
+    fn second_round_reuses_the_engine<W: Wire>() {
+        let (mut sim, ids, models) = build::<W>(6, 2, 8, 61, None);
+        for round in [1, 2] {
+            start::<W>(&mut sim, ids[0], round);
+            sim.run_until(sim.now() + SimDuration::from_secs(2));
+            assert_done(leader::<W>(&sim), &models, &[0, 1, 2, 3, 4, 5]);
+            assert_eq!(leader::<W>(&sim).round, round);
         }
     }
 
-    #[test]
-    fn without_commitment_checks_the_skew_poisons_the_average() {
-        // The pinned negative twin of the test above: commitment checks
-        // off, same attack. The skewed shares land in the sums and the
-        // "secure" average is silently wrong — which is why the check
-        // defaults to on.
-        let (mut sim, ids, models) = build(5, 3, 8, 51);
-        sim.run_until_quiet(100);
-        for &id in &ids {
-            sim.exec::<SacPeerActor, _, _>(id, |a, _| a.verify_commitments = false);
-        }
-        sim.exec::<SacPeerActor, _, _>(ids[3], |a, _| a.byz_share_skew = Some(0.5));
-        sim.exec::<SacPeerActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
+    fn bogus_total_cannot_complete_the_round<W: Wire>() {
+        // A total outside the (stage, partition) grid must neither count
+        // toward the n-totals finish condition nor panic the averaging.
+        let (mut sim, ids, _) = build::<W>(6, 2, 4, 51, None);
+        start::<W>(&mut sim, ids[0], 1);
+        let bogus = RoundEvent::Total {
+            round: 1,
+            stage: 9,
+            idx: 9,
+            value: WeightVector::zeros(4),
+        };
+        let bogus = W::encode(bogus).unwrap();
+        sim.inject(ids[1], ids[0], bogus, SimDuration::from_millis(1));
         sim.run_until(SimTime::from_secs(2));
-        let leader = sim.actor::<SacPeerActor>(ids[0]);
-        assert_eq!(leader.phase, SacPhase::Done, "phase: {:?}", leader.phase);
-        assert_eq!(leader.contributors, vec![0, 1, 2, 3, 4], "skewer included");
-        assert_eq!(leader.shares_rejected, 0);
-        let avg = leader.result.as_ref().unwrap();
+        let leader = leader::<W>(&sim);
+        assert_eq!(leader.phase, SacPhase::Done);
+        assert_eq!(leader.held_totals().len(), 6);
+        assert_eq!(leader.shares_rejected, 1, "every gate counts");
+        assert_eq!(Actor::shares_rejected(leader), 1, "and reaches NetStats");
+    }
+
+    fn hostile_shapes_are_counted_and_bounded_by_the_grid<W: Wire>() {
+        // Position 2 of 4, round open. Its grid row has `row` partitions
+        // (4 on the one-stage layout, 2 on the staged one): an index in
+        // `row..n` could never be totalled, so it must not be stored.
+        let mut solo = Solo::<W>::new(4, 2, 2, false);
+        solo.deliver(0, RoundEvent::Begin { round: 1 });
+        let row = solo.actor.plan().stage_len(solo.actor.plan().stage_of(2));
+        let part = |idx: usize, dim: usize| RoundEvent::Share {
+            round: 1,
+            from_pos: 1,
+            parts: vec![(idx, WeightVector::zeros(dim))],
+        };
+        solo.deliver(1, part(row, 2));
+        assert_eq!(solo.actor.shares_rejected, 1, "index outside the grid row");
+        solo.deliver(1, part(0, 3));
+        assert_eq!(solo.actor.shares_rejected, 2, "wrong dimension");
+        assert!(!solo.actor.blocks.contains_key(&1), "nothing was stored");
         assert!(
-            avg.linf_distance(&plain_mean(&models, &[0, 1, 2, 3, 4])) > 1e-3,
-            "undefended round should have been poisoned"
+            solo.actor.byzantine_detected.contains(&1),
+            "a malformed block bound to its sender convicts it"
         );
+        solo.deliver(1, part(row - 1, 2));
+        assert!(solo.actor.blocks[&1].contains_key(&(row - 1)));
+        // A frozen set outside the roster is refused and counted too.
+        let compute_over = RoundEvent::ComputeOver {
+            round: 1,
+            contributors: vec![0, 1, 2, 3, 4],
+        };
+        solo.deliver(0, compute_over);
+        assert!(solo.actor.frozen_set().is_none());
+        assert_eq!(solo.actor.shares_rejected, 3);
     }
 
-    #[test]
-    fn stash_eviction_is_counted_not_silent() {
-        let ids: Vec<NodeId> = (0..3).map(|i| NodeId(i as u32)).collect();
-        let cfg = SacConfig {
-            group: ids.clone(),
-            position: 2,
-            leader_pos: 0,
-            k: 3,
-            scheme: ShareScheme::Masked,
-            engine: SacEngine::Pairwise,
-            share_deadline: SimDuration::from_secs(1),
-            collect_deadline: SimDuration::from_secs(1),
-            round_deadline: None,
-            seed: 77,
+    fn unservable_requests_are_never_queued<W: Wire>() {
+        // A request this peer can never serve — a foreign stage, or a
+        // partition outside its assigned block — must not sit in the
+        // pending queue until the round ends.
+        let mut solo = Solo::<W>::new(4, 2, 4, false);
+        solo.deliver(0, RoundEvent::Begin { round: 1 });
+        let plan = solo.actor.plan().clone();
+        let (stage, own) = (plan.stage_of(2), plan.local_index(2));
+        let request = |stage: usize, idx: usize| RoundEvent::TotalRequest {
+            round: 1,
+            stage,
+            idx,
         };
-        let mut actor = SacPeerActor::new(cfg, WeightVector::new(vec![1.0, 2.0]));
-        let mut net = StubNet {
-            id: ids[2],
-            sent: Vec::new(),
-        };
-        // 4n = 12 messages fill the stash; everything beyond is evicted
-        // and counted.
-        for _ in 0..20 {
-            actor.on_message(
-                &mut net,
-                ids[1],
-                SacMsg::SubtotalRequest { round: 1, idx: 0 },
-            );
+        // k = n: every peer holds exactly its own partition.
+        let foreign = (own + 1) % plan.stage_len(stage);
+        solo.deliver(0, request(stage, foreign));
+        solo.deliver(0, request(stage, 99));
+        assert_eq!(solo.actor.shares_rejected, 2);
+        if plan.num_stages() > 1 {
+            // Only a staged wire carries the stage at all.
+            solo.deliver(0, request(stage - 1, own));
+            solo.deliver(0, request(99, own));
+            assert_eq!(solo.actor.shares_rejected, 4);
         }
-        assert_eq!(actor.future.len(), 12);
-        assert_eq!(actor.stash_evicted, 8);
+        assert!(solo.actor.pending_requests.is_empty());
+        // Its own partition is servable once the blocks arrive: queued.
+        solo.deliver(0, request(stage, own));
+        assert_eq!(solo.actor.pending_requests, vec![(stage, own)]);
     }
 }

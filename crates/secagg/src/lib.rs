@@ -11,17 +11,22 @@
 //!   Replicated Additive Secret Sharing;
 //! * [`fault_tolerant_secure_average`] — paper Alg. 4, tolerating up to
 //!   `n-k` peer dropouts per round;
-//! * [`SacPeerActor`] — a message-driven engine executing the
-//!   fault-tolerant protocol over `p2pfl-simnet`, with timeout-based crash
-//!   detection and replica recovery;
+//! * [`RoundCore`] — the one message-driven engine: a supervised
+//!   fault-tolerant round (timeout-based crash detection, replica
+//!   recovery, abort + degraded retry, re-keying, sender binding) over any
+//!   [`Wire`]. Its two instantiations are [`SacPeerActor`]
+//!   (`RoundCore<PairwiseWire>`: paper Alg. 4, [`SacMsg`], one-stage
+//!   layout, digest commitments) and [`RingSacActor`]
+//!   (`RoundCore<RingWire>`: [`RingMsg`], staged layout, `Shared`
+//!   announcements);
 //! * [`fixed`] — an exact fixed-point ring-sharing backend (extension);
 //! * [`dp`] — Gaussian-mechanism differential privacy for peer updates,
 //!   the hardening the paper's Sec. IV-D points to (extension);
 //! * [`pairwise`] — the Bonawitz-style pairwise-mask baseline from the
 //!   paper's related work (Sec. II-B), with dropout recovery;
-//! * [`ring`] — the Ring-SAC engine: staged successor-stage sharing with
-//!   O(n log n) traffic instead of O(n²), selectable per run via
-//!   [`SacEngine`].
+//! * [`ring`] — the Ring-SAC layout, wire protocol and synchronous
+//!   reference: staged successor-stage sharing with O(n log n) traffic
+//!   instead of O(n²), selectable per run via [`SacEngine`].
 //!
 //! ## Quick example
 //!
@@ -59,11 +64,13 @@ mod weights;
 pub use divide::{
     divide, divide_masked, divide_masked_with_bound, divide_scaled, ShareScheme, DEFAULT_MASK_BOUND,
 };
-pub use engine::{SacConfig, SacMsg, SacPeerActor, SacPhase};
+pub use engine::{
+    PairwiseWire, RoundCore, RoundEvent, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, Wire,
+};
 pub use ftsac::{
     fault_tolerant_secure_average, DropPhase, Dropout, FtSacError, FtSacOutcome, REQUEST_BYTES,
 };
 pub use ledger::TransferLog;
-pub use ring::{ring_secure_average, RingMsg, RingPlan, RingSacActor, SacEngine};
+pub use ring::{ring_secure_average, RingMsg, RingPlan, RingSacActor, RingWire};
 pub use sac::{secure_average, secure_average_with_leader, SacOutcome};
 pub use weights::{WeightVector, WIRE_BYTES_PER_PARAM};

@@ -17,10 +17,10 @@
 //! * [`ring_secure_average`] — synchronous reference with an explicit
 //!   dropout schedule and cost ledger (counterpart of
 //!   [`crate::fault_tolerant_secure_average`]);
-//! * [`RingSacActor`] — the sans-IO message-driven engine implementing
-//!   the same `Actor` interface and round-supervision contract as
-//!   [`crate::SacPeerActor`] (deadlines, `Abort`, one degraded retry
-//!   with `k' = min(k, n')`, roster-driven reconfiguration).
+//! * [`RingSacActor`] — the sans-IO message-driven engine: the same
+//!   [`crate::RoundCore`] as [`crate::SacPeerActor`] (one round, one
+//!   supervision contract), speaking [`RingMsg`] over the staged layout
+//!   through the [`RingWire`] adaptor.
 //!
 //! [`SacEngine`] selects between the engines per run; it travels in
 //! [`crate::SacConfig`] and is replicated through the FedAvg-layer
@@ -30,7 +30,8 @@ mod engine;
 pub(crate) mod plan;
 mod sync;
 
-pub use engine::{RingMsg, RingSacActor, SacEngine};
+pub use crate::engine::SacEngine;
+pub use engine::{RingMsg, RingSacActor, RingWire};
 pub use plan::RingPlan;
 pub use sync::{
     ring_secure_average, ANNOUNCE_BYTES, RING_PHASE_ANNOUNCE, RING_PHASE_RECOVERY,

@@ -34,6 +34,8 @@ pub struct RingPlan {
     k: usize,
     /// `(start position, length)` per stage, covering `0..n` exactly.
     stages: Vec<(usize, usize)>,
+    /// Whether stage thresholds carry the staged layout's privacy floor.
+    floored: bool,
 }
 
 impl RingPlan {
@@ -61,7 +63,37 @@ impl RingPlan {
             start += len;
         }
         debug_assert_eq!(start, n);
-        RingPlan { n, k, stages }
+        RingPlan {
+            n,
+            k,
+            stages,
+            floored: true,
+        }
+    }
+
+    /// The one-group layout of the paper's pairwise scheme (Alg. 4): a
+    /// single stage holding everyone, which is therefore its own
+    /// successor — every peer shares with every other and keeps its own
+    /// block.
+    ///
+    /// The stage threshold is `k` exactly as given, deliberately without
+    /// the floor [`RingPlan::new`] applies: Alg. 4 lets the operator pick
+    /// any `1 <= k <= n` (replication `n - k + 1`), and `k = 1` — every
+    /// peer holding every partition — is that algorithm's stated
+    /// no-privacy, maximum-tolerance corner. The floor at 2 is the staged
+    /// layout's own rule, needed there because its thresholds are derived
+    /// rather than chosen.
+    ///
+    /// Panics unless `n >= 1` and `1 <= k <= n`.
+    pub fn one_stage(n: usize, k: usize) -> Self {
+        assert!(n >= 1, "empty subgroup has no layout");
+        assert!(k >= 1 && k <= n, "invalid threshold");
+        RingPlan {
+            n,
+            k,
+            stages: vec![(0, n)],
+            floored: false,
+        }
     }
 
     /// Number of stages `L` (1 for tiny groups, where the ring degenerates
@@ -119,7 +151,8 @@ impl RingPlan {
     /// Stage-local reconstruction threshold
     /// `k_m = min(m, max(2, m - (n - k)))` for the stage of size
     /// `m = stage_len(t)`: each partition gets `min(m - 1, n - k + 1)`
-    /// replica holders (for `m >= 2`).
+    /// replica holders (for `m >= 2`). A [`RingPlan::one_stage`] layout
+    /// has `m = n` and uses `k` itself.
     ///
     /// The floor at 2 is load-bearing for privacy: a receiver's block has
     /// `m - k_m + 1` partitions, so `k_m >= 2` guarantees every receiver
@@ -131,7 +164,12 @@ impl RingPlan {
     /// (`m = 1`), where there is nothing to hide from anyone.
     pub fn stage_k(&self, t: usize) -> usize {
         let m = self.stage_len(t);
-        m.saturating_sub(self.n - self.k).max(2).min(m)
+        let raw = m.saturating_sub(self.n - self.k);
+        if self.floored {
+            raw.max(2).min(m)
+        } else {
+            raw
+        }
     }
 
     /// How many additive shares the peer at `pos` splits its model into:
@@ -155,10 +193,29 @@ impl RingPlan {
             .collect()
     }
 
+    /// Whether the peer at global position `pos` holds partition `p` of
+    /// stage `t` — [`RingPlan::holders_of`] as a membership test, without
+    /// building the holder list. Total: anything outside the grid or the
+    /// roster (the arguments may come off the wire) is simply not held.
+    pub fn is_holder(&self, pos: usize, t: usize, p: usize) -> bool {
+        let Some(&(start, m)) = self.stages.get(t) else {
+            return false;
+        };
+        p < m
+            && (start..start + m).contains(&pos)
+            && (p + m - (pos - start)) % m <= m - self.stage_k(t)
+    }
+
     /// Total number of `(stage, partition)` totals the leader collects:
     /// always exactly `n`.
     pub fn total_partitions(&self) -> usize {
         self.n
+    }
+
+    /// Every `(stage, partition)` the leader collects a total for,
+    /// ascending — the order the round's sum is accumulated in.
+    pub fn grid(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.num_stages()).flat_map(move |t| (0..self.stage_len(t)).map(move |p| (t, p)))
     }
 
     /// A stage whose contributor count (per `is_contributor`, over global
@@ -310,6 +367,23 @@ mod tests {
     }
 
     #[test]
+    fn one_stage_layout_is_the_pairwise_assignment() {
+        for n in 1..=12 {
+            for k in 1..=n {
+                let plan = RingPlan::one_stage(n, k);
+                assert_eq!(plan.num_stages(), 1);
+                assert_eq!(plan.succ_stage(0), 0);
+                assert_eq!(plan.stage_k(0), k, "threshold is k as given");
+                for j in 0..n {
+                    assert_eq!(plan.parts_of(j), n);
+                    assert_eq!(plan.assigned(0, j), assigned_partitions(n, k, j));
+                    assert_eq!(plan.holders_of(0, j), holders(n, k, j));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn lone_contributor_stage_detection() {
         // n = 6, k = 2: stages [3, 3].
         let plan = RingPlan::new(6, 2);
@@ -327,14 +401,22 @@ mod tests {
 
     #[test]
     fn holders_are_stage_members_holding_the_partition() {
-        let plan = RingPlan::new(16, 8);
-        for t in 0..plan.num_stages() {
-            for p in 0..plan.stage_len(t) {
-                for g in plan.holders_of(t, p) {
+        for plan in [RingPlan::new(16, 8), RingPlan::one_stage(7, 3)] {
+            assert_eq!(plan.grid().count(), plan.total_partitions());
+            for (t, p) in plan.grid() {
+                let holders = plan.holders_of(t, p);
+                for &g in &holders {
                     assert_eq!(plan.stage_of(g), t);
                     assert!(plan.assigned(t, plan.local_index(g)).contains(&p));
                 }
+                for pos in 0..plan.n() {
+                    assert_eq!(plan.is_holder(pos, t, p), holders.contains(&pos));
+                }
             }
+            let (n, stages) = (plan.n(), plan.num_stages());
+            assert!(!plan.is_holder(n, 0, 0), "outside the roster");
+            assert!(!plan.is_holder(0, stages, 0), "outside the stages");
+            assert!(!plan.is_holder(0, 0, plan.stage_len(0)), "outside the row");
         }
     }
 }

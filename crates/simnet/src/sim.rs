@@ -54,10 +54,11 @@ pub trait Actor<M: Payload>: Any {
         0
     }
 
-    /// Cumulative share blocks this actor rejected because they failed a
-    /// commitment check (Byzantine share skew). Hosting transports mirror
-    /// it into their counters; the default means "this actor performs no
-    /// such verification".
+    /// Cumulative messages this actor refused at a protocol gate (the SAC
+    /// round core: a sender not entitled to the message, a shape outside
+    /// the roster or model, a share block failing its commitment check).
+    /// Hosting transports mirror it into their counters; the default
+    /// means "this actor performs no such verification".
     fn shares_rejected(&self) -> u64 {
         0
     }

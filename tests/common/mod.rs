@@ -10,7 +10,7 @@
 
 use p2pfl_hierraft::{FedCmd, HierActor, HierMsg};
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig, WireMsg};
-use p2pfl_secagg::{RingSacActor, SacPeerActor, SacPhase, WeightVector};
+use p2pfl_secagg::{RoundCore, SacPhase, WeightVector, Wire};
 use p2pfl_simnet::{Actor, FaultPlan, NodeId};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -79,37 +79,17 @@ pub fn wait_for(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
     wait_some(what, timeout, || pred().then_some(()));
 }
 
-/// The round state both secure-aggregation engines' actors expose.
-pub trait SacRound {
-    fn round(&self) -> (&SacPhase, &[usize], Option<&WeightVector>);
-}
-
-impl SacRound for SacPeerActor {
-    fn round(&self) -> (&SacPhase, &[usize], Option<&WeightVector>) {
-        (&self.phase, &self.contributors, self.result.as_ref())
-    }
-}
-
-impl SacRound for RingSacActor {
-    fn round(&self) -> (&SacPhase, &[usize], Option<&WeightVector>) {
-        (&self.phase, &self.contributors, self.result.as_ref())
-    }
-}
-
 /// Waits for `leader`'s current round to finish; returns the frozen
 /// contributor set and the published result. Panics, naming `what`, if
 /// the round fails or stalls.
-pub fn wait_done<M, A>(leader: &PeerHandle<M, A>, what: &str) -> (Vec<usize>, WeightVector)
-where
-    M: 'static,
-    A: SacRound + 'static,
-{
+pub fn wait_done<W: Wire>(
+    leader: &PeerHandle<W::Msg, RoundCore<W>>,
+    what: &str,
+) -> (Vec<usize>, WeightVector) {
     let outcome = wait_some(what, Duration::from_secs(60), || {
-        leader.with(|a, _| match a.round() {
-            (SacPhase::Done, contributors, Some(result)) => {
-                Some(Ok((contributors.to_vec(), result.clone())))
-            }
-            (SacPhase::Failed(e), ..) => Some(Err(e.to_string())),
+        leader.with(|a, _| match (&a.phase, &a.result) {
+            (SacPhase::Done, Some(result)) => Some(Ok((a.contributors.clone(), result.clone()))),
+            (SacPhase::Failed(e), _) => Some(Err(e.to_string())),
             _ => None,
         })
     });
