@@ -98,17 +98,14 @@ else
     echo "==> cargo deny: SKIPPED (cargo-deny not installed)"
 fi
 
-echo "==> chaos soak (bounded smoke, fixed seed)"
+# Per-round churn, the Byzantine skewer, the ring mid-round crash and the
+# TCP crash/restart from disk are tier-1 tests (run by `cargo test`
+# above); the soak keeps only the long randomized legs.
+echo "==> chaos soak (Sec. V crash cases C1-C4, fixed seed)"
 cargo run --release -p p2pfl-bench --bin chaos_soak -- --smoke --seed 7
 
-echo "==> churn soak (per-round kill/restart vs crash-free twin, fixed seed)"
-cargo run --release -p p2pfl-bench --bin chaos_soak -- --churn --quick --seed 7
-
-echo "==> ring-engine chaos soak (crash cases + mid-round ring recovery, fixed seed)"
-cargo run --release -p p2pfl-bench --bin chaos_soak -- --smoke --engine ring --skip-tcp --seed 7
-
-echo "==> byzantine soak (commit-then-skew attacker on sim + TCP, fixed seed)"
-cargo run --release -p p2pfl-bench --bin chaos_soak -- --byzantine --seed 7
+echo "==> ring-engine chaos soak (Sec. V crash cases C1-C4 on Ring-SAC, fixed seed)"
+cargo run --release -p p2pfl-bench --bin chaos_soak -- --smoke --engine ring --seed 7
 
 echo "==> flash-crowd soak (elastic burst join + mass leave, twin digest + TCP re-key replay)"
 cargo run --release -p p2pfl-bench --bin chaos_soak -- --flash-crowd --seed 7
@@ -146,5 +143,20 @@ fi
 
 echo "==> scale chaos soak (fault-injected round + connection massacre, digest-checked)"
 cargo run --release -p p2pfl-bench --bin scale -- --quick --soak --out target/bench/scale_soak.json
+
+# Each bin that draws two paper figures from one run, at three rounds or
+# trials: every CSV row must carry both figures' columns (4 fields) and
+# every figure's summary must print, so a fold that dropped one fails here.
+echo "==> paired figure bins (both columns + both summaries, short runs)"
+for spec in fig06_07_accuracy_loss:rounds:2 fig08_09_fraction:rounds:1 fig10_11_election_join:trials:2; do
+    IFS=: read -r bin flag want <<<"$spec"
+    out="$(cargo run --release --quiet -p p2pfl-bench --bin "$bin" -- "--$flag" 3)"
+    rows="$(grep -v -e '^#' -e '^$' <<<"$out" \
+        | awk -F, 'NF == 4 { ok++ } NF != 4 { bad++ } END { print (bad || !ok) ? 0 : ok - 1 }')"
+    summaries="$(grep -c -e '^# final smoothed' -e '^# Fig\. 1[01] summary' <<<"$out" || true)"
+    [ "$rows" -gt 0 ] && [ "$summaries" -eq "$want" ] \
+        || { echo "$bin: $rows four-column rows, $summaries of $want summaries:"; echo "$out"; exit 1; }
+    echo "    $bin ok ($rows rows, $summaries summaries)"
+done
 
 echo "ci: all green"

@@ -7,10 +7,9 @@
 //!
 //! Run: `cargo run -rp p2pfl-bench --bin abl_bandwidth -- --params 125000`.
 
+use p2pfl_bench::testkit::sac_config;
 use p2pfl_bench::{banner, print_csv, Args};
-use p2pfl_secagg::{
-    SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
-};
+use p2pfl_secagg::{SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
 use p2pfl_simnet::{Latency, LatencyConfig, NodeId, Sim, SimDuration};
 
 /// Runs one n-peer, k-threshold SAC round at the given bandwidth and
@@ -22,18 +21,8 @@ fn round_time(n: usize, k: usize, dim: usize, mbps: u64, seed: u64) -> Option<f6
     sim.set_latency(cfg);
     let ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
     for i in 0..n {
-        let cfg = SacConfig {
-            group: ids.clone(),
-            position: i,
-            leader_pos: 0,
-            k,
-            scheme: ShareScheme::Masked,
-            engine: SacEngine::Pairwise,
-            share_deadline: SimDuration::from_secs(120),
-            collect_deadline: SimDuration::from_secs(120),
-            round_deadline: None,
-            seed: seed + i as u64,
-        };
+        let deadline = SimDuration::from_secs(120);
+        let cfg = sac_config(&ids, i, k, SacEngine::Pairwise, deadline, seed + i as u64);
         sim.add_node(SacPeerActor::new(cfg, WeightVector::zeros(dim)));
     }
     sim.run_until_quiet(1000);
@@ -58,6 +47,7 @@ fn main() {
     // memory-friendly; the *ratio* between configurations is size-free.
     let dim = args.get_usize("params", 125_000);
     let seed = args.get_u64("seed", 1);
+    args.finish();
 
     banner(
         "Ablation: end-to-end SAC round latency under finite bandwidth",

@@ -30,6 +30,8 @@ fn main() {
     let n = args.get_usize("n", 5);
     let n_total = args.get_usize("peers", 30);
     let trials = args.get_u64("trials", 20_000);
+    let mut rng = StdRng::seed_from_u64(args.get_u64("seed", 1));
+    args.finish();
     let model = ModelSize::PAPER_CNN;
 
     banner(
@@ -38,7 +40,6 @@ fn main() {
     );
     assert!(n_total.is_multiple_of(n), "pick N divisible by n");
     let baseline = sac_baseline_units(n_total);
-    let mut rng = StdRng::seed_from_u64(args.get_u64("seed", 1));
     let mut rows = Vec::new();
     for k in 1..=n {
         let units = two_layer_ft_units_eq5(n, k, n_total);

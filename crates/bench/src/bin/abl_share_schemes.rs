@@ -18,6 +18,7 @@ fn main() {
     let dim = args.get_usize("dim", 1_248_394); // the Fig. 5 CNN
     let n = args.get_usize("n", 5);
     let mut rng = StdRng::seed_from_u64(args.get_u64("seed", 1));
+    args.finish();
 
     banner(
         "Ablation: share-construction schemes at Fig. 5 model scale",

@@ -1,4 +1,9 @@
-//! Chaos soak — randomized fault plans driven through full two-layer
+//! Chaos soak — the long randomized legs nothing else runs. Every
+//! deterministic robustness check (per-round churn, the Byzantine
+//! skewer, the ring mid-round crash, TCP crash/restart from disk) is a
+//! tier-1 test under `tests/`; see EXPERIMENTS.md for the map.
+//!
+//! The epoch soak drives randomized fault plans through full two-layer
 //! rounds (election → SAC → FedAvg), cycling the four crash cases of the
 //! paper's Sec. V and asserting each is hit *and recovered* at least once:
 //!
@@ -10,21 +15,11 @@
 //!
 //! Every epoch runs a lossy randomized [`FaultPlan`] (link chaos) with the
 //! case's crash/restart events spliced in, applied to the simulator-backed
-//! [`ResilientSession`]. A final TCP leg replays a plan's crash/restart
-//! schedule against reactor-hosted peers with on-disk Raft storage and
-//! verifies recovery, at a new address, from the files alone.
+//! [`ResilientSession`], on either engine (`--engine pairwise|ring`).
 //!
 //! Run: `cargo run -rp p2pfl-bench --bin chaos_soak -- --seed 7`
 //! Smoke: `cargo run -rp p2pfl-bench --bin chaos_soak -- --smoke --seed 7`
-//! Churn: `cargo run -rp p2pfl-bench --bin chaos_soak -- --churn --seed 7`
-//! (kill/wait/restart a random follower every round; the final model must
-//! match a crash-free twin bit-for-bit, and detector-driven roster
-//! evictions must all heal). Each epoch prints its seed; replay one with
-//! `--seed <n> --epochs 1`.
-//! Byzantine: `cargo run -rp p2pfl-bench --bin chaos_soak -- --byzantine
-//! --seed 7` (one SAC peer runs the commit-then-skew attack on both the
-//! simulator and real TCP transports; both leaders must finish with the
-//! attacker excluded and the honest mean intact).
+//! Each epoch prints its seed; replay one with `--seed <n> --epochs 1`.
 //! Flash crowd: `cargo run -rp p2pfl-bench --bin chaos_soak --
 //! --flash-crowd --seed 7` (burst-join to 3x the population then mass
 //! leave; the elastic planner must split and merge, every subgroup must
@@ -34,25 +29,19 @@
 //! same digest over real TCP as on the simulator).
 
 use p2pfl::runner::{ResilientConfig, ResilientSession};
-use p2pfl_bench::{banner, mesh, print_csv, Args};
+use p2pfl_bench::testkit::{
+    ids, mesh, reactor, sac_config, spawn_group, synthetic_session, wait_done,
+};
+use p2pfl_bench::{banner, print_csv, Args};
 use p2pfl_fed::Client;
-use p2pfl_hierraft::{
-    ElasticBounds, FedCmd, HierActor, HierMsg, HierPeerConfig, RobustCombiner, SubCmd,
-};
-use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Dataset, Partition};
-use p2pfl_ml::models::mlp;
-use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
-use p2pfl_raft::FileStorage;
-use p2pfl_secagg::{
-    RingMsg, RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme,
-    WeightVector,
-};
-use p2pfl_simnet::{FaultPlan, NodeId, ProcessFault, Sim, SimDuration, SimTime};
+use p2pfl_hierraft::{ElasticBounds, HierActor};
+use p2pfl_ml::data::Dataset;
+use p2pfl_secagg::{SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
+use p2pfl_simnet::{FaultPlan, NodeId, Sim, SimDuration, SimTime};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum CrashCase {
@@ -87,26 +76,8 @@ impl CrashCase {
 fn session(seed: u64, engine: SacEngine) -> (ResilientSession, Dataset) {
     let mut cfg = ResilientConfig::small(seed);
     cfg.deployment.engine = engine;
-    let n_total = cfg.deployment.total_peers();
-    let (train, test) =
-        train_test_split(&features_like(16, n_total * 50 + 300, seed), n_total * 50);
-    let parts = partition_dataset(&train, n_total, Partition::Iid, seed + 1);
-    let mut rng = StdRng::seed_from_u64(seed + 2);
-    let clients: Vec<Client> = parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, d)| {
-            Client::new(
-                i,
-                mlp(&[16, 24, 10], &mut rng),
-                d,
-                5e-3,
-                seed + 10 + i as u64,
-            )
-        })
-        .collect();
-    let eval = mlp(&[16, 24, 10], &mut rng);
-    (ResilientSession::new(cfg, clients, eval), test)
+    let (s, _, test) = synthetic_session(cfg, 0, 50);
+    (s, test)
 }
 
 /// Picks the case's victim from the live Raft state.
@@ -175,94 +146,6 @@ fn run_epoch(
     (min_groups, recovered)
 }
 
-/// Churn leg: every round, kill a random follower, hold it down across the
-/// failure detector's suspect window (every 10th round: across the confirm
-/// window, forcing a roster eviction + re-admission), restart it before
-/// aggregation, and finally compare the global model bit-for-bit against a
-/// crash-free twin — churn that never removes a contributor at aggregation
-/// time must be invisible in the aggregate.
-fn churn_leg(seed: u64, rounds: usize, engine: SacEngine) {
-    let settle = SimDuration::from_millis(600); // ResilientConfig::small
-    println!("# churn leg: {rounds} rounds, seed {seed} (replay with --churn --seed {seed})");
-    let (mut clean, test) = session(seed, engine);
-    let (mut churned, _) = session(seed, engine);
-    let mut pick = StdRng::seed_from_u64(seed ^ 0xc0411);
-    let wall = Instant::now();
-
-    for round in 1..=rounds {
-        let g = pick.random_range(0..churned.dep.subgroups.len());
-        let leader = churned
-            .dep
-            .sub_leader_of(g)
-            .expect("subgroup leaderless at pick time");
-        let followers: Vec<NodeId> = churned.dep.subgroups[g]
-            .iter()
-            .copied()
-            .filter(|&m| m != leader)
-            .collect();
-        let victim = followers[pick.random_range(0..followers.len())];
-        let down_ms = if round % 10 == 0 { 350 } else { 150 };
-        churned.crash(victim);
-        churned.dep.sim.run_for(SimDuration::from_millis(down_ms));
-        churned.restart(victim);
-
-        let t0 = churned.dep.sim.now();
-        let r = churned.run_round(round, &test);
-        assert!(
-            churned.dep.sim.now() <= t0 + settle + SimDuration::from_millis(10),
-            "round {round}: churn round exceeded the settle window"
-        );
-        assert_eq!(
-            r.record.groups_used,
-            churned.dep.subgroups.len(),
-            "round {round}: churn excluded a subgroup (leaders {:?})",
-            r.leaders
-        );
-        clean.run_round(round, &test);
-    }
-
-    let clean_bits: Vec<u64> = clean.global().iter().map(|x| x.to_bits()).collect();
-    let churn_bits: Vec<u64> = churned.global().iter().map(|x| x.to_bits()).collect();
-    assert_eq!(
-        clean_bits, churn_bits,
-        "churn with full recovery changed the global model (seed {seed})"
-    );
-
-    let mut evictions = 0usize;
-    let mut readmissions = 0usize;
-    for g in 0..churned.dep.subgroups.len() {
-        for &m in &churned.dep.subgroups[g].clone() {
-            let a = churned.dep.sim.actor::<HierActor>(m);
-            evictions += a.roster_changes.iter().filter(|(_, _, e)| *e).count();
-            readmissions += a.roster_changes.iter().filter(|(_, _, e)| !*e).count();
-        }
-        let leader = churned.dep.sub_leader_of(g).expect("leader after churn");
-        let roster = churned
-            .dep
-            .sim
-            .actor::<HierActor>(leader)
-            .live_sub_members();
-        assert_eq!(
-            roster,
-            &churned.dep.subgroups[g][..],
-            "subgroup {g}: roster did not heal"
-        );
-    }
-    assert!(
-        evictions >= rounds / 10,
-        "deep-churn rounds triggered too few evictions ({evictions})"
-    );
-    assert_eq!(
-        evictions, readmissions,
-        "an evicted member was never re-admitted"
-    );
-    println!(
-        "# churn leg passed: {rounds} rounds, {evictions} evictions healed, \
-         digest matches crash-free twin ({:.1}s)",
-        wall.elapsed().as_secs_f64()
-    );
-}
-
 // ---------------------------------------------------------------------
 // Flash-crowd leg: elastic split/merge under burst join + mass leave
 // ---------------------------------------------------------------------
@@ -284,27 +167,9 @@ fn elastic_session(
     cfg.deployment.subgroup_size = FC_SIZE;
     cfg.deployment.engine = engine;
     cfg.deployment.elastic = Some(bounds);
-    let n_initial = cfg.deployment.total_peers();
-    let n_all = 3 * n_initial; // the burst triples the population
-    let (train, test) = train_test_split(&features_like(16, n_all * 40 + 300, seed), n_all * 40);
-    let parts = partition_dataset(&train, n_all, Partition::Iid, seed + 1);
-    let mut rng = StdRng::seed_from_u64(seed + 2);
-    let mut clients: Vec<Client> = parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, d)| {
-            Client::new(
-                i,
-                mlp(&[16, 24, 10], &mut rng),
-                d,
-                5e-3,
-                seed + 10 + i as u64,
-            )
-        })
-        .collect();
-    let joiners = clients.split_off(n_initial);
-    let eval = mlp(&[16, 24, 10], &mut rng);
-    (ResilientSession::new(cfg, clients, eval), joiners, test)
+    // The burst triples the population.
+    let joiners = 2 * cfg.deployment.total_peers();
+    synthetic_session(cfg, joiners, 40)
 }
 
 /// Asserts the elastic safety claims on a session's final state and
@@ -493,30 +358,16 @@ fn flash_crowd_reactor_leg(rosters: &[(u64, Vec<NodeId>)], seed: u64) {
     for (gi, (roster_key, roster)) in rosters.iter().enumerate() {
         let n = roster.len();
         let k = n.div_ceil(2);
-        let ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        let ids = ids(n);
         let mut rng = StdRng::seed_from_u64(seed ^ roster_key);
         let models: Vec<WeightVector> = (0..n)
             .map(|_| WeightVector::random(16, 1.0, &mut rng))
             .collect();
-        let mut plain = WeightVector::zeros(16);
-        for m in &models {
-            plain.add_assign(m);
-        }
-        plain.scale(1.0 / n as f64);
-        let cfg = |pos: usize, deadline: SimDuration| SacConfig {
-            group: ids.clone(),
-            position: pos,
-            leader_pos: 0,
-            k,
-            scheme: ShareScheme::Masked,
-            engine: SacEngine::Pairwise,
-            share_deadline: deadline,
-            collect_deadline: deadline,
-            round_deadline: None,
-            seed: seed ^ (pos as u64 * 0x9e37_79b9),
-        };
+        let plain = WeightVector::mean(models.iter());
         let rekeyed = |pos: usize, deadline: SimDuration| {
-            let mut a = SacPeerActor::new(cfg(pos, deadline), models[pos].clone());
+            let pos_seed = seed ^ (pos as u64 * 0x9e37_79b9);
+            let cfg = sac_config(&ids, pos, k, SacEngine::Pairwise, deadline, pos_seed);
+            let mut a = SacPeerActor::new(cfg, models[pos].clone());
             assert!(
                 a.rekey(ids.clone(), ids[0], k, *roster_key),
                 "re-key rejected for subgroup {gi} position {pos}"
@@ -546,31 +397,18 @@ fn flash_crowd_reactor_leg(rosters: &[(u64, Vec<NodeId>)], seed: u64) {
         );
 
         // The same round over real sockets on the reactor runtime.
-        let reactor: Reactor<SacMsg, SacPeerActor> =
-            Reactor::start(ReactorConfig::default()).expect("bind reactor");
-        let handles: Vec<PeerHandle<SacMsg, SacPeerActor>> = (0..n)
-            .map(|pos| {
-                reactor
-                    .spawn_peer(ids[pos], rekeyed(pos, SimDuration::from_secs(2)))
-                    .expect("spawn peer")
-            })
-            .collect();
+        let reactor = reactor::<SacMsg, SacPeerActor>();
+        let actors = (0..n).map(|pos| (ids[pos], rekeyed(pos, SimDuration::from_secs(2))));
+        let handles = spawn_group(&reactor, actors, None);
         mesh(&handles);
         handles[0].with(|a, ctx| a.start_round(ctx, 1));
-        wait_for(
-            &format!("flash-crowd tcp round, subgroup {gi}"),
-            Duration::from_secs(60),
-            || handles[0].with(|a, _| a.result.is_some() || matches!(a.phase, SacPhase::Failed(_))),
-        );
-        let (phase, tcp_result) = handles[0].with(|a, _| (a.phase.clone(), a.result.clone()));
-        assert_eq!(phase, SacPhase::Done, "tcp subgroup {gi}: {phase:?}");
-        let tcp_result = tcp_result.expect("tcp result");
+        let what = format!("flash-crowd tcp round, subgroup {gi}");
+        let (_, tcp_result) = wait_done(&handles[0], &what);
         assert_eq!(
             tcp_result.digest(),
             sim_result.digest(),
             "subgroup {gi}: reactor round diverged from the simulator twin"
         );
-        drop(reactor);
     }
     println!(
         "# flash-crowd tcp leg passed: {} re-keyed rosters, reactor digests match the \
@@ -580,381 +418,8 @@ fn flash_crowd_reactor_leg(rosters: &[(u64, Vec<NodeId>)], seed: u64) {
     );
 }
 
-// ---------------------------------------------------------------------
-// TCP leg: plan-scheduled crash/restart against on-disk Raft state
-// ---------------------------------------------------------------------
-
-const TCP_GROUPS: usize = 2;
-const TCP_SIZE: usize = 3;
-
-type HierRt = PeerHandle<HierMsg, HierActor>;
-
-fn hier_cfg(
-    id: NodeId,
-    subgroups: &[Vec<NodeId>],
-    founding: &[NodeId],
-    seed: u64,
-    engine: SacEngine,
-) -> HierPeerConfig {
-    let gi = (id.0 as usize) / TCP_SIZE;
-    HierPeerConfig {
-        id,
-        subgroup: subgroups[gi].clone(),
-        subgroup_index: gi,
-        founding_fed: founding.to_vec(),
-        t: SimDuration::from_millis(300),
-        heartbeat: SimDuration::from_millis(60),
-        config_commit_interval: SimDuration::from_millis(200),
-        join_poll_interval: SimDuration::from_millis(100),
-        probe_interval: SimDuration::from_millis(60),
-        suspect_after: SimDuration::from_millis(300),
-        dead_after: SimDuration::from_millis(900),
-        engine,
-        combiner: RobustCombiner::FedAvg,
-        seed: seed ^ (0x9e37 + id.0 as u64 * 0x85eb_ca6b),
-        elastic: None,
-    }
-}
-
-fn storage_actor(dir: &Path, cfg: HierPeerConfig) -> HierActor {
-    let sub: PathBuf = dir.join(format!("n{}-sub.raft", cfg.id.0));
-    let fed: PathBuf = dir.join(format!("n{}-fed.raft", cfg.id.0));
-    HierActor::with_storage(
-        cfg,
-        Box::new(FileStorage::<SubCmd>::open(sub).expect("open sub storage")),
-        Box::new(FileStorage::<FedCmd>::open(fed).expect("open fed storage")),
-    )
-}
-
-fn wait_for(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-fn tcp_stable(rts: &HashMap<NodeId, HierRt>, subgroups: &[Vec<NodeId>]) -> bool {
-    let fed_leaders = rts
-        .values()
-        .filter(|rt| rt.with(|a, _| a.is_fed_leader()))
-        .count();
-    fed_leaders == 1
-        && subgroups.iter().all(|g| {
-            let leaders: Vec<&HierRt> = g
-                .iter()
-                .filter_map(|id| rts.get(id))
-                .filter(|rt| rt.with(|a, _| a.is_sub_leader()))
-                .collect();
-            leaders.len() == 1 && leaders[0].with(|a, _| a.is_fed_member())
-        })
-}
-
-fn commit_marker(rts: &HashMap<NodeId, HierRt>, subgroups: &[Vec<NodeId>], marker: u64) {
-    let fl = rts
-        .values()
-        .find(|rt| rt.with(|a, _| a.is_fed_leader()))
-        .expect("fed leader");
-    fl.with(move |a, ctx| a.propose_fed(ctx, FedCmd::Round(marker)).unwrap());
-    wait_for(
-        &format!("marker {marker} at every subgroup leader"),
-        Duration::from_secs(30),
-        || {
-            subgroups.iter().all(|g| {
-                g.iter().filter_map(|id| rts.get(id)).any(|rt| {
-                    rt.with(move |a, _| {
-                        a.is_sub_leader() && a.fed_rounds_applied().contains(&marker)
-                    })
-                })
-            })
-        },
-    );
-}
-
-/// The soak's TCP leg: a plan's crash/restart schedule kills a real peer
-/// and recovery comes from its on-disk Raft record alone.
-fn tcp_crash_restart_leg(seed: u64, engine: SacEngine) {
-    let dir = std::env::temp_dir().join(format!("p2pfl-chaos-soak-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let subgroups: Vec<Vec<NodeId>> = (0..TCP_GROUPS)
-        .map(|g| {
-            (0..TCP_SIZE)
-                .map(|i| NodeId((g * TCP_SIZE + i) as u32))
-                .collect()
-        })
-        .collect();
-    let founding: Vec<NodeId> = subgroups.iter().map(|g| g[0]).collect();
-    let all: Vec<NodeId> = subgroups.iter().flatten().copied().collect();
-
-    let home: Reactor<HierMsg, HierActor> =
-        Reactor::start(ReactorConfig::default()).expect("bind reactor");
-    let handles: Vec<HierRt> = all
-        .iter()
-        .map(|&id| {
-            let actor = storage_actor(&dir, hier_cfg(id, &subgroups, &founding, seed, engine));
-            home.spawn_peer(id, actor).expect("spawn peer")
-        })
-        .collect();
-    mesh(&handles);
-    let mut rts: HashMap<NodeId, HierRt> = handles.into_iter().map(|h| (h.node_id(), h)).collect();
-    wait_for(
-        "initial TCP two-layer stability",
-        Duration::from_secs(30),
-        || tcp_stable(&rts, &subgroups),
-    );
-    commit_marker(&rts, &subgroups, 1);
-
-    let victim = founding[0];
-    let plan = FaultPlan::new(seed ^ 0xdead)
-        .crash(SimTime::from_millis(10), victim)
-        .restart(SimTime::from_millis(2000), victim);
-    let origin = Instant::now();
-    let (pre_term, pre_last) = rts[&victim].with(|a, _| {
-        let r = a.sub_raft();
-        (r.term(), r.log().last_index())
-    });
-    // The restarted process gets a listener of its own: a new address.
-    let away: Reactor<HierMsg, HierActor> =
-        Reactor::start(ReactorConfig::default()).expect("bind reactor");
-    for ev in plan.process_events() {
-        let due = origin + Duration::from_nanos(ev.at.as_nanos());
-        if let Some(wait) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(wait);
-        }
-        match ev.fault {
-            ProcessFault::Crash => {
-                rts.remove(&ev.node).expect("victim running").kill();
-            }
-            ProcessFault::Restart => {
-                let actor =
-                    storage_actor(&dir, hier_cfg(ev.node, &subgroups, &founding, seed, engine));
-                assert!(actor.sub_raft().term() >= pre_term, "term lost on restart");
-                assert!(
-                    actor.sub_raft().log().last_index() >= pre_last,
-                    "log entries lost on restart"
-                );
-                assert!(actor.is_fed_member(), "fed seat not restored from disk");
-                let rt = away.spawn_peer(ev.node, actor).expect("respawn");
-                for other in rts.values() {
-                    rt.add_peer(other.node_id(), other.local_addr());
-                    other.add_peer(ev.node, rt.local_addr());
-                }
-                rts.insert(ev.node, rt);
-            }
-        }
-    }
-    wait_for(
-        "post-restart TCP stability",
-        Duration::from_secs(60),
-        || tcp_stable(&rts, &subgroups),
-    );
-    commit_marker(&rts, &subgroups, 2);
-    for (_, rt) in rts.drain() {
-        drop(rt.stop());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    println!("# tcp leg: crash/restart recovered from on-disk Raft state, marker committed");
-}
-
-/// Ring-engine leg: a dedicated mid-round crash against the Ring-SAC
-/// actor itself. A follower dies after its shares have entered the ring
-/// but before the round closes; the leader must still finish with all n
-/// contributors by pulling the victim's blocks out of stage replicas.
-fn ring_crash_leg(seed: u64) {
-    const N: usize = 8;
-    let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
-    let mut sim: Sim<RingMsg> = Sim::new(seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x1219);
-    for i in 0..N {
-        let cfg = SacConfig {
-            group: ids.clone(),
-            position: i,
-            leader_pos: 0,
-            k: N.div_ceil(2),
-            scheme: ShareScheme::Masked,
-            engine: SacEngine::Ring,
-            share_deadline: SimDuration::from_millis(100),
-            collect_deadline: SimDuration::from_millis(100),
-            round_deadline: None,
-            seed: seed + i as u64,
-        };
-        let model = WeightVector::random(64, 1.0, &mut rng);
-        sim.add_node(RingSacActor::new(cfg, model));
-    }
-    let victim = NodeId(5);
-    let plan = FaultPlan::new(seed ^ 0x51de).crash(SimTime::from_millis(40), victim);
-    sim.apply_fault_plan(&plan);
-    sim.exec::<RingSacActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
-    sim.run_until(sim.now() + SimDuration::from_secs(5));
-    let leader = sim.actor::<RingSacActor>(ids[0]);
-    assert_eq!(leader.phase, SacPhase::Done, "ring leg: {:?}", leader.phase);
-    assert!(
-        leader.recoveries >= 1,
-        "mid-round crash did not exercise replica recovery"
-    );
-    assert!(
-        leader.contributors.contains(&(victim.0 as usize)),
-        "victim's update was lost despite stage replicas"
-    );
-    println!(
-        "# ring leg: mid-round crash recovered from stage replicas \
-         ({} recoveries), all {N} contributors kept",
-        leader.recoveries
-    );
-}
-
-// ---------------------------------------------------------------------
-// Byzantine leg: commit-then-skew attack on both transports
-// ---------------------------------------------------------------------
-
-const BYZ_N: usize = 5;
-const BYZ_K: usize = 3;
-const BYZ_POS: usize = 3;
-const BYZ_SKEW: f64 = 6.0;
-const BYZ_DIM: usize = 32;
-
-fn byz_sac_cfg(ids: &[NodeId], pos: usize, deadline: SimDuration, seed: u64) -> SacConfig {
-    SacConfig {
-        group: ids.to_vec(),
-        position: pos,
-        leader_pos: 0,
-        k: BYZ_K,
-        scheme: ShareScheme::Masked,
-        engine: SacEngine::Pairwise,
-        share_deadline: deadline,
-        collect_deadline: deadline,
-        round_deadline: None,
-        seed: seed ^ (pos as u64 * 0x9e37_79b9),
-    }
-}
-
-/// The checks both transports must pass: round done, the attacker caught
-/// and excluded, and the published result equal to the honest plain mean.
-fn assert_byz_defended(
-    transport: &str,
-    phase: &SacPhase,
-    contributors: &[usize],
-    rejected: u64,
-    detected: &std::collections::BTreeSet<usize>,
-    result: &WeightVector,
-    honest_mean: &WeightVector,
-) {
-    assert_eq!(*phase, SacPhase::Done, "{transport}: {phase:?}");
-    let honest: Vec<usize> = (0..BYZ_N).filter(|&p| p != BYZ_POS).collect();
-    assert_eq!(
-        contributors, honest,
-        "{transport}: attacker not excluded from contributors"
-    );
-    assert!(rejected >= 1, "{transport}: no shares rejected");
-    assert!(
-        detected.contains(&BYZ_POS),
-        "{transport}: attacker not in byzantine_detected ({detected:?})"
-    );
-    let d = result.linf_distance(honest_mean);
-    assert!(
-        d < 1e-9,
-        "{transport}: result drifted {d} from the honest mean"
-    );
-}
-
-/// Byzantine leg: peer 3 of a 5-peer, k=3 SAC subgroup runs the
-/// commit-then-skew attack — honest hash commitments, then every share
-/// block scaled by [`BYZ_SKEW`]. The simulator and a real TCP deployment
-/// must interpret the fault identically: on both transports every honest
-/// receiver's digest check rejects the blocks, the leader finishes the
-/// round over the honest four, and the published average equals the plain
-/// mean of the honest models (the adversary-free twin, computed directly).
-fn byzantine_leg(seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xb12a);
-    let models: Vec<WeightVector> = (0..BYZ_N)
-        .map(|_| WeightVector::random(BYZ_DIM, 1.0, &mut rng))
-        .collect();
-    let mut honest_mean = WeightVector::zeros(BYZ_DIM);
-    for (pos, m) in models.iter().enumerate() {
-        if pos != BYZ_POS {
-            honest_mean.add_assign(m);
-        }
-    }
-    honest_mean.scale(1.0 / (BYZ_N - 1) as f64);
-    let ids: Vec<NodeId> = (0..BYZ_N as u32).map(NodeId).collect();
-
-    // Simulator sub-leg.
-    let mut sim: Sim<SacMsg> = Sim::new(seed);
-    for (pos, model) in models.iter().enumerate() {
-        sim.add_node(SacPeerActor::new(
-            byz_sac_cfg(&ids, pos, SimDuration::from_millis(100), seed),
-            model.clone(),
-        ));
-    }
-    sim.actor_mut::<SacPeerActor>(ids[BYZ_POS]).byz_share_skew = Some(BYZ_SKEW);
-    sim.exec::<SacPeerActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
-    sim.run_until(SimTime::from_secs(5));
-    let leader = sim.actor::<SacPeerActor>(ids[0]);
-    assert_byz_defended(
-        "sim",
-        &leader.phase,
-        &leader.contributors,
-        leader.shares_rejected,
-        &leader.byzantine_detected,
-        leader.result.as_ref().expect("sim result"),
-        &honest_mean,
-    );
-    for pos in (0..BYZ_N).filter(|&p| p != BYZ_POS) {
-        assert!(
-            sim.actor::<SacPeerActor>(ids[pos]).shares_rejected >= 1,
-            "sim: honest peer {pos} accepted a skewed block"
-        );
-    }
-    println!("# byzantine leg (sim): attacker detected by all honest peers, honest mean intact");
-
-    // TCP sub-leg: same attack over real sockets.
-    let reactor: Reactor<SacMsg, SacPeerActor> =
-        Reactor::start(ReactorConfig::default()).expect("bind reactor");
-    let runtimes: Vec<PeerHandle<SacMsg, SacPeerActor>> = (0..BYZ_N)
-        .map(|pos| {
-            let mut actor = SacPeerActor::new(
-                byz_sac_cfg(&ids, pos, SimDuration::from_secs(2), seed),
-                models[pos].clone(),
-            );
-            if pos == BYZ_POS {
-                actor.byz_share_skew = Some(BYZ_SKEW);
-            }
-            reactor.spawn_peer(ids[pos], actor).expect("spawn peer")
-        })
-        .collect();
-    mesh(&runtimes);
-    runtimes[0].with(|a, ctx| a.start_round(ctx, 1));
-    wait_for("tcp byzantine round", Duration::from_secs(30), || {
-        runtimes[0].with(|a, _| a.result.is_some() || matches!(a.phase, SacPhase::Failed(_)))
-    });
-    let (phase, contributors, rejected, detected, result) = runtimes[0].with(|a, _| {
-        (
-            a.phase.clone(),
-            a.contributors.clone(),
-            a.shares_rejected,
-            a.byzantine_detected.clone(),
-            a.result.clone().expect("tcp result"),
-        )
-    });
-    assert_byz_defended(
-        "tcp",
-        &phase,
-        &contributors,
-        rejected,
-        &detected,
-        &result,
-        &honest_mean,
-    );
-    for rt in runtimes {
-        drop(rt.stop());
-    }
-    println!("# byzantine leg (tcp): attacker detected over real sockets, honest mean intact");
-}
-
 fn main() {
     let args = Args::parse();
-    let smoke = args.get_flag("smoke") || args.get_flag("quick");
     let seed = args.get_u64("seed", 7);
     let engine = match args.get_str("engine").as_deref() {
         None | Some("pairwise") => SacEngine::Pairwise,
@@ -965,48 +430,23 @@ fn main() {
         }
     };
 
-    if args.get_flag("byzantine") {
-        banner(
-            "Chaos soak: commit-then-skew Byzantine attack on both transports",
-            "honest receivers reject the skewed shares; the round survives with the honest mean",
-        );
-        byzantine_leg(seed);
-        println!("# byzantine soak passed");
-        return;
-    }
-
     if args.get_flag("flash-crowd") {
+        args.finish();
         banner(
             "Chaos soak: flash-crowd churn over the elastic topology",
             "burst join to 3x then mass leave; split+merge in band, safe re-keys, twin digest match",
         );
         let rosters = flash_crowd_leg(seed, engine);
-        if !args.get_flag("skip-tcp") {
-            flash_crowd_reactor_leg(&rosters, seed);
-        } else {
-            println!("# --skip-tcp: reactor replay of the converged rosters skipped");
-        }
+        flash_crowd_reactor_leg(&rosters, seed);
         println!("# flash-crowd soak passed");
         return;
     }
 
-    if args.get_flag("churn") {
-        banner(
-            "Chaos soak: per-round membership churn vs crash-free twin",
-            "kill/wait/restart a random follower each round; digest must match",
-        );
-        churn_leg(
-            seed,
-            args.get_usize("rounds", if smoke { 20 } else { 50 }),
-            engine,
-        );
-        return;
-    }
-
+    let smoke = args.get_flag("smoke");
     let epochs = args.get_usize("epochs", if smoke { 4 } else { 8 });
     let chaos_rounds = args.get_usize("rounds", if smoke { 2 } else { 4 });
     let settle_rounds = args.get_usize("settle", if smoke { 2 } else { 3 });
-    let skip_tcp = args.get_flag("skip-tcp");
+    args.finish();
 
     banner(
         "Chaos soak: randomized fault plans over full two-layer rounds",
@@ -1063,14 +503,5 @@ fn main() {
         !failed,
         "a Sec. V crash case was never hit or never recovered (replay with --seed {seed})"
     );
-
-    if engine == SacEngine::Ring {
-        ring_crash_leg(seed);
-    }
-    if skip_tcp {
-        println!("# tcp leg skipped (--skip-tcp)");
-    } else {
-        tcp_crash_restart_leg(seed, engine);
-    }
     println!("# chaos soak passed");
 }

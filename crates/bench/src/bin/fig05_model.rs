@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    p2pfl_bench::Args::parse().finish();
     p2pfl_bench::banner(
         "Fig. 5: CNN model architecture",
         "\"relatively small with 1.25M parameters\"; two conv blocks, two dense layers",

@@ -15,6 +15,7 @@ fn main() {
     let rounds = args.get_usize("rounds", 10);
     let seed = args.get_u64("seed", 42);
     let n_total = args.get_usize("peers", 6);
+    args.finish();
 
     banner(
         "Fig. 6 (CNN variant): conv pipeline through two-layer SAC",

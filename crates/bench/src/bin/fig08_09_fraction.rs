@@ -1,26 +1,28 @@
-//! Fig. 8 — test accuracy with a fraction `p` of subgroups contributing
-//! per round (N = 20, n = 5, p ∈ {0.5, 1}).
+//! Figs. 8 and 9 — test accuracy (Fig. 8) and training loss (Fig. 9) from
+//! one sweep with a fraction `p` of subgroups contributing per round
+//! (N = 20, n = 5, p ∈ {0.5, 1}).
 //!
-//! Paper claim to reproduce (shape): p = 0.5 loses only a couple of
+//! Paper claims to reproduce (shape): p = 0.5 loses only a couple of
 //! accuracy points versus p = 1 (paper: mean gap 2.18% over the three
-//! distributions), so slow subgroups can be timed out safely.
+//! distributions), so slow subgroups can be timed out safely, and its
+//! loss curves stay close to p = 1 under all three distributions.
 //!
-//! Run: `cargo run -rp p2pfl-bench --bin fig08_fraction -- --rounds 1000`.
+//! Run: `cargo run -rp p2pfl-bench --bin fig08_09_fraction -- --rounds 1000`.
 
 use p2pfl::experiment::{final_accuracy, fraction_sweep, SweepSpec};
-use p2pfl_bench::{banner, print_csv, Args};
+use p2pfl_bench::{accuracy_loss_rows, banner, print_csv, Args};
 use p2pfl_ml::data::Partition;
-use p2pfl_ml::metrics::MovingAverage;
 
 fn main() {
     let args = Args::parse();
     let rounds = args.get_usize("rounds", 200);
     let seed = args.get_u64("seed", 42);
     let window = args.get_usize("window", 20);
+    args.finish();
 
     banner(
-        "Fig. 8: test accuracy vs subgroup fraction p (N = 20, n = 5)",
-        "p = 0.5 costs ~2% accuracy vs p = 1 (paper: average gap 2.18%)",
+        "Figs. 8-9: test accuracy and training loss vs subgroup fraction p (N = 20, n = 5)",
+        "p = 0.5 costs ~2% accuracy vs p = 1 (paper: average gap 2.18%); its loss tracks p = 1",
     );
     let spec = SweepSpec {
         n_total: 20,
@@ -30,21 +32,10 @@ fn main() {
     };
     let partitions = [Partition::Iid, Partition::NON_IID_5, Partition::NON_IID_0];
     let series = fraction_sweep(&spec, 5, &[0.5, 1.0], &partitions);
-
-    let mut rows = Vec::new();
-    for s in &series {
-        let smooth = MovingAverage::smooth(
-            window,
-            &s.records
-                .iter()
-                .map(|r| r.test_accuracy)
-                .collect::<Vec<_>>(),
-        );
-        for (r, acc) in s.records.iter().zip(&smooth) {
-            rows.push(format!("{},{},{:.4}", s.label, r.round, acc));
-        }
-    }
-    print_csv("series,round,test_accuracy_ma", rows);
+    print_csv(
+        "series,round,test_accuracy_ma,train_loss_ma",
+        accuracy_loss_rows(&series, window),
+    );
 
     println!("\n# final smoothed accuracy and p=1 vs p=0.5 gaps:");
     let mut gaps = Vec::new();

@@ -17,6 +17,7 @@ fn main() {
     let args = Args::parse();
     let trials = args.get_u64("trials", 200);
     let seed0 = args.get_u64("seed", 0);
+    args.finish();
 
     banner(
         "Fig. 12: FedAvg leader crash -> double election + rebuild",

@@ -20,6 +20,7 @@ fn main() {
     let model = ModelSize {
         params: args.get_u64("params", ModelSize::PAPER_CNN.params),
     };
+    args.finish();
 
     banner(
         "Fig. 13: communication cost per aggregation vs m (N = 30)",

@@ -30,6 +30,7 @@ fn main() {
     let model = ModelSize {
         params: args.get_u64("params", ModelSize::PAPER_CNN.params),
     };
+    args.finish();
 
     banner(
         "Fig. 14: communication cost under k-out-of-n settings vs N",

@@ -1,12 +1,15 @@
-//! Hot-path wall-clock benchmark harness (`BENCH_hotpath.json`).
+//! Kernel wall-clock harness and gates (`BENCH_hotpath.json`).
 //!
-//! Seeded, deterministic workloads over the kernels the round loop spends
-//! its time in — dense matmul, the session's MLP training step and its
-//! narrow-output head product, im2col convolution, share generation, mask
-//! application, the wire codec — plus two macro benchmarks running one
-//! full N=10 two-layer aggregation round on the simulator and on real TCP
-//! loopback sockets. Every workload is seeded with fixed constants, so
-//! run-to-run variation is measurement noise, not input variation.
+//! Times the kernels no repo-benchmark workload isolates: dense matmul
+//! (naive oracle vs the blocked production kernel, and their speedup),
+//! the session MLP's narrow-output head product, im2col convolution
+//! forward and backward, and pairwise mask application. End-to-end and
+//! per-layer time (rounds, codec, digest, share division, the training
+//! step) belong to the repo benchmark (`BENCHMARK.json`), which has a
+//! noise model; they are not re-timed here. Also gated: the pairwise vs
+//! Ring-SAC message-complexity crossover. Every workload is seeded with
+//! fixed constants, so run-to-run variation is measurement noise, not
+//! input variation.
 //!
 //! ```text
 //! cargo run -rp p2pfl-bench --bin hotpath               # full, writes BENCH_hotpath.json
@@ -20,24 +23,17 @@
 //! it with a full (non-`--quick`) run on a quiet machine (see DESIGN.md,
 //! "Performance").
 
-use p2pfl::experiment::{build_system, SweepSpec};
-use p2pfl::system::SystemKind;
 use p2pfl_bench::alloc::CountingAlloc;
 use p2pfl_bench::hotpath::{check_regressions, parse_baseline, Harness};
-use p2pfl_bench::{mesh, wait_round, Args};
-use p2pfl_ml::data::{features_like, Partition};
+use p2pfl_bench::testkit::{ids, sac_config};
+use p2pfl_bench::Args;
 use p2pfl_ml::layers::Conv2d;
-use p2pfl_ml::models::mlp;
-use p2pfl_ml::optim::Adam;
 use p2pfl_ml::reference::matmul_naive;
 use p2pfl_ml::{Layer, Tensor};
-use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
 use p2pfl_secagg::pairwise::{masked_update, PairwiseSeeds};
 use p2pfl_secagg::{
-    divide_masked, PairwiseWire, RingWire, RoundCore, SacConfig, SacEngine, SacMsg, SacPeerActor,
-    SacPhase, ShareScheme, WeightVector, Wire,
+    PairwiseWire, RingWire, RoundCore, SacConfig, SacEngine, SacPhase, WeightVector, Wire,
 };
-use p2pfl_simnet::codec::{from_bytes, to_bytes};
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,58 +52,14 @@ fn seeded_tensor(shape: &[usize], seed: u64) -> Tensor {
     )
 }
 
-/// Hosts a full-mesh loopback group of `n` SAC peers with fresh models on
-/// `reactor`.
-fn tcp_group(
-    reactor: &Reactor<SacMsg, SacPeerActor>,
-    base_id: u32,
-    n: usize,
-    dim: usize,
-) -> Vec<PeerHandle<SacMsg, SacPeerActor>> {
-    let ids: Vec<NodeId> = (0..n).map(|i| NodeId(base_id + i as u32)).collect();
-    let mut rng = StdRng::seed_from_u64(SEED + base_id as u64);
-    let handles: Vec<PeerHandle<SacMsg, SacPeerActor>> = (0..n)
-        .map(|i| {
-            let cfg = SacConfig {
-                group: ids.clone(),
-                position: i,
-                leader_pos: 0,
-                k: n.div_ceil(2),
-                scheme: ShareScheme::Masked,
-                engine: SacEngine::Pairwise,
-                share_deadline: SimDuration::from_secs(30),
-                collect_deadline: SimDuration::from_secs(30),
-                round_deadline: None,
-                seed: SEED + base_id as u64 + i as u64,
-            };
-            let model = WeightVector::random(dim, 1.0, &mut rng);
-            reactor
-                .spawn_peer(ids[i], SacPeerActor::new(cfg, model))
-                .expect("spawn peer")
-        })
-        .collect();
-    mesh(&handles);
-    handles
-}
-
 /// One clean (no-dropout) simulated SAC round at subgroup size `n` under
 /// `engine`; returns the simulator ledger total as `(msgs, bytes)`. Every
 /// message the round sends — shares, acks, control, subtotals — is
 /// counted once, so the pair is the engine's full per-round traffic.
 fn sweep_round(engine: SacEngine, n: usize, dim: usize) -> (u64, u64) {
-    let ids: Vec<NodeId> = (0..n).map(|i| NodeId(i as u32)).collect();
-    let cfg = |i: usize| SacConfig {
-        group: ids.clone(),
-        position: i,
-        leader_pos: 0,
-        k: n.div_ceil(2),
-        scheme: ShareScheme::Masked,
-        engine,
-        share_deadline: SimDuration::from_millis(200),
-        collect_deadline: SimDuration::from_millis(200),
-        round_deadline: None,
-        seed: SEED + i as u64,
-    };
+    let ids = ids(n);
+    let deadline = SimDuration::from_millis(200);
+    let cfg = |i: usize| sac_config(&ids, i, n.div_ceil(2), engine, deadline, SEED + i as u64);
     match engine {
         SacEngine::Pairwise => sweep_on::<PairwiseWire>(&ids, dim, cfg),
         SacEngine::Ring => sweep_on::<RingWire>(&ids, dim, cfg),
@@ -137,6 +89,8 @@ fn main() {
         .get_str("out")
         .unwrap_or_else(|| "BENCH_hotpath.json".to_string());
     let factor = args.get_f64("factor", 2.0);
+    let baseline_path = args.get_str("baseline");
+    args.finish();
     // Quick mode shrinks iteration counts ~3x for the CI gate.
     let scale = |full: usize| if quick { full.div_ceil(3) } else { full };
 
@@ -154,24 +108,7 @@ fn main() {
         std::hint::black_box(a.matmul(&b));
     });
 
-    // --- micro: the session's training step and its narrow-output product ---
-    // MLP 64-128-10, batch 50, Adam 2e-4 (the `session_mlp_30` step). The
-    // batches rotate through real feature data so activations and Adam
-    // moments stay in the normal range; one fixed batch trained for
-    // hundreds of steps drives gradients to subnormals and times the
-    // microcode assist instead of the kernel.
-    let steps = features_like(64, 400, SEED + 10);
-    let batches: Vec<(Tensor, Vec<usize>)> = (0..8)
-        .map(|i| steps.gather(&(i * 50..(i + 1) * 50).collect::<Vec<_>>()))
-        .collect();
-    let mut mlp_model = mlp(&[64, 128, 10], &mut StdRng::seed_from_u64(SEED + 11));
-    let mut adam = Adam::new(2e-4);
-    let mut step = 0usize;
-    h.bench("mlp_train_step", scale(600), 0, || {
-        let (x, y) = &batches[step % batches.len()];
-        step += 1;
-        std::hint::black_box(mlp_model.train_batch(x, y, &mut adam));
-    });
+    // --- micro: the session MLP's narrow-output head product ---
     // The 10-class head: 64 k MACs whose output rows are 10 wide, the shape
     // the register-tiled narrow path of the GEMM routine exists for.
     let head_a = seeded_tensor(&[50, 128], SEED + 12);
@@ -203,15 +140,7 @@ fn main() {
         std::hint::black_box(conv.backward(&ones));
     });
 
-    // --- micro: secure-aggregation share generation and mask application ---
-    let dim = 100_000usize;
-    let w = WeightVector::random(dim, 1.0, &mut StdRng::seed_from_u64(SEED + 5));
-    let share_bytes = (dim * 8 * 10) as u64;
-    let mut divide_rng = StdRng::seed_from_u64(SEED + 6);
-    h.bench("share_divide", scale(15), share_bytes, || {
-        std::hint::black_box(divide_masked(&w, 10, &mut divide_rng));
-    });
-
+    // --- micro: secure-aggregation pairwise mask application ---
     let mask_dim = 20_000usize;
     let wm = WeightVector::random(mask_dim, 1.0, &mut StdRng::seed_from_u64(SEED + 7));
     let seeds = PairwiseSeeds::deal(10, &mut StdRng::seed_from_u64(SEED + 8));
@@ -219,56 +148,7 @@ fn main() {
         std::hint::black_box(masked_update(&seeds, 3, &wm));
     });
 
-    // --- micro: the share-commitment digest at the paper's CNN size ---
-    let cnn_dim = 1_248_394usize;
-    let wc = WeightVector::random(cnn_dim, 1.0, &mut StdRng::seed_from_u64(SEED + 9));
-    h.bench("weights_digest", scale(21), (cnn_dim * 8) as u64, || {
-        std::hint::black_box(std::hint::black_box(&wc).digest());
-    });
-
-    // --- micro: wire codec over a model-sized vector ---
-    let encoded = to_bytes(&w);
-    let enc_bytes = encoded.len() as u64;
-    h.bench("codec_encode", scale(45), enc_bytes, || {
-        std::hint::black_box(to_bytes(&w));
-    });
-    h.bench("codec_decode", scale(45), enc_bytes, || {
-        std::hint::black_box(from_bytes::<WeightVector>(&encoded).expect("decode"));
-    });
-
-    // --- macro: one full N=10 two-layer round on the simulator ---
-    let spec = SweepSpec {
-        n_total: 10,
-        rounds: 1,
-        samples_per_peer: 40,
-        ..SweepSpec::default()
-    };
-    let (mut sys, test) = build_system(&spec, SystemKind::TwoLayer, 5, 1.0, Partition::Iid);
-    let mut sim_round = 0usize;
-    h.bench("macro_round_sim", scale(5), 0, || {
-        sim_round += 1;
-        std::hint::black_box(sys.run_round(sim_round, &test));
-    });
-
-    // --- macro: one full N=10 two-layer round over TCP loopback ---
-    // Two subgroups of 5 run their SAC rounds over real sockets, all ten
-    // peers on one reactor; the fed-layer combine averages the two leader
-    // results.
-    let reactor = Reactor::start(ReactorConfig::default()).expect("bind loopback");
-    let group_a = tcp_group(&reactor, 0, 5, 1_000);
-    let group_b = tcp_group(&reactor, 100, 5, 1_000);
-    let mut tcp_round = 0u64;
-    h.bench("macro_round_tcp", scale(3).max(1), 0, || {
-        tcp_round += 1;
-        let r = tcp_round;
-        group_a[0].with(move |actor, ctx| actor.start_round(ctx, r));
-        group_b[0].with(move |actor, ctx| actor.start_round(ctx, r));
-        let ra = wait_round(&group_a[0], "tcp round, group A");
-        let rb = wait_round(&group_b[0], "tcp round, group B");
-        std::hint::black_box(WeightVector::mean([&ra, &rb]));
-    });
-
-    // --- macro: pairwise vs ring message-complexity crossover sweep ---
+    // --- gate: pairwise vs ring message-complexity crossover sweep ---
     // One clean round per engine per subgroup size, counted on the
     // simulator's ledger. The pairwise engine shares all-to-all (O(n²)
     // messages); Ring-SAC shares only into its successor stage of size
@@ -343,7 +223,7 @@ fn main() {
     println!("wrote {out_path}");
 
     // --- optional regression gate against a checked-in baseline ---
-    if let Some(baseline_path) = args.get_str("baseline") {
+    if let Some(baseline_path) = baseline_path {
         match std::fs::read_to_string(&baseline_path) {
             Ok(text) => {
                 let baseline = parse_baseline(&text);

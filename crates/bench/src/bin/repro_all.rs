@@ -28,6 +28,7 @@ struct Verdict {
 fn main() {
     let args = Args::parse();
     let full = args.get_flag("full");
+    args.finish();
     let rounds = if full { 1000 } else { 120 };
     let trials = if full { 1000 } else { 60 };
     let mut verdicts: Vec<Verdict> = Vec::new();

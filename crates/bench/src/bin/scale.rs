@@ -26,11 +26,10 @@
 //! with a full (non-`--quick`) run on a quiet machine.
 
 use p2pfl_bench::hotpath::{parse_baseline, BenchResult};
-use p2pfl_bench::{banner, mesh, wait_round, Args};
+use p2pfl_bench::testkit::{ids, mesh, sac_config, synthetic_session};
+use p2pfl_bench::{banner, Args};
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
-use p2pfl_secagg::{
-    SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
-};
+use p2pfl_secagg::{SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
 use p2pfl_simnet::{FaultPlan, NodeId, Sim, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,34 +97,30 @@ fn subgroup_ids(shape: &Shape, g: usize) -> Vec<NodeId> {
 
 /// Layer-1 config for global peer `id`.
 fn l1_config(shape: &Shape, id: usize, deadline: SimDuration) -> SacConfig {
-    SacConfig {
-        group: subgroup_ids(shape, id / shape.sub_size),
-        position: id % shape.sub_size,
-        leader_pos: 0,
-        k: shape.k,
-        scheme: ShareScheme::Masked,
-        engine: SacEngine::Pairwise,
-        share_deadline: deadline,
-        collect_deadline: deadline,
-        round_deadline: None,
-        seed: SEED + id as u64,
-    }
+    let group = subgroup_ids(shape, id / shape.sub_size);
+    let position = id % shape.sub_size;
+    sac_config(
+        &group,
+        position,
+        shape.k,
+        SacEngine::Pairwise,
+        deadline,
+        SEED + id as u64,
+    )
 }
 
 /// Layer-2 config: one group of all subgroup leaders, ids 0..subgroups.
 fn l2_config(shape: &Shape, position: usize, deadline: SimDuration) -> SacConfig {
-    SacConfig {
-        group: (0..shape.subgroups as u32).map(NodeId).collect(),
+    let group = ids(shape.subgroups);
+    let seed = L2_SEED + position as u64;
+    sac_config(
+        &group,
         position,
-        leader_pos: 0,
-        k: shape.l2_k,
-        scheme: ShareScheme::Masked,
-        engine: SacEngine::Pairwise,
-        share_deadline: deadline,
-        collect_deadline: deadline,
-        round_deadline: None,
-        seed: L2_SEED + position as u64,
-    }
+        shape.l2_k,
+        SacEngine::Pairwise,
+        deadline,
+        seed,
+    )
 }
 
 /// The simulator twin: the full two-layer round under the discrete-event
@@ -269,7 +264,21 @@ fn run_l2_round(shape: &Shape, results: Vec<WeightVector>, expected: u64) -> f64
     mesh(&handles);
     let t = Instant::now();
     handles[0].with(|a, ctx| a.start_round(ctx, 1));
-    let digest = wait_round(&handles[0], "layer-2 round").digest();
+    // Polled every 2 ms like the layer-1 sweep rather than through
+    // `testkit::wait_done` (10 ms poll, 60 s stall limit): the quick
+    // shape's layer-2 round takes a few milliseconds, so the poll period
+    // is the latency's resolution, and the full shape's runs for tens of
+    // seconds.
+    let deadline = t + Duration::from_secs(600);
+    let digest = loop {
+        match handles[0].with(|a, _| (a.phase.clone(), a.result.as_ref().map(|r| r.digest()))) {
+            (SacPhase::Done, Some(digest)) => break digest,
+            (SacPhase::Failed(e), _) => panic!("layer-2 round failed: {e}"),
+            _ => {}
+        }
+        assert!(Instant::now() < deadline, "layer-2 round stalled");
+        std::thread::sleep(Duration::from_millis(2));
+    };
     let latency = t.elapsed().as_secs_f64();
     assert_eq!(digest, expected, "layer 2 diverged from the simulator");
     for h in &handles {
@@ -508,11 +517,8 @@ fn run_shape(shape: &Shape, soak: bool, suffix: &str) -> (Vec<BenchResult>, Vec<
 /// the converged subgroup-size histogram and the supervisor's elastic
 /// counters for the report.
 fn elastic_histogram(seed: u64) -> (Vec<(usize, usize)>, u64, u64, u64) {
-    use p2pfl::runner::{ResilientConfig, ResilientSession};
-    use p2pfl_fed::Client;
+    use p2pfl::runner::ResilientConfig;
     use p2pfl_hierraft::ElasticBounds;
-    use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Partition};
-    use p2pfl_ml::models::mlp;
 
     let bounds = ElasticBounds::new(3, 6);
     let mut cfg = ResilientConfig::small(seed);
@@ -520,26 +526,7 @@ fn elastic_histogram(seed: u64) -> (Vec<(usize, usize)>, u64, u64, u64) {
     cfg.deployment.subgroup_size = 3;
     cfg.deployment.elastic = Some(bounds);
     let n_initial = cfg.deployment.total_peers();
-    let n_all = 2 * n_initial;
-    let (train, test) = train_test_split(&features_like(16, n_all * 20 + 200, seed), n_all * 20);
-    let parts = partition_dataset(&train, n_all, Partition::Iid, seed + 1);
-    let mut rng = StdRng::seed_from_u64(seed + 2);
-    let mut clients: Vec<Client> = parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, d)| {
-            Client::new(
-                i,
-                mlp(&[16, 24, 10], &mut rng),
-                d,
-                5e-3,
-                seed + 10 + i as u64,
-            )
-        })
-        .collect();
-    let joiners = clients.split_off(n_initial);
-    let eval = mlp(&[16, 24, 10], &mut rng);
-    let mut s = ResilientSession::new(cfg, clients, eval);
+    let (mut s, joiners, test) = synthetic_session(cfg, n_initial, 20);
     s.run(2, &test);
     for c in joiners {
         s.add_peer(c);
@@ -572,6 +559,8 @@ fn main() {
         .get_str("out")
         .unwrap_or_else(|| "BENCH_scale.json".to_string());
     let factor = args.get_f64("factor", 2.0);
+    let baseline_path = args.get_str("baseline");
+    args.finish();
 
     banner(
         "Scale: two-layer SAC round on the single-thread reactor runtime",
@@ -620,7 +609,7 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write report");
     println!("wrote {out_path}");
 
-    if let Some(baseline_path) = args.get_str("baseline") {
+    if let Some(baseline_path) = baseline_path {
         match std::fs::read_to_string(&baseline_path) {
             Ok(text) => {
                 let baseline = parse_baseline(&text);

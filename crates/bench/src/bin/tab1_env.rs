@@ -6,13 +6,14 @@
 //! throughput; this binary records the substitution and the current host
 //! for the EXPERIMENTS.md ledger.
 
-use p2pfl_bench::banner;
+use p2pfl_bench::{banner, Args};
 
 fn read(path: &str) -> Option<String> {
     std::fs::read_to_string(path).ok()
 }
 
 fn main() {
+    Args::parse().finish();
     banner(
         "Table I: evaluation environment",
         "paper: single machine + tc netem 15 ms; here: seeded discrete-event simulation",

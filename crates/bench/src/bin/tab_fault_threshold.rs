@@ -21,6 +21,8 @@ use p2pfl_simnet::SimTime;
 
 fn main() {
     let args = Args::parse();
+    let seed = args.get_u64("seed", 1);
+    args.finish();
     banner(
         "Sec. VII-D: two-layer Raft fault-tolerance thresholds",
         "subgroup quorum floor((n-1)/2); FedAvg quorum floor((m-1)/2)",
@@ -40,7 +42,6 @@ fn main() {
     );
 
     // Empirical check on the paper topology (m = 5, n = 5).
-    let seed = args.get_u64("seed", 1);
     println!("\n# empirical check on m = 5, n = 5 (T = 100 ms):");
 
     // (a) Crash floor((n-1)/2) followers in one subgroup: it keeps a leader.

@@ -1,23 +1,81 @@
-//! The one reactor test harness: host a group of actors on a
-//! [`Reactor`], mesh them, drive a secure-aggregation round to its end, or
-//! watch a two-layer `HierActor` deployment settle and commit.
+//! The one harness for tests and bench bins: host a group of actors on a
+//! [`Reactor`], mesh them, drive a secure-aggregation round to its end,
+//! watch a two-layer `HierActor` deployment settle and commit, and build
+//! the synthetic training session and SAC configuration they start from.
 //!
 //! Every helper that waits names what it waits for, so a timeout says
 //! which phase of which test stalled.
 
-// Each test binary uses its own subset.
-#![allow(dead_code)]
-
+use p2pfl::runner::{ResilientConfig, ResilientSession};
+use p2pfl_fed::Client;
 use p2pfl_hierraft::{FedCmd, HierActor, HierMsg};
+use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Dataset, Partition};
+use p2pfl_ml::models::mlp;
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig, WireMsg};
-use p2pfl_secagg::{RoundCore, SacPhase, WeightVector, Wire};
-use p2pfl_simnet::{Actor, FaultPlan, NodeId};
+use p2pfl_secagg::{RoundCore, SacConfig, SacEngine, SacPhase, ShareScheme, WeightVector, Wire};
+use p2pfl_simnet::{Actor, FaultPlan, NodeId, SimDuration};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// `NodeId(0)..NodeId(n)`.
 pub fn ids(n: usize) -> Vec<NodeId> {
     (0..n as u32).map(NodeId).collect()
+}
+
+/// The SAC configuration harness rounds start from: leader at position
+/// 0, masked shares, both stage deadlines `deadline`, no round deadline.
+/// A caller that differs sets the field afterwards.
+pub fn sac_config(
+    group: &[NodeId],
+    position: usize,
+    k: usize,
+    engine: SacEngine,
+    deadline: SimDuration,
+    seed: u64,
+) -> SacConfig {
+    SacConfig {
+        group: group.to_vec(),
+        position,
+        leader_pos: 0,
+        k,
+        scheme: ShareScheme::Masked,
+        engine,
+        share_deadline: deadline,
+        collect_deadline: deadline,
+        round_deadline: None,
+        seed,
+    }
+}
+
+/// A simulator-backed session over synthetic 16-feature data: one client
+/// per peer of `cfg` plus `joiners` spare clients (returned, for
+/// [`ResilientSession::add_peer`]), each an MLP 16-24-10 over
+/// `samples_per_peer` IID samples, and a 300-sample test split. Seeded
+/// from `cfg.seed` alone.
+pub fn synthetic_session(
+    cfg: ResilientConfig,
+    joiners: usize,
+    samples_per_peer: usize,
+) -> (ResilientSession, Vec<Client>, Dataset) {
+    let seed = cfg.seed;
+    let n_initial = cfg.deployment.total_peers();
+    let train_count = (n_initial + joiners) * samples_per_peer;
+    let (train, test) = train_test_split(&features_like(16, train_count + 300, seed), train_count);
+    let parts = partition_dataset(&train, n_initial + joiners, Partition::Iid, seed + 1);
+    let mut rng = StdRng::seed_from_u64(seed + 2);
+    let mut clients: Vec<Client> = parts
+        .into_iter()
+        .enumerate()
+        .map(|(i, d)| {
+            let model = mlp(&[16, 24, 10], &mut rng);
+            Client::new(i, model, d, 5e-3, seed + 10 + i as u64)
+        })
+        .collect();
+    let spare = clients.split_off(n_initial);
+    let eval = mlp(&[16, 24, 10], &mut rng);
+    (ResilientSession::new(cfg, clients, eval), spare, test)
 }
 
 /// A reactor on an OS-assigned loopback port.

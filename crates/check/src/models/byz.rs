@@ -16,10 +16,12 @@
 use super::sac::{config, hash_round_state, ids, peer_model};
 use super::{hash_raft_node, hasher};
 use crate::{oracles, Model, Violation};
-use p2pfl_hierraft::{FedCmd, HierActor, HierMsg, HierPeerConfig, RobustCombiner, SubCmd};
+use p2pfl_hierraft::{
+    DeploymentSpec, FedCmd, HierActor, HierMsg, HierPeerConfig, RobustCombiner, SubCmd,
+};
 use p2pfl_raft::MemStorage;
 use p2pfl_secagg::{SacEngine, SacMsg, SacPeerActor, WeightVector};
-use p2pfl_simnet::{NodeId, Sim, SimDuration};
+use p2pfl_simnet::{NodeId, Sim};
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
@@ -94,23 +96,13 @@ impl ByzEquivModel {
     }
 
     fn cfg(id: NodeId) -> HierPeerConfig {
-        HierPeerConfig {
-            id,
-            subgroup: Self::ids(),
-            subgroup_index: 0,
-            founding_fed: vec![NodeId(0)],
-            t: SimDuration::from_millis(300),
-            heartbeat: SimDuration::from_millis(60),
-            config_commit_interval: SimDuration::from_millis(200),
-            join_poll_interval: SimDuration::from_millis(100),
-            probe_interval: SimDuration::from_millis(60),
-            suspect_after: SimDuration::from_millis(300),
-            dead_after: SimDuration::from_millis(900),
-            engine: SacEngine::Pairwise,
+        DeploymentSpec {
+            num_subgroups: 1,
+            subgroup_size: EQUIV_SIZE,
             combiner: RobustCombiner::TrimmedMean,
-            seed: EQUIV_SEED ^ (0x9e37 + id.0 as u64 * 0x85eb_ca6b),
-            elastic: None,
+            ..DeploymentSpec::paper(300, EQUIV_SEED)
         }
+        .peer_config(id)
     }
 }
 

@@ -14,11 +14,10 @@
 use super::{hash_raft_node, hasher};
 use crate::{oracles, Model, Violation};
 use p2pfl_hierraft::{
-    ElasticBounds, ElasticPeerConfig, FedCmd, HierActor, HierMsg, HierPeerConfig, RobustCombiner,
+    DeploymentSpec, ElasticBounds, ElasticPeerConfig, FedCmd, HierActor, HierMsg, HierPeerConfig,
     SubCmd, TopologyCmd,
 };
 use p2pfl_raft::{MemStorage, Role};
-use p2pfl_secagg::SacEngine;
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 use std::hash::{Hash, Hasher};
 
@@ -49,26 +48,22 @@ impl ElasticModel {
             .iter()
             .position(|g| g.contains(&id))
             .expect("every peer starts placed");
-        HierPeerConfig {
-            id,
-            subgroup: subgroups[gi].clone(),
-            subgroup_index: gi,
-            founding_fed: vec![NodeId(0), NodeId(4)],
-            t: SimDuration::from_millis(300),
-            heartbeat: SimDuration::from_millis(60),
-            config_commit_interval: SimDuration::from_millis(200),
-            join_poll_interval: SimDuration::from_millis(100),
-            probe_interval: SimDuration::from_millis(60),
-            suspect_after: SimDuration::from_millis(300),
-            dead_after: SimDuration::from_millis(900),
-            engine: SacEngine::Pairwise,
-            combiner: RobustCombiner::FedAvg,
-            seed: SEED ^ (0x9e37 + id.0 as u64 * 0x85eb_ca6b),
-            elastic: Some(ElasticPeerConfig {
-                bounds: Self::bounds(),
-                initial_groups: subgroups.to_vec(),
-            }),
-        }
+        // Asymmetric layout: placement and founding seats are set here,
+        // everything else is the paper spec's.
+        let spec = DeploymentSpec {
+            num_subgroups: 2,
+            subgroup_size: 3,
+            ..DeploymentSpec::paper(300, SEED)
+        };
+        let mut cfg = spec.peer_config(id);
+        cfg.subgroup = subgroups[gi].clone();
+        cfg.subgroup_index = gi;
+        cfg.founding_fed = vec![NodeId(0), NodeId(4)];
+        cfg.elastic = Some(ElasticPeerConfig {
+            bounds: Self::bounds(),
+            initial_groups: subgroups.to_vec(),
+        });
+        cfg
     }
 }
 

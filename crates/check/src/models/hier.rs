@@ -8,10 +8,9 @@
 
 use super::{hash_raft_node, hasher};
 use crate::{oracles, Model, Violation};
-use p2pfl_hierraft::{FedCmd, HierActor, HierMsg, HierPeerConfig, RobustCombiner, SubCmd};
+use p2pfl_hierraft::{DeploymentSpec, FedCmd, HierActor, HierMsg, SubCmd};
 use p2pfl_raft::MemStorage;
-use p2pfl_secagg::SacEngine;
-use p2pfl_simnet::{NodeId, Sim, SimDuration};
+use p2pfl_simnet::{NodeId, Sim};
 use std::hash::{Hash, Hasher};
 
 const GROUPS: usize = 2;
@@ -23,39 +22,20 @@ const SEED: u64 = 0x21e7;
 pub struct HierModel;
 
 impl HierModel {
+    fn spec() -> DeploymentSpec {
+        DeploymentSpec {
+            num_subgroups: GROUPS,
+            subgroup_size: SIZE,
+            ..DeploymentSpec::paper(300, SEED)
+        }
+    }
+
     fn subgroups() -> Vec<Vec<NodeId>> {
-        (0..GROUPS)
-            .map(|g| (0..SIZE).map(|i| NodeId((g * SIZE + i) as u32)).collect())
-            .collect()
+        Self::spec().subgroups()
     }
 
     fn ids() -> Vec<NodeId> {
         (0..(GROUPS * SIZE) as u32).map(NodeId).collect()
-    }
-
-    fn founding() -> Vec<NodeId> {
-        (0..GROUPS).map(|g| NodeId((g * SIZE) as u32)).collect()
-    }
-
-    fn cfg(id: NodeId, subgroups: &[Vec<NodeId>]) -> HierPeerConfig {
-        let gi = (id.0 as usize) / SIZE;
-        HierPeerConfig {
-            id,
-            subgroup: subgroups[gi].clone(),
-            subgroup_index: gi,
-            founding_fed: Self::founding(),
-            t: SimDuration::from_millis(300),
-            heartbeat: SimDuration::from_millis(60),
-            config_commit_interval: SimDuration::from_millis(200),
-            join_poll_interval: SimDuration::from_millis(100),
-            probe_interval: SimDuration::from_millis(60),
-            suspect_after: SimDuration::from_millis(300),
-            dead_after: SimDuration::from_millis(900),
-            engine: SacEngine::Pairwise,
-            combiner: RobustCombiner::FedAvg,
-            seed: SEED ^ (0x9e37 + id.0 as u64 * 0x85eb_ca6b),
-            elastic: None,
-        }
     }
 }
 
@@ -68,10 +48,9 @@ impl Model for HierModel {
 
     fn build(&self) -> Sim<Self::Msg> {
         let mut sim = Sim::new(SEED);
-        let subgroups = Self::subgroups();
         for id in Self::ids() {
             sim.add_node(HierActor::with_storage(
-                Self::cfg(id, &subgroups),
+                Self::spec().peer_config(id),
                 Box::new(MemStorage::<SubCmd>::new()),
                 Box::new(MemStorage::<FedCmd>::new()),
             ));

@@ -215,7 +215,7 @@ impl HierActor {
             initial_cluster: cfg.subgroup.clone(),
             election_timeout_min: cfg.t,
             election_timeout_max: cfg.t.saturating_mul(2),
-            heartbeat_interval: cfg.heartbeat,
+            heartbeat_interval: cfg.heartbeat(),
             seed: cfg.seed ^ 0x5ab,
             pre_vote: true,
         }
@@ -227,7 +227,7 @@ impl HierActor {
             initial_cluster: founding,
             election_timeout_min: cfg.t,
             election_timeout_max: cfg.t.saturating_mul(2),
-            heartbeat_interval: cfg.heartbeat,
+            heartbeat_interval: cfg.heartbeat(),
             seed: cfg.seed ^ 0xfed,
             pre_vote: true,
         }
@@ -259,8 +259,8 @@ impl HierActor {
         };
         let detector = FailureDetector::new(
             cfg.subgroup.iter().copied().filter(|&p| p != cfg.id),
-            cfg.suspect_after,
-            cfg.dead_after,
+            cfg.suspect_after(),
+            cfg.dead_after(),
             SimTime::ZERO,
         );
         let (topology, pending_rendezvous) = match cfg.elastic.as_ref() {
@@ -836,8 +836,8 @@ impl HierActor {
         };
         self.detector = FailureDetector::new(
             group.members.iter().copied().filter(|&p| p != self.cfg.id),
-            self.cfg.suspect_after,
-            self.cfg.dead_after,
+            self.cfg.suspect_after(),
+            self.cfg.dead_after(),
             ctx.now(),
         );
         // A fresh Raft instance for the new roster. The timeout stream is
@@ -1175,7 +1175,7 @@ impl HierActor {
         Self::arm(
             ctx,
             &mut self.probe_tick_timer,
-            self.cfg.probe_interval,
+            self.cfg.probe_interval(),
             TIMER_PROBE_TICK,
         );
     }
@@ -1202,7 +1202,7 @@ impl HierActor {
         Self::arm(
             ctx,
             &mut self.probe_tick_timer,
-            self.cfg.probe_interval,
+            self.cfg.probe_interval(),
             TIMER_PROBE_TICK,
         );
         if self.fed.is_none() {

@@ -294,23 +294,14 @@ pub struct HierPeerConfig {
     pub subgroup_index: usize,
     /// The designated founding FedAvg-layer members, one per subgroup.
     pub founding_fed: Vec<NodeId>,
-    /// Election timeout lower bound `T` (timeouts are `U(T, 2T)`).
+    /// Election timeout lower bound `T` (timeouts are `U(T, 2T)`). The
+    /// heartbeat, probe and detector windows derive from it (see
+    /// [`HierPeerConfig::heartbeat`]).
     pub t: SimDuration,
-    /// Leader heartbeat period.
-    pub heartbeat: SimDuration,
     /// How often a subgroup leader re-commits the FedAvg-layer config.
     pub config_commit_interval: SimDuration,
     /// How often a pending joiner polls for a FedAvg leader (paper: 100 ms).
     pub join_poll_interval: SimDuration,
-    /// How often a subgroup leader re-evaluates its failure detector and
-    /// probes suspected members.
-    pub probe_interval: SimDuration,
-    /// Quiet window after which a subgroup member is *suspected* (and
-    /// probed directly).
-    pub suspect_after: SimDuration,
-    /// Quiet window after which a suspected member is confirmed *dead* and
-    /// evicted from the replicated aggregation roster.
-    pub dead_after: SimDuration,
     /// The secure-aggregation engine this deployment was launched with;
     /// seeds the first replicated [`FedConfig`] commit.
     pub engine: SacEngine,
@@ -340,6 +331,30 @@ impl HierPeerConfig {
     /// Whether this peer is a designated founding FedAvg-layer member.
     pub fn is_founding(&self) -> bool {
         self.founding_fed.contains(&self.id)
+    }
+
+    /// Leader heartbeat period of both Raft layers: `T/5`, well under the
+    /// `U(T, 2T)` election timeout.
+    pub fn heartbeat(&self) -> SimDuration {
+        SimDuration::from_nanos((self.t.as_nanos() / 5).max(1))
+    }
+
+    /// How often a subgroup leader re-evaluates its failure detector and
+    /// probes suspected members: once per heartbeat.
+    pub fn probe_interval(&self) -> SimDuration {
+        self.heartbeat()
+    }
+
+    /// Quiet window after which a subgroup member is *suspected* (and
+    /// probed directly): one election timeout floor, `T`.
+    pub fn suspect_after(&self) -> SimDuration {
+        self.t
+    }
+
+    /// Quiet window after which a suspected member is confirmed *dead* and
+    /// evicted from the replicated aggregation roster: `3T`.
+    pub fn dead_after(&self) -> SimDuration {
+        self.t.saturating_mul(3)
     }
 }
 
@@ -396,17 +411,18 @@ mod tests {
             subgroup_index: 0,
             founding_fed: vec![NodeId(0), NodeId(2)],
             t: SimDuration::from_millis(100),
-            heartbeat: SimDuration::from_millis(20),
             config_commit_interval: SimDuration::from_millis(500),
             join_poll_interval: SimDuration::from_millis(100),
-            probe_interval: SimDuration::from_millis(40),
-            suspect_after: SimDuration::from_millis(100),
-            dead_after: SimDuration::from_millis(300),
             engine: SacEngine::Pairwise,
             combiner: RobustCombiner::FedAvg,
             seed: 1,
             elastic: None,
         };
         assert!(cfg.is_founding());
+        let ms = SimDuration::from_millis;
+        assert_eq!(cfg.heartbeat(), ms(20));
+        assert_eq!(cfg.probe_interval(), ms(20));
+        assert_eq!(cfg.suspect_after(), ms(100));
+        assert_eq!(cfg.dead_after(), ms(300));
     }
 }

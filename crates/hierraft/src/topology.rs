@@ -55,6 +55,48 @@ impl DeploymentSpec {
     pub fn total_peers(&self) -> usize {
         self.num_subgroups * self.subgroup_size
     }
+
+    /// Subgroup memberships, in subgroup order: ids `0..total_peers` in
+    /// consecutive runs of `subgroup_size`.
+    pub fn subgroups(&self) -> Vec<Vec<NodeId>> {
+        let n = self.subgroup_size;
+        (0..self.num_subgroups)
+            .map(|g| (g * n..(g + 1) * n).map(|i| NodeId(i as u32)).collect())
+            .collect()
+    }
+
+    /// The configuration of peer `id`. An id below
+    /// [`DeploymentSpec::total_peers`] is placed in subgroup `id / n`, and
+    /// the first peer of each subgroup is a founding FedAvg member; a
+    /// higher id is an unplaced rendezvous joiner. Heartbeat, probe and
+    /// detector windows derive from `t` ([`HierPeerConfig::heartbeat`]). A
+    /// caller that needs a different value sets that field with
+    /// struct-update syntax.
+    pub fn peer_config(&self, id: NodeId) -> HierPeerConfig {
+        let subgroups = self.subgroups();
+        let gi = id.0 as usize / self.subgroup_size;
+        let placed = gi < self.num_subgroups;
+        let (subgroup, subgroup_index) = match placed {
+            true => (subgroups[gi].clone(), gi),
+            false => (vec![id], usize::MAX),
+        };
+        HierPeerConfig {
+            id,
+            subgroup,
+            subgroup_index,
+            founding_fed: subgroups.iter().map(|g| g[0]).collect(),
+            t: self.t,
+            config_commit_interval: self.config_commit_interval,
+            join_poll_interval: self.join_poll_interval,
+            engine: self.engine,
+            combiner: self.combiner,
+            seed: self.seed ^ (0x9e37 + id.0 as u64 * 0x85eb_ca6b),
+            elastic: self.elastic.map(|bounds| ElasticPeerConfig {
+                bounds,
+                initial_groups: if placed { subgroups } else { Vec::new() },
+            }),
+        }
+    }
 }
 
 /// A running two-layer Raft deployment.
@@ -76,45 +118,12 @@ impl Deployment {
         sim.set_latency(LatencyConfig::uniform_default(Latency::Constant(
             spec.link_delay,
         )));
-        let mut subgroups = Vec::new();
-        let mut next = 0u32;
-        for _ in 0..spec.num_subgroups {
-            let members: Vec<NodeId> = (0..spec.subgroup_size)
-                .map(|_| {
-                    let id = NodeId(next);
-                    next += 1;
-                    id
-                })
-                .collect();
-            subgroups.push(members);
-        }
+        let subgroups = spec.subgroups();
         // Founding FedAvg member: the first peer of each subgroup.
         let founding: Vec<NodeId> = subgroups.iter().map(|g| g[0]).collect();
-        for (gi, members) in subgroups.iter().enumerate() {
-            for &id in members {
-                let cfg = HierPeerConfig {
-                    id,
-                    subgroup: members.clone(),
-                    subgroup_index: gi,
-                    founding_fed: founding.clone(),
-                    t: spec.t,
-                    heartbeat: SimDuration::from_nanos((spec.t.as_nanos() / 5).max(1)),
-                    config_commit_interval: spec.config_commit_interval,
-                    join_poll_interval: spec.join_poll_interval,
-                    probe_interval: SimDuration::from_nanos((spec.t.as_nanos() / 5).max(1)),
-                    suspect_after: spec.t,
-                    dead_after: spec.t.saturating_mul(3),
-                    engine: spec.engine,
-                    combiner: spec.combiner,
-                    seed: spec.seed ^ (0x9e37 + id.0 as u64 * 0x85eb_ca6b),
-                    elastic: spec.elastic.map(|bounds| ElasticPeerConfig {
-                        bounds,
-                        initial_groups: subgroups.clone(),
-                    }),
-                };
-                let got = sim.add_node(HierActor::new(cfg));
-                assert_eq!(got, id);
-            }
+        for id in subgroups.iter().flatten() {
+            let got = sim.add_node(HierActor::new(spec.peer_config(*id)));
+            assert_eq!(got, *id);
         }
         Deployment {
             sim,
@@ -135,37 +144,14 @@ impl Deployment {
     /// peer transitions into its assigned subgroup. Panics if the
     /// deployment is not elastic.
     pub fn spawn_joiner(&mut self) -> NodeId {
-        // A static deployment has no rendezvous path to place the joiner;
-        // refuse with an invariant assert (the fallback bounds after it
-        // are unreachable).
+        // A static deployment has no rendezvous path to place the joiner.
         assert!(
             self.spec.elastic.is_some(),
             "spawn_joiner requires an elastic deployment"
         );
-        let bounds = self.spec.elastic.unwrap_or(ElasticBounds::new(2, 4));
         // Reserve the id the simulator will hand out next.
         let id = NodeId(self.sim.node_count() as u32);
-        let cfg = HierPeerConfig {
-            id,
-            subgroup: vec![id],
-            subgroup_index: usize::MAX,
-            founding_fed: self.founding.clone(),
-            t: self.spec.t,
-            heartbeat: SimDuration::from_nanos((self.spec.t.as_nanos() / 5).max(1)),
-            config_commit_interval: self.spec.config_commit_interval,
-            join_poll_interval: self.spec.join_poll_interval,
-            probe_interval: SimDuration::from_nanos((self.spec.t.as_nanos() / 5).max(1)),
-            suspect_after: self.spec.t,
-            dead_after: self.spec.t.saturating_mul(3),
-            engine: self.spec.engine,
-            combiner: self.spec.combiner,
-            seed: self.spec.seed ^ (0x9e37 + id.0 as u64 * 0x85eb_ca6b),
-            elastic: Some(ElasticPeerConfig {
-                bounds,
-                initial_groups: Vec::new(),
-            }),
-        };
-        let got = self.sim.add_node(HierActor::new(cfg));
+        let got = self.sim.add_node(HierActor::new(self.spec.peer_config(id)));
         assert_eq!(got, id);
         got
     }

@@ -2,31 +2,20 @@
 //! its persisted record recovers both its subgroup Raft state and (if it
 //! held one) its FedAvg-layer seat.
 
-use p2pfl_hierraft::{FedCmd, HierActor, HierMsg, HierPeerConfig, RobustCombiner, SubCmd};
+use p2pfl_hierraft::{DeploymentSpec, FedCmd, HierActor, HierMsg, SubCmd};
 use p2pfl_raft::MemStorage;
-use p2pfl_secagg::SacEngine;
 use p2pfl_simnet::{Latency, LatencyConfig, NodeId, Sim, SimDuration, SimTime};
 
 const SUBGROUPS: usize = 2;
 const SIZE: usize = 3;
 
-fn peer_cfg(id: NodeId, subgroup: Vec<NodeId>, gi: usize, founding: Vec<NodeId>) -> HierPeerConfig {
-    HierPeerConfig {
-        id,
-        subgroup,
-        subgroup_index: gi,
-        founding_fed: founding,
-        t: SimDuration::from_millis(100),
-        heartbeat: SimDuration::from_millis(20),
-        config_commit_interval: SimDuration::from_millis(200),
-        join_poll_interval: SimDuration::from_millis(100),
-        probe_interval: SimDuration::from_millis(20),
-        suspect_after: SimDuration::from_millis(100),
-        dead_after: SimDuration::from_millis(300),
-        engine: SacEngine::Pairwise,
-        combiner: RobustCombiner::FedAvg,
-        seed: 0x9e37 + id.0 as u64 * 0x85eb_ca6b,
-        elastic: None,
+/// Two subgroups of three at `T` = 100 ms, peers wired by hand so each
+/// keeps a handle on its storage.
+fn spec() -> DeploymentSpec {
+    DeploymentSpec {
+        num_subgroups: SUBGROUPS,
+        subgroup_size: SIZE,
+        ..DeploymentSpec::paper(100, 0)
     }
 }
 
@@ -36,30 +25,24 @@ fn storage_backed_peer_recovers_both_layers() {
     sim.set_latency(LatencyConfig::uniform_default(Latency::Constant(
         SimDuration::from_millis(15),
     )));
-    let subgroups: Vec<Vec<NodeId>> = (0..SUBGROUPS)
-        .map(|g| (0..SIZE).map(|i| NodeId((g * SIZE + i) as u32)).collect())
-        .collect();
-    let founding: Vec<NodeId> = subgroups.iter().map(|g| g[0]).collect();
+    let subgroups = spec().subgroups();
 
     let sub_stores: Vec<MemStorage<SubCmd>> =
         (0..SUBGROUPS * SIZE).map(|_| MemStorage::new()).collect();
     let fed_stores: Vec<MemStorage<FedCmd>> =
         (0..SUBGROUPS * SIZE).map(|_| MemStorage::new()).collect();
 
-    for (gi, members) in subgroups.iter().enumerate() {
-        for &id in members {
-            let cfg = peer_cfg(id, members.clone(), gi, founding.clone());
-            let actor = HierActor::with_storage(
-                cfg,
-                Box::new(sub_stores[id.0 as usize].clone()),
-                Box::new(fed_stores[id.0 as usize].clone()),
-            );
-            assert_eq!(sim.add_node(actor), id);
-        }
+    for &id in subgroups.iter().flatten() {
+        let actor = HierActor::with_storage(
+            spec().peer_config(id),
+            Box::new(sub_stores[id.0 as usize].clone()),
+            Box::new(fed_stores[id.0 as usize].clone()),
+        );
+        assert_eq!(sim.add_node(actor), id);
     }
 
     sim.run_until(SimTime::from_secs(5));
-    let rep = founding[0];
+    let rep = subgroups[0][0];
     {
         let a = sim.actor::<HierActor>(rep);
         assert!(a.is_sub_leader(), "founding member should lead subgroup 0");
@@ -96,7 +79,7 @@ fn storage_backed_peer_recovers_both_layers() {
     // Rebuild the representative purely from its storage handles — the
     // simulated process is gone; only the persisted record survives.
     let rebuilt = HierActor::with_storage(
-        peer_cfg(rep, subgroups[0].clone(), 0, founding.clone()),
+        spec().peer_config(rep),
         Box::new(sub_stores[rep.0 as usize].clone()),
         Box::new(fed_stores[rep.0 as usize].clone()),
     );
@@ -114,7 +97,7 @@ fn storage_backed_peer_recovers_both_layers() {
     // A plain follower has no fed record: it restores without a fed seat.
     let follower = subgroups[0][1];
     let rebuilt = HierActor::with_storage(
-        peer_cfg(follower, subgroups[0].clone(), 0, founding),
+        spec().peer_config(follower),
         Box::new(sub_stores[follower.0 as usize].clone()),
         Box::new(fed_stores[follower.0 as usize].clone()),
     );

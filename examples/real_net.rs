@@ -26,9 +26,13 @@
 //!    aggregation with the same seeds and models: they must be equal
 //!    bit for bit.
 //!
+//! Every peer takes the timings `DeploymentSpec::peer_config` derives
+//! from `T` = 150 ms: 30 ms heartbeats and detector probes, a member
+//! suspected after 150 ms of silence and evicted after 450 ms.
+//!
 //! Run with `cargo run --example real_net`.
 
-use p2pfl_hierraft::{HierActor, HierMsg, HierPeerConfig, RobustCombiner};
+use p2pfl_hierraft::{DeploymentSpec, HierActor, HierMsg, HierPeerConfig};
 use p2pfl_net::{NetStats, PeerHandle, Reactor, ReactorConfig};
 use p2pfl_secagg::{
     SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
@@ -44,35 +48,19 @@ const K: usize = 2;
 
 const GROUP_A: [u32; 3] = [0, 1, 2];
 const GROUP_B: [u32; 3] = [3, 4, 5];
-const FOUNDING: [u32; 2] = [0, 3];
 
 fn ids(raw: &[u32]) -> Vec<NodeId> {
     raw.iter().map(|&i| NodeId(i)).collect()
 }
 
+/// The paper's two-layer spec at `T` = 150 ms, two subgroups of three.
 fn hier_config(id: u32) -> HierPeerConfig {
-    let (subgroup, subgroup_index) = if GROUP_A.contains(&id) {
-        (ids(&GROUP_A), 0)
-    } else {
-        (ids(&GROUP_B), 1)
-    };
-    HierPeerConfig {
-        id: NodeId(id),
-        subgroup,
-        subgroup_index,
-        founding_fed: ids(&FOUNDING),
-        t: SimDuration::from_millis(150),
-        heartbeat: SimDuration::from_millis(40),
-        config_commit_interval: SimDuration::from_millis(200),
-        join_poll_interval: SimDuration::from_millis(100),
-        probe_interval: SimDuration::from_millis(40),
-        suspect_after: SimDuration::from_millis(150),
-        dead_after: SimDuration::from_millis(450),
-        engine: SacEngine::Pairwise,
-        combiner: RobustCombiner::FedAvg,
-        seed: SEED + id as u64,
-        elastic: None,
+    DeploymentSpec {
+        num_subgroups: 2,
+        subgroup_size: 3,
+        ..DeploymentSpec::paper(150, SEED)
     }
+    .peer_config(NodeId(id))
 }
 
 type HierRt = PeerHandle<HierMsg, HierActor>;

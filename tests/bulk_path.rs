@@ -10,17 +10,17 @@
 //!   single bit, in order, or in length;
 //! * a pairwise round (3 peers) and a ring round (8 peers) at dim ~80 k on
 //!   one reactor publish the simulator's digest bit for bit, and a
-//!   commit-then-skew sender is still convicted by the new digest.
+//!   commit-then-skew sender is still convicted by the new digest while
+//!   the published result stays the plain mean of the honest models.
 
-mod common;
-
-use common::{assert_clean_wire, mesh, reactor, spawn_group, wait_done};
+use p2pfl_bench::testkit::{
+    assert_clean_wire, ids, mesh, reactor, sac_config, spawn_group, wait_done,
+};
 use p2pfl_net::codec::{from_bytes, to_bytes, to_frame_bytes, FrameBuffer};
 use p2pfl_secagg::{
-    RingMsg, RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme,
-    WeightVector,
+    RingMsg, RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector,
 };
-use p2pfl_simnet::{NodeId, Sim, SimDuration};
+use p2pfl_simnet::{Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -181,27 +181,14 @@ fn models(n: usize) -> Vec<WeightVector> {
         .collect()
 }
 
-fn ids(n: usize) -> Vec<NodeId> {
-    (0..n).map(|i| NodeId(i as u32)).collect()
-}
-
 /// Deadlines only bound how long a leader waits for a peer it will not
 /// hear from (here: the convicted skewer, when its block happens to arrive
 /// last); every honest block is in long before, so the frozen set — and
 /// with it the digest — is the same under virtual and wall-clock time.
 fn config(n: usize, k: usize, position: usize, engine: SacEngine, deadline_ms: u64) -> SacConfig {
-    SacConfig {
-        group: ids(n),
-        position,
-        leader_pos: 0,
-        k,
-        scheme: ShareScheme::Masked,
-        engine,
-        share_deadline: SimDuration::from_millis(deadline_ms),
-        collect_deadline: SimDuration::from_millis(deadline_ms),
-        round_deadline: None,
-        seed: SEED + position as u64,
-    }
+    let deadline = SimDuration::from_millis(deadline_ms);
+    let seed = SEED + position as u64;
+    sac_config(&ids(n), position, k, engine, deadline, seed)
 }
 
 const PAIRWISE_N: usize = 3;
@@ -254,8 +241,12 @@ fn pairwise_round_matches_simulator_and_convicts_the_skewer() {
     let handles = spawn_group(&reactor, actors, None);
     mesh(&handles);
     handles[0].with(|a, ctx| a.start_round(ctx, 1));
-    wait_done(&handles[0], "pairwise round");
+    let (_, result) = wait_done(&handles[0], "pairwise round");
     let got = handles[0].with(|a, _| pairwise_outcome(a)).expect("done");
+    // The skewer's intended model is excluded, not averaged in skewed:
+    // what the leader publishes is the plain mean of the honest two.
+    let drift = result.linf_distance(&WeightVector::mean(models[..SKEWER].iter()));
+    assert!(drift < 1e-9, "result drifted {drift} from the honest mean");
 
     assert_eq!(got.0, want.0, "contributor sets diverged");
     assert_eq!(got.1, want.1, "reactor digest diverged from the simulator");

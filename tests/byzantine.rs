@@ -10,13 +10,9 @@
 //! very same plan drags the global model far outside `B`.
 
 use p2pfl::runner::{ResilientConfig, ResilientSession};
-use p2pfl_fed::Client;
+use p2pfl_bench::testkit::synthetic_session;
 use p2pfl_hierraft::{HierActor, RobustCombiner};
-use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Dataset, Partition};
-use p2pfl_ml::models::mlp;
 use p2pfl_simnet::{FaultPlan, NodeId, PoisonMode, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const SEED: u64 = 0xb1_2a17;
 const ROUNDS: usize = 3;
@@ -39,30 +35,6 @@ fn config(seed: u64, combiner: RobustCombiner, verify: bool) -> ResilientConfig 
     cfg
 }
 
-fn build(cfg: ResilientConfig) -> (ResilientSession, Dataset) {
-    let seed = cfg.seed;
-    let n_total = cfg.deployment.total_peers();
-    let (train, test) =
-        train_test_split(&features_like(16, n_total * 50 + 300, seed), n_total * 50);
-    let parts = partition_dataset(&train, n_total, Partition::Iid, seed + 1);
-    let mut rng = StdRng::seed_from_u64(seed + 2);
-    let clients: Vec<Client> = parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, d)| {
-            Client::new(
-                i,
-                mlp(&[16, 24, 10], &mut rng),
-                d,
-                5e-3,
-                seed + 10 + i as u64,
-            )
-        })
-        .collect();
-    let eval = mlp(&[16, 24, 10], &mut rng);
-    (ResilientSession::new(cfg, clients, eval), test)
-}
-
 /// The seeded plan: peer 1 runs the commit-then-skew share attack and
 /// norm-boosts its local update, for the whole horizon.
 fn byzantine_plan() -> FaultPlan {
@@ -78,7 +50,7 @@ fn byzantine_plan() -> FaultPlan {
 
 /// Runs `ROUNDS` rounds under `plan` (if any) and returns the session.
 fn run(cfg: ResilientConfig, plan: Option<&FaultPlan>) -> ResilientSession {
-    let (mut s, test) = build(cfg);
+    let (mut s, _, test) = synthetic_session(cfg, 0, 50);
     if let Some(p) = plan {
         s.apply_fault_plan(p);
     }

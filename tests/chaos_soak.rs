@@ -16,10 +16,9 @@
 //!   the deployment heals back to all subgroups participating.
 
 use p2pfl::runner::{ResilientConfig, ResilientSession};
-use p2pfl_fed::Client;
+use p2pfl_bench::testkit::synthetic_session;
 use p2pfl_hierraft::HierActor;
-use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Dataset, Partition};
-use p2pfl_ml::models::mlp;
+use p2pfl_ml::data::Dataset;
 use p2pfl_simnet::{FaultPlan, NodeId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,27 +33,8 @@ fn soak_seeds() -> Vec<u64> {
 }
 
 fn session(seed: u64) -> (ResilientSession, Dataset) {
-    let cfg = ResilientConfig::small(seed);
-    let n_total = cfg.deployment.total_peers();
-    let (train, test) =
-        train_test_split(&features_like(16, n_total * 50 + 300, seed), n_total * 50);
-    let parts = partition_dataset(&train, n_total, Partition::Iid, seed + 1);
-    let mut rng = StdRng::seed_from_u64(seed + 2);
-    let clients: Vec<Client> = parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, d)| {
-            Client::new(
-                i,
-                mlp(&[16, 24, 10], &mut rng),
-                d,
-                5e-3,
-                seed + 10 + i as u64,
-            )
-        })
-        .collect();
-    let eval = mlp(&[16, 24, 10], &mut rng);
-    (ResilientSession::new(cfg, clients, eval), test)
+    let (s, _, test) = synthetic_session(ResilientConfig::small(seed), 0, 50);
+    (s, test)
 }
 
 fn all_nodes(s: &ResilientSession) -> Vec<NodeId> {

@@ -11,14 +11,10 @@
 //!   contributor set — the KofNReconstructability oracle, checked by hand
 //!   on the transport the explorer cannot drive.
 
-mod common;
-
-use common::{mesh, reactor, spawn_group, wait_done};
+use p2pfl_bench::testkit::{mesh, reactor, sac_config, spawn_group, wait_done};
 use p2pfl_check::models::Sac3Model;
 use p2pfl_check::{Counterexample, ExploreConfig, Explorer, Model};
-use p2pfl_secagg::{
-    SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
-};
+use p2pfl_secagg::{SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 
 const SEED: u64 = 0xCE11;
@@ -98,18 +94,8 @@ fn sim_round_under(plan: &p2pfl_simnet::FaultPlan) -> (Vec<usize>, WeightVector)
 }
 
 fn sac_cfg(ids: &[NodeId], pos: usize, deadline: SimDuration) -> SacConfig {
-    SacConfig {
-        group: ids.to_vec(),
-        position: pos,
-        leader_pos: 0,
-        k: 2,
-        scheme: ShareScheme::Masked,
-        engine: SacEngine::Pairwise,
-        share_deadline: deadline,
-        collect_deadline: deadline,
-        round_deadline: None,
-        seed: SEED + pos as u64,
-    }
+    let seed = SEED + pos as u64;
+    sac_config(ids, pos, 2, SacEngine::Pairwise, deadline, seed)
 }
 
 fn peer_model(pos: usize) -> WeightVector {

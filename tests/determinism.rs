@@ -1,16 +1,11 @@
 //! Whole-stack determinism: the repository's core promise that any
 //! distributed failure scenario replays bit-for-bit from a seed.
 
-mod common;
-
 use p2pfl::experiment::{accuracy_sweep, SweepSpec};
-use p2pfl::runner::{ResilientConfig, ResilientSession};
-use p2pfl_fed::Client;
+use p2pfl::runner::ResilientConfig;
+use p2pfl_bench::testkit::synthetic_session;
 use p2pfl_hierraft::experiments::subgroup_leader_crash_trial;
-use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Partition};
-use p2pfl_ml::models::mlp;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use p2pfl_ml::data::Partition;
 
 #[test]
 fn accuracy_sweep_replays_exactly() {
@@ -69,9 +64,11 @@ fn reactor_sac_round_replays_exactly() {
     // aggregate on every run, even though TCP delivery timing differs.
     // (Cross-transport equality — sim vs reactor — is covered in
     // `fault_plan.rs`; this pins run-to-run stability of one leg.)
-    use common::{ids, mesh, reactor, spawn_group, wait_done};
-    use p2pfl_secagg::{SacConfig, SacEngine, SacMsg, SacPeerActor, ShareScheme, WeightVector};
+    use p2pfl_bench::testkit::{ids, mesh, reactor, sac_config, spawn_group, wait_done};
+    use p2pfl_secagg::{SacEngine, SacMsg, SacPeerActor, WeightVector};
     use p2pfl_simnet::{FaultPlan, SimDuration, SimTime};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     const N: usize = 5;
     const SEED: u64 = 0xD3;
@@ -89,18 +86,8 @@ fn reactor_sac_round_replays_exactly() {
         let ids = ids(N);
         let reactor = reactor::<SacMsg, SacPeerActor>();
         let actors = (0..N).map(|i| {
-            let cfg = SacConfig {
-                group: ids.clone(),
-                position: i,
-                leader_pos: 0,
-                k: 3,
-                scheme: ShareScheme::Masked,
-                engine: SacEngine::Pairwise,
-                share_deadline: SimDuration::from_secs(30),
-                collect_deadline: SimDuration::from_secs(30),
-                round_deadline: None,
-                seed: SEED + i as u64,
-            };
+            let deadline = SimDuration::from_secs(30);
+            let cfg = sac_config(&ids, i, 3, SacEngine::Pairwise, deadline, SEED + i as u64);
             let model = WeightVector::random(24, 1.0, &mut rng);
             (ids[i], SacPeerActor::new(cfg, model))
         });
@@ -126,27 +113,7 @@ fn raft_crash_trial_replays_exactly() {
 #[test]
 fn resilient_session_replays_exactly() {
     fn run(seed: u64) -> Vec<(f64, usize, u64)> {
-        let cfg = ResilientConfig::small(seed);
-        let n_total = cfg.deployment.total_peers();
-        let (train, test) =
-            train_test_split(&features_like(16, n_total * 40 + 200, seed), n_total * 40);
-        let parts = partition_dataset(&train, n_total, Partition::Iid, seed + 1);
-        let mut rng = StdRng::seed_from_u64(seed + 2);
-        let clients: Vec<Client> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| {
-                Client::new(
-                    i,
-                    mlp(&[16, 16, 10], &mut rng),
-                    d,
-                    5e-3,
-                    seed + 10 + i as u64,
-                )
-            })
-            .collect();
-        let eval = mlp(&[16, 16, 10], &mut rng);
-        let mut s = ResilientSession::new(cfg, clients, eval);
+        let (mut s, _, test) = synthetic_session(ResilientConfig::small(seed), 0, 40);
         s.run(2, &test);
         let victim = s.dep.sub_leader_of(1).unwrap();
         s.crash(victim);

@@ -11,12 +11,9 @@
 //! over real TCP sockets (the reactor) freezes the same contributor set and sums in
 //! the same (position-sorted) order, so its digests must match exactly.
 
-mod common;
-
-use common::{assert_clean_wire, mesh, reactor, spawn_group, wait_done};
+use p2pfl_bench::testkit::{assert_clean_wire, mesh, reactor, sac_config, spawn_group, wait_done};
 use p2pfl_secagg::{
-    RingMsg, RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme,
-    WeightVector,
+    RingMsg, RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector,
 };
 use p2pfl_simnet::{FaultPlan, NodeId, Sim, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -41,18 +38,7 @@ fn models() -> Vec<WeightVector> {
 }
 
 fn config(ids: &[NodeId], position: usize, engine: SacEngine, deadline: SimDuration) -> SacConfig {
-    SacConfig {
-        group: ids.to_vec(),
-        position,
-        leader_pos: 0,
-        k: K,
-        scheme: ShareScheme::Masked,
-        engine,
-        share_deadline: deadline,
-        collect_deadline: deadline,
-        round_deadline: None,
-        seed: SEED + position as u64,
-    }
+    sac_config(ids, position, K, engine, deadline, SEED + position as u64)
 }
 
 /// One simulated pairwise round under `plan`; returns the leader's frozen

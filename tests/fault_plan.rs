@@ -17,20 +17,15 @@
 //!   logs are pushed past a compaction point first, so what the files hold
 //!   is a snapshot plus a log tail, not a whole log.
 
-mod common;
-
-use common::{
-    assert_clean_wire, commit_marker, hier_stable, ids, mesh, reactor, spawn_group, wait_done,
-    wait_for, HierPeers,
+use p2pfl_bench::testkit::{
+    assert_clean_wire, commit_marker, hier_stable, ids, mesh, reactor, sac_config, spawn_group,
+    wait_done, wait_for, HierPeers,
 };
 use p2pfl_hierraft::{
-    Deployment, DeploymentSpec, FedCmd, HierActor, HierMsg, HierPeerConfig, RobustCombiner, SubCmd,
-    COMPACT_AFTER,
+    Deployment, DeploymentSpec, FedCmd, HierActor, HierMsg, HierPeerConfig, SubCmd, COMPACT_AFTER,
 };
 use p2pfl_raft::FileStorage;
-use p2pfl_secagg::{
-    SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
-};
+use p2pfl_secagg::{SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
 use p2pfl_simnet::{FaultPlan, NodeId, ProcessFault, Sim, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,19 +58,9 @@ fn models() -> Vec<WeightVector> {
         .collect()
 }
 
-fn sac_config(ids: &[NodeId], position: usize, deadline: SimDuration) -> SacConfig {
-    SacConfig {
-        group: ids.to_vec(),
-        position,
-        leader_pos: 0,
-        k: K,
-        scheme: ShareScheme::Masked,
-        engine: SacEngine::Pairwise,
-        share_deadline: deadline,
-        collect_deadline: deadline,
-        round_deadline: None,
-        seed: SEED + position as u64,
-    }
+fn config(ids: &[NodeId], position: usize, deadline: SimDuration) -> SacConfig {
+    let seed = SEED + position as u64;
+    sac_config(ids, position, K, SacEngine::Pairwise, deadline, seed)
 }
 
 /// One SAC round on the simulator, optionally under a fault plan; returns
@@ -84,7 +69,7 @@ fn sim_sac_digest(plan: Option<&FaultPlan>) -> u64 {
     let mut sim: Sim<SacMsg> = Sim::new(SEED);
     let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
     for (i, model) in models().iter().enumerate() {
-        let cfg = sac_config(&ids, i, SimDuration::from_millis(500));
+        let cfg = config(&ids, i, SimDuration::from_millis(500));
         sim.add_node(SacPeerActor::new(cfg, model.clone()));
     }
     if let Some(p) = plan {
@@ -120,7 +105,7 @@ fn tcp_sac_digest(plan: &FaultPlan, reactors: usize) -> u64 {
     let ids = ids(N);
     let models = models();
     let actor = |i: usize| {
-        let cfg = sac_config(&ids, i, SimDuration::from_secs(30));
+        let cfg = config(&ids, i, SimDuration::from_secs(30));
         (ids[i], SacPeerActor::new(cfg, models[i].clone()))
     };
     let hosts: Vec<_> = (0..reactors)
@@ -202,27 +187,12 @@ fn plan_leaves_two_layer_backend_electable_on_simulator() {
 // TCP crash/restart recovery from on-disk Raft state
 // ---------------------------------------------------------------------
 
-const GROUPS: usize = 2;
-const SIZE: usize = 3;
-
-fn hier_cfg(id: NodeId, subgroups: &[Vec<NodeId>], founding: &[NodeId]) -> HierPeerConfig {
-    let gi = (id.0 as usize) / SIZE;
-    HierPeerConfig {
-        id,
-        subgroup: subgroups[gi].clone(),
-        subgroup_index: gi,
-        founding_fed: founding.to_vec(),
-        t: SimDuration::from_millis(300),
-        heartbeat: SimDuration::from_millis(60),
-        config_commit_interval: SimDuration::from_millis(200),
-        join_poll_interval: SimDuration::from_millis(100),
-        probe_interval: SimDuration::from_millis(60),
-        suspect_after: SimDuration::from_millis(300),
-        dead_after: SimDuration::from_millis(900),
-        engine: SacEngine::Pairwise,
-        combiner: RobustCombiner::FedAvg,
-        seed: SEED ^ (0x9e37 + id.0 as u64 * 0x85eb_ca6b),
-        elastic: None,
+/// The reactor-hosted deployment: two subgroups of three, `T` = 300 ms.
+fn hier_spec() -> DeploymentSpec {
+    DeploymentSpec {
+        num_subgroups: 2,
+        subgroup_size: 3,
+        ..DeploymentSpec::paper(300, SEED)
     }
 }
 
@@ -247,12 +217,9 @@ fn plan_crash_restart_recovers_tcp_peer_from_disk() {
     let dir = std::env::temp_dir().join(format!("p2pfl-fault-plan-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
-    let subgroups: Vec<Vec<NodeId>> = (0..GROUPS)
-        .map(|g| (0..SIZE).map(|i| NodeId((g * SIZE + i) as u32)).collect())
-        .collect();
-    let founding: Vec<NodeId> = subgroups.iter().map(|g| g[0]).collect();
+    let subgroups = hier_spec().subgroups();
     let all: Vec<NodeId> = subgroups.iter().flatten().copied().collect();
-    let actor = |id| storage_actor(&dir, hier_cfg(id, &subgroups, &founding));
+    let actor = |id| storage_actor(&dir, hier_spec().peer_config(id));
 
     let home = reactor::<HierMsg, HierActor>();
     let handles = spawn_group(&home, all.iter().map(|&id| (id, actor(id))), None);
@@ -269,7 +236,7 @@ fn plan_crash_restart_recovers_tcp_peer_from_disk() {
     // Push both of the victim's logs across a compaction point, in bursts
     // its links can queue: application commands through its subgroup's
     // leader, round markers through the FedAvg leader.
-    let victim = founding[0];
+    let victim = subgroups[0][0];
     const BURST: u64 = 64;
     for burst in 0..=COMPACT_AFTER / BURST {
         let first = 1_000 + burst * BURST;

@@ -3,38 +3,18 @@
 //! engine agreeing with the synchronous reference implementation.
 
 use p2pfl::runner::{ResilientConfig, ResilientSession};
-use p2pfl_fed::Client;
-use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Dataset, Partition};
-use p2pfl_ml::models::mlp;
+use p2pfl_bench::testkit::{sac_config, synthetic_session};
+use p2pfl_ml::data::Dataset;
 use p2pfl_secagg::{
-    secure_average, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
+    secure_average, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
 };
 use p2pfl_simnet::{NodeId, Sim, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn session(seed: u64) -> (ResilientSession, Dataset) {
-    let cfg = ResilientConfig::small(seed);
-    let n_total = cfg.deployment.total_peers();
-    let (train, test) =
-        train_test_split(&features_like(16, n_total * 50 + 300, seed), n_total * 50);
-    let parts = partition_dataset(&train, n_total, Partition::Iid, seed + 1);
-    let mut rng = StdRng::seed_from_u64(seed + 2);
-    let clients: Vec<Client> = parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, d)| {
-            Client::new(
-                i,
-                mlp(&[16, 24, 10], &mut rng),
-                d,
-                5e-3,
-                seed + 10 + i as u64,
-            )
-        })
-        .collect();
-    let eval = mlp(&[16, 24, 10], &mut rng);
-    (ResilientSession::new(cfg, clients, eval), test)
+    let (s, _, test) = synthetic_session(ResilientConfig::small(seed), 0, 50);
+    (s, test)
 }
 
 #[test]
@@ -135,18 +115,8 @@ fn distributed_engine_agrees_with_synchronous_reference() {
     let mut sim: Sim<SacMsg> = Sim::new(9);
     let ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
     for (i, model) in models.iter().enumerate() {
-        let cfg = SacConfig {
-            group: ids.clone(),
-            position: i,
-            leader_pos: 0,
-            k: 3,
-            scheme: ShareScheme::Masked,
-            engine: SacEngine::Pairwise,
-            share_deadline: SimDuration::from_millis(100),
-            collect_deadline: SimDuration::from_millis(100),
-            round_deadline: None,
-            seed: 100 + i as u64,
-        };
+        let deadline = SimDuration::from_millis(100);
+        let cfg = sac_config(&ids, i, 3, SacEngine::Pairwise, deadline, 100 + i as u64);
         sim.add_node(SacPeerActor::new(cfg, model.clone()));
     }
     sim.run_until_quiet(100);

@@ -6,12 +6,10 @@
 //! killed between rounds and restarted at a new address contributes to
 //! the next round.
 
-mod common;
-
-use common::{assert_clean_wire, ids, mesh, reactor, spawn_group, wait_done};
-use p2pfl_secagg::{
-    SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
+use p2pfl_bench::testkit::{
+    assert_clean_wire, ids, mesh, reactor, sac_config, spawn_group, wait_done,
 };
+use p2pfl_secagg::{SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,18 +32,8 @@ fn models() -> Vec<WeightVector> {
 /// they exceed worst-case delivery (which differs wildly between the
 /// simulator and TCP-with-reconnects — hence the parameter).
 fn config(ids: &[NodeId], position: usize, deadline: SimDuration) -> SacConfig {
-    SacConfig {
-        group: ids.to_vec(),
-        position,
-        leader_pos: 0,
-        k: K,
-        scheme: ShareScheme::Masked,
-        engine: SacEngine::Pairwise,
-        share_deadline: deadline,
-        collect_deadline: deadline,
-        round_deadline: None,
-        seed: SEED + position as u64,
-    }
+    let seed = SEED + position as u64;
+    sac_config(ids, position, K, SacEngine::Pairwise, deadline, seed)
 }
 
 /// Runs `rounds` aggregation rounds under the simulator and returns the

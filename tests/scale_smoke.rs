@@ -8,12 +8,8 @@
 //! subgroups): same topology shape, same digest-vs-sim oracle, sized to
 //! run in tier-1 CI.
 
-mod common;
-
-use common::{assert_clean_wire, mesh, reactor, spawn_group, wait_done};
-use p2pfl_secagg::{
-    SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
-};
+use p2pfl_bench::testkit::{assert_clean_wire, mesh, reactor, sac_config, spawn_group, wait_done};
+use p2pfl_secagg::{SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,18 +40,9 @@ fn subgroup_ids(g: usize) -> Vec<NodeId> {
 /// round freezes once all blocks arrive, so sim and TCP can use different
 /// values without affecting the result.
 fn config(id: usize, deadline: SimDuration) -> SacConfig {
-    SacConfig {
-        group: subgroup_ids(id / SUB_SIZE),
-        position: id % SUB_SIZE,
-        leader_pos: 0,
-        k: K,
-        scheme: ShareScheme::Masked,
-        engine: SacEngine::Pairwise,
-        share_deadline: deadline,
-        collect_deadline: deadline,
-        round_deadline: None,
-        seed: SEED + id as u64,
-    }
+    let (group, position) = (subgroup_ids(id / SUB_SIZE), id % SUB_SIZE);
+    let seed = SEED + id as u64;
+    sac_config(&group, position, K, SacEngine::Pairwise, deadline, seed)
 }
 
 /// All 64 actors under the simulator: every subgroup runs round 1, and we

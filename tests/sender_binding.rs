@@ -5,12 +5,10 @@
 //! model, frame an honest peer for eviction, or take the leadership — and
 //! each now fails on both share plans from one generic body.
 
-mod common;
-
-use common::{ids, mesh, reactor, spawn_group, wait_for};
+use p2pfl_bench::testkit::{ids, mesh, reactor, sac_config, spawn_group, wait_for};
 use p2pfl_secagg::{
     PairwiseWire, RingMsg, RingSacActor, RingWire, RoundCore, RoundEvent, SacConfig, SacEngine,
-    SacPhase, ShareScheme, WeightVector, Wire,
+    SacPhase, WeightVector, Wire,
 };
 use p2pfl_simnet::{Actor, NodeId, Payload, Sim, SimDuration, SimTime, TimerId, Transport};
 use rand::rngs::StdRng;
@@ -27,18 +25,8 @@ const ATTACKER: usize = 3;
 const VICTIM: usize = 1;
 
 fn config(ids: &[NodeId], position: usize, seed: u64) -> SacConfig {
-    SacConfig {
-        group: ids.to_vec(),
-        position,
-        leader_pos: 0,
-        k: K,
-        scheme: ShareScheme::Masked,
-        engine: SacEngine::default(),
-        share_deadline: SimDuration::from_millis(100),
-        collect_deadline: SimDuration::from_millis(100),
-        round_deadline: None,
-        seed,
-    }
+    let deadline = SimDuration::from_millis(100);
+    sac_config(ids, position, K, SacEngine::default(), deadline, seed)
 }
 
 /// An honest engine that additionally remembers every total it is sent —
