@@ -23,6 +23,9 @@ cargo run --release -p xtask -- lint
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> cargo doc (deny warnings: broken and private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # The repo benchmark's noise-free half: each workload for two seconds.
 # Exit 0 means `failed` = 0 - every round's result digest matched its
 # simulator twin - and the wire bytes of a round are exact, so a change

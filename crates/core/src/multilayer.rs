@@ -11,7 +11,7 @@
 //! the tests verify against the executed ledger.
 
 use crate::cost::multilayer_total_peers;
-use p2pfl_secagg::{secure_average_with_leader, ShareScheme, TransferLog, WeightVector};
+use p2pfl_secagg::{fault_tolerant_secure_average, ShareScheme, TransferLog, WeightVector};
 use rand::Rng;
 
 /// The aggregation tree.
@@ -112,8 +112,9 @@ impl MultilayerTree {
                     .iter()
                     .map(|&p| acc[p].0.scaled(acc[p].1 as f64))
                     .collect();
-                let leader_pos = 0; // members[0] is the layer-above leader
-                let out = secure_average_with_leader(&inputs, leader_pos, scheme, rng);
+                // n-out-of-n, led by members[0], the layer-above leader.
+                let out = fault_tolerant_secure_average(&inputs, group_size, 0, &[], scheme, rng)
+                    .expect("an n-of-n round without dropouts completes");
                 log.absorb(&out.log);
                 let total_count: usize = members.iter().map(|&p| acc[p].1).sum();
                 let mut mean = out.average;

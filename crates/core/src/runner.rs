@@ -16,8 +16,8 @@ use p2pfl_ml::data::Dataset;
 use p2pfl_ml::metrics::evaluate;
 use p2pfl_ml::Sequential;
 use p2pfl_secagg::{
-    fault_tolerant_secure_average, ring_secure_average, DropPhase, Dropout, SacEngine, ShareScheme,
-    TransferLog, WeightVector, WIRE_BYTES_PER_PARAM,
+    reference_round, DropPhase, Dropout, FtSacError, PairwiseWire, RingWire, SacEngine,
+    ShareScheme, TransferLog, WeightVector, WIRE_BYTES_PER_PARAM,
 };
 use p2pfl_simnet::{FaultPlan, NodeId, PoisonMode, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -378,10 +378,11 @@ impl ResilientSession {
     }
 
     /// One SAC attempt over `members` with `dropouts`, weighted by each
-    /// contributor's sample count. `engine` selects between the pairwise
-    /// all-to-all scheme (Alg. 4) and the staged Ring-SAC scheme; it comes
-    /// from the leader's *replicated* `FedConfig`, so every member of the
-    /// subgroup agrees on it for the round.
+    /// contributor's sample count. `engine` selects only the wire adaptor
+    /// whose layout the reference round runs — pairwise all-to-all (Alg. 4)
+    /// or staged Ring-SAC; it comes from the leader's *replicated*
+    /// `FedConfig`, so every member of the subgroup agrees on it for the
+    /// round.
     fn sac_attempt(
         &mut self,
         members: &[NodeId],
@@ -390,7 +391,7 @@ impl ResilientSession {
         dropouts: &[Dropout],
         engine: SacEngine,
         skews: &[(NodeId, f64)],
-    ) -> Result<(Vec<f64>, usize), p2pfl_secagg::FtSacError> {
+    ) -> Result<(Vec<f64>, usize), FtSacError> {
         let leader_pos = members.iter().position(|&m| m == leader).unwrap();
         let models: Vec<WeightVector> = members
             .iter()
@@ -406,24 +407,18 @@ impl ResilientSession {
                 v
             })
             .collect();
-        let out = match engine {
-            SacEngine::Pairwise => fault_tolerant_secure_average(
-                &models,
-                k,
-                leader_pos,
-                dropouts,
-                self.cfg.scheme,
-                &mut self.rng,
-            )?,
-            SacEngine::Ring => ring_secure_average(
-                &models,
-                k,
-                leader_pos,
-                dropouts,
-                self.cfg.scheme,
-                &mut self.rng,
-            )?,
+        let round = match engine {
+            SacEngine::Pairwise => reference_round::<PairwiseWire, StdRng>,
+            SacEngine::Ring => reference_round::<RingWire, StdRng>,
         };
+        let out = round(
+            &models,
+            k,
+            leader_pos,
+            dropouts,
+            self.cfg.scheme,
+            &mut self.rng,
+        )?;
         self.log.absorb(&out.log);
         let count: usize = out
             .contributors
@@ -765,9 +760,9 @@ mod tests {
         let first = rounds.first().unwrap().record.test_accuracy;
         let last = rounds.last().unwrap().record.test_accuracy;
         assert!(last > first, "accuracy {first:.3} -> {last:.3}");
-        // The ring share phase actually ran (engine really was dispatched).
-        assert!(s.log.phase("ringsac.share").0 > 0);
-        assert_eq!(s.log.phase("ftsac.share").0, 0);
+        // The ring layout actually ran (engine really was dispatched): only
+        // its wire announces to the leader.
+        assert!(s.log.phase("secagg.announce").0 > 0);
     }
 
     #[test]
@@ -789,6 +784,11 @@ mod tests {
         let rounds = s.run(12, &test);
         assert!(rounds.iter().all(|r| r.record.groups_used == 3));
         assert!(rounds.iter().all(|r| r.fed_leader.is_some()));
+        assert_eq!(
+            s.log.phase("secagg.announce").0,
+            0,
+            "pairwise never announces"
+        );
         let first = rounds.first().unwrap().record.test_accuracy;
         let last = rounds.last().unwrap().record.test_accuracy;
         assert!(last > first, "accuracy {first:.3} -> {last:.3}");

@@ -17,8 +17,8 @@ use p2pfl_ml::metrics::evaluate;
 use p2pfl_ml::Sequential;
 use p2pfl_secagg::dp::{privatize, GaussianDp};
 use p2pfl_secagg::{
-    fault_tolerant_secure_average, secure_average, secure_average_with_leader, DropPhase, Dropout,
-    FtSacError, ShareScheme, TransferLog, WeightVector,
+    fault_tolerant_secure_average, DropPhase, Dropout, FtSacError, ShareScheme, TransferLog,
+    WeightVector,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,6 +118,10 @@ impl TwoLayerSystem {
         assert!(
             (0.0..=1.0).contains(&cfg.fraction) && cfg.fraction > 0.0,
             "fraction must be in (0, 1]"
+        );
+        assert!(
+            cfg.threshold != Some(0),
+            "threshold k must be at least 1 (None means n-out-of-n)"
         );
         let n_total = clients.len();
         let groups: Vec<Vec<usize>> = match cfg.kind {
@@ -239,7 +243,15 @@ impl TwoLayerSystem {
                     .zip(&group_counts)
                     .map(|(a, &c)| WeightVector::new(a.clone()).scaled(c as f64))
                     .collect();
-                let out = secure_average_with_leader(&inputs, 0, self.cfg.scheme, &mut self.rng);
+                let out = fault_tolerant_secure_average(
+                    &inputs,
+                    groups_used,
+                    0,
+                    &[],
+                    self.cfg.scheme,
+                    &mut self.rng,
+                )
+                .expect("an n-of-n round without dropouts completes");
                 self.log.absorb(&out.log);
                 let mut global = out.average;
                 global.scale(groups_used as f64 / total as f64);
@@ -311,61 +323,47 @@ impl TwoLayerSystem {
             })
             .collect();
 
-        match (self.cfg.kind, self.cfg.threshold) {
-            (SystemKind::OriginalSac, _) => {
-                // Alg. 2 aborts outright on any dropout.
-                if !local.is_empty() {
-                    return None;
-                }
-                let out = secure_average(&models, self.cfg.scheme, &mut self.rng);
-                self.log.absorb(&out.log);
-                let count: usize = members.iter().map(|&p| self.clients[p].num_samples()).sum();
-                Some((out.average, count))
-            }
-            (SystemKind::TwoLayer, None) => {
-                if !local.is_empty() {
-                    return None; // n-out-of-n subgroup cannot tolerate loss
-                }
-                let out = p2pfl_secagg::secure_average_with_leader(
-                    &models,
-                    0,
-                    self.cfg.scheme,
-                    &mut self.rng,
-                );
-                self.log.absorb(&out.log);
-                let count: usize = members.iter().map(|&p| self.clients[p].num_samples()).sum();
-                Some((out.average, count))
-            }
-            (SystemKind::TwoLayer, Some(k)) => {
-                let k = k.min(members.len());
-                // Leader: lowest-index member that is not dropping out. In
-                // the full system Raft makes this choice (crate::runner).
-                let leader =
-                    (0..members.len()).find(|pos| !local.iter().any(|d| d.peer == *pos))?;
-                match fault_tolerant_secure_average(
-                    &models,
-                    k,
-                    leader,
-                    &local,
-                    self.cfg.scheme,
-                    &mut self.rng,
-                ) {
-                    Ok(out) => {
-                        self.log.absorb(&out.log);
-                        let count: usize = out
-                            .contributors
-                            .iter()
-                            .map(|&pos| self.clients[members[pos]].num_samples())
-                            .sum();
-                        Some((out.average, count))
-                    }
-                    Err(FtSacError::TooManyDropouts { .. }) | Err(FtSacError::NoContributors) => {
-                        None
-                    }
-                    Err(e) => panic!("unexpected FT-SAC failure: {e}"),
-                }
+        // The baseline runs Alg. 2 over everyone, ignoring the threshold; a
+        // subgroup runs Alg. 4 at its threshold, n-out-of-n without one.
+        let n = members.len();
+        let threshold = match self.cfg.kind {
+            SystemKind::OriginalSac => None,
+            SystemKind::TwoLayer => self.cfg.threshold,
+        };
+        if threshold.is_none() && !local.is_empty() {
+            return None; // n-out-of-n aborts outright on any dropout
+        }
+        // Leader: lowest-index member that is not dropping out. In the full
+        // system Raft makes this choice (crate::runner).
+        let leader = (0..n).find(|pos| !local.iter().any(|d| d.peer == *pos))?;
+        let k = threshold.unwrap_or(n).min(n);
+        let out = match fault_tolerant_secure_average(
+            &models,
+            k,
+            leader,
+            &local,
+            self.cfg.scheme,
+            &mut self.rng,
+        ) {
+            Ok(out) => out,
+            Err(FtSacError::TooManyDropouts { .. }) => return None,
+            Err(e) => panic!("unexpected FT-SAC failure: {e}"),
+        };
+        self.log.absorb(&out.log);
+        if self.cfg.kind == SystemKind::OriginalSac {
+            // Alg. 2 broadcasts every subtotal to every peer rather than
+            // collecting them at a leader: (n-1)^2 more model transfers,
+            // exactly what `p2pfl_secagg::secure_average` adds.
+            for _ in 0..(n - 1) * (n - 1) {
+                self.log.record("secagg.total", self.model_bytes());
             }
         }
+        let count: usize = out
+            .contributors
+            .iter()
+            .map(|&pos| self.clients[members[pos]].num_samples())
+            .sum();
+        Some((out.average, count))
     }
 
     /// Runs `rounds` rounds.
@@ -554,6 +552,14 @@ mod tests {
             rs.bytes,
             crate::cost::two_layer_units_fed_sac(3, 3) as u64 * w
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold k must be at least 1")]
+    fn zero_threshold_is_rejected_at_construction() {
+        let mut cfg = base_cfg(3);
+        cfg.threshold = Some(0);
+        build(6, cfg, Partition::Iid, 10);
     }
 
     #[test]

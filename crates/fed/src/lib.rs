@@ -1,9 +1,11 @@
 //! # p2pfl-fed — federated averaging substrate
 //!
 //! Classic FedAvg (paper Sec. III-A): sample-weighted model averaging
-//! ([`fedavg`]), a [`Client`] abstraction holding a private dataset and an
-//! Adam optimizer, and a centralized [`FedAvgSession`] round loop that the
-//! two-layer system composes and benchmarks against.
+//! ([`fedavg`]) and the robust combiners a FedAvg leader may replicate in
+//! its place ([`combine`]), a [`Client`] abstraction holding a private
+//! dataset and an Adam optimizer, and the threaded per-peer local training
+//! ([`parallel`]) the two-layer system's round loops run. Centralised
+//! FedAvg is that system with one-peer subgroups.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,11 +13,9 @@
 mod aggregate;
 mod client;
 pub mod parallel;
-mod round;
 
 pub use aggregate::{
     combine, coordinate_median, fedavg, mean, norm_clip, regroup, spread_linf, trim_count,
     trimmed_mean, RobustCombiner,
 };
 pub use client::{Client, LocalTrainConfig};
-pub use round::{FedAvgSession, RoundRecord};

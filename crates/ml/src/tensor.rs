@@ -8,7 +8,7 @@
 //!
 //! Every matrix product in the crate — [`Tensor::matmul`] (`A · B`) and
 //! [`Tensor::matmul_tn`] (`Aᵀ · B`, the weight-gradient shape) — is the
-//! private [`gemm`] below. It reads the left operand through a pair of
+//! private `gemm` below. It reads the left operand through a pair of
 //! strides, so the transposed entry allocates and copies nothing, and it
 //! picks between two tilings by the output width alone:
 //!

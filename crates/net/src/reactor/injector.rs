@@ -3,7 +3,7 @@
 //! [`PeerHandle`](crate::reactor::PeerHandle)s live on arbitrary user
 //! threads; the reactor runs everything on one loop thread. The
 //! [`Injector`] is the single shared-mutable-state handoff between them:
-//! handles push [`Task`](crate::reactor::Task)s, the loop drains them at
+//! handles push `Task`s, the loop drains them at
 //! the top of each iteration. (Waking the loop is the caller's job — the
 //! handle writes a byte into the reactor's wake pipe after a successful
 //! push; the injector itself is IO-free.)

@@ -1,10 +1,10 @@
 //! Single-reactor async peer runtime: many actors, one epoll loop.
 //!
 //! The [`Reactor`] hosts *hundreds* of sans-IO actors on **one** thread
-//! driving an epoll readiness loop ([`sys`]), with:
+//! driving an epoll readiness loop (`sys`), with:
 //!
 //! * **One shared listener** fronting every hosted peer. The hello
-//!   ([`conn`]) carries the *destination* peer, so a single bound port
+//!   (`conn`) carries the *destination* peer, so a single bound port
 //!   multiplexes all of them.
 //! * **One socket per peer pair**, used in both directions. Only the
 //!   *lower* [`NodeId`] ever dials; the higher side queues frames until
@@ -22,7 +22,7 @@
 //! The actor contract is identical to the simulator's: callbacks run one
 //! at a time on the loop thread, `now()` is elapsed time since the peer
 //! was spawned, loopback sends are delivered after the current callback,
-//! and [`FaultPlan`]s interpose the same [`FaultLayer`] interpreter
+//! and [`FaultPlan`]s interpose the same `FaultLayer` interpreter
 //! between sends and sockets. The sans-IO crates (`raft`, `hierraft`,
 //! `secagg`) run byte-for-byte unmodified on both.
 //!

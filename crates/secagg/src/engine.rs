@@ -1,8 +1,8 @@
 //! The supervised round core: the paper's fault-tolerant SAC (Alg. 4) as
 //! real message exchange between actors, once, for every share layout.
 //!
-//! [`crate::ftsac`] and [`crate::ring::ring_secure_average`] execute the
-//! protocol synchronously; [`RoundCore`] runs it over a
+//! [`crate::reference_round`] executes the protocol synchronously over
+//! the same [`Wire`] layout; [`RoundCore`] runs it over a
 //! [`Transport`] with crash detection by timeout and recovery from
 //! replica holders — the form deployed inside each subgroup. One
 //! aggregation round, leader-driven:

@@ -4,13 +4,15 @@
 //!
 //! * [`divide`] / [`divide_scaled`] / [`divide_masked`] — paper Alg. 1 and
 //!   the standard additive-masking variant (see [`ShareScheme`]);
-//! * [`secure_average`] — paper Alg. 2, n-out-of-n SAC with full subtotal
-//!   broadcast (cost `2N(N-1)|w|`), plus the leader-collect variant used
-//!   inside two-layer subgroups (cost `(N²-1)|w|`);
 //! * [`replicated`] — the consecutive k-out-of-n share assignment of
 //!   Replicated Additive Secret Sharing;
-//! * [`fault_tolerant_secure_average`] — paper Alg. 4, tolerating up to
-//!   `n-k` peer dropouts per round;
+//! * [`reference_round`] — the one synchronous reference round, over the
+//!   layout of either [`Wire`], with an explicit dropout schedule and a
+//!   cost ledger. Its pairwise instance [`fault_tolerant_secure_average`]
+//!   is paper Alg. 4, tolerating up to `n-k` peer dropouts per round, and
+//!   at `k = n` Alg. 2's leader-collect form (cost `(N²-1)|w|`) used inside
+//!   two-layer subgroups; [`secure_average`] is Alg. 2 with full subtotal
+//!   broadcast (cost `2N(N-1)|w|`);
 //! * [`RoundCore`] — the one message-driven engine: a supervised
 //!   fault-tolerant round (timeout-based crash detection, replica
 //!   recovery, abort + degraded retry, re-keying, sender binding) over any
@@ -24,9 +26,9 @@
 //!   the hardening the paper's Sec. IV-D points to (extension);
 //! * [`pairwise`] — the Bonawitz-style pairwise-mask baseline from the
 //!   paper's related work (Sec. II-B), with dropout recovery;
-//! * [`ring`] — the Ring-SAC layout, wire protocol and synchronous
-//!   reference: staged successor-stage sharing with O(n log n) traffic
-//!   instead of O(n²), selectable per run via [`SacEngine`].
+//! * [`ring`] — the Ring-SAC layout and wire protocol: staged
+//!   successor-stage sharing with O(n log n) traffic instead of O(n²),
+//!   selectable per run via [`SacEngine`].
 //!
 //! ## Quick example
 //!
@@ -51,14 +53,13 @@ mod divide;
 pub mod dp;
 mod engine;
 pub mod fixed;
-mod ftsac;
 mod ledger;
 #[cfg(feature = "mutants")]
 pub mod mutants;
 pub mod pairwise;
+mod reference;
 pub mod replicated;
 pub mod ring;
-mod sac;
 mod weights;
 
 pub use divide::{
@@ -67,10 +68,10 @@ pub use divide::{
 pub use engine::{
     PairwiseWire, RoundCore, RoundEvent, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, Wire,
 };
-pub use ftsac::{
-    fault_tolerant_secure_average, DropPhase, Dropout, FtSacError, FtSacOutcome, REQUEST_BYTES,
-};
 pub use ledger::TransferLog;
-pub use ring::{ring_secure_average, RingMsg, RingPlan, RingSacActor, RingWire};
-pub use sac::{secure_average, secure_average_with_leader, SacOutcome};
+pub use reference::{
+    fault_tolerant_secure_average, reference_round, secure_average, DropPhase, Dropout, FtSacError,
+    SacOutcome, REQUEST_BYTES,
+};
+pub use ring::{RingMsg, RingPlan, RingSacActor, RingWire};
 pub use weights::{WeightVector, WIRE_BYTES_PER_PARAM};

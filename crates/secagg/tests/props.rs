@@ -2,8 +2,8 @@
 
 use p2pfl_secagg::replicated::{assigned_partitions, can_reconstruct, holders};
 use p2pfl_secagg::{
-    divide_masked, divide_scaled, fault_tolerant_secure_average, fixed, secure_average,
-    secure_average_with_leader, DropPhase, Dropout, ShareScheme, WeightVector,
+    divide_masked, divide_scaled, fault_tolerant_secure_average, fixed, reference_round,
+    secure_average, DropPhase, Dropout, RingPlan, RingWire, ShareScheme, WeightVector,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -47,53 +47,71 @@ proptest! {
             prop_assert!(full.average.linf_distance(&plain) < 1e-7);
         }
         let leader = lead_pick.index(models.len());
-        let led = secure_average_with_leader(&models, leader, ShareScheme::Masked, &mut rng);
+        let n = models.len();
+        let led = fault_tolerant_secure_average(&models, n, leader, &[], ShareScheme::Masked, &mut rng)
+            .unwrap();
         prop_assert!(led.average.linf_distance(&plain) < 1e-7);
     }
 
-    /// Alg. 4 invariant: any dropout set of size <= n-k (excluding the
-    /// leader) still yields the mean over contributors.
+    /// Alg. 4 and Ring-SAC invariant: any dropout schedule within the
+    /// layout's budget completes — `n-k` crashes for pairwise; for the
+    /// staged layout `min(m-2, n-k)` of each stage's `m` members, with no
+    /// stage left holding a single contributor — and every round that
+    /// completes at all yields the mean over its contributors.
     #[test]
     #[cfg_attr(miri, ignore = "full simulation runs are prohibitively slow under miri")]
     fn ftsac_survives_dropouts(
-        n in 2usize..8,
-        k_off in 0usize..6,
-        drop_seed in any::<u64>(),
+        n in 2usize..12,
+        k_off in 0usize..12,
+        ring in any::<bool>(),
+        drop_bits in any::<u16>(),
+        after_bits in any::<u16>(),
         seed in any::<u64>(),
     ) {
-        let k = (1 + k_off % n).max(1);
+        let k = 1 + k_off % n;
         let mut rng = StdRng::seed_from_u64(seed);
         let models: Vec<WeightVector> =
             (0..n).map(|_| WeightVector::random(8, 1.0, &mut rng)).collect();
-        // Build a dropout set of size <= n-k from non-leader peers.
-        let mut drop_rng = StdRng::seed_from_u64(drop_seed);
-        let max_drops = (n - k).min(n - 1);
-        let mut peers: Vec<usize> = (1..n).collect();
-        let mut dropouts = Vec::new();
-        for _ in 0..max_drops {
-            if peers.is_empty() { break; }
-            let i = (drop_rng.next_u64() as usize) % peers.len();
-            let peer = peers.swap_remove(i);
-            let phase = if drop_rng.next_u64() % 2 == 0 {
-                DropPhase::BeforeShare
-            } else {
-                DropPhase::AfterShare
-            };
-            dropouts.push(Dropout { peer, phase });
-        }
-        let out = fault_tolerant_secure_average(
-            &models, k, 0, &dropouts, ShareScheme::Masked, &mut rng,
-        ).unwrap();
-        let plain = WeightVector::mean(out.contributors.iter().map(|&i| &models[i]));
-        prop_assert!(out.average.linf_distance(&plain) < 1e-7);
-        // Contributors are exactly the peers that did not drop BeforeShare.
-        for d in &dropouts {
-            match d.phase {
-                DropPhase::BeforeShare =>
-                    prop_assert!(!out.contributors.contains(&d.peer)),
-                DropPhase::AfterShare =>
-                    prop_assert!(out.contributors.contains(&d.peer)),
-            }
+        // Any schedule of non-leader peers (the leader is position 0).
+        let dropouts: Vec<Dropout> = (1..n)
+            .filter(|p| drop_bits & (1 << p) != 0)
+            .map(|peer| Dropout {
+                peer,
+                phase: if after_bits & (1 << peer) != 0 {
+                    DropPhase::AfterShare
+                } else {
+                    DropPhase::BeforeShare
+                },
+            })
+            .collect();
+        let dropped = |p: usize| dropouts.iter().any(|d| d.peer == p);
+        let contributes =
+            |p: usize| !dropouts.iter().any(|d| d.peer == p && d.phase == DropPhase::BeforeShare);
+        let (out, within_budget) = if ring {
+            let plan = RingPlan::new(n, k);
+            let within = (0..plan.num_stages()).all(|t| {
+                let m = plan.stage_len(t);
+                let lost = plan.members(t).filter(|&p| dropped(p)).count();
+                let contributing = plan.members(t).filter(|&p| contributes(p)).count();
+                lost <= m.saturating_sub(2).min(n - k)
+                    && (plan.num_stages() == 1 || contributing != 1)
+            });
+            let out = reference_round::<RingWire, _>(
+                &models, k, 0, &dropouts, ShareScheme::Masked, &mut rng,
+            );
+            (out, within)
+        } else {
+            let out = fault_tolerant_secure_average(
+                &models, k, 0, &dropouts, ShareScheme::Masked, &mut rng,
+            );
+            (out, dropouts.len() <= n - k)
+        };
+        prop_assert!(out.is_ok() || !within_budget, "n={n} k={k} ring={ring}: {out:?}");
+        if let Ok(out) = out {
+            let plain = WeightVector::mean(out.contributors.iter().map(|&i| &models[i]));
+            prop_assert!(out.average.linf_distance(&plain) < 1e-7);
+            // Contributors are exactly the peers that did not drop BeforeShare.
+            prop_assert_eq!(out.contributors, (0..n).filter(|&p| contributes(p)).collect::<Vec<_>>());
         }
     }
 
@@ -138,5 +156,3 @@ proptest! {
         prop_assert!(sum.linf_distance(&w) < 1e-7);
     }
 }
-
-use rand::RngCore;
