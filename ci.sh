@@ -32,10 +32,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # to what the engines put on the wire fails here, byte for byte, before
 # anyone measures a timing. (Timings are compared under the BENCHMARK.json
 # protocol, not in CI.)
-echo "==> repo benchmark: round digests vs sim twin + exact wire bytes (4 workloads x 2 s)"
-for spec in session_mlp_30: sac_bulk_cnn_3:129833796 sac_fanout_256:18930176 ring_bulk_16:164008152; do
-    workload="${spec%%:*}"
-    wire_bytes="${spec#*:}"
+#
+# Peak RSS on ring_bulk_16 is gated too, against a ceiling: it measures
+# receive memory (~390 MiB while every reactor link kept the buffer of its
+# largest frame, ~230 since a link holds a frame's bytes only while it is
+# in flight). Unlike the timings, which spread 10-30 % between runs on a
+# shared host, RSS spreads 1-2 %, so a fixed ceiling between the two
+# states catches the retention coming back without flaking.
+echo "==> repo benchmark: round digests vs sim twin + exact wire bytes + ring RSS ceiling (4 workloads x 2 s)"
+for spec in session_mlp_30:: sac_bulk_cnn_3:129833796: sac_fanout_256:18930176: ring_bulk_16:164008152:300; do
+    IFS=: read -r workload wire_bytes rss_ceiling <<<"$spec"
     result="$(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 2 --trace 0 | tail -n 1)"
     grep -q '"failed": 0,' <<<"$result" \
@@ -43,6 +49,11 @@ for spec in session_mlp_30: sac_bulk_cnn_3:129833796 sac_fanout_256:18930176 rin
     if [ -n "$wire_bytes" ]; then
         grep -q "\"wire_bytes_per_round\": {\"value\": $wire_bytes," <<<"$result" \
             || { echo "benchmark $workload: wire_bytes_per_round is not $wire_bytes: $result"; exit 1; }
+    fi
+    if [ -n "$rss_ceiling" ]; then
+        rss="$(sed -n 's/.*"peak_rss_mib": {"value": \([0-9.]*\),.*/\1/p' <<<"$result")"
+        awk -v rss="$rss" -v cap="$rss_ceiling" 'BEGIN { exit !(rss != "" && rss <= cap) }' \
+            || { echo "benchmark $workload: peak_rss_mib ${rss:-missing} above $rss_ceiling: $result"; exit 1; }
     fi
     echo "    $workload ok"
 done

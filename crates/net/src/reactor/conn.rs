@@ -22,6 +22,16 @@
 //! [`WRITE_BATCH`] queued frames (plus any unsent hello preamble) in one
 //! `writev`, retiring only completely-written frames so a dying
 //! connection never splits a frame across reconnects.
+//!
+//! Reads go through the reactor's one [`READ_CHUNK`] scratch buffer into
+//! the link's [`FrameBuffer`]. A read shorter than the chunk drained the
+//! socket, and polling is level-triggered, so [`read_some`] says so and,
+//! unless a frame is half in, the reactor stops there instead of paying
+//! an empty `read` to hear `WouldBlock`. A frame over the chunk is
+//! *bulk*: the link holds its bytes only while it is in flight, taking
+//! the reactor's one spare allocation when that fits and giving the
+//! storage back once the frame is delivered, so receive memory follows
+//! the frames in flight, not links x the largest frame each ever carried.
 
 use super::queue::SendQueue;
 use super::stats::StatsCells;
@@ -38,6 +48,10 @@ const HELLO_MAGIC: &[u8; 4] = b"p2pf";
 
 /// Max frames offered to one vectored write.
 pub(crate) const WRITE_BATCH: usize = 16;
+
+/// Bytes asked of the kernel per `read`, and the size above which a frame
+/// is bulk and its storage leaves the link once delivered.
+pub(crate) const READ_CHUNK: usize = 64 << 10;
 
 /// Builds the framed v2 hello announcing `src` dialing `dst`.
 pub(crate) fn hello_frame_v2(src: NodeId, dst: NodeId) -> Vec<u8> {
@@ -212,25 +226,38 @@ pub(crate) fn flush_link(
 /// Outcome of one read attempt on a readable connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReadStatus {
-    /// Bytes were appended to the link's frame buffer.
-    Data,
-    /// Kernel buffer drained; the connection is still open.
+    /// The read filled the scratch chunk; more may be waiting.
+    Full,
+    /// The read returned less than the chunk: the kernel buffer was
+    /// drained when it ran.
+    Short,
+    /// Nothing to read; the connection is still open.
     Drained,
     /// Clean EOF or fatal read error.
     Closed,
 }
 
 /// Reads once into the link's frame buffer. `scratch` is the reactor's
-/// shared read buffer.
-pub(crate) fn read_some(link: &mut Link, scratch: &mut [u8]) -> ReadStatus {
+/// shared read buffer; a bulk frame with no room on the link may take
+/// `spare` as its storage.
+pub(crate) fn read_some(
+    link: &mut Link,
+    scratch: &mut [u8],
+    spare: &mut Option<Vec<u8>>,
+) -> ReadStatus {
     loop {
         match link.stream.read(scratch) {
             Ok(0) => return ReadStatus::Closed,
             // `n <= scratch.len()` per the `Read` contract; `get` keeps a
             // misbehaving implementation from panicking the reactor.
             Ok(n) => {
-                link.rx.extend(scratch.get(..n).unwrap_or(scratch));
-                return ReadStatus::Data;
+                let bytes = scratch.get(..n).unwrap_or(scratch);
+                link.rx.extend_with_spare(bytes, READ_CHUNK, spare);
+                return if n < scratch.len() {
+                    ReadStatus::Short
+                } else {
+                    ReadStatus::Full
+                };
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadStatus::Drained,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

@@ -761,17 +761,24 @@ impl<W: Wire> RoundCore<W> {
     /// the predecessor stage, ascending by position; `None` while some
     /// contributor's block is missing locally. Zero contributors in the
     /// predecessor stage yield a zero vector — the leader still needs the
-    /// total to close the sum.
+    /// total to close the sum. Every block is looked up before anything
+    /// is allocated: `progress` asks again on each late share, and an
+    /// incomplete total must cost nothing.
     fn total_over_frozen(&self, p: usize) -> Option<WeightVector> {
         let frozen = self.frozen.as_ref()?;
         let pred = self.plan.pred_stage(self.plan.stage_of(self.cfg.position));
-        let mut acc = WeightVector::zeros(self.model.dim());
-        for c in self.plan.members(pred) {
-            if frozen.contains(&c) {
-                acc.add_assign(self.blocks.get(&c)?.get(&p)?);
-            }
+        let blocks = self
+            .plan
+            .members(pred)
+            .filter(|c| frozen.contains(c))
+            .map(|c| self.blocks.get(&c).and_then(|b| b.get(&p)));
+        if !blocks.clone().all(|b| b.is_some()) {
+            return None;
         }
-        Some(acc)
+        Some(WeightVector::sum_from_zero(
+            self.model.dim(),
+            blocks.flatten(),
+        ))
     }
 
     fn compute_own_totals(&mut self) {

@@ -121,6 +121,29 @@ impl WeightVector {
         acc
     }
 
+    /// `0 + parts[0] + parts[1] + ...`, elementwise and in that order, as
+    /// a fresh vector of dimension `dim` — bit for bit what `zeros(dim)`
+    /// and one `add_assign` per part give, but summed block by block while
+    /// each output block is in cache, so the output is written once rather
+    /// than once per part. `parts` is walked once per block, so it should
+    /// be cheap to clone. Panics on dimension mismatch.
+    pub(crate) fn sum_from_zero<'a, I>(dim: usize, parts: I) -> WeightVector
+    where
+        I: Iterator<Item = &'a WeightVector> + Clone,
+    {
+        const BLOCK: usize = 2048;
+        assert!(parts.clone().all(|v| v.dim() == dim), "dimension mismatch");
+        let mut out = vec![0.0; dim];
+        for (i, acc) in out.chunks_mut(BLOCK).enumerate() {
+            for v in parts.clone() {
+                for (a, b) in acc.iter_mut().zip(&v.0[i * BLOCK..]) {
+                    *a += b;
+                }
+            }
+        }
+        WeightVector(out)
+    }
+
     /// Arithmetic mean of a non-empty iterator of vectors.
     pub fn mean<'a, I: IntoIterator<Item = &'a WeightVector>>(iter: I) -> WeightVector {
         let vs: Vec<&WeightVector> = iter.into_iter().collect();
@@ -279,6 +302,33 @@ mod tests {
         let mut two_pass = v.clone();
         two_pass.add_assign(&w.scaled(-0.375));
         assert_eq!(fused, two_pass, "fused axpy must be bit-identical");
+    }
+
+    #[test]
+    fn sum_from_zero_is_zeros_then_add_assign_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        // Signed zeros and NaN payloads are where a sum that starts from
+        // the first part instead of +0.0 would differ.
+        let specials = [-0.0, 0.0, f64::from_bits(0x7ff8_0000_0000_0001), -1e-300];
+        for dim in [0, 1, 2047, 2048, 2049, 5000] {
+            for count in 0..4 {
+                let parts: Vec<WeightVector> = (0..count)
+                    .map(|c| {
+                        let mut v = WeightVector::random(dim, 1.0, &mut rng);
+                        for (i, x) in v.0.iter_mut().enumerate().filter(|(i, _)| i % 7 == c) {
+                            *x = specials[i % specials.len()];
+                        }
+                        v
+                    })
+                    .collect();
+                let mut want = WeightVector::zeros(dim);
+                for v in &parts {
+                    want.add_assign(v);
+                }
+                let got = WeightVector::sum_from_zero(dim, parts.iter());
+                assert_eq!(got.digest(), want.digest(), "dim {dim}, {count} parts");
+            }
+        }
     }
 
     #[test]

@@ -424,11 +424,21 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// `k` frames of one read costs `O(1)` each and moves no bytes; consumed
 /// space is reclaimed by the next `extend`, which moves at most as many
 /// bytes as were consumed since the last reclaim.
+///
+/// A *bulk* frame — one over a threshold the caller names, the reactor's
+/// read chunk — has its storage only while it is in flight: once the
+/// buffer has handed one out and holds nothing else,
+/// [`FrameBuffer::release`] gives the allocation back, and
+/// [`FrameBuffer::extend_with_spare`] lets the next bulk frame take a
+/// released allocation instead of making its own. Smaller frames keep
+/// the buffer's own storage.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Read cursor: everything before it was already handed out.
     head: usize,
+    /// Largest payload handed out since the storage was last released.
+    largest: usize,
 }
 
 impl FrameBuffer {
@@ -439,33 +449,78 @@ impl FrameBuffer {
 
     /// Appends freshly received bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
-        if self.head == self.buf.len() {
+        self.extend_with_spare(bytes, MAX_FRAME, &mut None);
+    }
+
+    /// Appends freshly received bytes. A frame of more than `bulk` bytes
+    /// that the buffer has no room for takes `spare` as its storage when
+    /// `spare` can hold it whole, instead of allocating.
+    pub fn extend_with_spare(&mut self, bytes: &[u8], bulk: usize, spare: &mut Option<Vec<u8>>) {
+        if self.is_empty() {
             self.buf.clear();
             self.head = 0;
         } else if self.head > self.buf.len() / 2 {
             self.buf.drain(..self.head);
             self.head = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        let held = self.buf.len() - self.head;
         // With the header in, make room for the whole frame in one step
         // instead of doubling up to it 64 KiB read by 64 KiB read. The
         // MAX_FRAME cap bounds what a hostile header can reserve.
-        if let Some(len) = self.pending_len().filter(|&len| len <= MAX_FRAME) {
-            let buffered = self.buf.len() - self.head;
-            self.buf.reserve((4 + len).saturating_sub(buffered));
+        let frame = self.pending_len_with(bytes).filter(|&len| len <= MAX_FRAME);
+        let room = frame.map_or(0, |len| 4 + len).max(held + bytes.len());
+        if self.buf.capacity() < self.head + room {
+            let is_bulk = frame.is_some_and(|len| len > bulk);
+            match spare.take_if(|s| is_bulk && s.capacity() >= room) {
+                Some(mut storage) => {
+                    storage.clear();
+                    storage.extend_from_slice(self.buf.get(self.head..).unwrap_or_default());
+                    self.buf = storage;
+                    self.head = 0;
+                }
+                None => self.buf.reserve(room - held),
+            }
         }
+        self.buf.extend_from_slice(bytes);
     }
 
-    /// Payload length declared by the next frame's header, once buffered.
-    fn pending_len(&self) -> Option<usize> {
-        let header = self.buf.get(self.head..)?.first_chunk::<4>()?;
-        Some(u32::from_le_bytes(*header) as usize)
+    /// Gives the storage back once the buffer has handed out a frame of
+    /// more than `bulk` bytes and holds nothing else; the buffer goes on
+    /// empty. `None` while a frame is still in flight, or when only
+    /// smaller frames passed through.
+    pub fn release(&mut self, bulk: usize) -> Option<Vec<u8>> {
+        if !self.is_empty() || self.largest <= bulk {
+            return None;
+        }
+        let mut storage = std::mem::take(self).buf;
+        storage.clear();
+        Some(storage)
+    }
+
+    /// Whether every byte received has been handed out: no partial frame
+    /// is pending.
+    pub fn is_empty(&self) -> bool {
+        self.head == self.buf.len()
+    }
+
+    /// Payload length declared by the next frame's header, reading past
+    /// what is buffered into `bytes` when the header is split.
+    fn pending_len_with(&self, bytes: &[u8]) -> Option<usize> {
+        let held = self.buf.get(self.head..).unwrap_or_default();
+        let mut header = held.iter().chain(bytes).copied();
+        let header = [
+            header.next()?,
+            header.next()?,
+            header.next()?,
+            header.next()?,
+        ];
+        Some(u32::from_le_bytes(header) as usize)
     }
 
     /// Pops the next complete frame, if one is buffered. The payload is
     /// borrowed from the buffer and stays valid until the next `extend`.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, CodecError> {
-        let Some(len) = self.pending_len() else {
+        let Some(len) = self.pending_len_with(&[]) else {
             return Ok(None);
         };
         if len > MAX_FRAME {
@@ -476,6 +531,7 @@ impl FrameBuffer {
             return Ok(None);
         };
         self.head = start + len;
+        self.largest = self.largest.max(len);
         Ok(Some(payload))
     }
 }
@@ -791,6 +847,126 @@ mod tests {
         let mut fb = FrameBuffer::new();
         fb.extend(&(u32::MAX).to_le_bytes());
         assert!(fb.next_frame().is_err());
+    }
+
+    /// The bulk threshold the reactor uses: its read chunk.
+    const BULK: usize = 64 << 10;
+
+    fn framed(len: usize, fill: u8) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &vec![fill; len]).unwrap();
+        wire
+    }
+
+    /// Feeds `wire` in `chunk`-byte reads through `spare`, collecting
+    /// every frame as it completes.
+    fn feed(
+        fb: &mut FrameBuffer,
+        wire: &[u8],
+        chunk: usize,
+        spare: &mut Option<Vec<u8>>,
+    ) -> Vec<Vec<u8>> {
+        let mut frames = Vec::new();
+        for piece in wire.chunks(chunk) {
+            fb.extend_with_spare(piece, BULK, spare);
+            while let Some(f) = fb.next_frame().unwrap() {
+                frames.push(f.to_vec());
+            }
+        }
+        frames
+    }
+
+    #[test]
+    fn bulk_frame_storage_is_given_back_once_delivered() {
+        let wire = framed(3 << 20, 1);
+        let mut fb = FrameBuffer::new();
+        let frames = feed(&mut fb, &wire, BULK, &mut None);
+        assert_eq!(frames, vec![vec![1u8; 3 << 20]]);
+        let storage = fb.release(BULK).expect("bulk storage stays on the link");
+        assert!(storage.capacity() >= wire.len() && storage.is_empty());
+        assert_eq!(fb.buf.capacity(), 0, "the buffer goes on empty");
+        assert!(fb.release(BULK).is_none(), "released twice");
+
+        // The next frames flow as on a fresh buffer.
+        let frames = feed(&mut fb, &framed(5, 2), BULK, &mut None);
+        assert_eq!(frames, vec![vec![2u8; 5]]);
+    }
+
+    #[test]
+    fn small_frame_storage_stays_on_the_link() {
+        // Frames up to the threshold never release, however many pass,
+        // and never take a spare.
+        let mut wire = Vec::new();
+        for len in [10_000, BULK, 1, BULK - 4] {
+            wire.extend(framed(len, 3));
+        }
+        let mut fb = FrameBuffer::new();
+        let mut spare = Some(Vec::with_capacity(1 << 20));
+        assert_eq!(feed(&mut fb, &wire, 700, &mut spare).len(), 4);
+        assert_eq!(fb.next_frame(), Ok(None));
+        assert!(fb.release(BULK).is_none());
+        assert!(fb.buf.capacity() > 0);
+        assert_eq!(spare.map(|s| s.capacity()), Some(1 << 20), "spare taken");
+    }
+
+    #[test]
+    fn bulk_frame_split_across_many_extends_takes_the_spare() {
+        let wire = framed(BULK + 1, 4);
+        let spare_storage = Vec::with_capacity(wire.len());
+        let at = spare_storage.as_ptr();
+        let mut spare = Some(spare_storage);
+        let mut fb = FrameBuffer::new();
+        // Split everywhere, the header included.
+        let mut frames = Vec::new();
+        for (i, piece) in wire.chunks(3).enumerate() {
+            fb.extend_with_spare(piece, BULK, &mut spare);
+            if i > 0 {
+                assert!(spare.is_none(), "header in, spare not taken");
+                assert_eq!(fb.buf.as_ptr(), at, "regrew after taking the spare");
+            }
+            while let Some(f) = fb.next_frame().unwrap() {
+                frames.push(f.to_vec());
+            }
+        }
+        assert_eq!(frames, vec![vec![4u8; BULK + 1]]);
+        let back = fb.release(BULK).unwrap();
+        assert_eq!(back.as_ptr(), at);
+
+        // A spare too small for the frame stays where it is.
+        let mut spare = Some(Vec::with_capacity(wire.len() - 1));
+        assert_eq!(feed(&mut fb, &wire, BULK, &mut spare).len(), 1);
+        assert!(spare.is_some());
+    }
+
+    #[test]
+    fn small_frame_queued_behind_a_bulk_one() {
+        let mut wire = framed(2 * BULK, 5);
+        wire.extend(framed(9, 6));
+        let mut fb = FrameBuffer::new();
+        // All but the small frame's last byte: the bulk frame is out, but
+        // the buffer still holds part of the next one.
+        let frames = feed(&mut fb, &wire[..wire.len() - 1], 1000, &mut None);
+        assert_eq!(frames, vec![vec![5u8; 2 * BULK]]);
+        assert!(fb.release(BULK).is_none(), "released a frame in flight");
+        let frames = feed(&mut fb, &wire[wire.len() - 1..], 1000, &mut None);
+        assert_eq!(frames, vec![vec![6u8; 9]]);
+        assert!(fb.release(BULK).is_some(), "kept after both frames left");
+    }
+
+    #[test]
+    fn one_past_max_frame_is_refused_even_with_a_spare() {
+        let mut fb = FrameBuffer::new();
+        let mut spare = Some(Vec::with_capacity(1 << 10));
+        let mut header = ((MAX_FRAME as u32) + 1).to_le_bytes().to_vec();
+        header.extend([0u8; 64]);
+        fb.extend_with_spare(&header, BULK, &mut spare);
+        assert!(fb.next_frame().is_err());
+        assert!(spare.is_some(), "an unframeable header took the spare");
+        assert!(
+            fb.buf.capacity() < 1 << 10,
+            "reserved from a refused header"
+        );
+        assert!(fb.release(BULK).is_none());
     }
 
     #[test]
