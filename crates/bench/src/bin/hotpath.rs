@@ -14,7 +14,8 @@
 //! ```text
 //! cargo run -rp p2pfl-bench --bin hotpath               # full, writes BENCH_hotpath.json
 //! cargo run -rp p2pfl-bench --bin hotpath -- --quick    # CI-sized iteration counts
-//!     --baseline BENCH_hotpath.json                     # fail (exit 2) on >2x median regression
+//!     --baseline BENCH_hotpath.json                     # fail (exit 2) on a >2x regression
+//!                                                       # relative to matmul_naive_256
 //!     --out target/hotpath.json                         # alternate report path
 //!     --factor 2.0                                      # regression threshold
 //! ```
@@ -24,7 +25,7 @@
 //! "Performance").
 
 use p2pfl_bench::alloc::CountingAlloc;
-use p2pfl_bench::hotpath::{check_regressions, parse_baseline, Harness};
+use p2pfl_bench::hotpath::{check_regressions, parse_baseline, Harness, HOST_ORACLE};
 use p2pfl_bench::testkit::{ids, sac_config};
 use p2pfl_bench::Args;
 use p2pfl_ml::layers::Conv2d;
@@ -230,7 +231,8 @@ fn main() {
                 let offenders = check_regressions(h.results(), &baseline, factor);
                 if offenders.is_empty() {
                     println!(
-                        "perf gate: {} benchmarks within {factor}x of {baseline_path}",
+                        "perf gate: {} benchmarks within {factor}x of {baseline_path} \
+                         (each relative to {HOST_ORACLE})",
                         baseline.len()
                     );
                 } else {

@@ -5,8 +5,9 @@
 //! per-iteration wall-clock nanoseconds and allocation counts (via
 //! [`crate::alloc`]). Results serialize to the flat JSON trajectory file
 //! `BENCH_hotpath.json`; [`check_regressions`] compares a fresh run
-//! against a checked-in baseline and reports benchmarks whose median
-//! exceeded the allowed factor — the perf gate `ci.sh` enforces.
+//! against a checked-in baseline and reports benchmarks whose median,
+//! measured against the same run's [`HOST_ORACLE`], exceeded the allowed
+//! factor — the perf gate `ci.sh` enforces.
 
 use crate::alloc::allocations;
 use std::time::Instant;
@@ -160,27 +161,42 @@ pub fn parse_baseline(json: &str) -> Vec<(String, u64)> {
     out
 }
 
-/// Compares fresh medians against a baseline: returns one line per
-/// benchmark whose median grew by more than `factor`. Benchmarks present
-/// on only one side are ignored (new benchmarks must not fail the gate;
-/// retired ones must not block baseline refreshes).
+/// The benchmark the gate measures every other against: the naive matmul
+/// oracle (`p2pfl_ml::reference`), code no change optimises, so how much
+/// slower it runs than in the baseline is how much slower the host is.
+pub const HOST_ORACLE: &str = "matmul_naive_256";
+
+/// Compares fresh medians against a baseline, each as a multiple of its
+/// own run's [`HOST_ORACLE`] median (raw medians when either run lacks
+/// it): returns one line per benchmark whose multiple grew by more than
+/// `factor`. A uniformly slower host therefore passes; a kernel that got
+/// slower than the oracle did fails. Benchmarks present on only one side
+/// are ignored (new benchmarks must not fail the gate; retired ones must
+/// not block baseline refreshes).
 pub fn check_regressions(
     current: &[BenchResult],
     baseline: &[(String, u64)],
     factor: f64,
 ) -> Vec<String> {
+    let oracle_now = current.iter().find(|r| r.name == HOST_ORACLE);
+    let oracle_then = baseline.iter().find(|(n, _)| n == HOST_ORACLE);
+    let host = match (oracle_now, oracle_then) {
+        (Some(now), Some((_, then))) if now.median_ns > 0 && *then > 0 => {
+            now.median_ns as f64 / *then as f64
+        }
+        _ => 1.0,
+    };
     let mut offenders = Vec::new();
     for r in current {
         let Some((_, base)) = baseline.iter().find(|(n, _)| *n == r.name) else {
             continue;
         };
-        if *base > 0 && r.median_ns as f64 > *base as f64 * factor {
+        let growth = r.median_ns as f64 / *base as f64 / host;
+        if *base > 0 && growth > factor {
             offenders.push(format!(
-                "{}: median {} ns vs baseline {} ns ({:.2}x > {factor}x allowed)",
-                r.name,
-                r.median_ns,
-                base,
-                r.median_ns as f64 / *base as f64
+                "{}: median {} ns vs baseline {} ns, {growth:.2}x after the host's \
+                 {host:.2}x on {HOST_ORACLE} (> {factor}x allowed)",
+                r.name, r.median_ns, base,
             ));
         }
     }
@@ -233,6 +249,47 @@ mod tests {
         let bad = check_regressions(&current, &baseline, 2.0);
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert!(bad[0].starts_with("b:"), "{}", bad[0]);
+    }
+
+    fn baseline() -> Vec<(String, u64)> {
+        vec![
+            (HOST_ORACLE.to_string(), 16_000),
+            ("blocked".to_string(), 4_000),
+            ("im2col".to_string(), 1_000),
+        ]
+    }
+
+    #[test]
+    fn a_uniformly_slower_host_passes_the_gate() {
+        let current = vec![
+            result(HOST_ORACLE, 32_000),
+            result("blocked", 8_000),
+            result("im2col", 2_000),
+        ];
+        let bad = check_regressions(&current, &baseline(), 2.0);
+        assert!(bad.is_empty(), "{bad:?}");
+        // The raw medians doubled: without the oracle they sit on the
+        // threshold, and a little host noise on top fails them.
+        let noisy: Vec<BenchResult> = current
+            .iter()
+            .map(|r| result(&r.name, r.median_ns * 11 / 10))
+            .collect();
+        let raw: Vec<(String, u64)> = baseline().into_iter().skip(1).collect();
+        assert_eq!(check_regressions(&noisy, &raw, 2.0).len(), 2);
+        assert!(check_regressions(&noisy, &baseline(), 2.0).is_empty());
+    }
+
+    #[test]
+    fn a_kernel_slower_than_the_oracle_fails_the_gate() {
+        // The host is 2x slower, and im2col 2.5x slower on top of that.
+        let current = vec![
+            result(HOST_ORACLE, 32_000),
+            result("blocked", 8_000),
+            result("im2col", 5_000),
+        ];
+        let bad = check_regressions(&current, &baseline(), 2.0);
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(bad[0].starts_with("im2col:"), "{}", bad[0]);
     }
 
     #[test]

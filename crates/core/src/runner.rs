@@ -444,9 +444,9 @@ impl ResilientSession {
         let bytes_before = self.log.bytes();
 
         // 2. Local updates on live peers, fanned out over worker threads
-        //    (the `parallel` feature; each client owns its RNG and
-        //    optimizer, so the fan-out is bit-identical to the serial
-        //    loop). Crashed peers are masked out and left untouched.
+        //    (each client owns its RNG and optimizer, so the fan-out is
+        //    bit-identical to the serial loop). Crashed peers are masked
+        //    out and left untouched.
         let alive: Vec<bool> = (0..self.clients.len())
             .map(|i| !self.dep.sim.is_crashed(NodeId(i as u32)))
             .collect();

@@ -205,12 +205,13 @@ impl TwoLayerSystem {
 
         // 1. Local updates on every peer (paper: peers train, then models
         //    are aggregated via SAC in subgroups). Peers are independent,
-        //    so their training runs on scoped worker threads (the
-        //    `parallel` feature); each client owns its RNG/optimizer, so
-        //    the result is deterministic regardless of scheduling.
-        let train_cfg = self.cfg.train;
-        let losses = p2pfl_fed::parallel::local_updates(&mut self.clients, train_cfg);
-        let train_loss = losses.iter().sum::<f64>() / losses.len() as f64;
+        //    so their training runs on scoped worker threads; each client
+        //    owns its RNG/optimizer, so the result is deterministic
+        //    regardless of scheduling.
+        let every = vec![true; self.clients.len()];
+        let losses =
+            p2pfl_fed::parallel::local_updates_masked(&mut self.clients, &every, self.cfg.train);
+        let train_loss = losses.iter().flatten().sum::<f64>() / losses.len() as f64;
 
         // 2. Subgroup SAC for each selected subgroup.
         let selected = self.select_groups();

@@ -2,97 +2,40 @@
 //!
 //! One aggregation round trains every peer's model independently — the
 //! single most expensive step of a sweep — so the peers are fanned out
-//! over scoped OS threads. Every [`Client`] owns its RNG (seeded per peer
-//! at construction), its optimizer state, and its dataset, so the result
-//! of a round is a pure function of each client's state: the fan-out is
-//! **bit-identical** to the serial loop regardless of thread count or
-//! scheduling, which `tests/determinism.rs` locks in.
-//!
-//! The `parallel` cargo feature (default on) selects the default mode;
-//! [`set_parallel`] overrides it at runtime so benchmarks and the
-//! determinism suite can compare both paths in one binary.
+//! over scoped OS threads, one per hardware core (at most eight). Every
+//! [`Client`] owns its RNG (seeded per peer at construction), its
+//! optimizer state, and its dataset, so the result of a round is a pure
+//! function of each client's state: the fan-out is **bit-identical** to
+//! the plain per-client loop regardless of thread count or scheduling.
 
 use crate::client::{Client, LocalTrainConfig};
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// 0 = follow the compiled-in feature default, 1 = force on, 2 = force off.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether local updates currently fan out over threads.
-pub fn parallel_enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => cfg!(feature = "parallel"),
-    }
-}
-
-/// Whether the fan-out was explicitly forced on via [`set_parallel`]. A
-/// forced fan-out spawns worker threads even on a single-core host, so
-/// the determinism suite exercises the real threaded path everywhere.
-fn parallel_forced() -> bool {
-    OVERRIDE.load(Ordering::Relaxed) == 1
-}
-
-/// Forces the training fan-out on or off at runtime, overriding the
-/// `parallel` feature default. Intended for benchmarks and determinism
-/// tests; call [`reset_parallel`] to restore the default.
-pub fn set_parallel(enabled: bool) {
-    OVERRIDE.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Restores the compiled-in `parallel` feature default.
-pub fn reset_parallel() {
-    OVERRIDE.store(0, Ordering::Relaxed);
-}
-
-/// Worker-thread count for a given task count: one thread per hardware
-/// core, capped at 8 (memory-bandwidth-bound past that) and at the task
-/// count itself. When the fan-out is forced, ignore the core count so the
-/// threaded path runs even on single-core hosts.
-fn thread_count(tasks: usize) -> usize {
-    let cores = if parallel_forced() {
-        8
-    } else {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    };
-    cores.min(8).min(tasks)
-}
-
-/// Runs `local_update` on every client — over scoped threads when
-/// [`parallel_enabled`], serially otherwise — returning per-client
-/// training losses in client order. The two paths are bit-identical.
-pub fn local_updates(clients: &mut [Client], cfg: LocalTrainConfig) -> Vec<f64> {
-    let threads = thread_count(clients.len());
-    if !parallel_enabled() || threads <= 1 {
-        return clients.iter_mut().map(|c| c.local_update(cfg).0).collect();
-    }
-    let chunk = clients.len().div_ceil(threads);
-    let mut losses = vec![0.0f64; clients.len()];
-    std::thread::scope(|s| {
-        for (cs, ls) in clients.chunks_mut(chunk).zip(losses.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (c, l) in cs.iter_mut().zip(ls.iter_mut()) {
-                    *l = c.local_update(cfg).0;
-                }
-            });
-        }
-    });
-    losses
-}
-
-/// [`local_updates`] restricted to clients whose `active` flag is set
-/// (e.g. peers the simulator reports alive); inactive clients are left
-/// untouched and report `None`. Losses come back in client order.
+/// Runs `local_update` on every client whose `active` flag is set (e.g.
+/// peers the simulator reports alive), over one scoped worker thread per
+/// hardware core; inactive clients are left untouched and report `None`.
+/// Losses come back in client order.
 pub fn local_updates_masked(
     clients: &mut [Client],
     active: &[bool],
     cfg: LocalTrainConfig,
 ) -> Vec<Option<f64>> {
+    let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+    fan_out(clients, active, cfg, cores)
+}
+
+/// [`local_updates_masked`] over at most `width` worker threads (capped at
+/// 8, memory-bandwidth-bound past that, and at the live client count); a
+/// width of one is the plain loop.
+fn fan_out(
+    clients: &mut [Client],
+    active: &[bool],
+    cfg: LocalTrainConfig,
+    width: usize,
+) -> Vec<Option<f64>> {
     assert_eq!(clients.len(), active.len(), "one flag per client");
     let live = active.iter().filter(|&&a| a).count();
-    let threads = thread_count(live);
-    if !parallel_enabled() || threads <= 1 {
+    let threads = width.min(8).min(live);
+    if threads <= 1 {
         return clients
             .iter_mut()
             .zip(active)
@@ -129,10 +72,11 @@ mod tests {
     use p2pfl_ml::models::mlp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Mutex;
 
-    /// Serializes tests that flip the process-global override.
-    static LOCK: Mutex<()> = Mutex::new(());
+    const CFG: LocalTrainConfig = LocalTrainConfig {
+        epochs: 1,
+        batch_size: 16,
+    };
 
     fn make_clients(n: usize, seed: u64) -> Vec<Client> {
         let data = features_like(8, n * 30, seed);
@@ -150,36 +94,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_paths_are_bit_identical() {
-        let _g = LOCK.lock().unwrap();
-        let cfg = LocalTrainConfig {
-            epochs: 1,
-            batch_size: 16,
-        };
-        let mut a = make_clients(6, 42);
-        let mut b = make_clients(6, 42);
-        set_parallel(false);
-        let la = local_updates(&mut a, cfg);
-        set_parallel(true);
-        let lb = local_updates(&mut b, cfg);
-        reset_parallel();
-        assert_eq!(la, lb, "losses diverged");
-        assert_eq!(digest(&a), digest(&b), "models diverged");
+    fn fan_out_is_bit_identical_to_the_plain_loop() {
+        let mut plain = make_clients(6, 42);
+        let mut threaded = make_clients(6, 42);
+        let expect: Vec<Option<f64>> = plain
+            .iter_mut()
+            .map(|c| Some(c.local_update(CFG).0))
+            .collect();
+        // Three workers whatever this host's core count, so the threaded
+        // path runs on a single-core host too.
+        let got = fan_out(&mut threaded, &[true; 6], CFG, 3);
+        assert_eq!(got, expect, "losses diverged");
+        assert_eq!(digest(&threaded), digest(&plain), "models diverged");
     }
 
     #[test]
     fn masked_updates_skip_inactive_clients() {
-        let _g = LOCK.lock().unwrap();
-        let cfg = LocalTrainConfig {
-            epochs: 1,
-            batch_size: 16,
-        };
         let mut clients = make_clients(4, 7);
         let before = clients[2].params();
         let active = [true, true, false, true];
-        set_parallel(true);
-        let losses = local_updates_masked(&mut clients, &active, cfg);
-        reset_parallel();
+        let losses = fan_out(&mut clients, &active, CFG, 3);
         assert!(losses[0].is_some() && losses[1].is_some() && losses[3].is_some());
         assert!(losses[2].is_none());
         assert_eq!(
@@ -187,16 +121,5 @@ mod tests {
             before,
             "inactive client must not train"
         );
-    }
-
-    #[test]
-    fn override_toggles_and_resets() {
-        let _g = LOCK.lock().unwrap();
-        set_parallel(false);
-        assert!(!parallel_enabled());
-        set_parallel(true);
-        assert!(parallel_enabled());
-        reset_parallel();
-        assert_eq!(parallel_enabled(), cfg!(feature = "parallel"));
     }
 }

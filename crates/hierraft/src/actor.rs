@@ -23,7 +23,10 @@ use crate::config::{
 };
 use crate::detector::{FailureDetector, Liveness};
 use crate::elastic::{rekey_key, ElasticGroup, Topology, TopologyCmd, TopologyEvent};
-use p2pfl_raft::{Command, Effect, Entry, LogCmd, LogIndex, RaftConfig, RaftNode, RaftStorage};
+use p2pfl_raft::{
+    AppEffect, Command, Effect, Entry, LogCmd, RaftConfig, RaftDriver, RaftHost, RaftNode,
+    RaftStorage,
+};
 use p2pfl_simnet::{codec, Actor, NodeId, SimDuration, SimTime, TimerId, Transport};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -47,45 +50,22 @@ const CHECKPOINT_EVERY: u64 = COMPACT_AFTER / 2;
 /// config re-commit, so the map is pruned like the logs are).
 const ECHO_VERSIONS_KEPT: usize = 64;
 
-/// A layer's replicated state as of an applied log index.
-type Checkpoint = (LogIndex, Vec<u8>);
-
-/// Whether applying `entry` takes `node` a checkpoint interval past its
-/// last checkpoint (or snapshot). The entry must still be in this node's
-/// log: applying a topology change can replace the instance mid-batch, and
-/// the old instance's remaining commits say nothing about the new log.
-fn checkpoint_due<C: Command>(
-    node: &RaftNode<C>,
-    last: &Option<Checkpoint>,
-    index: LogIndex,
-    term: u64,
-) -> bool {
-    let base = last
-        .as_ref()
-        .map_or(node.log().snapshot_index(), |(at, _)| *at);
-    node.log().term_at(index) == Some(term) && index >= base + CHECKPOINT_EVERY
+/// The round markers in a FedAvg-layer application history, in order
+/// (topology commands filtered out). The last one and the adopted topology
+/// are what that log folds to.
+fn rounds(applied: &[FedCmd]) -> impl DoubleEndedIterator<Item = u64> + '_ {
+    applied.iter().filter_map(|c| match c {
+        FedCmd::Round(r) => Some(*r),
+        FedCmd::Topology(_) => None,
+    })
 }
 
-/// Records `(index, blob)` as `node`'s checkpoint and cuts its log at the
-/// one it replaces, persisting the cut.
-fn roll_checkpoint<C: Command>(
-    node: &mut RaftNode<C>,
-    storage: &mut Option<Box<dyn RaftStorage<C>>>,
-    last: &mut Option<Checkpoint>,
-    index: LogIndex,
-    blob: Vec<u8>,
-) {
-    if let Some((at, state)) = last.replace((index, blob)) {
-        if let (Some(op), Some(st)) = (node.take_snapshot(at, state), storage.as_mut()) {
-            st.record(&op);
-        }
-    }
-}
-
-const TIMER_SUB_ELECTION: u64 = 1;
-const TIMER_SUB_HEARTBEAT: u64 = 2;
-const TIMER_FED_ELECTION: u64 = 3;
-const TIMER_FED_HEARTBEAT: u64 = 4;
+/// The subgroup and FedAvg-layer election/heartbeat timer tags, and the
+/// salts of their timeout streams.
+const SUB_TIMERS: [u64; 2] = [1, 2];
+const FED_TIMERS: [u64; 2] = [3, 4];
+const SUB_SALT: u64 = 0x5ab;
+const FED_SALT: u64 = 0xfed;
 const TIMER_CONFIG_TICK: u64 = 5;
 const TIMER_JOIN_TICK: u64 = 6;
 const TIMER_PROBE_TICK: u64 = 7;
@@ -94,16 +74,11 @@ const TIMER_RENDEZVOUS_TICK: u64 = 8;
 /// A peer in the two-layer Raft deployment.
 pub struct HierActor {
     cfg: HierPeerConfig,
-    sub: RaftNode<SubCmd>,
-    fed: Option<RaftNode<FedCmd>>,
-    sub_storage: Option<Box<dyn RaftStorage<SubCmd>>>,
-    fed_storage: Option<Box<dyn RaftStorage<FedCmd>>>,
-    sub_checkpoint: Option<Checkpoint>,
-    fed_checkpoint: Option<Checkpoint>,
-    sub_election_timer: Option<TimerId>,
-    sub_heartbeat_timer: Option<TimerId>,
-    fed_election_timer: Option<TimerId>,
-    fed_heartbeat_timer: Option<TimerId>,
+    /// The subgroup Raft seat, always held.
+    sub: RaftDriver<SubCmd, HierMsg>,
+    /// The FedAvg-layer Raft seat, held while this peer represents its
+    /// subgroup there.
+    fed: RaftDriver<FedCmd, HierMsg>,
     join_tick_timer: Option<TimerId>,
     probe_tick_timer: Option<TimerId>,
     config_tick_armed: bool,
@@ -209,43 +184,41 @@ impl HierActor {
         Self::build(cfg, Some(sub_storage), Some(fed_storage))
     }
 
-    fn sub_raft_config(cfg: &HierPeerConfig) -> RaftConfig {
+    /// The Raft configuration of one of this peer's seats: `cluster`, and
+    /// the layer's `salt` separating its timeout stream from the other's.
+    fn raft_config(cfg: &HierPeerConfig, cluster: Vec<NodeId>, salt: u64) -> RaftConfig {
         RaftConfig {
             id: cfg.id,
-            initial_cluster: cfg.subgroup.clone(),
+            initial_cluster: cluster,
             election_timeout_min: cfg.t,
             election_timeout_max: cfg.t.saturating_mul(2),
             heartbeat_interval: cfg.heartbeat(),
-            seed: cfg.seed ^ 0x5ab,
-            pre_vote: true,
-        }
-    }
-
-    fn fed_raft_config(cfg: &HierPeerConfig, founding: Vec<NodeId>) -> RaftConfig {
-        RaftConfig {
-            id: cfg.id,
-            initial_cluster: founding,
-            election_timeout_min: cfg.t,
-            election_timeout_max: cfg.t.saturating_mul(2),
-            heartbeat_interval: cfg.heartbeat(),
-            seed: cfg.seed ^ 0xfed,
+            seed: cfg.seed ^ salt,
             pre_vote: true,
         }
     }
 
     fn build(
         cfg: HierPeerConfig,
-        mut sub_storage: Option<Box<dyn RaftStorage<SubCmd>>>,
-        mut fed_storage: Option<Box<dyn RaftStorage<FedCmd>>>,
+        sub_storage: Option<Box<dyn RaftStorage<SubCmd>>>,
+        fed_storage: Option<Box<dyn RaftStorage<FedCmd>>>,
     ) -> Self {
-        let sub_cfg = Self::sub_raft_config(&cfg);
-        let sub = match sub_storage.as_mut().and_then(|s| s.load()) {
-            Some(state) => RaftNode::restore(sub_cfg, state),
-            None => RaftNode::new(sub_cfg),
-        };
-        let fed = fed_storage.as_mut().and_then(|s| s.load()).map(|state| {
-            RaftNode::restore(Self::fed_raft_config(&cfg, cfg.founding_fed.clone()), state)
-        });
+        let sub = RaftDriver::new(
+            Self::raft_config(&cfg, cfg.subgroup.clone(), SUB_SALT),
+            sub_storage,
+            SUB_TIMERS,
+            HierMsg::Sub,
+            true,
+        );
+        // A stored FedAvg-layer record means this peer held a seat when it
+        // went down: it takes that seat again.
+        let fed = RaftDriver::new(
+            Self::raft_config(&cfg, cfg.founding_fed.clone(), FED_SALT),
+            fed_storage,
+            FED_TIMERS,
+            HierMsg::Fed,
+            false,
+        );
         let fed_config = FedConfig {
             founding: cfg.founding_fed.clone(),
             current: cfg.founding_fed.clone(),
@@ -283,14 +256,6 @@ impl HierActor {
         HierActor {
             sub,
             fed,
-            sub_storage,
-            fed_storage,
-            sub_checkpoint: None,
-            fed_checkpoint: None,
-            sub_election_timer: None,
-            sub_heartbeat_timer: None,
-            fed_election_timer: None,
-            fed_heartbeat_timer: None,
             join_tick_timer: None,
             probe_tick_timer: None,
             config_tick_armed: false,
@@ -340,22 +305,22 @@ impl HierActor {
 
     /// Whether this peer currently leads its subgroup.
     pub fn is_sub_leader(&self) -> bool {
-        self.sub.is_leader()
+        self.sub.node().is_leader()
     }
 
     /// Whether this peer currently leads the FedAvg layer.
     pub fn is_fed_leader(&self) -> bool {
-        self.fed.as_ref().is_some_and(|f| f.is_leader())
+        self.fed.seated().is_some_and(RaftNode::is_leader)
     }
 
     /// Whether this peer's FedAvg-layer Raft instance is active.
     pub fn is_fed_member(&self) -> bool {
-        self.fed.is_some()
+        self.fed.seated().is_some()
     }
 
     /// The subgroup Raft state.
     pub fn sub_raft(&self) -> &RaftNode<SubCmd> {
-        &self.sub
+        self.sub.node()
     }
 
     /// This peer's failure-detector verdict on a subgroup member.
@@ -371,28 +336,13 @@ impl HierActor {
 
     /// The FedAvg-layer Raft state, if active.
     pub fn fed_raft(&self) -> Option<&RaftNode<FedCmd>> {
-        self.fed.as_ref()
-    }
-
-    /// The last round marker applied through the FedAvg-layer log: with
-    /// [`HierActor::topology`], what that log folds to.
-    fn last_fed_round(&self) -> Option<u64> {
-        self.fed_cmds_applied.iter().rev().find_map(|c| match c {
-            FedCmd::Round(r) => Some(*r),
-            FedCmd::Topology(_) => None,
-        })
+        self.fed.seated()
     }
 
     /// The round markers applied through the FedAvg-layer log, in order
     /// (topology commands filtered out).
     pub fn fed_rounds_applied(&self) -> Vec<u64> {
-        self.fed_cmds_applied
-            .iter()
-            .filter_map(|c| match c {
-                FedCmd::Round(r) => Some(*r),
-                FedCmd::Topology(_) => None,
-            })
-            .collect()
+        rounds(&self.fed_cmds_applied).collect()
     }
 
     /// This peer's current subgroup roster as configured (updated by
@@ -411,18 +361,12 @@ impl HierActor {
     /// them would be bisimilar to the live Raft instances — same term, vote,
     /// log, and snapshot. Returns a description of the first divergence.
     pub fn verify_storage_roundtrip(&mut self) -> Result<(), String> {
-        if let Some(st) = self.sub_storage.as_mut() {
-            let state = st.load().unwrap_or_default();
-            self.sub
-                .matches_persistent(&state)
-                .map_err(|e| format!("sub layer: {e}"))?;
-        }
-        if let (Some(st), Some(fed)) = (self.fed_storage.as_mut(), self.fed.as_ref()) {
-            let state = st.load().unwrap_or_default();
-            fed.matches_persistent(&state)
-                .map_err(|e| format!("fed layer: {e}"))?;
-        }
-        Ok(())
+        self.sub
+            .verify_storage_roundtrip()
+            .map_err(|e| format!("sub layer: {e}"))?;
+        self.fed
+            .verify_storage_roundtrip()
+            .map_err(|e| format!("fed layer: {e}"))
     }
 
     /// Proposes an application command on the FedAvg layer (leader only).
@@ -431,16 +375,12 @@ impl HierActor {
         ctx: &mut dyn Transport<HierMsg>,
         cmd: FedCmd,
     ) -> Result<(), &'static str> {
-        let Some(fed) = self.fed.as_mut() else {
-            return Err("not a FedAvg-layer member");
-        };
-        match fed.propose(LogCmd::App(cmd)) {
-            Ok((_, eff)) => {
-                self.run_fed_effects(ctx, eff);
-                Ok(())
-            }
-            Err(_) => Err("not the FedAvg leader"),
-        }
+        let fed = self.fed.seated_mut().ok_or("not a FedAvg-layer member")?;
+        let (_, eff) = fed
+            .propose(LogCmd::App(cmd))
+            .map_err(|_| "not the FedAvg leader")?;
+        self.run_effects(ctx, eff);
+        Ok(())
     }
 
     /// Proposes an elastic-topology operation on the FedAvg layer (leader
@@ -459,17 +399,15 @@ impl HierActor {
         ctx: &mut dyn Transport<HierMsg>,
         cmd: u64,
     ) -> Result<(), &'static str> {
-        match self.sub.propose(LogCmd::App(SubCmd::App(cmd))) {
-            Ok((_, eff)) => {
-                self.run_sub_effects(ctx, eff);
-                Ok(())
-            }
-            Err(_) => Err("not the subgroup leader"),
-        }
+        let cmd = LogCmd::App(SubCmd::App(cmd));
+        let proposed = self.sub.node_mut().propose(cmd);
+        let (_, eff) = proposed.map_err(|_| "not the subgroup leader")?;
+        self.run_effects(ctx, eff);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
-    // Effect plumbing
+    // Raft seats: both layers run through one driver each
     // ------------------------------------------------------------------
 
     fn arm(ctx: &mut dyn Transport<HierMsg>, slot: &mut Option<TimerId>, d: SimDuration, tag: u64) {
@@ -479,132 +417,24 @@ impl HierActor {
         *slot = Some(ctx.set_timer(d, tag));
     }
 
-    fn run_sub_effects(&mut self, ctx: &mut dyn Transport<HierMsg>, effects: Vec<Effect<SubCmd>>) {
-        for e in effects {
-            match e {
-                Effect::Send(to, msg) => ctx.send(to, HierMsg::Sub(msg)),
-                Effect::ArmElectionTimer(d) => {
-                    Self::arm(ctx, &mut self.sub_election_timer, d, TIMER_SUB_ELECTION)
-                }
-                Effect::ArmHeartbeatTimer(d) => {
-                    Self::arm(ctx, &mut self.sub_heartbeat_timer, d, TIMER_SUB_HEARTBEAT)
-                }
-                Effect::Commit(entry) => {
-                    self.apply_sub_entry(ctx, &entry);
-                    self.checkpoint_sub(entry.index, entry.term);
-                }
-                Effect::BecameLeader(_) => {
-                    self.sub_leader_history.push(ctx.now());
-                    self.on_became_sub_leader(ctx);
-                }
-                Effect::Persist(op) => {
-                    if let Some(st) = self.sub_storage.as_mut() {
-                        st.record(&op);
-                    }
-                }
-                Effect::RestoreSnapshot(blob) => self.restore_sub_snapshot(ctx, &blob),
-                Effect::SteppedDown(_) | Effect::ConfigChanged(_) => {}
-            }
+    /// Starts the seated FedAvg-layer node. One recovered from a compacted
+    /// durable log starts from the snapshot the dropped prefix built; the
+    /// retained tail re-applies on top.
+    fn start_fed(&mut self, ctx: &mut dyn Transport<HierMsg>) {
+        let eff = self.fed.with_seat(RaftNode::start);
+        self.fed_active_at = Some(ctx.now());
+        if let Some(blob) = stored_snapshot(self.fed.node()) {
+            self.restore_fed_snapshot(ctx, &blob);
         }
+        self.run_effects(ctx, eff);
     }
 
-    fn run_fed_effects(&mut self, ctx: &mut dyn Transport<HierMsg>, effects: Vec<Effect<FedCmd>>) {
-        let mut retire = false;
-        for e in effects {
-            match e {
-                Effect::Send(to, msg) => ctx.send(to, HierMsg::Fed(msg)),
-                Effect::ArmElectionTimer(d) => {
-                    Self::arm(ctx, &mut self.fed_election_timer, d, TIMER_FED_ELECTION)
-                }
-                Effect::ArmHeartbeatTimer(d) => {
-                    Self::arm(ctx, &mut self.fed_heartbeat_timer, d, TIMER_FED_HEARTBEAT)
-                }
-                Effect::Commit(entry) => {
-                    if let LogCmd::App(v) = entry.cmd {
-                        if let FedCmd::Topology(cmd) = &v {
-                            let cmd = cmd.clone();
-                            self.apply_fed_topology(ctx, &cmd);
-                        }
-                        self.fed_cmds_applied.push(v);
-                    }
-                    self.checkpoint_fed(entry.index, entry.term);
-                }
-                Effect::BecameLeader(_) => self.fed_leader_history.push(ctx.now()),
-                Effect::ConfigChanged(cluster) => {
-                    // A replicated membership change removed this peer from
-                    // the FedAvg layer (its subgroup elected a replacement
-                    // while it was down): retire gracefully — but only after
-                    // the rest of the batch, so the removal entry's own
-                    // broadcast still reaches the remaining members.
-                    if !cluster.contains(&self.cfg.id) {
-                        retire = true;
-                    }
-                }
-                Effect::Persist(op) => {
-                    if let Some(st) = self.fed_storage.as_mut() {
-                        st.record(&op);
-                    }
-                }
-                Effect::RestoreSnapshot(blob) => self.restore_fed_snapshot(ctx, &blob),
-                Effect::SteppedDown(_) => {}
-            }
-        }
-        if retire {
-            self.retire_fed(ctx);
-        }
-    }
-
-    /// Drops this peer's FedAvg-layer instance (its seat went to a
-    /// replacement) together with everything that belonged to it.
-    fn retire_fed(&mut self, ctx: &mut dyn Transport<HierMsg>) {
-        self.fed = None;
-        self.fed_checkpoint = None;
-        for slot in [&mut self.fed_election_timer, &mut self.fed_heartbeat_timer] {
-            if let Some(t) = slot.take() {
-                ctx.cancel_timer(t);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Log compaction: each layer's log folds to a small replicated state
-    // ------------------------------------------------------------------
-
-    fn checkpoint_sub(&mut self, index: LogIndex, term: u64) {
-        if !checkpoint_due(&self.sub, &self.sub_checkpoint, index, term) {
-            return;
-        }
-        let blob = codec::to_bytes(&SubSnapshot {
-            fed_config: self.fed_config.clone(),
-            sub_members: self.sub_members.clone(),
-            topology: self.topology.clone(),
-        });
-        roll_checkpoint(
-            &mut self.sub,
-            &mut self.sub_storage,
-            &mut self.sub_checkpoint,
-            index,
-            blob,
-        );
-    }
-
-    fn checkpoint_fed(&mut self, index: LogIndex, term: u64) {
-        let Some(fed) = self.fed.as_ref() else { return };
-        if !checkpoint_due(fed, &self.fed_checkpoint, index, term) {
-            return;
-        }
-        let blob = codec::to_bytes(&FedSnapshot {
-            last_round: self.last_fed_round(),
-            topology: self.topology.clone(),
-        });
-        let Some(fed) = self.fed.as_mut() else { return };
-        roll_checkpoint(
-            fed,
-            &mut self.fed_storage,
-            &mut self.fed_checkpoint,
-            index,
-            blob,
-        );
+    /// Shortens the subgroup seat's first election timeout, so this peer
+    /// wins its subgroup's first election (as founding members do at
+    /// genesis).
+    fn boost_sub_election(&mut self, ctx: &mut dyn Transport<HierMsg>) {
+        let boost = SimDuration::from_nanos((self.cfg.t.as_nanos() / 20).max(1));
+        self.run_effects(ctx, vec![Effect::<SubCmd>::ArmElectionTimer(boost)]);
     }
 
     /// The subgroup log was replaced by a snapshot (shipped by the leader
@@ -612,7 +442,6 @@ impl HierActor {
     /// compacted entries had been applied. An undecodable blob leaves the
     /// state as it is; the log above the snapshot still applies.
     fn restore_sub_snapshot(&mut self, ctx: &mut dyn Transport<HierMsg>, blob: &[u8]) {
-        self.sub_checkpoint = None;
         let Ok(snap) = codec::from_bytes::<SubSnapshot>(blob) else {
             return;
         };
@@ -625,27 +454,16 @@ impl HierActor {
     /// round markers the snapshot covers are gone; the last one is
     /// recorded so the applied history still ends where the layer is.
     fn restore_fed_snapshot(&mut self, ctx: &mut dyn Transport<HierMsg>, blob: &[u8]) {
-        self.fed_checkpoint = None;
         let Ok(snap) = codec::from_bytes::<FedSnapshot>(blob) else {
             return;
         };
         if let Some(r) = snap
             .last_round
-            .filter(|r| Some(*r) != self.last_fed_round())
+            .filter(|r| Some(*r) != rounds(&self.fed_cmds_applied).next_back())
         {
             self.fed_cmds_applied.push(FedCmd::Round(r));
         }
         self.adopt_topology(ctx, &snap.topology);
-    }
-
-    /// A FedAvg-layer instance recovered from a compacted durable log
-    /// starts from the snapshot the dropped prefix built; the retained tail
-    /// re-applies on top.
-    fn restore_stored_fed_snapshot(&mut self, ctx: &mut dyn Transport<HierMsg>) {
-        let stored = self.fed.as_ref().and_then(|f| f.snapshot());
-        if let Some(blob) = stored.map(|(_, _, _, blob)| blob.clone()) {
-            self.restore_fed_snapshot(ctx, &blob);
-        }
     }
 
     /// Adopts a replicated FedAvg-layer configuration (version
@@ -657,11 +475,11 @@ impl HierActor {
         // A restarted ex-representative learns through its subgroup log
         // that the FedAvg layer moved on without it: retire the stale
         // FedAvg-layer instance.
-        if self.fed.is_some()
-            && !self.sub.is_leader()
+        if self.is_fed_member()
+            && !self.is_sub_leader()
             && !self.fed_config.current.contains(&self.cfg.id)
         {
-            self.retire_fed(ctx);
+            self.fed.vacate(ctx);
         }
     }
 
@@ -695,10 +513,7 @@ impl HierActor {
             }
             LogCmd::App(SubCmd::Members(m)) => self.adopt_sub_members(m),
             LogCmd::App(SubCmd::App(v)) => self.sub_cmds_applied.push(*v),
-            LogCmd::App(SubCmd::Topology(t)) => {
-                let t = t.clone();
-                self.adopt_topology(ctx, &t);
-            }
+            LogCmd::App(SubCmd::Topology(t)) => self.adopt_topology(ctx, t),
             _ => {}
         }
     }
@@ -716,20 +531,16 @@ impl HierActor {
     fn apply_fed_topology(&mut self, ctx: &mut dyn Transport<HierMsg>, cmd: &TopologyCmd) {
         // Rosters the command touches, read *before* applying so pre-split
         // and departing members are included.
-        let roster_of = |t: &Topology, gid: u64| -> Vec<NodeId> {
-            t.group(gid).map(|g| g.members.clone()).unwrap_or_default()
+        let roster = |gid: u64| {
+            let group = self.topology.group(gid);
+            group.map(|g| g.members.clone()).unwrap_or_default()
         };
         let mut affected: BTreeSet<NodeId> = match cmd {
-            TopologyCmd::Split { gid, .. } => roster_of(&self.topology, *gid).into_iter().collect(),
-            TopologyCmd::Merge { into, from } => roster_of(&self.topology, *into)
-                .into_iter()
-                .chain(roster_of(&self.topology, *from))
-                .collect(),
-            TopologyCmd::Admit { peer, gid } => {
-                let mut s: BTreeSet<NodeId> = roster_of(&self.topology, *gid).into_iter().collect();
-                s.insert(*peer);
-                s
+            TopologyCmd::Split { gid, .. } => roster(*gid).into_iter().collect(),
+            TopologyCmd::Merge { into, from } => {
+                roster(*into).into_iter().chain(roster(*from)).collect()
             }
+            TopologyCmd::Admit { peer, gid } => roster(*gid).into_iter().chain([*peer]).collect(),
             TopologyCmd::Depart { peer } => self
                 .topology
                 .group_of(*peer)
@@ -846,24 +657,17 @@ impl HierActor {
         // retired roster's durable log describes a dissolved cluster;
         // re-seeding durability for the new lineage is future work, so the
         // fresh instance runs memory-only.
-        let mut raft_cfg = Self::sub_raft_config(&self.cfg);
+        let mut raft_cfg = Self::raft_config(&self.cfg, self.cfg.subgroup.clone(), SUB_SALT);
         raft_cfg.seed ^= (self.topology.version << 20) ^ group.gid.wrapping_mul(0x9e37_79b9);
-        for slot in [&mut self.sub_election_timer, &mut self.sub_heartbeat_timer] {
-            if let Some(timer) = slot.take() {
-                ctx.cancel_timer(timer);
-            }
-        }
-        self.sub_storage = None;
-        self.sub_checkpoint = None;
-        self.sub = RaftNode::new(raft_cfg);
+        self.sub.vacate(ctx);
+        self.sub = RaftDriver::new(raft_cfg, None, SUB_TIMERS, HierMsg::Sub, true);
         self.topology_commit_version = 0;
-        let eff = self.sub.start();
-        self.run_sub_effects(ctx, eff);
+        let eff = self.sub.with_seat(RaftNode::start);
+        self.run_effects(ctx, eff);
         // Deterministic quick election: the lowest id in the new roster
         // gets a genesis-style boosted timeout (mirrors founding startup).
         if group.members.first() == Some(&self.cfg.id) {
-            let boost = SimDuration::from_nanos((self.cfg.t.as_nanos() / 20).max(1));
-            Self::arm(ctx, &mut self.sub_election_timer, boost, TIMER_SUB_ELECTION);
+            self.boost_sub_election(ctx);
         }
     }
 
@@ -876,32 +680,12 @@ impl HierActor {
         if !self.pending_rendezvous {
             return;
         }
-        let mut candidates: Vec<NodeId> = self
-            .fed_config
-            .current
-            .iter()
-            .chain(self.cfg.founding_fed.iter())
-            .copied()
-            .filter(|&m| m != self.cfg.id)
-            .collect();
-        candidates.sort_by_key(|m| m.0);
-        candidates.dedup();
-        if candidates.is_empty() {
+        let Some(target) = self.poll_target(self.cfg.founding_fed.clone()) else {
             return;
-        }
-        // Same one-shot-hint + round-robin policy as the join protocol.
-        let target = self.join_target.take().unwrap_or_else(|| {
-            let t = candidates[self.join_round_robin % candidates.len()];
-            self.join_round_robin += 1;
-            t
-        });
+        };
         ctx.send(target, HierMsg::Rendezvous { from: self.cfg.id });
-        Self::arm(
-            ctx,
-            &mut self.rendezvous_timer,
-            self.cfg.join_poll_interval,
-            TIMER_RENDEZVOUS_TICK,
-        );
+        let poll = self.cfg.join_poll_interval;
+        Self::arm(ctx, &mut self.rendezvous_timer, poll, TIMER_RENDEZVOUS_TICK);
     }
 
     fn on_rendezvous(&mut self, ctx: &mut dyn Transport<HierMsg>, peer: NodeId) {
@@ -931,26 +715,23 @@ impl HierActor {
             };
             self.pending_admits.insert(peer);
             let _ = self.propose_fed(ctx, FedCmd::Topology(TopologyCmd::Admit { peer, gid }));
-        } else if let Some(fed) = self.fed.as_ref() {
-            let hint = fed.leader_hint().filter(|&l| l != self.cfg.id);
-            ctx.send(
-                peer,
-                HierMsg::RendezvousAssign {
-                    accepted: false,
-                    leader: hint,
-                    topology: None,
-                },
-            );
         } else {
+            let leader = self.fed_leader_hint();
             ctx.send(
                 peer,
                 HierMsg::RendezvousAssign {
                     accepted: false,
-                    leader: None,
+                    leader,
                     topology: None,
                 },
             );
         }
+    }
+
+    /// The FedAvg leader this peer's seat knows of, other than itself.
+    fn fed_leader_hint(&self) -> Option<NodeId> {
+        let hint = self.fed.seated().and_then(RaftNode::leader_hint);
+        hint.filter(|&l| l != self.cfg.id)
     }
 
     fn on_rendezvous_assign(
@@ -964,13 +745,11 @@ impl HierActor {
             return;
         }
         if accepted {
-            if let Some(t) = topology {
-                if t.group_of(self.cfg.id).is_some() {
-                    self.join_ack_at = Some(ctx.now());
-                    // Adoption clears `pending_rendezvous` and transitions
-                    // into the assigned subgroup.
-                    self.adopt_topology(ctx, &t);
-                }
+            if let Some(t) = topology.filter(|t| t.group_of(self.cfg.id).is_some()) {
+                self.join_ack_at = Some(ctx.now());
+                // Adoption clears `pending_rendezvous` and transitions into
+                // the assigned subgroup.
+                self.adopt_topology(ctx, &t);
             }
         } else if let Some(l) = leader {
             self.join_target = Some(l);
@@ -1024,32 +803,30 @@ impl HierActor {
         version: u64,
         digest: u64,
     ) {
-        if !self.cfg.subgroup.contains(&from) {
-            return;
-        }
-        match self.echo_digests.get(&version) {
-            // We applied this version ourselves; a differing digest is
-            // proof the sender saw (or fabricated) a conflicting config.
-            Some(&mine) if mine != digest => {
-                self.equivocations_detected += 1;
-                self.convict_byzantine(ctx, from);
-            }
-            Some(_) => {}
-            // We have not applied this version yet: remember the claim so
-            // our own apply would conflict... keeping only our own applied
-            // digests is enough for detection, because the equivocator must
-            // eventually disagree with some peer that has applied.
-            None => {}
+        // A digest differing from that of a version we applied ourselves
+        // is proof the sender saw (or fabricated) a conflicting config. A
+        // version we have not applied yet says nothing: keeping only our
+        // own applied digests is enough for detection, because the
+        // equivocator must eventually disagree with some peer that has.
+        let conflicts = self
+            .echo_digests
+            .get(&version)
+            .is_some_and(|&d| d != digest);
+        if conflicts && self.cfg.subgroup.contains(&from) {
+            self.equivocations_detected += 1;
+            self.convict(ctx, from);
         }
     }
 
     /// Marks a peer as Byzantine: evicts it from the aggregation roster
     /// (when leading) and bars the liveness path from ever re-admitting
     /// it. Shares the PR-5 supervision path — the eviction is an ordinary
-    /// replicated roster change.
-    fn convict_byzantine(&mut self, ctx: &mut dyn Transport<HierMsg>, peer: NodeId) {
+    /// replicated roster change. This is also the entry point for a
+    /// supervisor that detected Byzantine behavior out-of-band (e.g. a
+    /// commitment-check failure in the aggregation layer).
+    pub fn convict(&mut self, ctx: &mut dyn Transport<HierMsg>, peer: NodeId) {
         self.byzantine_peers.insert(peer);
-        if self.sub.is_leader() {
+        if self.is_sub_leader() {
             self.propose_roster_change(ctx, peer, true);
             ctx.send(
                 peer,
@@ -1058,15 +835,6 @@ impl HierActor {
                 },
             );
         }
-    }
-
-    /// External conviction entry point: a supervisor that detected
-    /// Byzantine behavior out-of-band (e.g. a commitment-check failure in
-    /// the aggregation layer) reports it here. Same consequences as an
-    /// in-protocol conviction: permanent bar from re-admission, and a
-    /// replicated roster eviction when this peer leads.
-    pub fn convict(&mut self, ctx: &mut dyn Transport<HierMsg>, peer: NodeId) {
-        self.convict_byzantine(ctx, peer);
     }
 
     // ------------------------------------------------------------------
@@ -1083,7 +851,7 @@ impl HierActor {
         member: NodeId,
         evict: bool,
     ) {
-        if !self.sub.is_leader() || member == self.cfg.id {
+        if !self.is_sub_leader() || member == self.cfg.id {
             return;
         }
         let base = self
@@ -1117,11 +885,12 @@ impl HierActor {
         };
         if let Ok((_, eff)) = self
             .sub
+            .node_mut()
             .propose(LogCmd::App(SubCmd::Members(roster.clone())))
         {
             self.proposed_roster = Some(roster);
             self.roster_changes.push((ctx.now(), member, evict));
-            self.run_sub_effects(ctx, eff);
+            self.run_effects(ctx, eff);
         }
     }
 
@@ -1133,7 +902,7 @@ impl HierActor {
         let revived = self.detector.heard_from(from, ctx.now());
         let missing = !self.sub_members.members.contains(&from);
         if (revived || missing)
-            && self.sub.is_leader()
+            && self.is_sub_leader()
             && self.cfg.subgroup.contains(&from)
             // Byzantine is not transient: a convicted equivocator stays
             // evicted no matter how alive it looks.
@@ -1145,7 +914,7 @@ impl HierActor {
 
     fn on_probe_tick(&mut self, ctx: &mut dyn Transport<HierMsg>) {
         self.probe_tick_timer = None;
-        if !self.sub.is_leader() {
+        if !self.is_sub_leader() {
             return; // stops ticking; re-armed on the next leadership win
         }
         for (peer, verdict) in self.detector.tick(ctx.now()) {
@@ -1172,12 +941,8 @@ impl HierActor {
                 },
             );
         }
-        Self::arm(
-            ctx,
-            &mut self.probe_tick_timer,
-            self.cfg.probe_interval(),
-            TIMER_PROBE_TICK,
-        );
+        let every = self.cfg.probe_interval();
+        Self::arm(ctx, &mut self.probe_tick_timer, every, TIMER_PROBE_TICK);
     }
 
     // ------------------------------------------------------------------
@@ -1199,28 +964,20 @@ impl HierActor {
         for peer in self.byzantine_peers.clone() {
             self.propose_roster_change(ctx, peer, true);
         }
-        Self::arm(
-            ctx,
-            &mut self.probe_tick_timer,
-            self.cfg.probe_interval(),
-            TIMER_PROBE_TICK,
-        );
-        if self.fed.is_none() {
+        let every = self.cfg.probe_interval();
+        Self::arm(ctx, &mut self.probe_tick_timer, every, TIMER_PROBE_TICK);
+        // A seatless leader polls for a seat. After an elastic merge the
+        // group can hold two FedAvg-layer seats: a leader that already has
+        // one sends a single JoinRequest (no polling) asking the FedAvg
+        // leader to retire the other representative.
+        let seated = self.is_fed_member();
+        if !seated || self.replaces().is_some() {
             self.join_target = None;
             self.send_join(ctx);
-            Self::arm(
-                ctx,
-                &mut self.join_tick_timer,
-                self.cfg.join_poll_interval,
-                TIMER_JOIN_TICK,
-            );
-        } else if self.replaces().is_some() {
-            // After an elastic merge the group can hold two FedAvg-layer
-            // seats. This peer already has one, so a single JoinRequest
-            // (no polling) asks the FedAvg leader to retire the other
-            // representative.
-            self.join_target = None;
-            self.send_join(ctx);
+        }
+        if !seated {
+            let poll = self.cfg.join_poll_interval;
+            Self::arm(ctx, &mut self.join_tick_timer, poll, TIMER_JOIN_TICK);
         }
     }
 
@@ -1235,34 +992,36 @@ impl HierActor {
             .find(|m| *m != self.cfg.id && self.cfg.subgroup.contains(m))
     }
 
+    /// The next peer a join or rendezvous poll goes to: the leader hint,
+    /// if one is pending, else the next of the FedAvg-config members and
+    /// `extra` in id order. A hint is consumed by the send: if the hinted
+    /// peer is itself dead (e.g. it was the crashed FedAvg leader), the
+    /// next poll falls back to round-robin instead of retrying the corpse
+    /// forever.
+    fn poll_target(&mut self, extra: Vec<NodeId>) -> Option<NodeId> {
+        let current = self.fed_config.current.iter().copied();
+        let mut candidates: Vec<NodeId> =
+            current.chain(extra).filter(|&m| m != self.cfg.id).collect();
+        candidates.sort_by_key(|m| m.0);
+        candidates.dedup();
+        if candidates.is_empty() {
+            return None;
+        }
+        Some(self.join_target.take().unwrap_or_else(|| {
+            self.join_round_robin += 1;
+            candidates[(self.join_round_robin - 1) % candidates.len()]
+        }))
+    }
+
     fn send_join(&mut self, ctx: &mut dyn Transport<HierMsg>) {
         // Poll the configured FedAvg members, but also this peer's own
         // subgroup: the replicated fed config can be arbitrarily stale
         // (e.g. still the founding set after several failovers), while the
         // previous representative of this very subgroup — who can redirect
         // to the live FedAvg leader — is always a subgroup peer.
-        let mut candidates: Vec<NodeId> = self
-            .fed_config
-            .current
-            .iter()
-            .chain(self.cfg.subgroup.iter())
-            .copied()
-            .filter(|&m| m != self.cfg.id)
-            .collect();
-        candidates.sort_by_key(|m| m.0);
-        candidates.dedup();
-        if candidates.is_empty() {
+        let Some(target) = self.poll_target(self.cfg.subgroup.clone()) else {
             return;
-        }
-        // A leader hint is consumed by the send: if the hinted peer is
-        // itself dead (e.g. it was the crashed FedAvg leader), the next
-        // poll tick falls back to round-robin probing of the configured
-        // members instead of retrying the corpse forever.
-        let target = self.join_target.take().unwrap_or_else(|| {
-            let t = candidates[self.join_round_robin % candidates.len()];
-            self.join_round_robin += 1;
-            t
-        });
+        };
         ctx.send(
             target,
             HierMsg::JoinRequest {
@@ -1273,19 +1032,16 @@ impl HierActor {
     }
 
     fn activate_fed(&mut self, ctx: &mut dyn Transport<HierMsg>) {
-        if self.fed.is_some() {
+        if self.is_fed_member() {
             return;
         }
-        let fed_cfg = Self::fed_raft_config(&self.cfg, self.fed_config.founding.clone());
-        let mut fed = match self.fed_storage.as_mut().and_then(|s| s.load()) {
-            Some(state) => RaftNode::restore(fed_cfg, state),
-            None => RaftNode::new(fed_cfg),
-        };
-        let eff = fed.start();
-        self.fed = Some(fed);
-        self.fed_active_at = Some(ctx.now());
-        self.restore_stored_fed_snapshot(ctx);
-        self.run_fed_effects(ctx, eff);
+        // The seat resumes from whatever a previous one here persisted.
+        self.fed.seat(Self::raft_config(
+            &self.cfg,
+            self.fed_config.founding.clone(),
+            FED_SALT,
+        ));
+        self.start_fed(ctx);
         if let Some(t) = self.join_tick_timer.take() {
             ctx.cancel_timer(t);
         }
@@ -1297,50 +1053,38 @@ impl HierActor {
         from: NodeId,
         replaces: Option<NodeId>,
     ) {
-        match self.fed.as_mut() {
-            Some(fed) if fed.is_leader() => {
-                let mut effects = Vec::new();
-                if let Some(r) = replaces {
-                    if r != from && fed.cluster().contains(&r) {
-                        if let Ok((_, eff)) = fed.propose(LogCmd::RemoveServer(r)) {
-                            effects.extend(eff);
-                        }
-                    }
+        let Some(fed) = self.fed.seated_mut().filter(|f| f.is_leader()) else {
+            let leader = self.fed_leader_hint();
+            ctx.send(
+                from,
+                HierMsg::JoinAck {
+                    accepted: false,
+                    leader,
+                },
+            );
+            return;
+        };
+        let mut effects = Vec::new();
+        if let Some(r) = replaces {
+            if r != from && fed.cluster().contains(&r) {
+                if let Ok((_, eff)) = fed.propose(LogCmd::RemoveServer(r)) {
+                    effects.extend(eff);
                 }
-                if !fed.cluster().contains(&from) {
-                    if let Ok((_, eff)) = fed.propose(LogCmd::AddServer(from)) {
-                        effects.extend(eff);
-                    }
-                }
-                self.run_fed_effects(ctx, effects);
-                ctx.send(
-                    from,
-                    HierMsg::JoinAck {
-                        accepted: true,
-                        leader: Some(self.cfg.id),
-                    },
-                );
-            }
-            Some(fed) => {
-                let hint = fed.leader_hint().filter(|&l| l != self.cfg.id);
-                ctx.send(
-                    from,
-                    HierMsg::JoinAck {
-                        accepted: false,
-                        leader: hint,
-                    },
-                );
-            }
-            None => {
-                ctx.send(
-                    from,
-                    HierMsg::JoinAck {
-                        accepted: false,
-                        leader: None,
-                    },
-                );
             }
         }
+        if !fed.cluster().contains(&from) {
+            if let Ok((_, eff)) = fed.propose(LogCmd::AddServer(from)) {
+                effects.extend(eff);
+            }
+        }
+        self.run_effects(ctx, effects);
+        ctx.send(
+            from,
+            HierMsg::JoinAck {
+                accepted: true,
+                leader: Some(self.cfg.id),
+            },
+        );
     }
 
     fn on_join_ack(
@@ -1349,7 +1093,7 @@ impl HierActor {
         accepted: bool,
         leader: Option<NodeId>,
     ) {
-        if self.fed.is_some() || !self.sub.is_leader() {
+        if self.is_fed_member() || !self.is_sub_leader() {
             return;
         }
         if accepted {
@@ -1365,7 +1109,7 @@ impl HierActor {
 
     fn on_config_tick(&mut self, ctx: &mut dyn Transport<HierMsg>) {
         self.config_tick_armed = false;
-        if !self.sub.is_leader() {
+        if !self.is_sub_leader() {
             return;
         }
         // An elastic topology can shed a seat holder entirely (Depart, or
@@ -1373,26 +1117,23 @@ impl HierActor {
         // the JoinRequest `replaces` path never retires its seat. The
         // FedAvg leader prunes config members who are in no subgroup of
         // the adopted layout, before dead seats cost the layer its quorum.
-        if self.cfg.elastic.is_some() && self.topology.version > 0 {
-            if let Some(fed) = self.fed.as_mut() {
-                if fed.is_leader() {
-                    let ghosts: Vec<NodeId> = fed
-                        .cluster()
-                        .iter()
-                        .copied()
-                        .filter(|&m| m != self.cfg.id && self.topology.group_of(m).is_none())
-                        .collect();
-                    let mut effects = Vec::new();
-                    for g in ghosts {
-                        if let Ok((_, eff)) = fed.propose(LogCmd::RemoveServer(g)) {
-                            effects.extend(eff);
-                        }
-                    }
-                    self.run_fed_effects(ctx, effects);
+        let elastic = self.cfg.elastic.is_some() && self.topology.version > 0;
+        if let Some(fed) = self.fed.seated_mut().filter(|f| elastic && f.is_leader()) {
+            let ghosts: Vec<NodeId> = fed
+                .cluster()
+                .iter()
+                .copied()
+                .filter(|&m| m != self.cfg.id && self.topology.group_of(m).is_none())
+                .collect();
+            let mut effects = Vec::new();
+            for g in ghosts {
+                if let Ok((_, eff)) = fed.propose(LogCmd::RemoveServer(g)) {
+                    effects.extend(eff);
                 }
             }
+            self.run_effects(ctx, effects);
         }
-        if let Some(fed) = self.fed.as_ref() {
+        if let Some(fed) = self.fed.seated() {
             // A replacement leader's counter restarts at zero while its
             // followers already hold the previous leader's higher-versioned
             // configs; always advance past everything seen so the commit is
@@ -1405,8 +1146,8 @@ impl HierActor {
                 combiner: self.fed_config.combiner,
                 version: self.config_version,
             });
-            if let Ok((_, eff)) = self.sub.propose(LogCmd::App(cmd)) {
-                self.run_sub_effects(ctx, eff);
+            if let Ok((_, eff)) = self.sub.node_mut().propose(LogCmd::App(cmd)) {
+                self.run_effects(ctx, eff);
             }
         }
         // Re-commit the adopted layout into the subgroup log so followers
@@ -1414,9 +1155,9 @@ impl HierActor {
         // durable path as the FedConfig re-commit above).
         if self.cfg.elastic.is_some() && self.topology.version > self.topology_commit_version {
             let cmd = SubCmd::Topology(self.topology.clone());
-            if let Ok((_, eff)) = self.sub.propose(LogCmd::App(cmd)) {
+            if let Ok((_, eff)) = self.sub.node_mut().propose(LogCmd::App(cmd)) {
                 self.topology_commit_version = self.topology.version;
-                self.run_sub_effects(ctx, eff);
+                self.run_effects(ctx, eff);
             }
         }
         if self.byz_bogus_roster {
@@ -1430,12 +1171,85 @@ impl HierActor {
                 members,
                 version: self.members_version,
             };
-            if let Ok((_, eff)) = self.sub.propose(LogCmd::App(SubCmd::Members(roster))) {
-                self.run_sub_effects(ctx, eff);
+            if let Ok((_, eff)) = self
+                .sub
+                .node_mut()
+                .propose(LogCmd::App(SubCmd::Members(roster)))
+            {
+                self.run_effects(ctx, eff);
             }
         }
         self.config_tick_armed = true;
         ctx.set_timer(self.cfg.config_commit_interval, TIMER_CONFIG_TICK);
+    }
+}
+
+/// The contents of the snapshot a node was recovered with, if any.
+fn stored_snapshot<C: Command>(node: &RaftNode<C>) -> Option<Vec<u8>> {
+    node.snapshot().map(|(_, _, _, blob)| blob.clone())
+}
+
+impl RaftHost<SubCmd, HierMsg> for HierActor {
+    fn driver(&mut self) -> &mut RaftDriver<SubCmd, HierMsg> {
+        &mut self.sub
+    }
+
+    fn apply_effect(&mut self, ctx: &mut dyn Transport<HierMsg>, effect: AppEffect<SubCmd>) {
+        match effect {
+            AppEffect::Commit(entry) => {
+                self.apply_sub_entry(ctx, &entry);
+                self.sub
+                    .checkpoint(entry.index, entry.term, CHECKPOINT_EVERY, || {
+                        codec::to_bytes(&SubSnapshot {
+                            fed_config: self.fed_config.clone(),
+                            sub_members: self.sub_members.clone(),
+                            topology: self.topology.clone(),
+                        })
+                    });
+            }
+            AppEffect::BecameLeader(_) => {
+                self.sub_leader_history.push(ctx.now());
+                self.on_became_sub_leader(ctx);
+            }
+            AppEffect::RestoreSnapshot(blob) => self.restore_sub_snapshot(ctx, &blob),
+            AppEffect::SteppedDown(_) | AppEffect::ConfigChanged(_) => {}
+        }
+    }
+}
+
+impl RaftHost<FedCmd, HierMsg> for HierActor {
+    fn driver(&mut self) -> &mut RaftDriver<FedCmd, HierMsg> {
+        &mut self.fed
+    }
+
+    fn apply_effect(&mut self, ctx: &mut dyn Transport<HierMsg>, effect: AppEffect<FedCmd>) {
+        match effect {
+            AppEffect::Commit(Entry { index, term, cmd }) => {
+                if let LogCmd::App(v) = cmd {
+                    if let FedCmd::Topology(cmd) = &v {
+                        self.apply_fed_topology(ctx, cmd);
+                    }
+                    self.fed_cmds_applied.push(v);
+                }
+                self.fed.checkpoint(index, term, CHECKPOINT_EVERY, || {
+                    codec::to_bytes(&FedSnapshot {
+                        last_round: rounds(&self.fed_cmds_applied).next_back(),
+                        topology: self.topology.clone(),
+                    })
+                });
+            }
+            AppEffect::BecameLeader(_) => self.fed_leader_history.push(ctx.now()),
+            AppEffect::ConfigChanged(cluster) => {
+                // A replicated membership change removed this peer from
+                // the FedAvg layer (its subgroup elected a replacement
+                // while it was down): retire gracefully.
+                if !cluster.contains(&self.cfg.id) {
+                    self.fed.leave();
+                }
+            }
+            AppEffect::RestoreSnapshot(blob) => self.restore_fed_snapshot(ctx, &blob),
+            AppEffect::SteppedDown(_) => {}
+        }
     }
 }
 
@@ -1450,24 +1264,20 @@ impl Actor<HierMsg> for HierActor {
         }
         // Restored from a compacted durable log: the snapshot is the state
         // the dropped prefix built; the retained tail re-applies on top.
-        if let Some(blob) = self.sub.snapshot().map(|(_, _, _, blob)| blob.clone()) {
+        if let Some(blob) = stored_snapshot(self.sub.node()) {
             self.restore_sub_snapshot(ctx, &blob);
         }
-        let eff = self.sub.start();
-        self.run_sub_effects(ctx, eff);
-        if let Some(fed) = self.fed.as_mut() {
+        let eff = self.sub.with_seat(RaftNode::start);
+        self.run_effects(ctx, eff);
+        if self.is_fed_member() {
             // Restored from durable state with a FedAvg-layer seat: rejoin
             // that layer as a follower. No genesis boost — the cluster this
             // peer restarts into already exists.
-            let eff = fed.start();
-            self.fed_active_at = Some(ctx.now());
-            self.restore_stored_fed_snapshot(ctx);
-            self.run_fed_effects(ctx, eff);
+            self.start_fed(ctx);
         } else if self.cfg.is_founding() {
             // Shorten the genesis election so founding members win their
             // subgroup's first election (see `new`).
-            let boost = SimDuration::from_nanos((self.cfg.t.as_nanos() / 20).max(1));
-            Self::arm(ctx, &mut self.sub_election_timer, boost, TIMER_SUB_ELECTION);
+            self.boost_sub_election(ctx);
             self.activate_fed(ctx);
         }
     }
@@ -1494,25 +1304,22 @@ impl Actor<HierMsg> for HierActor {
                     }
                     return;
                 }
-                let eff = self.sub.handle(from, m);
-                self.run_sub_effects(ctx, eff);
+                let eff = self.sub.with_seat(|n| n.handle(from, m));
+                self.run_effects(ctx, eff);
             }
             HierMsg::Fed(m) => {
-                if self.fed.is_none() {
+                if !self.is_fed_member() {
                     // The FedAvg leader can start replicating to us before
                     // our JoinAck arrives; activate lazily if we are the
                     // legitimate subgroup representative.
-                    if self.sub.is_leader() {
+                    if self.is_sub_leader() {
                         self.activate_fed(ctx);
                     } else {
                         return; // stray traffic for a role we lost
                     }
                 }
-                // `activate_fed` just installed the node (or it already
-                // existed); if activation declined, drop the message.
-                let Some(fed) = self.fed.as_mut() else { return };
-                let eff = fed.handle(from, m);
-                self.run_fed_effects(ctx, eff);
+                let eff = self.fed.with_seat(|n| n.handle(from, m));
+                self.run_effects(ctx, eff);
             }
             HierMsg::JoinRequest {
                 from: joiner,
@@ -1543,31 +1350,12 @@ impl Actor<HierMsg> for HierActor {
     }
 
     fn on_timer(&mut self, ctx: &mut dyn Transport<HierMsg>, tag: u64) {
+        if RaftHost::<SubCmd, _>::fire(self, ctx, tag)
+            || RaftHost::<FedCmd, _>::fire(self, ctx, tag)
+        {
+            return;
+        }
         match tag {
-            TIMER_SUB_ELECTION => {
-                self.sub_election_timer = None;
-                let eff = self.sub.on_election_timeout();
-                self.run_sub_effects(ctx, eff);
-            }
-            TIMER_SUB_HEARTBEAT => {
-                self.sub_heartbeat_timer = None;
-                let eff = self.sub.on_heartbeat_timeout();
-                self.run_sub_effects(ctx, eff);
-            }
-            TIMER_FED_ELECTION => {
-                self.fed_election_timer = None;
-                if let Some(fed) = self.fed.as_mut() {
-                    let eff = fed.on_election_timeout();
-                    self.run_fed_effects(ctx, eff);
-                }
-            }
-            TIMER_FED_HEARTBEAT => {
-                self.fed_heartbeat_timer = None;
-                if let Some(fed) = self.fed.as_mut() {
-                    let eff = fed.on_heartbeat_timeout();
-                    self.run_fed_effects(ctx, eff);
-                }
-            }
             TIMER_CONFIG_TICK => self.on_config_tick(ctx),
             TIMER_PROBE_TICK => self.on_probe_tick(ctx),
             TIMER_RENDEZVOUS_TICK => {
@@ -1576,16 +1364,12 @@ impl Actor<HierMsg> for HierActor {
             }
             TIMER_JOIN_TICK => {
                 self.join_tick_timer = None;
-                if self.fed.is_none() && self.sub.is_leader() {
+                if !self.is_fed_member() && self.is_sub_leader() {
                     // Round-robin to the next candidate unless we have a
                     // confirmed leader hint.
                     self.send_join(ctx);
-                    Self::arm(
-                        ctx,
-                        &mut self.join_tick_timer,
-                        self.cfg.join_poll_interval,
-                        TIMER_JOIN_TICK,
-                    );
+                    let poll = self.cfg.join_poll_interval;
+                    Self::arm(ctx, &mut self.join_tick_timer, poll, TIMER_JOIN_TICK);
                 }
             }
             _ => {}
@@ -1593,10 +1377,8 @@ impl Actor<HierMsg> for HierActor {
     }
 
     fn on_crash(&mut self, _now: SimTime) {
-        self.sub_election_timer = None;
-        self.sub_heartbeat_timer = None;
-        self.fed_election_timer = None;
-        self.fed_heartbeat_timer = None;
+        self.sub.drop_timers();
+        self.fed.drop_timers();
         self.join_tick_timer = None;
         self.probe_tick_timer = None;
         self.rendezvous_timer = None;
@@ -1616,11 +1398,9 @@ impl Actor<HierMsg> for HierActor {
         // it; until then its vote still counts toward FedAvg-layer quorum
         // (matching hashicorp/raft's restart semantics).
         self.detector.reset_all(ctx.now());
-        if let Some(fed) = self.fed.as_mut() {
-            let eff = fed.handle_restart();
-            self.run_fed_effects(ctx, eff);
-        }
-        let eff = self.sub.handle_restart();
-        self.run_sub_effects(ctx, eff);
+        let eff = self.fed.with_seat(RaftNode::handle_restart);
+        self.run_effects(ctx, eff);
+        let eff = self.sub.with_seat(RaftNode::handle_restart);
+        self.run_effects(ctx, eff);
     }
 }

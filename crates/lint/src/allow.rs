@@ -33,7 +33,7 @@ pub const ALLOWLIST: &[AllowEntry] = &[
         item: "*",
         justification: "deterministic fork-join training: std::thread::scope over a fixed \
                         partition, results joined in index order — bit-identical to the serial \
-                        path, pinned by the parallel-vs-serial equivalence tests",
+                        path, pinned by the fan-out-vs-plain-loop equivalence tests",
     },
     AllowEntry {
         rule: Rule::WirePanic,

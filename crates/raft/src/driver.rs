@@ -1,17 +1,287 @@
-//! Simulator driver: runs a [`RaftNode`] as a `p2pfl-simnet` actor.
+//! The Raft driver: runs a [`RaftNode`] on a `p2pfl-simnet` transport.
 //!
-//! The driver translates [`Effect`]s into messages and timers, applies
-//! committed entries to a pluggable [`StateMachine`], and implements the
-//! crash/restart semantics of the paper's evaluation: term, vote and log
-//! survive a crash (they are persistent state in Raft), volatile leadership
-//! is lost, and the node rejoins as a follower.
+//! A [`RaftDriver`] owns one node (its *seat*), the node's optional
+//! stable storage and its election/heartbeat timer pair. It performs the
+//! effects every owner performs alike — sends through the owner's message
+//! wrapper, timer arms, storage writes — and hands each remaining effect
+//! back to its owner as an [`AppEffect`], one at a time and in Raft's
+//! order, from the one interpreter [`RaftHost::run_effects`]. [`RaftActor`] is a
+//! driver plus a [`StateMachine`]; the two-layer peer hosts one driver per
+//! layer.
+//!
+//! Crash/restart follows the paper's evaluation: term, vote and log
+//! survive a crash (they are persistent state in Raft), timers and
+//! volatile leadership are lost, and the node rejoins as a follower.
 
 use crate::log::Entry;
 use crate::message::RaftMsg;
 use crate::node::{Effect, NotLeader, RaftConfig, RaftNode};
-use crate::storage::RaftStorage;
+use crate::storage::{PersistOp, RaftStorage};
 use crate::types::{Command, LogCmd, LogIndex, Role, Term};
-use p2pfl_simnet::{Actor, NodeId, SimTime, TimerId, Transport};
+use p2pfl_simnet::{Actor, NodeId, Payload, SimDuration, SimTime, TimerId, Transport};
+use std::convert::identity;
+
+/// An effect only the driver's owner can interpret.
+#[derive(Debug, Clone)]
+pub enum AppEffect<C> {
+    /// An entry became committed; apply it.
+    Commit(Entry<C>),
+    /// The seated node won an election for this term.
+    BecameLeader(Term),
+    /// The seated node stepped down from leadership in this term.
+    SteppedDown(Term),
+    /// A snapshot was installed: reset the application state to this blob.
+    RestoreSnapshot(Vec<u8>),
+    /// The cluster configuration changed (by an appended config entry).
+    ConfigChanged(Vec<NodeId>),
+}
+
+/// One Raft seat on a transport: the node, its storage, its timer pair,
+/// and the replicated state as of the last checkpoint.
+///
+/// A seat can be vacated (its server left the cluster) and taken again;
+/// storage outlives the vacancy, so a re-seated node resumes from what the
+/// last one persisted.
+pub struct RaftDriver<C: Command, M> {
+    node: RaftNode<C>,
+    seated: bool,
+    storage: Option<Box<dyn RaftStorage<C>>>,
+    /// The election and heartbeat timers, and the tags they are armed with.
+    timers: [Option<TimerId>; 2],
+    tags: [u64; 2],
+    wrap: fn(RaftMsg<C>) -> M,
+    /// `(index, blob)`: the application state as of an applied index,
+    /// where the next checkpoint cuts the log.
+    checkpoint: Option<(LogIndex, Vec<u8>)>,
+    /// Vacate once the current effect batch is done.
+    leaving: bool,
+}
+
+/// The node recovered from `storage`, and whether there was anything to
+/// recover (a fresh node otherwise).
+fn recover<C: Command>(
+    cfg: RaftConfig,
+    storage: &mut Option<Box<dyn RaftStorage<C>>>,
+) -> (RaftNode<C>, bool) {
+    match storage.as_mut().and_then(|s| s.load()) {
+        Some(state) => (RaftNode::restore(cfg, state), true),
+        None => (RaftNode::new(cfg), false),
+    }
+}
+
+impl<C: Command, M: Payload> RaftDriver<C, M> {
+    /// A driver over `storage`, seated with the node recovered from it.
+    /// When storage is absent or empty the node is fresh, and it takes the
+    /// seat only if `seat_fresh`; the seat is vacant until
+    /// [`RaftDriver::seat`] otherwise. `tags` are the election and
+    /// heartbeat timer tags; `wrap` puts a Raft message in the owner's
+    /// envelope.
+    pub fn new(
+        cfg: RaftConfig,
+        mut storage: Option<Box<dyn RaftStorage<C>>>,
+        tags: [u64; 2],
+        wrap: fn(RaftMsg<C>) -> M,
+        seat_fresh: bool,
+    ) -> Self {
+        let (node, recovered) = recover(cfg, &mut storage);
+        RaftDriver {
+            node,
+            seated: recovered || seat_fresh,
+            storage,
+            timers: [None; 2],
+            tags,
+            wrap,
+            checkpoint: None,
+            leaving: false,
+        }
+    }
+
+    /// Takes the seat with a node recovered from storage, or a fresh one.
+    pub fn seat(&mut self, cfg: RaftConfig) {
+        self.node = recover(cfg, &mut self.storage).0;
+        self.seated = true;
+        self.checkpoint = None;
+    }
+
+    /// Vacates the seat now: cancels the timer pair and drops the
+    /// checkpoint. Storage is kept for the next [`RaftDriver::seat`].
+    pub fn vacate(&mut self, ctx: &mut dyn Transport<M>) {
+        for timer in self.timers.iter_mut().filter_map(Option::take) {
+            ctx.cancel_timer(timer);
+        }
+        self.seated = false;
+        self.checkpoint = None;
+    }
+
+    /// Vacates the seat once the current effect batch is done, so the
+    /// batch's remaining sends (a removal entry's own broadcast) still go
+    /// out.
+    pub fn leave(&mut self) {
+        self.leaving = true;
+    }
+
+    /// The node in the seat, or the last one seated if it is vacant.
+    pub fn node(&self) -> &RaftNode<C> {
+        &self.node
+    }
+
+    /// Mutable access to [`RaftDriver::node`].
+    pub fn node_mut(&mut self) -> &mut RaftNode<C> {
+        &mut self.node
+    }
+
+    /// The node in the seat, if the seat is held.
+    pub fn seated(&self) -> Option<&RaftNode<C>> {
+        self.seated.then_some(&self.node)
+    }
+
+    /// Mutable access to [`RaftDriver::seated`].
+    pub fn seated_mut(&mut self) -> Option<&mut RaftNode<C>> {
+        self.seated.then_some(&mut self.node)
+    }
+
+    /// The effects of `f` on the seated node (none while vacant).
+    pub fn with_seat(
+        &mut self,
+        f: impl FnOnce(&mut RaftNode<C>) -> Vec<Effect<C>>,
+    ) -> Vec<Effect<C>> {
+        self.seated_mut().map(f).unwrap_or_default()
+    }
+
+    /// Timers die with the process; the node's persistent state survives.
+    pub fn drop_timers(&mut self) {
+        self.timers = [None; 2];
+    }
+
+    /// Compacts the seated node's applied log up to `upto` into a
+    /// snapshot carrying `blob`, and records the cut on storage.
+    pub fn compact(&mut self, upto: LogIndex, blob: Vec<u8>) {
+        if let Some(op) = self.node.take_snapshot(upto, blob) {
+            self.record(&op);
+        }
+    }
+
+    /// Rolls the checkpoint when applying the entry at `index` (of
+    /// `term`) takes the seat `every` entries past its last checkpoint or
+    /// snapshot: `blob()`, the state as of `index`, becomes the
+    /// checkpoint, and the log is cut at the one it replaces. So a log
+    /// holds between one and two intervals. The entry must still be in
+    /// the seated log: an owner that re-seated mid-batch learns nothing
+    /// about the new log from the old node's commits.
+    pub fn checkpoint(
+        &mut self,
+        index: LogIndex,
+        term: Term,
+        every: u64,
+        blob: impl FnOnce() -> Vec<u8>,
+    ) {
+        let base = self
+            .checkpoint
+            .as_ref()
+            .map_or(self.node.log().snapshot_index(), |(at, _)| *at);
+        if !self.seated || self.node.log().term_at(index) != Some(term) || index < base + every {
+            return;
+        }
+        if let Some((at, state)) = self.checkpoint.replace((index, blob())) {
+            self.compact(at, state);
+        }
+    }
+
+    /// StorageRoundTrip oracle hook: replays the storage (when present)
+    /// and checks that a node restored from it would be bisimilar to the
+    /// seated one — same term, vote, log and snapshot. Returns a
+    /// description of the first divergence.
+    pub fn verify_storage_roundtrip(&mut self) -> Result<(), String>
+    where
+        C: PartialEq + std::fmt::Debug,
+    {
+        match self.storage.as_mut() {
+            Some(st) if self.seated => self.node.matches_persistent(&st.load().unwrap_or_default()),
+            _ => Ok(()),
+        }
+    }
+
+    fn record(&mut self, op: &PersistOp<C>) {
+        if let Some(st) = self.storage.as_mut() {
+            st.record(op);
+        }
+    }
+
+    fn arm(&mut self, ctx: &mut dyn Transport<M>, which: usize, delay: SimDuration) {
+        if let Some(timer) = self.timers[which].take() {
+            ctx.cancel_timer(timer);
+        }
+        self.timers[which] = Some(ctx.set_timer(delay, self.tags[which]));
+    }
+
+    /// Performs one effect, or hands it back for the owner.
+    fn perform(&mut self, ctx: &mut dyn Transport<M>, effect: Effect<C>) -> Option<AppEffect<C>> {
+        match effect {
+            Effect::Send(to, msg) => ctx.send(to, (self.wrap)(msg)),
+            Effect::ArmElectionTimer(d) => self.arm(ctx, 0, d),
+            Effect::ArmHeartbeatTimer(d) => self.arm(ctx, 1, d),
+            Effect::Persist(op) => self.record(&op),
+            Effect::Commit(entry) => return Some(AppEffect::Commit(entry)),
+            Effect::BecameLeader(term) => return Some(AppEffect::BecameLeader(term)),
+            Effect::SteppedDown(term) => return Some(AppEffect::SteppedDown(term)),
+            Effect::ConfigChanged(cluster) => return Some(AppEffect::ConfigChanged(cluster)),
+            Effect::RestoreSnapshot(blob) => {
+                self.checkpoint = None; // superseded by the installed snapshot
+                return Some(AppEffect::RestoreSnapshot(blob));
+            }
+        }
+        None
+    }
+
+    /// The effects of the timer tagged `tag` firing, or `None` if the tag
+    /// is not this driver's.
+    fn timeout(&mut self, tag: u64) -> Option<Vec<Effect<C>>> {
+        let which = self.tags.iter().position(|&t| t == tag)?;
+        self.timers[which] = None;
+        Some(self.with_seat(|n| match which {
+            0 => n.on_election_timeout(),
+            _ => n.on_heartbeat_timeout(),
+        }))
+    }
+}
+
+/// The owner of a [`RaftDriver`]: it interprets the application effects.
+/// An owner of several drivers implements this once per command type.
+pub trait RaftHost<C: Command, M: Payload> {
+    /// The driver whose effects this host interprets.
+    fn driver(&mut self) -> &mut RaftDriver<C, M>;
+
+    /// Applies one application effect. It runs mid-batch, before the
+    /// batch's later effects, and may itself send, run other batches or
+    /// replace the driver.
+    fn apply_effect(&mut self, ctx: &mut dyn Transport<M>, effect: AppEffect<C>);
+
+    /// The effect interpreter: performs `effects` in order through the
+    /// driver, handing each application effect to [`RaftHost::apply_effect`] as
+    /// it is reached. Storage writes precede the sends that depend on them
+    /// within a batch, so performing in order is write-ahead.
+    fn run_effects(&mut self, ctx: &mut dyn Transport<M>, effects: Vec<Effect<C>>) {
+        for effect in effects {
+            if let Some(app) = self.driver().perform(ctx, effect) {
+                self.apply_effect(ctx, app);
+            }
+        }
+        let driver = self.driver();
+        if std::mem::take(&mut driver.leaving) {
+            driver.vacate(ctx);
+        }
+    }
+
+    /// Runs the driver's timeout if `tag` is one of its timers; returns
+    /// whether it was.
+    fn fire(&mut self, ctx: &mut dyn Transport<M>, tag: u64) -> bool {
+        let Some(effects) = self.driver().timeout(tag) else {
+            return false;
+        };
+        self.run_effects(ctx, effects);
+        true
+    }
+}
 
 /// Application state machine fed by committed entries.
 pub trait StateMachine<C>: 'static {
@@ -42,8 +312,8 @@ impl<C> StateMachine<C> for NullStateMachine {
     fn apply(&mut self, _entry: &Entry<C>) {}
 }
 
-const TIMER_ELECTION: u64 = 1;
-const TIMER_HEARTBEAT: u64 = 2;
+/// `RaftActor`'s election and heartbeat timer tags.
+const TIMERS: [u64; 2] = [1, 2];
 
 /// One leadership observation, recorded for the election-time experiments.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,14 +324,12 @@ pub struct LeadershipEvent {
     pub term: Term,
 }
 
-/// A Raft server running inside the simulator.
+/// A Raft server running inside the simulator: one driver and a state
+/// machine.
 pub struct RaftActor<C: Command, SM: StateMachine<C>> {
-    node: RaftNode<C>,
+    driver: RaftDriver<C, RaftMsg<C>>,
     /// The application state machine.
     pub sm: SM,
-    storage: Option<Box<dyn RaftStorage<C>>>,
-    election_timer: Option<TimerId>,
-    heartbeat_timer: Option<TimerId>,
     /// Every election this node has won, with timestamps (experiment data).
     pub leadership_history: Vec<LeadershipEvent>,
     /// Number of times this node stepped down.
@@ -72,15 +340,7 @@ impl<C: Command, SM: StateMachine<C>> RaftActor<C, SM> {
     /// Wraps a fresh Raft node and state machine. Persistent state lives
     /// only in memory; use [`RaftActor::with_storage`] for durability.
     pub fn new(cfg: RaftConfig, sm: SM) -> Self {
-        RaftActor {
-            node: RaftNode::new(cfg),
-            sm,
-            storage: None,
-            election_timer: None,
-            heartbeat_timer: None,
-            leadership_history: Vec::new(),
-            step_downs: 0,
-        }
+        Self::on(cfg, sm, None)
     }
 
     /// Wraps a Raft node backed by stable storage: previously persisted
@@ -88,23 +348,18 @@ impl<C: Command, SM: StateMachine<C>> RaftActor<C, SM> {
     /// is reset from the snapshot blob and re-fed committed entries above
     /// it — and every subsequent persistent-state change is recorded
     /// before the message that depends on it is sent.
-    pub fn with_storage(cfg: RaftConfig, sm: SM, mut storage: Box<dyn RaftStorage<C>>) -> Self {
-        let mut sm = sm;
-        let node = match storage.load() {
-            Some(state) => {
-                if let Some((_, _, _, blob)) = &state.snapshot {
-                    sm.restore(blob);
-                }
-                RaftNode::restore(cfg, state)
-            }
-            None => RaftNode::new(cfg),
-        };
+    pub fn with_storage(cfg: RaftConfig, sm: SM, storage: Box<dyn RaftStorage<C>>) -> Self {
+        Self::on(cfg, sm, Some(storage))
+    }
+
+    fn on(cfg: RaftConfig, mut sm: SM, storage: Option<Box<dyn RaftStorage<C>>>) -> Self {
+        let driver = RaftDriver::new(cfg, storage, TIMERS, identity, true);
+        if let Some((_, _, _, blob)) = driver.node().snapshot() {
+            sm.restore(blob);
+        }
         RaftActor {
-            node,
+            driver,
             sm,
-            storage: Some(storage),
-            election_timer: None,
-            heartbeat_timer: None,
             leadership_history: Vec::new(),
             step_downs: 0,
         }
@@ -112,31 +367,26 @@ impl<C: Command, SM: StateMachine<C>> RaftActor<C, SM> {
 
     /// Read access to the protocol state.
     pub fn raft(&self) -> &RaftNode<C> {
-        &self.node
+        self.driver.node()
     }
 
-    /// StorageRoundTrip oracle hook for the invariant checker: replays the
-    /// storage handle (when present) and checks that a node restored from
-    /// it would be bisimilar to the live one — same term, vote, log, and
-    /// snapshot. Returns a description of the first divergence.
+    /// StorageRoundTrip oracle hook for the invariant checker; see
+    /// [`RaftDriver::verify_storage_roundtrip`].
     pub fn verify_storage_roundtrip(&mut self) -> Result<(), String>
     where
         C: PartialEq + std::fmt::Debug,
     {
-        match self.storage.as_mut() {
-            Some(st) => self.node.matches_persistent(&st.load().unwrap_or_default()),
-            None => Ok(()),
-        }
+        self.driver.verify_storage_roundtrip()
     }
 
     /// Current role.
     pub fn role(&self) -> Role {
-        self.node.role()
+        self.raft().role()
     }
 
     /// Whether this node currently leads its cluster.
     pub fn is_leader(&self) -> bool {
-        self.node.is_leader()
+        self.raft().is_leader()
     }
 
     /// Proposes an application command on this node (leader only).
@@ -145,7 +395,7 @@ impl<C: Command, SM: StateMachine<C>> RaftActor<C, SM> {
         ctx: &mut dyn Transport<RaftMsg<C>>,
         cmd: C,
     ) -> Result<LogIndex, NotLeader> {
-        let (idx, eff) = self.node.propose(LogCmd::App(cmd))?;
+        let (idx, eff) = self.driver.node_mut().propose(LogCmd::App(cmd))?;
         self.run_effects(ctx, eff);
         Ok(idx)
     }
@@ -154,14 +404,10 @@ impl<C: Command, SM: StateMachine<C>> RaftActor<C, SM> {
     /// state machine; slow or freshly restarted followers will receive the
     /// snapshot instead of the full log.
     pub fn compact_log(&mut self) -> usize {
-        let before = self.node.log().live_entries();
+        let before = self.raft().log().live_entries();
         let blob = self.sm.snapshot();
-        if let Some(op) = self.node.take_snapshot(LogIndex::MAX, blob) {
-            if let Some(st) = self.storage.as_mut() {
-                st.record(&op);
-            }
-        }
-        before - self.node.log().live_entries()
+        self.driver.compact(LogIndex::MAX, blob);
+        before - self.raft().log().live_entries()
     }
 
     /// Proposes a membership change on this node (leader only).
@@ -174,87 +420,59 @@ impl<C: Command, SM: StateMachine<C>> RaftActor<C, SM> {
             matches!(cmd, LogCmd::AddServer(_) | LogCmd::RemoveServer(_)),
             "use propose() for application commands"
         );
-        let (idx, eff) = self.node.propose(cmd)?;
+        let (idx, eff) = self.driver.node_mut().propose(cmd)?;
         self.run_effects(ctx, eff);
         Ok(idx)
     }
+}
 
-    fn run_effects(&mut self, ctx: &mut dyn Transport<RaftMsg<C>>, effects: Vec<Effect<C>>) {
-        for e in effects {
-            match e {
-                Effect::Send(to, msg) => ctx.send(to, msg),
-                Effect::ArmElectionTimer(d) => {
-                    if let Some(t) = self.election_timer.take() {
-                        ctx.cancel_timer(t);
-                    }
-                    self.election_timer = Some(ctx.set_timer(d, TIMER_ELECTION));
-                }
-                Effect::ArmHeartbeatTimer(d) => {
-                    if let Some(t) = self.heartbeat_timer.take() {
-                        ctx.cancel_timer(t);
-                    }
-                    self.heartbeat_timer = Some(ctx.set_timer(d, TIMER_HEARTBEAT));
-                }
-                Effect::Commit(entry) => self.sm.apply(&entry),
-                Effect::BecameLeader(term) => {
-                    self.leadership_history.push(LeadershipEvent {
-                        at: ctx.now(),
-                        term,
-                    });
-                    self.sm.on_became_leader(term);
-                }
-                Effect::SteppedDown(term) => {
-                    self.step_downs += 1;
-                    self.sm.on_stepped_down(term);
-                }
-                Effect::RestoreSnapshot(data) => self.sm.restore(&data),
-                Effect::ConfigChanged(_) => {}
-                Effect::Persist(op) => {
-                    if let Some(st) = self.storage.as_mut() {
-                        st.record(&op);
-                    }
-                }
+impl<C: Command, SM: StateMachine<C>> RaftHost<C, RaftMsg<C>> for RaftActor<C, SM> {
+    fn driver(&mut self) -> &mut RaftDriver<C, RaftMsg<C>> {
+        &mut self.driver
+    }
+
+    fn apply_effect(&mut self, ctx: &mut dyn Transport<RaftMsg<C>>, effect: AppEffect<C>) {
+        match effect {
+            AppEffect::Commit(entry) => self.sm.apply(&entry),
+            AppEffect::BecameLeader(term) => {
+                self.leadership_history.push(LeadershipEvent {
+                    at: ctx.now(),
+                    term,
+                });
+                self.sm.on_became_leader(term);
             }
+            AppEffect::SteppedDown(term) => {
+                self.step_downs += 1;
+                self.sm.on_stepped_down(term);
+            }
+            AppEffect::RestoreSnapshot(data) => self.sm.restore(&data),
+            AppEffect::ConfigChanged(_) => {}
         }
     }
 }
 
 impl<C: Command, SM: StateMachine<C>> Actor<RaftMsg<C>> for RaftActor<C, SM> {
     fn on_start(&mut self, ctx: &mut dyn Transport<RaftMsg<C>>) {
-        let eff = self.node.start();
+        let eff = self.driver.with_seat(RaftNode::start);
         self.run_effects(ctx, eff);
     }
 
     fn on_message(&mut self, ctx: &mut dyn Transport<RaftMsg<C>>, from: NodeId, msg: RaftMsg<C>) {
-        let eff = self.node.handle(from, msg);
+        let eff = self.driver.with_seat(|n| n.handle(from, msg));
         self.run_effects(ctx, eff);
     }
 
     fn on_timer(&mut self, ctx: &mut dyn Transport<RaftMsg<C>>, tag: u64) {
-        let eff = match tag {
-            TIMER_ELECTION => {
-                self.election_timer = None;
-                self.node.on_election_timeout()
-            }
-            TIMER_HEARTBEAT => {
-                self.heartbeat_timer = None;
-                self.node.on_heartbeat_timeout()
-            }
-            _ => Vec::new(),
-        };
-        self.run_effects(ctx, eff);
+        self.fire(ctx, tag);
     }
 
     fn on_crash(&mut self, _now: SimTime) {
-        // Timers die with the process; persistent Raft state (term, vote,
-        // log) survives inside `self.node`.
-        self.election_timer = None;
-        self.heartbeat_timer = None;
+        self.driver.drop_timers();
     }
 
     fn on_restart(&mut self, ctx: &mut dyn Transport<RaftMsg<C>>) {
         // Rejoin as a follower: leadership is volatile.
-        let eff = self.node.handle_restart();
+        let eff = self.driver.with_seat(RaftNode::handle_restart);
         self.run_effects(ctx, eff);
     }
 }

@@ -38,7 +38,9 @@ mod node;
 mod storage;
 mod types;
 
-pub use driver::{LeadershipEvent, NullStateMachine, RaftActor, StateMachine};
+pub use driver::{
+    AppEffect, LeadershipEvent, NullStateMachine, RaftActor, RaftDriver, RaftHost, StateMachine,
+};
 pub use log::{Entry, RaftLog};
 pub use message::RaftMsg;
 pub use node::{Effect, NotLeader, RaftConfig, RaftNode};
