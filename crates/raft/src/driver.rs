@@ -5,9 +5,9 @@
 //! effects every owner performs alike — sends through the owner's message
 //! wrapper, timer arms, storage writes — and hands each remaining effect
 //! back to its owner as an [`AppEffect`], one at a time and in Raft's
-//! order, from the one interpreter [`RaftHost::run_effects`]. [`RaftActor`] is a
-//! driver plus a [`StateMachine`]; the two-layer peer hosts one driver per
-//! layer.
+//! order, from the one interpreter [`RaftHost::run_effects`].
+//! [`RaftActor`] is a driver plus a [`StateMachine`]; the two-layer peer
+//! hosts one driver per layer.
 //!
 //! Crash/restart follows the paper's evaluation: term, vote and log
 //! survive a crash (they are persistent state in Raft), timers and
@@ -257,9 +257,9 @@ pub trait RaftHost<C: Command, M: Payload> {
     fn apply_effect(&mut self, ctx: &mut dyn Transport<M>, effect: AppEffect<C>);
 
     /// The effect interpreter: performs `effects` in order through the
-    /// driver, handing each application effect to [`RaftHost::apply_effect`] as
-    /// it is reached. Storage writes precede the sends that depend on them
-    /// within a batch, so performing in order is write-ahead.
+    /// driver, handing each application effect to
+    /// [`RaftHost::apply_effect`] as it is reached. Storage writes precede
+    /// the sends that depend on them in a batch: in order is write-ahead.
     fn run_effects(&mut self, ctx: &mut dyn Transport<M>, effects: Vec<Effect<C>>) {
         for effect in effects {
             if let Some(app) = self.driver().perform(ctx, effect) {
