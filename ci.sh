@@ -2,8 +2,8 @@
 # The full local CI gate: formatting, lints (warnings are errors), the
 # wire-surface lint, the protocol static-analysis pass (p2pfl-lint), a
 # release build, the complete test suite, the bounded model-checking
-# explorer with its mutation self-check, the loom concurrency model,
-# and (where the tools exist) sanitizers, Miri, and cargo-deny.
+# explorer with its mutation self-check, and (where the tools exist)
+# sanitizers, Miri, and cargo-deny.
 # Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -66,10 +66,6 @@ cargo run --release -p p2pfl-check --bin explore -- --ci
 
 echo "==> p2pfl-check: mutation self-check (seeded mutants must be caught)"
 cargo run --release -p p2pfl-check --features mutants --bin mutation_check
-
-echo "==> loom model over the reactor's cross-thread task injector (loom_reactor)"
-RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
-    cargo test -p p2pfl-net --test loom_reactor -q
 
 # Sanitizers (nightly-only, soft gates). ThreadSanitizer needs an
 # *instrumented* std (-Zbuild-std, which needs the rust-src component):

@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-mod fault;
 pub mod reactor;
 
 pub use codec::{from_bytes, to_bytes, CodecError, FrameBuffer, MAX_FRAME};

@@ -15,14 +15,14 @@
 //!   vectored writes: a slow or dead consumer backs up (and eventually
 //!   drops, counted in [`NetStats::sends_dropped`]) on *its own* queue
 //!   without stalling the loop or other links.
-//! * **A hashed timer wheel** ([`timer::TimerWheel`]) carrying every
-//!   actor round deadline, redial backoff, and fault-plan delayed-frame
-//!   release across all hosted peers.
+//! * **One deadline queue** (`timer::TimerQueue`, a binary heap) carrying
+//!   every actor timer, redial backoff, and fault-plan delayed frame of
+//!   every hosted peer.
 //!
 //! The actor contract is identical to the simulator's: callbacks run one
 //! at a time on the loop thread, `now()` is elapsed time since the peer
 //! was spawned, loopback sends are delivered after the current callback,
-//! and [`FaultPlan`]s interpose the same `FaultLayer` interpreter
+//! and [`FaultPlan`]s interpose the same [`LinkFaults`] interpreter
 //! between sends and sockets. The sans-IO crates (`raft`, `hierraft`,
 //! `secagg`) run byte-for-byte unmodified on both.
 //!
@@ -33,7 +33,6 @@
 //! queue.
 
 pub(crate) mod conn;
-pub mod injector;
 mod queue;
 mod stats;
 mod sys;
@@ -41,12 +40,11 @@ mod timer;
 
 pub use queue::SendQueue;
 pub use stats::NetStats;
-pub use timer::TimerWheel;
 
 use crate::codec::{self, CodecError, FrameBuffer};
-use crate::fault::FaultLayer;
-use injector::Injector;
-use p2pfl_simnet::{Actor, FaultPlan, NodeId, Payload, SimDuration, SimTime, TimerId, Transport};
+use p2pfl_simnet::{
+    Actor, FaultPlan, LinkFaults, NodeId, Payload, SimDuration, SimTime, TimerId, Transport,
+};
 use serde::{Deserialize, Serialize};
 use stats::StatsCells;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -55,10 +53,11 @@ use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use timer::TimerQueue;
 
 /// Poller token of the cross-thread wake pipe.
 const TOKEN_WAKE: u64 = 0;
@@ -117,7 +116,7 @@ impl Default for ReactorConfig {
     }
 }
 
-/// One timer-wheel entry, owned by one incarnation of a hosted peer.
+/// One deadline-queue entry, owned by one incarnation of a hosted peer.
 struct TimerEntry {
     peer: NodeId,
     /// [`PeerSlot::epoch`] of the incarnation that armed it. An entry that
@@ -127,14 +126,14 @@ struct TimerEntry {
     kind: TimerKind,
 }
 
-/// What a fired timer-wheel entry means.
+/// What a fired deadline-queue entry means.
 enum TimerKind {
     /// An actor timer from [`Transport::set_timer`].
     Actor { id: u64, tag: u64 },
     /// A backoff-delayed redial of the peer's link to `remote`.
     Redial { remote: NodeId },
-    /// A fault-plan delayed frame of the peer's may have come due.
-    FaultFlush,
+    /// A frame the peer's fault plan held back, now due on its link to `to`.
+    Release { to: NodeId, bytes: Vec<u8> },
 }
 
 /// A closure run on the loop thread with the actor and live transport.
@@ -145,7 +144,7 @@ enum Task<M, A> {
     Spawn {
         id: NodeId,
         actor: A,
-        faults: Option<FaultLayer>,
+        faults: Option<LinkFaults>,
         stats: Arc<StatsCells>,
         decode_errors: Arc<AtomicU64>,
         reply: Sender<io::Result<()>>,
@@ -169,7 +168,10 @@ enum Task<M, A> {
 
 /// State shared between user-thread handles and the loop thread.
 struct Shared<M, A> {
-    injector: Injector<Task<M, A>>,
+    /// The loop thread owns the receiving end; when the loop exits it
+    /// drops it, and with it every task still queued (and their reply
+    /// senders, which unblocks any handle mid-call).
+    tasks: Sender<Task<M, A>>,
     wake: UnixStream,
     listen_addr: SocketAddr,
 }
@@ -178,7 +180,7 @@ impl<M, A> Shared<M, A> {
     /// Enqueues a task and wakes the loop. `false` if the reactor has
     /// shut down (the task is dropped).
     fn submit(&self, task: Task<M, A>) -> bool {
-        if self.injector.push(task).is_err() {
+        if self.tasks.send(task).is_err() {
             return false;
         }
         // A full pipe already guarantees a pending wake; errors are moot.
@@ -196,7 +198,7 @@ struct OutLink {
     backoff: Duration,
     attempt: u64,
     ever_connected: bool,
-    /// Whether a redial wheel entry is pending (dialer side only).
+    /// Whether a redial entry is pending (dialer side only).
     redial_armed: bool,
 }
 
@@ -222,7 +224,7 @@ struct PeerSlot<M, A> {
     origin: Instant,
     stats: Arc<StatsCells>,
     decode_errors: Arc<AtomicU64>,
-    faults: Option<FaultLayer>,
+    faults: Option<LinkFaults>,
     next_timer_id: u64,
     cancelled: HashSet<u64>,
     /// Known remote addresses (the hosting reactor's listener).
@@ -241,7 +243,7 @@ impl<M, A> PeerSlot<M, A> {
         id: NodeId,
         reactor_origin: Instant,
         caps: (usize, usize),
-        wheel: &'a mut TimerWheel<TimerEntry>,
+        timers: &'a mut TimerQueue<TimerEntry>,
     ) -> (&'a mut A, ReactorCtx<'a, M>) {
         let offset_ns = self
             .origin
@@ -258,7 +260,7 @@ impl<M, A> PeerSlot<M, A> {
             loopback: &mut self.loopback,
             next_timer_id: &mut self.next_timer_id,
             cancelled: &mut self.cancelled,
-            wheel,
+            timers,
             stats: &self.stats,
             touched: &mut self.touched,
         };
@@ -269,17 +271,16 @@ impl<M, A> PeerSlot<M, A> {
 /// The loop thread's whole world.
 struct Core<M, A> {
     cfg: ReactorConfig,
-    /// Wall-clock zero of the timer wheel's nanosecond axis.
+    /// Wall-clock zero of the deadline queue's nanosecond axis.
     origin: Instant,
     poller: sys::Poller,
     listener: TcpListener,
     wake_rx: UnixStream,
-    shared: Arc<Shared<M, A>>,
     peers: HashMap<NodeId, PeerSlot<M, A>>,
     conns: HashMap<u64, conn::Link>,
     next_token: u64,
     next_epoch: u64,
-    wheel: TimerWheel<TimerEntry>,
+    timers: TimerQueue<TimerEntry>,
     scratch: Vec<u8>,
     /// The largest storage a link gave back after a bulk frame, kept for
     /// the next bulk frame that fits; one, not a pool.
@@ -300,15 +301,15 @@ struct ReactorCtx<'a, M> {
     id: NodeId,
     epoch: u64,
     origin: Instant,
-    /// Peer-relative nanoseconds → reactor-wheel nanoseconds offset.
+    /// Peer-relative nanoseconds → reactor-clock nanoseconds offset.
     offset_ns: u64,
     caps: (usize, usize),
     links: &'a mut HashMap<NodeId, OutLink>,
-    faults: &'a mut Option<FaultLayer>,
+    faults: &'a mut Option<LinkFaults>,
     loopback: &'a mut VecDeque<M>,
     next_timer_id: &'a mut u64,
     cancelled: &'a mut HashSet<u64>,
-    wheel: &'a mut TimerWheel<TimerEntry>,
+    timers: &'a mut TimerQueue<TimerEntry>,
     stats: &'a StatsCells,
     touched: &'a mut Vec<NodeId>,
 }
@@ -316,25 +317,19 @@ struct ReactorCtx<'a, M> {
 impl<M> ReactorCtx<'_, M> {
     /// Queues one framed message on the link to `to`, creating the link
     /// if needed; a full queue counts the frame into `sends_dropped`
-    /// instead. Associated fn so it can run while `faults` is borrowed.
-    fn enqueue(
-        links: &mut HashMap<NodeId, OutLink>,
-        touched: &mut Vec<NodeId>,
-        stats: &StatsCells,
-        caps: (usize, usize),
-        to: NodeId,
-        framed: Vec<u8>,
-    ) {
-        let ol = links.entry(to).or_insert_with(|| OutLink::new(caps));
+    /// instead.
+    fn enqueue(&mut self, to: NodeId, framed: Vec<u8>) {
+        let caps = self.caps;
+        let ol = self.links.entry(to).or_insert_with(|| OutLink::new(caps));
         if ol.queue.push(framed) {
-            stats
+            self.stats
                 .send_queue_peak
                 .fetch_max(ol.queue.peak() as u64, Ordering::Relaxed);
-            if !touched.contains(&to) {
-                touched.push(to);
+            if !self.touched.contains(&to) {
+                self.touched.push(to);
             }
         } else {
-            stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
+            self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -360,35 +355,31 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
             self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let Some(fl) = self.faults.as_mut() else {
-            Self::enqueue(self.links, self.touched, self.stats, self.caps, to, framed);
+        let Some(lf) = self.faults.as_mut() else {
+            self.enqueue(to, framed);
             return;
         };
         let now = sim_elapsed(self.origin);
-        let v = fl.on_send(now, self.id, to);
+        let v = lf.on_send(now, self.id, to);
         if v.copies == 0 {
             self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
         for _ in 0..v.copies {
+            let bytes = framed.clone();
             if v.extra_delay == SimDuration::ZERO {
-                Self::enqueue(
-                    self.links,
-                    self.touched,
-                    self.stats,
-                    self.caps,
-                    to,
-                    framed.clone(),
-                );
+                self.enqueue(to, bytes);
             } else {
+                // Held back in the shared deadline queue, behind the same
+                // epoch check as the peer's timers: a killed peer's
+                // delayed frames die with it.
                 let due = now + v.extra_delay;
-                fl.push_delayed(due, to, framed.clone());
-                self.wheel.insert(
+                self.timers.insert(
                     self.offset_ns.saturating_add(due.as_nanos()),
                     TimerEntry {
                         peer: self.id,
                         epoch: self.epoch,
-                        kind: TimerKind::FaultFlush,
+                        kind: TimerKind::Release { to, bytes },
                     },
                 );
             }
@@ -399,7 +390,7 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
         let id = *self.next_timer_id;
         *self.next_timer_id += 1;
         let deadline = self.now() + delay;
-        self.wheel.insert(
+        self.timers.insert(
             self.offset_ns.saturating_add(deadline.as_nanos()),
             TimerEntry {
                 peer: self.id,
@@ -429,7 +420,7 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
             let Some(slot) = self.peers.get_mut(&peer) else {
                 return;
             };
-            let (actor, mut ctx) = slot.split(peer, reactor_origin, caps, &mut self.wheel);
+            let (actor, mut ctx) = slot.split(peer, reactor_origin, caps, &mut self.timers);
             f(actor, &mut ctx);
             while let Some(m) = ctx.loopback.pop_front() {
                 actor.on_message(&mut ctx, peer, m);
@@ -541,7 +532,7 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
             .fetch_add(1, Ordering::Relaxed);
         let delay = ol.backoff + backoff_jitter(local, ol.attempt, ol.backoff);
         ol.backoff = (ol.backoff * 2).min(BACKOFF_MAX);
-        self.wheel.insert(
+        self.timers.insert(
             now_ns.saturating_add(delay.as_nanos() as u64),
             TimerEntry {
                 peer: local,
@@ -889,48 +880,10 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
         self.flush_conn(token);
     }
 
-    /// Releases every due fault-delayed frame of `peer` onto its links.
-    fn flush_faults(&mut self, peer: NodeId) {
-        let released = {
-            let Some(slot) = self.peers.get_mut(&peer) else {
-                return;
-            };
-            let now = sim_elapsed(slot.origin);
-            let Some(fl) = slot.faults.as_mut() else {
-                return;
-            };
-            let mut out = Vec::new();
-            while let Some((to, bytes)) = fl.pop_due(now) {
-                out.push((to, bytes));
-            }
-            out
-        };
-        if released.is_empty() {
-            return;
-        }
-        let caps = (self.cfg.max_queue_frames, self.cfg.max_queue_bytes);
-        {
-            let Some(slot) = self.peers.get_mut(&peer) else {
-                return;
-            };
-            for (to, bytes) in released {
-                ReactorCtx::<M>::enqueue(
-                    &mut slot.links,
-                    &mut slot.touched,
-                    &slot.stats,
-                    caps,
-                    to,
-                    bytes,
-                );
-            }
-        }
-        self.flush_touched(peer);
-    }
-
-    /// Fires every due wheel entry.
-    fn fire_timers(&mut self, fired: &mut Vec<TimerEntry>) {
-        self.wheel.advance(ns_since(self.origin), fired);
-        for TimerEntry { peer, epoch, kind } in fired.drain(..) {
+    /// Fires every entry of the deadline queue that is due now.
+    fn fire_timers(&mut self) {
+        let now_ns = ns_since(self.origin);
+        while let Some(TimerEntry { peer, epoch, kind }) = self.timers.pop_due(now_ns) {
             let Some(slot) = self.peers.get_mut(&peer) else {
                 continue;
             };
@@ -956,7 +909,12 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
                         self.dial(peer, remote);
                     }
                 }
-                TimerKind::FaultFlush => self.flush_faults(peer),
+                TimerKind::Release { to, bytes } => {
+                    let caps = (self.cfg.max_queue_frames, self.cfg.max_queue_bytes);
+                    let (_, mut ctx) = slot.split(peer, self.origin, caps, &mut self.timers);
+                    ctx.enqueue(to, bytes);
+                    self.flush_touched(peer);
+                }
             }
         }
     }
@@ -1057,11 +1015,11 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
         }
     }
 
-    /// Time until the next wheel deadline, capped so a stalled clock
-    /// can't wedge the loop.
+    /// Time until the next deadline, capped so a stalled clock can't
+    /// wedge the loop.
     fn poll_timeout(&self) -> Duration {
         let cap = Duration::from_millis(100);
-        match self.wheel.next_deadline_ns() {
+        match self.timers.next_deadline_ns() {
             Some(d) => Duration::from_nanos(d.saturating_sub(ns_since(self.origin))).min(cap),
             None => cap,
         }
@@ -1070,19 +1028,26 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
 
 /// The loop thread body: fire timers, run submitted tasks, poll, route
 /// readiness. Lint root for the wire-path panic-freedom gate.
-fn reactor_loop<M, A>(mut core: Core<M, A>)
+///
+/// Returning drops `tasks`, the one receiver: later submissions fail, and
+/// tasks still queued drop with their reply senders, unblocking any
+/// handle mid-call with a disconnect error.
+fn reactor_loop<M, A>(mut core: Core<M, A>, tasks: Receiver<Task<M, A>>)
 where
     M: WireMsg + Send + 'static,
     A: Actor<M> + Send + 'static,
 {
     let mut events = sys::Events::with_capacity(1024);
     let mut ready: Vec<sys::Readiness> = Vec::new();
-    let mut fired: Vec<TimerEntry> = Vec::new();
-    let mut tasks: Vec<Task<M, A>> = Vec::new();
+    let mut batch: Vec<Task<M, A>> = Vec::new();
     loop {
-        core.fire_timers(&mut fired);
-        core.shared.injector.drain(&mut tasks);
-        for (i, t) in tasks.drain(..).enumerate() {
+        core.fire_timers();
+        // Run what was queued when the pass began; later tasks wait behind
+        // the readiness events already due. A kill's closed sockets are
+        // then seen before a task submitted after it sends on them (sent
+        // into a dead connection, such a frame would be lost).
+        batch.extend(tasks.try_iter());
+        for (i, t) in batch.drain(..).enumerate() {
             core.handle_task(t);
             // A large task batch can be a dial storm (a scale topology
             // registering thousands of links): drain the accept queue as
@@ -1110,9 +1075,6 @@ where
             }
         }
     }
-    // Refuse further tasks; pending reply senders drop, unblocking any
-    // handle mid-call with a disconnect error.
-    core.shared.injector.close();
 }
 
 /// A single-threaded epoll runtime hosting many sans-IO peers.
@@ -1153,8 +1115,9 @@ where
         let poller = sys::Poller::new()?;
         poller.add(listener.as_raw_fd(), TOKEN_LISTEN, sys::Interest::READ)?;
         poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, sys::Interest::READ)?;
+        let (task_tx, task_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
+            tasks: task_tx,
             wake: wake_tx,
             listen_addr,
         });
@@ -1164,19 +1127,18 @@ where
             poller,
             listener,
             wake_rx,
-            shared: shared.clone(),
             peers: HashMap::new(),
             conns: HashMap::new(),
             next_token: TOKEN_CONN0,
             next_epoch: 0,
-            wheel: TimerWheel::new(0),
+            timers: TimerQueue::new(),
             scratch: vec![0u8; conn::READ_CHUNK],
             spare: None,
             shutdown: false,
         };
         let thread = std::thread::Builder::new()
             .name("p2pfl-reactor".to_owned())
-            .spawn(move || reactor_loop(core))?;
+            .spawn(move || reactor_loop(core, task_rx))?;
         Ok(Reactor {
             shared,
             thread: Some(thread),
@@ -1203,14 +1165,14 @@ where
         actor: A,
         plan: &FaultPlan,
     ) -> io::Result<PeerHandle<M, A>> {
-        self.spawn_inner(id, actor, Some(FaultLayer::new(plan)))
+        self.spawn_inner(id, actor, Some(LinkFaults::new(plan)))
     }
 
     fn spawn_inner(
         &self,
         id: NodeId,
         actor: A,
-        faults: Option<FaultLayer>,
+        faults: Option<LinkFaults>,
     ) -> io::Result<PeerHandle<M, A>> {
         let stats = Arc::new(StatsCells::default());
         let decode_errors = Arc::new(AtomicU64::new(0));
@@ -1247,8 +1209,7 @@ where
 
 impl<M, A> Drop for Reactor<M, A> {
     fn drop(&mut self) {
-        let _ = self.shared.injector.push(Task::Shutdown);
-        let _ = (&self.shared.wake).write(&[1u8]);
+        self.shared.submit(Task::Shutdown);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -1369,7 +1330,7 @@ impl<M, A> PeerHandle<M, A> {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use serde::{Deserialize, Serialize};
@@ -1839,5 +1800,56 @@ mod tests {
         let h = r.spawn_peer(NodeId(0), alarm(2)).unwrap();
         std::thread::sleep(Duration::from_millis(120));
         assert_eq!(h.stop().fired, vec![2]);
+    }
+
+    #[test]
+    fn killed_peer_fault_delayed_frames_die_with_it() {
+        let plan = FaultPlan::new(5).delay(
+            SimTime::ZERO,
+            SimTime::from_secs(3600),
+            SimDuration::from_millis(200),
+            SimDuration::ZERO,
+        );
+        let r = log_reactor_at("127.0.0.1:0");
+        let remote = r.spawn_peer(NodeId(1), Log::default()).unwrap();
+        let dead = r
+            .spawn_peer_with_faults(NodeId(0), Log::default(), &plan)
+            .unwrap();
+        dead.add_peer(NodeId(1), r.local_addr());
+        send_tags(&dead, 1, 0..3);
+        let killed_at = Instant::now();
+        dead.kill();
+
+        let next = r.spawn_peer(NodeId(0), Log::default()).unwrap();
+        next.add_peer(NodeId(1), r.local_addr());
+        send_tags(&next, 1, 100..101);
+        wait_tags("the new incarnation's frame", &remote, 0, 100..101);
+        // Well past the dead incarnation's release time.
+        std::thread::sleep(Duration::from_millis(400).saturating_sub(killed_at.elapsed()));
+        assert_eq!(tags_from(&remote, 0), vec![100]);
+    }
+
+    #[test]
+    fn handles_outliving_their_reactor_fail_fast() {
+        let r = reactor();
+        let a = r.spawn_peer(NodeId(0), Echo::default()).unwrap();
+        let b = r.spawn_peer(NodeId(1), Echo::default()).unwrap();
+        drop(r);
+        a.kill();
+        let panic =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.with(|e, _| e.seen)))
+                .unwrap_err();
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"reactor stopped"));
+
+        // `spawn_peer` needs the reactor itself, so stop its loop the way
+        // dropping it does and keep it.
+        let mut r = reactor();
+        r.shared.submit(Task::Shutdown);
+        r.thread.take().unwrap().join().unwrap();
+        let err = r
+            .spawn_peer(NodeId(2), Echo::default())
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 }

@@ -218,11 +218,7 @@ mod imp {
             events: &mut Events,
             timeout: Option<Duration>,
         ) -> io::Result<()> {
-            let timeout_ms: i32 = match timeout {
-                // Round up so a 0.2ms timeout does not busy-spin at 0.
-                Some(t) => i32::try_from(t.as_millis().min(i32::MAX as u128)).unwrap_or(i32::MAX),
-                None => -1,
-            };
+            let timeout_ms = epoll_timeout_ms(timeout);
             let cap = i32::try_from(events.buf.len()).unwrap_or(i32::MAX);
             // SAFETY: `buf` is a live, writable allocation of `cap`
             // epoll_event slots; the kernel writes at most `cap` entries.
@@ -242,6 +238,16 @@ mod imp {
             };
             events.len = usize::try_from(n).unwrap_or(0);
             Ok(())
+        }
+    }
+
+    /// `epoll_wait`'s millisecond timeout for `timeout`: `-1` (block) for
+    /// none, else rounded up, so a deadline 0.2 ms away sleeps 1 ms
+    /// instead of spinning at 0 until it is due; saturates at `i32::MAX`.
+    pub(super) fn epoll_timeout_ms(timeout: Option<Duration>) -> i32 {
+        match timeout {
+            Some(t) => i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX),
+            None => -1,
         }
     }
 
@@ -424,6 +430,22 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
     use std::time::Duration;
+
+    #[test]
+    fn epoll_timeout_rounds_up_to_whole_milliseconds() {
+        use super::imp::epoll_timeout_ms;
+        assert_eq!(epoll_timeout_ms(None), -1);
+        assert_eq!(epoll_timeout_ms(Some(Duration::ZERO)), 0);
+        assert_eq!(epoll_timeout_ms(Some(Duration::from_micros(200))), 1);
+        assert_eq!(epoll_timeout_ms(Some(Duration::from_nanos(1))), 1);
+        assert_eq!(epoll_timeout_ms(Some(Duration::from_millis(1))), 1);
+        assert_eq!(epoll_timeout_ms(Some(Duration::from_micros(1_001))), 2);
+        assert_eq!(
+            epoll_timeout_ms(Some(Duration::from_millis(i32::MAX as u64))),
+            i32::MAX
+        );
+        assert_eq!(epoll_timeout_ms(Some(Duration::MAX)), i32::MAX);
+    }
 
     #[test]
     fn poll_detects_readable_after_write() {

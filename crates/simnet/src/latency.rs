@@ -1,13 +1,10 @@
 //! Link latency models.
 //!
 //! The paper's testbed injects a constant 15 ms one-way delay with
-//! `tc netem`. We support that plus uniform and (truncated) normal jitter,
-//! and per-link overrides so asymmetric topologies can be modeled.
+//! `tc netem`. We support that plus uniform jitter.
 
-use crate::node::NodeId;
 use crate::time::SimDuration;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// A one-way link latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,17 +17,6 @@ pub enum Latency {
         min: SimDuration,
         /// Upper bound (inclusive).
         max: SimDuration,
-    },
-    /// Normally distributed with the given mean and standard deviation,
-    /// truncated below at `floor` so latency never goes negative or
-    /// unrealistically small.
-    Normal {
-        /// Mean of the distribution.
-        mean: SimDuration,
-        /// Standard deviation.
-        std_dev: SimDuration,
-        /// Minimum latency after truncation.
-        floor: SimDuration,
     },
 }
 
@@ -52,30 +38,17 @@ impl Latency {
                     SimDuration::from_nanos(rng.random_range(min.as_nanos()..=max.as_nanos()))
                 }
             }
-            Latency::Normal {
-                mean,
-                std_dev,
-                floor,
-            } => {
-                // Box-Muller transform; we only need one of the pair.
-                let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-                let u2: f64 = rng.random();
-                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                let ns = mean.as_nanos() as f64 + z * std_dev.as_nanos() as f64;
-                SimDuration::from_nanos((ns.max(0.0)) as u64).max(floor)
-            }
         }
     }
 }
 
-/// Network-wide latency configuration: a default distribution plus optional
-/// per-directed-link overrides, and an optional shared bandwidth model
-/// that adds a serialization delay proportional to message size (so a
-/// 5 MB model transfer takes realistically longer than a 32-byte RPC).
+/// Network-wide latency configuration: one distribution for every link,
+/// and an optional shared bandwidth model that adds a serialization delay
+/// proportional to message size (so a 5 MB model transfer takes
+/// realistically longer than a 32-byte RPC).
 #[derive(Debug, Clone)]
 pub struct LatencyConfig {
     default: Latency,
-    overrides: HashMap<(NodeId, NodeId), Latency>,
     bandwidth_bytes_per_sec: Option<u64>,
 }
 
@@ -84,7 +57,6 @@ impl LatencyConfig {
     pub fn uniform_default(default: Latency) -> Self {
         LatencyConfig {
             default,
-            overrides: HashMap::new(),
             bandwidth_bytes_per_sec: None,
         }
     }
@@ -110,39 +82,14 @@ impl LatencyConfig {
         }
     }
 
-    /// Samples the full delivery delay for a `bytes`-byte message on
-    /// `src -> dst`: propagation plus serialization.
-    pub fn sample_for<R: Rng + ?Sized>(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        rng: &mut R,
-    ) -> SimDuration {
-        self.link(src, dst).sample(rng) + self.transmission_delay(bytes)
-    }
-
     /// The paper setting: constant 15 ms everywhere.
     pub fn paper_default() -> Self {
         Self::uniform_default(Latency::paper_default())
     }
 
-    /// Overrides the latency of the directed link `src -> dst`.
-    pub fn set_link(&mut self, src: NodeId, dst: NodeId, latency: Latency) {
-        self.overrides.insert((src, dst), latency);
-    }
-
-    /// The model in effect for the directed link `src -> dst`.
-    pub fn link(&self, src: NodeId, dst: NodeId) -> Latency {
-        self.overrides
-            .get(&(src, dst))
-            .copied()
-            .unwrap_or(self.default)
-    }
-
-    /// Samples a delivery delay for `src -> dst`.
-    pub fn sample<R: Rng + ?Sized>(&self, src: NodeId, dst: NodeId, rng: &mut R) -> SimDuration {
-        self.link(src, dst).sample(rng)
+    /// Samples one link's propagation delay.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
+        self.default.sample(rng)
     }
 }
 
@@ -188,67 +135,20 @@ mod tests {
     }
 
     #[test]
-    fn normal_respects_floor() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let l = Latency::Normal {
-            mean: SimDuration::from_millis(1),
-            std_dev: SimDuration::from_millis(5),
-            floor: SimDuration::from_micros(100),
-        };
-        for _ in 0..1000 {
-            assert!(l.sample(&mut rng) >= SimDuration::from_micros(100));
-        }
-    }
-
-    #[test]
-    fn normal_mean_is_close() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let l = Latency::Normal {
-            mean: SimDuration::from_millis(20),
-            std_dev: SimDuration::from_millis(2),
-            floor: SimDuration::ZERO,
-        };
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| l.sample(&mut rng).as_millis_f64()).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 20.0).abs() < 0.2, "empirical mean {mean}");
-    }
-
-    #[test]
     fn bandwidth_adds_serialization_delay() {
         let mut rng = StdRng::seed_from_u64(9);
         let cfg = LatencyConfig::uniform_default(Latency::Constant(SimDuration::from_millis(15)))
             .with_bandwidth(1_000_000); // 1 MB/s
-        let a = NodeId(0);
-        let b = NodeId(1);
-        // 500 kB at 1 MB/s = 500 ms on top of the 15 ms propagation.
-        let d = cfg.sample_for(a, b, 500_000, &mut rng);
-        assert_eq!(d, SimDuration::from_millis(515));
-        // Tiny control message: essentially just propagation.
-        let d = cfg.sample_for(a, b, 16, &mut rng);
+        assert_eq!(cfg.sample(&mut rng), SimDuration::from_millis(15));
+        // 500 kB at 1 MB/s = 500 ms of serialization.
         assert_eq!(
-            d.as_nanos(),
-            SimDuration::from_millis(15).as_nanos() + 16_000
+            cfg.transmission_delay(500_000),
+            SimDuration::from_millis(500)
         );
+        // Tiny control message: essentially just propagation.
+        assert_eq!(cfg.transmission_delay(16).as_nanos(), 16_000);
         // Without bandwidth, size is free.
         let free = LatencyConfig::paper_default();
-        assert_eq!(
-            free.sample_for(a, b, 500_000, &mut rng),
-            SimDuration::from_millis(15)
-        );
-    }
-
-    #[test]
-    fn overrides_take_precedence() {
-        let mut cfg = LatencyConfig::paper_default();
-        let a = NodeId(0);
-        let b = NodeId(1);
-        cfg.set_link(a, b, Latency::Constant(SimDuration::from_millis(1)));
-        assert_eq!(
-            cfg.link(a, b),
-            Latency::Constant(SimDuration::from_millis(1))
-        );
-        // Reverse direction still uses the default.
-        assert_eq!(cfg.link(b, a), Latency::paper_default());
+        assert_eq!(free.transmission_delay(500_000), SimDuration::ZERO);
     }
 }

@@ -15,7 +15,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{DropReason, Trace, TraceKind};
 use crate::transport::Transport;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -180,7 +180,6 @@ struct SimInner<M> {
     crashed: Vec<bool>,
     epoch: Vec<u64>,
     partitions: HashSet<(NodeId, NodeId)>,
-    loss_probability: f64,
     link_faults: Option<LinkFaults>,
     latency: LatencyConfig,
     metrics: Metrics,
@@ -244,20 +243,6 @@ impl<'a, M: Payload> Context<'a, M> {
                 bytes,
             },
         );
-        if self.inner.loss_probability > 0.0
-            && self.inner.rng.random::<f64>() < self.inner.loss_probability
-        {
-            self.inner.metrics.record_drop(bytes);
-            self.inner.trace.record(
-                self.inner.now,
-                TraceKind::Drop {
-                    src,
-                    dst: to,
-                    reason: DropReason::Lossy,
-                },
-            );
-            return;
-        }
         // The scheduled fault plan (if any) rules on this send: it may drop
         // it, duplicate it, or hold it back. The same interpreter runs in
         // the real transport's fault layer, so one plan means one behavior.
@@ -302,7 +287,7 @@ impl<'a, M: Payload> Context<'a, M> {
             depart
         };
         for _ in 0..copies {
-            let prop = self.inner.latency.sample(src, to, &mut self.inner.rng);
+            let prop = self.inner.latency.sample(&mut self.inner.rng);
             let at = depart + prop + extra_delay;
             self.inner.push(
                 at,
@@ -408,7 +393,6 @@ impl<M: Payload> Sim<M> {
                 crashed: Vec::new(),
                 epoch: Vec::new(),
                 partitions: HashSet::new(),
-                loss_probability: 0.0,
                 link_faults: None,
                 latency: LatencyConfig::paper_default(),
                 metrics: Metrics::new(),
@@ -426,12 +410,6 @@ impl<M: Payload> Sim<M> {
     /// Replaces the network latency configuration.
     pub fn set_latency(&mut self, cfg: LatencyConfig) {
         self.inner.latency = cfg;
-    }
-
-    /// Sets an i.i.d. per-message loss probability in `[0, 1]`.
-    pub fn set_loss_probability(&mut self, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "loss probability out of range");
-        self.inner.loss_probability = p;
     }
 
     /// Enables trace collection.
@@ -1320,8 +1298,13 @@ mod tests {
 
     #[test]
     fn loss_probability_one_drops_everything() {
+        use crate::fault::FaultPlan;
         let mut sim = Sim::new(11);
-        sim.set_loss_probability(1.0);
+        sim.apply_fault_plan(&FaultPlan::new(11).loss(
+            SimTime::ZERO,
+            SimTime::from_secs(3600),
+            1.0,
+        ));
         let echo = sim.add_node(Echo {
             received: 0,
             echo: false,

@@ -3,7 +3,7 @@
 //! no matter when peers crash, restart, or lose messages.
 
 use p2pfl_raft::{Entry, LogCmd, RaftActor, RaftConfig, RaftMsg, StateMachine, Term};
-use p2pfl_simnet::{NodeId, Sim, SimDuration, SimTime};
+use p2pfl_simnet::{FaultPlan, NodeId, Sim, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -115,7 +115,11 @@ fn safety_under_random_crashes_and_restarts() {
 fn safety_under_message_loss() {
     for seed in 0..6u64 {
         let (mut sim, ids) = build(5, 50, 99 + seed);
-        sim.set_loss_probability(0.15);
+        sim.apply_fault_plan(&FaultPlan::new(seed).loss(
+            SimTime::ZERO,
+            SimTime::from_secs(6),
+            0.15,
+        ));
         sim.run_until(SimTime::from_secs(6));
         let tag = format!("lossy seed {seed}");
         check_election_safety(&sim, &ids, &tag);
