@@ -58,6 +58,12 @@ for spec in session_mlp_30:: sac_bulk_cnn_3:129833796: sac_fanout_256:18930176: 
     echo "    $workload ok"
 done
 
+# The one example that asserts a digest: real sockets against the
+# simulator, across a crash and a rejoin at a new port. It panics (exit
+# non-zero) on a mismatch or on a phase that times out.
+echo "==> real_net example (reactor digests vs simulator, crash + rejoin at a new port)"
+cargo run --release --example real_net
+
 echo "==> cargo test"
 cargo test --workspace -q
 

@@ -30,16 +30,15 @@
 
 use p2pfl::runner::{ResilientConfig, ResilientSession};
 use p2pfl_bench::testkit::{
-    ids, mesh, reactor, sac_config, spawn_group, synthetic_session, wait_done,
+    ids, mesh, models, reactor, reactor_round, sac_config, sim_group, sim_round, spawn_group,
+    synthetic_session,
 };
 use p2pfl_bench::{banner, print_csv, Args};
 use p2pfl_fed::Client;
 use p2pfl_hierraft::{ElasticBounds, HierActor};
 use p2pfl_ml::data::Dataset;
-use p2pfl_secagg::{SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
-use p2pfl_simnet::{FaultPlan, NodeId, Sim, SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use p2pfl_secagg::{PairwiseWire, SacEngine, SacMsg, SacPeerActor, WeightVector};
+use p2pfl_simnet::{FaultPlan, NodeId, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -359,10 +358,7 @@ fn flash_crowd_reactor_leg(rosters: &[(u64, Vec<NodeId>)], seed: u64) {
         let n = roster.len();
         let k = n.div_ceil(2);
         let ids = ids(n);
-        let mut rng = StdRng::seed_from_u64(seed ^ roster_key);
-        let models: Vec<WeightVector> = (0..n)
-            .map(|_| WeightVector::random(16, 1.0, &mut rng))
-            .collect();
+        let models = models(n, 16, seed ^ roster_key);
         let plain = WeightVector::mean(models.iter());
         let rekeyed = |pos: usize, deadline: SimDuration| {
             let pos_seed = seed ^ (pos as u64 * 0x9e37_79b9);
@@ -373,24 +369,14 @@ fn flash_crowd_reactor_leg(rosters: &[(u64, Vec<NodeId>)], seed: u64) {
                 "re-key rejected for subgroup {gi} position {pos}"
             );
             assert_eq!(a.mask_keys().len(), 2, "construction domain + re-key");
-            a
+            (ids[pos], a)
         };
+        let peers = |deadline| (0..n).map(move |pos| rekeyed(pos, deadline));
 
         // Simulator twin of the round.
-        let mut sim: Sim<SacMsg> = Sim::new(seed ^ roster_key);
-        for pos in 0..n {
-            sim.add_node(rekeyed(pos, SimDuration::from_millis(100)));
-        }
-        sim.exec::<SacPeerActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
-        sim.run_until(sim.now() + SimDuration::from_secs(5));
-        let leader = sim.actor::<SacPeerActor>(ids[0]);
-        assert_eq!(
-            leader.phase,
-            SacPhase::Done,
-            "sim twin of subgroup {gi}: {:?}",
-            leader.phase
-        );
-        let sim_result = leader.result.clone().expect("sim twin result");
+        let twin = peers(SimDuration::from_millis(100));
+        let mut sim = sim_group(seed ^ roster_key, twin, None);
+        let (_, sim_result) = sim_round::<PairwiseWire>(&mut sim, [ids[0]], 1).remove(0);
         assert!(
             sim_result.linf_distance(&plain) < 1e-9,
             "subgroup {gi}: re-keyed masks failed to cancel on the simulator"
@@ -398,12 +384,9 @@ fn flash_crowd_reactor_leg(rosters: &[(u64, Vec<NodeId>)], seed: u64) {
 
         // The same round over real sockets on the reactor runtime.
         let reactor = reactor::<SacMsg, SacPeerActor>();
-        let actors = (0..n).map(|pos| (ids[pos], rekeyed(pos, SimDuration::from_secs(2))));
-        let handles = spawn_group(&reactor, actors, None);
+        let handles = spawn_group(&reactor, peers(SimDuration::from_secs(2)), None);
         mesh(&handles);
-        handles[0].with(|a, ctx| a.start_round(ctx, 1));
-        let what = format!("flash-crowd tcp round, subgroup {gi}");
-        let (_, tcp_result) = wait_done(&handles[0], &what);
+        let (_, tcp_result) = reactor_round(&handles[..1], 1).remove(0);
         assert_eq!(
             tcp_result.digest(),
             sim_result.digest(),

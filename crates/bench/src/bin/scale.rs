@@ -26,13 +26,13 @@
 //! with a full (non-`--quick`) run on a quiet machine.
 
 use p2pfl_bench::hotpath::{parse_baseline, BenchResult};
-use p2pfl_bench::testkit::{ids, mesh, sac_config, synthetic_session};
+use p2pfl_bench::testkit::{
+    mesh, models, reactor, sac_peers, sim_group, sim_round, spawn_group, synthetic_session,
+};
 use p2pfl_bench::{banner, Args};
-use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
-use p2pfl_secagg::{SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
-use p2pfl_simnet::{FaultPlan, NodeId, Sim, SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use p2pfl_net::PeerHandle;
+use p2pfl_secagg::{PairwiseWire, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
+use p2pfl_simnet::{FaultPlan, NodeId, SimDuration, SimTime};
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 0x5CA1E0;
@@ -82,100 +82,50 @@ fn soak_plan() -> FaultPlan {
         .duplicate(SimTime::ZERO, SimTime::from_secs(3600), 0.3)
 }
 
-fn models(shape: &Shape) -> Vec<WeightVector> {
-    let mut rng = StdRng::seed_from_u64(SEED + 999);
-    (0..shape.peers())
-        .map(|_| WeightVector::random(shape.dim, 1.0, &mut rng))
-        .collect()
+/// Layer-1 peers: `shape.subgroups` subgroups of `shape.sub_size`, the
+/// leader of each first.
+fn l1_peers(shape: &Shape, deadline: SimDuration) -> Vec<(NodeId, SacPeerActor)> {
+    let models = models(shape.peers(), shape.dim, SEED + 999);
+    let (sub_size, k) = (shape.sub_size, shape.k);
+    sac_peers(&models, sub_size, k, SacEngine::Pairwise, deadline, SEED)
 }
 
-fn subgroup_ids(shape: &Shape, g: usize) -> Vec<NodeId> {
-    (0..shape.sub_size)
-        .map(|i| NodeId((g * shape.sub_size + i) as u32))
-        .collect()
-}
-
-/// Layer-1 config for global peer `id`.
-fn l1_config(shape: &Shape, id: usize, deadline: SimDuration) -> SacConfig {
-    let group = subgroup_ids(shape, id / shape.sub_size);
-    let position = id % shape.sub_size;
-    sac_config(
-        &group,
-        position,
-        shape.k,
-        SacEngine::Pairwise,
-        deadline,
-        SEED + id as u64,
-    )
-}
-
-/// Layer-2 config: one group of all subgroup leaders, ids 0..subgroups.
-fn l2_config(shape: &Shape, position: usize, deadline: SimDuration) -> SacConfig {
-    let group = ids(shape.subgroups);
-    let seed = L2_SEED + position as u64;
-    sac_config(
-        &group,
-        position,
-        shape.l2_k,
-        SacEngine::Pairwise,
-        deadline,
-        seed,
-    )
+/// Layer-2 peers: one group of all subgroup leaders, ids 0..subgroups,
+/// each holding its subgroup's result.
+fn l2_peers(
+    shape: &Shape,
+    results: &[WeightVector],
+    deadline: SimDuration,
+) -> Vec<(NodeId, SacPeerActor)> {
+    let (n, k) = (shape.subgroups, shape.l2_k);
+    sac_peers(results, n, k, SacEngine::Pairwise, deadline, L2_SEED)
 }
 
 /// The simulator twin: the full two-layer round under the discrete-event
 /// simulator. Returns (per-round layer-1 leader digests, per-round
-/// layer-2 digest, layer-1 results feeding the final layer-2 round).
+/// layer-2 digest).
 fn sim_twin(shape: &Shape, rounds: u64) -> (Vec<Vec<u64>>, Vec<u64>) {
-    let mut sim: Sim<SacMsg> = Sim::new(SEED);
-    for (id, model) in models(shape).iter().enumerate() {
-        let cfg = l1_config(shape, id, SimDuration::from_millis(500));
-        sim.add_node(SacPeerActor::new(cfg, model.clone()));
-    }
-    sim.run_until_quiet(10_000);
-
+    let deadline = SimDuration::from_millis(500);
+    let mut sim = sim_group(SEED, l1_peers(shape, deadline), None);
     let mut l1_digests = Vec::new();
     let mut l2_digests = Vec::new();
     for round in 1..=rounds {
-        for g in 0..shape.subgroups {
-            let leader = subgroup_ids(shape, g)[0];
-            sim.exec::<SacPeerActor, _, _>(leader, move |a, ctx| a.start_round(ctx, round));
-        }
-        sim.run_until(sim.now() + SimDuration::from_secs(30));
-        let mut digests = Vec::new();
-        let mut results = Vec::new();
-        for g in 0..shape.subgroups {
-            let leader = sim.actor::<SacPeerActor>(subgroup_ids(shape, g)[0]);
-            assert_eq!(
-                leader.phase,
-                SacPhase::Done,
-                "sim round {round} subgroup {g}: {:?}",
-                leader.phase
-            );
-            let r = leader.result.as_ref().expect("sim leader result");
-            digests.push(r.digest());
-            results.push(r.clone());
-        }
-        l1_digests.push(digests);
+        let l1 = (0..shape.peers()).step_by(shape.sub_size);
+        let l1 = l1.map(|id| NodeId(id as u32));
+        let results: Vec<WeightVector> = sim_round::<PairwiseWire>(&mut sim, l1, round)
+            .into_iter()
+            .map(|(_, result)| result)
+            .collect();
+        l1_digests.push(results.iter().map(WeightVector::digest).collect());
 
         // Layer 2 for this round, in its own simulator: the subgroup
         // results become the leader-layer models.
-        let mut l2: Sim<SacMsg> = Sim::new(SEED ^ round);
-        for (pos, model) in results.iter().enumerate() {
-            let cfg = l2_config(shape, pos, SimDuration::from_millis(500));
-            l2.add_node(SacPeerActor::new(cfg, model.clone()));
-        }
-        l2.run_until_quiet(10_000);
-        l2.exec::<SacPeerActor, _, _>(NodeId(0), |a, ctx| a.start_round(ctx, 1));
-        l2.run_until(l2.now() + SimDuration::from_secs(30));
-        let leader = l2.actor::<SacPeerActor>(NodeId(0));
-        assert_eq!(
-            leader.phase,
-            SacPhase::Done,
-            "sim round {round} layer 2: {:?}",
-            leader.phase
+        let mut l2 = sim_group(SEED ^ round, l2_peers(shape, &results, deadline), None);
+        l2_digests.push(
+            sim_round::<PairwiseWire>(&mut l2, [NodeId(0)], 1)[0]
+                .1
+                .digest(),
         );
-        l2_digests.push(leader.result.as_ref().expect("sim l2 result").digest());
     }
     (l1_digests, l2_digests)
 }
@@ -248,19 +198,10 @@ fn run_l1_round(shape: &Shape, handles: &[Handle], round: u64, expected: &[u64])
 /// Runs layer 2 on a fresh reactor (the layer-1 reactor must already be
 /// dropped — a 100-wide full mesh plus 100 subgroup meshes would crowd
 /// the fd budget). Returns the layer-2 latency in seconds.
-fn run_l2_round(shape: &Shape, results: Vec<WeightVector>, expected: u64) -> f64 {
-    let reactor: Reactor<SacMsg, SacPeerActor> =
-        Reactor::start(ReactorConfig::default()).expect("bind layer-2 reactor");
-    let handles: Vec<Handle> = results
-        .into_iter()
-        .enumerate()
-        .map(|(pos, model)| {
-            let cfg = l2_config(shape, pos, SimDuration::from_secs(300));
-            reactor
-                .spawn_peer(NodeId(pos as u32), SacPeerActor::new(cfg, model))
-                .expect("spawn layer-2 peer")
-        })
-        .collect();
+fn run_l2_round(shape: &Shape, results: &[WeightVector], expected: u64) -> f64 {
+    let reactor = reactor::<SacMsg, SacPeerActor>();
+    let peers = l2_peers(shape, results, SimDuration::from_secs(300));
+    let handles = spawn_group(&reactor, peers, None);
     mesh(&handles);
     let t = Instant::now();
     handles[0].with(|a, ctx| a.start_round(ctx, 1));
@@ -403,24 +344,10 @@ fn run_shape(shape: &Shape, soak: bool, suffix: &str) -> (Vec<BenchResult>, Vec<
     let (l1_expected, l2_expected) = sim_twin(shape, rounds);
 
     println!("# reactor: spawning {} peers...", shape.peers());
-    let reactor: Reactor<SacMsg, SacPeerActor> =
-        Reactor::start(ReactorConfig::default()).expect("bind reactor");
+    let reactor = reactor::<SacMsg, SacPeerActor>();
     let plan = soak_plan();
-    let all_models = models(shape);
-    let handles: Vec<Handle> = (0..shape.peers())
-        .map(|id| {
-            let actor = SacPeerActor::new(
-                l1_config(shape, id, SimDuration::from_secs(300)),
-                all_models[id].clone(),
-            );
-            if soak {
-                reactor.spawn_peer_with_faults(NodeId(id as u32), actor, &plan)
-            } else {
-                reactor.spawn_peer(NodeId(id as u32), actor)
-            }
-            .expect("spawn peer")
-        })
-        .collect();
+    let peers = l1_peers(shape, SimDuration::from_secs(300));
+    let handles = spawn_group(&reactor, peers, soak.then_some(&plan));
     for subgroup in handles.chunks(shape.sub_size) {
         mesh(subgroup);
     }
@@ -467,11 +394,7 @@ fn run_shape(shape: &Shape, soak: bool, suffix: &str) -> (Vec<BenchResult>, Vec<
     drop(handles);
     drop(reactor);
 
-    let l2_s = run_l2_round(
-        shape,
-        outcome.results.clone(),
-        l2_expected[rounds as usize - 1],
-    );
+    let l2_s = run_l2_round(shape, &outcome.results, l2_expected[rounds as usize - 1]);
     println!("# layer 2: {} leaders done in {l2_s:.2}s", shape.subgroups);
 
     let mut sorted = outcome.latencies.clone();

@@ -1,7 +1,12 @@
 //! The one harness for tests and bench bins: host a group of actors on a
-//! [`Reactor`], mesh them, drive a secure-aggregation round to its end,
-//! watch a two-layer `HierActor` deployment settle and commit, and build
-//! the synthetic training session and SAC configuration they start from.
+//! [`Reactor`] or on a [`Sim`], mesh them, drive a secure-aggregation
+//! round to its end on either, watch a two-layer `HierActor` deployment
+//! settle and commit, and build the models, SAC configurations and
+//! synthetic training session they start from.
+//!
+//! A sim-vs-reactor check is one twin: the same `(id, actor)` list goes to
+//! [`sim_group`] and [`spawn_group`], and [`sim_round`] and
+//! [`reactor_round`] return the same `(contributors, result)` per leader.
 //!
 //! Every helper that waits names what it waits for, so a timeout says
 //! which phase of which test stalled.
@@ -13,7 +18,7 @@ use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Dataset
 use p2pfl_ml::models::mlp;
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig, WireMsg};
 use p2pfl_secagg::{RoundCore, SacConfig, SacEngine, SacPhase, ShareScheme, WeightVector, Wire};
-use p2pfl_simnet::{Actor, FaultPlan, NodeId, SimDuration};
+use p2pfl_simnet::{Actor, FaultPlan, NodeId, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -22,6 +27,15 @@ use std::time::{Duration, Instant};
 /// `NodeId(0)..NodeId(n)`.
 pub fn ids(n: usize) -> Vec<NodeId> {
     (0..n as u32).map(NodeId).collect()
+}
+
+/// `n` models of dimension `dim`, drawn in order from one RNG seeded
+/// `seed`.
+pub fn models(n: usize, dim: usize, seed: u64) -> Vec<WeightVector> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| WeightVector::random(dim, 1.0, &mut rng))
+        .collect()
 }
 
 /// The SAC configuration harness rounds start from: leader at position
@@ -47,6 +61,82 @@ pub fn sac_config(
         round_deadline: None,
         seed,
     }
+}
+
+/// One SAC peer per model: peers `0..models.len()` in consecutive
+/// subgroups of `sub_size` (leader first), peer `id` holding `models[id]`
+/// under [`sac_config`] with threshold `k`, stage deadlines `deadline` and
+/// seed `seed + id`. A `sub_size` of `models.len()` is one flat group.
+pub fn sac_peers<W: Wire>(
+    models: &[WeightVector],
+    sub_size: usize,
+    k: usize,
+    engine: SacEngine,
+    deadline: SimDuration,
+    seed: u64,
+) -> Vec<(NodeId, RoundCore<W>)> {
+    models
+        .iter()
+        .enumerate()
+        .map(|(id, model)| {
+            let first = id - id % sub_size;
+            let group: Vec<NodeId> = (first..first + sub_size)
+                .map(|i| NodeId(i as u32))
+                .collect();
+            let seed = seed + id as u64;
+            let cfg = sac_config(&group, id % sub_size, k, engine, deadline, seed);
+            (NodeId(id as u32), RoundCore::new(cfg, model.clone()))
+        })
+        .collect()
+}
+
+/// A simulator seeded `seed` hosting every `(id, actor)`, its sends
+/// filtered through `plan` if one is given: the mirror of
+/// [`spawn_group`]. Ids must be `0..` in order, as the simulator assigns
+/// them.
+pub fn sim_group<W: Wire>(
+    seed: u64,
+    actors: impl IntoIterator<Item = (NodeId, RoundCore<W>)>,
+    plan: Option<&FaultPlan>,
+) -> Sim<W::Msg> {
+    let mut sim = Sim::new(seed);
+    for (id, actor) in actors {
+        assert_eq!(sim.add_node(actor), id, "simulator ids are dense");
+    }
+    if let Some(plan) = plan {
+        sim.apply_fault_plan(plan);
+    }
+    sim
+}
+
+/// Virtual time [`sim_round`] gives a round. A leader's result is frozen
+/// once it is `Done`, so running past that changes nothing.
+const SIM_ROUND_TIME: SimDuration = SimDuration::from_secs(30);
+
+/// Starts round `round` on every leader in `leaders`, runs the simulator
+/// for 30 s of virtual time and returns each leader's frozen contributor
+/// set and result, in order. Panics, naming the leader, if one is not
+/// `Done`.
+pub fn sim_round<W: Wire>(
+    sim: &mut Sim<W::Msg>,
+    leaders: impl IntoIterator<Item = NodeId>,
+    round: u64,
+) -> Vec<(Vec<usize>, WeightVector)> {
+    let leaders: Vec<NodeId> = leaders.into_iter().collect();
+    for &leader in &leaders {
+        sim.exec::<RoundCore<W>, _, _>(leader, move |a, ctx| a.start_round(ctx, round));
+    }
+    sim.run_until(sim.now() + SIM_ROUND_TIME);
+    leaders
+        .iter()
+        .map(|&leader| {
+            let a = sim.actor::<RoundCore<W>>(leader);
+            match (&a.phase, &a.result) {
+                (SacPhase::Done, Some(result)) => (a.contributors.clone(), result.clone()),
+                (phase, _) => panic!("simulated round {round} at leader {leader}: {phase:?}"),
+            }
+        })
+        .collect()
 }
 
 /// A simulator-backed session over synthetic 16-feature data: one client
@@ -152,6 +242,26 @@ pub fn wait_done<W: Wire>(
         })
     });
     outcome.unwrap_or_else(|e| panic!("{what} failed: {e}"))
+}
+
+/// Starts round `round` on every leader in `leaders`, then waits for each
+/// in turn ([`wait_done`]); returns each leader's frozen contributor set
+/// and result, in order.
+pub fn reactor_round<'a, W: Wire>(
+    leaders: impl IntoIterator<Item = &'a PeerHandle<W::Msg, RoundCore<W>>>,
+    round: u64,
+) -> Vec<(Vec<usize>, WeightVector)> {
+    let leaders: Vec<_> = leaders.into_iter().collect();
+    for leader in &leaders {
+        leader.with(move |a, ctx| a.start_round(ctx, round));
+    }
+    leaders
+        .iter()
+        .map(|leader| {
+            let what = format!("round {round} at leader {}", leader.node_id());
+            wait_done(leader, &what)
+        })
+        .collect()
 }
 
 /// No frame was refused by a decoder or a full queue on any handle.

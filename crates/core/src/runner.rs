@@ -24,6 +24,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
 
+/// Consecutive FedAvg rounds a subgroup may miss before it is evicted from
+/// the weighted average (`w`). It is re-admitted as soon as its leader is
+/// back — the existing election + join path.
+pub const EVICTION_WINDOW: u32 = 3;
+
 /// Configuration of a [`ResilientSession`].
 #[derive(Debug, Clone)]
 pub struct ResilientConfig {
@@ -38,10 +43,6 @@ pub struct ResilientConfig {
     /// Virtual time the network runs between aggregation rounds (enough
     /// for heartbeats, elections, and joins to settle).
     pub round_settle: SimDuration,
-    /// Consecutive FedAvg rounds a subgroup may miss before it is evicted
-    /// from the weighted average (`w`). It is re-admitted as soon as its
-    /// leader is back — the existing election + join path.
-    pub eviction_window: u32,
     /// Whether share commitments are verified (the runner-level mirror of
     /// [`p2pfl_secagg::SacPeerActor`]'s `verify_commitments`). With this
     /// off, a Byzantine member's skewed shares silently contaminate its
@@ -66,7 +67,6 @@ impl ResilientConfig {
                 batch_size: 32,
             },
             round_settle: SimDuration::from_millis(600),
-            eviction_window: 3,
             verify_commitments: true,
             seed,
         }
@@ -85,7 +85,7 @@ pub struct SupervisorStats {
     /// Subgroup rounds refused because fewer than two members survived.
     pub refusals: u64,
     /// `(round, subgroup)` pairs at which a subgroup was evicted from the
-    /// FedAvg layer after missing [`ResilientConfig::eviction_window`]
+    /// FedAvg layer after missing [`EVICTION_WINDOW`]
     /// consecutive rounds.
     pub evictions: Vec<(usize, usize)>,
     /// `(round, subgroup)` pairs at which an evicted subgroup re-entered
@@ -371,7 +371,7 @@ impl ResilientSession {
     /// misses evict it from the average until its leader reappears.
     fn note_miss(&mut self, g: usize, round: usize) {
         self.miss_streak[g] += 1;
-        if !self.evicted[g] && self.miss_streak[g] >= self.cfg.eviction_window {
+        if !self.evicted[g] && self.miss_streak[g] >= EVICTION_WINDOW {
             self.evicted[g] = true;
             self.supervisor.evictions.push((round, g));
         }

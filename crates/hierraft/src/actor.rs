@@ -20,6 +20,7 @@
 
 use crate::config::{
     FedCmd, FedConfig, FedSnapshot, HierMsg, HierPeerConfig, SubCmd, SubMembers, SubSnapshot,
+    CONFIG_COMMIT_INTERVAL, JOIN_POLL_INTERVAL,
 };
 use crate::detector::{FailureDetector, Liveness};
 use crate::elastic::{rekey_key, ElasticGroup, Topology, TopologyCmd, TopologyEvent};
@@ -684,7 +685,7 @@ impl HierActor {
             return;
         };
         ctx.send(target, HierMsg::Rendezvous { from: self.cfg.id });
-        let poll = self.cfg.join_poll_interval;
+        let poll = JOIN_POLL_INTERVAL;
         Self::arm(ctx, &mut self.rendezvous_timer, poll, TIMER_RENDEZVOUS_TICK);
     }
 
@@ -952,7 +953,7 @@ impl HierActor {
     fn on_became_sub_leader(&mut self, ctx: &mut dyn Transport<HierMsg>) {
         if !self.config_tick_armed {
             self.config_tick_armed = true;
-            ctx.set_timer(self.cfg.config_commit_interval, TIMER_CONFIG_TICK);
+            ctx.set_timer(CONFIG_COMMIT_INTERVAL, TIMER_CONFIG_TICK);
         }
         // Start detecting from a clean slate: quiet time accumulated while
         // someone else led (and we weren't probing) must not instantly
@@ -976,7 +977,7 @@ impl HierActor {
             self.send_join(ctx);
         }
         if !seated {
-            let poll = self.cfg.join_poll_interval;
+            let poll = JOIN_POLL_INTERVAL;
             Self::arm(ctx, &mut self.join_tick_timer, poll, TIMER_JOIN_TICK);
         }
     }
@@ -1180,7 +1181,7 @@ impl HierActor {
             }
         }
         self.config_tick_armed = true;
-        ctx.set_timer(self.cfg.config_commit_interval, TIMER_CONFIG_TICK);
+        ctx.set_timer(CONFIG_COMMIT_INTERVAL, TIMER_CONFIG_TICK);
     }
 }
 
@@ -1368,7 +1369,7 @@ impl Actor<HierMsg> for HierActor {
                     // Round-robin to the next candidate unless we have a
                     // confirmed leader hint.
                     self.send_join(ctx);
-                    let poll = self.cfg.join_poll_interval;
+                    let poll = JOIN_POLL_INTERVAL;
                     Self::arm(ctx, &mut self.join_tick_timer, poll, TIMER_JOIN_TICK);
                 }
             }

@@ -283,6 +283,12 @@ impl Payload for HierMsg {
     }
 }
 
+/// How often a subgroup leader re-commits the FedAvg-layer config.
+pub const CONFIG_COMMIT_INTERVAL: SimDuration = SimDuration::from_millis(200);
+
+/// How often a pending joiner polls for a FedAvg leader (paper: 100 ms).
+pub const JOIN_POLL_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
 /// Static configuration of one two-layer peer.
 #[derive(Debug, Clone)]
 pub struct HierPeerConfig {
@@ -298,10 +304,6 @@ pub struct HierPeerConfig {
     /// heartbeat, probe and detector windows derive from it (see
     /// [`HierPeerConfig::heartbeat`]).
     pub t: SimDuration,
-    /// How often a subgroup leader re-commits the FedAvg-layer config.
-    pub config_commit_interval: SimDuration,
-    /// How often a pending joiner polls for a FedAvg leader (paper: 100 ms).
-    pub join_poll_interval: SimDuration,
     /// The secure-aggregation engine this deployment was launched with;
     /// seeds the first replicated [`FedConfig`] commit.
     pub engine: SacEngine,
@@ -411,8 +413,6 @@ mod tests {
             subgroup_index: 0,
             founding_fed: vec![NodeId(0), NodeId(2)],
             t: SimDuration::from_millis(100),
-            config_commit_interval: SimDuration::from_millis(500),
-            join_poll_interval: SimDuration::from_millis(100),
             engine: SacEngine::Pairwise,
             combiner: RobustCombiner::FedAvg,
             seed: 1,

@@ -24,7 +24,7 @@ mod topology;
 pub use actor::{HierActor, COMPACT_AFTER};
 pub use config::{
     ElasticPeerConfig, FedCmd, FedConfig, FedSnapshot, HierMsg, HierPeerConfig, SubCmd, SubMembers,
-    SubSnapshot,
+    SubSnapshot, CONFIG_COMMIT_INTERVAL, JOIN_POLL_INTERVAL,
 };
 pub use detector::{FailureDetector, Liveness};
 pub use elastic::{

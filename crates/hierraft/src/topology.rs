@@ -19,10 +19,6 @@ pub struct DeploymentSpec {
     pub t: SimDuration,
     /// One-way link delay.
     pub link_delay: SimDuration,
-    /// How often subgroup leaders re-commit the FedAvg-layer config.
-    pub config_commit_interval: SimDuration,
-    /// Joiner poll interval (paper: 100 ms).
-    pub join_poll_interval: SimDuration,
     /// Secure-aggregation engine for this deployment (replicated to every
     /// peer through the committed [`crate::FedConfig`]).
     pub engine: SacEngine,
@@ -42,8 +38,6 @@ impl DeploymentSpec {
             subgroup_size: 5,
             t: SimDuration::from_millis(t_ms),
             link_delay: SimDuration::from_millis(15),
-            config_commit_interval: SimDuration::from_millis(200),
-            join_poll_interval: SimDuration::from_millis(100),
             engine: SacEngine::Pairwise,
             combiner: RobustCombiner::FedAvg,
             seed,
@@ -86,8 +80,6 @@ impl DeploymentSpec {
             subgroup_index,
             founding_fed: subgroups.iter().map(|g| g[0]).collect(),
             t: self.t,
-            config_commit_interval: self.config_commit_interval,
-            join_poll_interval: self.join_poll_interval,
             engine: self.engine,
             combiner: self.combiner,
             seed: self.seed ^ (0x9e37 + id.0 as u64 * 0x85eb_ca6b),

@@ -4,7 +4,7 @@
 //! by an asymmetric partition is undone once the link heals.
 
 use p2pfl_hierraft::{Deployment, DeploymentSpec, HierActor, Liveness};
-use p2pfl_simnet::{NodeId, SimDuration, SimTime};
+use p2pfl_simnet::{FaultPlan, NodeId, SimDuration, SimTime};
 
 /// The paper topology with `T` = 100 ms, which the deployment builder maps
 /// to a 100 ms suspect window and a 300 ms confirm window.
@@ -26,6 +26,12 @@ fn roster_changes_for(d: &Deployment, leader: NodeId, member: NodeId) -> Vec<boo
         .filter(|(_, m, _)| *m == member)
         .map(|&(_, _, evicted)| evicted)
         .collect()
+}
+
+/// A plan cutting `src -> dst` for `outage` from when it is applied.
+fn one_way_outage(src: NodeId, dst: NodeId, outage: SimDuration) -> FaultPlan {
+    let until = SimTime::ZERO + outage;
+    FaultPlan::new(0).partition(SimTime::ZERO, until, vec![src], vec![dst])
 }
 
 #[test]
@@ -76,15 +82,16 @@ fn suspected_member_that_recovers_is_never_evicted() {
     // One-way outage shorter than the confirm window: the leader stops
     // hearing the victim's heartbeat replies, but the victim stays up.
     let t0 = d.sim.now();
-    d.sim.partition(victim, leader);
-    d.sim.run_until(t0 + SimDuration::from_millis(140));
+    let outage = SimDuration::from_millis(140);
+    d.sim
+        .apply_fault_plan(&one_way_outage(victim, leader, outage));
+    d.sim.run_until(t0 + outage);
     assert_eq!(
         d.sim.actor::<HierActor>(leader).liveness_of(victim),
         Liveness::Suspected,
         "quiet past the suspect window should be suspected"
     );
 
-    d.sim.heal(victim, leader);
     d.sim.run_until(t0 + SimDuration::from_secs(1));
 
     assert_eq!(
@@ -109,15 +116,16 @@ fn asymmetric_partition_eviction_is_undone_after_heal() {
     // Outage longer than the confirm window: a false positive the detector
     // cannot avoid. The victim never crashes.
     let t0 = d.sim.now();
-    d.sim.partition(victim, leader);
-    d.sim.run_until(t0 + SimDuration::from_secs(1));
+    let outage = SimDuration::from_secs(1);
+    d.sim
+        .apply_fault_plan(&one_way_outage(victim, leader, outage));
+    d.sim.run_until(t0 + outage);
     assert!(!roster_of(&d, leader).contains(&victim), "not evicted");
     assert!(!d.sim.is_crashed(victim), "victim was alive the whole time");
 
     // Once its replies get through again (Raft heartbeat acks, probe acks,
     // or the ProbeAck refuting the Evict notice), the leader re-admits it.
     let t1 = d.sim.now();
-    d.sim.heal(victim, leader);
     d.sim.run_until(t1 + SimDuration::from_secs(1));
 
     assert!(

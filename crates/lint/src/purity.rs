@@ -18,9 +18,9 @@ use crate::{Finding, Rule};
 pub const PURITY_CRATES: &[&str] = &["raft", "hierraft", "secagg", "fed", "simnet", "check"];
 
 /// Individual files inside IO crates that must nonetheless stay pure.
-/// The async reactor keeps its bounded send queue and timer wheel free
-/// of clocks/sockets so their behaviour is testable (and loom-checkable)
-/// without a live reactor; the IO lives in `mod.rs`/`conn.rs`/`sys.rs`.
+/// The async reactor keeps its bounded send queue and its deadline heap
+/// free of clocks/sockets so their behaviour is unit-testable without a
+/// live reactor; the IO lives in `mod.rs`/`conn.rs`/`sys.rs`.
 pub const PURITY_FILES: &[&str] = &[
     "crates/net/src/reactor/queue.rs",
     "crates/net/src/reactor/timer.rs",

@@ -480,7 +480,7 @@ impl<C: Command, SM: StateMachine<C>> Actor<RaftMsg<C>> for RaftActor<C, SM> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2pfl_simnet::{Sim, SimDuration};
+    use p2pfl_simnet::{FaultPlan, Sim, SimDuration};
 
     type Msg = RaftMsg<u64>;
 
@@ -599,12 +599,13 @@ mod tests {
         let (mut sim, ids) = build_cluster(3, 100, 5);
         sim.run_until(SimTime::from_secs(2));
         let leader = leaders(&sim, &ids)[0];
-        // Cut the leader off from both followers.
-        for &id in &ids {
-            if id != leader {
-                sim.partition_pair(leader, id);
-            }
-        }
+        // Cut the leader off from both followers for the rest of the test.
+        let others: Vec<NodeId> = ids.iter().copied().filter(|&i| i != leader).collect();
+        let (from, until) = (SimTime::ZERO, SimTime::from_secs(1));
+        let plan = FaultPlan::new(5)
+            .partition(from, until, vec![leader], others.clone())
+            .partition(from, until, others.clone(), vec![leader]);
+        sim.apply_fault_plan(&plan);
         let before = sim
             .actor::<RaftActor<u64, Recorder>>(leader)
             .raft()
@@ -620,7 +621,6 @@ mod tests {
             "isolated leader must not commit"
         );
         // Meanwhile the majority side elected a new leader.
-        let others: Vec<NodeId> = ids.iter().copied().filter(|&i| i != leader).collect();
         let new_leaders = leaders(&sim, &others);
         assert_eq!(new_leaders.len(), 1);
     }

@@ -4,7 +4,7 @@
 //! DESIGN.md, implementation note 1).
 
 use p2pfl_raft::{NullStateMachine, RaftActor, RaftConfig, RaftMsg};
-use p2pfl_simnet::{NodeId, Sim, SimDuration, SimTime};
+use p2pfl_simnet::{FaultPlan, NodeId, Sim, SimDuration, SimTime};
 
 type Node = RaftActor<u64, NullStateMachine>;
 
@@ -32,7 +32,22 @@ fn run_scenario(pre_vote: bool, seed: u64) -> (u64, u64) {
     let term_before = sim.actor::<Node>(leader).raft().term();
 
     // Make a follower stale: crash it, then commit entries without it.
+    // Isolate it from the leader from the crash on, so that after its
+    // restart it keeps timing out, but let it reach the other follower
+    // (whose vote it will solicit). This models the flaky-link rejoin that
+    // plagues real clusters. (A plan rules at send time: cutting the link
+    // only at the restart would still deliver the leader's frames already
+    // in flight, which bring the rejoiner's log up to date.)
     let victim = *ids.iter().find(|&&id| id != leader).unwrap();
+    let other = *ids
+        .iter()
+        .find(|&&id| id != leader && id != victim)
+        .unwrap();
+    let (from, until) = (SimTime::ZERO, SimTime::from_secs(6));
+    let plan = FaultPlan::new(seed)
+        .partition(from, until, vec![victim], vec![leader])
+        .partition(from, until, vec![leader], vec![victim]);
+    sim.apply_fault_plan(&plan);
     let at = sim.now() + SimDuration::from_millis(1);
     sim.schedule_crash(victim, at);
     sim.run_for(SimDuration::from_millis(200));
@@ -42,15 +57,6 @@ fn run_scenario(pre_vote: bool, seed: u64) -> (u64, u64) {
         });
         sim.run_for(SimDuration::from_millis(50));
     }
-    // Isolate the zombie from the leader so it keeps timing out after its
-    // restart, but let it reach the other follower (whose vote it will
-    // solicit). This models the flaky-link rejoin that plagues real
-    // clusters.
-    let other = *ids
-        .iter()
-        .find(|&&id| id != leader && id != victim)
-        .unwrap();
-    sim.partition_pair(victim, leader);
     let at = sim.now() + SimDuration::from_millis(1);
     sim.schedule_restart(victim, at);
     sim.run_for(SimDuration::from_secs(5));

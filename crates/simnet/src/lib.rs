@@ -13,13 +13,15 @@
 //!   through a [`Context`].
 //! * Virtual time ([`SimTime`]/[`SimDuration`]) advances only when events
 //!   fire; there is no wall-clock dependence anywhere.
-//! * Link latencies come from a [`Latency`] model (constant / uniform /
-//!   truncated normal), optionally per directed link.
-//! * Fault injection: scheduled crashes and restarts, link partitions, and
-//!   i.i.d. message loss — plus declarative, seeded [`FaultPlan`] schedules
-//!   (loss, delay, duplication, reordering, partitions, blackouts,
-//!   crash/restart) interpreted identically here and by the real TCP
-//!   transport in `p2pfl-net`.
+//! * Link latencies come from one [`Latency`] model for every link
+//!   (constant or uniform), plus an optional bandwidth term.
+//! * Fault injection has one path: declarative, seeded [`FaultPlan`]
+//!   schedules (loss, delay, duplication, reordering, partitions,
+//!   blackouts, crash/restart), interpreted identically here and by the
+//!   real TCP transport in `p2pfl-net`. A plan rules on each frame when
+//!   it is sent, so a frame already in flight when a window opens still
+//!   arrives. [`Sim::schedule_crash`] and [`Sim::schedule_restart`] add
+//!   one-off process faults.
 //! * Every message is charged to a [`Metrics`] ledger (bytes and counts per
 //!   link and per protocol phase) — the basis for the paper's communication
 //!   cost figures.

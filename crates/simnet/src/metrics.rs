@@ -91,11 +91,6 @@ impl Metrics {
         }
         c
     }
-
-    /// Resets every counter to zero (used between aggregation rounds).
-    pub fn reset(&mut self) {
-        *self = Metrics::default();
-    }
 }
 
 #[cfg(test)]
@@ -136,14 +131,5 @@ mod tests {
         m.record_drop(10);
         assert_eq!(m.total().bytes, 10, "drop does not undo the send");
         assert_eq!(m.dropped().bytes, 10);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut m = Metrics::new();
-        m.record_send(NodeId(0), NodeId(1), "a", 10);
-        m.reset();
-        assert_eq!(m.total(), Counter::default());
-        assert!(m.kinds().is_empty());
     }
 }

@@ -179,18 +179,15 @@ struct SimInner<M> {
     cancelled: HashSet<TimerId>,
     crashed: Vec<bool>,
     epoch: Vec<u64>,
-    partitions: HashSet<(NodeId, NodeId)>,
     link_faults: Option<LinkFaults>,
     latency: LatencyConfig,
     metrics: Metrics,
     trace: Trace,
     rng: StdRng,
-    node_rngs: Vec<StdRng>,
     // Earliest time each node's egress link is free again (store-and-
     // forward: serialization occupies the sender's NIC when a bandwidth
     // model is configured).
     tx_free: Vec<SimTime>,
-    halted: bool,
 }
 
 impl<M: Payload> SimInner<M> {
@@ -300,18 +297,6 @@ impl<'a, M: Payload> Context<'a, M> {
         }
     }
 
-    /// Sends `msg` to every node in `peers` except this node.
-    pub fn broadcast<I: IntoIterator<Item = NodeId>>(&mut self, peers: I, msg: M)
-    where
-        M: Clone,
-    {
-        for p in peers {
-            if p != self.node {
-                self.send(p, msg.clone());
-            }
-        }
-    }
-
     /// Arms a one-shot timer firing after `delay`, carrying `tag` back to
     /// [`Actor::on_timer`]. Returns an id usable with
     /// [`Context::cancel_timer`].
@@ -337,16 +322,6 @@ impl<'a, M: Payload> Context<'a, M> {
     /// harmless no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.inner.cancelled.insert(id);
-    }
-
-    /// This node's private deterministic RNG.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.inner.node_rngs[self.node.index()]
-    }
-
-    /// Stops the simulation after the current event completes.
-    pub fn halt(&mut self) {
-        self.inner.halted = true;
     }
 }
 
@@ -376,7 +351,6 @@ impl<'a, M: Payload> Transport<M> for Context<'a, M> {
 pub struct Sim<M: Payload> {
     inner: SimInner<M>,
     actors: Vec<Option<Box<dyn Actor<M>>>>,
-    seed: u64,
 }
 
 impl<M: Payload> Sim<M> {
@@ -392,18 +366,14 @@ impl<M: Payload> Sim<M> {
                 cancelled: HashSet::new(),
                 crashed: Vec::new(),
                 epoch: Vec::new(),
-                partitions: HashSet::new(),
                 link_faults: None,
                 latency: LatencyConfig::paper_default(),
                 metrics: Metrics::new(),
                 trace: Trace::new(),
                 rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
-                node_rngs: Vec::new(),
                 tx_free: Vec::new(),
-                halted: false,
             },
             actors: Vec::new(),
-            seed,
         }
     }
 
@@ -425,11 +395,6 @@ impl<M: Payload> Sim<M> {
         self.inner.crashed.push(false);
         self.inner.epoch.push(0);
         self.inner.tx_free.push(SimTime::ZERO);
-        let node_seed = self
-            .seed
-            .wrapping_mul(0x100_0000_01b3)
-            .wrapping_add(id.0 as u64 + 1);
-        self.inner.node_rngs.push(StdRng::seed_from_u64(node_seed));
         let now = self.inner.now;
         self.inner.push(now, EventKind::Start(id));
         id
@@ -484,23 +449,6 @@ impl<M: Payload> Sim<M> {
         self.inner.link_faults = None;
     }
 
-    /// Blocks the directed link `src -> dst` from now on. Messages already
-    /// in flight are dropped at their delivery time.
-    pub fn partition(&mut self, src: NodeId, dst: NodeId) {
-        self.inner.partitions.insert((src, dst));
-    }
-
-    /// Blocks both directions between `a` and `b`.
-    pub fn partition_pair(&mut self, a: NodeId, b: NodeId) {
-        self.partition(a, b);
-        self.partition(b, a);
-    }
-
-    /// Restores the directed link `src -> dst`.
-    pub fn heal(&mut self, src: NodeId, dst: NodeId) {
-        self.inner.partitions.remove(&(src, dst));
-    }
-
     /// Injects a message from outside the simulation (e.g. an operator
     /// request), delivered to `dst` after `delay`, attributed to `src`.
     /// Injected messages do not enter the cost ledger.
@@ -519,20 +467,9 @@ impl<M: Payload> Sim<M> {
         &self.inner.metrics
     }
 
-    /// Write access to the communication ledger (e.g. to reset between
-    /// rounds).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.inner.metrics
-    }
-
     /// The collected trace.
     pub fn trace(&self) -> &Trace {
         &self.inner.trace
-    }
-
-    /// Mutable access to the trace (to clear between phases).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.inner.trace
     }
 
     /// Immutable access to a node's actor, downcast to its concrete type.
@@ -585,12 +522,8 @@ impl<M: Payload> Sim<M> {
         r
     }
 
-    /// Processes a single event. Returns `false` when the queue is empty or
-    /// the simulation was halted.
+    /// Processes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        if self.inner.halted {
-            return false;
-        }
         let Some(ev) = self.inner.queue.pop() else {
             return false;
         };
@@ -615,16 +548,6 @@ impl<M: Payload> Sim<M> {
                             src,
                             dst,
                             reason: DropReason::DestinationCrashed,
-                        },
-                    );
-                } else if self.inner.partitions.contains(&(src, dst)) {
-                    self.inner.metrics.record_drop(msg.size_bytes());
-                    self.inner.trace.record(
-                        ev.at,
-                        TraceKind::Drop {
-                            src,
-                            dst,
-                            reason: DropReason::Partitioned,
                         },
                     );
                 } else {
@@ -815,13 +738,13 @@ impl<M: Payload> Sim<M> {
         self.actors[node.index()] = Some(actor);
     }
 
-    /// Runs until the virtual clock reaches `deadline`, the queue drains, or
-    /// an actor halts the simulation. Returns the number of events processed.
+    /// Runs until the virtual clock reaches `deadline` or the queue drains.
+    /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
         loop {
             match self.inner.queue.peek() {
-                Some(ev) if ev.at <= deadline && !self.inner.halted => {
+                Some(ev) if ev.at <= deadline => {
                     self.step();
                     n += 1;
                 }
@@ -840,19 +763,14 @@ impl<M: Payload> Sim<M> {
         self.run_until(deadline)
     }
 
-    /// Runs until the event queue is empty, the simulation halts, or
-    /// `max_events` events have been processed. Returns events processed.
+    /// Runs until the event queue is empty or `max_events` events have
+    /// been processed. Returns events processed.
     pub fn run_until_quiet(&mut self, max_events: u64) -> u64 {
         let mut n = 0;
         while n < max_events && self.step() {
             n += 1;
         }
         n
-    }
-
-    /// Whether an actor has called [`Context::halt`].
-    pub fn is_halted(&self) -> bool {
-        self.inner.halted
     }
 
     /// Order-insensitive digest of the live event queue, independent of
@@ -891,11 +809,6 @@ impl<M: Payload> Sim<M> {
         let mut h = DefaultHasher::new();
         per_event.hash(&mut h);
         h.finish()
-    }
-
-    /// Clears the halt flag so the simulation can be resumed.
-    pub fn clear_halt(&mut self) {
-        self.inner.halted = false;
     }
 }
 
@@ -1078,9 +991,14 @@ mod tests {
         assert_ne!(run(123).0, run(124).0, "different seeds should differ");
     }
 
+    /// A partition window rules at send time, like every plan entry: a
+    /// frame already in flight when it opens is delivered, one sent inside
+    /// it is dropped as partitioned, one sent after `until` is delivered.
     #[test]
     fn partition_blocks_until_healed() {
+        use crate::fault::FaultPlan;
         let mut sim = Sim::new(3);
+        sim.enable_trace();
         let echo = sim.add_node(Echo {
             received: 0,
             echo: false,
@@ -1090,13 +1008,35 @@ mod tests {
             replies: 0,
             reply_at: None,
         });
-        sim.partition(pinger, echo);
-        sim.run_until_quiet(100);
-        assert_eq!(sim.actor::<Echo>(echo).received, 0);
-        sim.heal(pinger, echo);
-        sim.inject(pinger, echo, Blob::of_size(1), SimDuration::from_millis(1));
-        sim.run_until_quiet(100);
-        assert_eq!(sim.actor::<Echo>(echo).received, 1);
+        // The pinger's start-up frame leaves at 0 ms and lands at 15 ms.
+        sim.run_until(SimTime::from_millis(5));
+        let plan = FaultPlan::new(3).partition(
+            SimTime::ZERO,
+            SimTime::from_millis(50),
+            vec![pinger],
+            vec![echo],
+        );
+        sim.apply_fault_plan(&plan);
+        sim.run_until(SimTime::from_millis(20));
+        assert_eq!(sim.actor::<Echo>(echo).received, 1, "in flight: delivered");
+
+        let ping = |sim: &mut Sim<Blob>| {
+            sim.exec::<Pinger, _, _>(pinger, |_, ctx| ctx.send(echo, Blob::of_size(1)))
+        };
+        ping(&mut sim);
+        sim.run_until(SimTime::from_millis(60));
+        assert_eq!(sim.actor::<Echo>(echo).received, 1, "sent inside: dropped");
+        assert!(sim.trace().events().iter().any(|e| matches!(
+            e.kind,
+            TraceKind::Drop {
+                reason: DropReason::Partitioned,
+                ..
+            }
+        )));
+
+        ping(&mut sim);
+        sim.run_until(SimTime::from_millis(100));
+        assert_eq!(sim.actor::<Echo>(echo).received, 2, "sent after: delivered");
     }
 
     #[test]

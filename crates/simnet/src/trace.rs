@@ -123,11 +123,6 @@ impl Trace {
         self.enabled = on;
     }
 
-    /// Whether collection is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records an event if enabled.
     pub fn record(&mut self, at: SimTime, kind: TraceKind) {
         if self.enabled {
@@ -138,11 +133,6 @@ impl Trace {
     /// Everything recorded so far.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Clears the history.
-    pub fn clear(&mut self) {
-        self.events.clear();
     }
 
     /// Exports the recorded history as a JSON array, one object per event,

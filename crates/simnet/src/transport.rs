@@ -46,17 +46,4 @@ pub trait Transport<M: Payload> {
     /// Cancels a pending timer. Cancelling an already-fired timer is a
     /// harmless no-op.
     fn cancel_timer(&mut self, id: TimerId);
-
-    /// Sends `msg` to every node in `peers` except this node.
-    fn broadcast(&mut self, peers: &[NodeId], msg: M)
-    where
-        M: Clone,
-    {
-        let me = self.node_id();
-        for &p in peers {
-            if p != me {
-                self.send(p, msg.clone());
-            }
-        }
-    }
 }

@@ -14,13 +14,14 @@
 //!   the published result stays the plain mean of the honest models.
 
 use p2pfl_bench::testkit::{
-    assert_clean_wire, ids, mesh, reactor, sac_config, spawn_group, wait_done,
+    assert_clean_wire, mesh, models, reactor, reactor_round, sac_peers, sim_group, sim_round,
+    spawn_group,
 };
 use p2pfl_net::codec::{from_bytes, to_bytes, to_frame_bytes, FrameBuffer};
 use p2pfl_secagg::{
-    RingMsg, RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector,
+    PairwiseWire, RingMsg, RingSacActor, RingWire, SacEngine, SacMsg, SacPeerActor, WeightVector,
 };
-use p2pfl_simnet::{Sim, SimDuration};
+use p2pfl_simnet::{NodeId, SimDuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -174,84 +175,56 @@ fn digest_sees_every_single_change() {
 // Rounds: reactor digest == simulator digest, skewer convicted
 // ---------------------------------------------------------------------
 
-fn models(n: usize) -> Vec<WeightVector> {
-    let mut rng = StdRng::seed_from_u64(SEED + 2);
-    (0..n)
-        .map(|_| WeightVector::random(DIM, 1.0, &mut rng))
-        .collect()
-}
-
-/// Deadlines only bound how long a leader waits for a peer it will not
-/// hear from (here: the convicted skewer, when its block happens to arrive
-/// last); every honest block is in long before, so the frozen set — and
-/// with it the digest — is the same under virtual and wall-clock time.
-fn config(n: usize, k: usize, position: usize, engine: SacEngine, deadline_ms: u64) -> SacConfig {
-    let deadline = SimDuration::from_millis(deadline_ms);
-    let seed = SEED + position as u64;
-    sac_config(&ids(n), position, k, engine, deadline, seed)
+/// `n` models at the bulk dimension.
+fn inputs(n: usize) -> Vec<WeightVector> {
+    models(n, DIM, SEED + 2)
 }
 
 const PAIRWISE_N: usize = 3;
 const SKEWER: usize = 2;
 
-/// One pairwise round with peer [`SKEWER`] committing honestly and then
-/// sending halved shares. Returns the leader's (contributors, digest,
-/// shares_rejected, convicted positions).
-type PairwiseOutcome = (Vec<usize>, u64, u64, Vec<usize>);
-
-fn pairwise_outcome(a: &SacPeerActor) -> Option<PairwiseOutcome> {
-    match &a.phase {
-        SacPhase::Done => Some((
-            a.contributors.clone(),
-            a.result.as_ref().expect("done without result").digest(),
-            a.shares_rejected,
-            a.byzantine_detected.iter().copied().collect(),
-        )),
-        SacPhase::Failed(e) => panic!("pairwise round failed: {e}"),
-        _ => None,
-    }
-}
-
-fn pairwise_actor(position: usize, deadline_ms: u64, model: &WeightVector) -> SacPeerActor {
-    let cfg = config(PAIRWISE_N, 2, position, SacEngine::Pairwise, deadline_ms);
-    let mut actor = SacPeerActor::new(cfg, model.clone());
-    if position == SKEWER {
-        actor.byz_share_skew = Some(0.5);
-    }
-    actor
+/// Three pairwise peers (k = 2), peer [`SKEWER`] committing honestly and
+/// then sending halved shares. The deadline only bounds how long the
+/// leader waits for a peer it will not hear from (the convicted skewer,
+/// when its block happens to arrive last); every honest block is in long
+/// before, so the frozen set — and with it the digest — is the same under
+/// virtual and wall-clock time.
+fn pairwise_peers(models: &[WeightVector]) -> Vec<(NodeId, SacPeerActor)> {
+    let deadline = SimDuration::from_millis(2_000);
+    let mut peers = sac_peers(models, PAIRWISE_N, 2, SacEngine::Pairwise, deadline, SEED);
+    peers[SKEWER].1.byz_share_skew = Some(0.5);
+    peers
 }
 
 #[test]
 fn pairwise_round_matches_simulator_and_convicts_the_skewer() {
-    let models = models(PAIRWISE_N);
-    let ids = ids(PAIRWISE_N);
+    let models = inputs(PAIRWISE_N);
 
-    let mut sim: Sim<SacMsg> = Sim::new(SEED);
-    for (i, m) in models.iter().enumerate() {
-        sim.add_node(pairwise_actor(i, 2_000, m));
-    }
-    sim.exec::<SacPeerActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
-    sim.run_until(sim.now() + SimDuration::from_secs(30));
-    let want = pairwise_outcome(sim.actor::<SacPeerActor>(ids[0])).expect("sim round unfinished");
+    let mut sim = sim_group(SEED, pairwise_peers(&models), None);
+    let want = sim_round::<PairwiseWire>(&mut sim, [NodeId(0)], 1).remove(0);
     assert_eq!(want.0, vec![0, 1], "skewer not excluded on the simulator");
 
     let reactor = reactor::<SacMsg, SacPeerActor>();
-    let actors = models.iter().enumerate();
-    let actors = actors.map(|(i, m)| (ids[i], pairwise_actor(i, 2_000, m)));
-    let handles = spawn_group(&reactor, actors, None);
+    let handles = spawn_group(&reactor, pairwise_peers(&models), None);
     mesh(&handles);
-    handles[0].with(|a, ctx| a.start_round(ctx, 1));
-    let (_, result) = wait_done(&handles[0], "pairwise round");
-    let got = handles[0].with(|a, _| pairwise_outcome(a)).expect("done");
+    let (contributors, result) = reactor_round(&handles[..1], 1).remove(0);
     // The skewer's intended model is excluded, not averaged in skewed:
     // what the leader publishes is the plain mean of the honest two.
     let drift = result.linf_distance(&WeightVector::mean(models[..SKEWER].iter()));
     assert!(drift < 1e-9, "result drifted {drift} from the honest mean");
 
-    assert_eq!(got.0, want.0, "contributor sets diverged");
-    assert_eq!(got.1, want.1, "reactor digest diverged from the simulator");
-    assert!(got.2 >= 1, "leader accepted a skewed block");
-    assert_eq!(got.3, vec![SKEWER], "skewer not convicted");
+    assert_eq!(contributors, want.0, "contributor sets diverged");
+    assert_eq!(
+        result.digest(),
+        want.1.digest(),
+        "reactor digest diverged from the simulator"
+    );
+    let (rejected, convicted) = handles[0].with(|a, _| {
+        let convicted: Vec<usize> = a.byzantine_detected.iter().copied().collect();
+        (a.shares_rejected, convicted)
+    });
+    assert!(rejected >= 1, "leader accepted a skewed block");
+    assert_eq!(convicted, vec![SKEWER], "skewer not convicted");
     // The honest follower checked the skewer's block against the same
     // commitment, independently.
     let (rejected, convicted) =
@@ -265,46 +238,29 @@ fn pairwise_round_matches_simulator_and_convicts_the_skewer() {
 
 const RING_N: usize = 8;
 
-fn ring_digest(a: &RingSacActor) -> Option<u64> {
-    match &a.phase {
-        SacPhase::Done => {
-            assert_eq!(a.contributors, (0..RING_N).collect::<Vec<_>>());
-            Some(a.result.as_ref().expect("done without result").digest())
-        }
-        SacPhase::Failed(e) => panic!("ring round failed: {e}"),
-        _ => None,
-    }
+/// Eight ring peers (k = 4).
+fn ring_peers(models: &[WeightVector], deadline_ms: u64) -> Vec<(NodeId, RingSacActor)> {
+    let deadline = SimDuration::from_millis(deadline_ms);
+    sac_peers(models, RING_N, 4, SacEngine::Ring, deadline, SEED)
 }
 
 #[test]
 fn ring_round_matches_simulator() {
-    let models = models(RING_N);
-    let ids = ids(RING_N);
-    let actor = |i: usize, deadline_ms: u64| {
-        RingSacActor::new(
-            config(RING_N, 4, i, SacEngine::Ring, deadline_ms),
-            models[i].clone(),
-        )
-    };
+    let models = inputs(RING_N);
+    let everyone = (0..RING_N).collect::<Vec<_>>();
 
-    let mut sim: Sim<RingMsg> = Sim::new(SEED);
-    for i in 0..RING_N {
-        sim.add_node(actor(i, 2_000));
-    }
-    sim.exec::<RingSacActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
-    sim.run_until(sim.now() + SimDuration::from_secs(30));
-    let want = ring_digest(sim.actor::<RingSacActor>(ids[0])).expect("sim round unfinished");
+    let mut sim = sim_group(SEED, ring_peers(&models, 2_000), None);
+    let (contributors, want) = sim_round::<RingWire>(&mut sim, [NodeId(0)], 1).remove(0);
+    assert_eq!(contributors, everyone);
 
     let reactor = reactor::<RingMsg, RingSacActor>();
-    let actors = (0..RING_N).map(|i| (ids[i], actor(i, 30_000)));
-    let handles = spawn_group(&reactor, actors, None);
+    let handles = spawn_group(&reactor, ring_peers(&models, 30_000), None);
     mesh(&handles);
-    handles[0].with(|a, ctx| a.start_round(ctx, 1));
-    let (contributors, got) = wait_done(&handles[0], "ring round");
-    assert_eq!(contributors, (0..RING_N).collect::<Vec<_>>());
+    let (contributors, got) = reactor_round(&handles[..1], 1).remove(0);
+    assert_eq!(contributors, everyone);
     assert_eq!(
         got.digest(),
-        want,
+        want.digest(),
         "reactor digest diverged from the simulator"
     );
     assert_clean_wire(&handles);

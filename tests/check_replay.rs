@@ -11,11 +11,13 @@
 //!   contributor set — the KofNReconstructability oracle, checked by hand
 //!   on the transport the explorer cannot drive.
 
-use p2pfl_bench::testkit::{mesh, reactor, sac_config, spawn_group, wait_done};
+use p2pfl_bench::testkit::{
+    mesh, reactor, reactor_round, sac_peers, sim_group, sim_round, spawn_group,
+};
 use p2pfl_check::models::Sac3Model;
 use p2pfl_check::{Counterexample, ExploreConfig, Explorer, Model};
-use p2pfl_secagg::{SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
-use p2pfl_simnet::{NodeId, Sim, SimDuration};
+use p2pfl_secagg::{PairwiseWire, SacEngine, SacMsg, SacPeerActor, WeightVector};
+use p2pfl_simnet::{NodeId, SimDuration};
 
 const SEED: u64 = 0xCE11;
 
@@ -65,37 +67,10 @@ fn counterexample_json_reexecutes_deterministically_on_simulator() {
     assert_eq!(a.queue_digest(), b.queue_digest());
 }
 
-/// The 3-peer SAC deployment of [`Sac3Model`], rebuilt on a plain
-/// simulator so a fault plan can be applied to it.
-fn sim_round_under(plan: &p2pfl_simnet::FaultPlan) -> (Vec<usize>, WeightVector) {
-    let ids: Vec<NodeId> = (0..3).map(NodeId).collect();
-    let mut sim: Sim<SacMsg> = Sim::new(SEED);
-    for pos in 0..3 {
-        sim.add_node(SacPeerActor::new(
-            sac_cfg(&ids, pos, SimDuration::from_millis(400)),
-            peer_model(pos),
-        ));
-    }
-    sim.apply_fault_plan(plan);
-    sim.run_until_quiet(50);
-    sim.exec::<SacPeerActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
-    sim.run_for(SimDuration::from_secs(10));
-    let leader = sim.actor::<SacPeerActor>(ids[0]);
-    assert_eq!(
-        leader.phase,
-        SacPhase::Done,
-        "sim round: {:?}",
-        leader.phase
-    );
-    (
-        leader.contributors.clone(),
-        leader.result.clone().expect("Done implies result"),
-    )
-}
-
-fn sac_cfg(ids: &[NodeId], pos: usize, deadline: SimDuration) -> SacConfig {
-    let seed = SEED + pos as u64;
-    sac_config(ids, pos, 2, SacEngine::Pairwise, deadline, seed)
+/// The 3-peer SAC deployment of [`Sac3Model`] (k = 2, peer `pos` holding
+/// `peer_model(pos)`), for a plain simulator or the reactor.
+fn peers(deadline: SimDuration) -> Vec<(NodeId, SacPeerActor)> {
+    sac_peers(&MODELS, 3, 2, SacEngine::Pairwise, deadline, SEED)
 }
 
 fn peer_model(pos: usize) -> WeightVector {
@@ -124,7 +99,8 @@ fn projected_fault_plan_reexecutes_on_simulator() {
         plan.can_drop_messages(),
         "the schedule's drop must survive projection"
     );
-    let (contributors, result) = sim_round_under(&plan);
+    let mut sim = sim_group(SEED, peers(SimDuration::from_millis(400)), Some(&plan));
+    let (contributors, result) = sim_round::<PairwiseWire>(&mut sim, [NodeId(0)], 1).remove(0);
     assert_kofn(&contributors, &result);
 }
 
@@ -138,19 +114,10 @@ fn projected_fault_plan_reexecutes_on_tcp() {
         e.until = Some(p2pfl_simnet::SimTime::from_secs(600));
     }
 
-    let ids: Vec<NodeId> = (0..3).map(NodeId).collect();
     let reactor = reactor::<SacMsg, SacPeerActor>();
-    let handles = spawn_group(
-        &reactor,
-        (0..3).map(|pos| {
-            let cfg = sac_cfg(&ids, pos, SimDuration::from_secs(2));
-            (ids[pos], SacPeerActor::new(cfg, peer_model(pos)))
-        }),
-        Some(&plan),
-    );
+    let handles = spawn_group(&reactor, peers(SimDuration::from_secs(2)), Some(&plan));
     mesh(&handles);
 
-    handles[0].with(|a, ctx| a.start_round(ctx, 1));
-    let (contributors, result) = wait_done(&handles[0], "tcp round under projected plan");
+    let (contributors, result) = reactor_round(&handles[..1], 1).remove(0);
     assert_kofn(&contributors, &result);
 }

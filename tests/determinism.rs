@@ -59,11 +59,9 @@ fn reactor_sac_round_replays_exactly() {
     // aggregate on every run, even though TCP delivery timing differs.
     // (Cross-transport equality — sim vs reactor — is covered in
     // `fault_plan.rs`; this pins run-to-run stability of one leg.)
-    use p2pfl_bench::testkit::{ids, mesh, reactor, sac_config, spawn_group, wait_done};
-    use p2pfl_secagg::{SacEngine, SacMsg, SacPeerActor, WeightVector};
+    use p2pfl_bench::testkit::{mesh, models, reactor, reactor_round, sac_peers, spawn_group};
+    use p2pfl_secagg::{SacEngine, SacMsg, SacPeerActor};
     use p2pfl_simnet::{FaultPlan, SimDuration, SimTime};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     const N: usize = 5;
     const SEED: u64 = 0xD3;
@@ -77,19 +75,13 @@ fn reactor_sac_round_replays_exactly() {
                 SimDuration::ZERO,
             )
             .duplicate(SimTime::ZERO, SimTime::from_secs(600), 0.4);
-        let mut rng = StdRng::seed_from_u64(SEED + 999);
-        let ids = ids(N);
+        let models = models(N, 24, SEED + 999);
+        let deadline = SimDuration::from_secs(30);
+        let peers = sac_peers(&models, N, 3, SacEngine::Pairwise, deadline, SEED);
         let reactor = reactor::<SacMsg, SacPeerActor>();
-        let actors = (0..N).map(|i| {
-            let deadline = SimDuration::from_secs(30);
-            let cfg = sac_config(&ids, i, 3, SacEngine::Pairwise, deadline, SEED + i as u64);
-            let model = WeightVector::random(24, 1.0, &mut rng);
-            (ids[i], SacPeerActor::new(cfg, model))
-        });
-        let handles = spawn_group(&reactor, actors, Some(&plan));
+        let handles = spawn_group(&reactor, peers, Some(&plan));
         mesh(&handles);
-        handles[0].with(|a, ctx| a.start_round(ctx, 1));
-        wait_done(&handles[0], "reactor round").1.digest()
+        reactor_round(&handles[..1], 1)[0].1.digest()
     }
 
     assert_eq!(run_once(), run_once(), "reactor run diverged from itself");

@@ -18,17 +18,15 @@
 //!   is a snapshot plus a log tail, not a whole log.
 
 use p2pfl_bench::testkit::{
-    assert_clean_wire, commit_marker, hier_stable, ids, mesh, reactor, sac_config, spawn_group,
-    wait_done, wait_for, HierPeers,
+    assert_clean_wire, commit_marker, hier_stable, mesh, models, reactor, reactor_round, sac_peers,
+    sim_group, sim_round, spawn_group, wait_for, HierPeers,
 };
 use p2pfl_hierraft::{
     Deployment, DeploymentSpec, FedCmd, HierActor, HierMsg, HierPeerConfig, SubCmd, COMPACT_AFTER,
 };
 use p2pfl_raft::FileStorage;
-use p2pfl_secagg::{SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
-use p2pfl_simnet::{FaultPlan, NodeId, ProcessFault, Sim, SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use p2pfl_secagg::{PairwiseWire, SacEngine, SacMsg, SacPeerActor};
+use p2pfl_simnet::{FaultPlan, NodeId, ProcessFault, SimDuration, SimTime};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -51,41 +49,19 @@ fn shared_plan() -> FaultPlan {
         .duplicate(SimTime::ZERO, SimTime::from_secs(600), 0.5)
 }
 
-fn models() -> Vec<WeightVector> {
-    let mut rng = StdRng::seed_from_u64(SEED + 999);
-    (0..N)
-        .map(|_| WeightVector::random(DIM, 1.0, &mut rng))
-        .collect()
-}
-
-fn config(ids: &[NodeId], position: usize, deadline: SimDuration) -> SacConfig {
-    let seed = SEED + position as u64;
-    sac_config(ids, position, K, SacEngine::Pairwise, deadline, seed)
+/// The SAC group's peers; `deadline` bounds straggler waits only.
+fn peers(deadline: SimDuration) -> Vec<(NodeId, SacPeerActor)> {
+    let models = models(N, DIM, SEED + 999);
+    sac_peers(&models, N, K, SacEngine::Pairwise, deadline, SEED)
 }
 
 /// One SAC round on the simulator, optionally under a fault plan; returns
 /// the leader's result digest.
 fn sim_sac_digest(plan: Option<&FaultPlan>) -> u64 {
-    let mut sim: Sim<SacMsg> = Sim::new(SEED);
-    let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
-    for (i, model) in models().iter().enumerate() {
-        let cfg = config(&ids, i, SimDuration::from_millis(500));
-        sim.add_node(SacPeerActor::new(cfg, model.clone()));
-    }
-    if let Some(p) = plan {
-        sim.apply_fault_plan(p);
-    }
-    sim.run_until_quiet(100);
-    sim.exec::<SacPeerActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
-    sim.run_until(sim.now() + SimDuration::from_secs(5));
-    let leader = sim.actor::<SacPeerActor>(ids[0]);
-    assert_eq!(
-        leader.phase,
-        SacPhase::Done,
-        "sim round: {:?}",
-        leader.phase
-    );
-    leader.result.as_ref().unwrap().digest()
+    let mut sim = sim_group(SEED, peers(SimDuration::from_millis(500)), plan);
+    sim_round::<PairwiseWire>(&mut sim, [NodeId(0)], 1)[0]
+        .1
+        .digest()
 }
 
 #[test]
@@ -102,26 +78,18 @@ fn plan_preserves_sac_digest_on_simulator() {
 /// through `plan`: all peers on one reactor (one loop thread, one shared
 /// listener), or split over two. Returns the leader's digest.
 fn tcp_sac_digest(plan: &FaultPlan, reactors: usize) -> u64 {
-    let ids = ids(N);
-    let models = models();
-    let actor = |i: usize| {
-        let cfg = config(&ids, i, SimDuration::from_secs(30));
-        (ids[i], SacPeerActor::new(cfg, models[i].clone()))
-    };
     let hosts: Vec<_> = (0..reactors)
         .map(|_| reactor::<SacMsg, SacPeerActor>())
         .collect();
     let mut handles = Vec::new();
     for (r, host) in hosts.iter().enumerate() {
-        let share = (0..N).filter(|i| i % reactors == r).map(actor);
+        let all = peers(SimDuration::from_secs(30)).into_iter();
+        let share = all.filter(|(id, _)| id.0 as usize % reactors == r);
         handles.extend(spawn_group(host, share, Some(plan)));
     }
     mesh(&handles);
     // Peer 0, the leader, is the first reactor's first.
-    handles[0].with(|a, ctx| a.start_round(ctx, 1));
-    let digest = wait_done(&handles[0], "tcp round under the plan")
-        .1
-        .digest();
+    let digest = reactor_round(&handles[..1], 1)[0].1.digest();
 
     // The duplication window must actually have fired: more frames hit the
     // wire than a clean all-to-all round needs.

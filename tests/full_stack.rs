@@ -3,12 +3,10 @@
 //! engine agreeing with the synchronous reference implementation.
 
 use p2pfl::runner::{ResilientConfig, ResilientSession};
-use p2pfl_bench::testkit::{sac_config, synthetic_session};
+use p2pfl_bench::testkit::{sac_peers, sim_group, sim_round, synthetic_session};
 use p2pfl_ml::data::Dataset;
-use p2pfl_secagg::{
-    secure_average, SacEngine, SacMsg, SacPeerActor, SacPhase, ShareScheme, WeightVector,
-};
-use p2pfl_simnet::{NodeId, Sim, SimDuration, SimTime};
+use p2pfl_secagg::{secure_average, PairwiseWire, SacEngine, ShareScheme, WeightVector};
+use p2pfl_simnet::{NodeId, SimDuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -112,20 +110,10 @@ fn distributed_engine_agrees_with_synchronous_reference() {
         .map(|_| WeightVector::random(dim, 1.0, &mut rng))
         .collect();
 
-    let mut sim: Sim<SacMsg> = Sim::new(9);
-    let ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    for (i, model) in models.iter().enumerate() {
-        let deadline = SimDuration::from_millis(100);
-        let cfg = sac_config(&ids, i, 3, SacEngine::Pairwise, deadline, 100 + i as u64);
-        sim.add_node(SacPeerActor::new(cfg, model.clone()));
-    }
-    sim.run_until_quiet(100);
-    sim.exec::<SacPeerActor, _, _>(ids[0], |a, ctx| a.start_round(ctx, 1));
-    sim.run_until(SimTime::from_secs(2));
-
-    let leader = sim.actor::<SacPeerActor>(ids[0]);
-    assert_eq!(leader.phase, SacPhase::Done);
-    let distributed = leader.result.clone().unwrap();
+    let deadline = SimDuration::from_millis(100);
+    let peers = sac_peers::<PairwiseWire>(&models, n, 3, SacEngine::Pairwise, deadline, 100);
+    let mut sim = sim_group(9, peers, None);
+    let (_, distributed) = sim_round::<PairwiseWire>(&mut sim, [NodeId(0)], 1).remove(0);
 
     let reference = secure_average(&models, ShareScheme::Masked, &mut rng).average;
     assert!(
