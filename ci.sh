@@ -34,13 +34,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # protocol, not in CI.)
 #
 # Peak RSS on ring_bulk_16 is gated too, against a ceiling: it measures
-# receive memory (~390 MiB while every reactor link kept the buffer of its
-# largest frame, ~230 since a link holds a frame's bytes only while it is
-# in flight). Unlike the timings, which spread 10-30 % between runs on a
-# shared host, RSS spreads 1-2 %, so a fixed ceiling between the two
-# states catches the retention coming back without flaking.
+# receive memory and the engine's live subtotals (~390 MiB while every
+# reactor link kept the buffer of its largest frame; ~230 once a link held
+# a frame's bytes only while it is in flight, with every follower still
+# keeping a total per partition it holds; ~198 since only the leader keeps
+# totals). Unlike the timings, which spread 10-30 % between runs on a
+# shared host, RSS spreads 1-2 %, so a fixed ceiling between the last two
+# states catches either retention coming back without flaking.
 echo "==> repo benchmark: round digests vs sim twin + exact wire bytes + ring RSS ceiling (4 workloads x 2 s)"
-for spec in session_mlp_30:: sac_bulk_cnn_3:129833796: sac_fanout_256:18930176: ring_bulk_16:164008152:300; do
+for spec in session_mlp_30:: sac_bulk_cnn_3:129833796: sac_fanout_256:18930176: ring_bulk_16:164008152:215; do
     IFS=: read -r workload wire_bytes rss_ceiling <<<"$spec"
     result="$(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 2 --trace 0 | tail -n 1)"

@@ -165,29 +165,30 @@ pub(crate) fn flush_link(
     stats: &StatsCells,
 ) -> FlushOutcome {
     loop {
-        let mut bufs: Vec<IoSlice<'_>> = Vec::with_capacity(WRITE_BATCH + 1);
-        let preamble_len = if let Some((bytes, off)) = link.preamble.as_ref() {
-            if let Some(tail) = bytes.get(*off..) {
-                if !tail.is_empty() {
-                    bufs.push(IoSlice::new(tail));
-                }
-                tail.len()
-            } else {
-                0
-            }
-        } else {
-            0
-        };
-        if link.got_hello {
-            for frame in queue.batch(WRITE_BATCH) {
-                bufs.push(IoSlice::new(frame));
-            }
+        // On the stack: a busy reactor makes thousands of flush passes a
+        // round.
+        let mut slots = [IoSlice::new(&[]); WRITE_BATCH + 1];
+        let preamble = link
+            .preamble
+            .as_ref()
+            .and_then(|(bytes, off)| bytes.get(*off..))
+            .unwrap_or_default();
+        let frames = queue.batch(if link.got_hello { WRITE_BATCH } else { 0 });
+        let pieces = std::iter::once(preamble)
+            .filter(|p| !p.is_empty())
+            .chain(frames);
+        let mut len = 0;
+        for (slot, piece) in slots.iter_mut().zip(pieces) {
+            *slot = IoSlice::new(piece);
+            len += 1;
         }
+        let bufs = slots.get(..len).unwrap_or_default();
         if bufs.is_empty() {
             return FlushOutcome::Drained;
         }
+        let preamble_len = preamble.len();
         let queued_frames = bufs.len().saturating_sub(usize::from(preamble_len > 0));
-        match link.stream.write_vectored(&bufs) {
+        match link.stream.write_vectored(bufs) {
             Ok(0) => return FlushOutcome::Dead,
             Ok(n) => {
                 // Preamble bytes come first; the remainder advances the

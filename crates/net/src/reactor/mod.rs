@@ -365,8 +365,8 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
             self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        for _ in 0..v.copies {
-            let bytes = framed.clone();
+        // Every copy but the last is a clone; the last takes `framed`.
+        for bytes in std::iter::repeat_n(framed, v.copies as usize) {
             if v.extra_delay == SimDuration::ZERO {
                 self.enqueue(to, bytes);
             } else {

@@ -13,10 +13,13 @@
 //! 2. when the leader has heard from everyone — or its share deadline
 //!    expires — it freezes the contributor set and broadcasts
 //!    `ComputeOver`;
-//! 3. every live peer totals its block over that set and the *primary
-//!    owner* of each `(stage, partition)` sends its total to the leader;
+//! 3. the leader totals every partition it holds over that set; each
+//!    follower totals only the partition it is *primary owner* of (unless
+//!    the leader holds it too) and sends that total to the leader, keeping
+//!    no copy;
 //! 4. after a collection deadline the leader requests missing totals from
-//!    alternate replica holders, which respond with the recovered total;
+//!    alternate replica holders, which total on demand and respond with
+//!    the recovered total;
 //! 5. with the whole grid of `n` totals the leader averages and completes.
 //!
 //! The `ComputeOver` control broadcast has no counterpart in the paper's
@@ -330,8 +333,9 @@ pub struct RoundCore<W: Wire> {
     // round (self included).
     announced: BTreeSet<usize>,
     frozen: Option<BTreeSet<usize>>,
-    // totals[(stage, idx)]: on every peer the own-block totals; on the
-    // leader additionally everything collected via `Total`.
+    // totals[(stage, idx)]: leader only — its own-block totals plus
+    // everything collected via `Total`. A follower keeps none: it totals
+    // its primary once and sends it, and a recovery request on demand.
     totals: BTreeMap<(usize, usize), WeightVector>,
     requested: BTreeSet<(usize, usize)>,
     sent_primary: bool,
@@ -436,8 +440,9 @@ impl<W: Wire> RoundCore<W> {
         self.frozen.as_ref()
     }
 
-    /// Totals held locally (`(stage, idx) -> value`); on the leader these
-    /// are the collected per-partition sums over the frozen set.
+    /// Totals held locally (`(stage, idx) -> value`): on the leader the
+    /// per-partition sums over the frozen set, its own and collected;
+    /// always empty on a follower, which totals on demand and keeps none.
     pub fn held_totals(&self) -> &BTreeMap<(usize, usize), WeightVector> {
         &self.totals
     }
@@ -781,6 +786,8 @@ impl<W: Wire> RoundCore<W> {
         ))
     }
 
+    /// Leader: totals every own-stage partition it holds and has not
+    /// totalled yet. Followers never call this; see [`Self::progress`].
     fn compute_own_totals(&mut self) {
         let t = self.plan.stage_of(self.cfg.position);
         let i = self.plan.local_index(self.cfg.position);
@@ -807,30 +814,32 @@ impl<W: Wire> RoundCore<W> {
         // Walk the grid explicitly so a spurious key can never substitute
         // for a missing total: the count alone does not prove every
         // partition is present.
-        let mut avg = WeightVector::zeros(self.model.dim());
-        for key in self.plan.grid() {
-            let Some(v) = self.totals.get(&key) else {
-                return;
-            };
-            avg.add_assign(v);
-        }
+        let Some(grid) = self
+            .plan
+            .grid()
+            .map(|key| self.totals.get(&key))
+            .collect::<Option<Vec<_>>>()
+        else {
+            return;
+        };
+        let mut avg = WeightVector::sum_from_zero(self.model.dim(), grid.iter().copied());
         avg.scale(1.0 / frozen.len() as f64);
         self.contributors = frozen.iter().copied().collect();
         self.result = Some(avg);
         self.phase = SacPhase::Done;
     }
 
-    /// Progress after a share block or `ComputeOver` arrives: recompute
-    /// own totals, let the leader try to finish, let a follower send its
-    /// primary total as soon as it is computable (share blocks can arrive
-    /// *after* `ComputeOver` on slow links), and serve recovery requests
-    /// that were waiting on missing blocks.
+    /// Progress after a share block or `ComputeOver` arrives: the leader
+    /// totals what it holds and tries to finish; a follower totals and
+    /// sends its primary as soon as it is computable (share blocks can
+    /// arrive *after* `ComputeOver` on slow links), and serves recovery
+    /// requests that were waiting on missing blocks.
     fn progress(&mut self, ctx: &mut dyn Transport<W::Msg>) {
         if self.frozen.is_none() {
             return;
         }
-        self.compute_own_totals();
         if self.cfg.is_leader() {
+            self.compute_own_totals();
             self.maybe_finish();
         } else if !self.sent_primary {
             // Primary-owner rule (paper lines 14-16): each peer owns the
@@ -839,7 +848,7 @@ impl<W: Wire> RoundCore<W> {
             let stage = self.plan.stage_of(self.cfg.position);
             let idx = self.plan.local_index(self.cfg.position);
             if !self.plan.is_holder(self.cfg.leader_pos, stage, idx) {
-                if let Some(value) = self.totals.get(&(stage, idx)).cloned() {
+                if let Some(value) = self.total_over_frozen(idx) {
                     self.sent_primary = true;
                     let total = RoundEvent::Total {
                         round: self.round,

@@ -283,17 +283,12 @@ impl<'a, M: Payload> Context<'a, M> {
             self.inner.tx_free[src.index()] = depart;
             depart
         };
-        for _ in 0..copies {
+        // Every copy but the last is a clone; the last takes `msg` itself.
+        for msg in std::iter::repeat_n(msg, copies as usize) {
             let prop = self.inner.latency.sample(&mut self.inner.rng);
             let at = depart + prop + extra_delay;
-            self.inner.push(
-                at,
-                EventKind::Deliver {
-                    src,
-                    dst: to,
-                    msg: msg.clone(),
-                },
-            );
+            self.inner
+                .push(at, EventKind::Deliver { src, dst: to, msg });
         }
     }
 
