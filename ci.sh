@@ -60,6 +60,19 @@ for spec in session_mlp_30:: sac_bulk_cnn_3:129833796: sac_fanout_256:18930176: 
     echo "    $workload ok"
 done
 
+# The traced session run replays 150 rounds of `run_round` next to the
+# benchmark's phase twin, which aggregates through the synchronous
+# reference. A global model more than L-inf 1e-9 from the twin's is a
+# failed check (non-zero exit, which stops this script), and a subgroup
+# without an average counts in `failed`. The session's round cores and
+# the reference draw the same mask streams, so they agree bit for bit
+# (~20 s).
+echo "==> repo benchmark: traced session_mlp_30 (run_round vs the phase twin, 150 lockstep rounds)"
+result="$(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload session_mlp_30 --seed 42 --seconds 2 --trace 1 | tail -n 1)"
+grep -q '"failed": 0,' <<<"$result" \
+    || { echo "benchmark session_mlp_30 (traced): failed checks: $result"; exit 1; }
+
 # The one example that asserts a digest: real sockets against the
 # simulator, across a crash and a rejoin at a new port. It panics (exit
 # non-zero) on a mismatch or on a phase that times out.

@@ -17,7 +17,9 @@ use p2pfl_hierraft::{FedCmd, HierActor, HierMsg};
 use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Dataset, Partition};
 use p2pfl_ml::models::mlp;
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig, WireMsg};
-use p2pfl_secagg::{RoundCore, SacConfig, SacEngine, SacPhase, ShareScheme, WeightVector, Wire};
+use p2pfl_secagg::{
+    drive_round, RoundCore, SacConfig, SacEngine, SacPhase, ShareScheme, WeightVector, Wire,
+};
 use p2pfl_simnet::{Actor, FaultPlan, NodeId, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,51 +92,27 @@ pub fn sac_peers<W: Wire>(
         .collect()
 }
 
-/// A simulator seeded `seed` hosting every `(id, actor)`, its sends
-/// filtered through `plan` if one is given: the mirror of
-/// [`spawn_group`]. Ids must be `0..` in order, as the simulator assigns
-/// them.
-pub fn sim_group<W: Wire>(
-    seed: u64,
-    actors: impl IntoIterator<Item = (NodeId, RoundCore<W>)>,
-    plan: Option<&FaultPlan>,
-) -> Sim<W::Msg> {
-    let mut sim = Sim::new(seed);
-    for (id, actor) in actors {
-        assert_eq!(sim.add_node(actor), id, "simulator ids are dense");
-    }
-    if let Some(plan) = plan {
-        sim.apply_fault_plan(plan);
-    }
-    sim
-}
-
-/// Virtual time [`sim_round`] gives a round. A leader's result is frozen
-/// once it is `Done`, so running past that changes nothing.
-const SIM_ROUND_TIME: SimDuration = SimDuration::from_secs(30);
+/// The simulator half of the twin, the mirror of [`spawn_group`]:
+/// `p2pfl_secagg`'s driver, which the session aggregates through too.
+pub use p2pfl_secagg::sim_group;
 
 /// Starts round `round` on every leader in `leaders`, runs the simulator
-/// for 30 s of virtual time and returns each leader's frozen contributor
-/// set and result, in order. Panics, naming the leader, if one is not
-/// `Done`.
+/// for 30 s of virtual time ([`drive_round`]) and returns each leader's
+/// frozen contributor set and result, in order. Panics, naming the
+/// leader, if one is not `Done`.
 pub fn sim_round<W: Wire>(
     sim: &mut Sim<W::Msg>,
     leaders: impl IntoIterator<Item = NodeId>,
     round: u64,
 ) -> Vec<(Vec<usize>, WeightVector)> {
     let leaders: Vec<NodeId> = leaders.into_iter().collect();
-    for &leader in &leaders {
-        sim.exec::<RoundCore<W>, _, _>(leader, move |a, ctx| a.start_round(ctx, round));
-    }
-    sim.run_until(sim.now() + SIM_ROUND_TIME);
-    leaders
-        .iter()
-        .map(|&leader| {
-            let a = sim.actor::<RoundCore<W>>(leader);
-            match (&a.phase, &a.result) {
-                (SacPhase::Done, Some(result)) => (a.contributors.clone(), result.clone()),
-                (phase, _) => panic!("simulated round {round} at leader {leader}: {phase:?}"),
-            }
+    drive_round::<W>(sim, leaders.iter().copied(), round)
+        .into_iter()
+        .zip(&leaders)
+        .map(|(outcome, leader)| {
+            outcome.unwrap_or_else(|phase| {
+                panic!("simulated round {round} at leader {leader}: {phase}")
+            })
         })
         .collect()
 }

@@ -10,7 +10,7 @@
 //! * [`runner::ResilientSession`] — the same system running on top of the
 //!   two-layer Raft backend: elections, joins, and crash recovery happen
 //!   on the simulated network, and whichever leaders Raft reports run the
-//!   aggregation;
+//!   aggregation, each subgroup through the message-driven round core;
 //! * [`cost`] — the closed-form communication model (Eqs. 4, 5, 10),
 //!   verified against the executable protocols;
 //! * [`multilayer::MultilayerTree`] — the X-layer generalization of

@@ -7,7 +7,11 @@
 //! aggregation using whatever leaders Raft currently reports, exactly as
 //! the paper's system does: a subgroup without a leader (or whose leader
 //! has not rejoined the FedAvg layer yet) is a "slow subgroup" and is
-//! skipped for that round, and crashed peers appear as SAC dropouts.
+//! skipped for that round. Each subgroup aggregates through the engine
+//! that ships: one [`RoundCore`] per member on an aggregation simulator,
+//! where peers crashed in the Raft simulator are crashed too. The core
+//! owns crash detection, recovery, abort and degraded retry, and the
+//! commitment check that convicts a skewer.
 
 use crate::system::RoundRecord;
 use p2pfl_fed::{combine, Client, LocalTrainConfig};
@@ -16,18 +20,19 @@ use p2pfl_ml::data::Dataset;
 use p2pfl_ml::metrics::evaluate;
 use p2pfl_ml::Sequential;
 use p2pfl_secagg::{
-    reference_round, DropPhase, Dropout, FtSacError, PairwiseWire, RingWire, SacEngine,
-    ShareScheme, TransferLog, WeightVector, WIRE_BYTES_PER_PARAM,
+    drive_round, sim_group, PairwiseWire, RingWire, RoundCore, SacConfig, SacEngine, ShareScheme,
+    TransferLog, WeightVector, Wire, WIRE_BYTES_PER_PARAM,
 };
 use p2pfl_simnet::{FaultPlan, NodeId, PoisonMode, SimDuration, SimTime};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::collections::BTreeSet;
 
-/// Consecutive FedAvg rounds a subgroup may miss before it is evicted from
-/// the weighted average (`w`). It is re-admitted as soon as its leader is
-/// back — the existing election + join path.
-pub const EVICTION_WINDOW: u32 = 3;
+/// Share and collection deadline of a subgroup round on the aggregation
+/// simulator, whose links take 15 ms.
+const SAC_PHASE_DEADLINE: SimDuration = SimDuration::from_millis(200);
+/// Supervisor deadline of a subgroup round: past both phase deadlines.
+const SAC_ROUND_DEADLINE: SimDuration = SimDuration::from_secs(2);
 
 /// Configuration of a [`ResilientSession`].
 #[derive(Debug, Clone)]
@@ -43,10 +48,10 @@ pub struct ResilientConfig {
     /// Virtual time the network runs between aggregation rounds (enough
     /// for heartbeats, elections, and joins to settle).
     pub round_settle: SimDuration,
-    /// Whether share commitments are verified (the runner-level mirror of
-    /// [`p2pfl_secagg::SacPeerActor`]'s `verify_commitments`). With this
-    /// off, a Byzantine member's skewed shares silently contaminate its
-    /// subgroup average instead of being rejected.
+    /// Whether every member's round core verifies share commitments
+    /// ([`RoundCore::verify_commitments`]). With this off, a Byzantine
+    /// member's skewed shares silently contaminate its subgroup average
+    /// instead of being rejected.
     pub verify_commitments: bool,
     /// RNG seed for share randomness.
     pub seed: u64,
@@ -73,32 +78,27 @@ impl ResilientConfig {
     }
 }
 
-/// Counters kept by the per-round supervisor.
+/// Counters kept by the per-round supervisor, read off each subgroup
+/// round's leader.
 #[derive(Debug, Clone, Default)]
 pub struct SupervisorStats {
-    /// Subgroup rounds aborted because FT-SAC could not complete with the
-    /// advertised roster.
+    /// Subgroup rounds the leader's core aborted because FT-SAC could not
+    /// complete with the advertised roster.
     pub aborts: u64,
-    /// Aborted rounds salvaged by a degraded restart with the surviving
-    /// `n'` members and `k' = min(k, n')`.
+    /// Aborted rounds salvaged by the core's degraded restart with the
+    /// surviving `n'` members and `k' = min(k, n')`.
     pub degraded_retries: u64,
-    /// Subgroup rounds refused because fewer than two members survived.
+    /// Subgroup rounds that produced no average: a roster below two
+    /// members, or a core round that failed even after its retry.
     pub refusals: u64,
-    /// `(round, subgroup)` pairs at which a subgroup was evicted from the
-    /// FedAvg layer after missing [`EVICTION_WINDOW`]
-    /// consecutive rounds.
-    pub evictions: Vec<(usize, usize)>,
-    /// `(round, subgroup)` pairs at which an evicted subgroup re-entered
-    /// the average.
-    pub readmissions: Vec<(usize, usize)>,
-    /// Share blocks rejected because they failed the commitment check
-    /// (one per Byzantine sender per round it attempted to contribute).
+    /// Senders the leader's commitment check convicted (one per Byzantine
+    /// sender per round it attempted to contribute).
     pub shares_rejected: u64,
     /// Total conflicting config echoes observed across all peers (summed
     /// from the per-peer [`HierActor::equivocations_detected`] counters).
     pub equivocations_detected: u64,
     /// `(round, peer)` pairs at which a peer was convicted as Byzantine
-    /// and evicted from its aggregation roster — by the runner's
+    /// and evicted from its aggregation roster — by the engine's
     /// commitment check or by the in-protocol equivocation detector.
     pub peers_evicted_byzantine: Vec<(usize, NodeId)>,
     /// Elastic subgroup splits applied through the replicated topology
@@ -123,9 +123,6 @@ pub struct ResilientRound {
     pub fed_leader: Option<NodeId>,
     /// Subgroups that completed only after an abort and degraded retry.
     pub degraded: Vec<usize>,
-    /// Subgroups excluded from the average this round (evicted after too
-    /// many consecutive misses, not yet re-admitted).
-    pub evicted: Vec<usize>,
 }
 
 /// The integrated Raft-backed training session.
@@ -138,13 +135,11 @@ pub struct ResilientSession {
     global: Vec<f64>,
     cfg: ResilientConfig,
     rng: StdRng,
-    /// Cumulative communication ledger for the aggregation traffic. Raft
-    /// control traffic is accounted separately in `dep.sim.metrics()`.
+    /// Cumulative communication ledger for the aggregation traffic: the
+    /// SAC messages of every subgroup round by kind, plus the FedAvg
+    /// upload and broadcast lines. Raft control traffic is accounted
+    /// separately in `dep.sim.metrics()`.
     pub log: TransferLog,
-    /// Per-subgroup streak of consecutive missed FedAvg rounds.
-    miss_streak: Vec<u32>,
-    /// Per-subgroup eviction flag (see [`SupervisorStats::evictions`]).
-    evicted: Vec<bool>,
     /// Round-supervisor counters.
     pub supervisor: SupervisorStats,
     /// The active fault plan, kept so rounds can interpret its Byzantine
@@ -153,10 +148,6 @@ pub struct ResilientSession {
     /// Peers already convicted as Byzantine (each is recorded in
     /// [`SupervisorStats::peers_evicted_byzantine`] exactly once).
     convicted: BTreeSet<NodeId>,
-    /// The layout version the per-subgroup supervision state (miss
-    /// streaks, eviction flags) was built against. A version change means
-    /// the rosters are new lineages, so the state is reset.
-    topology_seen: u64,
 }
 
 impl ResilientSession {
@@ -173,7 +164,6 @@ impl ResilientSession {
         let stable = dep.wait_stable(SimTime::from_secs(30));
         assert!(stable, "deployment failed to stabilize");
         let global = eval_model.params_flat();
-        let num_groups = dep.subgroups.len();
         let mut s = ResilientSession {
             dep,
             clients,
@@ -182,12 +172,9 @@ impl ResilientSession {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x7e51),
             cfg,
             log: TransferLog::new(),
-            miss_streak: vec![0; num_groups],
-            evicted: vec![false; num_groups],
             supervisor: SupervisorStats::default(),
             fault_plan: None,
             convicted: BTreeSet::new(),
-            topology_seen: 0,
         };
         s.push_global();
         s
@@ -265,28 +252,11 @@ impl ResilientSession {
         // outrun the config-repair path and cost the layer its quorum.
         let deadline = self.dep.sim.now() + SimDuration::from_secs(10);
         while self.dep.sim.now() < deadline {
-            self.adopt_layout();
+            self.dep.refresh_subgroups();
             if self.dep.is_stable() {
                 break;
             }
             self.dep.sim.run_for(SimDuration::from_millis(50));
-        }
-    }
-
-    /// Adopts the freshest committed layout into the deployment view and
-    /// re-dimensions the per-subgroup supervision state. A version change
-    /// means the rosters are new lineages: the miss streaks and eviction
-    /// flags of the retired rosters do not transfer.
-    fn adopt_layout(&mut self) {
-        let t = self.dep.refresh_subgroups();
-        let n = self.dep.subgroups.len();
-        if t.version != self.topology_seen {
-            self.topology_seen = t.version;
-            self.miss_streak = vec![0; n];
-            self.evicted = vec![false; n];
-        } else {
-            self.miss_streak.resize(n, 0);
-            self.evicted.resize(n, false);
         }
     }
 
@@ -298,7 +268,7 @@ impl ResilientSession {
         let Some(bounds) = self.cfg.deployment.elastic else {
             return;
         };
-        self.adopt_layout();
+        self.dep.refresh_subgroups();
         if let Some(fl) = self.dep.fed_leader() {
             let t = self.dep.latest_topology();
             for cmd in t.plan(bounds) {
@@ -309,7 +279,7 @@ impl ResilientSession {
             }
         }
         self.dep.sim.run_for(self.cfg.round_settle);
-        self.adopt_layout();
+        self.dep.refresh_subgroups();
     }
 
     /// Applies a declarative fault plan to the underlying network: link
@@ -318,9 +288,9 @@ impl ResilientSession {
     /// scheduled on the virtual clock relative to now.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         self.dep.sim.apply_fault_plan(plan);
-        // Byzantine entries are interpreted by the runner itself: poison /
-        // share-skew at aggregation time, equivocation / bogus rosters by
-        // flagging the hierraft actors each round.
+        // Byzantine entries are interpreted each round: poison by the
+        // runner, share skew by each member's round core, equivocation /
+        // bogus rosters by flagging the hierraft actors.
         self.fault_plan = Some(plan.clone());
     }
 
@@ -367,65 +337,86 @@ impl ResilientSession {
         self.global.len() as u64 * WIRE_BYTES_PER_PARAM
     }
 
-    /// Books a missed FedAvg round for subgroup `g`; `w` consecutive
-    /// misses evict it from the average until its leader reappears.
-    fn note_miss(&mut self, g: usize, round: usize) {
-        self.miss_streak[g] += 1;
-        if !self.evicted[g] && self.miss_streak[g] >= EVICTION_WINDOW {
-            self.evicted[g] = true;
-            self.supervisor.evictions.push((round, g));
-        }
-    }
-
-    /// One SAC attempt over `members` with `dropouts`, weighted by each
-    /// contributor's sample count. `engine` selects only the wire adaptor
-    /// whose layout the reference round runs — pairwise all-to-all (Alg. 4)
-    /// or staged Ring-SAC; it comes from the leader's *replicated*
-    /// `FedConfig`, so every member of the subgroup agrees on it for the
-    /// round.
-    fn sac_attempt(
+    /// One subgroup round on the engine that ships: a [`RoundCore`] per
+    /// member on a fresh aggregation simulator, seeded from the session
+    /// RNG in position order, with each member's share behaviour taken
+    /// from the fault plan and members crashed in the Raft simulator
+    /// crashed there too. Books the round's SAC traffic and what the
+    /// leader's core reports: aborts, a degraded retry, convictions.
+    /// Returns the average and its contributors' sample count, and whether
+    /// the round needed the degraded retry; `None` if it failed.
+    fn aggregate<W: Wire>(
         &mut self,
         members: &[NodeId],
-        leader: NodeId,
-        k: usize,
-        dropouts: &[Dropout],
+        leader_pos: usize,
         engine: SacEngine,
-        skews: &[(NodeId, f64)],
-    ) -> Result<(Vec<f64>, usize), FtSacError> {
-        let leader_pos = members.iter().position(|&m| m == leader).unwrap();
-        let models: Vec<WeightVector> = members
-            .iter()
-            .map(|&m| {
-                let mut v = WeightVector::new(self.clients[m.index()].params());
-                if let Some(&(_, f)) = skews.iter().find(|&&(s, _)| s == m) {
-                    // Undetected share skew: every partition scaled by `f`
-                    // still sums, so the member effectively contributes a
-                    // scaled model — exactly what the commitment check
-                    // would have caught.
-                    v.scale(f);
-                }
-                v
-            })
-            .collect();
-        let round = match engine {
-            SacEngine::Pairwise => reference_round::<PairwiseWire, StdRng>,
-            SacEngine::Ring => reference_round::<RingWire, StdRng>,
+        round: usize,
+    ) -> Option<(Vec<f64>, usize, bool)> {
+        let n = members.len();
+        let group: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        let k = self.cfg.threshold.min(n).max(1);
+        let now = self.dep.sim.now();
+        let mut cores = Vec::with_capacity(n);
+        for (position, &m) in members.iter().enumerate() {
+            let cfg = SacConfig {
+                group: group.clone(),
+                position,
+                leader_pos,
+                k,
+                scheme: self.cfg.scheme,
+                engine,
+                share_deadline: SAC_PHASE_DEADLINE,
+                collect_deadline: SAC_PHASE_DEADLINE,
+                round_deadline: Some(SAC_ROUND_DEADLINE),
+                seed: self.rng.next_u64(),
+            };
+            let model = WeightVector::new(self.clients[m.index()].params());
+            let mut core = RoundCore::<W>::new(cfg, model);
+            core.verify_commitments = self.cfg.verify_commitments;
+            if let Some(plan) = &self.fault_plan {
+                core.adopt_byzantine(&plan.byzantine(m, now));
+            }
+            cores.push((group[position], core));
+        }
+        let mut sim = sim_group(self.cfg.seed, cores, None);
+        for (&local, &m) in group.iter().zip(members) {
+            if self.dep.sim.is_crashed(m) {
+                sim.schedule_crash(local, sim.now());
+            }
+        }
+        let outcome = drive_round::<W>(&mut sim, [group[leader_pos]], round as u64).remove(0);
+        for (kind, c) in sim.metrics().kinds() {
+            self.log.record_many(kind, c.msgs, c.bytes);
+        }
+        let core = sim.actor::<RoundCore<W>>(group[leader_pos]);
+        self.supervisor.aborts += core.aborts;
+        // A live skewer's blocks reach the leader inside the share
+        // deadline, and a degraded retry drops every member the leader
+        // has not heard from, so convictions are positions of `members`.
+        let leader = members[leader_pos];
+        for &pos in &core.byzantine_detected {
+            let m = members[pos];
+            self.supervisor.shares_rejected += 1;
+            if self.convicted.insert(m) {
+                self.supervisor.peers_evicted_byzantine.push((round, m));
+            }
+            self.dep
+                .sim
+                .exec::<HierActor, _, _>(leader, |a, ctx| a.convict(ctx, m));
+        }
+        let Ok((contributors, average)) = outcome else {
+            self.supervisor.refusals += 1;
+            return None;
         };
-        let out = round(
-            &models,
-            k,
-            leader_pos,
-            dropouts,
-            self.cfg.scheme,
-            &mut self.rng,
-        )?;
-        self.log.absorb(&out.log);
-        let count: usize = out
-            .contributors
+        // A degraded retry renumbers the roster: map its positions back.
+        let retried = core.aborts > 0;
+        self.supervisor.degraded_retries += retried as u64;
+        let roster = &core.sac_config().group;
+        let samples = contributors
             .iter()
-            .map(|&pos| self.clients[members[pos].index()].num_samples())
+            .map(|&pos| self.clients[members[roster[pos].index()].index()].num_samples())
             .sum();
-        Ok((out.average.into_inner(), count))
+        Some((average.into_inner(), samples, retried))
     }
 
     /// Runs one round: settle the network, train, aggregate with the
@@ -480,11 +471,9 @@ impl ResilientSession {
             }
         }
 
-        // 3. Subgroup aggregation, gated by the live Raft state and
-        //    supervised per round: an attempt that cannot complete is
-        //    aborted and restarted once with the surviving `n'` members
-        //    and `k' = min(k, n')`; a subgroup that keeps missing rounds
-        //    is evicted from the average until its leader reappears.
+        // 3. Subgroup aggregation, gated by the live Raft state: a
+        //    subgroup without a leader in the FedAvg layer is skipped, and
+        //    every other one runs one supervised round on its cores.
         let fed_leader = self.dep.fed_leader();
         let num_groups = self.dep.subgroups.len();
         let mut leaders = Vec::with_capacity(num_groups);
@@ -497,21 +486,8 @@ impl ResilientSession {
                 .sub_leader_of(g)
                 .filter(|&l| self.dep.sim.actor::<HierActor>(l).is_fed_member());
             leaders.push(leader);
-            if self.evicted[g] {
-                if leader.is_some() {
-                    // Re-admission: the election + join path brought the
-                    // subgroup's leader back into the FedAvg layer.
-                    self.evicted[g] = false;
-                    self.miss_streak[g] = 0;
-                    self.supervisor.readmissions.push((round, g));
-                } else {
-                    leaders[g] = None;
-                    continue;
-                }
-            }
             let Some(leader) = leader else {
-                self.note_miss(g, round); // slow subgroup
-                continue;
+                continue; // slow subgroup
             };
             // Aggregate over the leader's *replicated roster*, not the
             // static subgroup: members the failure detector confirmed dead
@@ -528,97 +504,36 @@ impl ResilientSession {
                 // fall back to the full subgroup until the roster heals.
                 members = self.dep.subgroups[g].clone();
             }
-            // Byzantine supervision — the synchronous mirror of the
-            // engine-level commitment checks: a member whose plan entry
-            // skews its shares fails the per-partition digests when
-            // verification is on, so the leader rejects its block, drops
-            // it from the round, and convicts it through the replicated
-            // roster path. With verification off the skewed shares still
-            // sum (to a scaled model) and silently poison the subgroup
-            // average.
-            let mut skews: Vec<(NodeId, f64)> = Vec::new();
-            if let Some(plan) = &self.fault_plan {
-                let now = self.dep.sim.now();
-                let flagged: Vec<(NodeId, f64)> = members
-                    .iter()
-                    .filter(|&&m| m != leader && !self.dep.sim.is_crashed(m))
-                    .filter_map(|&m| plan.byzantine(m, now).share_skew.map(|f| (m, f)))
-                    .collect();
-                for (m, factor) in flagged {
-                    if self.cfg.verify_commitments {
-                        self.supervisor.shares_rejected += 1;
-                        members.retain(|&x| x != m);
-                        if self.convicted.insert(m) {
-                            self.supervisor.peers_evicted_byzantine.push((round, m));
-                        }
-                        self.dep
-                            .sim
-                            .exec::<HierActor, _, _>(leader, |a, ctx| a.convict(ctx, m));
-                    } else {
-                        skews.push((m, factor));
-                    }
-                }
-            }
+            let leader_pos = members
+                .iter()
+                .position(|&m| m == leader)
+                .expect("a subgroup's leader is a member of it");
             if members.len() < 2 {
                 self.supervisor.refusals += 1;
                 leaders[g] = None;
-                self.note_miss(g, round);
                 continue;
             }
-            // Crashed members not yet evicted from the roster never shared
-            // this round: they are SAC dropouts.
-            let dropouts: Vec<Dropout> = members
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| self.dep.sim.is_crashed(m))
-                .map(|(pos, _)| Dropout {
-                    peer: pos,
-                    phase: DropPhase::BeforeShare,
-                })
-                .collect();
-            let k = self.cfg.threshold.min(members.len()).max(1);
             // The engine for this round is whatever the leader's replicated
             // FedAvg-layer config says, not a local setting: the whole
             // `FedConfig` advances atomically under the version max-advance
             // rule, so every member that follows the leader runs the same
             // engine and a round can never mix schemes.
             let engine = self.dep.sim.actor::<HierActor>(leader).fed_config.engine;
-            let outcome = match self.sac_attempt(&members, leader, k, &dropouts, engine, &skews) {
-                Ok(out) => Some(out),
-                Err(_) => {
-                    // Abort and restart once with the survivors.
-                    self.supervisor.aborts += 1;
-                    let survivors: Vec<NodeId> = members
-                        .iter()
-                        .copied()
-                        .filter(|&m| !self.dep.sim.is_crashed(m))
-                        .collect();
-                    if survivors.len() >= 2 && survivors.contains(&leader) {
-                        let k2 = self.cfg.threshold.min(survivors.len()).max(1);
-                        match self.sac_attempt(&survivors, leader, k2, &[], engine, &skews) {
-                            Ok(out) => {
-                                self.supervisor.degraded_retries += 1;
-                                degraded.push(g);
-                                Some(out)
-                            }
-                            Err(_) => None,
-                        }
-                    } else {
-                        self.supervisor.refusals += 1;
-                        None
-                    }
+            let outcome = match engine {
+                SacEngine::Pairwise => {
+                    self.aggregate::<PairwiseWire>(&members, leader_pos, engine, round)
                 }
+                SacEngine::Ring => self.aggregate::<RingWire>(&members, leader_pos, engine, round),
             };
             match outcome {
-                Some((avg, count)) => {
-                    self.miss_streak[g] = 0;
+                Some((avg, count, retried)) => {
+                    if retried {
+                        degraded.push(g);
+                    }
                     group_avgs.push(avg);
                     group_counts.push(count);
                 }
-                None => {
-                    leaders[g] = None;
-                    self.note_miss(g, round);
-                }
+                None => leaders[g] = None,
             }
         }
         let groups_used = group_avgs.len();
@@ -705,7 +620,6 @@ impl ResilientSession {
             leaders,
             fed_leader,
             degraded,
-            evicted: (0..num_groups).filter(|&g| self.evicted[g]).collect(),
         }
     }
 
@@ -762,7 +676,7 @@ mod tests {
         assert!(last > first, "accuracy {first:.3} -> {last:.3}");
         // The ring layout actually ran (engine really was dispatched): only
         // its wire announces to the leader.
-        assert!(s.log.phase("secagg.announce").0 > 0);
+        assert!(s.log.phase("ring.shared").0 > 0);
     }
 
     #[test]
@@ -784,11 +698,7 @@ mod tests {
         let rounds = s.run(12, &test);
         assert!(rounds.iter().all(|r| r.record.groups_used == 3));
         assert!(rounds.iter().all(|r| r.fed_leader.is_some()));
-        assert_eq!(
-            s.log.phase("secagg.announce").0,
-            0,
-            "pairwise never announces"
-        );
+        assert_eq!(s.log.phase("ring.shared").0, 0, "pairwise never announces");
         let first = rounds.first().unwrap().record.test_accuracy;
         let last = rounds.last().unwrap().record.test_accuracy;
         assert!(last > first, "accuracy {first:.3} -> {last:.3}");
@@ -898,41 +808,6 @@ mod tests {
         assert_eq!(r.record.groups_used, 3);
         assert!(r.degraded.is_empty());
         assert_eq!(s.supervisor.aborts, 1);
-    }
-
-    #[test]
-    fn leaderless_subgroup_is_evicted_then_readmitted() {
-        let (mut s, test) = build(9);
-        s.run(1, &test);
-        let group: Vec<NodeId> = s.dep.subgroups[2].clone();
-        for &m in &group {
-            s.crash(m);
-        }
-        // Three consecutive misses (the default window) trigger eviction.
-        for r in 2..=4 {
-            let rr = s.run_round(r, &test);
-            assert_eq!(rr.record.groups_used, 2, "round {r}");
-        }
-        assert_eq!(s.supervisor.evictions, vec![(4, 2)]);
-        let rr = s.run_round(5, &test);
-        assert_eq!(rr.evicted, vec![2]);
-        // Restart the subgroup; its leader re-enters the FedAvg layer via
-        // the join path, which re-admits the subgroup to the average.
-        for &m in &group {
-            s.restart(m);
-        }
-        let mut readmitted = false;
-        for r in 6..=9 {
-            let rr = s.run_round(r, &test);
-            if rr.record.groups_used == 3 {
-                readmitted = true;
-                break;
-            }
-            assert!(r < 9, "never re-admitted: {:?}", rr.leaders);
-        }
-        assert!(readmitted);
-        assert_eq!(s.supervisor.readmissions.len(), 1);
-        assert_eq!(s.supervisor.readmissions[0].1, 2);
     }
 
     #[test]

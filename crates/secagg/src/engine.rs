@@ -39,14 +39,16 @@
 //! enum on the wire, and how the leader learns who contributed.
 
 mod pairwise;
+mod sim;
 
 pub use pairwise::{PairwiseWire, SacMsg};
+pub use sim::{drive_round, sim_group, RoundOutcome};
 
 use crate::divide::{divide, ShareScheme};
 use crate::replicated::{hand_out, replication_factor};
 use crate::ring::plan::RingPlan;
 use crate::weights::WeightVector;
-use p2pfl_simnet::{Actor, NodeId, Payload, SimDuration, Transport};
+use p2pfl_simnet::{Actor, ByzantineSpec, NodeId, Payload, SimDuration, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -266,6 +268,13 @@ pub trait Wire: 'static {
     fn total_label(stage: usize, idx: usize) -> String;
 }
 
+/// The mask-stream domain of the member at `position` under `seed`: a
+/// core seeds its share RNG with it, and [`crate::reference_round`] draws
+/// member `position`'s shares from the same stream.
+pub(crate) fn mask_domain(seed: u64, position: usize) -> u64 {
+    seed ^ (position as u64) << 32
+}
+
 /// A subgroup member executing pairwise fault-tolerant SAC (paper Alg. 4).
 pub type SacPeerActor = RoundCore<PairwiseWire>;
 
@@ -371,8 +380,8 @@ impl<W: Wire> RoundCore<W> {
         assert!(cfg.leader_pos < cfg.n(), "leader position out of range");
         assert!(cfg.k >= 1 && cfg.k <= cfg.n(), "invalid threshold");
         let plan = W::layout(cfg.n(), cfg.k);
-        let mask_domain = cfg.seed ^ (cfg.position as u64) << 32;
-        let rng = StdRng::seed_from_u64(mask_domain);
+        let domain = mask_domain(cfg.seed, cfg.position);
+        let rng = StdRng::seed_from_u64(domain);
         RoundCore {
             cfg,
             plan,
@@ -401,7 +410,7 @@ impl<W: Wire> RoundCore<W> {
             future: Vec::new(),
             aborted: None,
             retried: false,
-            mask_keys: vec![mask_domain],
+            mask_keys: vec![domain],
             wire: PhantomData,
         }
     }
@@ -409,6 +418,12 @@ impl<W: Wire> RoundCore<W> {
     /// Replaces the local model (between rounds).
     pub fn set_model(&mut self, model: WeightVector) {
         self.model = model;
+    }
+
+    /// Takes on the share-level behaviour a fault plan assigns this peer:
+    /// the commit-then-skew attack ([`RoundCore::byz_share_skew`]).
+    pub fn adopt_byzantine(&mut self, spec: &ByzantineSpec) {
+        self.byz_share_skew = spec.share_skew;
     }
 
     // ------------------------------------------------------------------
@@ -504,7 +519,7 @@ impl<W: Wire> RoundCore<W> {
         if !self.reconfigure(group, leader, k) {
             return false;
         }
-        let domain = self.cfg.seed ^ roster_key ^ (self.cfg.position as u64) << 32;
+        let domain = mask_domain(self.cfg.seed ^ roster_key, self.cfg.position);
         self.rng = StdRng::seed_from_u64(domain);
         self.mask_keys.push(domain);
         true

@@ -1,9 +1,10 @@
 //! Lightweight communication ledger for the synchronous protocol paths.
 //!
-//! The message-driven engines run over `p2pfl-simnet` and use its metrics;
-//! the synchronous reference implementations (used for the accuracy sweeps,
-//! where simulating every byte would be pointless) count their logical
-//! transfers here so the closed-form cost formulas can be cross-checked.
+//! The synchronous reference implementations (used for the accuracy
+//! sweeps, where simulating every byte would be pointless) count their
+//! logical transfers here so the closed-form cost formulas can be
+//! cross-checked. The message-driven engines run over `p2pfl-simnet`; the
+//! session folds their simulator metrics in by message kind.
 
 use std::collections::BTreeMap;
 
@@ -21,8 +22,13 @@ impl TransferLog {
 
     /// Records one transfer of `bytes` bytes in `phase`.
     pub fn record(&mut self, phase: &'static str, bytes: u64) {
+        self.record_many(phase, 1, bytes);
+    }
+
+    /// Records `msgs` transfers of `bytes` bytes in all in `phase`.
+    pub fn record_many(&mut self, phase: &'static str, msgs: u64, bytes: u64) {
         let e = self.by_phase.entry(phase).or_insert((0, 0));
-        e.0 += 1;
+        e.0 += msgs;
         e.1 += bytes;
     }
 
@@ -48,10 +54,8 @@ impl TransferLog {
 
     /// Merges another log into this one.
     pub fn absorb(&mut self, other: &TransferLog) {
-        for (k, (m, b)) in &other.by_phase {
-            let e = self.by_phase.entry(k).or_insert((0, 0));
-            e.0 += m;
-            e.1 += b;
+        for (k, &(m, b)) in &other.by_phase {
+            self.record_many(k, m, b);
         }
     }
 }

@@ -20,7 +20,10 @@
 //!   (`RoundCore<PairwiseWire>`: paper Alg. 4, [`SacMsg`], one-stage
 //!   layout, digest commitments) and [`RingSacActor`]
 //!   (`RoundCore<RingWire>`: [`RingMsg`], staged layout, `Shared`
-//!   announcements);
+//!   announcements). [`sim_group`] and [`drive_round`] host a group of
+//!   cores on a simulator and run a round to its end; given the same
+//!   per-member seeds the engine reproduces [`reference_round`] bit for
+//!   bit;
 //! * [`fixed`] — an exact fixed-point ring-sharing backend (extension);
 //! * [`dp`] — Gaussian-mechanism differential privacy for peer updates,
 //!   the hardening the paper's Sec. IV-D points to (extension);
@@ -66,7 +69,8 @@ pub use divide::{
     divide, divide_masked, divide_masked_with_bound, divide_scaled, ShareScheme, DEFAULT_MASK_BOUND,
 };
 pub use engine::{
-    PairwiseWire, RoundCore, RoundEvent, SacConfig, SacEngine, SacMsg, SacPeerActor, SacPhase, Wire,
+    drive_round, sim_group, PairwiseWire, RoundCore, RoundEvent, RoundOutcome, SacConfig,
+    SacEngine, SacMsg, SacPeerActor, SacPhase, Wire,
 };
 pub use ledger::TransferLog;
 pub use reference::{

@@ -28,15 +28,22 @@
 //! instance moves `n·m·min(m-1, n-k+1)·|w|` of shares for successor-stage
 //! size `m ≈ ⌈log₂ n⌉` plus `n - 1` small announcements.
 //!
+//! The round first draws one seed per member position from the RNG it is
+//! passed, in position order; member `i` then divides its model with the
+//! mask stream a [`crate::RoundCore`] seeded with that seed at position
+//! `i` uses. So the engine, given the same seeds, reproduces a reference
+//! round bit for bit: the reference is the engine's oracle.
+//!
 //! Every transfer is charged to a [`TransferLog`] — and the share
 //! arithmetic's floating-point error is really incurred — so the
 //! closed-form cost formulas can be checked against executed rounds.
 
 use crate::divide::{divide, ShareScheme};
-use crate::engine::{PairwiseWire, Wire};
+use crate::engine::{mask_domain, PairwiseWire, Wire};
 use crate::ledger::TransferLog;
 use crate::weights::WeightVector;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// When during the round a peer drops out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,10 +228,13 @@ pub fn reference_round<W: Wire, R: Rng + ?Sized>(
     let mut log = TransferLog::new();
 
     // 1. Divide and hand out. The sender cannot know a receiver is about
-    //    to crash; the bandwidth is spent either way.
+    //    to crash; the bandwidth is spent either way. Member `i` divides
+    //    with the mask stream of a core seeded `seeds[i]` at position `i`.
+    let seeds: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
     let mut shares: Vec<Option<Vec<WeightVector>>> = vec![None; n];
     for &i in &contributors {
-        shares[i] = Some(divide(&models[i], plan.parts_of(i), scheme, rng));
+        let mut stream = StdRng::seed_from_u64(mask_domain(seeds[i], i));
+        shares[i] = Some(divide(&models[i], plan.parts_of(i), scheme, &mut stream));
         let s = plan.succ_stage(plan.stage_of(i));
         for r in plan.members(s).filter(|&r| r != i) {
             let block = plan.assigned(s, plan.local_index(r)).len() as u64;
@@ -282,8 +292,6 @@ pub fn reference_round<W: Wire, R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::ring::RingWire;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use DropPhase::{AfterShare, BeforeShare};
     use Layout::{Pairwise, Ring};
 

@@ -47,7 +47,7 @@ fn parallel_and_serial_training_produce_identical_models() {
         .collect();
     assert_eq!(
         digests,
-        [0x63d639a8a459284e, 0xf10833279ccd8eca, 0x8de7d1e5d9a0c121],
+        [0x4479d086c80f96cb, 0xf14d32974449d786, 0x10936aaf0d91456f],
         "parallel local training diverged from the serial loop"
     );
 }

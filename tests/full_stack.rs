@@ -3,12 +3,14 @@
 //! engine agreeing with the synchronous reference implementation.
 
 use p2pfl::runner::{ResilientConfig, ResilientSession};
-use p2pfl_bench::testkit::{sac_peers, sim_group, sim_round, synthetic_session};
+use p2pfl_bench::testkit::{ids, models, sac_config, sim_group, sim_round, synthetic_session};
 use p2pfl_ml::data::Dataset;
-use p2pfl_secagg::{secure_average, PairwiseWire, SacEngine, ShareScheme, WeightVector};
+use p2pfl_secagg::{
+    reference_round, PairwiseWire, RingWire, RoundCore, SacEngine, ShareScheme, Wire,
+};
 use p2pfl_simnet::{NodeId, SimDuration};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn session(seed: u64) -> (ResilientSession, Dataset) {
     let (s, _, test) = synthetic_session(ResilientConfig::small(seed), 0, 50);
@@ -100,27 +102,46 @@ fn two_simultaneous_fed_member_crashes_halt_the_fed_layer() {
 
 #[test]
 fn distributed_engine_agrees_with_synchronous_reference() {
-    // The same models aggregated (a) by the message-driven engine over the
-    // simulator and (b) by the synchronous Alg. 2 must agree to float
-    // accumulation precision.
-    let n = 5usize;
-    let dim = 32usize;
-    let mut rng = StdRng::seed_from_u64(5);
-    let models: Vec<WeightVector> = (0..n)
-        .map(|_| WeightVector::random(dim, 1.0, &mut rng))
-        .collect();
+    // The message-driven engine over the simulator and the synchronous
+    // reference round, given the same models and the same per-member
+    // seeds, agree bit for bit: the reference is the engine's oracle.
+    for (n, k) in [(3, 2), (3, 3), (5, 3), (8, 3), (10, 5)] {
+        for leader in [0, n - 1] {
+            for dim in [7, 9_610] {
+                engine_matches_reference::<PairwiseWire>(SacEngine::Pairwise, n, k, leader, dim);
+                engine_matches_reference::<RingWire>(SacEngine::Ring, n, k, leader, dim);
+            }
+        }
+    }
+}
 
+/// One fault-free round of `n` cores led by position `leader`, seeded
+/// from the stream the reference then draws its member seeds from.
+fn engine_matches_reference<W: Wire>(
+    engine: SacEngine,
+    n: usize,
+    k: usize,
+    leader: usize,
+    dim: usize,
+) {
+    let case = format!("{engine:?} n={n} k={k} leader={leader} dim={dim}");
+    let seed = (1000 * n + 100 * k + 10 * leader + dim) as u64;
+    let inputs = models(n, dim, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let mut seeds = rng.clone();
+    let group = ids(n);
     let deadline = SimDuration::from_millis(100);
-    let peers = sac_peers::<PairwiseWire>(&models, n, 3, SacEngine::Pairwise, deadline, 100);
-    let mut sim = sim_group(9, peers, None);
-    let (_, distributed) = sim_round::<PairwiseWire>(&mut sim, [NodeId(0)], 1).remove(0);
-
-    let reference = secure_average(&models, ShareScheme::Masked, &mut rng).average;
-    assert!(
-        distributed.linf_distance(&reference) < 1e-8,
-        "distributed vs reference error {}",
-        distributed.linf_distance(&reference)
-    );
+    let peers = inputs.iter().enumerate().map(|(i, model)| {
+        let mut cfg = sac_config(&group, i, k, engine, deadline, seeds.next_u64());
+        cfg.leader_pos = leader;
+        (group[i], RoundCore::<W>::new(cfg, model.clone()))
+    });
+    let mut sim = sim_group(seed, peers, None);
+    let (contributors, average) = sim_round::<W>(&mut sim, [group[leader]], 1).remove(0);
+    let reference = reference_round::<W, _>(&inputs, k, leader, &[], ShareScheme::Masked, &mut rng)
+        .unwrap_or_else(|e| panic!("{case}: {e}"));
+    assert_eq!(contributors, reference.contributors, "{case}");
+    assert_eq!(average.digest(), reference.average.digest(), "{case}");
 }
 
 #[test]

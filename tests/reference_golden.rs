@@ -6,11 +6,14 @@
 //! Each section folds one canonical line per case (result digest,
 //! contributors, recoveries, ledger bytes and messages, or the error
 //! value) through FNV-1a and pins `(cases, hash)`. The values were
-//! captured before the three synchronous references were merged into one
-//! function and must never be edited for a refactor: equal pins are the
-//! licence for one. On a mismatch the test prints every line of the
-//! section, to diff against the same test run on the commit that pinned
-//! it.
+//! re-pinned once, when the reference began to draw each member's shares
+//! from the mask stream a `RoundCore` at that position uses and the
+//! session began to aggregate through the engine; they must never be
+//! edited for a refactor. Equal pins here, plus the bitwise engine test
+//! (`full_stack.rs`, `distributed_engine_agrees_with_synchronous_reference`),
+//! are the licence for one. On a mismatch the test prints every line of
+//! the section, to diff against the same test run on the commit that
+//! pinned it.
 
 use p2pfl::multilayer::MultilayerTree;
 use p2pfl::runner::ResilientConfig;
@@ -152,8 +155,8 @@ fn reference_rounds_match_the_pins() {
             }
         }
     }
-    pairwise.check("fault_tolerant_secure_average", 300, 0xc65c_33ee_afe0_f2fb);
-    ring.check("ring_secure_average", 300, 0x056a_8755_f9d9_9693);
+    pairwise.check("fault_tolerant_secure_average", 300, 0x84fa_402b_34b6_3d0f);
+    ring.check("ring_secure_average", 300, 0x1b57_6012_5888_947a);
 }
 
 #[test]
@@ -175,7 +178,7 @@ fn alg2_variants_match_the_pins() {
             }
         }
     }
-    pin.check("secure_average", 48, 0xaeb3_b4cd_a6f9_0d3f);
+    pin.check("secure_average", 48, 0x7cba_190a_f32a_7044);
 }
 
 fn two_layer(n_total: usize, cfg: TwoLayerConfig) -> (TwoLayerSystem, p2pfl_ml::data::Dataset) {
@@ -235,7 +238,7 @@ fn two_layer_system_matches_the_pins() {
         let global = WeightVector::new(sys.global().to_vec()).digest();
         pin.case(format!("{name} global={global:016x}"));
     }
-    pin.check("TwoLayerSystem", 30, 0x00c0_6d31_ff7b_593b);
+    pin.check("TwoLayerSystem", 30, 0xbce6_ac4a_9fd7_e614);
 }
 
 #[test]
@@ -248,7 +251,7 @@ fn multilayer_tree_matches_the_pin() {
         let (avg, log) = tree.aggregate(&ms, scheme, &mut rng);
         pin.case(ledger(&avg, &log));
     }
-    pin.check("MultilayerTree", 2, 0x4148_2dc9_f912_ed48);
+    pin.check("MultilayerTree", 2, 0xa4dd_098b_3d95_7fc6);
 }
 
 #[test]
@@ -295,5 +298,5 @@ fn resilient_session_matches_the_pins() {
             pin.case(format!("{engine:?} {shape} global={digest:016x}"));
         }
     }
-    pin.check("ResilientSession", 20, 0xc25b_7c7f_ee6b_9656);
+    pin.check("ResilientSession", 20, 0xdd53_1d21_b61a_f1bf);
 }
