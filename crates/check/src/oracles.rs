@@ -527,7 +527,7 @@ pub fn byzantine_bounded_influence<'a, W: Wire>(
         if let Some(&b) = a
             .contributors
             .iter()
-            .find(|b| a.byzantine_detected.contains(b))
+            .find(|&&b| a.byzantine_detected.contains(&cfg.group[b]))
         {
             return Err(Violation::new(
                 "ByzantineBoundedInfluence",

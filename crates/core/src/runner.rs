@@ -373,9 +373,10 @@ impl ResilientSession {
             let model = WeightVector::new(self.clients[m.index()].params());
             let mut core = RoundCore::<W>::new(cfg, model);
             core.verify_commitments = self.cfg.verify_commitments;
-            if let Some(plan) = &self.fault_plan {
-                core.adopt_byzantine(&plan.byzantine(m, now));
-            }
+            core.byz_share_skew = self
+                .fault_plan
+                .as_ref()
+                .and_then(|plan| plan.byzantine(m, now).share_skew);
             cores.push((group[position], core));
         }
         let mut sim = sim_group(self.cfg.seed, cores, None);
@@ -390,16 +391,12 @@ impl ResilientSession {
         }
         let core = sim.actor::<RoundCore<W>>(group[leader_pos]);
         self.supervisor.aborts += core.aborts;
-        // A live skewer's blocks reach the leader inside the share
-        // deadline, and a degraded retry drops every member the leader
-        // has not heard from, so convictions are positions of `members`.
+        // The core convicts by identity (simulator ids index `members`);
+        // the leader's seat records it, and step 5b books it.
         let leader = members[leader_pos];
-        for &pos in &core.byzantine_detected {
-            let m = members[pos];
-            self.supervisor.shares_rejected += 1;
-            if self.convicted.insert(m) {
-                self.supervisor.peers_evicted_byzantine.push((round, m));
-            }
+        self.supervisor.shares_rejected += core.byzantine_detected.len() as u64;
+        for &local in &core.byzantine_detected {
+            let m = members[local.index()];
             self.dep
                 .sim
                 .exec::<HierActor, _, _>(leader, |a, ctx| a.convict(ctx, m));
@@ -542,14 +539,10 @@ impl ResilientSession {
         //    leader also commits the round number to the FedAvg-layer log,
         //    sequencing rounds across leader changes (the log-replication
         //    use the paper describes alongside the config replication).
-        if let Some(fl) = fed_leader {
-            if groups_used > 0 {
-                self.dep.sim.exec::<HierActor, _, _>(fl, |a, ctx| {
-                    let _ = a.propose_fed(ctx, FedCmd::Round(round as u64));
-                });
-            }
-        }
         if let Some(fl) = fed_leader.filter(|_| groups_used > 0) {
+            self.dep.sim.exec::<HierActor, _, _>(fl, |a, ctx| {
+                let _ = a.propose_fed(ctx, FedCmd::Round(round as u64));
+            });
             for _ in 1..groups_used {
                 self.log.record("fedavg.upload", self.model_bytes());
             }
@@ -575,10 +568,10 @@ impl ResilientSession {
             self.push_global();
         }
 
-        // 5b. Harvest what the protocol layer detected on its own this
-        //     round: config-echo equivocations and in-protocol Byzantine
-        //     convictions (the counters on the actors are cumulative, so
-        //     the totals are assigned, not incremented).
+        // 5b. Harvest what the protocol layer detected this round:
+        //     config-echo equivocations and Byzantine convictions, the
+        //     commitment check's included (the counters on the actors are
+        //     cumulative, so the totals are assigned, not incremented).
         let mut equivocations = 0;
         let mut in_protocol: Vec<NodeId> = Vec::new();
         let mut splits = 0u64;
@@ -952,6 +945,38 @@ mod tests {
         let r = s.run_round(3, &test);
         assert_eq!(s.supervisor.shares_rejected, 1);
         assert_eq!(r.record.groups_used, 3);
+    }
+
+    #[test]
+    fn degraded_retry_convicts_only_the_skewer() {
+        // n = k = 5, one follower crashing late and another skewing: the
+        // round aborts and retries over the three others, whose roster
+        // renumbers them. The conviction must follow the skewer, not its
+        // old position: the honest member that inherits that position is
+        // waited for, and the subgroup completes degraded.
+        let mut cfg = ResilientConfig::small(8);
+        cfg.threshold = 5;
+        cfg.deployment.subgroup_size = 5;
+        let (mut s, test) = build_with(cfg);
+        s.run(2, &test);
+        let leader0 = s.dep.sub_leader_of(0).unwrap();
+        let followers: Vec<NodeId> = s.dep.subgroups[0]
+            .iter()
+            .copied()
+            .filter(|&m| m != leader0)
+            .collect();
+        let (byz, crashed) = (followers[1], followers[3]);
+        let plan = FaultPlan::new(0xb3).share_skew(SimTime::ZERO, None, byz, 7.0);
+        s.apply_fault_plan(&plan);
+        let at = s.dep.sim.now() + SimDuration::from_millis(590);
+        s.dep.sim.schedule_crash(crashed, at);
+        let r = s.run_round(3, &test);
+        assert_eq!(s.supervisor.peers_evicted_byzantine, vec![(3, byz)]);
+        assert_eq!(r.degraded, vec![0], "leaders: {:?}", r.leaders);
+        assert_eq!(r.record.groups_used, 3);
+        assert_eq!(s.supervisor.refusals, 0);
+        let a = s.dep.sim.actor::<HierActor>(leader0);
+        assert!(!a.byzantine_peers.contains(&crashed));
     }
 
     #[test]

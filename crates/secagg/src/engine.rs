@@ -48,7 +48,7 @@ use crate::divide::{divide, ShareScheme};
 use crate::replicated::{hand_out, replication_factor};
 use crate::ring::plan::RingPlan;
 use crate::weights::WeightVector;
-use p2pfl_simnet::{Actor, ByzantineSpec, NodeId, Payload, SimDuration, Transport};
+use p2pfl_simnet::{Actor, NodeId, Payload, SimDuration, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -328,11 +328,13 @@ pub struct RoundCore<W: Wire> {
     /// them, outside the roster/grid/model shape, or a share block that
     /// disagreed with its sender's own commitment.
     pub shares_rejected: u64,
-    /// Positions convicted of sending malformed shares or shares
-    /// inconsistent with their commitments (cumulative across rounds; the
-    /// round supervisor reads this to drive roster evictions). Only a
-    /// message bound to its sender can convict.
-    pub byzantine_detected: BTreeSet<usize>,
+    /// Peers convicted of sending malformed shares or shares inconsistent
+    /// with their commitments (cumulative across rounds and rosters: kept
+    /// by identity, so a degraded retry's renumbering cannot move a
+    /// conviction onto an honest member; the round supervisor reads this
+    /// to drive roster evictions). Only a message bound to its sender can
+    /// convict.
+    pub byzantine_detected: BTreeSet<NodeId>,
     // commitments[from_pos] = per-partition digests for the current round
     commitments: BTreeMap<usize, Vec<u64>>,
     // blocks[from_pos][idx] = share of partition idx from the
@@ -418,12 +420,6 @@ impl<W: Wire> RoundCore<W> {
     /// Replaces the local model (between rounds).
     pub fn set_model(&mut self, model: WeightVector) {
         self.model = model;
-    }
-
-    /// Takes on the share-level behaviour a fault plan assigns this peer:
-    /// the commit-then-skew attack ([`RoundCore::byz_share_skew`]).
-    pub fn adopt_byzantine(&mut self, spec: &ByzantineSpec) {
-        self.byz_share_skew = spec.share_skew;
     }
 
     // ------------------------------------------------------------------
@@ -702,7 +698,7 @@ impl<W: Wire> RoundCore<W> {
         let n = self.cfg.n();
         if self.cfg.is_leader()
             && self.phase == SacPhase::Sharing
-            && (0..n).all(|p| self.heard(p) || self.byzantine_detected.contains(&p))
+            && (0..n).all(|p| self.heard(p) || self.byzantine_detected.contains(&self.cfg.group[p]))
         {
             self.freeze(ctx);
         }
@@ -951,7 +947,10 @@ impl<W: Wire> RoundCore<W> {
             .group
             .iter()
             .enumerate()
-            .filter(|(j, _)| *j == self.cfg.position || !suspects.contains(j))
+            .filter(|&(j, p)| {
+                j == self.cfg.position
+                    || !(suspects.contains(&j) || self.byzantine_detected.contains(p))
+            })
             .map(|(_, &p)| p)
             .collect();
         if self.retried {
@@ -1085,7 +1084,7 @@ impl<W: Wire> RoundCore<W> {
                 let row = self.plan.stage_len(self.plan.stage_of(self.cfg.position));
                 if parts.iter().any(|(p, v)| *p >= row || v.dim() != dim) {
                     self.shares_rejected += 1;
-                    self.byzantine_detected.insert(from_pos);
+                    self.byzantine_detected.insert(self.cfg.group[from_pos]);
                     return;
                 }
                 // Commitment check: every partition in the block must hash
@@ -1104,7 +1103,7 @@ impl<W: Wire> RoundCore<W> {
                             .all(|(p, v)| digests.get(*p).is_some_and(|&d| d == v.digest()));
                         if !consistent {
                             self.shares_rejected += 1;
-                            self.byzantine_detected.insert(from_pos);
+                            self.byzantine_detected.insert(self.cfg.group[from_pos]);
                             self.blocks.remove(&from_pos);
                             return;
                         }
@@ -1805,7 +1804,7 @@ mod tests {
         assert_eq!(solo.actor.shares_rejected, 2, "wrong dimension");
         assert!(!solo.actor.blocks.contains_key(&1), "nothing was stored");
         assert!(
-            solo.actor.byzantine_detected.contains(&1),
+            solo.actor.byzantine_detected.contains(&solo.ids[1]),
             "a malformed block bound to its sender convicts it"
         );
         solo.deliver(1, part(row - 1, 2));

@@ -265,7 +265,7 @@ mod tests {
         let leader = sim.actor::<SacPeerActor>(ids[0]);
         assert_done(leader, &models, &[0, 1, 2, 4]);
         assert!(leader.shares_rejected >= 1);
-        assert!(leader.byzantine_detected.contains(&3));
+        assert!(leader.byzantine_detected.contains(&ids[3]));
         // Followers reject the same blocks independently.
         for &id in &[ids[1], ids[2], ids[4]] {
             assert!(

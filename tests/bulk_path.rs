@@ -219,16 +219,17 @@ fn pairwise_round_matches_simulator_and_convicts_the_skewer() {
         want.1.digest(),
         "reactor digest diverged from the simulator"
     );
+    let skewer = NodeId(SKEWER as u32);
     let (rejected, convicted) = handles[0].with(|a, _| {
-        let convicted: Vec<usize> = a.byzantine_detected.iter().copied().collect();
+        let convicted: Vec<NodeId> = a.byzantine_detected.iter().copied().collect();
         (a.shares_rejected, convicted)
     });
     assert!(rejected >= 1, "leader accepted a skewed block");
-    assert_eq!(convicted, vec![SKEWER], "skewer not convicted");
+    assert_eq!(convicted, vec![skewer], "skewer not convicted");
     // The honest follower checked the skewer's block against the same
     // commitment, independently.
     let (rejected, convicted) =
-        handles[1].with(|a, _| (a.shares_rejected, a.byzantine_detected.contains(&SKEWER)));
+        handles[1].with(move |a, _| (a.shares_rejected, a.byzantine_detected.contains(&skewer)));
     assert!(
         rejected >= 1 && convicted,
         "follower accepted a skewed block"
