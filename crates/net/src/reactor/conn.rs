@@ -28,15 +28,18 @@
 //! socket, and polling is level-triggered, so [`read_some`] says so and,
 //! unless a frame is half in, the reactor stops there instead of paying
 //! an empty `read` to hear `WouldBlock`. A frame over the chunk is
-//! *bulk*: the link holds its bytes only while it is in flight, taking
-//! the reactor's one spare allocation when that fits and giving the
-//! storage back once the frame is delivered, so receive memory follows
-//! the frames in flight, not links x the largest frame each ever carried.
+//! *bulk*: once its header is in, the rest of it is read from the socket
+//! straight into storage the reactor's [`BulkPool`] lends the link, with
+//! no hop through the scratch chunk, and the storage goes back to the
+//! pool once the frame is delivered. The pool keeps released storage for
+//! the next bulk frame, never more than the links held at once, so
+//! receive memory follows the frames in flight, not links x the largest
+//! frame each ever carried, and a steady round allocates none.
 
 use super::queue::SendQueue;
 use super::stats::StatsCells;
 use super::sys;
-use crate::codec::FrameBuffer;
+use crate::codec::{BulkPool, FrameBuffer};
 use p2pfl_simnet::NodeId;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
@@ -227,25 +230,30 @@ pub(crate) fn flush_link(
 /// Outcome of one read attempt on a readable connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReadStatus {
-    /// The read filled the scratch chunk; more may be waiting.
+    /// The read filled the scratch chunk or completed a bulk frame; more
+    /// may be waiting.
     Full,
     /// The read returned less than the chunk: the kernel buffer was
     /// drained when it ran.
     Short,
-    /// Nothing to read; the connection is still open.
+    /// The socket has nothing more for now; the connection is still open.
     Drained,
     /// Clean EOF or fatal read error.
     Closed,
 }
 
-/// Reads once into the link's frame buffer. `scratch` is the reactor's
-/// shared read buffer; a bulk frame with no room on the link may take
-/// `spare` as its storage.
-pub(crate) fn read_some(
-    link: &mut Link,
-    scratch: &mut [u8],
-    spare: &mut Option<Vec<u8>>,
-) -> ReadStatus {
+/// Reads once into the link's frame buffer: the rest of a bulk frame
+/// whose header is in straight into the storage it took from `pool`, as
+/// much as the socket has up to the frame's end, and anything else
+/// through `scratch`, the reactor's shared read chunk.
+pub(crate) fn read_some(link: &mut Link, scratch: &mut [u8], pool: &mut BulkPool) -> ReadStatus {
+    if let Some(read) = link.rx.read_bulk(&mut link.stream, READ_CHUNK, pool) {
+        return match read {
+            Ok(true) => ReadStatus::Full,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => ReadStatus::Drained,
+            Ok(false) | Err(_) => ReadStatus::Closed,
+        };
+    }
     loop {
         match link.stream.read(scratch) {
             Ok(0) => return ReadStatus::Closed,
@@ -253,7 +261,7 @@ pub(crate) fn read_some(
             // misbehaving implementation from panicking the reactor.
             Ok(n) => {
                 let bytes = scratch.get(..n).unwrap_or(scratch);
-                link.rx.extend_with_spare(bytes, READ_CHUNK, spare);
+                link.rx.extend_with_pool(bytes, READ_CHUNK, pool);
                 return if n < scratch.len() {
                     ReadStatus::Short
                 } else {

@@ -41,7 +41,7 @@ mod timer;
 pub use queue::SendQueue;
 pub use stats::NetStats;
 
-use crate::codec::{self, CodecError, FrameBuffer};
+use crate::codec::{self, BulkPool, CodecError, FrameBuffer};
 use p2pfl_simnet::{
     Actor, FaultPlan, LinkFaults, NodeId, Payload, SimDuration, SimTime, TimerId, Transport,
 };
@@ -282,9 +282,9 @@ struct Core<M, A> {
     next_epoch: u64,
     timers: TimerQueue<TimerEntry>,
     scratch: Vec<u8>,
-    /// The largest storage a link gave back after a bulk frame, kept for
-    /// the next bulk frame that fits; one, not a pool.
-    spare: Option<Vec<u8>>,
+    /// Storage links gave back after bulk frames, lent to the next bulk
+    /// frames that fit.
+    pool: BulkPool,
     shutdown: bool,
 }
 
@@ -631,10 +631,11 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
     /// side schedules a redial unless `allow_redial` is off (duplicate
     /// replacement, despawn, shutdown).
     fn close_conn(&mut self, token: u64, allow_redial: bool) {
-        let Some(link) = self.conns.remove(&token) else {
+        let Some(mut link) = self.conns.remove(&token) else {
             return;
         };
         let _ = self.poller.delete(link.stream.as_raw_fd());
+        link.rx.discard(&mut self.pool);
         let (Some(local), Some(remote)) = (link.local, link.remote) else {
             return;
         };
@@ -724,20 +725,21 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
     }
 
     /// Reads what a connection has, dispatching complete frames as they
-    /// form. A read that fills the scratch chunk goes round again. A
-    /// shorter one drained the socket: at a frame boundary that ends the
-    /// burst, and since polling is level-triggered, later bytes (or an
-    /// EOF) are a fresh readiness, so no empty `read` is spent to hear
-    /// `WouldBlock`. Mid-frame, the rest of the frame is already on its
-    /// way and reading on keeps a bulk stream moving: stopping there
-    /// starved the one `sac_bulk_cnn_3` share block a round does not wait
-    /// for, until the next round's block overflowed the send queue.
+    /// form. A read that fills the scratch chunk, or completes a bulk
+    /// frame read in place, goes round again. A shorter one drained the
+    /// socket: at a frame boundary that ends the burst, and since polling
+    /// is level-triggered, later bytes (or an EOF) are a fresh readiness,
+    /// so no empty `read` is spent to hear `WouldBlock`. Mid-frame, the
+    /// rest of the frame is already on its way and reading on keeps a
+    /// bulk stream moving: stopping there starved the one
+    /// `sac_bulk_cnn_3` share block a round does not wait for, until the
+    /// next round's block overflowed the send queue.
     fn handle_readable(&mut self, token: u64) {
         loop {
             let Some(link) = self.conns.get_mut(&token) else {
                 return;
             };
-            let status = conn::read_some(link, &mut self.scratch, &mut self.spare);
+            let status = conn::read_some(link, &mut self.scratch, &mut self.pool);
             if status == conn::ReadStatus::Closed {
                 self.close_conn(token, true);
                 return;
@@ -749,6 +751,7 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
             let mut rx = std::mem::take(&mut link.rx);
             let framing = self.deliver_frames(token, &mut rx);
             let Some(link) = self.conns.get_mut(&token) else {
+                rx.discard(&mut self.pool);
                 return;
             };
             link.rx = rx;
@@ -771,23 +774,14 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
 
     /// Delivers every complete frame buffered in `rx`, stopping early if
     /// the connection goes away underneath. Storage that carried a bulk
-    /// frame and now holds nothing leaves the link; the reactor keeps the
-    /// larger of it and its current spare.
+    /// frame and now holds nothing leaves the link for the pool.
     fn deliver_frames(&mut self, token: u64, rx: &mut FrameBuffer) -> Result<(), CodecError> {
         while let Some(frame) = rx.next_frame()? {
             if !self.deliver_frame(token, frame) {
                 break;
             }
         }
-        if let Some(storage) = rx.release(conn::READ_CHUNK) {
-            if self
-                .spare
-                .as_ref()
-                .is_none_or(|s| s.capacity() < storage.capacity())
-            {
-                self.spare = Some(storage);
-            }
-        }
+        rx.release(&mut self.pool);
         Ok(())
     }
 
@@ -1133,7 +1127,7 @@ where
             next_epoch: 0,
             timers: TimerQueue::new(),
             scratch: vec![0u8; conn::READ_CHUNK],
-            spare: None,
+            pool: BulkPool::new(),
             shutdown: false,
         };
         let thread = std::thread::Builder::new()

@@ -426,19 +426,21 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// bytes as were consumed since the last reclaim.
 ///
 /// A *bulk* frame — one over a threshold the caller names, the reactor's
-/// read chunk — has its storage only while it is in flight: once the
-/// buffer has handed one out and holds nothing else,
-/// [`FrameBuffer::release`] gives the allocation back, and
-/// [`FrameBuffer::extend_with_spare`] lets the next bulk frame take a
-/// released allocation instead of making its own. Smaller frames keep
-/// the buffer's own storage.
+/// read chunk — lives in storage lent by a [`BulkPool`], and only while
+/// it is in flight. Once its header is in, [`FrameBuffer::read_bulk`]
+/// reads the rest of it from the source straight into that storage; once
+/// the buffer has handed it out and holds nothing else,
+/// [`FrameBuffer::release`] gives the storage back to the pool. Smaller
+/// frames keep the buffer's own storage.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Read cursor: everything before it was already handed out.
     head: usize,
-    /// Largest payload handed out since the storage was last released.
-    largest: usize,
+    /// Whether `buf` was lent by a [`BulkPool`] and goes back to it.
+    lent: bool,
+    /// Whether a bulk frame has passed through before the one in `buf`.
+    carried_bulk: bool,
 }
 
 impl FrameBuffer {
@@ -449,13 +451,19 @@ impl FrameBuffer {
 
     /// Appends freshly received bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.extend_with_spare(bytes, MAX_FRAME, &mut None);
+        self.extend_with_pool(bytes, MAX_FRAME, &mut BulkPool::new());
     }
 
     /// Appends freshly received bytes. A frame of more than `bulk` bytes
-    /// that the buffer has no room for takes `spare` as its storage when
-    /// `spare` can hold it whole, instead of allocating.
-    pub fn extend_with_spare(&mut self, bytes: &[u8], bulk: usize, spare: &mut Option<Vec<u8>>) {
+    /// that the buffer has no room for takes its storage from `pool`.
+    pub fn extend_with_pool(&mut self, bytes: &[u8], bulk: usize, pool: &mut BulkPool) {
+        self.make_room(bytes, bulk, pool);
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Makes room for `bytes` and, once the next frame's header is in,
+    /// for that whole frame.
+    fn make_room(&mut self, bytes: &[u8], bulk: usize, pool: &mut BulkPool) {
         if self.is_empty() {
             self.buf.clear();
             self.head = 0;
@@ -471,30 +479,74 @@ impl FrameBuffer {
         let room = frame.map_or(0, |len| 4 + len).max(held + bytes.len());
         if self.buf.capacity() < self.head + room {
             let is_bulk = frame.is_some_and(|len| len > bulk);
-            match spare.take_if(|s| is_bulk && s.capacity() >= room) {
-                Some(mut storage) => {
-                    storage.clear();
-                    storage.extend_from_slice(self.buf.get(self.head..).unwrap_or_default());
-                    self.buf = storage;
-                    self.head = 0;
+            if is_bulk || self.lent {
+                // Lent storage is swapped, never regrown: the pool counts
+                // it by the capacity it lent.
+                let mut storage = if is_bulk {
+                    pool.take(room)
+                } else {
+                    Vec::with_capacity(room)
+                };
+                storage.extend_from_slice(self.buf.get(self.head..).unwrap_or_default());
+                let old = std::mem::replace(&mut self.buf, storage);
+                if std::mem::replace(&mut self.lent, is_bulk) {
+                    pool.give(old, self.carried_bulk);
                 }
-                None => self.buf.reserve(room - held),
+                self.head = 0;
+            } else {
+                self.buf.reserve(room - held);
             }
         }
-        self.buf.extend_from_slice(bytes);
     }
 
-    /// Gives the storage back once the buffer has handed out a frame of
-    /// more than `bulk` bytes and holds nothing else; the buffer goes on
-    /// empty. `None` while a frame is still in flight, or when only
-    /// smaller frames passed through.
-    pub fn release(&mut self, bulk: usize) -> Option<Vec<u8>> {
-        if !self.is_empty() || self.largest <= bulk {
-            return None;
+    /// Reads the rest of a pending bulk frame — one of more than `bulk`
+    /// bytes whose header is in — from `src` straight into storage that
+    /// holds the whole frame, taken from `pool` if the buffer has no room
+    /// for it, and not a byte past the frame's end. Reads until the frame
+    /// is whole or `src` fails, keeping every byte that arrived either
+    /// way; a non-blocking `src` fails with `WouldBlock` once it has
+    /// nothing more for now. `None` when no bulk frame is pending;
+    /// otherwise whether the frame is now whole (`Ok(false)`: `src` ended
+    /// first).
+    pub fn read_bulk(
+        &mut self,
+        src: &mut impl Read,
+        bulk: usize,
+        pool: &mut BulkPool,
+    ) -> Option<io::Result<bool>> {
+        let len = self
+            .pending_len_with(&[])
+            .filter(|&len| len > bulk && len <= MAX_FRAME)?;
+        let rest = (self.head + 4 + len)
+            .checked_sub(self.buf.len())
+            .filter(|&rest| rest > 0)?;
+        // The header may have come in behind a smaller frame, sized for
+        // that one; making room moves the frame, not where it ends.
+        self.make_room(&[], bulk, pool);
+        let read = src.take(rest as u64).read_to_end(&mut self.buf);
+        Some(read.map(|n| n == rest))
+    }
+
+    /// Gives lent storage back to `pool` once the buffer holds nothing
+    /// else: every bulk frame it carried was handed out. The buffer goes
+    /// on empty. Does nothing while a frame is still in flight, or when
+    /// only smaller frames passed through.
+    pub fn release(&mut self, pool: &mut BulkPool) {
+        if self.lent && self.is_empty() {
+            pool.give(std::mem::take(&mut self.buf), self.carried_bulk);
+            self.head = 0;
+            self.lent = false;
+            self.carried_bulk = true;
         }
-        let mut storage = std::mem::take(self).buf;
-        storage.clear();
-        Some(storage)
+    }
+
+    /// Drops whatever the buffer holds, giving lent storage back to
+    /// `pool`: the stream it read is gone. The buffer goes on empty.
+    pub fn discard(&mut self, pool: &mut BulkPool) {
+        let gone = std::mem::take(self);
+        if gone.lent {
+            pool.give(gone.buf, gone.carried_bulk);
+        }
     }
 
     /// Whether every byte received has been handed out: no partial frame
@@ -531,8 +583,80 @@ impl FrameBuffer {
             return Ok(None);
         };
         self.head = start + len;
-        self.largest = self.largest.max(len);
         Ok(Some(payload))
+    }
+}
+
+/// Released bulk receive storage, kept for the next bulk frames that fit.
+///
+/// Every bulk frame's storage is lent by the pool and comes back through
+/// [`FrameBuffer::release`] or [`FrameBuffer::discard`], so the pool
+/// knows how much bulk storage its buffers hold at once. What it keeps
+/// plus what it has lent never exceeds its high-water mark, the most it
+/// has had lent at one time: the pool holds nothing that its buffers did
+/// not already hold at once. It keeps storage for the buffers that come
+/// back for more: what a buffer gives back after its first bulk frame is
+/// kept only while the pool holds nothing else, as the one spare a
+/// one-off burst leaves behind. A frame takes the smallest kept storage
+/// that fits it (best fit). One that nothing fits allocates, and kept
+/// storage is dropped, smallest first, while the total would pass the
+/// mark.
+#[derive(Debug, Default)]
+pub struct BulkPool {
+    kept: Vec<Vec<u8>>,
+    /// Capacity lent out and not yet given back.
+    lent: usize,
+    /// The most capacity lent out at one time.
+    high_water: usize,
+}
+
+impl BulkPool {
+    /// An empty pool.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Capacity of the storage kept for reuse.
+    fn kept(&self) -> usize {
+        self.kept.iter().map(Vec::capacity).sum()
+    }
+
+    /// Lends storage that holds `room` bytes.
+    fn take(&mut self, room: usize) -> Vec<u8> {
+        let fit = (self.kept.iter().enumerate())
+            .filter(|(_, s)| s.capacity() >= room)
+            .min_by_key(|(_, s)| s.capacity())
+            .map(|(i, _)| i);
+        let storage = match fit {
+            Some(i) => self.kept.swap_remove(i),
+            None => {
+                let storage = Vec::with_capacity(room);
+                let lent = self.lent + storage.capacity();
+                self.high_water = self.high_water.max(lent);
+                let mut kept = self.kept();
+                self.kept
+                    .sort_unstable_by_key(|s| std::cmp::Reverse(s.capacity()));
+                while kept + lent > self.high_water {
+                    let Some(dropped) = self.kept.pop() else {
+                        break;
+                    };
+                    kept -= dropped.capacity();
+                }
+                storage
+            }
+        };
+        self.lent += storage.capacity();
+        storage
+    }
+
+    /// Takes lent storage back; `repeat` says whether it carried its
+    /// buffer's second or later bulk frame.
+    fn give(&mut self, mut storage: Vec<u8>, repeat: bool) {
+        self.lent = self.lent.saturating_sub(storage.capacity());
+        if repeat || self.kept.is_empty() {
+            storage.clear();
+            self.kept.push(storage);
+        }
     }
 }
 
@@ -858,115 +982,324 @@ mod tests {
         wire
     }
 
-    /// Feeds `wire` in `chunk`-byte reads through `spare`, collecting
-    /// every frame as it completes.
-    fn feed(
-        fb: &mut FrameBuffer,
-        wire: &[u8],
-        chunk: usize,
-        spare: &mut Option<Vec<u8>>,
-    ) -> Vec<Vec<u8>> {
+    /// Feeds `wire` in `chunk`-byte reads through `pool`, collecting
+    /// every frame as it completes and releasing lent storage after.
+    fn feed(fb: &mut FrameBuffer, wire: &[u8], chunk: usize, pool: &mut BulkPool) -> Vec<Vec<u8>> {
         let mut frames = Vec::new();
         for piece in wire.chunks(chunk) {
-            fb.extend_with_spare(piece, BULK, spare);
+            fb.extend_with_pool(piece, BULK, pool);
             while let Some(f) = fb.next_frame().unwrap() {
                 frames.push(f.to_vec());
             }
+            fb.release(pool);
         }
         frames
+    }
+
+    /// A non-blocking source: hands `wire` out a piece at a time, the
+    /// pieces cut to `sizes` in turn, and fails with `WouldBlock` between
+    /// pieces; `Ok(0)` once `wire` is used up.
+    struct Trickle<'a> {
+        wire: &'a [u8],
+        sizes: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+        left: usize,
+    }
+
+    impl<'a> Trickle<'a> {
+        fn new(wire: &'a [u8], sizes: &'a [usize]) -> Self {
+            let mut sizes = sizes.iter().cycle();
+            let left = *sizes.next().unwrap();
+            Trickle { wire, sizes, left }
+        }
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.left == 0 && !self.wire.is_empty() {
+                self.left = *self.sizes.next().unwrap();
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = out.len().min(self.left).min(self.wire.len());
+            out[..n].copy_from_slice(&self.wire[..n]);
+            self.wire = &self.wire[n..];
+            self.left -= n;
+            Ok(n)
+        }
+    }
+
+    /// One readiness event as the reactor serves it: the rest of a bulk
+    /// frame in place, anything else through a scratch chunk, every
+    /// frame handed out as it completes and lent storage given back once
+    /// the buffer is empty. `Ok` once `src` has ended; `WouldBlock` when
+    /// it has nothing more for now.
+    fn pump(
+        fb: &mut FrameBuffer,
+        src: &mut impl Read,
+        pool: &mut BulkPool,
+        frames: &mut Vec<Vec<u8>>,
+    ) -> io::Result<()> {
+        let mut scratch = [0u8; 1000];
+        loop {
+            let more = match fb.read_bulk(src, BULK, pool) {
+                Some(read) => read?,
+                None => {
+                    let n = src.read(&mut scratch)?;
+                    fb.extend_with_pool(&scratch[..n], BULK, pool);
+                    n > 0
+                }
+            };
+            while let Some(f) = fb.next_frame().unwrap() {
+                frames.push(f.to_vec());
+            }
+            fb.release(pool);
+            if !more {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Serves readiness events until `src` ends.
+    fn pump_to_end(
+        fb: &mut FrameBuffer,
+        src: &mut impl Read,
+        pool: &mut BulkPool,
+        frames: &mut Vec<Vec<u8>>,
+    ) {
+        while let Err(e) = pump(fb, src, pool, frames) {
+            assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
+        }
+    }
+
+    /// Bytes that differ from their neighbours, so a misplaced or
+    /// repeated piece shows.
+    fn numbered(len: usize, salt: u8) -> Vec<u8> {
+        let mut wire = Vec::new();
+        let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8 ^ salt).collect();
+        write_frame(&mut wire, &payload).unwrap();
+        wire
+    }
+
+    #[test]
+    fn bulk_frames_read_in_place_arrive_whole() {
+        // Bulk frames around small ones, through odd pieces that split
+        // every header somewhere, the first one byte at a time.
+        let mut wire = numbered(3 * BULK + 5, 1);
+        wire.extend(numbered(9, 2));
+        wire.extend(numbered(BULK + 1, 3));
+        wire.extend(numbered(BULK, 4));
+        wire.extend(numbered(2 * BULK, 5));
+        for sizes in [&[1, 1, 1, 1, 70_001][..], &[3, 7, 65_537, 13], &[2, 999]] {
+            let mut src = Trickle::new(&wire, sizes);
+            let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), BulkPool::new(), Vec::new());
+            pump_to_end(&mut fb, &mut src, &mut pool, &mut frames);
+            let want: Vec<Vec<u8>> = [(3 * BULK + 5, 1), (9, 2), (BULK + 1, 3), (BULK, 4)]
+                .into_iter()
+                .chain([(2 * BULK, 5)])
+                .map(|(len, salt)| numbered(len, salt)[4..].to_vec())
+                .collect();
+            assert!(frames == want, "{sizes:?}: frames differ");
+            assert!(fb.is_empty() && !fb.lent, "{sizes:?}");
+        }
+    }
+
+    #[test]
+    fn bulk_frame_read_in_place_keeps_its_storage() {
+        // From the read that brings the header in to the frame's end, the
+        // bytes land in the storage taken then: nothing regrows it.
+        let wire = numbered(5 * BULK, 6);
+        let mut src = Trickle::new(&wire, &[10, 4 * BULK, BULK, 100]);
+        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), BulkPool::new(), Vec::new());
+        assert!(pump(&mut fb, &mut src, &mut pool, &mut frames).is_err());
+        let (at, cap) = (fb.buf.as_ptr(), fb.buf.capacity());
+        assert_eq!(cap, wire.len(), "sized from the header");
+        let mut reads = 0;
+        while fb.read_bulk(&mut src, BULK, &mut pool).is_some() {
+            assert_eq!((fb.buf.as_ptr(), fb.buf.capacity()), (at, cap), "regrew");
+            reads += 1;
+        }
+        assert_eq!(reads, 2, "one call per readiness event");
+        assert_eq!(fb.next_frame().unwrap().unwrap(), &wire[4..]);
+    }
+
+    #[test]
+    fn would_block_mid_frame_keeps_the_partial_frame() {
+        let wire = numbered(2 * BULK, 7);
+        let half = wire.len() / 2;
+        let sizes = [half, usize::MAX];
+        let mut src = Trickle::new(&wire, &sizes);
+        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), BulkPool::new(), Vec::new());
+        let blocked = pump(&mut fb, &mut src, &mut pool, &mut frames).unwrap_err();
+        assert_eq!(blocked.kind(), io::ErrorKind::WouldBlock);
+        assert!(frames.is_empty() && !fb.is_empty());
+        assert_eq!(fb.buf.len(), half, "bytes read before the block were kept");
+        fb.release(&mut pool);
+        assert_eq!(pool.kept(), 0, "released a frame in flight");
+        pump(&mut fb, &mut src, &mut pool, &mut frames).unwrap();
+        assert!(frames == [wire[4..].to_vec()]);
+        assert_eq!(pool.kept(), wire.len(), "given back once delivered");
+    }
+
+    #[test]
+    fn bulk_header_behind_a_small_frame_takes_storage_from_the_pool() {
+        // One read ends with a small frame and the next frame's header:
+        // the buffer was sized for the small frame, and the in-place read
+        // must not grow that to the bulk frame's size on the link.
+        let mut wire = numbered(100, 8);
+        let small = wire.len();
+        wire.extend(numbered(3 * BULK, 9));
+        let sizes = [small + 4, usize::MAX];
+        let mut src = Trickle::new(&wire, &sizes);
+        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), BulkPool::new(), Vec::new());
+        pump(&mut fb, &mut src, &mut pool, &mut frames).unwrap_err();
+        pump(&mut fb, &mut src, &mut pool, &mut frames).unwrap();
+        assert_eq!(frames.len(), 2);
+        assert!(frames[1] == wire[small + 4..]);
+        assert_eq!(pool.kept(), 4 + 3 * BULK, "the frame's storage was lent");
+        assert!(fb.buf.capacity() < BULK, "the link kept bulk storage");
     }
 
     #[test]
     fn bulk_frame_storage_is_given_back_once_delivered() {
         let wire = framed(3 << 20, 1);
-        let mut fb = FrameBuffer::new();
-        let frames = feed(&mut fb, &wire, BULK, &mut None);
+        let (mut fb, mut pool) = (FrameBuffer::new(), BulkPool::new());
+        let frames = feed(&mut fb, &wire, BULK, &mut pool);
         assert_eq!(frames, vec![vec![1u8; 3 << 20]]);
-        let storage = fb.release(BULK).expect("bulk storage stays on the link");
-        assert!(storage.capacity() >= wire.len() && storage.is_empty());
+        assert_eq!(pool.kept(), wire.len());
         assert_eq!(fb.buf.capacity(), 0, "the buffer goes on empty");
-        assert!(fb.release(BULK).is_none(), "released twice");
+        fb.release(&mut pool);
+        assert_eq!(pool.kept(), wire.len(), "released twice");
 
         // The next frames flow as on a fresh buffer.
-        let frames = feed(&mut fb, &framed(5, 2), BULK, &mut None);
+        let frames = feed(&mut fb, &framed(5, 2), BULK, &mut pool);
         assert_eq!(frames, vec![vec![2u8; 5]]);
     }
 
     #[test]
     fn small_frame_storage_stays_on_the_link() {
         // Frames up to the threshold never release, however many pass,
-        // and never take a spare.
+        // and never take from the pool.
         let mut wire = Vec::new();
         for len in [10_000, BULK, 1, BULK - 4] {
             wire.extend(framed(len, 3));
         }
+        let mut pool = BulkPool::new();
+        let lent = pool.take(1 << 20);
+        pool.give(lent, true);
         let mut fb = FrameBuffer::new();
-        let mut spare = Some(Vec::with_capacity(1 << 20));
-        assert_eq!(feed(&mut fb, &wire, 700, &mut spare).len(), 4);
+        assert_eq!(feed(&mut fb, &wire, 700, &mut pool).len(), 4);
         assert_eq!(fb.next_frame(), Ok(None));
-        assert!(fb.release(BULK).is_none());
-        assert!(fb.buf.capacity() > 0);
-        assert_eq!(spare.map(|s| s.capacity()), Some(1 << 20), "spare taken");
+        assert!(fb.buf.capacity() > 0 && !fb.lent);
+        assert_eq!(pool.kept(), 1 << 20, "pool storage taken");
     }
 
     #[test]
-    fn bulk_frame_split_across_many_extends_takes_the_spare() {
-        let wire = framed(BULK + 1, 4);
-        let spare_storage = Vec::with_capacity(wire.len());
-        let at = spare_storage.as_ptr();
-        let mut spare = Some(spare_storage);
-        let mut fb = FrameBuffer::new();
-        // Split everywhere, the header included.
-        let mut frames = Vec::new();
-        for (i, piece) in wire.chunks(3).enumerate() {
-            fb.extend_with_spare(piece, BULK, &mut spare);
-            if i > 0 {
-                assert!(spare.is_none(), "header in, spare not taken");
-                assert_eq!(fb.buf.as_ptr(), at, "regrew after taking the spare");
+    fn later_bulk_frames_take_released_storage_by_best_fit() {
+        // Three links each carry a bulk frame at once, then another: the
+        // pool keeps what came back and lends each later frame the
+        // smallest storage that holds it.
+        let sizes = [BULK + 1, 3 * BULK, 2 * BULK];
+        let mut pool = BulkPool::new();
+        let mut links: Vec<FrameBuffer> = sizes.iter().map(|_| FrameBuffer::new()).collect();
+        for round in 0..2 {
+            for (fb, &len) in links.iter_mut().zip(&sizes) {
+                fb.extend_with_pool(&framed(len, 1)[..BULK], BULK, &mut pool);
             }
-            while let Some(f) = fb.next_frame().unwrap() {
-                frames.push(f.to_vec());
+            assert_eq!(pool.high_water, sizes.iter().map(|l| 4 + l).sum::<usize>());
+            for (fb, &len) in links.iter_mut().zip(&sizes) {
+                assert_eq!(feed(fb, &framed(len, 1)[BULK..], BULK, &mut pool).len(), 1);
+            }
+            // A link's first bulk frame leaves one spare; later ones all
+            // come back.
+            let kept = if round == 0 {
+                4 + BULK + 1
+            } else {
+                pool.high_water
+            };
+            assert_eq!(pool.kept(), kept, "round {round}");
+        }
+        let mid = (pool.kept.iter())
+            .find(|s| s.capacity() == 4 + 2 * BULK)
+            .map(|s| s.as_ptr());
+        let (mut fb, kept) = (FrameBuffer::new(), pool.kept());
+        // Fits the two larger; the smaller of those is lent.
+        fb.extend_with_pool(&framed(BULK + 2, 2)[..10], BULK, &mut pool);
+        assert_eq!(Some(fb.buf.as_ptr()), mid);
+        assert_eq!(pool.kept(), kept - (4 + 2 * BULK));
+    }
+
+    #[test]
+    fn pool_never_keeps_more_than_its_high_water_mark() {
+        // Links whose frames grow round by round: nothing kept fits, so
+        // every frame allocates, and the kept storage that would pass the
+        // mark goes, smallest first.
+        let mut pool = BulkPool::new();
+        let mut links: Vec<FrameBuffer> = (0..4).map(|_| FrameBuffer::new()).collect();
+        for round in 1..=6 {
+            for (i, fb) in links.iter_mut().enumerate() {
+                let len = round * BULK + i * 1000 + 1;
+                fb.extend_with_pool(&framed(len, 0)[..100], BULK, &mut pool);
+                assert!(pool.kept() + pool.lent <= pool.high_water, "round {round}");
+            }
+            for (i, fb) in links.iter_mut().enumerate() {
+                let len = round * BULK + i * 1000 + 1;
+                feed(fb, &framed(len, 0)[100..], BULK, &mut pool);
+                assert!(pool.kept() + pool.lent <= pool.high_water, "round {round}");
             }
         }
-        assert_eq!(frames, vec![vec![4u8; BULK + 1]]);
-        let back = fb.release(BULK).unwrap();
-        assert_eq!(back.as_ptr(), at);
-
-        // A spare too small for the frame stays where it is.
-        let mut spare = Some(Vec::with_capacity(wire.len() - 1));
-        assert_eq!(feed(&mut fb, &wire, BULK, &mut spare).len(), 1);
-        assert!(spare.is_some());
+        assert_eq!(pool.lent, 0);
+        assert_eq!(pool.kept(), pool.high_water, "the last round's storage");
+        // A link gone mid-frame gives its storage back too.
+        let mut fb = FrameBuffer::new();
+        fb.extend_with_pool(&framed(2 * BULK, 0)[..100], BULK, &mut pool);
+        assert!(pool.lent > 0);
+        fb.discard(&mut pool);
+        assert_eq!(pool.lent, 0);
     }
 
     #[test]
-    fn small_frame_queued_behind_a_bulk_one() {
-        let mut wire = framed(2 * BULK, 5);
-        wire.extend(framed(9, 6));
-        let mut fb = FrameBuffer::new();
-        // All but the small frame's last byte: the bulk frame is out, but
-        // the buffer still holds part of the next one.
-        let frames = feed(&mut fb, &wire[..wire.len() - 1], 1000, &mut None);
-        assert_eq!(frames, vec![vec![5u8; 2 * BULK]]);
-        assert!(fb.release(BULK).is_none(), "released a frame in flight");
-        let frames = feed(&mut fb, &wire[wire.len() - 1..], 1000, &mut None);
-        assert_eq!(frames, vec![vec![6u8; 9]]);
-        assert!(fb.release(BULK).is_some(), "kept after both frames left");
-    }
-
-    #[test]
-    fn one_past_max_frame_is_refused_even_with_a_spare() {
-        let mut fb = FrameBuffer::new();
-        let mut spare = Some(Vec::with_capacity(1 << 10));
+    fn oversize_header_takes_nothing_from_the_pool() {
+        let mut pool = BulkPool::new();
+        let lent = pool.take(1 << 10);
+        pool.give(lent, true);
         let mut header = ((MAX_FRAME as u32) + 1).to_le_bytes().to_vec();
         header.extend([0u8; 64]);
-        fb.extend_with_spare(&header, BULK, &mut spare);
+        let mut fb = FrameBuffer::new();
+        fb.extend_with_pool(&header, BULK, &mut pool);
+        assert!(fb.read_bulk(&mut &[0u8; 64][..], BULK, &mut pool).is_none());
         assert!(fb.next_frame().is_err());
-        assert!(spare.is_some(), "an unframeable header took the spare");
+        assert_eq!(pool.kept(), 1 << 10, "an unframeable header took storage");
+        assert_eq!(pool.high_water, 1 << 10);
         assert!(
             fb.buf.capacity() < 1 << 10,
             "reserved from a refused header"
         );
-        assert!(fb.release(BULK).is_none());
+    }
+
+    #[test]
+    fn small_frame_queued_behind_a_bulk_one() {
+        // The in-place read stops at the bulk frame's end, so its storage
+        // goes back before the next frame is read, and that one lands in
+        // the buffer's own storage.
+        let mut wire = numbered(2 * BULK, 5);
+        wire.extend(numbered(9, 6));
+        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), BulkPool::new(), Vec::new());
+        let (head, tail) = wire.split_at(wire.len() - 1);
+        pump_to_end(
+            &mut fb,
+            &mut Trickle::new(head, &[1000]),
+            &mut pool,
+            &mut frames,
+        );
+        assert_eq!(frames.len(), 1);
+        assert_eq!(pool.kept(), 4 + 2 * BULK, "kept once the bulk frame left");
+        assert!(!fb.is_empty() && !fb.lent);
+        pump_to_end(
+            &mut fb,
+            &mut Trickle::new(tail, &[1000]),
+            &mut pool,
+            &mut frames,
+        );
+        assert!(frames[1] == wire[wire.len() - 9..]);
     }
 
     #[test]
