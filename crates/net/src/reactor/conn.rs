@@ -21,7 +21,14 @@
 //! Writes are vectored: [`flush_link`] offers the kernel up to
 //! [`WRITE_BATCH`] queued frames (plus any unsent hello preamble) in one
 //! `writev`, retiring only completely-written frames so a dying
-//! connection never splits a frame across reconnects.
+//! connection never splits a frame across reconnects. A frame over
+//! [`READ_CHUNK`] is queued as its message and ends the batch it is in:
+//! what is offered of it is one window of at most [`STAGE_WINDOW`] bytes
+//! from its first unwritten byte, encoded into the reactor's one
+//! [`Stage`] just before the write. So a bulk frame never exists whole
+//! in memory on the sending side, and the stage costs one window per
+//! reactor, not one per link; a window the kernel took only part of is
+//! encoded again from where the write stopped.
 //!
 //! Reads go through the reactor's one [`READ_CHUNK`] scratch buffer into
 //! the link's [`FrameBuffer`]. A read shorter than the chunk drained the
@@ -36,11 +43,12 @@
 //! receive memory follows the frames in flight, not links x the largest
 //! frame each ever carried, and a steady round allocates none.
 
-use super::queue::SendQueue;
+use super::queue::{SendQueue, Stage};
 use super::stats::StatsCells;
 use super::sys;
 use crate::codec::{BulkPool, FrameBuffer};
 use p2pfl_simnet::NodeId;
+use serde::Serialize;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -53,8 +61,18 @@ const HELLO_MAGIC: &[u8; 4] = b"p2pf";
 pub(crate) const WRITE_BATCH: usize = 16;
 
 /// Bytes asked of the kernel per `read`, and the size above which a frame
-/// is bulk and its storage leaves the link once delivered.
+/// is bulk: its storage leaves the link once delivered, and it is sent
+/// window by window from its message.
 pub(crate) const READ_CHUNK: usize = 64 << 10;
+
+/// Largest window of a bulk frame encoded for one write. Measured on
+/// the bulk benchmark workloads (2-vCPU host): 64 KiB windows took
+/// 3.4-3.8x the writes of 256 KiB ones for no less RSS, and 1 MiB
+/// windows encoded 26 % more bytes than were written on
+/// `sac_bulk_cnn_3`, the tails of windows the kernel took only part of.
+/// A window per link instead of per reactor raised `ring_bulk_16`'s RSS
+/// from about 194 to 257 MiB at this size.
+pub(crate) const STAGE_WINDOW: usize = 256 << 10;
 
 /// Builds the framed v2 hello announcing `src` dialing `dst`.
 pub(crate) fn hello_frame_v2(src: NodeId, dst: NodeId) -> Vec<u8> {
@@ -159,12 +177,14 @@ pub(crate) enum FlushOutcome {
 
 /// Writes as much of `queue` (preceded by any hello preamble; held back
 /// until the other end's hello is in) as the kernel will take, in
-/// vectored batches. Retired frames are counted into
+/// vectored batches, encoding message frames into `stage` a window at a
+/// time. Retired frames are counted into
 /// `stats` (`frames_sent`, `bytes_sent`, and `frames_coalesced` for
 /// frames that shared a `writev` with another frame).
-pub(crate) fn flush_link(
+pub(crate) fn flush_link<M: Serialize>(
     link: &mut Link,
-    queue: &mut SendQueue,
+    queue: &mut SendQueue<M>,
+    stage: &mut Stage,
     stats: &StatsCells,
 ) -> FlushOutcome {
     loop {
@@ -176,7 +196,7 @@ pub(crate) fn flush_link(
             .as_ref()
             .and_then(|(bytes, off)| bytes.get(*off..))
             .unwrap_or_default();
-        let frames = queue.batch(if link.got_hello { WRITE_BATCH } else { 0 });
+        let frames = queue.batch(if link.got_hello { WRITE_BATCH } else { 0 }, stage);
         let pieces = std::iter::once(preamble)
             .filter(|p| !p.is_empty())
             .chain(frames);

@@ -38,7 +38,7 @@ mod stats;
 mod sys;
 mod timer;
 
-pub use queue::SendQueue;
+pub use queue::{Frame, SendQueue, Stage};
 pub use stats::NetStats;
 
 use crate::codec::{self, BulkPool, CodecError, FrameBuffer};
@@ -117,23 +117,23 @@ impl Default for ReactorConfig {
 }
 
 /// One deadline-queue entry, owned by one incarnation of a hosted peer.
-struct TimerEntry {
+struct TimerEntry<M> {
     peer: NodeId,
     /// [`PeerSlot::epoch`] of the incarnation that armed it. An entry that
     /// outlives its peer (kill, then respawn under the same id) must not
     /// fire into the successor.
     epoch: u64,
-    kind: TimerKind,
+    kind: TimerKind<M>,
 }
 
 /// What a fired deadline-queue entry means.
-enum TimerKind {
+enum TimerKind<M> {
     /// An actor timer from [`Transport::set_timer`].
     Actor { id: u64, tag: u64 },
     /// A backoff-delayed redial of the peer's link to `remote`.
     Redial { remote: NodeId },
     /// A frame the peer's fault plan held back, now due on its link to `to`.
-    Release { to: NodeId, bytes: Vec<u8> },
+    Release { to: NodeId, frame: Frame<M> },
 }
 
 /// A closure run on the loop thread with the actor and live transport.
@@ -191,8 +191,8 @@ impl<M, A> Shared<M, A> {
 
 /// One peer's outgoing link to one remote: the bounded queue plus the
 /// connection and redial bookkeeping.
-struct OutLink {
-    queue: SendQueue,
+struct OutLink<M> {
+    queue: SendQueue<M>,
     /// Token of the connection currently carrying this link, if any.
     conn: Option<u64>,
     backoff: Duration,
@@ -202,8 +202,8 @@ struct OutLink {
     redial_armed: bool,
 }
 
-impl OutLink {
-    fn new(caps: (usize, usize)) -> OutLink {
+impl<M> OutLink<M> {
+    fn new(caps: (usize, usize)) -> OutLink<M> {
         OutLink {
             queue: SendQueue::new(caps.0, caps.1),
             conn: None,
@@ -229,7 +229,7 @@ struct PeerSlot<M, A> {
     cancelled: HashSet<u64>,
     /// Known remote addresses (the hosting reactor's listener).
     addrs: HashMap<NodeId, SocketAddr>,
-    links: HashMap<NodeId, OutLink>,
+    links: HashMap<NodeId, OutLink<M>>,
     loopback: VecDeque<M>,
     /// Remotes whose queues grew during the current dispatch.
     touched: Vec<NodeId>,
@@ -243,7 +243,7 @@ impl<M, A> PeerSlot<M, A> {
         id: NodeId,
         reactor_origin: Instant,
         caps: (usize, usize),
-        timers: &'a mut TimerQueue<TimerEntry>,
+        timers: &'a mut TimerQueue<TimerEntry<M>>,
     ) -> (&'a mut A, ReactorCtx<'a, M>) {
         let offset_ns = self
             .origin
@@ -280,8 +280,11 @@ struct Core<M, A> {
     conns: HashMap<u64, conn::Link>,
     next_token: u64,
     next_epoch: u64,
-    timers: TimerQueue<TimerEntry>,
+    timers: TimerQueue<TimerEntry<M>>,
     scratch: Vec<u8>,
+    /// The window of a bulk frame being written, for whichever link
+    /// writes one.
+    stage: Stage,
     /// Storage links gave back after bulk frames, lent to the next bulk
     /// frames that fit.
     pool: BulkPool,
@@ -304,24 +307,23 @@ struct ReactorCtx<'a, M> {
     /// Peer-relative nanoseconds → reactor-clock nanoseconds offset.
     offset_ns: u64,
     caps: (usize, usize),
-    links: &'a mut HashMap<NodeId, OutLink>,
+    links: &'a mut HashMap<NodeId, OutLink<M>>,
     faults: &'a mut Option<LinkFaults>,
     loopback: &'a mut VecDeque<M>,
     next_timer_id: &'a mut u64,
     cancelled: &'a mut HashSet<u64>,
-    timers: &'a mut TimerQueue<TimerEntry>,
+    timers: &'a mut TimerQueue<TimerEntry<M>>,
     stats: &'a StatsCells,
     touched: &'a mut Vec<NodeId>,
 }
 
 impl<M> ReactorCtx<'_, M> {
-    /// Queues one framed message on the link to `to`, creating the link
-    /// if needed; a full queue counts the frame into `sends_dropped`
-    /// instead.
-    fn enqueue(&mut self, to: NodeId, framed: Vec<u8>) {
+    /// Queues one frame on the link to `to`, creating the link if needed;
+    /// a full queue counts the frame into `sends_dropped` instead.
+    fn enqueue(&mut self, to: NodeId, frame: Frame<M>) {
         let caps = self.caps;
         let ol = self.links.entry(to).or_insert_with(|| OutLink::new(caps));
-        if ol.queue.push(framed) {
+        if ol.queue.push(frame) {
             self.stats
                 .send_queue_peak
                 .fetch_max(ol.queue.peak() as u64, Ordering::Relaxed);
@@ -350,13 +352,15 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
             self.loopback.push_back(msg);
             return;
         }
-        let Some(framed) = codec::to_frame_bytes(&msg) else {
+        // A bulk frame stays a message until the socket takes it; the
+        // count sizes it for the queue's byte cap all the same.
+        let Some(frame) = Frame::new(msg, conn::READ_CHUNK) else {
             // Unencodable or oversized: it could never reach the wire.
             self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
             return;
         };
         let Some(lf) = self.faults.as_mut() else {
-            self.enqueue(to, framed);
+            self.enqueue(to, frame);
             return;
         };
         let now = sim_elapsed(self.origin);
@@ -365,10 +369,10 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
             self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        // Every copy but the last is a clone; the last takes `framed`.
-        for bytes in std::iter::repeat_n(framed, v.copies as usize) {
+        // Every copy but the last is a clone; the last takes `frame`.
+        for frame in std::iter::repeat_n(frame, v.copies as usize) {
             if v.extra_delay == SimDuration::ZERO {
-                self.enqueue(to, bytes);
+                self.enqueue(to, frame);
             } else {
                 // Held back in the shared deadline queue, behind the same
                 // epoch check as the peer's timers: a killed peer's
@@ -379,7 +383,7 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
                     TimerEntry {
                         peer: self.id,
                         epoch: self.epoch,
-                        kind: TimerKind::Release { to, bytes },
+                        kind: TimerKind::Release { to, frame },
                     },
                 );
             }
@@ -594,7 +598,7 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
             let Some(ol) = slot.links.get_mut(&remote) else {
                 return;
             };
-            conn::flush_link(link, &mut ol.queue, &slot.stats)
+            conn::flush_link(link, &mut ol.queue, &mut self.stage, &slot.stats)
         };
         match outcome {
             conn::FlushOutcome::Drained => self.set_write_interest(token, false),
@@ -903,10 +907,10 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
                         self.dial(peer, remote);
                     }
                 }
-                TimerKind::Release { to, bytes } => {
+                TimerKind::Release { to, frame } => {
                     let caps = (self.cfg.max_queue_frames, self.cfg.max_queue_bytes);
                     let (_, mut ctx) = slot.split(peer, self.origin, caps, &mut self.timers);
-                    ctx.enqueue(to, bytes);
+                    ctx.enqueue(to, frame);
                     self.flush_touched(peer);
                 }
             }
@@ -1127,6 +1131,7 @@ where
             next_epoch: 0,
             timers: TimerQueue::new(),
             scratch: vec![0u8; conn::READ_CHUNK],
+            stage: Stage::new(conn::STAGE_WINDOW),
             pool: BulkPool::new(),
             shutdown: false,
         };

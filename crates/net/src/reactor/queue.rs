@@ -1,26 +1,95 @@
 //! Bounded per-link send queue — the reactor's backpressure primitive.
 //!
 //! Every (local peer, remote peer) link owns one [`SendQueue`] of
-//! pre-framed wire bytes. The queue enforces *two* caps — a frame-count
-//! cap and a byte cap — and rejects (never blocks, never reorders) when
-//! either would be exceeded, counting the rejection so a slow consumer
-//! shows up in [`NetStats::sends_dropped`](crate::NetStats::sends_dropped)
-//! instead of as unbounded memory. Frames stay queued until the
-//! connection has written them *completely*, so a connection that dies
-//! mid-frame resends from the frame boundary (the receiver discards the
-//! partial tail with the dead connection's buffer).
+//! [`Frame`]s: the wire bytes of a small frame, encoded at send time, or a
+//! large frame's message, encoded only as the connection takes it, one
+//! window at a time into the reactor's one [`Stage`]. The queue enforces
+//! *two* caps — a frame-count cap and a byte cap, on frame lengths counted
+//! at send time — and rejects (never blocks, never reorders) when either
+//! would be exceeded, counting the rejection so a slow consumer shows up
+//! in [`NetStats::sends_dropped`](crate::NetStats::sends_dropped) instead
+//! of as unbounded memory. Frames stay queued until the connection has
+//! written them *completely*, so a connection that dies mid-frame resends
+//! from the frame boundary (the receiver discards the partial tail with
+//! the dead connection's buffer).
 //!
 //! This module is pure sans-IO state — no sockets, no clocks — so the
 //! property tests in `tests/queue_props.rs` can drive it through millions
 //! of randomized enqueue/flush/disconnect interleavings, and the
 //! `p2pfl-lint` purity gate holds it to that.
 
+use crate::codec;
+use serde::Serialize;
 use std::collections::VecDeque;
 
-/// A bounded FIFO of encoded frames awaiting one connection.
+/// One queued frame.
+#[derive(Debug, Clone)]
+pub enum Frame<M> {
+    /// The frame's wire bytes, length prefix included.
+    Bytes(Vec<u8>),
+    /// A message, encoded window by window as the connection takes it.
+    Message {
+        /// The message.
+        msg: M,
+        /// Length of its wire frame, prefix included.
+        len: usize,
+    },
+}
+
+impl<M> Frame<M> {
+    /// Length of the frame on the wire, prefix included.
+    pub fn len(&self) -> usize {
+        match self {
+            Frame::Bytes(bytes) => bytes.len(),
+            Frame::Message { len, .. } => *len,
+        }
+    }
+
+    /// Whether the frame has no bytes (never true of an encoded message).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<M: Serialize> Frame<M> {
+    /// `msg`'s frame: its bytes, encoded now, if the frame is at most
+    /// `eager` bytes long, or else the message itself. `None` when the
+    /// message cannot be framed (see [`codec::frame_len`]).
+    pub fn new(msg: M, eager: usize) -> Option<Frame<M>> {
+        let len = codec::frame_len(&msg)?;
+        if len > eager {
+            Some(Frame::Message { msg, len })
+        } else {
+            codec::to_frame_bytes(&msg).map(Frame::Bytes)
+        }
+    }
+}
+
+/// The buffer message frames are encoded into, one window of at most a
+/// fixed size at a time, shared by every queue of a reactor: it holds
+/// the window of whichever queue offered a batch last.
 #[derive(Debug)]
-pub struct SendQueue {
-    frames: VecDeque<Vec<u8>>,
+pub struct Stage {
+    buf: Vec<u8>,
+    window: usize,
+}
+
+impl Stage {
+    /// A stage for windows of at most `window` bytes (floored at 1),
+    /// allocated once, up front.
+    pub fn new(window: usize) -> Stage {
+        let window = window.max(1);
+        Stage {
+            buf: Vec::with_capacity(window),
+            window,
+        }
+    }
+}
+
+/// A bounded FIFO of frames awaiting one connection.
+#[derive(Debug)]
+pub struct SendQueue<M> {
+    frames: VecDeque<Frame<M>>,
     bytes: usize,
     max_frames: usize,
     max_bytes: usize,
@@ -31,11 +100,11 @@ pub struct SendQueue {
     head_written: usize,
 }
 
-impl SendQueue {
+impl<M> SendQueue<M> {
     /// An empty queue holding at most `max_frames` frames and `max_bytes`
     /// total frame bytes (caps are floored at 1 frame / 1 byte so a queue
     /// can always make progress).
-    pub fn new(max_frames: usize, max_bytes: usize) -> SendQueue {
+    pub fn new(max_frames: usize, max_bytes: usize) -> SendQueue<M> {
         SendQueue {
             frames: VecDeque::new(),
             bytes: 0,
@@ -51,7 +120,7 @@ impl SendQueue {
     /// would be exceeded. An over-cap frame is only accepted into an empty
     /// queue if it alone fits the byte cap; oversized frames are rejected
     /// outright rather than wedging the link.
-    pub fn push(&mut self, frame: Vec<u8>) -> bool {
+    pub fn push(&mut self, frame: Frame<M>) -> bool {
         if self.frames.len() >= self.max_frames
             || self.bytes.saturating_add(frame.len()) > self.max_bytes
         {
@@ -62,23 +131,6 @@ impl SendQueue {
         self.frames.push_back(frame);
         self.peak_frames = self.peak_frames.max(self.frames.len());
         true
-    }
-
-    /// The frames to offer the next vectored write: the unwritten tail of
-    /// the head frame, then up to `max - 1` complete successors.
-    pub fn batch(&self, max: usize) -> impl Iterator<Item = &[u8]> + '_ {
-        let head_written = self.head_written;
-        self.frames
-            .iter()
-            .take(max)
-            .enumerate()
-            .filter_map(move |(i, f)| {
-                if i == 0 {
-                    f.get(head_written..)
-                } else {
-                    Some(f.as_slice())
-                }
-            })
     }
 
     /// Records that the connection accepted `n` more bytes of the batch,
@@ -93,11 +145,12 @@ impl SendQueue {
             let Some(front) = self.frames.front() else {
                 break;
             };
-            let remaining = front.len().saturating_sub(self.head_written);
+            let len = front.len();
+            let remaining = len.saturating_sub(self.head_written);
             if n >= remaining {
                 n -= remaining;
-                self.bytes = self.bytes.saturating_sub(front.len());
-                retired_bytes += front.len();
+                self.bytes = self.bytes.saturating_sub(len);
+                retired_bytes += len;
                 self.frames.pop_front();
                 self.head_written = 0;
                 retired += 1;
@@ -142,34 +195,73 @@ impl SendQueue {
     }
 }
 
+impl<M: Serialize> SendQueue<M> {
+    /// The pieces to offer the next vectored write: the unwritten tail of
+    /// the head frame, then complete successors, up to `max` frames in
+    /// all. A message frame ends the batch: what is offered of it is one
+    /// window from its first unwritten byte, encoded into `stage`.
+    pub fn batch<'a>(
+        &'a self,
+        max: usize,
+        stage: &'a mut Stage,
+    ) -> impl Iterator<Item = &'a [u8]> + 'a {
+        let head_written = self.head_written;
+        let offered = self.frames.iter().take(max);
+        let byte_frames = offered
+            .clone()
+            .take_while(|f| matches!(f, Frame::Bytes(_)))
+            .count();
+        stage.buf.clear();
+        if let Some(Frame::Message { msg, len }) = offered.clone().nth(byte_frames) {
+            let start = if byte_frames == 0 { head_written } else { 0 };
+            let window = start..start.saturating_add(stage.window);
+            codec::frame_window(msg, *len, window, &mut stage.buf);
+        }
+        let staged = Some(stage.buf.as_slice()).filter(|w| !w.is_empty());
+        offered
+            .take(byte_frames)
+            .enumerate()
+            .filter_map(move |(i, f)| match f {
+                Frame::Bytes(bytes) => bytes.get(if i == 0 { head_written } else { 0 }..),
+                Frame::Message { .. } => None,
+            })
+            .chain(staged)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn bytes(fill: u8, len: usize) -> Frame<Vec<u64>> {
+        Frame::Bytes(vec![fill; len])
+    }
+
     #[test]
     fn caps_reject_and_count() {
         let mut q = SendQueue::new(2, 100);
-        assert!(q.push(vec![1; 10]));
-        assert!(q.push(vec![2; 10]));
-        assert!(!q.push(vec![3; 10]), "frame cap");
+        assert!(q.push(bytes(1, 10)));
+        assert!(q.push(bytes(2, 10)));
+        assert!(!q.push(bytes(3, 10)), "frame cap");
         assert_eq!(q.dropped(), 1);
         assert_eq!(q.len(), 2);
 
         let mut q = SendQueue::new(10, 15);
-        assert!(q.push(vec![1; 10]));
-        assert!(!q.push(vec![2; 10]), "byte cap");
+        assert!(q.push(bytes(1, 10)));
+        assert!(!q.push(bytes(2, 10)), "byte cap");
         assert_eq!(q.dropped(), 1);
         assert_eq!(q.bytes(), 10);
     }
 
     #[test]
     fn advance_retires_whole_frames_and_tracks_partials() {
+        let mut stage = Stage::new(64);
         let mut q = SendQueue::new(8, 1 << 20);
-        q.push(vec![1; 4]);
-        q.push(vec![2; 6]);
+        q.push(bytes(1, 4));
+        q.push(bytes(2, 6));
         // Partial head: 3 of 4 bytes written.
         assert_eq!(q.advance(3), (0, 0));
-        let batch: Vec<&[u8]> = q.batch(4).collect();
+        let batch: Vec<&[u8]> = q.batch(4, &mut stage).collect();
         assert_eq!(batch[0], &[1u8; 1][..], "unwritten tail of head");
         assert_eq!(batch[1], &[2u8; 6][..]);
         // Finish head + 2 bytes of next.
@@ -182,20 +274,39 @@ mod tests {
 
     #[test]
     fn reset_progress_rewinds_to_frame_boundary() {
+        let mut stage = Stage::new(64);
         let mut q = SendQueue::new(8, 1 << 20);
-        q.push(vec![7; 8]);
+        q.push(bytes(7, 8));
         assert_eq!(q.advance(5), (0, 0));
         q.reset_progress();
-        let batch: Vec<&[u8]> = q.batch(1).collect();
+        let batch: Vec<&[u8]> = q.batch(1, &mut stage).collect();
         assert_eq!(batch[0].len(), 8, "full frame offered again");
+    }
+
+    #[test]
+    fn a_message_frame_is_offered_a_window_at_a_time_and_ends_the_batch() {
+        let msg = vec![0x0102_0304_0506_0708u64; 5];
+        let wire = codec::to_frame_bytes(&msg).unwrap();
+        let mut stage = Stage::new(16);
+        let mut q = SendQueue::new(8, 1 << 20);
+        q.push(bytes(9, 3));
+        q.push(Frame::new(msg.clone(), 0).unwrap());
+        q.push(bytes(9, 3));
+        let batch: Vec<Vec<u8>> = q.batch(8, &mut stage).map(<[u8]>::to_vec).collect();
+        assert_eq!(batch, [vec![9; 3], wire[..16].to_vec()]);
+        assert_eq!(q.advance(3 + 10), (1, 3));
+        let batch: Vec<&[u8]> = q.batch(8, &mut stage).collect();
+        assert_eq!(batch, [&wire[10..26]]);
+        // Small frames are encoded eagerly, to the same bytes.
+        assert!(matches!(Frame::new(msg, wire.len()), Some(Frame::Bytes(b)) if b == wire));
     }
 
     #[test]
     fn peak_tracks_high_water_mark() {
         let mut q = SendQueue::new(8, 1 << 20);
-        q.push(vec![0; 1]);
-        q.push(vec![0; 1]);
-        q.push(vec![0; 1]);
+        q.push(bytes(0, 1));
+        q.push(bytes(0, 1));
+        q.push(bytes(0, 1));
         q.advance(3);
         assert!(q.is_empty());
         assert_eq!(q.peak(), 3);

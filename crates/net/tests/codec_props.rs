@@ -7,13 +7,19 @@ use p2pfl_hierraft::{
     ElasticGroup, FedCmd, FedConfig, FedSnapshot, HierMsg, RobustCombiner, SubCmd, SubMembers,
     SubSnapshot, Topology, TopologyCmd,
 };
-use p2pfl_net::codec::{from_bytes, to_bytes, write_frame, CodecError, FrameBuffer, MAX_FRAME};
+use p2pfl_net::codec::{
+    frame_len, frame_window, from_bytes, to_bytes, to_frame_bytes, write_frame, CodecError,
+    FrameBuffer, MAX_FRAME,
+};
+use p2pfl_net::{Reactor, ReactorConfig};
 use p2pfl_raft::{Entry, LogCmd, PersistOp, RaftMsg};
 use p2pfl_secagg::{RingMsg, SacEngine, SacMsg, WeightVector};
 use p2pfl_simnet::{
-    Blob, FaultAction, FaultEntry, FaultPlan, NodeId, PoisonMode, SimDuration, SimTime, TimerId,
+    Actor, Blob, FaultAction, FaultEntry, FaultPlan, NodeId, Payload, PoisonMode, SimDuration,
+    SimTime, TimerId, Transport,
 };
 use proptest::prelude::*;
+use serde::{Serialize, Serializer};
 
 fn arb_node() -> impl Strategy<Value = NodeId> {
     (0u32..64).prop_map(NodeId)
@@ -455,8 +461,44 @@ fn arb_ringmsg(max_dim: usize) -> impl Strategy<Value = RingMsg> {
     ]
 }
 
+/// Encodes `msg`'s frame as the windows between `cuts` (taken modulo the
+/// frame length, so any offset can be one) and checks that they
+/// concatenate to exactly `to_frame_bytes(msg)`, whose length
+/// `frame_len` counts.
+fn windows_rebuild_the_frame<T: Serialize>(msg: &T, cuts: &[usize]) {
+    let wire = to_frame_bytes(msg).expect("fits a frame");
+    let len = frame_len(msg).expect("counted");
+    assert_eq!(len, wire.len(), "counted frame length");
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (len + 1)).collect();
+    bounds.extend([0, len]);
+    bounds.sort_unstable();
+    let mut out = Vec::new();
+    for w in bounds.windows(2) {
+        frame_window(msg, len, w[0]..w[1], &mut out);
+        assert_eq!(out[..], wire[..w[1]], "window {}..{}", w[0], w[1]);
+    }
+    frame_window(msg, len, len..len + 9, &mut out);
+    assert!(out == wire, "a window past the end adds nothing");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn sac_frame_windows_concatenate_to_the_frame(
+        msg in arb_sacmsg(24),
+        cuts in prop::collection::vec(any::<usize>(), 0..16),
+    ) {
+        windows_rebuild_the_frame(&msg, &cuts);
+    }
+
+    #[test]
+    fn ring_frame_windows_concatenate_to_the_frame(
+        msg in arb_ringmsg(24),
+        cuts in prop::collection::vec(any::<usize>(), 0..16),
+    ) {
+        windows_rebuild_the_frame(&msg, &cuts);
+    }
 
     #[test]
     fn raft_messages_round_trip(msg in arb_raftmsg()) {
@@ -836,4 +878,110 @@ fn max_size_share_vector_round_trips() {
     assert!(bytes.len() < p2pfl_net::MAX_FRAME);
     let back = from_bytes::<SacMsg>(&bytes).unwrap();
     assert_eq!(back, msg);
+}
+
+/// A share block and a total of each engine, tiled by windows of every
+/// size from 1 to 17 bytes: together the tilings cut at every byte, so
+/// at every offset inside the length prefix, inside each `u32` length
+/// field and variant index, and inside each `f64`.
+#[test]
+fn frame_windows_of_every_size_tile_share_blocks_and_totals() {
+    let v = |dim: usize, seed: f64| {
+        WeightVector::new(
+            (0..dim)
+                .map(|i| f64::from_bits((seed + i as f64).to_bits() ^ 0x8000_0000_dead_beef))
+                .collect(),
+        )
+    };
+    let sac = [
+        SacMsg::ShareBlock {
+            round: 7,
+            from_pos: 2,
+            parts: vec![(1, v(5, 0.5)), (2, v(0, 0.0)), (3, v(3, -2.0))],
+        },
+        SacMsg::Subtotal {
+            round: 7,
+            idx: 1,
+            value: v(6, 9.0),
+        },
+        SacMsg::Begin { round: 3 },
+    ];
+    let ring = [
+        RingMsg::StageShare {
+            round: 8,
+            from_pos: 4,
+            parts: vec![(0, v(4, 1.0)), (1, v(2, 3.0))],
+        },
+        RingMsg::StageTotal {
+            round: 8,
+            stage: 1,
+            idx: 0,
+            value: v(5, -1.0),
+        },
+        RingMsg::Shared {
+            round: 8,
+            from_pos: 1,
+        },
+    ];
+    for size in 1..=17 {
+        let tile = |len: usize| (size..len).step_by(size).collect::<Vec<_>>();
+        for msg in &sac {
+            windows_rebuild_the_frame(msg, &tile(frame_len(msg).unwrap()));
+        }
+        for msg in &ring {
+            windows_rebuild_the_frame(msg, &tile(frame_len(msg).unwrap()));
+        }
+    }
+}
+
+/// Serializes as a sequence of `blocks` runs of 8192 zeros: a frame
+/// past `MAX_FRAME` from a few bytes of memory.
+#[derive(Clone, serde::Deserialize)]
+struct Oversized {
+    blocks: u32,
+}
+
+impl Serialize for Oversized {
+    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+        static ZEROS: [f64; 8192] = [0.0; 8192];
+        s.begin_seq(self.blocks as usize)?;
+        for _ in 0..self.blocks {
+            s.seq_element()?;
+            s.ser_f64_seq(&ZEROS)?;
+        }
+        s.end_seq()
+    }
+}
+
+impl Payload for Oversized {
+    fn size_bytes(&self) -> u64 {
+        u64::from(self.blocks) * 8 * 8192
+    }
+}
+
+struct Ignore;
+
+impl Actor<Oversized> for Ignore {
+    fn on_message(&mut self, _: &mut dyn Transport<Oversized>, _: NodeId, _: Oversized) {}
+}
+
+#[test]
+fn a_message_over_max_frame_is_counted_as_dropped_and_never_queued() {
+    // 1024 runs of 64 KiB plus their length fields: just over 64 MiB.
+    let huge = Oversized { blocks: 1024 };
+    assert_eq!(frame_len(&huge), None);
+    assert_eq!(to_frame_bytes(&huge), None);
+    let fits = Oversized { blocks: 1 };
+    assert_eq!(frame_len(&fits), to_frame_bytes(&fits).map(|f| f.len()));
+
+    let reactor: Reactor<Oversized, Ignore> = Reactor::start(ReactorConfig::default()).unwrap();
+    let a = reactor.spawn_peer(NodeId(0), Ignore).unwrap();
+    let b = reactor.spawn_peer(NodeId(1), Ignore).unwrap();
+    a.add_peer(NodeId(1), reactor.local_addr());
+    b.add_peer(NodeId(0), reactor.local_addr());
+    a.with(move |_, ctx| ctx.send(NodeId(1), huge));
+    let stats = a.stats();
+    assert_eq!(stats.sends_dropped, 1, "{stats:?}");
+    assert_eq!(stats.send_queue_peak, 0, "never queued: {stats:?}");
+    assert_eq!(stats.frames_sent, 0, "{stats:?}");
 }

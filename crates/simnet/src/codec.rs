@@ -147,6 +147,60 @@ impl Sink for ByteCount {
     }
 }
 
+/// A sink that keeps only the bytes at stream offsets `[start, end)` of
+/// everything put, appending them to `out`; the rest is only counted. A
+/// window may begin or end anywhere, inside an integer or an `f64` too.
+struct Window<'a> {
+    /// Stream offset of the next byte put.
+    pos: usize,
+    start: usize,
+    end: usize,
+    out: &'a mut Vec<u8>,
+}
+
+impl Window<'_> {
+    /// The part of a run of `len` bytes at `pos` that falls inside the
+    /// window, relative to the run.
+    fn overlap(&self, len: usize) -> std::ops::Range<usize> {
+        let from = self.start.saturating_sub(self.pos).min(len);
+        let to = self.end.saturating_sub(self.pos).min(len);
+        from..to.max(from)
+    }
+}
+
+impl Sink for Window<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        let keep = self.overlap(bytes.len());
+        self.out
+            .extend_from_slice(bytes.get(keep).unwrap_or_default());
+        self.pos = self.pos.saturating_add(bytes.len());
+    }
+
+    /// Encodes only the elements the window touches: an element it cuts
+    /// at either end byte by byte, the whole ones between in bulk.
+    fn put_f64s(&mut self, v: &[f64]) {
+        let len = v.len().saturating_mul(8);
+        let keep = self.overlap(len);
+        let mut at = keep.start;
+        while at < keep.end {
+            let i = at / 8;
+            let whole = (keep.end - at) / 8;
+            if at.is_multiple_of(8) && whole > 0 {
+                self.out.put_f64s(v.get(i..i + whole).unwrap_or_default());
+                at += whole * 8;
+            } else {
+                let bytes = v.get(i).map_or([0; 8], |x| x.to_le_bytes());
+                let stop = keep.end.min(i * 8 + 8);
+                let cut = at - i * 8..stop - i * 8;
+                self.out
+                    .extend_from_slice(bytes.get(cut).unwrap_or_default());
+                at = stop;
+            }
+        }
+        self.pos = self.pos.saturating_add(len);
+    }
+}
+
 /// Event-stream serializer writing the compact binary format.
 struct BinSerializer<S> {
     out: S,
@@ -384,10 +438,11 @@ pub fn frame_bytes(payload: &[u8]) -> Option<Vec<u8>> {
 }
 
 /// Serializes `value` directly into wire-frame form (length prefix +
-/// payload) in a single exact-size allocation — the batched write path of
-/// the async reactor queues these verbatim and hands them to vectored
-/// writes, so no per-frame copy or extra syscall happens later. Returns
-/// `None` when the value cannot be encoded or exceeds [`MAX_FRAME`].
+/// payload) in a single exact-size allocation. The reactor queues frames
+/// up to its read chunk in this form and hands them to vectored writes;
+/// a larger one it encodes window by window with [`frame_window`], which
+/// yields the same bytes. Returns `None` when the value cannot be encoded
+/// or exceeds [`MAX_FRAME`].
 pub fn to_frame_bytes<T: Serialize + ?Sized>(value: &T) -> Option<Vec<u8>> {
     let mut framed = encode_with_prefix(value, 4)?;
     let len = framed.len().checked_sub(4)?;
@@ -397,6 +452,43 @@ pub fn to_frame_bytes<T: Serialize + ?Sized>(value: &T) -> Option<Vec<u8>> {
     let prefix = (len as u32).to_le_bytes();
     framed.get_mut(..4)?.copy_from_slice(&prefix);
     Some(framed)
+}
+
+/// Length of `value`'s wire frame, its 4-byte prefix included, counted
+/// without encoding it. `None` exactly when [`to_frame_bytes`] would
+/// return `None`.
+pub fn frame_len<T: Serialize + ?Sized>(value: &T) -> Option<usize> {
+    let mut count = BinSerializer { out: ByteCount(0) };
+    value.serialize(&mut count).ok()?;
+    let len = count.out.0;
+    (len <= MAX_FRAME).then_some(len + 4)
+}
+
+/// Appends bytes `window` of `value`'s wire frame to `out`: the bytes
+/// `to_frame_bytes(value)` holds in that range, for a `frame_len` that
+/// [`frame_len`] counted. A window may cut the length prefix, an integer
+/// or an `f64` anywhere. Serialization visits the whole value, but what
+/// lies outside the window is only counted, so a window costs the bytes
+/// it holds plus one walk of the value's fields.
+pub fn frame_window<T: Serialize + ?Sized>(
+    value: &T,
+    frame_len: usize,
+    window: std::ops::Range<usize>,
+    out: &mut Vec<u8>,
+) {
+    let mut ser = BinSerializer {
+        out: Window {
+            pos: 0,
+            start: window.start,
+            end: window.end.min(frame_len),
+            out,
+        },
+    };
+    let prefix = u32::try_from(frame_len.saturating_sub(4)).unwrap_or(u32::MAX);
+    ser.out.put(&prefix.to_le_bytes());
+    if value.serialize(&mut ser).is_err() {
+        debug_assert!(false, "unencodable value: sequence longer than u32::MAX");
+    }
 }
 
 /// Writes `payload` as one length-delimited frame. Prefix and payload go
