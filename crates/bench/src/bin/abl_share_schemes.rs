@@ -7,7 +7,7 @@
 
 use p2pfl_bench::{banner, print_csv, Args};
 use p2pfl_secagg::{
-    divide_masked, divide_scaled, fixed, secure_average, ShareScheme, WeightVector,
+    divide_masked, divide_scaled, fault_tolerant_secure_average, fixed, ShareScheme, WeightVector,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,7 +73,8 @@ fn main() {
         ("scaled", ShareScheme::Scaled),
         ("masked", ShareScheme::Masked),
     ] {
-        let out = secure_average(&models, scheme, &mut rng);
+        let out =
+            fault_tolerant_secure_average(&models, models.len(), 0, &[], scheme, &mut rng).unwrap();
         println!(
             "#   {label:<8} N=30: {:.3e}",
             out.average.linf_distance(&plain)

@@ -9,11 +9,10 @@
 //! Run: `cargo run -rp p2pfl-bench --bin fig14_cost_kn`.
 
 use p2pfl::cost::{
-    even_groups, gigabits, sac_baseline_units, two_layer_ft_units_eq5, two_layer_ft_units_exact,
-    ModelSize,
+    even_groups, gigabits, pairwise_mask_units, sac_baseline_units, two_layer_ft_units_eq5,
+    two_layer_ft_units_exact, ModelSize,
 };
 use p2pfl_bench::{banner, print_csv, Args};
-use p2pfl_secagg::pairwise::pairwise_round_units;
 
 fn units_for(n: usize, k: usize, n_total: usize) -> f64 {
     if n_total.is_multiple_of(n) {
@@ -55,7 +54,7 @@ fn main() {
         // Context row: the server-based pairwise-mask design (related work
         // ref 8) is O(N) per round but reintroduces the central server and
         // its single point of failure — the problem the paper removes.
-        let pw = pairwise_round_units(n_total);
+        let pw = pairwise_mask_units(n_total);
         rows.push(format!(
             "bonawitz-server,{n_total},{:.3},{:.2}",
             gigabits(pw * model.bits()),

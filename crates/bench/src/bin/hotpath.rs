@@ -2,14 +2,14 @@
 //!
 //! Times the kernels no repo-benchmark workload isolates: dense matmul
 //! (naive oracle vs the blocked production kernel, and their speedup),
-//! the session MLP's narrow-output head product, im2col convolution
-//! forward and backward, and pairwise mask application. End-to-end and
-//! per-layer time (rounds, codec, digest, share division, the training
-//! step) belong to the repo benchmark (`BENCHMARK.json`), which has a
-//! noise model; they are not re-timed here. Also gated: the pairwise vs
-//! Ring-SAC message-complexity crossover. Every workload is seeded with
-//! fixed constants, so run-to-run variation is measurement noise, not
-//! input variation.
+//! the session MLP's narrow-output head product, and im2col convolution
+//! forward and backward. End-to-end and per-layer time (rounds, codec,
+//! digest, share division, the training step) belong to the repo
+//! benchmark (`BENCHMARK.json`), which has a noise model; they are not
+//! re-timed here. Also gated: the pairwise vs Ring-SAC
+//! message-complexity crossover. Every workload is seeded with fixed
+//! constants, so run-to-run variation is measurement noise, not input
+//! variation.
 //!
 //! ```text
 //! cargo run -rp p2pfl-bench --bin hotpath               # full, writes BENCH_hotpath.json
@@ -31,7 +31,6 @@ use p2pfl_bench::Args;
 use p2pfl_ml::layers::Conv2d;
 use p2pfl_ml::reference::matmul_naive;
 use p2pfl_ml::{Layer, Tensor};
-use p2pfl_secagg::pairwise::{masked_update, PairwiseSeeds};
 use p2pfl_secagg::{
     PairwiseWire, RingWire, RoundCore, SacConfig, SacEngine, SacPhase, WeightVector, Wire,
 };
@@ -139,14 +138,6 @@ fn main() {
     h.bench("conv2d_backward", scale(15), conv_bytes, || {
         let _ = conv.forward(&x, true);
         std::hint::black_box(conv.backward(&ones));
-    });
-
-    // --- micro: secure-aggregation pairwise mask application ---
-    let mask_dim = 20_000usize;
-    let wm = WeightVector::random(mask_dim, 1.0, &mut StdRng::seed_from_u64(SEED + 7));
-    let seeds = PairwiseSeeds::deal(10, &mut StdRng::seed_from_u64(SEED + 8));
-    h.bench("mask_apply", scale(21), (mask_dim * 8 * 9) as u64, || {
-        std::hint::black_box(masked_update(&seeds, 3, &wm));
     });
 
     // --- gate: pairwise vs ring message-complexity crossover sweep ---

@@ -30,7 +30,7 @@ fn steady_state_share_aggregation_does_not_allocate() {
     let ((), allocs) = count_allocs(|| {
         // Ten rounds of the leader's hot loop: zero the accumulator,
         // fold in every share, then rescale into the mean — the exact
-        // arithmetic `secure_average` performs per round, over buffers
+        // arithmetic a subgroup leader's round performs, over buffers
         // that already exist.
         for _ in 0..10 {
             acc.as_mut_slice().fill(0.0);

@@ -2,9 +2,14 @@
 //!
 //! All formulas count transferred *model-sized units* `|w|`; helpers
 //! convert to bits/bytes given a parameter count (32-bit wire floats, as
-//! in the paper's PyTorch models). The property tests in
-//! `crates/core/tests` verify these formulas against the byte ledgers of
-//! the executable protocols in `p2pfl-secagg`.
+//! in the paper's PyTorch models). The integration tests in
+//! `tests/cost_vs_protocol.rs` verify these formulas against executed
+//! rounds: the Figs. 6-9 trainer's ledger, and one subgroup round both on
+//! the synchronous reference's ledger ([`sac_round_ledger`]) and on the
+//! simulator's wire, where the message-driven engine adds the control
+//! frames of [`sac_round_overhead`].
+
+use p2pfl_secagg::{DropPhase, RingPlan, SacEngine};
 
 /// Size of one model on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,20 +93,35 @@ pub fn two_layer_ft_units_eq5(n: usize, k: usize, n_total: usize) -> f64 {
     ((n * n - k * n + k) * n_total + k * m) as f64 - 2.0
 }
 
+/// Eq. 5's per-subgroup terms, one k-out-of-n SAC round (Alg. 4) in a
+/// subgroup of `n` without dropouts: share exchange `n(n−1)(n−k+1)` plus
+/// subtotal collection `k−1`.
+pub fn ft_sac_units(n: usize, k: usize) -> u64 {
+    assert!(k >= 1 && k <= n, "threshold out of range");
+    (n * (n - 1) * (n - k + 1) + (k - 1)) as u64
+}
+
 /// Exact two-layer k-out-of-n cost for uneven `groups`. Each subgroup of
 /// size `n_g` uses threshold `min(k, n_g)` (a group smaller than `k`
-/// degrades to n-out-of-n): share exchange `n_g(n_g−1)(n_g−k'+1)`,
-/// subtotal collection `k'−1`, plus the FedAvg and broadcast terms.
+/// degrades to n-out-of-n) and costs [`ft_sac_units`], plus the FedAvg
+/// and broadcast terms.
 pub fn two_layer_ft_units_exact(groups: &[usize], k: usize) -> f64 {
     assert!(!groups.is_empty(), "need at least one subgroup");
     let m = groups.len();
-    let mut total = 0usize;
-    for &n in groups {
-        let kk = k.min(n).max(1);
-        total += n * (n - 1) * (n - kk + 1) + (kk - 1);
-    }
+    let sac: u64 = groups
+        .iter()
+        .map(|&n| ft_sac_units(n, k.min(n).max(1)))
+        .sum();
     let bcast: usize = groups.iter().map(|&n| n - 1).sum();
-    (total + 2 * (m - 1) + bcast) as f64
+    (sac as usize + 2 * (m - 1) + bcast) as f64
+}
+
+/// The server-based pairwise-mask design of the paper's related work
+/// (Bonawitz et al., Sec. II-B): `2N` — `N` masked uploads and the
+/// aggregate sent back to each peer, the (amortizable) seed agreement
+/// left out. Fig. 14's context row.
+pub fn pairwise_mask_units(n_total: usize) -> f64 {
+    (2 * n_total) as f64
 }
 
 /// Total peers of an `x`-layer tree with degree `n` (paper Eq. 6):
@@ -123,6 +143,147 @@ pub fn multilayer_total_peers(n: usize, layers: usize) -> usize {
 pub fn multilayer_units_eq10(n: usize, layers: usize) -> f64 {
     let n_total = multilayer_total_peers(n, layers);
     ((n_total - 1) * (n + 2)) as f64
+}
+
+// ----------------------------------------------------------------------
+// One subgroup round: the reference ledger and the engine's wire
+// ----------------------------------------------------------------------
+
+/// Traffic of one round: `units` model-sized transfers plus `fixed`
+/// bytes that do not scale with the model, in `msgs` messages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Traffic {
+    /// Model-sized transfers, in `|w|`.
+    pub units: u64,
+    /// Bytes independent of `|w|`.
+    pub fixed: u64,
+    /// Messages.
+    pub msgs: u64,
+}
+
+impl Traffic {
+    /// Total bytes for a model of `model_bytes` bytes on the wire.
+    pub fn bytes(self, model_bytes: u64) -> u64 {
+        self.units * model_bytes + self.fixed
+    }
+}
+
+/// Counts of one round led by position 0 (see [`sac_round_ledger`]):
+/// contributors, block receivers per contributor, partitions per block
+/// (also the leader's own block), totals their owner sends, totals
+/// recovered (0 or 1) and the alternate holders of a partition besides
+/// its owner.
+fn round(engine: SacEngine, n: usize, k: usize, crash: Option<DropPhase>) -> [u64; 6] {
+    assert!(k >= 1 && k <= n, "threshold out of range");
+    let (fan_out, block) = match engine {
+        SacEngine::Pairwise => (n - 1, n - k + 1),
+        SacEngine::Ring => {
+            let plan = RingPlan::new(n, k);
+            let m = plan.stage_len(0);
+            let stages = plan.num_stages();
+            assert!(
+                stages >= 2 && (0..stages).all(|t| plan.stage_len(t) == m),
+                "the closed form needs two or more equal stages"
+            );
+            (m, (m - 1).min(n - k + 1))
+        }
+    };
+    // The last position's total is among those the leader lacks, if any.
+    let missing = n - block;
+    let recovered = usize::from(crash.is_some() && missing > 0);
+    assert!(
+        recovered == 0 || block >= 2,
+        "crash outside the dropout budget"
+    );
+    let contributors = n - usize::from(crash == Some(DropPhase::BeforeShare));
+    [
+        contributors,
+        fan_out,
+        block,
+        missing - recovered,
+        recovered,
+        block - 1,
+    ]
+    .map(|c| c as u64)
+}
+
+/// What the reference ledger charges a recovery request or a `Shared`
+/// announcement (the latter is 16 B on the wire too).
+const LEDGER_CONTROL: u64 = 16;
+
+/// What the synchronous reference's ledger (`p2pfl_secagg::reference_round`)
+/// charges for one round of `n` peers at threshold `k` on `engine`'s
+/// layout, led by position 0, with the last position dropping out at
+/// `crash` if given (paper Sec. V, cases C1 and C2): every contributor's
+/// blocks, the totals the leader does not hold, one request and one
+/// recovered total for a crashed owner's, and (ring) the other
+/// contributors' announcements.
+///
+/// Pairwise, every peer sends a block of `n − k + 1` partitions to each
+/// of the other `n − 1`; without a crash that is Eq. 5's per-subgroup
+/// terms ([`ft_sac_units`]). Ring, every peer sends a block of
+/// `r = min(m − 1, n − k + 1)` partitions to each of the `m` members of
+/// its successor stage (`RingPlan::new(n, k)`, whose stages must be
+/// equal), and the leader lacks `n − r` totals.
+pub fn sac_round_ledger(
+    engine: SacEngine,
+    n: usize,
+    k: usize,
+    crash: Option<DropPhase>,
+) -> Traffic {
+    let [contributors, fan_out, block, totals, recovered, _] = round(engine, n, k, crash);
+    let blocks = contributors * fan_out;
+    let announces = match engine {
+        SacEngine::Pairwise => 0,
+        SacEngine::Ring => contributors - 1,
+    };
+    Traffic {
+        units: blocks * block + totals + recovered,
+        fixed: (announces + recovered) * LEDGER_CONTROL,
+        msgs: blocks + announces + totals + 2 * recovered,
+    }
+}
+
+/// What the message-driven engine (`p2pfl_secagg::RoundCore`) sends on
+/// top of [`sac_round_ledger`] for the same round, so that its bytes on
+/// the simulator are exactly the ledger's plus these:
+///
+/// * `Begin` (16 B) and `ComputeOver` (16 B + one per contributor) to
+///   the other `n − 1` members;
+/// * (pairwise) each contributor's `Commit` to the other `n − 1`:
+///   16 B + 8 per partition digest;
+/// * an 8 B header per share block, and a header per total sent (8 B
+///   pairwise, 16 B ring);
+/// * for a recovered total, one request (16 B pairwise, 24 B ring) to
+///   each alternate holder, every one of which answers, where the ledger
+///   charges one 16 B request and one answer.
+///
+/// Without a crash the overhead is `|w|`-free. The answers beyond the
+/// ledger's one are its only model-sized term.
+pub fn sac_round_overhead(
+    engine: SacEngine,
+    n: usize,
+    k: usize,
+    crash: Option<DropPhase>,
+) -> Traffic {
+    let [contributors, fan_out, _, totals, recovered, alternates] = round(engine, n, k, crash);
+    let others = (n - 1) as u64;
+    let (commits, commit_bytes, total_header, request) = match engine {
+        SacEngine::Pairwise => (contributors * others, 16 + 8 * n as u64, 8, 16),
+        SacEngine::Ring => (0, 0, 16, 24),
+    };
+    let answers = recovered * alternates;
+    let extra = answers - recovered;
+    Traffic {
+        units: extra,
+        fixed: others * (32 + contributors)
+            + commits * commit_bytes
+            + 8 * contributors * fan_out
+            + total_header * (totals + answers)
+            + answers * request
+            - recovered * LEDGER_CONTROL,
+        msgs: 2 * others + commits + 2 * extra,
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -354,7 +354,7 @@ impl TwoLayerSystem {
         if self.cfg.kind == SystemKind::OriginalSac {
             // Alg. 2 broadcasts every subtotal to every peer rather than
             // collecting them at a leader: (n-1)^2 more model transfers,
-            // exactly what `p2pfl_secagg::secure_average` adds.
+            // which no engine sends (2n(n-1) in all, Sec. III-B).
             for _ in 0..(n - 1) * (n - 1) {
                 self.log.record("secagg.total", self.model_bytes());
             }

@@ -35,7 +35,6 @@ pub const APPROVED: &[&str] = &[
     "divide",
     "divide_masked",
     "divide_scaled",
-    "masked_update",
     "digest",
     "dim",
     "len",

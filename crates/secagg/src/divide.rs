@@ -9,7 +9,7 @@
 //!   paper uses this construction anyway, so we keep it for fidelity and
 //!   document the leak.
 //! * [`divide_masked`] is standard additive masking: the first `N-1` shares
-//!   are i.i.d. uniform noise in `[-mask_bound, mask_bound]` and the last is
+//!   are i.i.d. uniform noise in `[-1e3, 1e3]` and the last is
 //!   `w - Σ noise`. Any `N-1` shares are jointly independent of `w` (up to
 //!   the finite mask range), which is the textbook security argument for
 //!   additive secret sharing over bounded reals.
@@ -33,7 +33,7 @@ pub enum ShareScheme {
 /// Magnitude of the uniform masks used by [`divide_masked`]. Large enough to
 /// swamp typical neural-network weights, small enough that `f64`
 /// accumulation error stays ~1e-9 of a weight.
-pub const DEFAULT_MASK_BOUND: f64 = 1e3;
+pub(crate) const DEFAULT_MASK_BOUND: f64 = 1e3;
 
 /// Paper Alg. 1: splits `w` into `n` shares `prn_i · w` where the `prn_i`
 /// are normalized positive random numbers summing to 1.
@@ -54,27 +54,17 @@ pub fn divide_scaled<R: Rng + ?Sized>(
 /// Standard additive masking: `n-1` uniform noise shares plus a correction
 /// share, summing exactly to `w`.
 ///
-/// Panics if `n == 0`.
-pub fn divide_masked<R: Rng + ?Sized>(
-    w: &WeightVector,
-    n: usize,
-    rng: &mut R,
-) -> Vec<WeightVector> {
-    divide_masked_with_bound(w, n, DEFAULT_MASK_BOUND, rng)
-}
-
-/// [`divide_masked`] with an explicit mask magnitude.
-///
 /// Share generation is fused and chunked: each noise share is drawn
 /// directly into its destination buffer and subtracted from the residual
 /// chunk-by-chunk in the same sweep, halving the memory traffic of the
 /// draw-then-subtract formulation (`divide_masked_reference`, the test
 /// oracle) while drawing from the RNG in exactly the same order — the
 /// shares are bit-identical to the reference.
-pub fn divide_masked_with_bound<R: Rng + ?Sized>(
+///
+/// Panics if `n == 0`.
+pub fn divide_masked<R: Rng + ?Sized>(
     w: &WeightVector,
     n: usize,
-    mask_bound: f64,
     rng: &mut R,
 ) -> Vec<WeightVector> {
     assert!(n > 0, "cannot split into zero shares");
@@ -88,7 +78,7 @@ pub fn divide_masked_with_bound<R: Rng + ?Sized>(
         let mut noise = vec![0.0f64; dim];
         for (nc, rc) in noise.chunks_mut(CHUNK).zip(residual.chunks_mut(CHUNK)) {
             for (x, r) in nc.iter_mut().zip(rc.iter_mut()) {
-                let v = rng.random_range(-mask_bound..=mask_bound);
+                let v = rng.random_range(-DEFAULT_MASK_BOUND..=DEFAULT_MASK_BOUND);
                 *x = v;
                 *r -= v;
             }
@@ -99,14 +89,13 @@ pub fn divide_masked_with_bound<R: Rng + ?Sized>(
     shares
 }
 
-/// The original two-pass formulation of [`divide_masked_with_bound`]:
+/// The original two-pass formulation of [`divide_masked`]:
 /// draw a whole noise vector, then subtract it from the residual. Retained
 /// as the differential-test oracle for the fused kernel.
 #[cfg(test)]
 pub(crate) fn divide_masked_reference<R: Rng + ?Sized>(
     w: &WeightVector,
     n: usize,
-    mask_bound: f64,
     rng: &mut R,
 ) -> Vec<WeightVector> {
     assert!(n > 0, "cannot split into zero shares");
@@ -114,7 +103,7 @@ pub(crate) fn divide_masked_reference<R: Rng + ?Sized>(
     let mut shares: Vec<WeightVector> = Vec::with_capacity(n);
     let mut residual = w.clone();
     for _ in 0..n - 1 {
-        let noise = WeightVector::random(dim, mask_bound, rng);
+        let noise = WeightVector::random(dim, DEFAULT_MASK_BOUND, rng);
         residual.sub_assign(&noise);
         shares.push(noise);
     }
@@ -220,8 +209,8 @@ mod tests {
                 let mut rng_a = StdRng::seed_from_u64(seed);
                 let mut rng_b = StdRng::seed_from_u64(seed);
                 let w = WeightVector::random(dim, 1.0, &mut StdRng::seed_from_u64(seed ^ 1));
-                let fused = divide_masked_with_bound(&w, n, DEFAULT_MASK_BOUND, &mut rng_a);
-                let reference = divide_masked_reference(&w, n, DEFAULT_MASK_BOUND, &mut rng_b);
+                let fused = divide_masked(&w, n, &mut rng_a);
+                let reference = divide_masked_reference(&w, n, &mut rng_b);
                 assert_eq!(fused, reference, "dim {dim}, n {n}");
             }
         }

@@ -11,8 +11,7 @@
 //!   cost ledger. Its pairwise instance [`fault_tolerant_secure_average`]
 //!   is paper Alg. 4, tolerating up to `n-k` peer dropouts per round, and
 //!   at `k = n` Alg. 2's leader-collect form (cost `(N²-1)|w|`) used inside
-//!   two-layer subgroups; [`secure_average`] is Alg. 2 with full subtotal
-//!   broadcast (cost `2N(N-1)|w|`);
+//!   two-layer subgroups;
 //! * [`RoundCore`] — the one message-driven engine: a supervised
 //!   fault-tolerant round (timeout-based crash detection, replica
 //!   recovery, abort + degraded retry, re-keying, sender binding) over any
@@ -27,8 +26,6 @@
 //! * [`fixed`] — an exact fixed-point ring-sharing backend (extension);
 //! * [`dp`] — Gaussian-mechanism differential privacy for peer updates,
 //!   the hardening the paper's Sec. IV-D points to (extension);
-//! * [`pairwise`] — the Bonawitz-style pairwise-mask baseline from the
-//!   paper's related work (Sec. II-B), with dropout recovery;
 //! * [`ring`] — the Ring-SAC layout and wire protocol: staged
 //!   successor-stage sharing with O(n log n) traffic instead of O(n²),
 //!   selectable per run via [`SacEngine`].
@@ -36,7 +33,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use p2pfl_secagg::{secure_average, ShareScheme, WeightVector};
+//! use p2pfl_secagg::{fault_tolerant_secure_average, ShareScheme, WeightVector};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -44,7 +41,9 @@
 //!     WeightVector::new(vec![1.0, 2.0]),
 //!     WeightVector::new(vec![3.0, 4.0]),
 //! ];
-//! let out = secure_average(&models, ShareScheme::Masked, &mut rng);
+//! // Both peers must contribute (k = n), position 0 leads, nobody drops.
+//! let out = fault_tolerant_secure_average(&models, 2, 0, &[], ShareScheme::Masked, &mut rng)
+//!     .unwrap();
 //! assert!((out.average[0] - 2.0).abs() < 1e-9);
 //! assert!((out.average[1] - 3.0).abs() < 1e-9);
 //! ```
@@ -59,23 +58,19 @@ pub mod fixed;
 mod ledger;
 #[cfg(feature = "mutants")]
 pub mod mutants;
-pub mod pairwise;
 mod reference;
 pub mod replicated;
 pub mod ring;
 mod weights;
 
-pub use divide::{
-    divide, divide_masked, divide_masked_with_bound, divide_scaled, ShareScheme, DEFAULT_MASK_BOUND,
-};
+pub use divide::{divide, divide_masked, divide_scaled, ShareScheme};
 pub use engine::{
     drive_round, sim_group, PairwiseWire, RoundCore, RoundEvent, RoundOutcome, SacConfig,
     SacEngine, SacMsg, SacPeerActor, SacPhase, Wire,
 };
 pub use ledger::TransferLog;
 pub use reference::{
-    fault_tolerant_secure_average, reference_round, secure_average, DropPhase, Dropout, FtSacError,
-    SacOutcome, REQUEST_BYTES,
+    fault_tolerant_secure_average, reference_round, DropPhase, Dropout, FtSacError, SacOutcome,
 };
 pub use ring::{RingMsg, RingPlan, RingSacActor, RingWire};
 pub use weights::{WeightVector, WIRE_BYTES_PER_PARAM};

@@ -23,10 +23,13 @@
 //! [`fault_tolerant_secure_average`], is paper Alg. 4: `c(n-1)(n-k+1)|w|`
 //! of shares for `c` contributors plus `(k-1)|w|` of totals and `|w|` per
 //! recovery. At `k = n` it is Alg. 2's leader-collect form used inside a
-//! two-layer subgroup (`(n²-1)|w|`), and [`secure_average`] adds the
-//! subtotal broadcast of Alg. 2 proper (`2n(n-1)|w|`). The staged
-//! instance moves `n·m·min(m-1, n-k+1)·|w|` of shares for successor-stage
-//! size `m ≈ ⌈log₂ n⌉` plus `n - 1` small announcements.
+//! two-layer subgroup (`(n²-1)|w|`); Alg. 2 proper would also broadcast
+//! every subtotal to every other peer, `(n-1)²|w|` more that no engine
+//! sends (`2n(n-1)|w|` in all). The staged instance moves
+//! `n·m·r·|w|` of shares for successor-stage size `m ≈ ⌈log₂ n⌉` and
+//! blocks of `r = min(m-1, n-k+1)` partitions, `(n-r)|w|` of totals (the
+//! leader holds its own block) and `n - 1` small announcements.
+//! `p2pfl::cost::sac_round_ledger` states both ledgers in closed form.
 //!
 //! The round first draws one seed per member position from the RNG it is
 //! passed, in position order; member `i` then divides its model with the
@@ -135,8 +138,7 @@ pub struct SacOutcome {
 const PHASE_SHARE: &str = "secagg.share";
 /// Ledger phase of `Shared` announcements to the leader.
 const PHASE_ANNOUNCE: &str = "secagg.announce";
-/// Ledger phase of totals sent by their primary owner (and, for Alg. 2's
-/// broadcast, to every other peer).
+/// Ledger phase of totals sent by their primary owner.
 const PHASE_TOTAL: &str = "secagg.total";
 /// Ledger phase of recovery requests (small control messages).
 const PHASE_REQUEST: &str = "secagg.request";
@@ -144,30 +146,9 @@ const PHASE_REQUEST: &str = "secagg.request";
 const PHASE_RECOVERY: &str = "secagg.recovery";
 
 /// Size charged for a recovery request control message.
-pub const REQUEST_BYTES: u64 = 16;
+const REQUEST_BYTES: u64 = 16;
 /// Size charged for one `Shared` announcement control message.
 const ANNOUNCE_BYTES: u64 = 16;
-
-/// Paper Alg. 2: n-out-of-n SAC with full subtotal broadcast, `2n(n-1)|w|`.
-/// It is the `k = n` [`fault_tolerant_secure_average`] without dropouts
-/// plus the `(n-1)²` transfers that give every peer, not only the leader,
-/// every subtotal.
-///
-/// Panics if `models` is empty or dimensions mismatch.
-pub fn secure_average<R: Rng + ?Sized>(
-    models: &[WeightVector],
-    scheme: ShareScheme,
-    rng: &mut R,
-) -> SacOutcome {
-    let n = models.len();
-    assert!(n > 0, "SAC requires at least one peer");
-    let mut out = fault_tolerant_secure_average(models, n, 0, &[], scheme, rng)
-        .expect("an n-of-n round without dropouts completes");
-    for _ in 0..(n - 1) * (n - 1) {
-        out.log.record(PHASE_TOTAL, models[0].wire_bytes());
-    }
-    out
-}
 
 /// Paper Alg. 4: one round of `k`-out-of-`n` fault-tolerant SAC led by
 /// `leader` — the [`reference_round`] over the pairwise one-stage layout.
@@ -459,31 +440,19 @@ mod tests {
 
     #[test]
     fn alg2_is_the_n_of_n_round() {
-        // Broadcast (Sec. III-B): 2n(n-1)|w|, either scheme equals the mean.
-        let ms = models(7, 50, 1);
-        let plain = WeightVector::mean(ms.iter());
-        let mut rng = StdRng::seed_from_u64(2);
-        for scheme in [ShareScheme::Scaled, ShareScheme::Masked] {
-            let out = secure_average(&ms, scheme, &mut rng);
-            assert!(out.average.linf_distance(&plain) < 1e-9, "{scheme:?}");
-        }
-        let ms = models(5, 10, 3);
-        let w = ms[0].wire_bytes();
-        let out = secure_average(&ms, ShareScheme::Masked, &mut rng);
-        assert_eq!(out.log.bytes(), 2 * 5 * 4 * w);
-        assert_eq!(out.log.messages(), 2 * 5 * 4);
-        assert_eq!(out.log.phase(PHASE_SHARE), (20, 20 * w));
-        assert_eq!(out.log.phase(PHASE_TOTAL), (20, 20 * w));
-        // A single peer has nothing to exchange.
-        let one = models(1, 8, 7);
-        let out = secure_average(&one, ShareScheme::Masked, &mut rng);
-        assert!(out.average.linf_distance(&one[0]) < 1e-12);
-        assert_eq!(out.log.bytes(), 0);
-        // Leader collect (Sec. VII-A): a subgroup of n costs (n²-1)|w|.
+        // Leader collect (Sec. VII-A): a subgroup of n costs (n²-1)|w|,
+        // and either scheme equals the mean.
         for n in 1..=8usize {
             let ms = models(n, 6, 5);
             let out = round(Pairwise, &ms, n, 0, &[]).unwrap();
             assert_eq!(out.log.bytes(), (n * n - 1) as u64 * ms[0].wire_bytes());
+        }
+        let ms = models(7, 50, 1);
+        let plain = WeightVector::mean(ms.iter());
+        let mut rng = StdRng::seed_from_u64(2);
+        for scheme in [ShareScheme::Scaled, ShareScheme::Masked] {
+            let out = fault_tolerant_secure_average(&ms, 7, 0, &[], scheme, &mut rng).unwrap();
+            assert!(out.average.linf_distance(&plain) < 1e-9, "{scheme:?}");
         }
         // The leader's choice does not change the average.
         let ms = models(4, 12, 9);

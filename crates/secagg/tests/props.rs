@@ -2,8 +2,8 @@
 
 use p2pfl_secagg::replicated::{assigned_partitions, can_reconstruct, holders};
 use p2pfl_secagg::{
-    divide_masked, divide_scaled, fault_tolerant_secure_average, fixed, reference_round,
-    secure_average, DropPhase, Dropout, RingPlan, RingWire, ShareScheme, WeightVector,
+    divide_masked, divide_scaled, fault_tolerant_secure_average, fixed, reference_round, DropPhase,
+    Dropout, RingPlan, RingWire, ShareScheme, WeightVector,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -42,12 +42,12 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let plain = WeightVector::mean(models.iter());
+        let n = models.len();
         for scheme in [ShareScheme::Scaled, ShareScheme::Masked] {
-            let full = secure_average(&models, scheme, &mut rng);
+            let full = fault_tolerant_secure_average(&models, n, 0, &[], scheme, &mut rng).unwrap();
             prop_assert!(full.average.linf_distance(&plain) < 1e-7);
         }
         let leader = lead_pick.index(models.len());
-        let n = models.len();
         let led = fault_tolerant_secure_average(&models, n, leader, &[], ShareScheme::Masked, &mut rng)
             .unwrap();
         prop_assert!(led.average.linf_distance(&plain) < 1e-7);

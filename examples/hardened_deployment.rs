@@ -6,8 +6,7 @@
 //!   (the "stronger privacy in the higher layer" variant of Sec. IV-D),
 //! * per-peer differential privacy (clipping + Gaussian mechanism),
 //!
-//! and, separately, the exact fixed-point ring backend and the
-//! Bonawitz-style pairwise-mask baseline for comparison.
+//! and, separately, the exact fixed-point ring backend for comparison.
 //!
 //! ```text
 //! cargo run --release --example hardened_deployment
@@ -19,7 +18,7 @@ use p2pfl_fed::{Client, LocalTrainConfig};
 use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Partition};
 use p2pfl_ml::models::mlp;
 use p2pfl_secagg::dp::GaussianDp;
-use p2pfl_secagg::{fixed, pairwise, ShareScheme, WeightVector};
+use p2pfl_secagg::{fixed, ShareScheme, WeightVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -78,7 +77,7 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    println!("\n== alternative share backends on the same 9 models ==\n");
+    println!("\n== an alternative share backend on 9 models ==\n");
     let models: Vec<WeightVector> = (0..PEERS)
         .map(|i| WeightVector::random(658, 0.5, &mut StdRng::seed_from_u64(50 + i as u64)))
         .collect();
@@ -90,16 +89,4 @@ fn main() {
         "fixed-point ring SAC   error vs plain mean: {:.2e}  (exact, info-theoretic hiding)",
         exact.linf_distance(&plain)
     );
-
-    let seeds = pairwise::PairwiseSeeds::deal(PEERS, &mut rng);
-    let subs: Vec<(usize, WeightVector)> = (0..PEERS)
-        .map(|i| (i, pairwise::masked_update(&seeds, i, &models[i])))
-        .collect();
-    let bona = pairwise::aggregate(&seeds, &subs, &[]);
-    println!(
-        "pairwise-mask baseline error vs plain mean: {:.2e}  (Bonawitz-style, needs a server)",
-        bona.linf_distance(&plain)
-    );
-    println!("\nboth agree with the two-layer SAC result; the two-layer system is the");
-    println!("only one of the three that needs no server and no pairwise key setup.");
 }

@@ -23,8 +23,8 @@ use p2pfl_fed::{Client, LocalTrainConfig};
 use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Partition};
 use p2pfl_ml::models::mlp;
 use p2pfl_secagg::{
-    fault_tolerant_secure_average, reference_round, secure_average, DropPhase, Dropout, RingPlan,
-    RingWire, SacEngine, ShareScheme, TransferLog, WeightVector,
+    fault_tolerant_secure_average, reference_round, DropPhase, Dropout, RingPlan, RingWire,
+    SacEngine, ShareScheme, TransferLog, WeightVector,
 };
 use p2pfl_simnet::SimDuration;
 use rand::rngs::StdRng;
@@ -165,8 +165,13 @@ fn alg2_variants_match_the_pins() {
     for n in 1..=8usize {
         let ms = models(n, 100 + n as u64);
         for (s, scheme) in SCHEMES.into_iter().enumerate() {
+            // Alg. 2 proper: the k = n round, then every subtotal broadcast
+            // to every other peer, (n-1)² more transfers of |w|.
             let mut rng = StdRng::seed_from_u64(200 + n as u64);
-            let out = secure_average(&ms, scheme, &mut rng);
+            let mut out = fault_tolerant_secure_average(&ms, n, 0, &[], scheme, &mut rng).unwrap();
+            let broadcast = ((n - 1) * (n - 1)) as u64;
+            out.log
+                .record_many("secagg.total", broadcast, broadcast * ms[0].wire_bytes());
             let line = ledger(&out.average, &out.log);
             pin.case(format!("n={n} scheme={s} broadcast {line}"));
             for leader in [0, n - 1] {
