@@ -53,7 +53,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # send buffers read 413, 432 or 451 MiB (levels one 20 MB share block
 # apart); the ceiling fails the 451 runs, six of ten.
 echo "==> repo benchmark: round digests vs sim twin + exact wire bytes + bulk and ring RSS ceilings (4 workloads x 2 s)"
-for spec in session_mlp_30:: sac_bulk_cnn_3:129833796:438 sac_fanout_256:18930176: ring_bulk_16:164008152:215; do
+for spec in session_mlp_30:: sac_bulk_cnn_3:129833796:438 sac_fanout_256:18930176: ring_bulk_16:164008048:215; do
     IFS=: read -r workload wire_bytes rss_ceiling <<<"$spec"
     result="$(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 2 --trace 0 | tail -n 1)"

@@ -32,7 +32,7 @@ use p2pfl_ml::layers::Conv2d;
 use p2pfl_ml::reference::matmul_naive;
 use p2pfl_ml::{Layer, Tensor};
 use p2pfl_secagg::{
-    PairwiseWire, RingWire, RoundCore, SacConfig, SacEngine, SacPhase, WeightVector, Wire,
+    PairwiseWire, RingWire, RoundCore, SacConfig, SacEngine, SacMsg, SacPhase, WeightVector, Wire,
 };
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 use rand::rngs::StdRng;
@@ -69,7 +69,7 @@ fn sweep_round(engine: SacEngine, n: usize, dim: usize) -> (u64, u64) {
 fn sweep_on<W: Wire>(ids: &[NodeId], dim: usize, cfg: impl Fn(usize) -> SacConfig) -> (u64, u64) {
     let n = ids.len();
     let mut rng = StdRng::seed_from_u64(SEED + n as u64);
-    let mut sim: Sim<W::Msg> = Sim::new(SEED + n as u64);
+    let mut sim: Sim<SacMsg> = Sim::new(SEED + n as u64);
     for i in 0..n {
         let model = WeightVector::random(dim, 1.0, &mut rng);
         sim.add_node(RoundCore::<W>::new(cfg(i), model));

@@ -18,7 +18,7 @@ use p2pfl_ml::data::{features_like, partition_dataset, train_test_split, Dataset
 use p2pfl_ml::models::mlp;
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig, WireMsg};
 use p2pfl_secagg::{
-    drive_round, RoundCore, SacConfig, SacEngine, SacPhase, ShareScheme, WeightVector, Wire,
+    drive_round, RoundCore, SacConfig, SacEngine, SacMsg, SacPhase, ShareScheme, WeightVector, Wire,
 };
 use p2pfl_simnet::{Actor, FaultPlan, NodeId, Sim, SimDuration};
 use rand::rngs::StdRng;
@@ -101,7 +101,7 @@ pub use p2pfl_secagg::sim_group;
 /// frozen contributor set and result, in order. Panics, naming the
 /// leader, if one is not `Done`.
 pub fn sim_round<W: Wire>(
-    sim: &mut Sim<W::Msg>,
+    sim: &mut Sim<SacMsg>,
     leaders: impl IntoIterator<Item = NodeId>,
     round: u64,
 ) -> Vec<(Vec<usize>, WeightVector)> {
@@ -209,7 +209,7 @@ pub fn wait_for(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
 /// contributor set and the published result. Panics, naming `what`, if
 /// the round fails or stalls.
 pub fn wait_done<W: Wire>(
-    leader: &PeerHandle<W::Msg, RoundCore<W>>,
+    leader: &PeerHandle<SacMsg, RoundCore<W>>,
     what: &str,
 ) -> (Vec<usize>, WeightVector) {
     let outcome = wait_some(what, Duration::from_secs(60), || {
@@ -226,7 +226,7 @@ pub fn wait_done<W: Wire>(
 /// in turn ([`wait_done`]); returns each leader's frozen contributor set
 /// and result, in order.
 pub fn reactor_round<'a, W: Wire>(
-    leaders: impl IntoIterator<Item = &'a PeerHandle<W::Msg, RoundCore<W>>>,
+    leaders: impl IntoIterator<Item = &'a PeerHandle<SacMsg, RoundCore<W>>>,
     round: u64,
 ) -> Vec<(Vec<usize>, WeightVector)> {
     let leaders: Vec<_> = leaders.into_iter().collect();

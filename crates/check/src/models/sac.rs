@@ -18,7 +18,8 @@
 
 use crate::{oracles, Model, Violation};
 use p2pfl_secagg::{
-    PairwiseWire, RingWire, RoundCore, SacConfig, SacEngine, ShareScheme, WeightVector, Wire,
+    PairwiseWire, RingWire, RoundCore, SacConfig, SacEngine, SacMsg, ShareScheme, WeightVector,
+    Wire,
 };
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 use std::hash::{Hash, Hasher};
@@ -26,7 +27,7 @@ use std::hash::{Hash, Hasher};
 /// What distinguishes the SAC round models from each other.
 pub trait SacShape: Copy {
     /// The share plan under test.
-    type Wire: Wire<Msg: serde::Serialize>;
+    type Wire: Wire;
     /// CLI / counterexample name.
     const NAME: &'static str;
     /// The engine selector matching `Wire`.
@@ -120,7 +121,7 @@ pub(super) fn hash_round_state<W: Wire, H: Hasher>(a: &RoundCore<W>, h: &mut H) 
 }
 
 impl<S: SacShape> Model for S {
-    type Msg = <S::Wire as Wire>::Msg;
+    type Msg = SacMsg;
 
     fn name(&self) -> &'static str {
         S::NAME

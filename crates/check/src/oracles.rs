@@ -7,7 +7,7 @@
 
 use crate::Violation;
 use p2pfl_raft::{Command, RaftNode, Role};
-use p2pfl_secagg::{RoundCore, RoundEvent, SacPhase, WeightVector, Wire};
+use p2pfl_secagg::{RoundCore, SacMsg, SacPhase, WeightVector, Wire};
 use p2pfl_simnet::NodeId;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -160,7 +160,7 @@ pub struct ShareCopy<'a> {
 /// [`p2pfl_simnet::Sim::pending_deliveries`]).
 pub fn share_copies<'a, W: Wire>(
     actors: impl IntoIterator<Item = (NodeId, &'a RoundCore<W>)>,
-    pending: impl IntoIterator<Item = (NodeId, NodeId, &'a W::Msg)>,
+    pending: impl IntoIterator<Item = (NodeId, NodeId, &'a SacMsg)>,
     round: u64,
 ) -> Vec<ShareCopy<'a>> {
     let mut out = Vec::new();
@@ -181,22 +181,22 @@ pub fn share_copies<'a, W: Wire>(
         }
     }
     for (src, dst, msg) in pending {
-        let RoundEvent::Share {
+        let SacMsg::ShareBlock {
             round: r,
             from_pos,
             parts,
-        } = W::decode(msg.clone())
+        } = msg
         else {
             continue;
         };
-        if r != round {
+        if *r != round {
             continue;
         }
         for (p, v) in parts {
             out.push(ShareCopy {
-                from_pos,
-                idx: p,
-                value: Cow::Owned(v),
+                from_pos: *from_pos,
+                idx: *p,
+                value: Cow::Borrowed(v),
                 holder: dst,
                 site: format!("in flight {src}->{dst}"),
             });

@@ -252,11 +252,10 @@ pub fn sac_round_ledger(
 ///   the other `n − 1` members;
 /// * (pairwise) each contributor's `Commit` to the other `n − 1`:
 ///   16 B + 8 per partition digest;
-/// * an 8 B header per share block, and a header per total sent (8 B
-///   pairwise, 16 B ring);
-/// * for a recovered total, one request (16 B pairwise, 24 B ring) to
-///   each alternate holder, every one of which answers, where the ledger
-///   charges one 16 B request and one answer.
+/// * an 8 B header per share block and per total sent;
+/// * for a recovered total, one 16 B request to each alternate holder,
+///   every one of which answers, where the ledger charges one request and
+///   one answer.
 ///
 /// Without a crash the overhead is `|w|`-free. The answers beyond the
 /// ledger's one are its only model-sized term.
@@ -268,9 +267,9 @@ pub fn sac_round_overhead(
 ) -> Traffic {
     let [contributors, fan_out, _, totals, recovered, alternates] = round(engine, n, k, crash);
     let others = (n - 1) as u64;
-    let (commits, commit_bytes, total_header, request) = match engine {
-        SacEngine::Pairwise => (contributors * others, 16 + 8 * n as u64, 8, 16),
-        SacEngine::Ring => (0, 0, 16, 24),
+    let (commits, commit_bytes) = match engine {
+        SacEngine::Pairwise => (contributors * others, 16 + 8 * n as u64),
+        SacEngine::Ring => (0, 0),
     };
     let answers = recovered * alternates;
     let extra = answers - recovered;
@@ -279,9 +278,8 @@ pub fn sac_round_overhead(
         fixed: others * (32 + contributors)
             + commits * commit_bytes
             + 8 * contributors * fan_out
-            + total_header * (totals + answers)
-            + answers * request
-            - recovered * LEDGER_CONTROL,
+            + 8 * (totals + answers)
+            + LEDGER_CONTROL * extra,
         msgs: 2 * others + commits + 2 * extra,
     }
 }

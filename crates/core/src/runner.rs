@@ -669,7 +669,7 @@ mod tests {
         assert!(last > first, "accuracy {first:.3} -> {last:.3}");
         // The ring layout actually ran (engine really was dispatched): only
         // its wire announces to the leader.
-        assert!(s.log.phase("ring.shared").0 > 0);
+        assert!(s.log.phase("sac.shared").0 > 0);
     }
 
     #[test]
@@ -691,7 +691,7 @@ mod tests {
         let rounds = s.run(12, &test);
         assert!(rounds.iter().all(|r| r.record.groups_used == 3));
         assert!(rounds.iter().all(|r| r.fed_leader.is_some()));
-        assert_eq!(s.log.phase("ring.shared").0, 0, "pairwise never announces");
+        assert_eq!(s.log.phase("sac.shared").0, 0, "pairwise never announces");
         let first = rounds.first().unwrap().record.test_accuracy;
         let last = rounds.last().unwrap().record.test_accuracy;
         assert!(last > first, "accuracy {first:.3} -> {last:.3}");

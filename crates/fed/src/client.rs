@@ -94,11 +94,6 @@ impl Client {
     pub fn data(&self) -> &Dataset {
         &self.data
     }
-
-    /// Mutable access to the model (used by tests and examples).
-    pub fn model_mut(&mut self) -> &mut Sequential {
-        &mut self.model
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!
 //! Call-graph resolution is name-based: `Type::method(...)` paths
 //! resolve exactly; a path through a name that is no workspace type —
-//! a generic parameter, as in the round core's `W::decode(...)` — resolves
+//! a generic parameter, as in the round core's `W::layout(...)` — resolves
 //! to every impl of a workspace trait's method of that name, so a generic
 //! caller reaches all of its instantiations' code; bare `f(...)` calls
 //! resolve to workspace free functions named `f`; `.m(...)` dot calls
@@ -117,11 +117,10 @@ impl Config {
                 "reactor_loop",
                 "RaftNode::handle",
                 // Both aggregation engines are `RoundCore<W>`: one actor
-                // callback, and behind its `W::decode` / `W::encode` the
-                // two adaptors, reachable only through the generic.
+                // callback, and behind it the one place a received
+                // `SacMsg` is judged.
                 "RoundCore::on_message",
-                "PairwiseWire::decode",
-                "RingWire::decode",
+                "RoundCore::dispatch",
                 "HierActor::on_message",
             ],
         }
@@ -207,7 +206,7 @@ pub fn check(ws: &Workspace, cfg: &Config) -> Output {
         }
     }
     // Impls of workspace-declared trait methods, by method name: what a
-    // call through a generic parameter (`W::decode(..)`) can land in. A
+    // call through a generic parameter (`W::layout(..)`) can land in. A
     // trait's own declaration walks as `(self_ty = Trait, name)`.
     let known_types: BTreeSet<&str> = nodes.iter().filter_map(|n| n.self_ty.as_deref()).collect();
     let mut trait_impls: BTreeMap<&str, Vec<usize>> = BTreeMap::new();

@@ -119,12 +119,6 @@ impl Tensor {
         self.data[r * self.shape[1] + c]
     }
 
-    /// Mutable element accessor for 2-D tensors.
-    pub fn at2_mut(&mut self, r: usize, c: usize) -> &mut f32 {
-        debug_assert_eq!(self.shape.len(), 2);
-        &mut self.data[r * self.shape[1] + c]
-    }
-
     /// Matrix product `self (m×k) · other (k×n) -> (m×n)`.
     ///
     /// Bit-identical to the plain ascending-`k` triple loop (see the module

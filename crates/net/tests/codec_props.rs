@@ -13,7 +13,7 @@ use p2pfl_net::codec::{
 };
 use p2pfl_net::{Reactor, ReactorConfig};
 use p2pfl_raft::{Entry, LogCmd, PersistOp, RaftMsg};
-use p2pfl_secagg::{RingMsg, SacEngine, SacMsg, WeightVector};
+use p2pfl_secagg::{SacEngine, SacMsg, WeightVector};
 use p2pfl_simnet::{
     Actor, Blob, FaultAction, FaultEntry, FaultPlan, NodeId, Payload, PoisonMode, SimDuration,
     SimTime, TimerId, Transport,
@@ -418,46 +418,7 @@ fn arb_sacmsg(max_dim: usize) -> impl Strategy<Value = SacMsg> {
             0usize..8
         )
             .prop_map(|(round, group, k)| SacMsg::Reconfigure { round, group, k }),
-    ]
-}
-
-fn arb_ringmsg(max_dim: usize) -> impl Strategy<Value = RingMsg> {
-    prop_oneof![
-        any::<u64>().prop_map(|round| RingMsg::Begin { round }),
-        (
-            any::<u64>(),
-            0usize..8,
-            prop::collection::vec((0usize..8, arb_weights(max_dim)), 0..4),
-        )
-            .prop_map(|(round, from_pos, parts)| RingMsg::StageShare {
-                round,
-                from_pos,
-                parts
-            }),
-        (any::<u64>(), 0usize..8).prop_map(|(round, from_pos)| RingMsg::Shared { round, from_pos }),
-        (any::<u64>(), prop::collection::vec(0usize..8, 0..8)).prop_map(|(round, contributors)| {
-            RingMsg::ComputeOver {
-                round,
-                contributors,
-            }
-        }),
-        (any::<u64>(), 0usize..4, 0usize..8, arb_weights(max_dim)).prop_map(
-            |(round, stage, idx, value)| RingMsg::StageTotal {
-                round,
-                stage,
-                idx,
-                value
-            }
-        ),
-        (any::<u64>(), 0usize..4, 0usize..8)
-            .prop_map(|(round, stage, idx)| { RingMsg::StageTotalRequest { round, stage, idx } }),
-        (any::<u64>(), arb_reason()).prop_map(|(round, reason)| RingMsg::Abort { round, reason }),
-        (
-            any::<u64>(),
-            prop::collection::vec(arb_node(), 0..6),
-            0usize..8
-        )
-            .prop_map(|(round, group, k)| RingMsg::Reconfigure { round, group, k }),
+        (any::<u64>(), 0usize..8).prop_map(|(round, from_pos)| SacMsg::Shared { round, from_pos }),
     ]
 }
 
@@ -487,14 +448,6 @@ proptest! {
     #[test]
     fn sac_frame_windows_concatenate_to_the_frame(
         msg in arb_sacmsg(24),
-        cuts in prop::collection::vec(any::<usize>(), 0..16),
-    ) {
-        windows_rebuild_the_frame(&msg, &cuts);
-    }
-
-    #[test]
-    fn ring_frame_windows_concatenate_to_the_frame(
-        msg in arb_ringmsg(24),
         cuts in prop::collection::vec(any::<usize>(), 0..16),
     ) {
         windows_rebuild_the_frame(&msg, &cuts);
@@ -663,28 +616,15 @@ proptest! {
     }
 
     #[test]
-    fn ring_messages_round_trip(msg in arb_ringmsg(32)) {
-        let bytes = to_bytes(&msg);
-        prop_assert_eq!(from_bytes::<RingMsg>(&bytes).unwrap(), msg);
-    }
-
-    #[test]
-    fn ring_truncation_never_panics(msg in arb_ringmsg(8), cut in 0usize..64) {
-        let bytes = to_bytes(&msg);
-        let cut = cut.min(bytes.len());
-        let _ = from_bytes::<RingMsg>(&bytes[..cut]);
-    }
-
-    #[test]
-    fn ring_bit_flips_never_panic(msg in arb_ringmsg(8), at in 0usize..256, bit in 0u8..8) {
-        // A corrupted ring frame must fail cleanly, never panic: the
+    fn sac_bit_flips_never_panic(msg in arb_sacmsg(8), at in 0usize..256, bit in 0u8..8) {
+        // A corrupted SAC frame must fail cleanly, never panic: the
         // decoder sees arbitrary bytes off the wire before any checksum.
         let mut bytes = to_bytes(&msg);
         if !bytes.is_empty() {
             let at = at % bytes.len();
             bytes[at] ^= 1 << bit;
         }
-        let _ = from_bytes::<RingMsg>(&bytes);
+        let _ = from_bytes::<SacMsg>(&bytes);
     }
 }
 
@@ -708,8 +648,7 @@ struct ElementWise(Vec<Elem>);
 #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
 struct Elem(f64);
 
-/// `SacMsg` up to `ShareBlock` and `RingMsg` up to `StageShare`, over
-/// element-wise vectors. The binary format carries variant indices, not
+/// `SacMsg` up to `ShareBlock`, over element-wise vectors. The binary format carries variant indices, not
 /// names, so matching the declaration order is what makes these mirrors.
 #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
 enum SacMirror {
@@ -727,18 +666,6 @@ enum SacMirror {
         parts: Vec<(usize, ElementWise)>,
     },
 }
-#[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
-enum RingMirror {
-    Begin {
-        round: u64,
-    },
-    StageShare {
-        round: u64,
-        from_pos: usize,
-        parts: Vec<(usize, ElementWise)>,
-    },
-}
-
 #[test]
 fn bulk_share_messages_match_the_element_wise_oracle() {
     // Every dimension around the codec's internal block sizes, and one
@@ -770,23 +697,12 @@ fn bulk_share_messages_match_the_element_wise_oracle() {
             from_pos: 2,
             parts: bulk(),
         });
-        let ring = to_bytes(&RingMsg::StageShare {
-            round: 9,
-            from_pos: 2,
-            parts: bulk(),
-        });
         let sac_oracle = to_bytes(&SacMirror::ShareBlock {
             round: 9,
             from_pos: 2,
             parts: oracle(),
         });
-        let ring_oracle = to_bytes(&RingMirror::StageShare {
-            round: 9,
-            from_pos: 2,
-            parts: oracle(),
-        });
         assert!(sac == sac_oracle, "SacMsg encode differs at dim {dim}");
-        assert!(ring == ring_oracle, "RingMsg encode differs at dim {dim}");
 
         // Decode through both paths, compare bit patterns (NaN != NaN).
         let SacMsg::ShareBlock { parts, .. } = from_bytes::<SacMsg>(&sac).unwrap() else {
@@ -796,19 +712,11 @@ fn bulk_share_messages_match_the_element_wise_oracle() {
         else {
             panic!("wrong variant");
         };
-        let RingMsg::StageShare {
-            parts: ring_parts, ..
-        } = from_bytes::<RingMsg>(&ring).unwrap()
-        else {
-            panic!("wrong variant");
-        };
-        for (((p, got), (rp, ring_got)), (wp, want)) in parts.iter().zip(&ring_parts).zip(&want) {
-            assert_eq!((p, rp), (wp, wp));
+        for ((p, got), (wp, want)) in parts.iter().zip(&want) {
+            assert_eq!(p, wp);
             let want: Vec<u64> = want.0.iter().map(|e| e.0.to_bits()).collect();
             let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
-            let ring_got: Vec<u64> = ring_got.iter().map(|x| x.to_bits()).collect();
             assert!(got == want, "SacMsg decode differs at dim {dim}");
-            assert!(ring_got == want, "RingMsg decode differs at dim {dim}");
         }
     }
 }
@@ -880,8 +788,8 @@ fn max_size_share_vector_round_trips() {
     assert_eq!(back, msg);
 }
 
-/// A share block and a total of each engine, tiled by windows of every
-/// size from 1 to 17 bytes: together the tilings cut at every byte, so
+/// Share blocks, subtotals and control messages, tiled by windows of
+/// every size from 1 to 17 bytes: together the tilings cut at every byte, so
 /// at every offset inside the length prefix, inside each `u32` length
 /// field and variant index, and inside each `f64`.
 #[test]
@@ -893,7 +801,7 @@ fn frame_windows_of_every_size_tile_share_blocks_and_totals() {
                 .collect(),
         )
     };
-    let sac = [
+    let msgs = [
         SacMsg::ShareBlock {
             round: 7,
             from_pos: 2,
@@ -905,30 +813,24 @@ fn frame_windows_of_every_size_tile_share_blocks_and_totals() {
             value: v(6, 9.0),
         },
         SacMsg::Begin { round: 3 },
-    ];
-    let ring = [
-        RingMsg::StageShare {
+        SacMsg::ShareBlock {
             round: 8,
             from_pos: 4,
             parts: vec![(0, v(4, 1.0)), (1, v(2, 3.0))],
         },
-        RingMsg::StageTotal {
+        SacMsg::Subtotal {
             round: 8,
-            stage: 1,
-            idx: 0,
+            idx: 4,
             value: v(5, -1.0),
         },
-        RingMsg::Shared {
+        SacMsg::Shared {
             round: 8,
             from_pos: 1,
         },
     ];
     for size in 1..=17 {
         let tile = |len: usize| (size..len).step_by(size).collect::<Vec<_>>();
-        for msg in &sac {
-            windows_rebuild_the_frame(msg, &tile(frame_len(msg).unwrap()));
-        }
-        for msg in &ring {
+        for msg in &msgs {
             windows_rebuild_the_frame(msg, &tile(frame_len(msg).unwrap()));
         }
     }

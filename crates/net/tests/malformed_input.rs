@@ -10,7 +10,7 @@ use p2pfl_net::codec::{
 };
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
 use p2pfl_raft::{Entry, LogCmd, RaftMsg};
-use p2pfl_secagg::{RingMsg, SacEngine, SacMsg, WeightVector};
+use p2pfl_secagg::{SacEngine, SacMsg, WeightVector};
 use p2pfl_simnet::{Actor, NodeId, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -101,16 +101,16 @@ fn seeds() -> Vec<Vec<u8>> {
         from_pos: 2,
         parts: vec![(0, WeightVector::new(vec![1.0, -2.5]))],
     };
-    let ring = RingMsg::StageShare {
+    let subtotal = SacMsg::Subtotal {
         round: 1,
-        from_pos: 4,
-        parts: vec![(1, WeightVector::new(vec![0.5, 3.25]))],
+        idx: 4,
+        value: WeightVector::new(vec![0.5, 3.25]),
     };
     vec![
         to_bytes(&raft),
         to_bytes(&hier),
         to_bytes(&sac),
-        to_bytes(&ring),
+        to_bytes(&subtotal),
     ]
 }
 
@@ -124,11 +124,8 @@ fn decode_any(seed_idx: usize, bytes: &[u8]) {
         1 => {
             let _ = from_bytes::<HierMsg>(bytes);
         }
-        2 => {
-            let _ = from_bytes::<SacMsg>(bytes);
-        }
         _ => {
-            let _ = from_bytes::<RingMsg>(bytes);
+            let _ = from_bytes::<SacMsg>(bytes);
         }
     }
 }
@@ -226,25 +223,29 @@ fn hostile_f64_sequence_prefixes_size_no_allocation() {
     );
 
     // An honest prefix over a frame cut mid-element, at every byte of the
-    // last element, inside a share block and a ring share.
+    // last element, inside a share block and a subtotal.
     let value = WeightVector::new((0..10_000).map(|i| i as f64).collect());
     let sac = to_bytes(&SacMsg::ShareBlock {
         round: 1,
         from_pos: 0,
         parts: vec![(0, value.clone())],
     });
-    let ring = to_bytes(&RingMsg::StageShare {
+    let subtotal = to_bytes(&SacMsg::Subtotal {
         round: 1,
-        from_pos: 0,
-        parts: vec![(0, value)],
+        idx: 0,
+        value,
     });
     for cut in 1..=8 {
         let (got, largest) = largest_alloc_in(|| from_bytes::<SacMsg>(&sac[..sac.len() - cut]));
         assert_eq!(got, Err(CodecError::Eof), "sac cut {cut}");
         assert!(largest <= SMALL, "sac cut {cut}: allocated {largest} B");
-        let (got, largest) = largest_alloc_in(|| from_bytes::<RingMsg>(&ring[..ring.len() - cut]));
-        assert_eq!(got, Err(CodecError::Eof), "ring cut {cut}");
-        assert!(largest <= SMALL, "ring cut {cut}: allocated {largest} B");
+        let cut_total = &subtotal[..subtotal.len() - cut];
+        let (got, largest) = largest_alloc_in(|| from_bytes::<SacMsg>(cut_total));
+        assert_eq!(got, Err(CodecError::Eof), "subtotal cut {cut}");
+        assert!(
+            largest <= SMALL,
+            "subtotal cut {cut}: allocated {largest} B"
+        );
     }
 
     // The tracker does see the honest decode's one bulk allocation.

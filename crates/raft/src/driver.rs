@@ -409,21 +409,6 @@ impl<C: Command, SM: StateMachine<C>> RaftActor<C, SM> {
         self.driver.compact(LogIndex::MAX, blob);
         before - self.raft().log().live_entries()
     }
-
-    /// Proposes a membership change on this node (leader only).
-    pub fn propose_config(
-        &mut self,
-        ctx: &mut dyn Transport<RaftMsg<C>>,
-        cmd: LogCmd<C>,
-    ) -> Result<LogIndex, NotLeader> {
-        assert!(
-            matches!(cmd, LogCmd::AddServer(_) | LogCmd::RemoveServer(_)),
-            "use propose() for application commands"
-        );
-        let (idx, eff) = self.driver.node_mut().propose(cmd)?;
-        self.run_effects(ctx, eff);
-        Ok(idx)
-    }
 }
 
 impl<C: Command, SM: StateMachine<C>> RaftHost<C, RaftMsg<C>> for RaftActor<C, SM> {

@@ -33,15 +33,16 @@
 //! two members), follower abandonment, roster reconfiguration and
 //! re-keying, and the sender-binding gate.
 //!
-//! What differs between the two deployed engines is confined to a
-//! [`Wire`] adaptor each — [`PairwiseWire`] (paper Alg. 4, all-to-all)
-//! and [`crate::ring::RingWire`] (staged ring): the layout, the message
-//! enum on the wire, and how the leader learns who contributed.
+//! Both deployed engines speak one message enum, [`SacMsg`]. What differs
+//! between them is confined to a [`Wire`] adaptor each — [`PairwiseWire`]
+//! (paper Alg. 4, all-to-all) and [`crate::ring::RingWire`] (staged
+//! ring): the layout, whether contributors commit to their shares, and
+//! how the leader learns who contributed.
 
 mod pairwise;
 mod sim;
 
-pub use pairwise::{PairwiseWire, SacMsg};
+pub use pairwise::PairwiseWire;
 pub use sim::{drive_round, sim_group, RoundOutcome};
 
 use crate::divide::{divide, ShareScheme};
@@ -131,44 +132,44 @@ impl SacConfig {
     }
 }
 
-/// What a wire message means to the round core: the one vocabulary both
-/// engines' message enums decode into and are encoded from ([`SacMsg`] and
-/// [`crate::RingMsg`] document each message where it is defined).
-/// Positions are subgroup positions; partition indices are stage-local,
-/// and a one-stage layout only ever uses stage 0.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RoundEvent {
-    /// Leader tells followers to begin `round`.
+/// Messages exchanged by the round core on both share plans (paper
+/// Alg. 4's vocabulary). Positions are subgroup positions. A subtotal is
+/// named by Alg. 4's index: the position of the partition's primary owner
+/// (lines 14-16), which on the staged layout is the receiving-stage member
+/// whose stage-local index is the partition's. The variant order is the
+/// wire format: a new variant goes last.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub enum SacMsg {
+    /// Leader tells followers to begin round `round` (the trigger the
+    /// FedAvg layer sends down in the full system).
     Begin {
         /// Round number.
         round: u64,
     },
-    /// A contributor's per-partition digest commitments, sent *before* its
-    /// shares (links are FIFO, so a commitment precedes what it covers).
+    /// A contributor's digest commitments to its full partition set for
+    /// the round, broadcast *before* its `ShareBlock`s: `digests[p]` is
+    /// the [`WeightVector::digest`] of partition `p`. Receivers check the
+    /// blocks they are later sent against these digests — a sender whose
+    /// share disagrees with its own commitment is Byzantine, and its
+    /// contribution is rejected (links are FIFO, so the commitment always
+    /// precedes the block it covers). Sent only where [`Wire::COMMITS`].
     Commit {
         /// Round number.
         round: u64,
-        /// Sender's position.
+        /// Sender's position within the subgroup.
         from_pos: usize,
-        /// [`WeightVector::digest`] of each partition, by index.
+        /// Per-partition digests, indexed by partition.
         digests: Vec<u64>,
     },
     /// A contributor's replicated block for one member of its successor
-    /// stage.
-    Share {
+    /// stage: `(stage-local partition index, partition)` pairs.
+    ShareBlock {
         /// Round number.
         round: u64,
-        /// Sender's position.
+        /// Sender's position within the subgroup.
         from_pos: usize,
-        /// `(partition index, share)` pairs assigned to the receiver.
+        /// The consecutive partitions assigned to the receiver.
         parts: Vec<(usize, WeightVector)>,
-    },
-    /// A peer tells the leader its shares are distributed.
-    Shared {
-        /// Round number.
-        round: u64,
-        /// Announcer's position.
-        from_pos: usize,
     },
     /// Leader freezes the contributor set.
     ComputeOver {
@@ -177,73 +178,112 @@ pub enum RoundEvent {
         /// Positions whose models are included this round.
         contributors: Vec<usize>,
     },
-    /// One partition's sum over the frozen contributors.
-    Total {
+    /// Subtotal `idx`: one partition's sum over the frozen contributors.
+    Subtotal {
         /// Round number.
         round: u64,
-        /// Receiving stage the total belongs to.
-        stage: usize,
-        /// Partition index within that stage.
+        /// Subtotal index (position of the partition's primary owner).
         idx: usize,
-        /// The summed shares.
+        /// The subtotal vector.
         value: WeightVector,
     },
-    /// Leader asks a replica holder for a missing total.
-    TotalRequest {
+    /// Leader asks a replica holder for missing subtotal `idx`.
+    SubtotalRequest {
         /// Round number.
         round: u64,
-        /// Receiving stage of the missing total.
-        stage: usize,
-        /// Partition index within that stage.
+        /// Subtotal index to recover.
         idx: usize,
     },
-    /// Leader aborts the round; receivers discard all of its shares and
-    /// totals — mask material is never reused, so an abort cannot leak a
-    /// pairwise secret.
+    /// Leader aborts the round: the supervisor deadline expired or a
+    /// partition became unrecoverable. Receivers discard every share and
+    /// subtotal of the round — the mask material is never reused, so an
+    /// abort cannot leak a pairwise secret.
     Abort {
         /// The aborted round.
         round: u64,
         /// Human-readable cause, for logs and traces.
         reason: String,
     },
-    /// Leader restarts after an abort with a degraded roster; a receiver
-    /// in `group` adopts it and begins `round` as if by a fresh `Begin`.
+    /// Leader restarts aggregation after an abort with a degraded roster:
+    /// the receiver recomputes its position in `group`, adopts `k`,
+    /// re-derives the layout and begins `round` as if a fresh `Begin` had
+    /// arrived. Peers absent from `group` have been evicted for this round
+    /// and simply ignore it.
     Reconfigure {
         /// The retry round (always a fresh round number).
         round: u64,
-        /// Surviving members, in position order.
+        /// Surviving subgroup members, in position order.
         group: Vec<NodeId>,
         /// Recomputed threshold `k' = min(k, n')`.
         k: usize,
     },
+    /// A peer tells the leader its shares are distributed. Sent only where
+    /// [`Wire::ANNOUNCES`]: on the staged layout the leader never sees
+    /// most shares, so contributor freezing is driven by these
+    /// announcements instead of received blocks.
+    Shared {
+        /// Round number.
+        round: u64,
+        /// Announcer's position.
+        from_pos: usize,
+    },
 }
 
-impl RoundEvent {
+impl SacMsg {
     /// The round a message belongs to, for the next-round stash and the
     /// aborted-round discard. `Begin` and `Reconfigure` advance the round
     /// themselves, so they are never stashed.
     fn stash_round(&self) -> Option<u64> {
         match self {
-            RoundEvent::Begin { .. } | RoundEvent::Reconfigure { .. } => None,
-            RoundEvent::Commit { round, .. }
-            | RoundEvent::Share { round, .. }
-            | RoundEvent::Shared { round, .. }
-            | RoundEvent::ComputeOver { round, .. }
-            | RoundEvent::Total { round, .. }
-            | RoundEvent::TotalRequest { round, .. }
-            | RoundEvent::Abort { round, .. } => Some(*round),
+            SacMsg::Begin { .. } | SacMsg::Reconfigure { .. } => None,
+            SacMsg::Commit { round, .. }
+            | SacMsg::ShareBlock { round, .. }
+            | SacMsg::Shared { round, .. }
+            | SacMsg::ComputeOver { round, .. }
+            | SacMsg::Subtotal { round, .. }
+            | SacMsg::SubtotalRequest { round, .. }
+            | SacMsg::Abort { round, .. } => Some(*round),
         }
     }
 }
 
-/// What one engine supplies to the round core: its share layout, its
-/// message enum, and the two properties of its wire protocol the core
-/// branches on. An adaptor holds no state and makes no protocol decision
-/// — it never sees a transport, a timer or a phase.
-pub trait Wire: 'static {
-    /// The engine's message enum.
-    type Msg: Payload;
+impl Payload for SacMsg {
+    fn size_bytes(&self) -> u64 {
+        match self {
+            SacMsg::Begin { .. } => 16,
+            SacMsg::Commit { digests, .. } => 16 + 8 * digests.len() as u64,
+            SacMsg::ShareBlock { parts, .. } => {
+                parts.iter().map(|(_, v)| v.wire_bytes()).sum::<u64>() + 8
+            }
+            SacMsg::ComputeOver { contributors, .. } => 16 + contributors.len() as u64,
+            SacMsg::Subtotal { value, .. } => value.wire_bytes() + 8,
+            SacMsg::SubtotalRequest { .. } => 16,
+            SacMsg::Abort { reason, .. } => 16 + reason.len() as u64,
+            SacMsg::Reconfigure { group, .. } => 24 + 4 * group.len() as u64,
+            SacMsg::Shared { .. } => 16,
+        }
+    }
 
+    fn kind(&self) -> &'static str {
+        match self {
+            SacMsg::Begin { .. } => "sac.begin",
+            SacMsg::Commit { .. } => "sac.commit",
+            SacMsg::ShareBlock { .. } => "sac.share",
+            SacMsg::ComputeOver { .. } => "sac.ctrl",
+            SacMsg::Subtotal { .. } => "sac.subtotal",
+            SacMsg::SubtotalRequest { .. } => "sac.request",
+            SacMsg::Abort { .. } => "sac.abort",
+            SacMsg::Reconfigure { .. } => "sac.reconf",
+            SacMsg::Shared { .. } => "sac.shared",
+        }
+    }
+}
+
+/// What one engine supplies to the round core: its share layout and the
+/// two properties of its protocol the core branches on. An adaptor holds
+/// no state and makes no protocol decision — it never sees a transport, a
+/// timer or a phase.
+pub trait Wire: 'static {
     /// Whether contributors broadcast digest commitments before sharing,
     /// which every receiver then checks its blocks against.
     const COMMITS: bool;
@@ -255,17 +295,6 @@ pub trait Wire: 'static {
 
     /// The share layout for `n` members with threshold `k`.
     fn layout(n: usize, k: usize) -> RingPlan;
-
-    /// What a received message means.
-    fn decode(msg: Self::Msg) -> RoundEvent;
-
-    /// The message carrying `event`, or `None` if this wire protocol has
-    /// no such message.
-    fn encode(event: RoundEvent) -> Option<Self::Msg>;
-
-    /// How this engine names total `(stage, idx)` in abort reasons, which
-    /// travel on the wire.
-    fn total_label(stage: usize, idx: usize) -> String;
 }
 
 /// The mask-stream domain of the member at `position` under `seed`: a
@@ -358,7 +387,7 @@ pub struct RoundCore<W: Wire> {
     // `Begin { r+1 }`; dropping it would stall the round into recovery
     // (or unrecoverability). Stashed here and replayed after the round
     // advances. Bounded to one message burst per peer.
-    future: Vec<(NodeId, RoundEvent)>,
+    future: Vec<(NodeId, SacMsg)>,
     // The most recently aborted round: messages addressed to it are dead
     // on arrival (its mask material was discarded; a late share must not
     // resurrect partial state), and a re-delivered `Begin` for it must
@@ -466,10 +495,10 @@ impl<W: Wire> RoundCore<W> {
 
     /// Leader entry point: begins round `round`, instructing followers and
     /// distributing this peer's own shares.
-    pub fn start_round(&mut self, ctx: &mut dyn Transport<W::Msg>, round: u64) {
+    pub fn start_round(&mut self, ctx: &mut dyn Transport<SacMsg>, round: u64) {
         assert!(self.cfg.is_leader(), "only the leader starts rounds");
         self.retried = false;
-        self.send_to_peers(ctx, RoundEvent::Begin { round });
+        self.send_to_peers(ctx, SacMsg::Begin { round });
         self.enter_round(ctx, round);
     }
 
@@ -529,33 +558,23 @@ impl<W: Wire> RoundCore<W> {
         self.cfg.group[self.cfg.leader_pos]
     }
 
-    fn send(ctx: &mut dyn Transport<W::Msg>, to: NodeId, event: RoundEvent) {
-        if let Some(msg) = W::encode(event) {
-            ctx.send(to, msg);
-        }
-    }
-
     /// Serves the leader total `(stage, idx)` of this peer's own stage, if
     /// it is computable yet.
-    fn send_total(&self, ctx: &mut dyn Transport<W::Msg>, stage: usize, idx: usize) -> bool {
+    fn send_total(&self, ctx: &mut dyn Transport<SacMsg>, stage: usize, idx: usize) -> bool {
         let Some(value) = self.total_over_frozen(idx) else {
             return false;
         };
-        let total = RoundEvent::Total {
+        let total = SacMsg::Subtotal {
             round: self.round,
-            stage,
-            idx,
+            idx: self.plan.global_pos(stage, idx),
             value,
         };
-        Self::send(ctx, self.leader(), total);
+        ctx.send(self.leader(), total);
         true
     }
 
-    /// Sends `event` to every other member, in position order.
-    fn send_to_peers(&self, ctx: &mut dyn Transport<W::Msg>, event: RoundEvent) {
-        let Some(msg) = W::encode(event) else {
-            return;
-        };
+    /// Sends `msg` to every other member, in position order.
+    fn send_to_peers(&self, ctx: &mut dyn Transport<SacMsg>, msg: SacMsg) {
         let me = self.me();
         for &peer in &self.cfg.group {
             if peer != me {
@@ -582,7 +601,7 @@ impl<W: Wire> RoundCore<W> {
 
     /// Opens `round` on this peer: shares go out, deadlines are armed,
     /// and whatever arrived early for the round is replayed.
-    fn enter_round(&mut self, ctx: &mut dyn Transport<W::Msg>, round: u64) {
+    fn enter_round(&mut self, ctx: &mut dyn Transport<SacMsg>, round: u64) {
         self.reset_for(round);
         self.distribute_shares(ctx);
         if self.cfg.is_leader() {
@@ -603,15 +622,15 @@ impl<W: Wire> RoundCore<W> {
     /// advanced; anything not matching the current round, or no longer
     /// from a peer entitled to send it under the roster now in force, is
     /// filtered out by [`RoundCore::dispatch`].
-    fn replay_future(&mut self, ctx: &mut dyn Transport<W::Msg>) {
-        for (from, event) in std::mem::take(&mut self.future) {
-            self.dispatch(ctx, from, event);
+    fn replay_future(&mut self, ctx: &mut dyn Transport<SacMsg>) {
+        for (from, msg) in std::mem::take(&mut self.future) {
+            self.dispatch(ctx, from, msg);
         }
     }
 
     /// Splits the model into `m` shares (`m` = successor-stage size) and
     /// sends each successor-stage member its replicated block.
-    fn distribute_shares(&mut self, ctx: &mut dyn Transport<W::Msg>) {
+    fn distribute_shares(&mut self, ctx: &mut dyn Transport<SacMsg>) {
         let (round, pos) = (self.round, self.cfg.position);
         let s = self.plan.succ_stage(self.plan.stage_of(pos));
         let m = self.plan.stage_len(s);
@@ -630,7 +649,7 @@ impl<W: Wire> RoundCore<W> {
             // what it sends below — which is exactly what the receivers'
             // digest check convicts.
             let digests = parts.iter().map(|p| p.digest()).collect();
-            let commit = RoundEvent::Commit {
+            let commit = SacMsg::Commit {
                 round,
                 from_pos: pos,
                 digests,
@@ -656,22 +675,22 @@ impl<W: Wire> RoundCore<W> {
                     v.scale(factor);
                 }
             }
-            let share = RoundEvent::Share {
+            let share = SacMsg::ShareBlock {
                 round,
                 from_pos: pos,
                 parts: block,
             };
-            Self::send(ctx, self.cfg.group[gpos], share);
+            ctx.send(self.cfg.group[gpos], share);
         }
         if W::ANNOUNCES {
             if self.cfg.is_leader() {
                 self.announced.insert(pos);
             } else {
-                let shared = RoundEvent::Shared {
+                let shared = SacMsg::Shared {
                     round,
                     from_pos: pos,
                 };
-                Self::send(ctx, self.leader(), shared);
+                ctx.send(self.leader(), shared);
             }
         }
     }
@@ -694,7 +713,7 @@ impl<W: Wire> RoundCore<W> {
     /// senders will never be heard from again this round; counting them
     /// lets the leader freeze as soon as every *honest* member is in
     /// instead of burning the share deadline.
-    fn maybe_freeze(&mut self, ctx: &mut dyn Transport<W::Msg>) {
+    fn maybe_freeze(&mut self, ctx: &mut dyn Transport<SacMsg>) {
         let n = self.cfg.n();
         if self.cfg.is_leader()
             && self.phase == SacPhase::Sharing
@@ -708,7 +727,7 @@ impl<W: Wire> RoundCore<W> {
     /// `suspects`; unsupervised rounds fail.
     fn dead_end(
         &mut self,
-        ctx: &mut dyn Transport<W::Msg>,
+        ctx: &mut dyn Transport<SacMsg>,
         suspects: &BTreeSet<usize>,
         reason: &str,
         detail: &str,
@@ -720,7 +739,7 @@ impl<W: Wire> RoundCore<W> {
         }
     }
 
-    fn freeze(&mut self, ctx: &mut dyn Transport<W::Msg>) {
+    fn freeze(&mut self, ctx: &mut dyn Transport<SacMsg>) {
         let absent = self.unheard();
         let contributors: BTreeSet<usize> =
             (0..self.cfg.n()).filter(|p| !absent.contains(p)).collect();
@@ -756,7 +775,7 @@ impl<W: Wire> RoundCore<W> {
             );
             return;
         }
-        let compute_over = RoundEvent::ComputeOver {
+        let compute_over = SacMsg::ComputeOver {
             round: self.round,
             contributors: contributors.iter().copied().collect(),
         };
@@ -845,7 +864,7 @@ impl<W: Wire> RoundCore<W> {
     /// sends its primary as soon as it is computable (share blocks can
     /// arrive *after* `ComputeOver` on slow links), and serves recovery
     /// requests that were waiting on missing blocks.
-    fn progress(&mut self, ctx: &mut dyn Transport<W::Msg>) {
+    fn progress(&mut self, ctx: &mut dyn Transport<SacMsg>) {
         if self.frozen.is_none() {
             return;
         }
@@ -859,16 +878,7 @@ impl<W: Wire> RoundCore<W> {
             let stage = self.plan.stage_of(self.cfg.position);
             let idx = self.plan.local_index(self.cfg.position);
             if !self.plan.is_holder(self.cfg.leader_pos, stage, idx) {
-                if let Some(value) = self.total_over_frozen(idx) {
-                    self.sent_primary = true;
-                    let total = RoundEvent::Total {
-                        round: self.round,
-                        stage,
-                        idx,
-                        value,
-                    };
-                    Self::send(ctx, self.leader(), total);
-                }
+                self.sent_primary = self.send_total(ctx, stage, idx);
             }
         }
         for (stage, idx) in std::mem::take(&mut self.pending_requests) {
@@ -878,7 +888,7 @@ impl<W: Wire> RoundCore<W> {
         }
     }
 
-    fn request_missing(&mut self, ctx: &mut dyn Transport<W::Msg>) {
+    fn request_missing(&mut self, ctx: &mut dyn Transport<SacMsg>) {
         let missing: Vec<(usize, usize)> = self
             .plan
             .grid()
@@ -898,7 +908,7 @@ impl<W: Wire> RoundCore<W> {
                     .filter(|key| self.requested.contains(key))
                     .flat_map(|&(qt, qp)| self.plan.holders_of(qt, qp))
                     .collect();
-                let reason = format!("{} unrecoverable", W::total_label(t, p));
+                let reason = format!("partition {} unrecoverable", self.plan.global_pos(t, p));
                 self.dead_end(ctx, &suspects, &reason, "");
                 return;
             }
@@ -907,12 +917,11 @@ impl<W: Wire> RoundCore<W> {
             // are idempotent inserts.
             for g in self.plan.holders_of(t, p) {
                 if g != self.cfg.position && self.plan.local_index(g) != p {
-                    let request = RoundEvent::TotalRequest {
+                    let request = SacMsg::SubtotalRequest {
                         round: self.round,
-                        stage: t,
-                        idx: p,
+                        idx: self.plan.global_pos(t, p),
                     };
-                    Self::send(ctx, self.cfg.group[g], request);
+                    ctx.send(self.cfg.group[g], request);
                 }
             }
             self.recoveries += 1;
@@ -929,13 +938,13 @@ impl<W: Wire> RoundCore<W> {
     /// itself always survives.
     fn supervise(
         &mut self,
-        ctx: &mut dyn Transport<W::Msg>,
+        ctx: &mut dyn Transport<SacMsg>,
         suspects: &BTreeSet<usize>,
         reason: &str,
     ) {
         let old_round = self.round;
         let me = self.me();
-        let abort = RoundEvent::Abort {
+        let abort = SacMsg::Abort {
             round: old_round,
             reason: reason.to_string(),
         };
@@ -970,7 +979,7 @@ impl<W: Wire> RoundCore<W> {
         let k = self.cfg.k.min(survivors.len());
         let next = old_round + 1;
         self.reconfigure(survivors.clone(), me, k);
-        let reconfigure = RoundEvent::Reconfigure {
+        let reconfigure = SacMsg::Reconfigure {
             round: next,
             group: survivors,
             k,
@@ -980,34 +989,39 @@ impl<W: Wire> RoundCore<W> {
     }
 
     /// The sender-binding gate: whether `from` — the peer the transport
-    /// authenticated as the sender — is entitled to send `event` under
+    /// authenticated as the sender — is entitled to send `msg` under
     /// the roster in force. Position-stamped messages must come from the
     /// member at that position (shares: one in the receiver's predecessor
-    /// stage); control messages and total requests only from the leader;
-    /// totals go to the leader only, from a holder of that total.
-    fn authorised(&self, from: NodeId, event: &RoundEvent) -> bool {
+    /// stage); control messages and subtotal requests only from the
+    /// leader; subtotals go to the leader only, from a holder of that
+    /// subtotal.
+    fn authorised(&self, from: NodeId, msg: &SacMsg) -> bool {
         let cfg = &self.cfg;
         let is = |pos: usize| cfg.group.get(pos) == Some(&from);
-        match event {
-            RoundEvent::Begin { .. }
-            | RoundEvent::ComputeOver { .. }
-            | RoundEvent::TotalRequest { .. }
-            | RoundEvent::Abort { .. }
-            | RoundEvent::Reconfigure { .. } => is(cfg.leader_pos),
-            RoundEvent::Commit { from_pos, .. } => is(*from_pos),
-            RoundEvent::Shared { from_pos, .. } => cfg.is_leader() && is(*from_pos),
-            RoundEvent::Share { from_pos, .. } => {
+        match msg {
+            SacMsg::Begin { .. }
+            | SacMsg::ComputeOver { .. }
+            | SacMsg::SubtotalRequest { .. }
+            | SacMsg::Abort { .. }
+            | SacMsg::Reconfigure { .. } => is(cfg.leader_pos),
+            SacMsg::Commit { from_pos, .. } => is(*from_pos),
+            SacMsg::Shared { from_pos, .. } => cfg.is_leader() && is(*from_pos),
+            SacMsg::ShareBlock { from_pos, .. } => {
                 is(*from_pos)
                     && self.plan.stage_of(*from_pos)
                         == self.plan.pred_stage(self.plan.stage_of(cfg.position))
             }
-            RoundEvent::Total { stage, idx, .. } => {
+            SacMsg::Subtotal { idx, .. } => {
                 cfg.is_leader()
                     && cfg
                         .group
                         .iter()
                         .position(|&p| p == from)
-                        .is_some_and(|pos| self.plan.is_holder(pos, *stage, *idx))
+                        .is_some_and(|pos| {
+                            self.plan
+                                .grid_key(*idx)
+                                .is_some_and(|(t, p)| self.plan.is_holder(pos, t, p))
+                        })
             }
         }
     }
@@ -1027,8 +1041,8 @@ impl<W: Wire> RoundCore<W> {
 
     /// The one place a received message is judged: next-round stash,
     /// dead-round discard, sender binding, then the protocol step.
-    fn dispatch(&mut self, ctx: &mut dyn Transport<W::Msg>, from: NodeId, event: RoundEvent) {
-        if let Some(r) = event.stash_round() {
+    fn dispatch(&mut self, ctx: &mut dyn Transport<SacMsg>, from: NodeId, msg: SacMsg) {
+        if let Some(r) = msg.stash_round() {
             // Stash anything addressed to the round right after ours: our
             // `Begin` is still in flight on another connection. The stash
             // comes before the sender gate on purpose: the roster may
@@ -1038,7 +1052,7 @@ impl<W: Wire> RoundCore<W> {
             // memory leak — and evictions are counted, not silent.
             if r == self.round + 1 {
                 if self.future.len() < 4 * self.cfg.n() {
-                    self.future.push((from, event));
+                    self.future.push((from, msg));
                 } else {
                     self.stash_evicted += 1;
                 }
@@ -1052,12 +1066,12 @@ impl<W: Wire> RoundCore<W> {
                 return;
             }
         }
-        if !self.authorised(from, &event) {
+        if !self.authorised(from, &msg) {
             self.shares_rejected += 1;
             return;
         }
-        match event {
-            RoundEvent::Begin { round } => {
+        match msg {
+            SacMsg::Begin { round } => {
                 #[cfg(feature = "mutants")]
                 let guard_disabled =
                     crate::mutants::active(crate::mutants::Mutant::BeginRerandomize);
@@ -1067,12 +1081,12 @@ impl<W: Wire> RoundCore<W> {
                     self.enter_round(ctx, round);
                 }
             }
-            RoundEvent::Commit {
+            SacMsg::Commit {
                 from_pos, digests, ..
             } => {
                 self.commitments.insert(from_pos, digests);
             }
-            RoundEvent::Share {
+            SacMsg::ShareBlock {
                 from_pos, parts, ..
             } => {
                 // Shape gate: a block whose partition indices or
@@ -1113,14 +1127,14 @@ impl<W: Wire> RoundCore<W> {
                 self.maybe_freeze(ctx);
                 self.progress(ctx);
             }
-            RoundEvent::Shared { from_pos, .. } => {
+            SacMsg::Shared { from_pos, .. } => {
                 // A late announcement after the freeze changes nothing.
                 if self.phase == SacPhase::Sharing {
                     self.announced.insert(from_pos);
                     self.maybe_freeze(ctx);
                 }
             }
-            RoundEvent::ComputeOver { contributors, .. } => {
+            SacMsg::ComputeOver { contributors, .. } => {
                 if self.frozen.is_some() {
                     return; // the set freezes once per round
                 }
@@ -1143,36 +1157,43 @@ impl<W: Wire> RoundCore<W> {
                 self.frozen = Some(set);
                 self.progress(ctx);
             }
-            RoundEvent::Total {
-                stage, idx, value, ..
-            } => {
-                // A wrong-dimension value must not enter the average.
-                if value.dim() != self.model.dim() {
+            SacMsg::Subtotal { idx, value, .. } => {
+                // The gate admitted only a subtotal on the grid; a
+                // wrong-dimension value must not enter the average.
+                let Some(key) = self
+                    .plan
+                    .grid_key(idx)
+                    .filter(|_| value.dim() == self.model.dim())
+                else {
                     self.shares_rejected += 1;
                     return;
-                }
-                self.totals.entry((stage, idx)).or_insert(value);
+                };
+                self.totals.entry(key).or_insert(value);
                 self.maybe_finish();
             }
-            RoundEvent::TotalRequest { stage, idx, .. } => {
+            SacMsg::SubtotalRequest { idx, .. } => {
                 // Never servable means never queued: only a holder of
-                // `(stage, idx)` can ever total it.
-                if !self.plan.is_holder(self.cfg.position, stage, idx) {
+                // the partition can ever total it.
+                let Some((stage, idx)) = self
+                    .plan
+                    .grid_key(idx)
+                    .filter(|&(t, p)| self.plan.is_holder(self.cfg.position, t, p))
+                else {
                     self.shares_rejected += 1;
                     return;
-                }
+                };
                 // Can't serve yet (missing blocks, or the contributor set
                 // is not frozen here yet)? Answer when the pieces arrive.
                 if !self.send_total(ctx, stage, idx) {
                     self.pending_requests.push((stage, idx));
                 }
             }
-            RoundEvent::Abort { round, .. } => {
+            SacMsg::Abort { round, .. } => {
                 self.reset_for(round);
                 self.aborted = Some(round);
                 self.aborts += 1;
             }
-            RoundEvent::Reconfigure { round, group, k } => {
+            SacMsg::Reconfigure { round, group, k } => {
                 // A roster without this peer evicts it for the retry; it
                 // sits the round out (the layer above re-admits it via
                 // the join path). `reconfigure` refuses such a roster.
@@ -1184,12 +1205,12 @@ impl<W: Wire> RoundCore<W> {
     }
 }
 
-impl<W: Wire> Actor<W::Msg> for RoundCore<W> {
-    fn on_message(&mut self, ctx: &mut dyn Transport<W::Msg>, from: NodeId, msg: W::Msg) {
-        self.dispatch(ctx, from, W::decode(msg));
+impl<W: Wire> Actor<SacMsg> for RoundCore<W> {
+    fn on_message(&mut self, ctx: &mut dyn Transport<SacMsg>, from: NodeId, msg: SacMsg) {
+        self.dispatch(ctx, from, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn Transport<W::Msg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut dyn Transport<SacMsg>, tag: u64) {
         let (base, round) = (tag & 0xff, tag >> 8);
         if round != self.round {
             return; // armed for a round that has since ended or aborted
@@ -1272,7 +1293,7 @@ pub(crate) mod testkit {
         dim: usize,
         seed: u64,
         round_deadline: Option<SimDuration>,
-    ) -> (Sim<W::Msg>, Vec<NodeId>, Vec<WeightVector>) {
+    ) -> (Sim<SacMsg>, Vec<NodeId>, Vec<WeightVector>) {
         let mut sim = Sim::new(seed);
         let ids = ids(n);
         let mut rng = StdRng::seed_from_u64(seed + 999);
@@ -1289,7 +1310,7 @@ pub(crate) mod testkit {
         (sim, ids, models)
     }
 
-    pub(crate) fn start<W: Wire>(sim: &mut Sim<W::Msg>, leader: NodeId, round: u64) {
+    pub(crate) fn start<W: Wire>(sim: &mut Sim<SacMsg>, leader: NodeId, round: u64) {
         sim.exec::<RoundCore<W>, _, _>(leader, |a, ctx| a.start_round(ctx, round));
     }
 
@@ -1336,10 +1357,10 @@ pub(crate) mod testkit {
     }
 
     /// A lone engine at `position` of `n` (leader 0) with a stub transport,
-    /// fed events as if they arrived from `from`.
+    /// fed messages as if they arrived from `from`.
     pub(crate) struct Solo<W: Wire> {
         pub(crate) actor: RoundCore<W>,
-        pub(crate) net: StubNet<W::Msg>,
+        pub(crate) net: StubNet<SacMsg>,
         pub(crate) ids: Vec<NodeId>,
     }
 
@@ -1360,14 +1381,13 @@ pub(crate) mod testkit {
             }
         }
 
-        pub(crate) fn deliver(&mut self, from: usize, event: RoundEvent) {
-            let msg = W::encode(event).expect("event exists on this wire");
+        pub(crate) fn deliver(&mut self, from: usize, msg: SacMsg) {
             self.actor.on_message(&mut self.net, self.ids[from], msg);
         }
 
         /// A share of partition 0 from `from`.
-        pub(crate) fn share(round: u64, from: usize) -> RoundEvent {
-            RoundEvent::Share {
+        pub(crate) fn share(round: u64, from: usize) -> SacMsg {
+            SacMsg::ShareBlock {
                 round,
                 from_pos: from,
                 parts: vec![(0, WeightVector::new(vec![0.5, 0.5]))],
@@ -1418,7 +1438,7 @@ mod tests {
         unservable_requests_are_never_queued,
     );
 
-    fn leader<W: Wire>(sim: &Sim<W::Msg>) -> &RoundCore<W> {
+    fn leader<W: Wire>(sim: &Sim<SacMsg>) -> &RoundCore<W> {
         sim.actor(NodeId(0))
     }
 
@@ -1584,7 +1604,7 @@ mod tests {
             solo.actor.blocks.is_empty(),
             "early block must not be applied before Begin"
         );
-        solo.deliver(0, RoundEvent::Begin { round: 1 });
+        solo.deliver(0, SacMsg::Begin { round: 1 });
         assert_eq!(solo.actor.round, 1);
         assert_eq!(solo.actor.phase, SacPhase::Sharing);
         assert!(
@@ -1610,7 +1630,7 @@ mod tests {
 
     fn begin_aimed_at_leader_is_ignored<W: Wire>() {
         let (mut sim, ids, _) = build::<W>(3, 2, 4, 42, None);
-        let begin = W::encode(RoundEvent::Begin { round: 5 }).unwrap();
+        let begin = SacMsg::Begin { round: 5 };
         sim.inject(ids[1], ids[0], begin, SimDuration::from_millis(1));
         sim.run_until(SimTime::from_millis(50));
         assert_eq!(leader::<W>(&sim).phase, SacPhase::Idle);
@@ -1625,7 +1645,7 @@ mod tests {
         // distribution (fresh randomness would break mask cancellation)
         // or regress the follower's round.
         for (to, round, ms) in [(2, 2, 20), (3, 1, 25)] {
-            let begin = W::encode(RoundEvent::Begin { round }).unwrap();
+            let begin = SacMsg::Begin { round };
             sim.inject(ids[0], ids[to], begin, SimDuration::from_millis(ms));
         }
         sim.run_until(SimTime::from_secs(2));
@@ -1637,13 +1657,11 @@ mod tests {
         let (mut sim, ids, _) = build::<W>(3, 2, 4, 21, None);
         start::<W>(&mut sim, ids[0], 3);
         // A stray total from an old round must not pollute round 3.
-        let stray = RoundEvent::Total {
+        let stray = SacMsg::Subtotal {
             round: 2,
-            stage: 0,
             idx: 0,
             value: WeightVector::zeros(4),
         };
-        let stray = W::encode(stray).unwrap();
         sim.inject(ids[1], ids[0], stray, SimDuration::from_millis(1));
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(leader::<W>(&sim).phase, SacPhase::Done);
@@ -1653,11 +1671,11 @@ mod tests {
 
     fn abort_after_late_share_is_idempotent<W: Wire>() {
         let mut solo = Solo::<W>::new(4, 2, 2, true);
-        solo.deliver(0, RoundEvent::Begin { round: 1 });
+        solo.deliver(0, SacMsg::Begin { round: 1 });
         assert_eq!(solo.actor.phase, SacPhase::Sharing);
         solo.deliver(1, Solo::<W>::share(1, 1));
         assert!(solo.actor.blocks.contains_key(&1));
-        let abort = |reason: &str| RoundEvent::Abort {
+        let abort = |reason: &str| SacMsg::Abort {
             round: 1,
             reason: reason.into(),
         };
@@ -1684,7 +1702,7 @@ mod tests {
         // A re-delivered Begin for the aborted round must not redistribute
         // shares (single-randomization rule).
         let sends_before = solo.net.sent.len();
-        solo.deliver(0, RoundEvent::Begin { round: 1 });
+        solo.deliver(0, SacMsg::Begin { round: 1 });
         assert_eq!(solo.actor.phase, SacPhase::Idle);
         assert_eq!(solo.net.sent.len(), sends_before, "no re-randomized shares");
 
@@ -1693,7 +1711,7 @@ mod tests {
         let group = vec![solo.ids[0], solo.ids[2], solo.ids[3]];
         solo.deliver(
             0,
-            RoundEvent::Reconfigure {
+            SacMsg::Reconfigure {
                 round: 2,
                 group,
                 k: 2,
@@ -1715,7 +1733,7 @@ mod tests {
         let group = vec![solo.ids[0], solo.ids[2]];
         solo.deliver(
             0,
-            RoundEvent::Reconfigure {
+            SacMsg::Reconfigure {
                 round: 2,
                 group,
                 k: 2,
@@ -1729,7 +1747,7 @@ mod tests {
 
     fn follower_round_deadline_abandons_unclosed_round<W: Wire>() {
         let mut solo = Solo::<W>::new(4, 1, 2, true);
-        solo.deliver(0, RoundEvent::Begin { round: 1 });
+        solo.deliver(0, SacMsg::Begin { round: 1 });
         assert_eq!(solo.actor.phase, SacPhase::Sharing);
         // Deadline for a *different* round is ignored.
         solo.actor
@@ -1744,13 +1762,7 @@ mod tests {
         assert!(solo.actor.blocks.is_empty());
         // A late recovery request for the retired round is not served.
         let sends = solo.net.sent.len();
-        let plan = solo.actor.plan().clone();
-        let request = RoundEvent::TotalRequest {
-            round: 1,
-            stage: plan.stage_of(1),
-            idx: plan.local_index(1),
-        };
-        solo.deliver(0, request);
+        solo.deliver(0, SacMsg::SubtotalRequest { round: 1, idx: 1 });
         assert_eq!(solo.net.sent.len(), sends);
         assert!(solo.actor.pending_requests.is_empty());
     }
@@ -1770,13 +1782,11 @@ mod tests {
         // toward the n-totals finish condition nor panic the averaging.
         let (mut sim, ids, _) = build::<W>(6, 2, 4, 51, None);
         start::<W>(&mut sim, ids[0], 1);
-        let bogus = RoundEvent::Total {
+        let bogus = SacMsg::Subtotal {
             round: 1,
-            stage: 9,
             idx: 9,
             value: WeightVector::zeros(4),
         };
-        let bogus = W::encode(bogus).unwrap();
         sim.inject(ids[1], ids[0], bogus, SimDuration::from_millis(1));
         sim.run_until(SimTime::from_secs(2));
         let leader = leader::<W>(&sim);
@@ -1791,9 +1801,9 @@ mod tests {
         // (4 on the one-stage layout, 2 on the staged one): an index in
         // `row..n` could never be totalled, so it must not be stored.
         let mut solo = Solo::<W>::new(4, 2, 2, false);
-        solo.deliver(0, RoundEvent::Begin { round: 1 });
+        solo.deliver(0, SacMsg::Begin { round: 1 });
         let row = solo.actor.plan().stage_len(solo.actor.plan().stage_of(2));
-        let part = |idx: usize, dim: usize| RoundEvent::Share {
+        let part = |idx: usize, dim: usize| SacMsg::ShareBlock {
             round: 1,
             from_pos: 1,
             parts: vec![(idx, WeightVector::zeros(dim))],
@@ -1810,7 +1820,7 @@ mod tests {
         solo.deliver(1, part(row - 1, 2));
         assert!(solo.actor.blocks[&1].contains_key(&(row - 1)));
         // A frozen set outside the roster is refused and counted too.
-        let compute_over = RoundEvent::ComputeOver {
+        let compute_over = SacMsg::ComputeOver {
             round: 1,
             contributors: vec![0, 1, 2, 3, 4],
         };
@@ -1820,32 +1830,22 @@ mod tests {
     }
 
     fn unservable_requests_are_never_queued<W: Wire>() {
-        // A request this peer can never serve — a foreign stage, or a
-        // partition outside its assigned block — must not sit in the
-        // pending queue until the round ends.
+        // A request this peer can never serve — a partition of another
+        // stage, one outside its assigned block, or one off the grid —
+        // must not sit in the pending queue until the round ends.
         let mut solo = Solo::<W>::new(4, 2, 4, false);
-        solo.deliver(0, RoundEvent::Begin { round: 1 });
-        let plan = solo.actor.plan().clone();
-        let (stage, own) = (plan.stage_of(2), plan.local_index(2));
-        let request = |stage: usize, idx: usize| RoundEvent::TotalRequest {
-            round: 1,
-            stage,
-            idx,
-        };
-        // k = n: every peer holds exactly its own partition.
-        let foreign = (own + 1) % plan.stage_len(stage);
-        solo.deliver(0, request(stage, foreign));
-        solo.deliver(0, request(stage, 99));
-        assert_eq!(solo.actor.shares_rejected, 2);
-        if plan.num_stages() > 1 {
-            // Only a staged wire carries the stage at all.
-            solo.deliver(0, request(stage - 1, own));
-            solo.deliver(0, request(99, own));
-            assert_eq!(solo.actor.shares_rejected, 4);
+        solo.deliver(0, SacMsg::Begin { round: 1 });
+        let request = |idx: usize| SacMsg::SubtotalRequest { round: 1, idx };
+        // k = n: every peer holds exactly its own partition, subtotal 2.
+        for (i, idx) in [0, 1, 3, 4, usize::MAX].into_iter().enumerate() {
+            solo.deliver(0, request(idx));
+            assert_eq!(solo.actor.shares_rejected, i as u64 + 1, "idx {idx}");
         }
         assert!(solo.actor.pending_requests.is_empty());
         // Its own partition is servable once the blocks arrive: queued.
-        solo.deliver(0, request(stage, own));
-        assert_eq!(solo.actor.pending_requests, vec![(stage, own)]);
+        solo.deliver(0, request(2));
+        let plan = solo.actor.plan();
+        let own = (plan.stage_of(2), plan.local_index(2));
+        assert_eq!(solo.actor.pending_requests, vec![own]);
     }
 }

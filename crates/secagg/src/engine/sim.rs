@@ -3,7 +3,7 @@
 //! never panics on a failed round, so the session aggregates through it
 //! and the test harness wraps it.
 
-use super::{RoundCore, SacPhase, Wire};
+use super::{RoundCore, SacMsg, SacPhase, Wire};
 use crate::weights::WeightVector;
 use p2pfl_simnet::{FaultPlan, NodeId, Sim, SimDuration};
 
@@ -22,7 +22,7 @@ pub fn sim_group<W: Wire>(
     seed: u64,
     actors: impl IntoIterator<Item = (NodeId, RoundCore<W>)>,
     plan: Option<&FaultPlan>,
-) -> Sim<W::Msg> {
+) -> Sim<SacMsg> {
     let mut sim = Sim::new(seed);
     for (id, actor) in actors {
         assert_eq!(sim.add_node(actor), id, "simulator ids are dense");
@@ -37,7 +37,7 @@ pub fn sim_group<W: Wire>(
 /// for 30 s of virtual time and returns each leader's outcome, in order.
 /// A `Done` leader's result moves out into its outcome.
 pub fn drive_round<W: Wire>(
-    sim: &mut Sim<W::Msg>,
+    sim: &mut Sim<SacMsg>,
     leaders: impl IntoIterator<Item = NodeId>,
     round: u64,
 ) -> Vec<RoundOutcome> {

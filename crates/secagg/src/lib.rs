@@ -15,10 +15,10 @@
 //! * [`RoundCore`] — the one message-driven engine: a supervised
 //!   fault-tolerant round (timeout-based crash detection, replica
 //!   recovery, abort + degraded retry, re-keying, sender binding) over any
-//!   [`Wire`]. Its two instantiations are [`SacPeerActor`]
-//!   (`RoundCore<PairwiseWire>`: paper Alg. 4, [`SacMsg`], one-stage
-//!   layout, digest commitments) and [`RingSacActor`]
-//!   (`RoundCore<RingWire>`: [`RingMsg`], staged layout, `Shared`
+//!   [`Wire`], speaking one message enum, [`SacMsg`], on both. Its two
+//!   instantiations are [`SacPeerActor`] (`RoundCore<PairwiseWire>`:
+//!   paper Alg. 4, one-stage layout, digest commitments) and
+//!   [`RingSacActor`] (`RoundCore<RingWire>`: staged layout, `Shared`
 //!   announcements). [`sim_group`] and [`drive_round`] host a group of
 //!   cores on a simulator and run a round to its end; given the same
 //!   per-member seeds the engine reproduces [`reference_round`] bit for
@@ -65,8 +65,8 @@ mod weights;
 
 pub use divide::{divide, divide_masked, divide_scaled, ShareScheme};
 pub use engine::{
-    drive_round, sim_group, PairwiseWire, RoundCore, RoundEvent, RoundOutcome, SacConfig,
-    SacEngine, SacMsg, SacPeerActor, SacPhase, Wire,
+    drive_round, sim_group, PairwiseWire, RoundCore, RoundOutcome, SacConfig, SacEngine, SacMsg,
+    SacPeerActor, SacPhase, Wire,
 };
 pub use ledger::TransferLog;
 pub use reference::{

@@ -16,8 +16,8 @@
 //! * [`RingPlan`] — the pure stage-layout function of `(n, k)`;
 //! * [`RingWire`] — the adaptor that makes the layout an engine: over it
 //!   [`RingSacActor`] is the same [`crate::RoundCore`] as
-//!   [`crate::SacPeerActor`] (one round, one supervision contract),
-//!   speaking [`RingMsg`], and `reference_round::<RingWire, _>` is the
+//!   [`crate::SacPeerActor`] (one round, one supervision contract, one
+//!   message enum [`crate::SacMsg`]), and `reference_round::<RingWire, _>` is the
 //!   same [`crate::reference_round`] as
 //!   [`crate::fault_tolerant_secure_average`] (the synchronous reference
 //!   with a dropout schedule and a cost ledger).

@@ -138,6 +138,18 @@ impl RingPlan {
         pos - self.stages[self.stage_of(pos)].0
     }
 
+    /// The `(stage, partition)` grid key of subtotal `g`, the partition
+    /// whose primary owner sits at global position `g` — the inverse of
+    /// [`RingPlan::global_pos`]. Total: `None` off the grid, since `g` may
+    /// come off the wire.
+    pub fn grid_key(&self, g: usize) -> Option<(usize, usize)> {
+        let t = self
+            .stages
+            .iter()
+            .position(|&(s, l)| (s..s + l).contains(&g))?;
+        Some((t, g - self.stages[t].0))
+    }
+
     /// The stage that receives stage `t`'s shares.
     pub fn succ_stage(&self, t: usize) -> usize {
         (t + 1) % self.stages.len()
@@ -267,8 +279,11 @@ mod tests {
                     covered[pos] = true;
                     assert_eq!(plan.stage_of(pos), t);
                     assert_eq!(plan.global_pos(t, plan.local_index(pos)), pos);
+                    assert_eq!(plan.grid_key(pos), Some((t, plan.local_index(pos))));
                 }
             }
+            assert_eq!(plan.grid_key(n), None);
+            assert_eq!(plan.grid_key(usize::MAX), None);
             assert!(covered.into_iter().all(|c| c), "n={n} not fully covered");
             assert_eq!(plan.total_partitions(), n);
         }

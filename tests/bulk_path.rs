@@ -19,7 +19,7 @@ use p2pfl_bench::testkit::{
 };
 use p2pfl_net::codec::{from_bytes, to_bytes, to_frame_bytes, FrameBuffer};
 use p2pfl_secagg::{
-    PairwiseWire, RingMsg, RingSacActor, RingWire, SacEngine, SacMsg, SacPeerActor, WeightVector,
+    PairwiseWire, RingSacActor, RingWire, SacEngine, SacMsg, SacPeerActor, WeightVector,
 };
 use p2pfl_simnet::{NodeId, SimDuration};
 use rand::rngs::StdRng;
@@ -254,7 +254,7 @@ fn ring_round_matches_simulator() {
     let (contributors, want) = sim_round::<RingWire>(&mut sim, [NodeId(0)], 1).remove(0);
     assert_eq!(contributors, everyone);
 
-    let reactor = reactor::<RingMsg, RingSacActor>();
+    let reactor = reactor::<SacMsg, RingSacActor>();
     let handles = spawn_group(&reactor, ring_peers(&models, 30_000), None);
     mesh(&handles);
     let (contributors, got) = reactor_round(&handles[..1], 1).remove(0);

@@ -16,8 +16,8 @@ use p2pfl_bench::testkit::{
     wait_done,
 };
 use p2pfl_secagg::{
-    PairwiseWire, RingMsg, RingSacActor, RingWire, RoundCore, SacEngine, SacMsg, SacPeerActor,
-    WeightVector, Wire,
+    PairwiseWire, RingSacActor, RingWire, RoundCore, SacEngine, SacMsg, SacPeerActor, WeightVector,
+    Wire,
 };
 use p2pfl_simnet::{FaultPlan, NodeId, SimDuration, SimTime};
 
@@ -125,7 +125,7 @@ fn tcp_engines_agree_and_match_their_simulator_runs_bitwise() {
         None,
     );
     mesh(&pairwise);
-    let ring_reactor = reactor::<RingMsg, RingSacActor>();
+    let ring_reactor = reactor::<SacMsg, RingSacActor>();
     let ring = spawn_group(&ring_reactor, peers(SacEngine::Ring, deadline), None);
     mesh(&ring);
 

@@ -13,7 +13,7 @@
 
 use p2pfl_net::codec::to_bytes;
 use p2pfl_secagg::{
-    RingMsg, RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, ShareScheme, WeightVector,
+    RingSacActor, SacConfig, SacEngine, SacMsg, SacPeerActor, ShareScheme, WeightVector,
 };
 use p2pfl_simnet::{
     Actor, NodeId, Payload, Sim, SimDuration, SimTime, TimerId, TraceKind, Transport,
@@ -309,7 +309,7 @@ macro_rules! harness {
 }
 
 harness!(pairwise, SacPeerActor, SacMsg, SacEngine::Pairwise);
-harness!(ring, RingSacActor, RingMsg, SacEngine::Ring);
+harness!(ring, RingSacActor, SacMsg, SacEngine::Ring);
 
 /// n = 4, k = 2 ring: stages [2, 2]; peer 3 dies before the round, so the
 /// announced set {0, 1, 2} isolates peer 2 in stage 1.
@@ -391,26 +391,30 @@ fn transcripts_match_the_pinned_parent() {
     );
 }
 
-/// Captured at the commit before the round core landed (PR 15's HEAD).
+/// Pairwise pins: captured before the round core landed. Ring pins:
+/// re-captured once when ring frames moved onto `SacMsg` (its variant
+/// indices and `sac.*` kinds, subtotals named by global index with no
+/// stage field, abort reasons naming `partition {idx}`); message counts
+/// and verdicts held.
 fn pinned() -> Vec<(&'static str, Pin)> {
     vec![
         ("pairwise happy n=5 k=3", pin(0x66a73b7e3259683f, 0x292e7a6448ef6ab3, 50, "Done c=[0, 1, 2, 3, 4] rec=0 ab=0 r=1 n=5 k=3 d=Some(8efb22cc4c28d752)")),
-        ("ring happy n=6 k=2", pin(0x6aac4520dfa5219e, 0x5303823e189edaf2, 37, "Done c=[0, 1, 2, 3, 4, 5] rec=0 ab=0 r=1 n=6 k=2 d=Some(6f83eed443c41c64)")),
-        ("ring happy n=16 k=12", pin(0xb382255b1eebd796, 0xfbec37d425d55a8d, 122, "Done c=[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15] rec=0 ab=0 r=1 n=16 k=12 d=Some(90013bf9188d8f76)")),
+        ("ring happy n=6 k=2", pin(0x5cf288771a4a8504, 0x0869cb4c61312194, 37, "Done c=[0, 1, 2, 3, 4, 5] rec=0 ab=0 r=1 n=6 k=2 d=Some(6f83eed443c41c64)")),
+        ("ring happy n=16 k=12", pin(0xf81e2beadcf2dc65, 0x2b78c2888d5cc0cb, 122, "Done c=[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15] rec=0 ab=0 r=1 n=16 k=12 d=Some(90013bf9188d8f76)")),
         ("pairwise crash after share", pin(0x4594810b870ac5e2, 0xf8a794555bbd8625, 53, "Done c=[0, 1, 2, 3, 4] rec=1 ab=0 r=1 n=5 k=3 d=Some(a5c48f9dc8a13ff0)")),
-        ("ring crash after share", pin(0xd1982457e11b9a23, 0xa96c1bef9e53c7e1, 38, "Done c=[0, 1, 2, 3, 4, 5] rec=1 ab=0 r=1 n=6 k=2 d=Some(f69dfe068e9014ce)")),
+        ("ring crash after share", pin(0xf4f0e5085d4f0a35, 0x25d2ae56f1246a9f, 38, "Done c=[0, 1, 2, 3, 4, 5] rec=1 ab=0 r=1 n=6 k=2 d=Some(f69dfe068e9014ce)")),
         ("pairwise crash before share", pin(0xd7c3ee77c937ff41, 0xca725ae7f1c5593e, 45, "Done c=[0, 1, 2, 4] rec=1 ab=0 r=1 n=5 k=3 d=Some(f38d04fe482bc53a)")),
-        ("ring crash before share", pin(0x0a7f9ec53aec84ef, 0xc8175b0c26aa1a03, 34, "Done c=[0, 1, 2, 4, 5] rec=1 ab=0 r=1 n=6 k=2 d=Some(552c62c5f8a2b6b7)")),
+        ("ring crash before share", pin(0x8fe93b600aedee39, 0xf53ee50170c23962, 34, "Done c=[0, 1, 2, 4, 5] rec=1 ab=0 r=1 n=6 k=2 d=Some(552c62c5f8a2b6b7)")),
         ("pairwise supervised retry", pin(0xe8193c370db2c894, 0x7cda5c9cc67ecb10, 53, "Done c=[0, 1, 2] rec=0 ab=1 r=2 n=3 k=3 d=Some(2c64e2866434f4f)")),
-        ("ring supervised retry", pin(0xd33e9faf2848f026, 0x0e11b6949d036175, 36, "Done c=[0, 1, 2] rec=0 ab=1 r=2 n=3 k=3 d=Some(e9310a6c7b495560)")),
+        ("ring supervised retry", pin(0x85d716dcbbcfd67a, 0x99a79f294bc74688, 36, "Done c=[0, 1, 2] rec=0 ab=1 r=2 n=3 k=3 d=Some(e9310a6c7b495560)")),
         ("pairwise refusal below two", pin(0xa3ad2dda890e7b03, 0xb339bef8be9c4a24, 8, "Failed(\"degraded below 2 members (n' = 1): fewer than k contributors at freeze\") c=[] rec=0 ab=1 r=1 n=3 k=3 d=None")),
-        ("ring refusal below two", pin(0xe6c5ef642dc8e229, 0x4fe3d33009aa39b3, 6, "Failed(\"degraded below 2 members (n' = 1): fewer than k contributors at freeze\") c=[] rec=0 ab=1 r=1 n=3 k=3 d=None")),
-        ("ring singleton stage unsupervised", pin(0x87dc7ac4fb8fcaaf, 0xf6cdfa5c5a78bd1a, 11, "Failed(\"stage 1 frozen to a single contributor (per-stage anonymity set below 2)\") c=[] rec=0 ab=0 r=1 n=4 k=2 d=None")),
-        ("ring singleton stage supervised", pin(0x19d23f82366a538f, 0xd7266806e8fce781, 27, "Done c=[0, 1, 2] rec=0 ab=1 r=2 n=3 k=2 d=Some(3e1f9184908098ab)")),
+        ("ring refusal below two", pin(0x37b61cd85bca16e9, 0x1af1adcc0150a0ef, 6, "Failed(\"degraded below 2 members (n' = 1): fewer than k contributors at freeze\") c=[] rec=0 ab=1 r=1 n=3 k=3 d=None")),
+        ("ring singleton stage unsupervised", pin(0x1d3022bea23994de, 0x6980216fd295152a, 11, "Failed(\"stage 1 frozen to a single contributor (per-stage anonymity set below 2)\") c=[] rec=0 ab=0 r=1 n=4 k=2 d=None")),
+        ("ring singleton stage supervised", pin(0x6938ad0146c635ff, 0xb50fed8da62ce399, 27, "Done c=[0, 1, 2] rec=0 ab=1 r=2 n=3 k=2 d=Some(3e1f9184908098ab)")),
         ("pairwise commit then skew", pin(0x712311a3275c0223, 0x482b473d725fd23e, 50, "Done c=[0, 1, 2, 4] rec=0 ab=0 r=1 n=5 k=3 d=Some(2bd7eead113e540c)")),
         ("pairwise rekey then round", pin(0x99f00aa7f4b98fe7, 0xd85e92a8076f2296, 62, "Done c=[0, 1, 2, 3] rec=0 ab=0 r=2 n=4 k=2 d=Some(7011ab6580a17830)")),
-        ("ring rekey then round", pin(0x389623caf113ab53, 0x2940baf26b2a3e2c, 66, "Done c=[0, 1, 2, 3, 4] rec=0 ab=0 r=2 n=5 k=2 d=Some(35a0532e34b153c4)")),
+        ("ring rekey then round", pin(0xaf6e65d6b82a25bb, 0x9bc27770a0f636c4, 66, "Done c=[0, 1, 2, 3, 4] rec=0 ab=0 r=2 n=5 k=2 d=Some(35a0532e34b153c4)")),
         ("pairwise back to back", pin(0x601a8f3348222d23, 0x3e7c91684350b169, 100, "Done c=[0, 1, 2, 3, 4] rec=0 ab=0 r=2 n=5 k=3 d=Some(9cd9040b8800dd00)")),
-        ("ring back to back", pin(0x8a2940854ce01269, 0x21336ddd2eb78fe6, 74, "Done c=[0, 1, 2, 3, 4, 5] rec=0 ab=0 r=2 n=6 k=2 d=Some(c7241e157244a87b)")),
+        ("ring back to back", pin(0xbf0906342520c6fd, 0xc2ff59d36c9139a2, 74, "Done c=[0, 1, 2, 3, 4, 5] rec=0 ab=0 r=2 n=6 k=2 d=Some(c7241e157244a87b)")),
     ]
 }

@@ -303,5 +303,5 @@ fn resilient_session_matches_the_pins() {
             pin.case(format!("{engine:?} {shape} global={digest:016x}"));
         }
     }
-    pin.check("ResilientSession", 20, 0xdd53_1d21_b61a_f1bf);
+    pin.check("ResilientSession", 20, 0x801b_d7c5_9835_d905);
 }

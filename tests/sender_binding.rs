@@ -7,8 +7,8 @@
 
 use p2pfl_bench::testkit::{ids, mesh, reactor, sac_config, spawn_group, wait_for};
 use p2pfl_secagg::{
-    PairwiseWire, RingMsg, RingSacActor, RingWire, RoundCore, RoundEvent, SacConfig, SacEngine,
-    SacPhase, WeightVector, Wire,
+    PairwiseWire, RingSacActor, RingWire, RoundCore, SacConfig, SacEngine, SacMsg, SacPhase,
+    WeightVector, Wire,
 };
 use p2pfl_simnet::{Actor, NodeId, Payload, Sim, SimDuration, SimTime, TimerId, Transport};
 use rand::rngs::StdRng;
@@ -36,20 +36,20 @@ struct Spy<W: Wire> {
     served: Vec<WeightVector>,
 }
 
-impl<W: Wire> Actor<W::Msg> for Spy<W> {
-    fn on_message(&mut self, t: &mut dyn Transport<W::Msg>, from: NodeId, msg: W::Msg) {
-        if let RoundEvent::Total { value, .. } = W::decode(msg.clone()) {
-            self.served.push(value);
+impl<W: Wire> Actor<SacMsg> for Spy<W> {
+    fn on_message(&mut self, t: &mut dyn Transport<SacMsg>, from: NodeId, msg: SacMsg) {
+        if let SacMsg::Subtotal { value, .. } = &msg {
+            self.served.push(value.clone());
         }
         self.inner.on_message(t, from, msg);
     }
-    fn on_timer(&mut self, t: &mut dyn Transport<W::Msg>, tag: u64) {
+    fn on_timer(&mut self, t: &mut dyn Transport<SacMsg>, tag: u64) {
         self.inner.on_timer(t, tag);
     }
 }
 
 /// Four honest engines and the spy at [`ATTACKER`], round 1 started.
-fn group_with_spy<W: Wire>(seed: u64) -> (Sim<W::Msg>, Vec<NodeId>, Vec<WeightVector>) {
+fn group_with_spy<W: Wire>(seed: u64) -> (Sim<SacMsg>, Vec<NodeId>, Vec<WeightVector>) {
     let mut sim = Sim::new(seed);
     let ids = ids(N);
     let mut rng = StdRng::seed_from_u64(seed + 999);
@@ -72,8 +72,7 @@ fn group_with_spy<W: Wire>(seed: u64) -> (Sim<W::Msg>, Vec<NodeId>, Vec<WeightVe
     (sim, ids, models)
 }
 
-fn forge<W: Wire>(sim: &mut Sim<W::Msg>, to: NodeId, event: RoundEvent, after_ms: u64) {
-    let msg = W::encode(event).expect("event exists on this wire");
+fn forge(sim: &mut Sim<SacMsg>, to: NodeId, msg: SacMsg, after_ms: u64) {
     sim.inject(
         NodeId(ATTACKER as u32),
         to,
@@ -82,11 +81,11 @@ fn forge<W: Wire>(sim: &mut Sim<W::Msg>, to: NodeId, event: RoundEvent, after_ms
     );
 }
 
-fn honest<W: Wire>(sim: &Sim<W::Msg>, id: NodeId) -> &RoundCore<W> {
+fn honest<W: Wire>(sim: &Sim<SacMsg>, id: NodeId) -> &RoundCore<W> {
     sim.actor(id)
 }
 
-fn assert_plain_mean<W: Wire>(sim: &Sim<W::Msg>, models: &[WeightVector]) {
+fn assert_plain_mean<W: Wire>(sim: &Sim<SacMsg>, models: &[WeightVector]) {
     let leader = honest::<W>(sim, NodeId(0));
     assert_eq!(leader.phase, SacPhase::Done, "phase: {:?}", leader.phase);
     assert_eq!(leader.contributors, (0..N).collect::<Vec<_>>());
@@ -107,18 +106,14 @@ fn forged_compute_over_reads_no_model<W: Wire>() {
     // again after the round is over.
     for at in [20, 1000] {
         for &to in ids.iter().filter(|&&p| p != ids[ATTACKER]) {
-            let freeze = RoundEvent::ComputeOver {
+            let freeze = SacMsg::ComputeOver {
                 round: 1,
                 contributors: vec![VICTIM],
             };
-            forge::<W>(&mut sim, to, freeze, at);
+            forge(&mut sim, to, freeze, at);
             for idx in 0..N {
-                let request = RoundEvent::TotalRequest {
-                    round: 1,
-                    stage: 0,
-                    idx,
-                };
-                forge::<W>(&mut sim, to, request, at + 5);
+                let request = SacMsg::SubtotalRequest { round: 1, idx };
+                forge(&mut sim, to, request, at + 5);
             }
         }
     }
@@ -147,20 +142,20 @@ fn forged_share_neither_lands_nor_convicts<W: Wire>() {
     let target = ids[2];
     let mut forged = 1;
     if W::COMMITS {
-        let commit = RoundEvent::Commit {
+        let commit = SacMsg::Commit {
             round: 1,
             from_pos: VICTIM,
             digests: vec![0xbad; N],
         };
-        forge::<W>(&mut sim, target, commit, 16);
+        forge(&mut sim, target, commit, 16);
         forged += 1;
     }
-    let share = RoundEvent::Share {
+    let share = SacMsg::ShareBlock {
         round: 1,
         from_pos: VICTIM,
         parts: vec![(0, WeightVector::zeros(3))], // wrong dimension
     };
-    forge::<W>(&mut sim, target, share, 17);
+    forge(&mut sim, target, share, 17);
     sim.run_until(SimTime::from_secs(3));
     let a = honest::<W>(&sim, target);
     assert_eq!(a.shares_rejected, forged);
@@ -180,14 +175,14 @@ fn forged_share_neither_lands_nor_convicts<W: Wire>() {
 fn non_leader_reconfigure_takes_no_leadership<W: Wire>() {
     let (mut sim, ids, models) = group_with_spy::<W>(73);
     sim.run_until(SimTime::from_secs(2));
-    let retry = RoundEvent::Reconfigure {
+    let retry = SacMsg::Reconfigure {
         round: 2,
         group: ids.clone(),
         k: K,
     };
-    forge::<W>(&mut sim, ids[2], retry, 1);
-    let begin = RoundEvent::Begin { round: 2 };
-    forge::<W>(&mut sim, ids[4], begin, 1);
+    forge(&mut sim, ids[2], retry, 1);
+    let begin = SacMsg::Begin { round: 2 };
+    forge(&mut sim, ids[4], begin, 1);
     sim.run_until(SimTime::from_secs(3));
     for &p in &[2usize, 4] {
         let a = honest::<W>(&sim, ids[p]);
@@ -232,11 +227,10 @@ fn stashed_messages_are_gated_against_the_replay_roster<W: Wire>() {
         id: ids[2],
         sent: Vec::new(),
     };
-    let mut deliver = |actor: &mut RoundCore<W>, from: NodeId, event: RoundEvent| {
-        let msg = W::encode(event).expect("event exists on this wire");
+    let mut deliver = |actor: &mut RoundCore<W>, from: NodeId, msg: SacMsg| {
         actor.on_message(&mut net, from, msg);
     };
-    let share_as = |from_pos: usize| RoundEvent::Share {
+    let share_as = |from_pos: usize| SacMsg::ShareBlock {
         round: 1,
         from_pos,
         parts: vec![(0, WeightVector::new(vec![0.5, 0.5]))],
@@ -248,7 +242,7 @@ fn stashed_messages_are_gated_against_the_replay_roster<W: Wire>() {
     assert!(actor.held_blocks().is_empty(), "stashed, not applied");
     // Round 1 opens under a roster in which ids[1] sits at position 0.
     let roster = vec![ids[1], ids[0], ids[2], ids[3]];
-    let reconfigure = RoundEvent::Reconfigure {
+    let reconfigure = SacMsg::Reconfigure {
         round: 1,
         group: roster,
         k: 2,
@@ -268,6 +262,45 @@ fn stashed_messages_are_gated_against_the_replay_roster<W: Wire>() {
     assert!(actor.byzantine_detected.is_empty());
 }
 
+/// Subtotal indices off the grid, each from the peer entitled to send its
+/// message: a member's subtotal to the leader, the leader's request to a
+/// member. The index comes off the wire, so it must be refused and
+/// counted before it reaches the plan's position arithmetic. Eight
+/// members make two stages on the staged plan.
+fn hostile_partition_indices_are_refused<W: Wire>() {
+    let n = 8;
+    let ids = ids(n);
+    let open = |position: usize| {
+        let core = RoundCore::<W>::new(config(&ids, position, 9), WeightVector::zeros(2));
+        let net = Sink {
+            id: ids[position],
+            sent: Vec::new(),
+        };
+        (core, net)
+    };
+    let (mut leader, mut leader_net) = open(0);
+    leader.start_round(&mut leader_net, 1);
+    let (mut member, mut member_net) = open(1);
+    member.on_message(&mut member_net, ids[0], SacMsg::Begin { round: 1 });
+    for idx in [n, usize::MAX] {
+        let value = WeightVector::zeros(2);
+        let total = SacMsg::Subtotal {
+            round: 1,
+            idx,
+            value,
+        };
+        leader.on_message(&mut leader_net, ids[1], total);
+        let request = SacMsg::SubtotalRequest { round: 1, idx };
+        member.on_message(&mut member_net, ids[0], request);
+    }
+    for core in [&leader, &member] {
+        assert_eq!(core.shares_rejected, 2);
+        assert!(core.held_totals().is_empty());
+        assert!(core.byzantine_detected.is_empty());
+    }
+    assert_eq!(leader.phase, SacPhase::Sharing);
+}
+
 macro_rules! per_plan {
     ($($body:ident),* $(,)?) => {
         mod pairwise {
@@ -284,6 +317,7 @@ per_plan!(
     forged_share_neither_lands_nor_convicts,
     non_leader_reconfigure_takes_no_leadership,
     stashed_messages_are_gated_against_the_replay_roster,
+    hostile_partition_indices_are_refused,
 );
 
 /// The ring group used to drop hostile frames without a trace; on the
@@ -292,7 +326,7 @@ per_plan!(
 #[test]
 fn hostile_frames_at_a_ring_group_show_in_net_stats() {
     let ids = ids(4);
-    let reactor = reactor::<RingMsg, RingSacActor>();
+    let reactor = reactor::<SacMsg, RingSacActor>();
     let actors = (0..4).map(|i| {
         let mut cfg = config(&ids, i, 5 + i as u64);
         cfg.k = 2;
@@ -306,23 +340,16 @@ fn hostile_frames_at_a_ring_group_show_in_net_stats() {
         // request, and a freeze — none of them the sender's to send.
         t.send(
             target,
-            RingMsg::StageShare {
+            SacMsg::ShareBlock {
                 round: 0,
                 from_pos: 0,
                 parts: vec![(0, WeightVector::zeros(4))],
             },
         );
+        t.send(target, SacMsg::SubtotalRequest { round: 0, idx: 7 });
         t.send(
             target,
-            RingMsg::StageTotalRequest {
-                round: 0,
-                stage: 7,
-                idx: 7,
-            },
-        );
-        t.send(
-            target,
-            RingMsg::ComputeOver {
+            SacMsg::ComputeOver {
                 round: 0,
                 contributors: vec![2],
             },

@@ -9,7 +9,9 @@
 //! primary, so the round must close through recovery.
 
 use p2pfl_bench::testkit::{models, sac_peers, sim_group, sim_round};
-use p2pfl_secagg::{PairwiseWire, RingWire, RoundCore, SacEngine, SacPhase, WeightVector, Wire};
+use p2pfl_secagg::{
+    PairwiseWire, RingWire, RoundCore, SacEngine, SacMsg, SacPhase, WeightVector, Wire,
+};
 use p2pfl_simnet::{NodeId, Sim, SimDuration};
 use std::collections::BTreeSet;
 
@@ -22,7 +24,7 @@ const ROUND_TIME: SimDuration = SimDuration::from_secs(30);
 const TOL: f64 = 1e-9;
 
 /// The leader holds exactly one total per grid cell; no follower holds any.
-fn assert_totals_leader_only<W: Wire>(sim: &Sim<W::Msg>, n: usize, round: u64) {
+fn assert_totals_leader_only<W: Wire>(sim: &Sim<SacMsg>, n: usize, round: u64) {
     let leader = sim.actor::<RoundCore<W>>(LEADER);
     let held: BTreeSet<(usize, usize)> = leader.held_totals().keys().copied().collect();
     let grid: BTreeSet<(usize, usize)> = leader.plan().grid().collect();
