@@ -52,6 +52,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # ceiling leaves ring's margin (~8.5 %) over the highest run. Frame-sized
 # send buffers read 413, 432 or 451 MiB (levels one 20 MB share block
 # apart); the ceiling fails the 451 runs, six of ten.
+#
+# Since every holder of a share partition gets one shared copy and each
+# round core reuses its vectors from a store of its own, ten runs of
+# each leg read 196.7-202.9 MiB on ring and 413.7-423.4 on bulk: per-core
+# stores cannot lend each other a spare, so bulk holds up to three 10 MB
+# vectors more than one shared heap did. Neither is lower, so neither
+# ceiling moved; that leaves 6 % (ring) and 3.4 % (bulk) over the
+# highest run.
 echo "==> repo benchmark: round digests vs sim twin + exact wire bytes + bulk and ring RSS ceilings (4 workloads x 2 s)"
 for spec in session_mlp_30:: sac_bulk_cnn_3:129833796:438 sac_fanout_256:18930176: ring_bulk_16:164008048:215; do
     IFS=: read -r workload wire_bytes rss_ceiling <<<"$spec"

@@ -4,11 +4,12 @@
 //! raw model weights never cross the wire — only `divide()`-produced
 //! additive shares (and their digests) do. This pass codifies that as a
 //! per-function taint check: a value derived from `self.model` (or a
-//! `model` parameter) may appear inside a `SacMsg::...` / `RingMsg::...`
-//! constructor — or a `RoundEvent::...` one, the round core's vocabulary
-//! that the two adaptors turn into those messages field for field — only
-//! after passing through one of the [`APPROVED`] masking/sharing
-//! functions. The `RingShareConfinement` oracle checks
+//! `model` parameter) may appear inside a `SacMsg::...` constructor —
+//! the one message enum the round core speaks on both share plans, also
+//! spelled `RingMsg` — only after passing through one of the
+//! [`APPROVED`] masking/sharing functions. (The sink list still names
+//! `RoundEvent`, a core vocabulary since deleted, so a type of that name
+//! cannot return unchecked.) The `RingShareConfinement` oracle checks
 //! the same property dynamically; this rule makes the obvious
 //! violations (cleartext weights in a message) unrepresentable in
 //! merged code.

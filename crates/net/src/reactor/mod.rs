@@ -826,7 +826,7 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
         let (Some(local), Some(remote)) = (local, remote) else {
             return true;
         };
-        {
+        let decoded = {
             let Some(slot) = self.peers.get_mut(&local) else {
                 return true;
             };
@@ -834,8 +834,11 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
             slot.stats
                 .bytes_received
                 .fetch_add(frame.len() as u64 + 4, Ordering::Relaxed);
-        }
-        match codec::from_bytes::<M>(frame) {
+            // Model vectors decode into storage the receiving actor keeps.
+            let actor = &mut slot.actor;
+            codec::from_bytes_into::<M>(frame, &mut |len| actor.f64_storage(len))
+        };
+        match decoded {
             Ok(msg) => {
                 self.dispatch(local, move |a, ctx| a.on_message(ctx, remote, msg));
             }

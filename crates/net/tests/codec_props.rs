@@ -400,7 +400,7 @@ fn arb_sacmsg(max_dim: usize) -> impl Strategy<Value = SacMsg> {
             .prop_map(|(round, from_pos, parts)| SacMsg::ShareBlock {
                 round,
                 from_pos,
-                parts
+                parts: parts.into_iter().map(|(p, v)| (p, v.into())).collect(),
             }),
         (any::<u64>(), prop::collection::vec(0usize..8, 0..8)).prop_map(|(round, contributors)| {
             SacMsg::ComputeOver {
@@ -633,7 +633,10 @@ fn zero_length_share_vectors_round_trip() {
     let msg = SacMsg::ShareBlock {
         round: 1,
         from_pos: 0,
-        parts: vec![(0, WeightVector::new(vec![])), (3, WeightVector::zeros(0))],
+        parts: vec![
+            (0, WeightVector::new(vec![]).into()),
+            (3, WeightVector::zeros(0).into()),
+        ],
     };
     let back = from_bytes::<SacMsg>(&to_bytes(&msg)).unwrap();
     assert_eq!(back, msg);
@@ -682,8 +685,8 @@ fn bulk_share_messages_match_the_element_wise_oracle() {
         let values: Vec<f64> = (0..dim).map(|_| f64::from_bits(next_bits())).collect();
         let bulk = || {
             vec![
-                (0, WeightVector::new(values.clone())),
-                (5, WeightVector::zeros(3)),
+                (0, WeightVector::new(values.clone()).into()),
+                (5, WeightVector::zeros(3).into()),
             ]
         };
         let oracle = || {
@@ -805,7 +808,11 @@ fn frame_windows_of_every_size_tile_share_blocks_and_totals() {
         SacMsg::ShareBlock {
             round: 7,
             from_pos: 2,
-            parts: vec![(1, v(5, 0.5)), (2, v(0, 0.0)), (3, v(3, -2.0))],
+            parts: vec![
+                (1, v(5, 0.5).into()),
+                (2, v(0, 0.0).into()),
+                (3, v(3, -2.0).into()),
+            ],
         },
         SacMsg::Subtotal {
             round: 7,
@@ -816,7 +823,7 @@ fn frame_windows_of_every_size_tile_share_blocks_and_totals() {
         SacMsg::ShareBlock {
             round: 8,
             from_pos: 4,
-            parts: vec![(0, v(4, 1.0)), (1, v(2, 3.0))],
+            parts: vec![(0, v(4, 1.0).into()), (1, v(2, 3.0).into())],
         },
         SacMsg::Subtotal {
             round: 8,

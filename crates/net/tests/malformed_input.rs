@@ -99,7 +99,7 @@ fn seeds() -> Vec<Vec<u8>> {
     let sac = SacMsg::ShareBlock {
         round: 1,
         from_pos: 2,
-        parts: vec![(0, WeightVector::new(vec![1.0, -2.5]))],
+        parts: vec![(0, WeightVector::new(vec![1.0, -2.5]).into())],
     };
     let subtotal = SacMsg::Subtotal {
         round: 1,
@@ -159,7 +159,7 @@ fn codec_rejects_hostile_length_prefixes_with_typed_error() {
     let sac = SacMsg::ShareBlock {
         round: 1,
         from_pos: 0,
-        parts: vec![(0, WeightVector::new(vec![1.0]))],
+        parts: vec![(0, WeightVector::new(vec![1.0]).into())],
     };
     let mut bytes = to_bytes(&sac);
     // Layout: variant index (4) + round (8) + from_pos (8) + parts len (4).
@@ -228,7 +228,7 @@ fn hostile_f64_sequence_prefixes_size_no_allocation() {
     let sac = to_bytes(&SacMsg::ShareBlock {
         round: 1,
         from_pos: 0,
-        parts: vec![(0, value.clone())],
+        parts: vec![(0, value.clone().into())],
     });
     let subtotal = to_bytes(&SacMsg::Subtotal {
         round: 1,

@@ -45,10 +45,15 @@ pub fn divide_scaled<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<WeightVector> {
     assert!(n > 0, "cannot split into zero shares");
-    // Draw strictly positive random numbers so the normalizer can't be 0.
+    convex(n, rng).into_iter().map(|c| w.scaled(c)).collect()
+}
+
+/// `n` random convex weights: strictly positive draws (so the normalizer
+/// can't be 0), each divided by their sum.
+fn convex<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<f64> {
     let rn: Vec<f64> = (0..n).map(|_| rng.random_range(0.05..1.0)).collect();
     let total: f64 = rn.iter().sum();
-    rn.iter().map(|&r| w.scaled(r / total)).collect()
+    rn.iter().map(|&r| r / total).collect()
 }
 
 /// Standard additive masking: `n-1` uniform noise shares plus a correction
@@ -68,25 +73,30 @@ pub fn divide_masked<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<WeightVector> {
     assert!(n > 0, "cannot split into zero shares");
-    let dim = w.dim();
+    let mut shares: Vec<WeightVector> = (1..n).map(|_| WeightVector::zeros(w.dim())).collect();
+    shares.push(w.clone());
+    if let Some((residual, noise)) = shares.split_last_mut() {
+        mask(rng, noise, residual.as_mut_slice());
+    }
+    shares
+}
+
+/// Draws each of `noise` and subtracts it from `residual`, which holds
+/// the secret on entry and the correction share on return.
+fn mask<R: Rng + ?Sized>(rng: &mut R, noise: &mut [WeightVector], residual: &mut [f64]) {
     // Cache-sized stripe: noise generation and the residual update for one
     // chunk complete while the chunk is still resident.
     const CHUNK: usize = 4096;
-    let mut shares: Vec<WeightVector> = Vec::with_capacity(n);
-    let mut residual = w.clone().into_inner();
-    for _ in 0..n - 1 {
-        let mut noise = vec![0.0f64; dim];
-        for (nc, rc) in noise.chunks_mut(CHUNK).zip(residual.chunks_mut(CHUNK)) {
+    for share in noise {
+        let chunks = share.as_mut_slice().chunks_mut(CHUNK);
+        for (nc, rc) in chunks.zip(residual.chunks_mut(CHUNK)) {
             for (x, r) in nc.iter_mut().zip(rc.iter_mut()) {
                 let v = rng.random_range(-DEFAULT_MASK_BOUND..=DEFAULT_MASK_BOUND);
                 *x = v;
                 *r -= v;
             }
         }
-        shares.push(WeightVector::new(noise));
     }
-    shares.push(WeightVector::new(residual));
-    shares
 }
 
 /// The original two-pass formulation of [`divide_masked`]:
@@ -111,16 +121,38 @@ pub(crate) fn divide_masked_reference<R: Rng + ?Sized>(
     shares
 }
 
-/// Splits `w` into `n` shares using `scheme`.
+/// Splits `w` into `shares.len()` shares using `scheme`, written over
+/// `shares`: storage a caller keeps from round to round, each vector of
+/// `w`'s dimension, whatever it held before. The draws and the bits
+/// written are those of [`divide_scaled`] / [`divide_masked`] for the
+/// same share count.
+///
+/// Panics if `shares` is empty or holds a vector of another dimension.
 pub fn divide<R: Rng + ?Sized>(
     w: &WeightVector,
-    n: usize,
     scheme: ShareScheme,
     rng: &mut R,
-) -> Vec<WeightVector> {
+    shares: &mut [WeightVector],
+) {
+    assert!(!shares.is_empty(), "cannot split into zero shares");
+    assert!(
+        shares.iter().all(|s| s.dim() == w.dim()),
+        "share storage of another dimension"
+    );
     match scheme {
-        ShareScheme::Scaled => divide_scaled(w, n, rng),
-        ShareScheme::Masked => divide_masked(w, n, rng),
+        ShareScheme::Scaled => {
+            let weights = convex(shares.len(), rng);
+            for (share, c) in shares.iter_mut().zip(weights) {
+                share.as_mut_slice().copy_from_slice(w);
+                share.scale(c);
+            }
+        }
+        ShareScheme::Masked => {
+            if let Some((residual, noise)) = shares.split_last_mut() {
+                residual.as_mut_slice().copy_from_slice(w);
+                mask(rng, noise, residual.as_mut_slice());
+            }
+        }
     }
 }
 
@@ -217,10 +249,47 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_routes() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let w = WeightVector::random(10, 1.0, &mut rng);
-        reconstructs(&divide(&w, 4, ShareScheme::Scaled, &mut rng), &w, 1e-12);
-        reconstructs(&divide(&w, 4, ShareScheme::Masked, &mut rng), &w, 1e-9);
+    fn dispatcher_writes_over_storage_what_the_allocating_forms_return() {
+        // Storage from an earlier draw, dirty: `divide` must overwrite it
+        // with exactly the shares the allocating forms return for the
+        // same stream.
+        let w = WeightVector::random(5000, 1.0, &mut StdRng::seed_from_u64(6));
+        for n in [1usize, 2, 4] {
+            let mut shares: Vec<WeightVector> = (0..n)
+                .map(|i| WeightVector::new(vec![i as f64 - 7.5; 5000]))
+                .collect();
+            let seed = 60 + n as u64;
+            divide(
+                &w,
+                ShareScheme::Scaled,
+                &mut StdRng::seed_from_u64(seed),
+                &mut shares,
+            );
+            let scaled = divide_scaled(&w, n, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(shares, scaled, "scaled, n {n}");
+            reconstructs(&shares, &w, 1e-12);
+            divide(
+                &w,
+                ShareScheme::Masked,
+                &mut StdRng::seed_from_u64(seed),
+                &mut shares,
+            );
+            let masked = divide_masked(&w, n, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(shares, masked, "masked, n {n}");
+            reconstructs(&shares, &w, 1e-9);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another dimension")]
+    fn dispatcher_refuses_storage_of_another_dimension() {
+        let w = WeightVector::zeros(4);
+        let mut shares = vec![WeightVector::zeros(4), WeightVector::zeros(3)];
+        divide(
+            &w,
+            ShareScheme::Masked,
+            &mut StdRng::seed_from_u64(7),
+            &mut shares,
+        );
     }
 }

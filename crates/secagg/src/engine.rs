@@ -41,12 +41,12 @@
 
 mod pairwise;
 mod sim;
+mod store;
 
 pub use pairwise::PairwiseWire;
 pub use sim::{drive_round, sim_group, RoundOutcome};
 
 use crate::divide::{divide, ShareScheme};
-use crate::replicated::{hand_out, replication_factor};
 use crate::ring::plan::RingPlan;
 use crate::weights::WeightVector;
 use p2pfl_simnet::{Actor, NodeId, Payload, SimDuration, Transport};
@@ -54,6 +54,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
+use std::sync::Arc;
+use store::RoundStore;
 
 /// Which secure-aggregation engine a subgroup runs. Replicated through
 /// the FedAvg-layer config (`FedConfig`) so every member of a subgroup
@@ -162,14 +164,16 @@ pub enum SacMsg {
         digests: Vec<u64>,
     },
     /// A contributor's replicated block for one member of its successor
-    /// stage: `(stage-local partition index, partition)` pairs.
+    /// stage: `(stage-local partition index, partition)` pairs. Every
+    /// holder of a partition is sent the one immutable copy its sender
+    /// made; the codec ships the vector itself.
     ShareBlock {
         /// Round number.
         round: u64,
         /// Sender's position within the subgroup.
         from_pos: usize,
         /// The consecutive partitions assigned to the receiver.
-        parts: Vec<(usize, WeightVector)>,
+        parts: Vec<(usize, Arc<WeightVector>)>,
     },
     /// Leader freezes the contributor set.
     ComputeOver {
@@ -368,13 +372,13 @@ pub struct RoundCore<W: Wire> {
     commitments: BTreeMap<usize, Vec<u64>>,
     // blocks[from_pos][idx] = share of partition idx from the
     // predecessor-stage contributor at position from_pos
-    blocks: BTreeMap<usize, BTreeMap<usize, WeightVector>>,
+    blocks: BTreeMap<usize, BTreeMap<usize, Arc<WeightVector>>>,
     // Leader, announcing wires: positions that announced `Shared` this
     // round (self included).
     announced: BTreeSet<usize>,
     frozen: Option<BTreeSet<usize>>,
     // totals[(stage, idx)]: leader only — its own-block totals plus
-    // everything collected via `Total`. A follower keeps none: it totals
+    // everything collected via `Subtotal`. A follower keeps none: it totals
     // its primary once and sends it, and a recovery request on demand.
     totals: BTreeMap<(usize, usize), WeightVector>,
     requested: BTreeSet<(usize, usize)>,
@@ -401,6 +405,9 @@ pub struct RoundCore<W: Wire> {
     // order (construction seed, then one per `rekey`). The checker's
     // NoMaskReuseAcrossRekey oracle asserts all entries are distinct.
     mask_keys: Vec<u64>,
+    // The storage shares, totals and the average are drawn from,
+    // refilled at each reset.
+    store: RoundStore,
     wire: PhantomData<fn() -> W>,
 }
 
@@ -442,6 +449,7 @@ impl<W: Wire> RoundCore<W> {
             aborted: None,
             retried: false,
             mask_keys: vec![domain],
+            store: RoundStore::default(),
             wire: PhantomData,
         }
     }
@@ -471,7 +479,7 @@ impl<W: Wire> RoundCore<W> {
     }
 
     /// Every share partition held locally: `blocks[from_pos][idx]`.
-    pub fn held_blocks(&self) -> &BTreeMap<usize, BTreeMap<usize, WeightVector>> {
+    pub fn held_blocks(&self) -> &BTreeMap<usize, BTreeMap<usize, Arc<WeightVector>>> {
         &self.blocks
     }
 
@@ -560,7 +568,7 @@ impl<W: Wire> RoundCore<W> {
 
     /// Serves the leader total `(stage, idx)` of this peer's own stage, if
     /// it is computable yet.
-    fn send_total(&self, ctx: &mut dyn Transport<SacMsg>, stage: usize, idx: usize) -> bool {
+    fn send_total(&mut self, ctx: &mut dyn Transport<SacMsg>, stage: usize, idx: usize) -> bool {
         let Some(value) = self.total_over_frozen(idx) else {
             return false;
         };
@@ -583,17 +591,42 @@ impl<W: Wire> RoundCore<W> {
         }
     }
 
+    /// What one round draws from the store: `m` share parts, the parts
+    /// its predecessor stage sends it, and its totals — the leader's whole
+    /// grid, computed or collected, plus the average; a follower's
+    /// primary.
+    fn store_cap(&self) -> usize {
+        let (plan, pos) = (&self.plan, self.cfg.position);
+        let t = plan.stage_of(pos);
+        let m = plan.stage_len(plan.succ_stage(t));
+        let row = plan.assigned(t, plan.local_index(pos)).len();
+        let senders = plan.members(plan.pred_stage(t)).filter(|&c| c != pos);
+        let shares = m + senders.count() * row;
+        if self.cfg.is_leader() {
+            shares + plan.total_partitions() + 1
+        } else {
+            shares + 1
+        }
+    }
+
+    /// Ends the round in progress and opens `round`'s bookkeeping; the
+    /// old round's vectors go back to the store.
     fn reset_for(&mut self, round: u64) {
+        let (dim, cap) = (self.model.dim(), self.store_cap());
+        let owned = std::mem::take(&mut self.totals)
+            .into_values()
+            .chain(self.result.take());
+        let shared = std::mem::take(&mut self.blocks)
+            .into_values()
+            .flat_map(BTreeMap::into_values);
+        self.store.restock(dim, cap, owned, shared);
         self.round = round;
         self.phase = SacPhase::Idle;
-        self.result = None;
         self.contributors.clear();
         self.recoveries = 0;
         self.commitments.clear();
-        self.blocks.clear();
         self.announced.clear();
         self.frozen = None;
-        self.totals.clear();
         self.requested.clear();
         self.sent_primary = false;
         self.pending_requests.clear();
@@ -628,13 +661,16 @@ impl<W: Wire> RoundCore<W> {
         }
     }
 
-    /// Splits the model into `m` shares (`m` = successor-stage size) and
-    /// sends each successor-stage member its replicated block.
+    /// Splits the model into `m` shares (`m` = successor-stage size), in
+    /// store storage, and sends each successor-stage member its
+    /// replicated block. Every holder of a partition shares its one copy.
     fn distribute_shares(&mut self, ctx: &mut dyn Transport<SacMsg>) {
         let (round, pos) = (self.round, self.cfg.position);
         let s = self.plan.succ_stage(self.plan.stage_of(pos));
         let m = self.plan.stage_len(s);
-        let mut parts = divide(&self.model, m, self.cfg.scheme, &mut self.rng);
+        let dim = self.model.dim();
+        let mut parts: Vec<WeightVector> = (0..m).map(|_| self.store.take(dim)).collect();
+        divide(&self.model, self.cfg.scheme, &mut self.rng, &mut parts);
         #[cfg(feature = "mutants")]
         if crate::mutants::active(crate::mutants::Mutant::ShareSkew) {
             if let Some(p0) = parts.get_mut(0) {
@@ -656,14 +692,14 @@ impl<W: Wire> RoundCore<W> {
             };
             self.send_to_peers(ctx, commit);
         }
-        let mut uses_left = vec![replication_factor(m, self.plan.stage_k(s)); m];
+        let parts: Vec<Arc<WeightVector>> = parts.into_iter().map(|p| self.store.lend(p)).collect();
         for i in 0..m {
             let gpos = self.plan.global_pos(s, i);
-            let mut block: Vec<(usize, WeightVector)> = self
+            let mut block: Vec<(usize, Arc<WeightVector>)> = self
                 .plan
                 .assigned(s, i)
                 .into_iter()
-                .map(|p| (p, hand_out(&mut parts, &mut uses_left, p)))
+                .map(|p| (p, Arc::clone(&parts[p])))
                 .collect();
             if gpos == pos {
                 // One-stage layout: keep our own block locally.
@@ -671,8 +707,11 @@ impl<W: Wire> RoundCore<W> {
                 continue;
             }
             if let Some(factor) = self.byz_share_skew {
+                // Copy on write: the store and the part's other holders
+                // share it, so only this block's copy is skewed, and this
+                // peer's own block stays the one it committed to.
                 for (_, v) in &mut block {
-                    v.scale(factor);
+                    Arc::make_mut(v).scale(factor);
                 }
             }
             let share = SacMsg::ShareBlock {
@@ -796,10 +835,10 @@ impl<W: Wire> RoundCore<W> {
     /// the predecessor stage, ascending by position; `None` while some
     /// contributor's block is missing locally. Zero contributors in the
     /// predecessor stage yield a zero vector — the leader still needs the
-    /// total to close the sum. Every block is looked up before anything
-    /// is allocated: `progress` asks again on each late share, and an
-    /// incomplete total must cost nothing.
-    fn total_over_frozen(&self, p: usize) -> Option<WeightVector> {
+    /// total to close the sum. Every block is looked up before storage is
+    /// drawn: `progress` asks again on each late share, and an incomplete
+    /// total must cost nothing.
+    fn total_over_frozen(&mut self, p: usize) -> Option<WeightVector> {
         let frozen = self.frozen.as_ref()?;
         let pred = self.plan.pred_stage(self.plan.stage_of(self.cfg.position));
         let blocks = self
@@ -810,10 +849,9 @@ impl<W: Wire> RoundCore<W> {
         if !blocks.clone().all(|b| b.is_some()) {
             return None;
         }
-        Some(WeightVector::sum_from_zero(
-            self.model.dim(),
-            blocks.flatten(),
-        ))
+        let mut total = self.store.take(self.model.dim());
+        total.sum_from_zero(blocks.flatten().map(|v| &**v));
+        Some(total)
     }
 
     /// Leader: totals every own-stage partition it holds and has not
@@ -852,7 +890,8 @@ impl<W: Wire> RoundCore<W> {
         else {
             return;
         };
-        let mut avg = WeightVector::sum_from_zero(self.model.dim(), grid.iter().copied());
+        let mut avg = self.store.take(self.model.dim());
+        avg.sum_from_zero(grid.iter().copied());
         avg.scale(1.0 / frozen.len() as f64);
         self.contributors = frozen.iter().copied().collect();
         self.result = Some(avg);
@@ -1257,6 +1296,10 @@ impl<W: Wire> Actor<SacMsg> for RoundCore<W> {
     fn shares_rejected(&self) -> u64 {
         self.shares_rejected
     }
+
+    fn f64_storage(&mut self, len: usize) -> Option<Vec<f64>> {
+        self.store.offer(len).map(WeightVector::into_inner)
+    }
 }
 
 /// Shared harness for the engine tests here and beside each adaptor.
@@ -1390,7 +1433,7 @@ pub(crate) mod testkit {
             SacMsg::ShareBlock {
                 round,
                 from_pos: from,
-                parts: vec![(0, WeightVector::new(vec![0.5, 0.5]))],
+                parts: vec![(0, Arc::new(WeightVector::new(vec![0.5, 0.5])))],
             }
         }
     }
@@ -1436,6 +1479,7 @@ mod tests {
         bogus_total_cannot_complete_the_round,
         hostile_shapes_are_counted_and_bounded_by_the_grid,
         unservable_requests_are_never_queued,
+        a_skewer_copies_on_write,
     );
 
     fn leader<W: Wire>(sim: &Sim<SacMsg>) -> &RoundCore<W> {
@@ -1796,6 +1840,80 @@ mod tests {
         assert_eq!(Actor::shares_rejected(leader), 1, "and reaches NetStats");
     }
 
+    fn a_skewer_copies_on_write<W: Wire>() {
+        // Every holder of a partition shares the one copy its sender made,
+        // and so do the sender's store and, on the one-stage layout, its
+        // own block. A skewer must scale a copy of its own: the parts it
+        // keeps stay the honest ones it committed to, and no other
+        // member's part is touched.
+        const FACTOR: f64 = 3.0;
+        let (n, skewer) = (6, 2);
+        let (mut sim, ids, models) = build::<W>(n, 3, 8, 71, None);
+        fn at<W: Wire>(sim: &Sim<SacMsg>, p: usize) -> &RoundCore<W> {
+            sim.actor(NodeId(p as u32))
+        }
+        sim.actor_mut::<RoundCore<W>>(ids[skewer]).byz_share_skew = Some(FACTOR);
+        start::<W>(&mut sim, ids[0], 1);
+        while at::<W>(&sim, skewer).phase == SacPhase::Idle {
+            assert!(sim.step(), "the skewer never opened round 1");
+        }
+        // Its parts as divided, before anything arrived to total.
+        let honest: Vec<WeightVector> = at::<W>(&sim, skewer)
+            .store
+            .lent()
+            .iter()
+            .map(|part| WeightVector::clone(part))
+            .collect();
+        sim.run_until(SimTime::from_secs(5));
+
+        let sum = WeightVector::sum(&honest);
+        assert!(
+            sum.linf_distance(&models[skewer]) < 1e-9,
+            "kept parts skewed"
+        );
+        let digests: Vec<u64> = honest.iter().map(WeightVector::digest).collect();
+        for j in 0..n {
+            let member = at::<W>(&sim, j);
+            if W::COMMITS && j != skewer {
+                assert_eq!(member.commitments.get(&skewer), Some(&digests), "at {j}");
+            }
+            // What the skewer sent was scaled; its own block, kept locally
+            // on the one-stage layout, was not.
+            for (&p, v) in member.held_blocks().get(&skewer).into_iter().flatten() {
+                let factor = if j == skewer { 1.0 } else { FACTOR };
+                assert_eq!(**v, honest[p].scaled(factor), "part {p} at {j}");
+            }
+            let convicted: Vec<NodeId> = member.byzantine_detected.iter().copied().collect();
+            assert!(
+                convicted.iter().all(|&c| c == ids[skewer]),
+                "{j} convicted {convicted:?}"
+            );
+        }
+        // Other members' parts: every holder of partition `p` of member `h`
+        // holds the same vector, and `h`'s parts sum to its model.
+        for h in (0..n).filter(|&h| h != skewer) {
+            let mut parts: BTreeMap<usize, &Arc<WeightVector>> = BTreeMap::new();
+            for j in 0..n {
+                for (&p, v) in at::<W>(&sim, j).held_blocks().get(&h).into_iter().flatten() {
+                    let first = *parts.entry(p).or_insert(v);
+                    assert!(Arc::ptr_eq(first, v), "part {p} of {h} copied");
+                }
+            }
+            let sum = WeightVector::sum(parts.values().map(|v| &***v));
+            assert!(sum.linf_distance(&models[h]) < 1e-9, "parts of {h} scaled");
+        }
+        let leader = at::<W>(&sim, 0);
+        assert_eq!(leader.phase, SacPhase::Done, "phase: {:?}", leader.phase);
+        if W::COMMITS {
+            // The commitment check turns the skewer into a dropout.
+            assert_eq!(leader.byzantine_detected, BTreeSet::from([ids[skewer]]));
+            assert_done(leader, &models, &[0, 1, 3, 4, 5]);
+        } else {
+            // The staged layout has no commitments to convict by yet.
+            assert!(leader.byzantine_detected.is_empty());
+        }
+    }
+
     fn hostile_shapes_are_counted_and_bounded_by_the_grid<W: Wire>() {
         // Position 2 of 4, round open. Its grid row has `row` partitions
         // (4 on the one-stage layout, 2 on the staged one): an index in
@@ -1806,7 +1924,7 @@ mod tests {
         let part = |idx: usize, dim: usize| SacMsg::ShareBlock {
             round: 1,
             from_pos: 1,
-            parts: vec![(idx, WeightVector::zeros(dim))],
+            parts: vec![(idx, Arc::new(WeightVector::zeros(dim)))],
         };
         solo.deliver(1, part(row, 2));
         assert_eq!(solo.actor.shares_rejected, 1, "index outside the grid row");

@@ -215,7 +215,11 @@ pub fn reference_round<W: Wire, R: Rng + ?Sized>(
     let mut shares: Vec<Option<Vec<WeightVector>>> = vec![None; n];
     for &i in &contributors {
         let mut stream = StdRng::seed_from_u64(mask_domain(seeds[i], i));
-        shares[i] = Some(divide(&models[i], plan.parts_of(i), scheme, &mut stream));
+        let mut parts: Vec<WeightVector> = (0..plan.parts_of(i))
+            .map(|_| WeightVector::zeros(dim))
+            .collect();
+        divide(&models[i], scheme, &mut stream, &mut parts);
+        shares[i] = Some(parts);
         let s = plan.succ_stage(plan.stage_of(i));
         for r in plan.members(s).filter(|&r| r != i) {
             let block = plan.assigned(s, plan.local_index(r)).len() as u64;

@@ -7,8 +7,6 @@
 //! `n - k` crashed peers still leaves at least one live holder per
 //! partition — the invariant that makes the aggregation `k`-out-of-`n`.
 
-use crate::weights::WeightVector;
-
 /// The consecutive partition indices peer `j` holds under `k`-out-of-`n`
 /// replication (paper Alg. 4, lines 5–7). Indices are `0..n`.
 ///
@@ -26,24 +24,6 @@ pub fn holders(n: usize, k: usize, p: usize) -> Vec<usize> {
     validate(n, k);
     assert!(p < n, "partition index out of range");
     (0..=(n - k)).map(|t| (p + n - t) % n).collect()
-}
-
-/// The next holder's copy of partition `p` while a block set is handed
-/// out: a clone while later holders still need the original, the original
-/// itself on the last of its `uses_left[p]` uses — every partition has
-/// exactly [`replication_factor`] holders, so one copy per partition is
-/// never made.
-pub(crate) fn hand_out(
-    parts: &mut [WeightVector],
-    uses_left: &mut [usize],
-    p: usize,
-) -> WeightVector {
-    uses_left[p] = uses_left[p].saturating_sub(1);
-    if uses_left[p] == 0 {
-        std::mem::take(&mut parts[p])
-    } else {
-        parts[p].clone()
-    }
 }
 
 /// Number of partitions each peer holds: `n - k + 1`.

@@ -121,27 +121,28 @@ impl WeightVector {
         acc
     }
 
-    /// `0 + parts[0] + parts[1] + ...`, elementwise and in that order, as
-    /// a fresh vector of dimension `dim` — bit for bit what `zeros(dim)`
-    /// and one `add_assign` per part give, but summed block by block while
-    /// each output block is in cache, so the output is written once rather
-    /// than once per part. `parts` is walked once per block, so it should
+    /// Overwrites `self` with `0 + parts[0] + parts[1] + ...`, elementwise
+    /// and in that order, whatever it held before — bit for bit what
+    /// `zeros(dim)` and one `add_assign` per part give, but zeroed and
+    /// summed block by block while each output block is in cache, so the
+    /// output is written once rather than once per part, into storage
+    /// the caller reuses. `parts` is walked once per block, so it should
     /// be cheap to clone. Panics on dimension mismatch.
-    pub(crate) fn sum_from_zero<'a, I>(dim: usize, parts: I) -> WeightVector
+    pub(crate) fn sum_from_zero<'a, I>(&mut self, parts: I)
     where
         I: Iterator<Item = &'a WeightVector> + Clone,
     {
         const BLOCK: usize = 2048;
+        let dim = self.dim();
         assert!(parts.clone().all(|v| v.dim() == dim), "dimension mismatch");
-        let mut out = vec![0.0; dim];
-        for (i, acc) in out.chunks_mut(BLOCK).enumerate() {
+        for (i, acc) in self.0.chunks_mut(BLOCK).enumerate() {
+            acc.fill(0.0);
             for v in parts.clone() {
                 for (a, b) in acc.iter_mut().zip(&v.0[i * BLOCK..]) {
                     *a += b;
                 }
             }
         }
-        WeightVector(out)
     }
 
     /// Arithmetic mean of a non-empty iterator of vectors.
@@ -325,7 +326,9 @@ mod tests {
                 for v in &parts {
                     want.add_assign(v);
                 }
-                let got = WeightVector::sum_from_zero(dim, parts.iter());
+                // Storage left dirty by an earlier round.
+                let mut got = WeightVector::new(vec![f64::NAN; dim]);
+                got.sum_from_zero(parts.iter());
                 assert_eq!(got.digest(), want.digest(), "dim {dim}, {count} parts");
             }
         }

@@ -152,6 +152,12 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, D::Error> {
+        T::deserialize(d).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Deserialize> Deserialize for Option<T> {
     fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, D::Error> {
         if d.de_option()? {

@@ -76,6 +76,9 @@ mod tests {
         // backend that does not override it sees as the same events.
         assert_eq!(json::to_string(&vec![1.5f64, -0.25]), "[1.5,-0.25]");
         assert_eq!(json::to_string(&Vec::<f64>::new()), "[]");
+        // A shared value serializes as the value itself.
+        let shared = std::sync::Arc::new(Pair(1, 0.5));
+        assert_eq!(json::to_string(&shared), json::to_string(&Pair(1, 0.5)));
     }
 
     #[test]

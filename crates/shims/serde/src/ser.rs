@@ -148,6 +148,12 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+        (**self).serialize(s)
+    }
+}
+
 impl<T: Serialize> Serialize for [T] {
     fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
         T::serialize_slice(self, s)

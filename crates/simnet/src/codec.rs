@@ -77,7 +77,22 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
 /// Deserializes one `T` from `bytes`, requiring the value to consume the
 /// whole buffer.
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut de = BinDeserializer { bytes, pos: 0 };
+    from_bytes_into(bytes, &mut |_| None)
+}
+
+/// [`from_bytes`], decoding each `f64` sequence into the storage
+/// `storage` offers for its length, or into fresh storage where it
+/// offers none. Whatever an offered vector held is overwritten; storage
+/// is asked for only once the sequence's bytes are known to be there.
+pub fn from_bytes_into<T: Deserialize>(
+    bytes: &[u8],
+    storage: &mut dyn FnMut(usize) -> Option<Vec<f64>>,
+) -> Result<T, CodecError> {
+    let mut de = BinDeserializer {
+        bytes,
+        pos: 0,
+        storage,
+    };
     let value = T::deserialize(&mut de)?;
     if de.pos != bytes.len() {
         return Err(CodecError::TrailingBytes);
@@ -300,6 +315,8 @@ impl<S: Sink> BinSerializer<S> {
 pub struct BinDeserializer<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Where `f64` sequences are decoded into (see [`from_bytes_into`]).
+    storage: &'a mut dyn FnMut(usize) -> Option<Vec<f64>>,
 }
 
 impl<'a> BinDeserializer<'a> {
@@ -376,12 +393,21 @@ impl Deserializer for BinDeserializer<'_> {
     /// The bulk path of a model vector. The declared count is checked
     /// against the remaining input twice before anything is allocated —
     /// `read_len` (one byte per element at least) and then `take` of the
-    /// full `8 * n` bytes — so a hostile prefix sizes nothing.
+    /// full `8 * n` bytes — so a hostile prefix sizes nothing and draws
+    /// no storage.
     fn de_f64_seq(&mut self) -> Result<Vec<f64>, CodecError> {
         let n = self.read_len()?;
         let nbytes = n.checked_mul(8).ok_or(CodecError::Eof)?;
         let (elems, _) = self.take(nbytes)?.as_chunks::<8>();
-        Ok(elems.iter().map(|b| f64::from_le_bytes(*b)).collect())
+        let values = elems.iter().map(|b| f64::from_le_bytes(*b));
+        Ok(match (self.storage)(n) {
+            Some(mut v) => {
+                v.clear();
+                v.extend(values);
+                v
+            }
+            None => values.collect(),
+        })
     }
 
     fn begin_struct(&mut self, _name: &'static str, _len: usize) -> Result<(), CodecError> {
@@ -936,6 +962,37 @@ mod tests {
                 "cut {cut}"
             );
         }
+    }
+
+    #[test]
+    fn f64_runs_decode_into_offered_storage() {
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+        let sent = Weights(patterned(4097));
+        let bytes = to_bytes(&sent);
+        // Dirty storage of the run's length, and its address.
+        let mut spare = Some(vec![f64::NAN; 4097]);
+        let at = spare.as_ref().map(|v| v.as_ptr());
+        let mut asked = Vec::new();
+        let got: Weights = from_bytes_into(&bytes, &mut |len| {
+            asked.push(len);
+            spare.take()
+        })
+        .unwrap();
+        assert_eq!(asked, [4097]);
+        assert_eq!(Some(got.0.as_ptr()), at, "decoded in place");
+        assert!(bits(&got.0) == bits(&sent.0), "bit for bit");
+        // Nothing offered: fresh storage, same bits.
+        let fresh: Weights = from_bytes_into(&bytes, &mut |_| None).unwrap();
+        assert!(bits(&fresh.0) == bits(&sent.0));
+        // A prefix the input cannot back asks for no storage.
+        let mut asked = 0;
+        let cut = from_bytes_into::<Weights>(&bytes[..bytes.len() - 1], &mut |_| {
+            asked += 1;
+            None
+        });
+        assert_eq!((cut, asked), (Err(CodecError::Eof), 0));
     }
 
     #[test]

@@ -62,6 +62,16 @@ pub trait Actor<M: Payload>: Any {
     fn shares_rejected(&self) -> u64 {
         0
     }
+
+    /// Storage for a sequence of `len` `f64`s in a message about to be
+    /// delivered to this actor: a transport that decodes frames decodes
+    /// the sequence into it rather than into fresh storage. The default
+    /// offers none; the SAC round core offers the vectors it reuses from
+    /// round to round, so a received share lands in storage the core
+    /// already has.
+    fn f64_storage(&mut self, _len: usize) -> Option<Vec<f64>> {
+        None
+    }
 }
 
 enum EventKind<M> {

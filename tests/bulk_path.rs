@@ -80,7 +80,7 @@ fn bulk_codec_matches_element_wise_oracle_on_a_share_block() {
     let msg = SacMsg::ShareBlock {
         round: 3,
         from_pos: 1,
-        parts: vec![(1, a.clone()), (2, b.clone())],
+        parts: vec![(1, a.clone().into()), (2, b.clone().into())],
     };
     let mirror = SacMirror::ShareBlock {
         round: 3,

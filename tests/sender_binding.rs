@@ -153,7 +153,7 @@ fn forged_share_neither_lands_nor_convicts<W: Wire>() {
     let share = SacMsg::ShareBlock {
         round: 1,
         from_pos: VICTIM,
-        parts: vec![(0, WeightVector::zeros(3))], // wrong dimension
+        parts: vec![(0, WeightVector::zeros(3).into())], // wrong dimension
     };
     forge(&mut sim, target, share, 17);
     sim.run_until(SimTime::from_secs(3));
@@ -233,7 +233,7 @@ fn stashed_messages_are_gated_against_the_replay_roster<W: Wire>() {
     let share_as = |from_pos: usize| SacMsg::ShareBlock {
         round: 1,
         from_pos,
-        parts: vec![(0, WeightVector::new(vec![0.5, 0.5]))],
+        parts: vec![(0, WeightVector::new(vec![0.5, 0.5]).into())],
     };
     // Both arrive from ids[1] before round 1 opens here. Under the current
     // roster ids[1] *is* position 1 and is not position 0.
@@ -343,7 +343,7 @@ fn hostile_frames_at_a_ring_group_show_in_net_stats() {
             SacMsg::ShareBlock {
                 round: 0,
                 from_pos: 0,
-                parts: vec![(0, WeightVector::zeros(4))],
+                parts: vec![(0, WeightVector::zeros(4).into())],
             },
         );
         t.send(target, SacMsg::SubtotalRequest { round: 0, idx: 7 });
