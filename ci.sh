@@ -38,9 +38,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # reactor link kept the buffer of its largest frame; ~230 once a link held
 # a frame's bytes only while it is in flight, with every follower still
 # keeping a total per partition it holds; ~198 since only the leader keeps
-# totals). Unlike the timings, which spread 10-30 % between runs on a
-# shared host, RSS spreads 1-2 %, so a fixed ceiling between the last two
-# states catches either retention coming back without flaking.
+# totals). The timings spread 10-30 % between runs on a shared host; RSS
+# moves in levels a retained vector apart. Ten 2 s runs of each gated leg
+# with one vector pool per host read 191.1-193.6 MiB on ring (with
+# per-core round stores ten read 192.0-200.9, and in an earlier series
+# 191.2-208.7) and 394.4-394.6 on bulk, so a fixed ceiling between the
+# last two states catches either retention coming back without flaking.
 #
 # sac_bulk_cnn_3 is gated too, because the reactor keeps released bulk
 # receive storage for reuse: storage kept beyond what the links held at
@@ -54,12 +57,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # apart); the ceiling fails the 451 runs, six of ten.
 #
 # Since every holder of a share partition gets one shared copy and each
-# round core reuses its vectors from a store of its own, ten runs of
+# round core reused its vectors from a store of its own, ten runs of
 # each leg read 196.7-202.9 MiB on ring and 413.7-423.4 on bulk: per-core
-# stores cannot lend each other a spare, so bulk holds up to three 10 MB
-# vectors more than one shared heap did. Neither is lower, so neither
-# ceiling moved; that leaves 6 % (ring) and 3.4 % (bulk) over the
-# highest run.
+# stores could not lend each other a spare. With one pool per host that
+# the cores share, the ten runs above sit lower on both legs, but 25 s
+# runs of the same build reach 196.6 (ring) and 413.6 (bulk, two 10 MB
+# vectors over the 2 s runs). Neither ceiling moved: ~8.5 % over those
+# would be 213 and 449, so 215 and 438 leave 9 % and 6 %.
 echo "==> repo benchmark: round digests vs sim twin + exact wire bytes + bulk and ring RSS ceilings (4 workloads x 2 s)"
 for spec in session_mlp_30:: sac_bulk_cnn_3:129833796:438 sac_fanout_256:18930176: ring_bulk_16:164008048:215; do
     IFS=: read -r workload wire_bytes rss_ceiling <<<"$spec"

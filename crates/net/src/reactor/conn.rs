@@ -36,7 +36,7 @@
 //! unless a frame is half in, the reactor stops there instead of paying
 //! an empty `read` to hear `WouldBlock`. A frame over the chunk is
 //! *bulk*: once its header is in, the rest of it is read from the socket
-//! straight into storage the reactor's [`BulkPool`] lends the link, with
+//! straight into storage the reactor's byte [`Pool`] lends the link, with
 //! no hop through the scratch chunk, and the storage goes back to the
 //! pool once the frame is delivered. The pool keeps released storage for
 //! the next bulk frame, never more than the links held at once, so
@@ -46,8 +46,8 @@
 use super::queue::{SendQueue, Stage};
 use super::stats::StatsCells;
 use super::sys;
-use crate::codec::{BulkPool, FrameBuffer};
-use p2pfl_simnet::NodeId;
+use crate::codec::{FrameBuffer, Pool};
+use p2pfl_simnet::{NodeId, Payload};
 use serde::Serialize;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
@@ -180,11 +180,13 @@ pub(crate) enum FlushOutcome {
 /// vectored batches, encoding message frames into `stage` a window at a
 /// time. Retired frames are counted into
 /// `stats` (`frames_sent`, `bytes_sent`, and `frames_coalesced` for
-/// frames that shared a `writev` with another frame).
-pub(crate) fn flush_link<M: Serialize>(
+/// frames that shared a `writev` with another frame), and retired
+/// messages give their vectors to `vectors`.
+pub(crate) fn flush_link<M: Payload + Serialize>(
     link: &mut Link,
     queue: &mut SendQueue<M>,
     stage: &mut Stage,
+    vectors: &mut Pool<f64>,
     stats: &StatsCells,
 ) -> FlushOutcome {
     loop {
@@ -225,7 +227,8 @@ pub(crate) fn flush_link<M: Serialize>(
                         }
                     }
                 }
-                let (retired, retired_bytes) = queue.advance(n.saturating_sub(to_preamble));
+                let (retired, retired_bytes) =
+                    queue.advance(n.saturating_sub(to_preamble), vectors);
                 if retired > 0 {
                     stats
                         .frames_sent
@@ -266,7 +269,7 @@ pub(crate) enum ReadStatus {
 /// whose header is in straight into the storage it took from `pool`, as
 /// much as the socket has up to the frame's end, and anything else
 /// through `scratch`, the reactor's shared read chunk.
-pub(crate) fn read_some(link: &mut Link, scratch: &mut [u8], pool: &mut BulkPool) -> ReadStatus {
+pub(crate) fn read_some(link: &mut Link, scratch: &mut [u8], pool: &mut Pool<u8>) -> ReadStatus {
     if let Some(read) = link.rx.read_bulk(&mut link.stream, READ_CHUNK, pool) {
         return match read {
             Ok(true) => ReadStatus::Full,

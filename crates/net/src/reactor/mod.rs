@@ -41,7 +41,7 @@ mod timer;
 pub use queue::{Frame, SendQueue, Stage};
 pub use stats::NetStats;
 
-use crate::codec::{self, BulkPool, CodecError, FrameBuffer};
+use crate::codec::{self, CodecError, FrameBuffer, Pool};
 use p2pfl_simnet::{
     Actor, FaultPlan, LinkFaults, NodeId, Payload, SimDuration, SimTime, TimerId, Transport,
 };
@@ -244,6 +244,7 @@ impl<M, A> PeerSlot<M, A> {
         reactor_origin: Instant,
         caps: (usize, usize),
         timers: &'a mut TimerQueue<TimerEntry<M>>,
+        vectors: &'a mut Pool<f64>,
     ) -> (&'a mut A, ReactorCtx<'a, M>) {
         let offset_ns = self
             .origin
@@ -261,6 +262,7 @@ impl<M, A> PeerSlot<M, A> {
             next_timer_id: &mut self.next_timer_id,
             cancelled: &mut self.cancelled,
             timers,
+            vectors,
             stats: &self.stats,
             touched: &mut self.touched,
         };
@@ -287,7 +289,11 @@ struct Core<M, A> {
     stage: Stage,
     /// Storage links gave back after bulk frames, lent to the next bulk
     /// frames that fit.
-    pool: BulkPool,
+    pool: Pool<u8>,
+    /// The model vectors of every hosted actor: received vectors are
+    /// decoded into them, actors draw and give back through their
+    /// transport, and sent ones come back once on the wire.
+    vectors: Pool<f64>,
     shutdown: bool,
 }
 
@@ -313,6 +319,7 @@ struct ReactorCtx<'a, M> {
     next_timer_id: &'a mut u64,
     cancelled: &'a mut HashSet<u64>,
     timers: &'a mut TimerQueue<TimerEntry<M>>,
+    vectors: &'a mut Pool<f64>,
     stats: &'a StatsCells,
     touched: &'a mut Vec<NodeId>,
 }
@@ -354,7 +361,7 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
         }
         // A bulk frame stays a message until the socket takes it; the
         // count sizes it for the queue's byte cap all the same.
-        let Some(frame) = Frame::new(msg, conn::READ_CHUNK) else {
+        let Some(frame) = Frame::new(msg, conn::READ_CHUNK, self.vectors) else {
             // Unencodable or oversized: it could never reach the wire.
             self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -408,6 +415,14 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
     fn cancel_timer(&mut self, id: TimerId) {
         self.cancelled.insert(id.0);
     }
+
+    fn take_f64(&mut self, len: usize) -> Vec<f64> {
+        self.vectors.take(len)
+    }
+
+    fn give_f64(&mut self, storage: Vec<f64>) {
+        self.vectors.give(storage, true);
+    }
 }
 
 impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
@@ -418,13 +433,14 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
     where
         F: FnOnce(&mut A, &mut dyn Transport<M>),
     {
-        let reactor_origin = self.origin;
+        let origin = self.origin;
         let caps = (self.cfg.max_queue_frames, self.cfg.max_queue_bytes);
         {
             let Some(slot) = self.peers.get_mut(&peer) else {
                 return;
             };
-            let (actor, mut ctx) = slot.split(peer, reactor_origin, caps, &mut self.timers);
+            let (actor, mut ctx) =
+                slot.split(peer, origin, caps, &mut self.timers, &mut self.vectors);
             f(actor, &mut ctx);
             while let Some(m) = ctx.loopback.pop_front() {
                 actor.on_message(&mut ctx, peer, m);
@@ -598,7 +614,13 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
             let Some(ol) = slot.links.get_mut(&remote) else {
                 return;
             };
-            conn::flush_link(link, &mut ol.queue, &mut self.stage, &slot.stats)
+            conn::flush_link(
+                link,
+                &mut ol.queue,
+                &mut self.stage,
+                &mut self.vectors,
+                &slot.stats,
+            )
         };
         match outcome {
             conn::FlushOutcome::Drained => self.set_write_interest(token, false),
@@ -834,9 +856,8 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
             slot.stats
                 .bytes_received
                 .fetch_add(frame.len() as u64 + 4, Ordering::Relaxed);
-            // Model vectors decode into storage the receiving actor keeps.
-            let actor = &mut slot.actor;
-            codec::from_bytes_into::<M>(frame, &mut |len| actor.f64_storage(len))
+            let vectors = &mut self.vectors;
+            codec::from_bytes_into::<M>(frame, &mut |len| vectors.take(len))
         };
         match decoded {
             Ok(msg) => {
@@ -912,7 +933,8 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
                 }
                 TimerKind::Release { to, frame } => {
                     let caps = (self.cfg.max_queue_frames, self.cfg.max_queue_bytes);
-                    let (_, mut ctx) = slot.split(peer, self.origin, caps, &mut self.timers);
+                    let (_, mut ctx) =
+                        slot.split(peer, self.origin, caps, &mut self.timers, &mut self.vectors);
                     ctx.enqueue(to, frame);
                     self.flush_touched(peer);
                 }
@@ -1135,7 +1157,8 @@ where
             timers: TimerQueue::new(),
             scratch: vec![0u8; conn::READ_CHUNK],
             stage: Stage::new(conn::STAGE_WINDOW),
-            pool: BulkPool::new(),
+            pool: Pool::new(),
+            vectors: Pool::new(),
             shutdown: false,
         };
         let thread = std::thread::Builder::new()

@@ -11,14 +11,18 @@
 //! of as unbounded memory. Frames stay queued until the connection has
 //! written them *completely*, so a connection that dies mid-frame resends
 //! from the frame boundary (the receiver discards the partial tail with
-//! the dead connection's buffer).
+//! the dead connection's buffer). A message is done with once its bytes
+//! are: its vectors go to the reactor's vector pool
+//! ([`Payload::recycle`]) when it is encoded whole at send time, or when
+//! its frame's last byte is written.
 //!
 //! This module is pure sans-IO state — no sockets, no clocks — so the
 //! property tests in `tests/queue_props.rs` can drive it through millions
 //! of randomized enqueue/flush/disconnect interleavings, and the
 //! `p2pfl-lint` purity gate holds it to that.
 
-use crate::codec;
+use crate::codec::{self, Pool};
+use p2pfl_simnet::Payload;
 use serde::Serialize;
 use std::collections::VecDeque;
 
@@ -51,17 +55,19 @@ impl<M> Frame<M> {
     }
 }
 
-impl<M: Serialize> Frame<M> {
+impl<M: Payload + Serialize> Frame<M> {
     /// `msg`'s frame: its bytes, encoded now, if the frame is at most
     /// `eager` bytes long, or else the message itself. `None` when the
-    /// message cannot be framed (see [`codec::frame_len`]).
-    pub fn new(msg: M, eager: usize) -> Option<Frame<M>> {
+    /// message cannot be framed (see [`codec::frame_len`]). A message
+    /// encoded now gives its vectors to `vectors`.
+    pub fn new(msg: M, eager: usize, vectors: &mut Pool<f64>) -> Option<Frame<M>> {
         let len = codec::frame_len(&msg)?;
         if len > eager {
-            Some(Frame::Message { msg, len })
-        } else {
-            codec::to_frame_bytes(&msg).map(Frame::Bytes)
+            return Some(Frame::Message { msg, len });
         }
+        let bytes = codec::to_frame_bytes(&msg);
+        msg.recycle(vectors);
+        bytes.map(Frame::Bytes)
     }
 }
 
@@ -134,11 +140,15 @@ impl<M> SendQueue<M> {
     }
 
     /// Records that the connection accepted `n` more bytes of the batch,
-    /// retiring every completely-written frame. Returns `(frames, bytes)`
+    /// retiring every completely-written frame; a retired message frame
+    /// gives its message's vectors to `vectors`. Returns `(frames, bytes)`
     /// retired — the sender's `frames_sent` / `bytes_sent` deltas (bytes
     /// count whole retired frames, so a frame is never double-counted if
     /// a partial write is voided and rewritten after a reconnect).
-    pub fn advance(&mut self, mut n: usize) -> (usize, usize) {
+    pub fn advance(&mut self, mut n: usize, vectors: &mut Pool<f64>) -> (usize, usize)
+    where
+        M: Payload,
+    {
         let mut retired = 0;
         let mut retired_bytes = 0;
         while n > 0 {
@@ -151,7 +161,9 @@ impl<M> SendQueue<M> {
                 n -= remaining;
                 self.bytes = self.bytes.saturating_sub(len);
                 retired_bytes += len;
-                self.frames.pop_front();
+                if let Some(Frame::Message { msg, .. }) = self.frames.pop_front() {
+                    msg.recycle(vectors);
+                }
                 self.head_written = 0;
                 retired += 1;
             } else {
@@ -232,9 +244,27 @@ impl<M: Serialize> SendQueue<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2pfl_secagg::{SacMsg, WeightVector};
+    use std::sync::Arc;
 
-    fn bytes(fill: u8, len: usize) -> Frame<Vec<u64>> {
+    fn bytes(fill: u8, len: usize) -> Frame<SacMsg> {
         Frame::Bytes(vec![fill; len])
+    }
+
+    /// A vector of `dim` drawn from `vectors`.
+    fn drawn(vectors: &mut Pool<f64>, dim: usize) -> WeightVector {
+        let mut storage = vectors.take(dim);
+        storage.resize(dim, 0.0);
+        WeightVector::new(storage)
+    }
+
+    fn subtotal(vectors: &mut Pool<f64>, dim: usize) -> SacMsg {
+        let value = drawn(vectors, dim);
+        SacMsg::Subtotal {
+            round: 1,
+            idx: 0,
+            value,
+        }
     }
 
     #[test]
@@ -260,14 +290,14 @@ mod tests {
         q.push(bytes(1, 4));
         q.push(bytes(2, 6));
         // Partial head: 3 of 4 bytes written.
-        assert_eq!(q.advance(3), (0, 0));
+        assert_eq!(q.advance(3, &mut Pool::new()), (0, 0));
         let batch: Vec<&[u8]> = q.batch(4, &mut stage).collect();
         assert_eq!(batch[0], &[1u8; 1][..], "unwritten tail of head");
         assert_eq!(batch[1], &[2u8; 6][..]);
         // Finish head + 2 bytes of next.
-        assert_eq!(q.advance(3), (1, 4));
+        assert_eq!(q.advance(3, &mut Pool::new()), (1, 4));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.advance(4), (1, 6));
+        assert_eq!(q.advance(4, &mut Pool::new()), (1, 6));
         assert!(q.is_empty());
         assert_eq!(q.bytes(), 0);
     }
@@ -277,7 +307,7 @@ mod tests {
         let mut stage = Stage::new(64);
         let mut q = SendQueue::new(8, 1 << 20);
         q.push(bytes(7, 8));
-        assert_eq!(q.advance(5), (0, 0));
+        assert_eq!(q.advance(5, &mut Pool::new()), (0, 0));
         q.reset_progress();
         let batch: Vec<&[u8]> = q.batch(1, &mut stage).collect();
         assert_eq!(batch[0].len(), 8, "full frame offered again");
@@ -285,20 +315,25 @@ mod tests {
 
     #[test]
     fn a_message_frame_is_offered_a_window_at_a_time_and_ends_the_batch() {
-        let msg = vec![0x0102_0304_0506_0708u64; 5];
+        let msg = SacMsg::Commit {
+            round: 1,
+            from_pos: 0,
+            digests: vec![0x0102_0304_0506_0708; 5],
+        };
         let wire = codec::to_frame_bytes(&msg).unwrap();
         let mut stage = Stage::new(16);
         let mut q = SendQueue::new(8, 1 << 20);
         q.push(bytes(9, 3));
-        q.push(Frame::new(msg.clone(), 0).unwrap());
+        q.push(Frame::new(msg.clone(), 0, &mut Pool::new()).unwrap());
         q.push(bytes(9, 3));
         let batch: Vec<Vec<u8>> = q.batch(8, &mut stage).map(<[u8]>::to_vec).collect();
         assert_eq!(batch, [vec![9; 3], wire[..16].to_vec()]);
-        assert_eq!(q.advance(3 + 10), (1, 3));
+        assert_eq!(q.advance(3 + 10, &mut Pool::new()), (1, 3));
         let batch: Vec<&[u8]> = q.batch(8, &mut stage).collect();
         assert_eq!(batch, [&wire[10..26]]);
         // Small frames are encoded eagerly, to the same bytes.
-        assert!(matches!(Frame::new(msg, wire.len()), Some(Frame::Bytes(b)) if b == wire));
+        let eager = Frame::new(msg, wire.len(), &mut Pool::new());
+        assert!(matches!(eager, Some(Frame::Bytes(b)) if b == wire));
     }
 
     #[test]
@@ -307,8 +342,68 @@ mod tests {
         q.push(bytes(0, 1));
         q.push(bytes(0, 1));
         q.push(bytes(0, 1));
-        q.advance(3);
+        q.advance(3, &mut Pool::new());
         assert!(q.is_empty());
         assert_eq!(q.peak(), 3);
+    }
+
+    #[test]
+    fn a_message_gives_its_vectors_back_once_its_last_byte_is_written() {
+        let mut vectors = Pool::new();
+        let mut q = SendQueue::new(8, 1 << 20);
+        let total = subtotal(&mut vectors, 16);
+        let len = codec::frame_len(&total).unwrap();
+        q.push(Frame::new(total, 0, &mut vectors).unwrap());
+        q.push(bytes(1, 4));
+        assert_eq!(q.advance(len - 1, &mut vectors), (0, 0));
+        assert_eq!(vectors.kept(), 0, "given back before its last byte");
+        assert_eq!(q.advance(1, &mut vectors), (1, len));
+        assert_eq!(vectors.kept(), 16, "given back once written");
+        assert_eq!(q.advance(4, &mut vectors), (1, 4));
+        assert_eq!(vectors.kept(), 16, "and only once");
+        // A message encoded at send time is done with at once.
+        let total = subtotal(&mut vectors, 16);
+        assert_eq!(vectors.kept(), 0);
+        Frame::new(total, len, &mut vectors).unwrap();
+        assert_eq!(vectors.kept(), 16);
+    }
+
+    #[test]
+    fn a_voided_partial_write_gives_nothing_back() {
+        let mut vectors = Pool::new();
+        let mut q = SendQueue::new(8, 1 << 20);
+        let total = subtotal(&mut vectors, 16);
+        let len = codec::frame_len(&total).unwrap();
+        q.push(Frame::new(total, 0, &mut vectors).unwrap());
+        assert_eq!(q.advance(len - 1, &mut vectors), (0, 0));
+        q.reset_progress();
+        assert_eq!(q.advance(len - 1, &mut vectors), (0, 0));
+        let rewritten = "the frame is written again from its start";
+        assert_eq!(vectors.kept(), 0, "{rewritten}");
+        assert_eq!(q.advance(1, &mut vectors), (1, len));
+        assert_eq!(vectors.kept(), 16);
+    }
+
+    #[test]
+    fn duplicate_copies_sharing_a_part_give_it_back_once() {
+        // A fault plan's duplicate is a clone of the frame: its parts are
+        // the same `Arc`s, so only the copy written last gives them back.
+        let mut vectors = Pool::new();
+        let mut q = SendQueue::new(8, 1 << 20);
+        let part = Arc::new(drawn(&mut vectors, 16));
+        let block = SacMsg::ShareBlock {
+            round: 1,
+            from_pos: 0,
+            parts: vec![(0, Arc::clone(&part))],
+        };
+        let len = codec::frame_len(&block).unwrap();
+        let frame = Frame::new(block, 0, &mut vectors).unwrap();
+        q.push(frame.clone());
+        q.push(frame);
+        drop(part);
+        assert_eq!(q.advance(len, &mut vectors), (1, len));
+        assert_eq!(vectors.kept(), 0, "the other copy still holds the part");
+        assert_eq!(q.advance(len, &mut vectors), (1, len));
+        assert_eq!(vectors.kept(), 16, "given back by the last copy");
     }
 }

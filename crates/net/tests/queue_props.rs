@@ -22,7 +22,7 @@
 //! * `advance` retires a frame exactly when its full length has been
 //!   written since it became head, and reports whole frames only.
 
-use p2pfl_net::codec::to_frame_bytes;
+use p2pfl_net::codec::{to_frame_bytes, Pool};
 use p2pfl_net::reactor::{Frame, SendQueue, Stage};
 use p2pfl_secagg::{SacMsg, WeightVector};
 use proptest::prelude::*;
@@ -186,7 +186,7 @@ impl Link {
         assert_eq!(offered, self.m.batch_bytes(BATCH, window), "batch diverged");
         let n = n.min(offered.len());
         self.written.extend_from_slice(&offered[..n]);
-        let (frames, bytes) = self.q.advance(n);
+        let (frames, bytes) = self.q.advance(n, &mut Pool::new());
         assert_eq!((frames, bytes), self.m.advance(n), "advance({n}) disagreed");
         self.retired += bytes;
     }
@@ -231,7 +231,10 @@ fn check_against_model(max_frames: usize, max_bytes: usize, window: usize, ops: 
             Op::PushMsg(l, dim, eager) => {
                 let msg = message(seq, dim);
                 let wire = to_frame_bytes(&msg).expect("encodes");
-                links[l].push(Frame::new(msg, eager).expect("frames"), wire);
+                links[l].push(
+                    Frame::new(msg, eager, &mut Pool::new()).expect("frames"),
+                    wire,
+                );
             }
             Op::Advance(l, n) => links[l].write(n, &mut stage, window),
             Op::Reset(l) => links[l].reset(),
@@ -275,7 +278,7 @@ proptest! {
                 accepted_bytes += len;
             }
         }
-        prop_assert_eq!(q.advance(usize::MAX), (accepted, accepted_bytes));
+        prop_assert_eq!(q.advance(usize::MAX, &mut Pool::new()), (accepted, accepted_bytes));
         prop_assert!(q.is_empty());
         prop_assert_eq!(q.bytes(), 0);
     }
@@ -293,7 +296,11 @@ fn reconnect_resends_partial_head_from_frame_boundary() {
     let f1 = frame(1, 7);
     assert!(q.push(Frame::Bytes(f0.clone())));
     assert!(q.push(Frame::Bytes(f1.clone())));
-    assert_eq!(q.advance(6), (0, 0), "partial head retires nothing");
+    assert_eq!(
+        q.advance(6, &mut Pool::new()),
+        (0, 0),
+        "partial head retires nothing"
+    );
     q.reset_progress();
     let offered: Vec<u8> = q.batch(8, &mut stage).fold(Vec::new(), |mut a, s| {
         a.extend_from_slice(s);

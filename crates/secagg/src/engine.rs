@@ -41,7 +41,6 @@
 
 mod pairwise;
 mod sim;
-mod store;
 
 pub use pairwise::PairwiseWire;
 pub use sim::{drive_round, sim_group, RoundOutcome};
@@ -49,13 +48,13 @@ pub use sim::{drive_round, sim_group, RoundOutcome};
 use crate::divide::{divide, ShareScheme};
 use crate::ring::plan::RingPlan;
 use crate::weights::WeightVector;
+use p2pfl_simnet::codec::Pool;
 use p2pfl_simnet::{Actor, NodeId, Payload, SimDuration, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 use std::sync::Arc;
-use store::RoundStore;
 
 /// Which secure-aggregation engine a subgroup runs. Replicated through
 /// the FedAvg-layer config (`FedConfig`) so every member of a subgroup
@@ -281,6 +280,20 @@ impl Payload for SacMsg {
             SacMsg::Shared { .. } => "sac.shared",
         }
     }
+
+    fn recycle(self, vectors: &mut Pool<f64>) {
+        match self {
+            SacMsg::ShareBlock { parts, .. } => {
+                for (_, part) in parts {
+                    if let Some(v) = Arc::into_inner(part) {
+                        vectors.give(v.into_inner(), true);
+                    }
+                }
+            }
+            SacMsg::Subtotal { value, .. } => vectors.give(value.into_inner(), true),
+            _ => {}
+        }
+    }
 }
 
 /// What one engine supplies to the round core: its share layout and the
@@ -321,6 +334,14 @@ const TIMER_ROUND_DEADLINE: u64 = 3;
 /// phase guard cannot distinguish from the round the timer was armed for.
 fn timer_tag(base: u64, round: u64) -> u64 {
     (round << 8) | base
+}
+
+/// A vector of dimension `dim` from the host's pool, holding whatever it
+/// last held: every caller writes over all of it.
+fn draw(ctx: &mut dyn Transport<SacMsg>, dim: usize) -> WeightVector {
+    let mut storage = ctx.take_f64(dim);
+    storage.resize(dim, 0.0);
+    WeightVector::new(storage)
 }
 
 /// A subgroup member executing one supervised secure-aggregation round
@@ -405,9 +426,6 @@ pub struct RoundCore<W: Wire> {
     // order (construction seed, then one per `rekey`). The checker's
     // NoMaskReuseAcrossRekey oracle asserts all entries are distinct.
     mask_keys: Vec<u64>,
-    // The storage shares, totals and the average are drawn from,
-    // refilled at each reset.
-    store: RoundStore,
     wire: PhantomData<fn() -> W>,
 }
 
@@ -449,7 +467,6 @@ impl<W: Wire> RoundCore<W> {
             aborted: None,
             retried: false,
             mask_keys: vec![domain],
-            store: RoundStore::default(),
             wire: PhantomData,
         }
     }
@@ -569,7 +586,7 @@ impl<W: Wire> RoundCore<W> {
     /// Serves the leader total `(stage, idx)` of this peer's own stage, if
     /// it is computable yet.
     fn send_total(&mut self, ctx: &mut dyn Transport<SacMsg>, stage: usize, idx: usize) -> bool {
-        let Some(value) = self.total_over_frozen(idx) else {
+        let Some(value) = self.total_over_frozen(ctx, idx) else {
             return false;
         };
         let total = SacMsg::Subtotal {
@@ -591,35 +608,13 @@ impl<W: Wire> RoundCore<W> {
         }
     }
 
-    /// What one round draws from the store: `m` share parts, the parts
-    /// its predecessor stage sends it, and its totals — the leader's whole
-    /// grid, computed or collected, plus the average; a follower's
-    /// primary.
-    fn store_cap(&self) -> usize {
-        let (plan, pos) = (&self.plan, self.cfg.position);
-        let t = plan.stage_of(pos);
-        let m = plan.stage_len(plan.succ_stage(t));
-        let row = plan.assigned(t, plan.local_index(pos)).len();
-        let senders = plan.members(plan.pred_stage(t)).filter(|&c| c != pos);
-        let shares = m + senders.count() * row;
-        if self.cfg.is_leader() {
-            shares + plan.total_partitions() + 1
-        } else {
-            shares + 1
-        }
-    }
-
-    /// Ends the round in progress and opens `round`'s bookkeeping; the
-    /// old round's vectors go back to the store.
+    /// Ends the round in progress and opens `round`'s bookkeeping. The
+    /// old round's vectors are dropped; [`Self::enter_round`] gives them
+    /// back to the host first.
     fn reset_for(&mut self, round: u64) {
-        let (dim, cap) = (self.model.dim(), self.store_cap());
-        let owned = std::mem::take(&mut self.totals)
-            .into_values()
-            .chain(self.result.take());
-        let shared = std::mem::take(&mut self.blocks)
-            .into_values()
-            .flat_map(BTreeMap::into_values);
-        self.store.restock(dim, cap, owned, shared);
+        self.totals.clear();
+        self.result = None;
+        self.blocks.clear();
         self.round = round;
         self.phase = SacPhase::Idle;
         self.contributors.clear();
@@ -635,6 +630,18 @@ impl<W: Wire> RoundCore<W> {
     /// Opens `round` on this peer: shares go out, deadlines are armed,
     /// and whatever arrived early for the round is replayed.
     fn enter_round(&mut self, ctx: &mut dyn Transport<SacMsg>, round: u64) {
+        // The old round's vectors go back to the host: totals and average
+        // outright, blocks where this core holds the last reference.
+        let owned = std::mem::take(&mut self.totals)
+            .into_values()
+            .chain(self.result.take());
+        let shared = std::mem::take(&mut self.blocks)
+            .into_values()
+            .flat_map(BTreeMap::into_values)
+            .filter_map(Arc::into_inner);
+        for v in owned.chain(shared) {
+            ctx.give_f64(v.into_inner());
+        }
         self.reset_for(round);
         self.distribute_shares(ctx);
         if self.cfg.is_leader() {
@@ -662,14 +669,15 @@ impl<W: Wire> RoundCore<W> {
     }
 
     /// Splits the model into `m` shares (`m` = successor-stage size), in
-    /// store storage, and sends each successor-stage member its
-    /// replicated block. Every holder of a partition shares its one copy.
+    /// storage drawn from the host, and sends each successor-stage member
+    /// its replicated block. Every holder of a partition shares its one
+    /// copy, and the last to let go of it gives it back.
     fn distribute_shares(&mut self, ctx: &mut dyn Transport<SacMsg>) {
         let (round, pos) = (self.round, self.cfg.position);
         let s = self.plan.succ_stage(self.plan.stage_of(pos));
         let m = self.plan.stage_len(s);
         let dim = self.model.dim();
-        let mut parts: Vec<WeightVector> = (0..m).map(|_| self.store.take(dim)).collect();
+        let mut parts: Vec<WeightVector> = (0..m).map(|_| draw(ctx, dim)).collect();
         divide(&self.model, self.cfg.scheme, &mut self.rng, &mut parts);
         #[cfg(feature = "mutants")]
         if crate::mutants::active(crate::mutants::Mutant::ShareSkew) {
@@ -692,7 +700,7 @@ impl<W: Wire> RoundCore<W> {
             };
             self.send_to_peers(ctx, commit);
         }
-        let parts: Vec<Arc<WeightVector>> = parts.into_iter().map(|p| self.store.lend(p)).collect();
+        let parts: Vec<Arc<WeightVector>> = parts.into_iter().map(Arc::new).collect();
         for i in 0..m {
             let gpos = self.plan.global_pos(s, i);
             let mut block: Vec<(usize, Arc<WeightVector>)> = self
@@ -707,7 +715,7 @@ impl<W: Wire> RoundCore<W> {
                 continue;
             }
             if let Some(factor) = self.byz_share_skew {
-                // Copy on write: the store and the part's other holders
+                // Copy on write: this peer and the part's other holders
                 // share it, so only this block's copy is skewed, and this
                 // peer's own block stays the one it committed to.
                 for (_, v) in &mut block {
@@ -720,6 +728,10 @@ impl<W: Wire> RoundCore<W> {
                 parts: block,
             };
             ctx.send(self.cfg.group[gpos], share);
+        }
+        // A part that no block or queued frame holds any more goes back.
+        for part in parts.into_iter().filter_map(Arc::into_inner) {
+            ctx.give_f64(part.into_inner());
         }
         if W::ANNOUNCES {
             if self.cfg.is_leader() {
@@ -822,13 +834,13 @@ impl<W: Wire> RoundCore<W> {
         self.send_to_peers(ctx, compute_over);
         // Total our own block immediately (predecessor-stage blocks may
         // still be in flight; late arrivals re-trigger this).
-        self.compute_own_totals();
+        self.compute_own_totals(ctx);
         self.phase = SacPhase::Collecting;
         ctx.set_timer(
             self.cfg.collect_deadline,
             timer_tag(TIMER_COLLECT_DEADLINE, self.round),
         );
-        self.maybe_finish();
+        self.maybe_finish(ctx);
     }
 
     /// Total of own-stage partition `p` over the frozen contributors of
@@ -838,7 +850,11 @@ impl<W: Wire> RoundCore<W> {
     /// total to close the sum. Every block is looked up before storage is
     /// drawn: `progress` asks again on each late share, and an incomplete
     /// total must cost nothing.
-    fn total_over_frozen(&mut self, p: usize) -> Option<WeightVector> {
+    fn total_over_frozen(
+        &mut self,
+        ctx: &mut dyn Transport<SacMsg>,
+        p: usize,
+    ) -> Option<WeightVector> {
         let frozen = self.frozen.as_ref()?;
         let pred = self.plan.pred_stage(self.plan.stage_of(self.cfg.position));
         let blocks = self
@@ -849,27 +865,27 @@ impl<W: Wire> RoundCore<W> {
         if !blocks.clone().all(|b| b.is_some()) {
             return None;
         }
-        let mut total = self.store.take(self.model.dim());
+        let mut total = draw(ctx, self.model.dim());
         total.sum_from_zero(blocks.flatten().map(|v| &**v));
         Some(total)
     }
 
     /// Leader: totals every own-stage partition it holds and has not
     /// totalled yet. Followers never call this; see [`Self::progress`].
-    fn compute_own_totals(&mut self) {
+    fn compute_own_totals(&mut self, ctx: &mut dyn Transport<SacMsg>) {
         let t = self.plan.stage_of(self.cfg.position);
         let i = self.plan.local_index(self.cfg.position);
         for p in self.plan.assigned(t, i) {
             if self.totals.contains_key(&(t, p)) {
                 continue;
             }
-            if let Some(v) = self.total_over_frozen(p) {
+            if let Some(v) = self.total_over_frozen(ctx, p) {
                 self.totals.insert((t, p), v);
             }
         }
     }
 
-    fn maybe_finish(&mut self) {
+    fn maybe_finish(&mut self, ctx: &mut dyn Transport<SacMsg>) {
         if self.phase != SacPhase::Collecting {
             return;
         }
@@ -890,7 +906,7 @@ impl<W: Wire> RoundCore<W> {
         else {
             return;
         };
-        let mut avg = self.store.take(self.model.dim());
+        let mut avg = draw(ctx, self.model.dim());
         avg.sum_from_zero(grid.iter().copied());
         avg.scale(1.0 / frozen.len() as f64);
         self.contributors = frozen.iter().copied().collect();
@@ -908,8 +924,8 @@ impl<W: Wire> RoundCore<W> {
             return;
         }
         if self.cfg.is_leader() {
-            self.compute_own_totals();
-            self.maybe_finish();
+            self.compute_own_totals(ctx);
+            self.maybe_finish(ctx);
         } else if !self.sent_primary {
             // Primary-owner rule (paper lines 14-16): each peer owns the
             // total whose index is its own, and sends it unless the leader
@@ -1208,7 +1224,7 @@ impl<W: Wire> RoundCore<W> {
                     return;
                 };
                 self.totals.entry(key).or_insert(value);
-                self.maybe_finish();
+                self.maybe_finish(ctx);
             }
             SacMsg::SubtotalRequest { idx, .. } => {
                 // Never servable means never queued: only a holder of
@@ -1295,10 +1311,6 @@ impl<W: Wire> Actor<SacMsg> for RoundCore<W> {
 
     fn shares_rejected(&self) -> u64 {
         self.shares_rejected
-    }
-
-    fn f64_storage(&mut self, len: usize) -> Option<Vec<f64>> {
-        self.store.offer(len).map(WeightVector::into_inner)
     }
 }
 
@@ -1842,10 +1854,10 @@ mod tests {
 
     fn a_skewer_copies_on_write<W: Wire>() {
         // Every holder of a partition shares the one copy its sender made,
-        // and so do the sender's store and, on the one-stage layout, its
-        // own block. A skewer must scale a copy of its own: the parts it
-        // keeps stay the honest ones it committed to, and no other
-        // member's part is touched.
+        // and so does, on the one-stage layout, the sender's own block. A
+        // skewer must scale a copy of its own: the parts it keeps stay the
+        // honest ones it committed to, and no other member's part is
+        // touched.
         const FACTOR: f64 = 3.0;
         let (n, skewer) = (6, 2);
         let (mut sim, ids, models) = build::<W>(n, 3, 8, 71, None);
@@ -1853,17 +1865,14 @@ mod tests {
             sim.actor(NodeId(p as u32))
         }
         sim.actor_mut::<RoundCore<W>>(ids[skewer]).byz_share_skew = Some(FACTOR);
+        // Its parts as it divides them in round 1, from its fresh stream.
+        let core = at::<W>(&sim, skewer);
+        let (plan, cfg) = (core.plan(), core.sac_config());
+        let m = plan.stage_len(plan.succ_stage(plan.stage_of(skewer)));
+        let mut honest = vec![WeightVector::zeros(8); m];
+        let mut rng = StdRng::seed_from_u64(mask_domain(cfg.seed, skewer));
+        divide(&models[skewer], cfg.scheme, &mut rng, &mut honest);
         start::<W>(&mut sim, ids[0], 1);
-        while at::<W>(&sim, skewer).phase == SacPhase::Idle {
-            assert!(sim.step(), "the skewer never opened round 1");
-        }
-        // Its parts as divided, before anything arrived to total.
-        let honest: Vec<WeightVector> = at::<W>(&sim, skewer)
-            .store
-            .lent()
-            .iter()
-            .map(|part| WeightVector::clone(part))
-            .collect();
         sim.run_until(SimTime::from_secs(5));
 
         let sum = WeightVector::sum(&honest);

@@ -77,16 +77,16 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
 /// Deserializes one `T` from `bytes`, requiring the value to consume the
 /// whole buffer.
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
-    from_bytes_into(bytes, &mut |_| None)
+    from_bytes_into(bytes, &mut Vec::with_capacity)
 }
 
 /// [`from_bytes`], decoding each `f64` sequence into the storage
-/// `storage` offers for its length, or into fresh storage where it
-/// offers none. Whatever an offered vector held is overwritten; storage
-/// is asked for only once the sequence's bytes are known to be there.
+/// `storage` gives for its length. Whatever that storage held is
+/// overwritten; storage is asked for only once the sequence's bytes are
+/// known to be there.
 pub fn from_bytes_into<T: Deserialize>(
     bytes: &[u8],
-    storage: &mut dyn FnMut(usize) -> Option<Vec<f64>>,
+    storage: &mut dyn FnMut(usize) -> Vec<f64>,
 ) -> Result<T, CodecError> {
     let mut de = BinDeserializer {
         bytes,
@@ -316,7 +316,7 @@ pub struct BinDeserializer<'a> {
     bytes: &'a [u8],
     pos: usize,
     /// Where `f64` sequences are decoded into (see [`from_bytes_into`]).
-    storage: &'a mut dyn FnMut(usize) -> Option<Vec<f64>>,
+    storage: &'a mut dyn FnMut(usize) -> Vec<f64>,
 }
 
 impl<'a> BinDeserializer<'a> {
@@ -400,14 +400,10 @@ impl Deserializer for BinDeserializer<'_> {
         let nbytes = n.checked_mul(8).ok_or(CodecError::Eof)?;
         let (elems, _) = self.take(nbytes)?.as_chunks::<8>();
         let values = elems.iter().map(|b| f64::from_le_bytes(*b));
-        Ok(match (self.storage)(n) {
-            Some(mut v) => {
-                v.clear();
-                v.extend(values);
-                v
-            }
-            None => values.collect(),
-        })
+        let mut v = (self.storage)(n);
+        v.clear();
+        v.extend(values);
+        Ok(v)
     }
 
     fn begin_struct(&mut self, _name: &'static str, _len: usize) -> Result<(), CodecError> {
@@ -544,18 +540,20 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// bytes as were consumed since the last reclaim.
 ///
 /// A *bulk* frame — one over a threshold the caller names, the reactor's
-/// read chunk — lives in storage lent by a [`BulkPool`], and only while
+/// read chunk — lives in storage lent by a byte [`Pool`], and only while
 /// it is in flight. Once its header is in, [`FrameBuffer::read_bulk`]
 /// reads the rest of it from the source straight into that storage; once
 /// the buffer has handed it out and holds nothing else,
-/// [`FrameBuffer::release`] gives the storage back to the pool. Smaller
-/// frames keep the buffer's own storage.
+/// [`FrameBuffer::release`] gives the storage back to the pool. Storage
+/// that carried a buffer's first bulk frame is kept only while the pool
+/// keeps nothing else, as the one spare a one-off burst leaves behind.
+/// Smaller frames keep the buffer's own storage.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Read cursor: everything before it was already handed out.
     head: usize,
-    /// Whether `buf` was lent by a [`BulkPool`] and goes back to it.
+    /// Whether `buf` was lent by the pool and goes back to it.
     lent: bool,
     /// Whether a bulk frame has passed through before the one in `buf`.
     carried_bulk: bool,
@@ -569,19 +567,19 @@ impl FrameBuffer {
 
     /// Appends freshly received bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.extend_with_pool(bytes, MAX_FRAME, &mut BulkPool::new());
+        self.extend_with_pool(bytes, MAX_FRAME, &mut Pool::new());
     }
 
     /// Appends freshly received bytes. A frame of more than `bulk` bytes
     /// that the buffer has no room for takes its storage from `pool`.
-    pub fn extend_with_pool(&mut self, bytes: &[u8], bulk: usize, pool: &mut BulkPool) {
+    pub fn extend_with_pool(&mut self, bytes: &[u8], bulk: usize, pool: &mut Pool<u8>) {
         self.make_room(bytes, bulk, pool);
         self.buf.extend_from_slice(bytes);
     }
 
     /// Makes room for `bytes` and, once the next frame's header is in,
     /// for that whole frame.
-    fn make_room(&mut self, bytes: &[u8], bulk: usize, pool: &mut BulkPool) {
+    fn make_room(&mut self, bytes: &[u8], bulk: usize, pool: &mut Pool<u8>) {
         if self.is_empty() {
             self.buf.clear();
             self.head = 0;
@@ -601,7 +599,9 @@ impl FrameBuffer {
                 // Lent storage is swapped, never regrown: the pool counts
                 // it by the capacity it lent.
                 let mut storage = if is_bulk {
-                    pool.take(room)
+                    let mut lent = pool.take(room);
+                    lent.clear();
+                    lent
                 } else {
                     Vec::with_capacity(room)
                 };
@@ -630,7 +630,7 @@ impl FrameBuffer {
         &mut self,
         src: &mut impl Read,
         bulk: usize,
-        pool: &mut BulkPool,
+        pool: &mut Pool<u8>,
     ) -> Option<io::Result<bool>> {
         let len = self
             .pending_len_with(&[])
@@ -649,7 +649,7 @@ impl FrameBuffer {
     /// else: every bulk frame it carried was handed out. The buffer goes
     /// on empty. Does nothing while a frame is still in flight, or when
     /// only smaller frames passed through.
-    pub fn release(&mut self, pool: &mut BulkPool) {
+    pub fn release(&mut self, pool: &mut Pool<u8>) {
         if self.lent && self.is_empty() {
             pool.give(std::mem::take(&mut self.buf), self.carried_bulk);
             self.head = 0;
@@ -660,7 +660,7 @@ impl FrameBuffer {
 
     /// Drops whatever the buffer holds, giving lent storage back to
     /// `pool`: the stream it read is gone. The buffer goes on empty.
-    pub fn discard(&mut self, pool: &mut BulkPool) {
+    pub fn discard(&mut self, pool: &mut Pool<u8>) {
         let gone = std::mem::take(self);
         if gone.lent {
             pool.give(gone.buf, gone.carried_bulk);
@@ -705,60 +705,65 @@ impl FrameBuffer {
     }
 }
 
-/// Released bulk receive storage, kept for the next bulk frames that fit.
+/// Storage a host lends and takes back: the reactor's bulk receive
+/// buffers (`Pool<u8>`) and each host's model vectors (`Pool<f64>`).
 ///
-/// Every bulk frame's storage is lent by the pool and comes back through
-/// [`FrameBuffer::release`] or [`FrameBuffer::discard`], so the pool
-/// knows how much bulk storage its buffers hold at once. What it keeps
-/// plus what it has lent never exceeds its high-water mark, the most it
-/// has had lent at one time: the pool holds nothing that its buffers did
-/// not already hold at once. It keeps storage for the buffers that come
-/// back for more: what a buffer gives back after its first bulk frame is
-/// kept only while the pool holds nothing else, as the one spare a
-/// one-off burst leaves behind. A frame takes the smallest kept storage
-/// that fits it (best fit). One that nothing fits allocates, and kept
-/// storage is dropped, smallest first, while the total would pass the
-/// mark.
+/// What the pool keeps plus what it has lent, counted by capacity, never
+/// exceeds its high-water mark, the most it has had lent at one time:
+/// it holds nothing that its borrowers did not already hold at once.
+/// A request takes the smallest kept storage that fits it (best fit),
+/// with whatever that last held. One that nothing fits allocates, and
+/// kept storage is dropped, smallest first, while the total would pass
+/// the mark. Kept storage is ordered by capacity, so a request or a
+/// return of the smallest size kept costs `O(1)`.
 #[derive(Debug, Default)]
-pub struct BulkPool {
-    kept: Vec<Vec<u8>>,
+pub struct Pool<T> {
+    /// Kept storage, largest capacity first.
+    kept: Vec<Vec<T>>,
+    /// Capacity kept.
+    kept_cap: usize,
     /// Capacity lent out and not yet given back.
     lent: usize,
     /// The most capacity lent out at one time.
     high_water: usize,
 }
 
-impl BulkPool {
+impl<T: Default> Pool<T> {
     /// An empty pool.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Capacity of the storage kept for reuse.
-    fn kept(&self) -> usize {
-        self.kept.iter().map(Vec::capacity).sum()
+    pub fn kept(&self) -> usize {
+        self.kept_cap
     }
 
-    /// Lends storage that holds `room` bytes.
-    fn take(&mut self, room: usize) -> Vec<u8> {
-        let fit = (self.kept.iter().enumerate())
-            .filter(|(_, s)| s.capacity() >= room)
-            .min_by_key(|(_, s)| s.capacity())
-            .map(|(i, _)| i);
-        let storage = match fit {
-            Some(i) => self.kept.swap_remove(i),
+    /// Lends storage that holds `room` elements; what it holds is
+    /// unspecified.
+    pub fn take(&mut self, room: usize) -> Vec<T> {
+        // The smallest that fits is the last of those that fit: most
+        // often the last of all, found without a search.
+        let fits = if self.kept.last().is_some_and(|s| s.capacity() >= room) {
+            self.kept.len()
+        } else {
+            self.kept.partition_point(|s| s.capacity() >= room)
+        };
+        let storage = match fits.checked_sub(1) {
+            Some(i) => {
+                let storage = self.kept.remove(i);
+                self.kept_cap -= storage.capacity();
+                storage
+            }
             None => {
                 let storage = Vec::with_capacity(room);
                 let lent = self.lent + storage.capacity();
                 self.high_water = self.high_water.max(lent);
-                let mut kept = self.kept();
-                self.kept
-                    .sort_unstable_by_key(|s| std::cmp::Reverse(s.capacity()));
-                while kept + lent > self.high_water {
+                while self.kept_cap + lent > self.high_water {
                     let Some(dropped) = self.kept.pop() else {
                         break;
                     };
-                    kept -= dropped.capacity();
+                    self.kept_cap -= dropped.capacity();
                 }
                 storage
             }
@@ -767,13 +772,21 @@ impl BulkPool {
         storage
     }
 
-    /// Takes lent storage back; `repeat` says whether it carried its
-    /// buffer's second or later bulk frame.
-    fn give(&mut self, mut storage: Vec<u8>, repeat: bool) {
-        self.lent = self.lent.saturating_sub(storage.capacity());
-        if repeat || self.kept.is_empty() {
-            storage.clear();
-            self.kept.push(storage);
+    /// Takes storage back, keeping it if `keep` or if the pool keeps
+    /// nothing else, and only while that stays within the mark: storage
+    /// the pool did not lend cannot make it keep more.
+    pub fn give(&mut self, storage: Vec<T>, keep: bool) {
+        let cap = storage.capacity();
+        self.lent = self.lent.saturating_sub(cap);
+        let within = self.kept_cap + self.lent + cap <= self.high_water;
+        if within && (keep || self.kept.is_empty()) {
+            let at = if self.kept.last().is_none_or(|s| s.capacity() >= cap) {
+                self.kept.len()
+            } else {
+                self.kept.partition_point(|s| s.capacity() >= cap)
+            };
+            self.kept_cap += cap;
+            self.kept.insert(at, storage);
         }
     }
 }
@@ -972,25 +985,25 @@ mod tests {
         let sent = Weights(patterned(4097));
         let bytes = to_bytes(&sent);
         // Dirty storage of the run's length, and its address.
-        let mut spare = Some(vec![f64::NAN; 4097]);
-        let at = spare.as_ref().map(|v| v.as_ptr());
+        let mut spare = vec![f64::NAN; 4097];
+        let at = spare.as_ptr();
         let mut asked = Vec::new();
         let got: Weights = from_bytes_into(&bytes, &mut |len| {
             asked.push(len);
-            spare.take()
+            std::mem::take(&mut spare)
         })
         .unwrap();
         assert_eq!(asked, [4097]);
-        assert_eq!(Some(got.0.as_ptr()), at, "decoded in place");
+        assert_eq!(got.0.as_ptr(), at, "decoded in place");
         assert!(bits(&got.0) == bits(&sent.0), "bit for bit");
-        // Nothing offered: fresh storage, same bits.
-        let fresh: Weights = from_bytes_into(&bytes, &mut |_| None).unwrap();
+        // Fresh storage: the same bits.
+        let fresh: Weights = from_bytes(&bytes).unwrap();
         assert!(bits(&fresh.0) == bits(&sent.0));
         // A prefix the input cannot back asks for no storage.
         let mut asked = 0;
         let cut = from_bytes_into::<Weights>(&bytes[..bytes.len() - 1], &mut |_| {
             asked += 1;
-            None
+            Vec::new()
         });
         assert_eq!((cut, asked), (Err(CodecError::Eof), 0));
     }
@@ -1133,7 +1146,7 @@ mod tests {
 
     /// Feeds `wire` in `chunk`-byte reads through `pool`, collecting
     /// every frame as it completes and releasing lent storage after.
-    fn feed(fb: &mut FrameBuffer, wire: &[u8], chunk: usize, pool: &mut BulkPool) -> Vec<Vec<u8>> {
+    fn feed(fb: &mut FrameBuffer, wire: &[u8], chunk: usize, pool: &mut Pool<u8>) -> Vec<Vec<u8>> {
         let mut frames = Vec::new();
         for piece in wire.chunks(chunk) {
             fb.extend_with_pool(piece, BULK, pool);
@@ -1184,7 +1197,7 @@ mod tests {
     fn pump(
         fb: &mut FrameBuffer,
         src: &mut impl Read,
-        pool: &mut BulkPool,
+        pool: &mut Pool<u8>,
         frames: &mut Vec<Vec<u8>>,
     ) -> io::Result<()> {
         let mut scratch = [0u8; 1000];
@@ -1211,7 +1224,7 @@ mod tests {
     fn pump_to_end(
         fb: &mut FrameBuffer,
         src: &mut impl Read,
-        pool: &mut BulkPool,
+        pool: &mut Pool<u8>,
         frames: &mut Vec<Vec<u8>>,
     ) {
         while let Err(e) = pump(fb, src, pool, frames) {
@@ -1239,7 +1252,7 @@ mod tests {
         wire.extend(numbered(2 * BULK, 5));
         for sizes in [&[1, 1, 1, 1, 70_001][..], &[3, 7, 65_537, 13], &[2, 999]] {
             let mut src = Trickle::new(&wire, sizes);
-            let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), BulkPool::new(), Vec::new());
+            let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), Pool::new(), Vec::new());
             pump_to_end(&mut fb, &mut src, &mut pool, &mut frames);
             let want: Vec<Vec<u8>> = [(3 * BULK + 5, 1), (9, 2), (BULK + 1, 3), (BULK, 4)]
                 .into_iter()
@@ -1257,7 +1270,7 @@ mod tests {
         // bytes land in the storage taken then: nothing regrows it.
         let wire = numbered(5 * BULK, 6);
         let mut src = Trickle::new(&wire, &[10, 4 * BULK, BULK, 100]);
-        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), BulkPool::new(), Vec::new());
+        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), Pool::new(), Vec::new());
         assert!(pump(&mut fb, &mut src, &mut pool, &mut frames).is_err());
         let (at, cap) = (fb.buf.as_ptr(), fb.buf.capacity());
         assert_eq!(cap, wire.len(), "sized from the header");
@@ -1276,7 +1289,7 @@ mod tests {
         let half = wire.len() / 2;
         let sizes = [half, usize::MAX];
         let mut src = Trickle::new(&wire, &sizes);
-        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), BulkPool::new(), Vec::new());
+        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), Pool::new(), Vec::new());
         let blocked = pump(&mut fb, &mut src, &mut pool, &mut frames).unwrap_err();
         assert_eq!(blocked.kind(), io::ErrorKind::WouldBlock);
         assert!(frames.is_empty() && !fb.is_empty());
@@ -1298,7 +1311,7 @@ mod tests {
         wire.extend(numbered(3 * BULK, 9));
         let sizes = [small + 4, usize::MAX];
         let mut src = Trickle::new(&wire, &sizes);
-        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), BulkPool::new(), Vec::new());
+        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), Pool::new(), Vec::new());
         pump(&mut fb, &mut src, &mut pool, &mut frames).unwrap_err();
         pump(&mut fb, &mut src, &mut pool, &mut frames).unwrap();
         assert_eq!(frames.len(), 2);
@@ -1310,7 +1323,7 @@ mod tests {
     #[test]
     fn bulk_frame_storage_is_given_back_once_delivered() {
         let wire = framed(3 << 20, 1);
-        let (mut fb, mut pool) = (FrameBuffer::new(), BulkPool::new());
+        let (mut fb, mut pool) = (FrameBuffer::new(), Pool::new());
         let frames = feed(&mut fb, &wire, BULK, &mut pool);
         assert_eq!(frames, vec![vec![1u8; 3 << 20]]);
         assert_eq!(pool.kept(), wire.len());
@@ -1331,7 +1344,7 @@ mod tests {
         for len in [10_000, BULK, 1, BULK - 4] {
             wire.extend(framed(len, 3));
         }
-        let mut pool = BulkPool::new();
+        let mut pool = Pool::new();
         let lent = pool.take(1 << 20);
         pool.give(lent, true);
         let mut fb = FrameBuffer::new();
@@ -1347,7 +1360,7 @@ mod tests {
         // pool keeps what came back and lends each later frame the
         // smallest storage that holds it.
         let sizes = [BULK + 1, 3 * BULK, 2 * BULK];
-        let mut pool = BulkPool::new();
+        let mut pool = Pool::new();
         let mut links: Vec<FrameBuffer> = sizes.iter().map(|_| FrameBuffer::new()).collect();
         for round in 0..2 {
             for (fb, &len) in links.iter_mut().zip(&sizes) {
@@ -1381,7 +1394,7 @@ mod tests {
         // Links whose frames grow round by round: nothing kept fits, so
         // every frame allocates, and the kept storage that would pass the
         // mark goes, smallest first.
-        let mut pool = BulkPool::new();
+        let mut pool = Pool::new();
         let mut links: Vec<FrameBuffer> = (0..4).map(|_| FrameBuffer::new()).collect();
         for round in 1..=6 {
             for (i, fb) in links.iter_mut().enumerate() {
@@ -1407,7 +1420,7 @@ mod tests {
 
     #[test]
     fn oversize_header_takes_nothing_from_the_pool() {
-        let mut pool = BulkPool::new();
+        let mut pool = Pool::new();
         let lent = pool.take(1 << 10);
         pool.give(lent, true);
         let mut header = ((MAX_FRAME as u32) + 1).to_le_bytes().to_vec();
@@ -1431,7 +1444,7 @@ mod tests {
         // the buffer's own storage.
         let mut wire = numbered(2 * BULK, 5);
         wire.extend(numbered(9, 6));
-        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), BulkPool::new(), Vec::new());
+        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), Pool::new(), Vec::new());
         let (head, tail) = wire.split_at(wire.len() - 1);
         pump_to_end(
             &mut fb,

@@ -5,6 +5,8 @@
 //! message reports its serialized size in bytes; to break metrics down per
 //! protocol phase, it reports a static kind label.
 
+use crate::codec::Pool;
+
 /// Application message carried by the simulated network.
 ///
 /// `Clone` is required so the fault layer can deliver duplicate copies of a
@@ -25,6 +27,11 @@ pub trait Payload: Clone + Send + 'static {
     fn kind(&self) -> &'static str {
         "message"
     }
+
+    /// Gives the `f64` storage of a message that is on the wire to
+    /// `vectors`, except what another holder still shares. The default
+    /// gives nothing.
+    fn recycle(self, _vectors: &mut Pool<f64>) {}
 }
 
 /// Blanket helper payload for tests and simple examples: a labeled blob with

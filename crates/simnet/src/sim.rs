@@ -6,6 +6,7 @@
 //! [`Context`], which samples link latencies, arms timers, and accounts
 //! communication cost. Identical seeds produce identical executions.
 
+use crate::codec::Pool;
 use crate::fault::{FaultAction, FaultPlan, LinkDropCause, LinkFaults};
 use crate::latency::LatencyConfig;
 use crate::metrics::Metrics;
@@ -24,6 +25,8 @@ use std::collections::{BinaryHeap, HashSet};
 ///
 /// Implementations must also be `Any` so tests and experiments can downcast
 /// back to the concrete type via [`Sim::actor`] to inspect final state.
+/// An actor that holds model vectors draws them from its host and gives
+/// them back through its transport ([`Transport::take_f64`]).
 pub trait Actor<M: Payload>: Any {
     /// Called once when the node is started (at the virtual time it was
     /// added) and never again, even across crash/restart cycles.
@@ -61,16 +64,6 @@ pub trait Actor<M: Payload>: Any {
     /// means "this actor performs no such verification".
     fn shares_rejected(&self) -> u64 {
         0
-    }
-
-    /// Storage for a sequence of `len` `f64`s in a message about to be
-    /// delivered to this actor: a transport that decodes frames decodes
-    /// the sequence into it rather than into fresh storage. The default
-    /// offers none; the SAC round core offers the vectors it reuses from
-    /// round to round, so a received share lands in storage the core
-    /// already has.
-    fn f64_storage(&mut self, _len: usize) -> Option<Vec<f64>> {
-        None
     }
 }
 
@@ -198,6 +191,8 @@ struct SimInner<M> {
     // forward: serialization occupies the sender's NIC when a bandwidth
     // model is configured).
     tx_free: Vec<SimTime>,
+    // The model vectors every actor of this simulator draws and gives back.
+    vectors: Pool<f64>,
 }
 
 impl<M: Payload> SimInner<M> {
@@ -350,9 +345,19 @@ impl<'a, M: Payload> Transport<M> for Context<'a, M> {
     fn cancel_timer(&mut self, id: TimerId) {
         Context::cancel_timer(self, id)
     }
+
+    fn take_f64(&mut self, len: usize) -> Vec<f64> {
+        self.inner.vectors.take(len)
+    }
+
+    fn give_f64(&mut self, storage: Vec<f64>) {
+        self.inner.vectors.give(storage, true);
+    }
 }
 
 /// The discrete-event simulator. Generic over the application message type.
+/// It hosts every actor over one vector pool: a message delivered moves
+/// its vectors to the receiver, which gives them back when done.
 pub struct Sim<M: Payload> {
     inner: SimInner<M>,
     actors: Vec<Option<Box<dyn Actor<M>>>>,
@@ -377,6 +382,7 @@ impl<M: Payload> Sim<M> {
                 trace: Trace::new(),
                 rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
                 tx_free: Vec::new(),
+                vectors: Pool::new(),
             },
             actors: Vec::new(),
         }

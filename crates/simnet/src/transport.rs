@@ -46,4 +46,14 @@ pub trait Transport<M: Payload> {
     /// Cancels a pending timer. Cancelling an already-fired timer is a
     /// harmless no-op.
     fn cancel_timer(&mut self, id: TimerId);
+
+    /// Storage with room for `len` `f64`s from the host's vector pool,
+    /// holding whatever another actor of the host last left there. The
+    /// default keeps no pool and allocates.
+    fn take_f64(&mut self, len: usize) -> Vec<f64> {
+        Vec::with_capacity(len)
+    }
+
+    /// Gives storage back to the host's vector pool. The default frees it.
+    fn give_f64(&mut self, _storage: Vec<f64>) {}
 }

@@ -1,25 +1,29 @@
-//! Model-sized storage is reused from round to round. A round core draws
-//! its shares, totals and average from a store it refills rather than
-//! frees, hands every holder of a partition the one copy it made, and
-//! offers the store to the reactor to decode received vectors into. So a
-//! steady round allocates a vector of the model's size only where the
-//! store runs dry, and never more of them than the round decodes: the
-//! parts its peers send each other and the subtotals the leader collects.
-//! A core that drew its shares, hand-out copies, totals or average
-//! afresh would allocate several times that.
+//! Model-sized storage is reused from round to round. Each host keeps one
+//! pool of vectors: a reactor for every peer it hosts, a simulator for
+//! every actor it runs. A round core draws its shares, totals and average
+//! from its host's pool and gives them back at the start of its next
+//! round, and every holder of a partition shares the one copy its sender
+//! made. A reactor also decodes received vectors into the pool and takes
+//! a sent message's vectors back once its frame is on the wire. So once
+//! warm-up rounds have filled the pool, a steady round allocates no
+//! vector of the model's size at all: a core that drew anything afresh,
+//! or a host that let a vector go without taking it back, shows up here.
 //!
-//! Each plan runs a group hosted on one reactor: warm-up rounds fill the
-//! stores, then every allocation of exactly a model's size is counted
-//! over a few more rounds, each of which ends only once every frame sent
-//! has been delivered.
+//! Each plan runs on both hosts: a group on one reactor, each round
+//! ending only once every frame sent has been delivered, and a group on
+//! one simulator driven through `sim_group` / `drive_round`, whose caller
+//! hands each round's average back once it has read it. After the
+//! warm-up, every allocation of exactly a model's size is counted over a
+//! few more rounds.
 
 use p2pfl_bench::testkit::{
     assert_clean_wire, mesh, models, reactor, sac_peers, spawn_group, wait_for,
 };
 use p2pfl_secagg::{
-    PairwiseWire, RingPlan, RingWire, RoundCore, SacEngine, SacMsg, SacPhase, WeightVector, Wire,
+    drive_round, sim_group, PairwiseWire, RingWire, RoundCore, SacEngine, SacMsg, SacPhase,
+    WeightVector, Wire,
 };
-use p2pfl_simnet::SimDuration;
+use p2pfl_simnet::{NodeId, SimDuration, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -64,44 +68,45 @@ static ALLOC: SizeCounter = SizeCounter;
 /// size (160 000 B) is no frame's, no send window's and no read chunk's.
 const DIM: usize = 20_000;
 const SEED: u64 = 0x5707;
-/// Rounds that fill the stores before anything is counted.
+/// Rounds that fill the pool before anything is counted.
 const WARMUP: u64 = 2;
 /// Rounds counted.
 const COUNTED: u64 = 3;
 /// Masks cancel to float rounding; results sit this close to the mean.
 const TOL: f64 = 1e-9;
 
-/// The vectors one fault-free round decodes, group-wide: each part of
-/// every block a peer sends (on a one-stage layout a peer keeps its own
-/// block), and one subtotal from each follower whose primary partition
-/// the leader (position 0) does not hold itself.
-fn decoded_per_round(plan: &RingPlan) -> usize {
-    (0..plan.n())
-        .map(|p| {
-            let s = plan.succ_stage(plan.stage_of(p));
-            let parts: usize = (0..plan.stage_len(s))
-                .filter(|&i| plan.global_pos(s, i) != p)
-                .map(|i| plan.assigned(s, i).len())
-                .sum();
-            let primary = (plan.stage_of(p), plan.local_index(p));
-            let subtotal = p != 0 && !plan.is_holder(0, primary.0, primary.1);
-            parts + usize::from(subtotal)
+/// Runs `WARMUP` rounds through `round`, then `COUNTED` more; returns the
+/// model-sized allocations of each counted round.
+fn counted(mut round: impl FnMut(u64)) -> Vec<usize> {
+    for r in 1..=WARMUP {
+        round(r);
+    }
+    WATCHED.store(DIM * 8, Ordering::Relaxed);
+    let fresh = (WARMUP + 1..=WARMUP + COUNTED)
+        .map(|r| {
+            let before = COUNT.load(Ordering::Relaxed);
+            round(r);
+            COUNT.load(Ordering::Relaxed) - before
         })
-        .sum()
+        .collect();
+    WATCHED.store(usize::MAX, Ordering::Relaxed);
+    fresh
 }
 
-/// Runs `WARMUP` rounds and then `COUNTED` rounds of one `n`-member
-/// group; returns the model-sized allocations of each counted round and
-/// what one round decodes.
-fn steady_rounds<W: Wire>(engine: SacEngine, n: usize, k: usize) -> (Vec<usize>, usize) {
-    let inputs = models(n, DIM, SEED);
+fn peers<W: Wire>(engine: SacEngine, n: usize, k: usize) -> Vec<(NodeId, RoundCore<W>)> {
     let deadline = SimDuration::from_secs(30);
+    sac_peers::<W>(&models(n, DIM, SEED), n, k, engine, deadline, SEED)
+}
+
+fn assert_average(avg: Option<&WeightVector>, mean: &WeightVector) {
+    let error = avg.map(|avg| avg.linf_distance(mean));
+    assert!(error.is_some_and(|e| e <= TOL), "average off by {error:?}");
+}
+
+/// Steady rounds of one `n`-member group on one reactor.
+fn on_reactor<W: Wire>(engine: SacEngine, n: usize, k: usize) -> Vec<usize> {
     let r = reactor::<SacMsg, RoundCore<W>>();
-    let handles = spawn_group(
-        &r,
-        sac_peers::<W>(&inputs, n, k, engine, deadline, SEED),
-        None,
-    );
+    let handles = spawn_group(&r, peers::<W>(engine, n, k), None);
     mesh(&handles);
     let leader = &handles[0];
     let delivered = || {
@@ -109,54 +114,64 @@ fn steady_rounds<W: Wire>(engine: SacEngine, n: usize, k: usize) -> (Vec<usize>,
         let received: u64 = handles.iter().map(|h| h.stats().frames_received).sum();
         sent == received
     };
-    let run = |round: u64| {
+    let fresh = counted(|round| {
         leader.with(move |a, ctx| a.start_round(ctx, round));
         wait_for("the round", Duration::from_secs(60), || {
             leader.with(|a, _| a.phase == SacPhase::Done)
         });
         wait_for("every frame delivered", Duration::from_secs(60), delivered);
-    };
-    for round in 1..=WARMUP {
-        run(round);
-    }
-    WATCHED.store(DIM * 8, Ordering::Relaxed);
-    let fresh = (WARMUP + 1..=WARMUP + COUNTED)
-        .map(|round| {
-            let before = COUNT.load(Ordering::Relaxed);
-            run(round);
-            COUNT.load(Ordering::Relaxed) - before
-        })
-        .collect();
-    WATCHED.store(usize::MAX, Ordering::Relaxed);
-
+    });
     assert_clean_wire(&handles);
-    let mean = WeightVector::mean(&inputs);
-    let error = leader.with(move |a, _| a.result.as_ref().map(|avg| avg.linf_distance(&mean)));
-    assert!(error.is_some_and(|e| e <= TOL), "average off by {error:?}");
-    (fresh, decoded_per_round(&W::layout(n, k)))
+    let avg = leader.with(|a, _| a.result.clone());
+    assert_average(avg.as_ref(), &WeightVector::mean(&models(n, DIM, SEED)));
+    fresh
 }
 
-/// One test for both plans: the counter is process-wide, so two groups
-/// counted at once would count each other's vectors.
+/// The same rounds of the same group on one simulator.
+fn on_simulator<W: Wire>(engine: SacEngine, n: usize, k: usize) -> Vec<usize> {
+    let mut sim = sim_group::<W>(SEED, peers::<W>(engine, n, k), None);
+    let (leader, mean) = (NodeId(0), WeightVector::mean(&models(n, DIM, SEED)));
+    counted(|round| {
+        let outcome = drive_round::<W>(&mut sim, [leader], round).pop();
+        let Some(Ok((_, avg))) = outcome else {
+            panic!("round {round}: {outcome:?}");
+        };
+        assert_average(Some(&avg), &mean);
+        // `drive_round` moved the average out; its reader gives it back.
+        sim.exec::<RoundCore<W>, _, _>(leader, |_, ctx| ctx.give_f64(avg.into_inner()));
+    })
+}
+
+/// One test for both plans on both hosts: the counter is process-wide, so
+/// two groups counted at once would count each other's vectors.
 #[test]
-fn steady_rounds_allocate_no_more_model_vectors_than_they_decode() {
+fn steady_rounds_allocate_no_model_vectors_on_either_host() {
+    use SacEngine::{Pairwise, Ring};
     let runs = [
         (
-            "pairwise n = 3, k = 2",
-            steady_rounds::<PairwiseWire>(SacEngine::Pairwise, 3, 2),
+            "pairwise n = 3, k = 2 on a reactor",
+            on_reactor::<PairwiseWire>(Pairwise, 3, 2),
         ),
         (
-            "ring n = 8, k = 3",
-            steady_rounds::<RingWire>(SacEngine::Ring, 8, 3),
+            "ring n = 8, k = 3 on a reactor",
+            on_reactor::<RingWire>(Ring, 8, 3),
+        ),
+        (
+            "pairwise n = 3, k = 2 on a simulator",
+            on_simulator::<PairwiseWire>(Pairwise, 3, 2),
+        ),
+        (
+            "ring n = 8, k = 3 on a simulator",
+            on_simulator::<RingWire>(Ring, 8, 3),
         ),
     ];
-    for (what, (fresh, decoded)) in runs {
-        println!("{what}: {fresh:?} model-sized allocations a round, {decoded} decoded");
+    for (what, fresh) in runs {
+        println!("{what}: {fresh:?} model-sized allocations a round");
         assert!(
-            fresh.iter().all(|&f| f <= decoded),
-            "{what}: {fresh:?} vectors of {} B allocated in steady rounds that decode \
-             {decoded}; shares, hand-out copies, totals and the average should come \
-             from the round store",
+            fresh.iter().all(|&f| f == 0),
+            "{what}: {fresh:?} vectors of {} B allocated in steady rounds; \
+             shares, totals, the average and received vectors should all come from \
+             the host's pool",
             DIM * 8
         );
     }
