@@ -64,8 +64,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # runs of the same build reach 196.6 (ring) and 413.6 (bulk, two 10 MB
 # vectors over the 2 s runs). Neither ceiling moved: ~8.5 % over those
 # would be 213 and 449, so 215 and 438 leave 9 % and 6 %.
+#
+# Since bulk frames' f64 runs are read from the socket straight into
+# pool vectors, the reactor keeps no byte pool, and the bulk leg dropped
+# by its ~114 MiB: ten 2 s runs read 280.2-299.0 MiB (median 280.4) and
+# 25 s runs 280.4-299.3 (levels one 10 MB vector apart), so its ceiling
+# is ~8.5 % over the highest, 325. Ring did not move (ten 2 s runs
+# 192.7-193.1, 25 s runs 192.7-193.5), so its ceiling stays.
 echo "==> repo benchmark: round digests vs sim twin + exact wire bytes + bulk and ring RSS ceilings (4 workloads x 2 s)"
-for spec in session_mlp_30:: sac_bulk_cnn_3:129833796:438 sac_fanout_256:18930176: ring_bulk_16:164008048:215; do
+for spec in session_mlp_30:: sac_bulk_cnn_3:129833796:325 sac_fanout_256:18930176: ring_bulk_16:164008048:215; do
     IFS=: read -r workload wire_bytes rss_ceiling <<<"$spec"
     result="$(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 2 --trace 0 | tail -n 1)"
@@ -139,6 +146,10 @@ fi
 if cargo +nightly miri --version >/dev/null 2>&1; then
     echo "==> miri (UB check on secagg + simnet)"
     cargo +nightly miri test -p p2pfl-secagg -p p2pfl-simnet -q
+    # The reactor's byte views of f64 runs are the one unsafe code outside
+    # its epoll FFI; their tests call no FFI, so Miri can run them.
+    echo "==> miri (the reactor's f64 byte views)"
+    cargo +nightly miri test -p p2pfl-net --lib -q reactor::sys::byte_view_tests
 else
     echo "==> miri: SKIPPED (cargo-miri not installed for the nightly toolchain)"
 fi

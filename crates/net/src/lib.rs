@@ -48,9 +48,9 @@
 //! b.with(|_, ctx| ctx.send(NodeId(0), Ping(1)));
 //! ```
 
-// `deny` rather than `forbid`: the reactor's epoll shim
-// (`reactor::sys`) is the one module allowed to opt back in — every
-// other module stays safe code.
+// `deny` rather than `forbid`: the reactor's OS shim (`reactor::sys`:
+// the epoll FFI and the byte views of `f64` runs) is the one module
+// allowed to opt back in — every other module stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

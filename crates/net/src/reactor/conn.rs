@@ -23,32 +23,31 @@
 //! `writev`, retiring only completely-written frames so a dying
 //! connection never splits a frame across reconnects. A frame over
 //! [`READ_CHUNK`] is queued as its message and ends the batch it is in:
-//! what is offered of it is one window of at most [`STAGE_WINDOW`] bytes
-//! from its first unwritten byte, encoded into the reactor's one
-//! [`Stage`] just before the write. So a bulk frame never exists whole
-//! in memory on the sending side, and the stage costs one window per
-//! reactor, not one per link; a window the kernel took only part of is
-//! encoded again from where the write stopped.
+//! from its first unwritten byte on, its `f64` runs of at least
+//! [`READ_CHUNK`] bytes are offered from the message's own vectors, and
+//! its other bytes are staged into the reactor's one [`Stage`]. So a bulk
+//! frame is never encoded on the sending side: the kernel copies its runs
+//! out of the vectors that hold them.
 //!
 //! Reads go through the reactor's one [`READ_CHUNK`] scratch buffer into
 //! the link's [`FrameBuffer`]. A read shorter than the chunk drained the
 //! socket, and polling is level-triggered, so [`read_some`] says so and,
 //! unless a frame is half in, the reactor stops there instead of paying
 //! an empty `read` to hear `WouldBlock`. A frame over the chunk is
-//! *bulk*: once its header is in, the rest of it is read from the socket
-//! straight into storage the reactor's byte [`Pool`] lends the link, with
-//! no hop through the scratch chunk, and the storage goes back to the
-//! pool once the frame is delivered. The pool keeps released storage for
-//! the next bulk frame, never more than the links held at once, so
-//! receive memory follows the frames in flight, not links x the largest
-//! frame each ever carried, and a steady round allocates none.
+//! *bulk*: once its header is in, it leaves the frame buffer for the
+//! link's [`BulkFrame`], which reads the rest of it from the socket with
+//! no hop through the scratch chunk: its meta bytes into a small buffer,
+//! and each `f64` run of at least [`READ_CHUNK`] bytes straight into a
+//! vector drawn for it from the reactor's vector pool. That vector is the
+//! one the decoded message carries, so a received run exists once, and
+//! receive memory is the vectors of the frames in flight.
 
 use super::queue::{SendQueue, Stage};
 use super::stats::StatsCells;
 use super::sys;
-use crate::codec::{FrameBuffer, Pool};
+use crate::codec::{BulkFrame, FrameBuffer, Landing, Pool};
 use p2pfl_simnet::{NodeId, Payload};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -60,19 +59,17 @@ const HELLO_MAGIC: &[u8; 4] = b"p2pf";
 /// Max frames offered to one vectored write.
 pub(crate) const WRITE_BATCH: usize = 16;
 
-/// Bytes asked of the kernel per `read`, and the size above which a frame
-/// is bulk: its storage leaves the link once delivered, and it is sent
-/// window by window from its message.
+/// Bytes asked of the kernel per `read`, the size above which a frame
+/// is bulk (sent from its message, received as a [`BulkFrame`]), and the
+/// size from which an `f64` sequence in a bulk frame is a run, written
+/// from and read into its vector in place.
 pub(crate) const READ_CHUNK: usize = 64 << 10;
 
-/// Largest window of a bulk frame encoded for one write. Measured on
-/// the bulk benchmark workloads (2-vCPU host): 64 KiB windows took
-/// 3.4-3.8x the writes of 256 KiB ones for no less RSS, and 1 MiB
-/// windows encoded 26 % more bytes than were written on
-/// `sac_bulk_cnn_3`, the tails of windows the kernel took only part of.
-/// A window per link instead of per reactor raised `ring_bulk_16`'s RSS
-/// from about 194 to 257 MiB at this size.
-pub(crate) const STAGE_WINDOW: usize = 256 << 10;
+/// Most meta bytes of a bulk frame staged for one write. Real frames have
+/// a few dozen (a share block's header and part indices); the cap bounds
+/// the stage for a frame of many meta bytes, which is offered this many
+/// at a time.
+pub(crate) const STAGE_META: usize = 256 << 10;
 
 /// Builds the framed v2 hello announcing `src` dialing `dst`.
 pub(crate) fn hello_frame_v2(src: NodeId, dst: NodeId) -> Vec<u8> {
@@ -128,6 +125,8 @@ pub(crate) struct Link {
     /// neither direction before it.
     pub(crate) got_hello: bool,
     pub(crate) rx: FrameBuffer,
+    /// The bulk frame being received, once its header is in.
+    pub(crate) bulk: Option<BulkFrame>,
     /// Unsent tail of this end's hello: (bytes, offset).
     pub(crate) preamble: Option<(Vec<u8>, usize)>,
     /// Whether the poller registration currently includes writability.
@@ -144,6 +143,7 @@ impl Link {
             dialed: true,
             got_hello: false,
             rx: FrameBuffer::new(),
+            bulk: None,
             preamble: Some((hello_frame_v2(local, remote), 0)),
             want_write: true,
         }
@@ -158,6 +158,7 @@ impl Link {
             dialed: false,
             got_hello: false,
             rx: FrameBuffer::new(),
+            bulk: None,
             preamble: None,
             want_write: false,
         }
@@ -177,8 +178,8 @@ pub(crate) enum FlushOutcome {
 
 /// Writes as much of `queue` (preceded by any hello preamble; held back
 /// until the other end's hello is in) as the kernel will take, in
-/// vectored batches, encoding message frames into `stage` a window at a
-/// time. Retired frames are counted into
+/// vectored batches, staging the meta bytes of message frames into
+/// `stage`. Retired frames are counted into
 /// `stats` (`frames_sent`, `bytes_sent`, and `frames_coalesced` for
 /// frames that shared a `writev` with another frame), and retired
 /// messages give their vectors to `vectors`.
@@ -253,7 +254,7 @@ pub(crate) fn flush_link<M: Payload + Serialize>(
 /// Outcome of one read attempt on a readable connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReadStatus {
-    /// The read filled the scratch chunk or completed a bulk frame; more
+    /// The read filled the scratch chunk or went into a bulk frame; more
     /// may be waiting.
     Full,
     /// The read returned less than the chunk: the kernel buffer was
@@ -265,36 +266,50 @@ pub(crate) enum ReadStatus {
     Closed,
 }
 
-/// Reads once into the link's frame buffer: the rest of a bulk frame
-/// whose header is in straight into the storage it took from `pool`, as
-/// much as the socket has up to the frame's end, and anything else
-/// through `scratch`, the reactor's shared read chunk.
-pub(crate) fn read_some(link: &mut Link, scratch: &mut [u8], pool: &mut Pool<u8>) -> ReadStatus {
-    if let Some(read) = link.rx.read_bulk(&mut link.stream, READ_CHUNK, pool) {
-        return match read {
-            Ok(true) => ReadStatus::Full,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => ReadStatus::Drained,
-            Ok(false) | Err(_) => ReadStatus::Closed,
-        };
-    }
+/// Reads once: into the link's bulk frame, if one is in flight — meta
+/// bytes into its buffer, run bytes straight into the run's vector, drawn
+/// from `vectors` — and otherwise through `scratch`, the reactor's shared
+/// read chunk, into the link's frame buffer. `M` is what the bulk frame
+/// decodes to, which locates its runs.
+pub(crate) fn read_some<M: Deserialize>(
+    link: &mut Link,
+    scratch: &mut [u8],
+    vectors: &mut Pool<f64>,
+) -> ReadStatus {
     loop {
-        match link.stream.read(scratch) {
-            Ok(0) => return ReadStatus::Closed,
-            // `n <= scratch.len()` per the `Read` contract; `get` keeps a
-            // misbehaving implementation from panicking the reactor.
-            Ok(n) => {
-                let bytes = scratch.get(..n).unwrap_or(scratch);
-                link.rx.extend_with_pool(bytes, READ_CHUNK, pool);
-                return if n < scratch.len() {
+        let read = match link.bulk.as_mut() {
+            Some(bulk) => {
+                let stream = &mut link.stream;
+                bulk.receive::<M>(vectors, |landing| match landing {
+                    Landing::Meta(buf) => stream.read(buf),
+                    Landing::Run(run, filled) => {
+                        let bytes = sys::f64_bytes_mut(run);
+                        stream.read(bytes.get_mut(filled..).unwrap_or_default())
+                    }
+                })
+                // Mid-frame, the rest is on its way: read on.
+                .map(|n| (n, ReadStatus::Full))
+            }
+            None => link.stream.read(scratch).map(|n| {
+                // `n <= scratch.len()` per the `Read` contract; `get` keeps
+                // a misbehaving implementation from panicking the reactor.
+                let bytes = scratch.get(..n).unwrap_or_default();
+                link.rx.extend_sized(bytes, READ_CHUNK);
+                let status = if n < scratch.len() {
                     ReadStatus::Short
                 } else {
                     ReadStatus::Full
                 };
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadStatus::Drained,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadStatus::Closed,
-        }
+                (n, status)
+            }),
+        };
+        return match read {
+            Ok((0, _)) => ReadStatus::Closed,
+            Ok((_, status)) => status,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => ReadStatus::Drained,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => ReadStatus::Closed,
+        };
     }
 }
 

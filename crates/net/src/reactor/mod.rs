@@ -41,7 +41,7 @@ mod timer;
 pub use queue::{Frame, SendQueue, Stage};
 pub use stats::NetStats;
 
-use crate::codec::{self, CodecError, FrameBuffer, Pool};
+use crate::codec::{self, BulkFrame, CodecError, FrameBuffer, Pool};
 use p2pfl_simnet::{
     Actor, FaultPlan, LinkFaults, NodeId, Payload, SimDuration, SimTime, TimerId, Transport,
 };
@@ -284,15 +284,13 @@ struct Core<M, A> {
     next_epoch: u64,
     timers: TimerQueue<TimerEntry<M>>,
     scratch: Vec<u8>,
-    /// The window of a bulk frame being written, for whichever link
+    /// The meta bytes of a bulk frame being written, for whichever link
     /// writes one.
     stage: Stage,
-    /// Storage links gave back after bulk frames, lent to the next bulk
-    /// frames that fit.
-    pool: Pool<u8>,
-    /// The model vectors of every hosted actor: received vectors are
-    /// decoded into them, actors draw and give back through their
-    /// transport, and sent ones come back once on the wire.
+    /// The model vectors of every hosted actor: received runs are read
+    /// into them and other received vectors decoded into them, actors
+    /// draw and give back through their transport, and sent ones come
+    /// back once on the wire.
     vectors: Pool<f64>,
     shutdown: bool,
 }
@@ -421,7 +419,7 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
     }
 
     fn give_f64(&mut self, storage: Vec<f64>) {
-        self.vectors.give(storage, true);
+        self.vectors.give(storage);
     }
 }
 
@@ -661,7 +659,9 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
             return;
         };
         let _ = self.poller.delete(link.stream.as_raw_fd());
-        link.rx.discard(&mut self.pool);
+        if let Some(bulk) = link.bulk.take() {
+            bulk.discard(&mut self.vectors);
+        }
         let (Some(local), Some(remote)) = (link.local, link.remote) else {
             return;
         };
@@ -751,45 +751,41 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
     }
 
     /// Reads what a connection has, dispatching complete frames as they
-    /// form. A read that fills the scratch chunk, or completes a bulk
-    /// frame read in place, goes round again. A shorter one drained the
-    /// socket: at a frame boundary that ends the burst, and since polling
-    /// is level-triggered, later bytes (or an EOF) are a fresh readiness,
-    /// so no empty `read` is spent to hear `WouldBlock`. Mid-frame, the
-    /// rest of the frame is already on its way and reading on keeps a
-    /// bulk stream moving: stopping there starved the one
-    /// `sac_bulk_cnn_3` share block a round does not wait for, until the
-    /// next round's block overflowed the send queue.
+    /// form. A read that fills the scratch chunk, or goes into a bulk
+    /// frame, goes round again. A shorter one drained the socket: at a
+    /// frame boundary that ends the burst, and since polling is
+    /// level-triggered, later bytes (or an EOF) are a fresh readiness, so
+    /// no empty `read` is spent to hear `WouldBlock`. Mid-frame, the rest
+    /// of the frame is already on its way and reading on keeps a bulk
+    /// stream moving: stopping there starved the one `sac_bulk_cnn_3`
+    /// share block a round does not wait for, until the next round's
+    /// block overflowed the send queue.
     fn handle_readable(&mut self, token: u64) {
         loop {
             let Some(link) = self.conns.get_mut(&token) else {
                 return;
             };
-            let status = conn::read_some(link, &mut self.scratch, &mut self.pool);
+            let status = conn::read_some::<M>(link, &mut self.scratch, &mut self.vectors);
             if status == conn::ReadStatus::Closed {
                 self.close_conn(token, true);
                 return;
             }
-            // Frames are decoded in place, borrowed from the link's frame
-            // buffer, while delivery needs `&mut self`: the buffer leaves
-            // the link for the duration and goes back unless delivery
-            // closed the connection.
-            let mut rx = std::mem::take(&mut link.rx);
-            let framing = self.deliver_frames(token, &mut rx);
-            let Some(link) = self.conns.get_mut(&token) else {
-                rx.discard(&mut self.pool);
+            match self.deliver_frames(token) {
+                Ok(true) => {}
+                Ok(false) => return,
+                Err(_) => {
+                    // Unframeable input (oversize/corrupt length prefix,
+                    // a bulk frame before the hello) cannot be resynchronized.
+                    self.close_conn(token, true);
+                    return;
+                }
+            }
+            let Some(link) = self.conns.get(&token) else {
                 return;
             };
-            link.rx = rx;
-            if framing.is_err() {
-                // Unframeable input (oversize/corrupt length prefix)
-                // cannot be resynchronized.
-                self.close_conn(token, true);
-                return;
-            }
             let more = match status {
                 conn::ReadStatus::Full => true,
-                conn::ReadStatus::Short => !link.rx.is_empty(),
+                conn::ReadStatus::Short => !link.rx.is_empty() || link.bulk.is_some(),
                 conn::ReadStatus::Drained | conn::ReadStatus::Closed => false,
             };
             if !more {
@@ -798,17 +794,66 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
         }
     }
 
-    /// Delivers every complete frame buffered in `rx`, stopping early if
-    /// the connection goes away underneath. Storage that carried a bulk
-    /// frame and now holds nothing leaves the link for the pool.
-    fn deliver_frames(&mut self, token: u64, rx: &mut FrameBuffer) -> Result<(), CodecError> {
-        while let Some(frame) = rx.next_frame()? {
-            if !self.deliver_frame(token, frame) {
-                break;
+    /// Delivers every frame the connection has whole: those in its frame
+    /// buffer, and its bulk frame once the last byte is in, after which
+    /// the buffer holds the frames that follow. Returns whether the
+    /// connection is still there.
+    fn deliver_frames(&mut self, token: u64) -> Result<bool, CodecError> {
+        loop {
+            let Some(link) = self.conns.get_mut(&token) else {
+                return Ok(false);
+            };
+            match link.bulk.take() {
+                Some(bulk) if bulk.is_whole() => {
+                    self.deliver_bulk(token, bulk);
+                    continue;
+                }
+                Some(bulk) => {
+                    link.bulk = Some(bulk);
+                    return Ok(true);
+                }
+                None => {}
+            }
+            // Frames are decoded in place, borrowed from the link's frame
+            // buffer, while delivery needs `&mut self`: the buffer leaves
+            // the link for the duration and goes back unless delivery
+            // closed the connection.
+            let mut rx = std::mem::take(&mut link.rx);
+            let bulk = self.deliver_buffered(token, &mut rx);
+            let Some(link) = self.conns.get_mut(&token) else {
+                return Ok(false);
+            };
+            link.rx = rx;
+            match bulk? {
+                // It may be whole already: round again.
+                Some(bulk) => link.bulk = Some(bulk),
+                None => return Ok(true),
             }
         }
-        rx.release(&mut self.pool);
-        Ok(())
+    }
+
+    /// Delivers the frames `rx` holds whole, stopping early if the
+    /// connection goes away underneath, then starts the bulk frame whose
+    /// header follows them, if there is one, with its bytes `rx` held.
+    fn deliver_buffered(
+        &mut self,
+        token: u64,
+        rx: &mut FrameBuffer,
+    ) -> Result<Option<BulkFrame>, CodecError> {
+        while let Some(frame) = rx.next_frame()? {
+            if !self.deliver_frame(token, frame) {
+                return Ok(None);
+            }
+        }
+        let Some((len, held)) = rx.next_bulk(conn::READ_CHUNK) else {
+            return Ok(None);
+        };
+        if !self.conns.get(&token).is_some_and(|l| l.got_hello) {
+            return Err(CodecError::Invalid("a bulk frame before the hello"));
+        }
+        let mut bulk = BulkFrame::new(len, conn::READ_CHUNK);
+        bulk.feed::<M>(held, &mut self.vectors);
+        Ok(Some(bulk))
     }
 
     /// Delivers one frame read from a connection: a hello attaches the
@@ -845,19 +890,49 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
                 }
             };
         }
-        let (Some(local), Some(remote)) = (local, remote) else {
-            return true;
+        self.deliver_payload(token, frame.len(), |vectors| {
+            codec::from_bytes_into::<M>(frame, &mut |len| vectors.take(len))
+        });
+        true
+    }
+
+    /// Delivers a bulk frame whose last byte is in.
+    fn deliver_bulk(&mut self, token: u64, bulk: BulkFrame) {
+        let len = bulk.payload_len();
+        let mut bulk = Some(bulk);
+        self.deliver_payload(token, len, |vectors| match bulk.take() {
+            Some(bulk) => bulk.finish::<M>(vectors),
+            None => Err(CodecError::Eof),
+        });
+        // Not decoded: no hosted peer to take it.
+        if let Some(bulk) = bulk {
+            bulk.discard(&mut self.vectors);
+        }
+    }
+
+    /// Counts a payload of `len` bytes from an attached connection into
+    /// its local peer's stats, decodes it with `decode` and dispatches it
+    /// to that peer, or counts a decode error. Does not call `decode`
+    /// when the connection names no hosted peer.
+    fn deliver_payload(
+        &mut self,
+        token: u64,
+        len: usize,
+        decode: impl FnOnce(&mut Pool<f64>) -> Result<M, CodecError>,
+    ) {
+        let Some((local, remote)) = self.conns.get(&token).and_then(|l| l.local.zip(l.remote))
+        else {
+            return;
         };
         let decoded = {
             let Some(slot) = self.peers.get_mut(&local) else {
-                return true;
+                return;
             };
             slot.stats.frames_received.fetch_add(1, Ordering::Relaxed);
             slot.stats
                 .bytes_received
-                .fetch_add(frame.len() as u64 + 4, Ordering::Relaxed);
-            let vectors = &mut self.vectors;
-            codec::from_bytes_into::<M>(frame, &mut |len| vectors.take(len))
+                .fetch_add(len as u64 + 4, Ordering::Relaxed);
+            decode(&mut self.vectors)
         };
         match decoded {
             Ok(msg) => {
@@ -869,7 +944,6 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
                 }
             }
         }
-        true
     }
 
     /// Binds an accepted connection to the hosted peer its hello named,
@@ -1156,8 +1230,7 @@ where
             next_epoch: 0,
             timers: TimerQueue::new(),
             scratch: vec![0u8; conn::READ_CHUNK],
-            stage: Stage::new(conn::STAGE_WINDOW),
-            pool: Pool::new(),
+            stage: Stage::new(conn::STAGE_META),
             vectors: Pool::new(),
             shutdown: false,
         };

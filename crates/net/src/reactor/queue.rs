@@ -2,10 +2,12 @@
 //!
 //! Every (local peer, remote peer) link owns one [`SendQueue`] of
 //! [`Frame`]s: the wire bytes of a small frame, encoded at send time, or a
-//! large frame's message, encoded only as the connection takes it, one
-//! window at a time into the reactor's one [`Stage`]. The queue enforces
-//! *two* caps — a frame-count cap and a byte cap, on frame lengths counted
-//! at send time — and rejects (never blocks, never reorders) when either
+//! large frame's message, which is never encoded whole: as the connection
+//! takes it, its meta bytes are staged into the reactor's one [`Stage`]
+//! and its `f64` runs are written straight from the message's vectors.
+//! The queue enforces *two* caps — a frame-count cap and a byte cap, on
+//! frame lengths counted at send time — and rejects (never blocks, never
+//! reorders) when either
 //! would be exceeded, counting the rejection so a slow consumer shows up
 //! in [`NetStats::sends_dropped`](crate::NetStats::sends_dropped) instead
 //! of as unbounded memory. Frames stay queued until the connection has
@@ -21,7 +23,9 @@
 //! of randomized enqueue/flush/disconnect interleavings, and the
 //! `p2pfl-lint` purity gate holds it to that.
 
-use crate::codec::{self, Pool};
+use super::conn::READ_CHUNK;
+use super::sys;
+use crate::codec::{self, Piece, Pool};
 use p2pfl_simnet::Payload;
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -31,7 +35,8 @@ use std::collections::VecDeque;
 pub enum Frame<M> {
     /// The frame's wire bytes, length prefix included.
     Bytes(Vec<u8>),
-    /// A message, encoded window by window as the connection takes it.
+    /// A message, written piece by piece from itself as the connection
+    /// takes it.
     Message {
         /// The message.
         msg: M,
@@ -71,23 +76,24 @@ impl<M: Payload + Serialize> Frame<M> {
     }
 }
 
-/// The buffer message frames are encoded into, one window of at most a
-/// fixed size at a time, shared by every queue of a reactor: it holds
-/// the window of whichever queue offered a batch last.
+/// The buffer a message frame's meta bytes — all but its `f64` runs of
+/// at least the reactor's 64 KiB read chunk — are staged into for a
+/// write, at most a fixed number of bytes at a time, shared by every
+/// queue of a reactor: it holds the meta bytes of whichever queue offered
+/// a batch last.
 #[derive(Debug)]
 pub struct Stage {
     buf: Vec<u8>,
-    window: usize,
+    cap: usize,
 }
 
 impl Stage {
-    /// A stage for windows of at most `window` bytes (floored at 1),
-    /// allocated once, up front.
-    pub fn new(window: usize) -> Stage {
-        let window = window.max(1);
+    /// A stage for at most `cap` bytes a batch (floored at 1); it grows to
+    /// what is staged.
+    pub fn new(cap: usize) -> Stage {
         Stage {
-            buf: Vec::with_capacity(window),
-            window,
+            buf: Vec::new(),
+            cap: cap.max(1),
         }
     }
 }
@@ -209,9 +215,11 @@ impl<M> SendQueue<M> {
 
 impl<M: Serialize> SendQueue<M> {
     /// The pieces to offer the next vectored write: the unwritten tail of
-    /// the head frame, then complete successors, up to `max` frames in
-    /// all. A message frame ends the batch: what is offered of it is one
-    /// window from its first unwritten byte, encoded into `stage`.
+    /// the head frame, then complete successors, up to `max` pieces in
+    /// all. A message frame ends the batch: from its first unwritten byte
+    /// on, it is offered as its `f64` runs of at least the 64 KiB read
+    /// chunk, borrowed from the message, and its other bytes, staged into
+    /// `stage` up to the stage's size.
     pub fn batch<'a>(
         &'a self,
         max: usize,
@@ -224,12 +232,24 @@ impl<M: Serialize> SendQueue<M> {
             .take_while(|f| matches!(f, Frame::Bytes(_)))
             .count();
         stage.buf.clear();
-        if let Some(Frame::Message { msg, len }) = offered.clone().nth(byte_frames) {
-            let start = if byte_frames == 0 { head_written } else { 0 };
-            let window = start..start.saturating_add(stage.window);
-            codec::frame_window(msg, *len, window, &mut stage.buf);
-        }
-        let staged = Some(stage.buf.as_slice()).filter(|w| !w.is_empty());
+        let pieces = match offered.clone().nth(byte_frames) {
+            Some(Frame::Message { msg, len }) => {
+                let start = if byte_frames == 0 { head_written } else { 0 };
+                let room = max - byte_frames;
+                codec::frame_pieces(
+                    msg,
+                    *len,
+                    start,
+                    READ_CHUNK,
+                    &mut stage.buf,
+                    stage.cap,
+                    room,
+                )
+            }
+            _ => Vec::new(),
+        };
+        let stage: &'a Stage = stage;
+        let staged = stage.buf.as_slice();
         offered
             .take(byte_frames)
             .enumerate()
@@ -237,7 +257,10 @@ impl<M: Serialize> SendQueue<M> {
                 Frame::Bytes(bytes) => bytes.get(if i == 0 { head_written } else { 0 }..),
                 Frame::Message { .. } => None,
             })
-            .chain(staged)
+            .chain(pieces.into_iter().map(move |piece| match piece {
+                Piece::Staged(range) => staged.get(range).unwrap_or_default(),
+                Piece::Run(run, skip) => sys::f64_bytes(run).get(skip..).unwrap_or_default(),
+            }))
     }
 }
 
@@ -314,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn a_message_frame_is_offered_a_window_at_a_time_and_ends_the_batch() {
+    fn a_message_frame_is_staged_up_to_the_stage_size_and_ends_the_batch() {
         let msg = SacMsg::Commit {
             round: 1,
             from_pos: 0,
@@ -334,6 +357,28 @@ mod tests {
         // Small frames are encoded eagerly, to the same bytes.
         let eager = Frame::new(msg, wire.len(), &mut Pool::new());
         assert!(matches!(eager, Some(Frame::Bytes(b)) if b == wire));
+    }
+
+    #[test]
+    fn a_bulk_run_is_offered_from_the_messages_own_vector() {
+        let mut vectors = Pool::new();
+        let total = subtotal(&mut vectors, READ_CHUNK / 8);
+        let SacMsg::Subtotal { value, .. } = &total else {
+            unreachable!()
+        };
+        let at = value.as_slice().as_ptr().cast::<u8>();
+        let wire = codec::to_frame_bytes(&total).unwrap();
+        let mut stage = Stage::new(1 << 10);
+        let mut q = SendQueue::new(8, 1 << 20);
+        q.push(Frame::new(total, READ_CHUNK, &mut vectors).unwrap());
+        let batch: Vec<&[u8]> = q.batch(8, &mut stage).collect();
+        assert_eq!(batch.len(), 2, "staged header, then the run");
+        assert_eq!(batch[1].as_ptr(), at, "the run is the vector's memory");
+        assert_eq!(batch.concat(), wire);
+        // From inside the run, cut mid-element.
+        assert_eq!(q.advance(100, &mut vectors), (0, 0));
+        let batch: Vec<&[u8]> = q.batch(8, &mut stage).collect();
+        assert_eq!(batch, [&wire[100..]]);
     }
 
     #[test]

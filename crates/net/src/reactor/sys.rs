@@ -1,18 +1,45 @@
 //! The reactor's thin OS shim: epoll readiness polling and non-blocking
 //! TCP connect, hand-rolled over `extern "C"` declarations against the
-//! libc `std` already links.
+//! libc `std` already links, and the byte views of `f64` runs that let a
+//! socket read into and write from a model vector.
 //!
 //! This is the *only* module in the crate allowed to use `unsafe` (the
 //! crate root is `deny(unsafe_code)`; everything else stays safe). The
 //! surface is deliberately tiny and fully wrapped: [`Poller`] owns the
-//! epoll instance, [`Events`] owns the readiness buffer, and
+//! epoll instance, [`Events`] owns the readiness buffer,
 //! [`connect_nonblocking`] / [`take_socket_error`] cover the two socket
-//! operations `std` has no portable API for. On non-Linux targets every
-//! entry point returns [`io::ErrorKind::Unsupported`] so the crate still
-//! compiles (the reactor is a Linux deployment vehicle; CI and the
+//! operations `std` has no portable API for, and [`f64_bytes`] /
+//! [`f64_bytes_mut`] are two casts. On non-Linux targets every epoll and
+//! socket entry point returns [`io::ErrorKind::Unsupported`] so the crate
+//! still compiles (the reactor is a Linux deployment vehicle; CI and the
 //! benches run on Linux).
 
 #![allow(unsafe_code)]
+
+// The wire carries an `f64` as its little-endian bit pattern, which is
+// its memory only on a little-endian target.
+#[cfg(target_endian = "big")]
+compile_error!(
+    "the p2pfl wire is little-endian: the reactor reads and writes f64 runs as their memory"
+);
+
+/// The bytes of `v` as the wire carries them: each element's
+/// little-endian bit pattern, in order.
+pub(crate) fn f64_bytes(v: &[f64]) -> &[u8] {
+    // SAFETY: `v` is `size_of_val(v)` initialized bytes, readable for the
+    // borrow's lifetime, and `u8` has alignment 1. On a little-endian
+    // target (checked above) those bytes are `to_le_bytes` of each
+    // element.
+    unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
+}
+
+/// The bytes of `v`, writable: whatever is written through them reads
+/// back as the `f64`s with those little-endian bit patterns.
+pub(crate) fn f64_bytes_mut(v: &mut [f64]) -> &mut [u8] {
+    // SAFETY: as in `f64_bytes`, and the borrow is exclusive for its
+    // lifetime; every bit pattern written through it is a valid `f64`.
+    unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
+}
 
 /// Readiness of one registered file descriptor, decoded from the raw
 /// epoll event mask.
@@ -420,6 +447,59 @@ mod stub {
 
     pub(crate) fn take_socket_error(_stream: &TcpStream) -> io::Result<()> {
         unsupported()
+    }
+}
+
+/// The byte views: no FFI, so these also run under Miri.
+#[cfg(test)]
+mod byte_view_tests {
+    use super::{f64_bytes, f64_bytes_mut};
+    use crate::codec::to_bytes;
+
+    /// Edge bit patterns: NaNs with payloads (quiet and signalling, both
+    /// signs), the zeros, the smallest and largest subnormals, the
+    /// infinities and ordinary values.
+    fn edges() -> Vec<f64> {
+        [
+            0x7ff8_0000_0000_0001,
+            0xfff0_0000_dead_beef,
+            0x7ff0_0000_0000_0001,
+            0xffff_ffff_ffff_ffff,
+            0x0000_0000_0000_0000,
+            0x8000_0000_0000_0000,
+            0x0000_0000_0000_0001,
+            0x800f_ffff_ffff_ffff,
+            0x7ff0_0000_0000_0000,
+            0xfff0_0000_0000_0000,
+            1.5f64.to_bits(),
+            (-2.25e-300f64).to_bits(),
+        ]
+        .map(f64::from_bits)
+        .to_vec()
+    }
+
+    #[test]
+    fn byte_views_are_the_codec_bytes() {
+        let v = edges();
+        // The codec writes a sequence as its length, then its elements.
+        assert_eq!(f64_bytes(&v), &to_bytes(&v)[4..]);
+        assert_eq!(f64_bytes(&v[3..5]), &to_bytes(&v[3..5].to_vec())[4..]);
+        assert!(f64_bytes(&[]).is_empty());
+    }
+
+    #[test]
+    fn byte_view_writes_read_back_exactly() {
+        let want = edges();
+        let wire = to_bytes(&want);
+        let mut got = vec![0.0f64; want.len()];
+        // Written in odd pieces, cutting elements anywhere.
+        let bytes = f64_bytes_mut(&mut got);
+        for (at, piece) in (0..).step_by(5).zip(wire[4..].chunks(5)) {
+            bytes[at..at + piece.len()].copy_from_slice(piece);
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(f64_bytes(&got), &wire[4..]);
     }
 }
 

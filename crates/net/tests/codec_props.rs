@@ -1,15 +1,17 @@
 //! Property tests: every workspace wire message type round-trips through
 //! the binary codec bit-for-bit, including the degenerate shapes the
 //! protocols actually produce (zero-length share vectors, empty entry
-//! batches) and large share blocks.
+//! batches) and large share blocks; and a frame sent piece by piece from
+//! its value, or received piece by piece into pooled vectors, is the same
+//! bytes and the same value as the whole-buffer paths.
 
 use p2pfl_hierraft::{
     ElasticGroup, FedCmd, FedConfig, FedSnapshot, HierMsg, RobustCombiner, SubCmd, SubMembers,
     SubSnapshot, Topology, TopologyCmd,
 };
 use p2pfl_net::codec::{
-    frame_len, frame_window, from_bytes, to_bytes, to_frame_bytes, write_frame, CodecError,
-    FrameBuffer, MAX_FRAME,
+    frame_len, frame_pieces, from_bytes, to_bytes, to_frame_bytes, write_frame, BulkFrame,
+    CodecError, FrameBuffer, Piece, Pool, MAX_FRAME,
 };
 use p2pfl_net::{Reactor, ReactorConfig};
 use p2pfl_raft::{Entry, LogCmd, PersistOp, RaftMsg};
@@ -422,35 +424,102 @@ fn arb_sacmsg(max_dim: usize) -> impl Strategy<Value = SacMsg> {
     ]
 }
 
-/// Encodes `msg`'s frame as the windows between `cuts` (taken modulo the
-/// frame length, so any offset can be one) and checks that they
-/// concatenate to exactly `to_frame_bytes(msg)`, whose length
-/// `frame_len` counts.
-fn windows_rebuild_the_frame<T: Serialize>(msg: &T, cuts: &[usize]) {
+/// Run threshold for the piecewise paths: small, so that the generated
+/// messages' vectors are runs or not at random.
+const RUN_MIN: usize = 24;
+
+/// The bytes of a piece: staged ones from `staged`, a run's from its
+/// elements.
+fn piece_bytes(piece: &Piece<'_>, staged: &[u8]) -> Vec<u8> {
+    match piece {
+        Piece::Staged(range) => staged[range.clone()].to_vec(),
+        Piece::Run(run, skip) => run
+            .iter()
+            .flat_map(|x| x.to_le_bytes())
+            .skip(*skip)
+            .collect(),
+    }
+}
+
+/// Writes `msg`'s frame from byte `from` on the way a send queue does,
+/// batch after batch of at most `max` pieces and `cap` staged bytes, and
+/// checks the bytes are exactly `to_frame_bytes(msg)` from `from` on.
+fn pieces_rebuild_the_frame<T: Serialize>(msg: &T, from: usize, cap: usize, max: usize) {
     let wire = to_frame_bytes(msg).expect("fits a frame");
     let len = frame_len(msg).expect("counted");
     assert_eq!(len, wire.len(), "counted frame length");
-    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (len + 1)).collect();
-    bounds.extend([0, len]);
-    bounds.sort_unstable();
-    let mut out = Vec::new();
-    for w in bounds.windows(2) {
-        frame_window(msg, len, w[0]..w[1], &mut out);
-        assert_eq!(out[..], wire[..w[1]], "window {}..{}", w[0], w[1]);
+    let (mut at, mut staged) = (from, Vec::new());
+    while at < len {
+        let pieces = frame_pieces(msg, len, at, RUN_MIN, &mut staged, cap, max);
+        assert!(
+            !pieces.is_empty() && pieces.len() <= max,
+            "{} pieces",
+            pieces.len()
+        );
+        assert!(staged.len() <= cap, "staged {} of {cap}", staged.len());
+        let batch: Vec<u8> = pieces
+            .iter()
+            .flat_map(|p| piece_bytes(p, &staged))
+            .collect();
+        assert!(batch[..] == wire[at..at + batch.len()], "from {at}");
+        at += batch.len();
     }
-    frame_window(msg, len, len..len + 9, &mut out);
-    assert!(out == wire, "a window past the end adds nothing");
+    let past = frame_pieces(msg, len, len, RUN_MIN, &mut staged, cap, max);
+    assert!(past.is_empty(), "pieces past the end");
+}
+
+/// Receives `msg`'s payload into a [`BulkFrame`] in the pieces between
+/// `cuts`, and checks it decodes to exactly what `from_bytes` does, with
+/// every run's vector back in the pool or in the value.
+fn piecewise_receive_matches_from_bytes(msg: &SacMsg, cuts: &[usize]) {
+    let bytes = to_bytes(msg);
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+    bounds.extend([0, bytes.len()]);
+    bounds.sort_unstable();
+    let mut pool = Pool::new();
+    let mut rx = BulkFrame::new(bytes.len(), RUN_MIN);
+    for w in bounds.windows(2) {
+        assert!(!rx.is_whole() || w[0] == w[1]);
+        let piece = &bytes[w[0]..w[1]];
+        assert_eq!(rx.feed::<SacMsg>(piece, &mut pool), piece.len());
+    }
+    assert!(rx.is_whole());
+    let got = rx.finish::<SacMsg>(&mut pool).expect("decodes");
+    let want = from_bytes::<SacMsg>(&bytes).expect("decodes");
+    assert!(
+        to_bytes(&got) == to_bytes(&want),
+        "bits differ at cuts {bounds:?}"
+    );
+    assert!(to_bytes(&got) == bytes);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn sac_frame_windows_concatenate_to_the_frame(
+    fn sac_send_pieces_from_every_offset_concatenate_to_the_frame(
+        msg in arb_sacmsg(24),
+        cap in 1usize..40,
+        max in 1usize..6,
+    ) {
+        for from in 0..=frame_len(&msg).expect("counted") {
+            pieces_rebuild_the_frame(&msg, from, cap, max);
+        }
+    }
+
+    #[test]
+    fn sac_piecewise_receive_decodes_as_from_bytes(
         msg in arb_sacmsg(24),
         cuts in prop::collection::vec(any::<usize>(), 0..16),
     ) {
-        windows_rebuild_the_frame(&msg, &cuts);
+        piecewise_receive_matches_from_bytes(&msg, &cuts);
+        // Small messages: a read boundary at every offset.
+        let len = to_bytes(&msg).len();
+        if len <= 256 {
+            for cut in 0..=len {
+                piecewise_receive_matches_from_bytes(&msg, &[cut]);
+            }
+        }
     }
 
     #[test]
@@ -791,12 +860,12 @@ fn max_size_share_vector_round_trips() {
     assert_eq!(back, msg);
 }
 
-/// Share blocks, subtotals and control messages, tiled by windows of
-/// every size from 1 to 17 bytes: together the tilings cut at every byte, so
-/// at every offset inside the length prefix, inside each `u32` length
-/// field and variant index, and inside each `f64`.
+/// Share blocks, subtotals and control messages, sent from every start
+/// offset and received through a boundary at every offset: inside the
+/// length prefix, inside each `u32` length field and variant index, and
+/// inside each `f64`, with runs and staged vectors on both sides.
 #[test]
-fn frame_windows_of_every_size_tile_share_blocks_and_totals() {
+fn pieces_from_every_offset_and_reads_cut_anywhere_rebuild_share_blocks_and_totals() {
     let v = |dim: usize, seed: f64| {
         WeightVector::new(
             (0..dim)
@@ -835,10 +904,15 @@ fn frame_windows_of_every_size_tile_share_blocks_and_totals() {
             from_pos: 1,
         },
     ];
-    for size in 1..=17 {
-        let tile = |len: usize| (size..len).step_by(size).collect::<Vec<_>>();
-        for msg in &msgs {
-            windows_rebuild_the_frame(msg, &tile(frame_len(msg).unwrap()));
+    for msg in &msgs {
+        let len = frame_len(msg).unwrap();
+        for from in 0..=len {
+            for (cap, max) in [(1, 1), (5, 2), (17, 3), (64, 16)] {
+                pieces_rebuild_the_frame(msg, from, cap, max);
+            }
+        }
+        for cut in 0..len - 4 {
+            piecewise_receive_matches_from_bytes(msg, &[cut, cut + 3, cut + 9]);
         }
     }
 }
@@ -851,7 +925,7 @@ struct Oversized {
 }
 
 impl Serialize for Oversized {
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
         static ZEROS: [f64; 8192] = [0.0; 8192];
         s.begin_seq(self.blocks as usize)?;
         for _ in 0..self.blocks {

@@ -1,12 +1,14 @@
 //! Negative-path hardening: truncated, oversized, and garbage input on
 //! every untrusted surface — the binary codec, the incremental
-//! [`FrameBuffer`], and a live [`Reactor`] peer fed raw hostile frames and
-//! hellos over TCP — must produce typed errors (or counted drops, or a
-//! closed connection), never a panic.
+//! [`FrameBuffer`], the piecewise receive of a bulk frame into pooled
+//! vectors ([`BulkFrame`]), and a live [`Reactor`] peer fed raw hostile
+//! frames and hellos over TCP — must produce typed errors (or counted
+//! drops, or a closed connection), never a panic.
 
 use p2pfl_hierraft::{FedConfig, HierMsg, RobustCombiner, SubCmd};
 use p2pfl_net::codec::{
-    from_bytes, read_frame, to_bytes, write_frame, CodecError, FrameBuffer, MAX_FRAME,
+    from_bytes, read_frame, to_bytes, to_frame_bytes, write_frame, BulkFrame, CodecError,
+    FrameBuffer, Pool, MAX_FRAME,
 };
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
 use p2pfl_raft::{Entry, LogCmd, RaftMsg};
@@ -382,4 +384,149 @@ fn bad_hellos_close_only_their_own_connection() {
         "a refused connection reached the decoder"
     );
     assert_eq!(sink.stats().frames_received, 2);
+}
+
+/// The reactor's read chunk: frames over it are received as
+/// [`BulkFrame`]s, and `f64` sequences of at least it are runs.
+const READ_CHUNK: usize = 64 << 10;
+
+/// The payload of a bulk `Subtotal` frame of `len` bytes whose vector
+/// declares `n` elements: more than the frame can hold when `8 * n`
+/// passes what is left of it, though `n` alone does not.
+fn overrunning_subtotal(len: usize, n: u32) -> Vec<u8> {
+    let header = to_bytes(&SacMsg::Subtotal {
+        round: 1,
+        idx: 2,
+        value: WeightVector::zeros(0),
+    });
+    let mut payload = header[..header.len() - 4].to_vec();
+    payload.extend_from_slice(&n.to_le_bytes());
+    payload.resize(len, 0);
+    payload
+}
+
+#[test]
+fn a_run_declared_past_its_frame_is_refused_before_a_vector_is_drawn() {
+    let len = 100_000;
+    let n = 20_000; // 160 000 bytes declared, ~99 970 left
+    let payload = overrunning_subtotal(len, n);
+    let mut pool = Pool::new();
+    let kept = pool.take(n as usize);
+    pool.give(kept);
+    let mut rx = BulkFrame::new(len, READ_CHUNK);
+    for piece in payload.chunks(4096) {
+        assert_eq!(rx.feed::<SacMsg>(piece, &mut pool), piece.len());
+        assert_eq!(pool.lent(), 0, "a vector was drawn for the run");
+    }
+    assert_eq!(rx.finish::<SacMsg>(&mut pool), Err(CodecError::Eof));
+    assert_eq!((pool.lent(), pool.kept()), (0, n as usize));
+
+    // On a live reactor: a decode error, and the link goes on.
+    let (reactor, sink) = sink_reactor();
+    let mut conn = TcpStream::connect(reactor.local_addr()).expect("connect");
+    write_frame(&mut conn, &hello_v2(9, 0)).unwrap();
+    write_frame(&mut conn, &payload).unwrap();
+    write_frame(&mut conn, &to_bytes(&SacMsg::Begin { round: 1 })).unwrap();
+    wait_until("the next frame delivered", || sink.with(|a, _| a.got) == 1);
+    assert_eq!(sink.decode_errors(), 1);
+}
+
+#[test]
+fn a_connection_cut_mid_run_gives_the_drawn_vectors_back() {
+    let dim = 3 * READ_CHUNK / 8;
+    let block = SacMsg::ShareBlock {
+        round: 4,
+        from_pos: 1,
+        parts: vec![
+            (0, WeightVector::zeros(dim).into()),
+            (1, WeightVector::zeros(dim).into()),
+        ],
+    };
+    let payload = to_bytes(&block);
+    // Baseline: vectors already out, as a round core holds them.
+    let mut pool = Pool::new();
+    let held: Vec<Vec<f64>> = (0..3).map(|_| pool.take(dim)).collect();
+    let baseline = pool.lent();
+    for cut in [40, payload.len() / 2, payload.len() - 1] {
+        let mut rx = BulkFrame::new(payload.len(), READ_CHUNK);
+        for piece in payload[..cut].chunks(1500) {
+            rx.feed::<SacMsg>(piece, &mut pool);
+        }
+        assert!(!rx.is_whole());
+        assert!(
+            pool.lent() > baseline || cut == 40,
+            "cut {cut}: no run drawn"
+        );
+        rx.discard(&mut pool);
+        assert_eq!(
+            pool.lent(),
+            baseline,
+            "cut {cut}: drawn vectors not given back"
+        );
+    }
+    drop(held);
+
+    // On a live reactor, cut after half a run, over and over: each cut
+    // closes only its link.
+    let (reactor, sink) = sink_reactor();
+    let wire = to_frame_bytes(&block).expect("fits a frame");
+    for _ in 0..20 {
+        let mut conn = TcpStream::connect(reactor.local_addr()).expect("connect");
+        write_frame(&mut conn, &hello_v2(9, 0)).unwrap();
+        conn.write_all(&wire[..wire.len() / 2]).unwrap();
+    }
+    let mut conn = TcpStream::connect(reactor.local_addr()).expect("connect");
+    write_frame(&mut conn, &hello_v2(9, 0)).unwrap();
+    conn.write_all(&wire).unwrap();
+    wait_until("a whole frame after the cut ones", || {
+        sink.with(|a, _| a.got) == 1
+    });
+    assert_eq!(sink.decode_errors(), 0);
+}
+
+/// Receives `msg` as a bulk frame in 4 KiB reads and checks the probes
+/// that locate its runs walked at most its length plus a read chunk, and
+/// that it decodes as `from_bytes` does.
+fn parses_linearly(what: &str, msg: &SacMsg) {
+    let payload = to_bytes(msg);
+    let mut pool = Pool::new();
+    let mut rx = BulkFrame::new(payload.len(), READ_CHUNK);
+    for piece in payload.chunks(4096) {
+        rx.feed::<SacMsg>(piece, &mut pool);
+    }
+    let bound = payload.len() + READ_CHUNK;
+    assert!(
+        rx.parsed() <= bound,
+        "{what}: {} bytes parsed for a frame of {}: the prefix was re-parsed",
+        rx.parsed(),
+        payload.len()
+    );
+    let got = rx.finish::<SacMsg>(&mut pool).expect("decodes");
+    assert!(to_bytes(&got) == payload, "{what}: decoded differently");
+}
+
+#[test]
+fn meta_heavy_and_many_run_frames_parse_in_linear_work() {
+    // Almost all meta: a commitment of 200 000 digests.
+    let commit = SacMsg::Commit {
+        round: 1,
+        from_pos: 0,
+        digests: (0..200_000).collect(),
+    };
+    parses_linearly("meta bytes", &commit);
+    // Runs between ever longer meta: each run sits behind a small part,
+    // decoded from the meta bytes, so a walk of the prefix per run would
+    // cost ~16x the frame.
+    let parts = (0..300)
+        .map(|i| {
+            let dim = if i % 2 == 0 { READ_CHUNK / 8 + 8 } else { 1000 };
+            (i, WeightVector::new(vec![i as f64; dim]).into())
+        })
+        .collect();
+    let block = SacMsg::ShareBlock {
+        round: 2,
+        from_pos: 0,
+        parts,
+    };
+    parses_linearly("many runs", &block);
 }

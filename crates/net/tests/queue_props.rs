@@ -6,8 +6,9 @@
 //! enqueue/write/disconnect interleavings alongside the real
 //! [`SendQueue`]s of two links that share one [`Stage`], the way a
 //! reactor's links do. Frames are of both kinds: bytes encoded at send
-//! time, and messages encoded a window at a time as the link writes them.
-//! After every operation each queue and its model must agree on length,
+//! time, and messages whose bytes are staged, at most a stage's size a
+//! write, as the link writes them (their vectors are under the run size,
+//! so every byte is staged). After every operation each queue and its model must agree on length,
 //! byte total, drop count, and what the next vectored batch would offer,
 //! and the bytes a link has written so far must be a prefix of its
 //! accepted frames' `to_frame_bytes`, in push order. The invariants the
@@ -16,8 +17,8 @@
 //! * Neither cap is ever exceeded, no matter the interleaving.
 //! * Per-link FIFO: the batch is always a prefix of the accepted frames
 //!   in push order — a reconnect (`reset_progress`) rewinds to the head
-//!   frame's boundary but never reorders or skips, even mid-window, and
-//!   another link's window in the shared stage never leaks in.
+//!   frame's boundary but never reorders or skips, even mid-stage, and
+//!   another link's bytes in the shared stage never leak in.
 //! * Every rejected push is counted, exactly once.
 //! * `advance` retires a frame exactly when its full length has been
 //!   written since it became head, and reports whole frames only.

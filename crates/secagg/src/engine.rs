@@ -286,11 +286,11 @@ impl Payload for SacMsg {
             SacMsg::ShareBlock { parts, .. } => {
                 for (_, part) in parts {
                     if let Some(v) = Arc::into_inner(part) {
-                        vectors.give(v.into_inner(), true);
+                        vectors.give(v.into_inner());
                     }
                 }
             }
-            SacMsg::Subtotal { value, .. } => vectors.give(value.into_inner(), true),
+            SacMsg::Subtotal { value, .. } => vectors.give(value.into_inner()),
             _ => {}
         }
     }

@@ -62,7 +62,7 @@ impl Default for JsonSerializer {
     }
 }
 
-impl Serializer for JsonSerializer {
+impl Serializer<'_> for JsonSerializer {
     type Error = Infallible;
 
     fn ser_bool(&mut self, v: bool) -> Result<(), Infallible> {

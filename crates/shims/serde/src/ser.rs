@@ -3,7 +3,11 @@
 /// An event-stream serializer. Backends (binary codec, JSON writer) decide
 /// which events carry bytes; e.g. the binary codec ignores struct/field
 /// names entirely while JSON ignores variant indices.
-pub trait Serializer {
+///
+/// `'v` is the lifetime of the value being serialized: a backend may keep
+/// the `f64` runs it is handed ([`Serializer::ser_f64_seq`]) for as long
+/// as the value is borrowed, e.g. to write them out without a copy.
+pub trait Serializer<'v> {
     /// Backend error type.
     type Error: std::fmt::Debug;
 
@@ -30,7 +34,7 @@ pub trait Serializer {
     /// stream; a backend whose sequence encoding is a flat run of fixed-
     /// width elements overrides it with one bulk copy producing the same
     /// output.
-    fn ser_f64_seq(&mut self, v: &[f64]) -> Result<(), Self::Error> {
+    fn ser_f64_seq(&mut self, v: &'v [f64]) -> Result<(), Self::Error> {
         element_wise(v, self)
     }
 
@@ -61,12 +65,15 @@ pub trait Serializer {
 /// Types that can write themselves to any [`Serializer`].
 pub trait Serialize {
     /// Streams `self` into `s`.
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error>;
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error>;
 
     /// Streams a slice of `Self` as one sequence — what `[T]` and `Vec<T>`
     /// serialize through. Provided element by element; `f64` overrides it
     /// to reach [`Serializer::ser_f64_seq`].
-    fn serialize_slice<S: Serializer + ?Sized>(slice: &[Self], s: &mut S) -> Result<(), S::Error>
+    fn serialize_slice<'v, S: Serializer<'v> + ?Sized>(
+        slice: &'v [Self],
+        s: &mut S,
+    ) -> Result<(), S::Error>
     where
         Self: Sized,
     {
@@ -75,8 +82,8 @@ pub trait Serialize {
 }
 
 /// A sequence as its event stream: length, then each element in turn.
-fn element_wise<T: Serialize, S: Serializer + ?Sized>(
-    slice: &[T],
+fn element_wise<'v, T: Serialize, S: Serializer<'v> + ?Sized>(
+    slice: &'v [T],
     s: &mut S,
 ) -> Result<(), S::Error> {
     s.begin_seq(slice.len())?;
@@ -90,7 +97,7 @@ fn element_wise<T: Serialize, S: Serializer + ?Sized>(
 macro_rules! ser_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+            fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
                 s.ser_u64(*self as u64)
             }
         }
@@ -101,7 +108,7 @@ ser_uint!(u8, u16, u32, u64, usize);
 macro_rules! ser_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+            fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
                 s.ser_i64(*self as i64)
             }
         }
@@ -110,64 +117,67 @@ macro_rules! ser_int {
 ser_int!(i8, i16, i32, i64, isize);
 
 impl Serialize for bool {
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
         s.ser_bool(*self)
     }
 }
 
 impl Serialize for f32 {
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
         s.ser_f32(*self)
     }
 }
 
 impl Serialize for f64 {
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
         s.ser_f64(*self)
     }
-    fn serialize_slice<S: Serializer + ?Sized>(slice: &[f64], s: &mut S) -> Result<(), S::Error> {
+    fn serialize_slice<'v, S: Serializer<'v> + ?Sized>(
+        slice: &'v [f64],
+        s: &mut S,
+    ) -> Result<(), S::Error> {
         s.ser_f64_seq(slice)
     }
 }
 
 impl Serialize for str {
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
         s.ser_str(self)
     }
 }
 
 impl Serialize for String {
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
         s.ser_str(self)
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
         (**self).serialize(s)
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
         (**self).serialize(s)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
         T::serialize_slice(self, s)
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
         self.as_slice().serialize(s)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
         match self {
             None => s.ser_none(),
             Some(v) => {
@@ -181,7 +191,7 @@ impl<T: Serialize> Serialize for Option<T> {
 macro_rules! ser_tuple {
     ($(($($n:ident $idx:tt),+; $len:expr))*) => {$(
         impl<$($n: Serialize),+> Serialize for ($($n,)+) {
-            fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) -> Result<(), S::Error> {
+            fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
                 s.begin_seq($len)?;
                 $(
                     s.seq_element()?;

@@ -424,7 +424,7 @@ fn gen_serialize(input: &Input) -> String {
     format!(
         "#[automatically_derived]\n\
          impl {ig} ::serde::Serialize for {name}{tg} {{\n\
-         fn serialize<__S: ::serde::Serializer + ?Sized>(&self, __s: &mut __S)\n\
+         fn serialize<'__v, __S: ::serde::Serializer<'__v> + ?Sized>(&'__v self, __s: &mut __S)\n\
          -> ::core::result::Result<(), __S::Error> {{\n{body}}}\n}}\n"
     )
 }

@@ -17,9 +17,25 @@
 //! On the wire each message is one *frame*: a `u32` little-endian payload
 //! length followed by the payload, capped at [`MAX_FRAME`] so a corrupt or
 //! hostile length prefix cannot trigger an unbounded allocation.
+//!
+//! A frame that carries model vectors is mostly `f64` sequences. For such
+//! frames the codec tells a sequence of at least a size the caller names —
+//! a *run* — from the rest of the frame, its *meta* bytes, so that the
+//! wire copy of a run can be its only copy:
+//!
+//! * on send, [`frame_pieces`] gives a frame from any byte offset on as
+//!   pieces for a vectored write: meta bytes staged into a small buffer,
+//!   runs borrowed from the value;
+//! * on receive, a [`BulkFrame`] locates each run from the meta bytes in
+//!   so far, lands the run's bytes in a vector drawn from a [`Pool`], and
+//!   decodes the frame once, at its end, from its meta bytes plus its
+//!   filled runs.
+//!
+//! Both carry exactly the bytes [`to_frame_bytes`] writes.
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 /// Hard upper bound on a frame payload (64 MiB). The largest legitimate
 /// message in this workspace is a `ShareBlock` of CNN-sized weight
@@ -88,11 +104,7 @@ pub fn from_bytes_into<T: Deserialize>(
     bytes: &[u8],
     storage: &mut dyn FnMut(usize) -> Vec<f64>,
 ) -> Result<T, CodecError> {
-    let mut de = BinDeserializer {
-        bytes,
-        pos: 0,
-        storage,
-    };
+    let mut de = BinDeserializer::new(bytes, &mut [], bytes.len(), storage, None);
     let value = T::deserialize(&mut de)?;
     if de.pos != bytes.len() {
         return Err(CodecError::TrailingBytes);
@@ -122,15 +134,16 @@ fn encode_with_prefix<T: Serialize + ?Sized>(value: &T, prefix: usize) -> Option
     Some(ser.out)
 }
 
-/// Where [`BinSerializer`] puts its bytes: a growing buffer, or a counter
-/// that only sizes one.
-trait Sink {
+/// Where [`BinSerializer`] puts its bytes: a growing buffer, a counter
+/// that only sizes one, or the pieces of a frame's vectored write. `'v`
+/// is the lifetime of the value serialized.
+trait Sink<'v> {
     fn put(&mut self, bytes: &[u8]);
     /// A run of `f64`s as consecutive little-endian bit patterns.
-    fn put_f64s(&mut self, v: &[f64]);
+    fn put_f64s(&mut self, v: &'v [f64]);
 }
 
-impl Sink for Vec<u8> {
+impl Sink<'_> for Vec<u8> {
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
     }
@@ -152,7 +165,7 @@ impl Sink for Vec<u8> {
 
 struct ByteCount(usize);
 
-impl Sink for ByteCount {
+impl Sink<'_> for ByteCount {
     fn put(&mut self, bytes: &[u8]) {
         self.0 = self.0.saturating_add(bytes.len());
     }
@@ -162,57 +175,94 @@ impl Sink for ByteCount {
     }
 }
 
-/// A sink that keeps only the bytes at stream offsets `[start, end)` of
-/// everything put, appending them to `out`; the rest is only counted. A
-/// window may begin or end anywhere, inside an integer or an `f64` too.
-struct Window<'a> {
+/// One piece of a frame as [`frame_pieces`] gives it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Piece<'v> {
+    /// Bytes staged into the caller's buffer, at this range of it.
+    Staged(Range<usize>),
+    /// A run of the value, from its byte at this offset on. On a
+    /// little-endian host a run's memory is its wire bytes.
+    Run(&'v [f64], usize),
+}
+
+/// The sink behind [`frame_pieces`]: keeps what is put at stream offset
+/// `from` and after, runs of at least `run_min` bytes as borrowed pieces
+/// and everything else staged, until it holds `max` pieces or has staged
+/// `cap` bytes. The rest is only counted.
+struct Pieces<'v, 'b> {
     /// Stream offset of the next byte put.
     pos: usize,
-    start: usize,
-    end: usize,
-    out: &'a mut Vec<u8>,
+    from: usize,
+    run_min: usize,
+    staged: &'b mut Vec<u8>,
+    cap: usize,
+    pieces: Vec<Piece<'v>>,
+    max: usize,
+    /// Set once a byte had to be left out: nothing after it is kept.
+    full: bool,
 }
 
-impl Window<'_> {
-    /// The part of a run of `len` bytes at `pos` that falls inside the
-    /// window, relative to the run.
-    fn overlap(&self, len: usize) -> std::ops::Range<usize> {
-        let from = self.start.saturating_sub(self.pos).min(len);
-        let to = self.end.saturating_sub(self.pos).min(len);
-        from..to.max(from)
+impl Pieces<'_, '_> {
+    /// Opens a new piece unless that would pass `max`.
+    fn open(&mut self) -> bool {
+        self.full |= self.pieces.len() >= self.max;
+        !self.full
     }
 }
 
-impl Sink for Window<'_> {
+impl<'v> Sink<'v> for Pieces<'v, '_> {
     fn put(&mut self, bytes: &[u8]) {
-        let keep = self.overlap(bytes.len());
-        self.out
-            .extend_from_slice(bytes.get(keep).unwrap_or_default());
-        self.pos = self.pos.saturating_add(bytes.len());
+        let at = self.pos;
+        self.pos = at.saturating_add(bytes.len());
+        if self.full || self.pos <= self.from {
+            return;
+        }
+        let bytes = bytes
+            .get(self.from.saturating_sub(at)..)
+            .unwrap_or_default();
+        if !matches!(self.pieces.last(), Some(Piece::Staged(_))) {
+            if !self.open() {
+                return;
+            }
+            let at = self.staged.len();
+            self.pieces.push(Piece::Staged(at..at));
+        }
+        let room = self.cap.saturating_sub(self.staged.len());
+        let keep = bytes.get(..room).unwrap_or(bytes);
+        self.staged.extend_from_slice(keep);
+        self.full = keep.len() < bytes.len();
+        if let Some(Piece::Staged(range)) = self.pieces.last_mut() {
+            range.end = self.staged.len();
+        }
     }
 
-    /// Encodes only the elements the window touches: an element it cuts
-    /// at either end byte by byte, the whole ones between in bulk.
-    fn put_f64s(&mut self, v: &[f64]) {
+    fn put_f64s(&mut self, v: &'v [f64]) {
         let len = v.len().saturating_mul(8);
-        let keep = self.overlap(len);
-        let mut at = keep.start;
-        while at < keep.end {
-            let i = at / 8;
-            let whole = (keep.end - at) / 8;
-            if at.is_multiple_of(8) && whole > 0 {
-                self.out.put_f64s(v.get(i..i + whole).unwrap_or_default());
-                at += whole * 8;
-            } else {
-                let bytes = v.get(i).map_or([0; 8], |x| x.to_le_bytes());
-                let stop = keep.end.min(i * 8 + 8);
-                let cut = at - i * 8..stop - i * 8;
-                self.out
-                    .extend_from_slice(bytes.get(cut).unwrap_or_default());
-                at = stop;
+        let skip = self.from.saturating_sub(self.pos);
+        if len == 0 || len < self.run_min {
+            // Staged from the first element `from` reaches, a block of
+            // elements at a time.
+            let first = (skip / 8).min(v.len());
+            let end = self.pos.saturating_add(len);
+            self.pos = self.pos.saturating_add(first * 8);
+            let mut block = [[0u8; 8]; 512];
+            for chunk in v.get(first..).unwrap_or_default().chunks(block.len()) {
+                if self.full {
+                    break;
+                }
+                let staged = block.get_mut(..chunk.len()).unwrap_or_default();
+                for (dst, x) in staged.iter_mut().zip(chunk) {
+                    *dst = x.to_le_bytes();
+                }
+                self.put(staged.as_flattened());
             }
+            self.pos = end;
+            return;
         }
         self.pos = self.pos.saturating_add(len);
+        if skip < len && !self.full && self.open() {
+            self.pieces.push(Piece::Run(v, skip));
+        }
     }
 }
 
@@ -221,7 +271,7 @@ struct BinSerializer<S> {
     out: S,
 }
 
-impl<S: Sink> Serializer for BinSerializer<S> {
+impl<'v, S: Sink<'v>> Serializer<'v> for BinSerializer<S> {
     type Error = CodecError;
 
     fn ser_bool(&mut self, v: bool) -> Result<(), CodecError> {
@@ -262,7 +312,7 @@ impl<S: Sink> Serializer for BinSerializer<S> {
     /// The bulk path of a model vector: prefix, then every element's bit
     /// pattern in one copy — byte for byte what the element-wise events
     /// produce.
-    fn ser_f64_seq(&mut self, v: &[f64]) -> Result<(), CodecError> {
+    fn ser_f64_seq(&mut self, v: &'v [f64]) -> Result<(), CodecError> {
         self.write_len(v.len())?;
         self.out.put_f64s(v);
         Ok(())
@@ -302,7 +352,7 @@ impl<S: Sink> Serializer for BinSerializer<S> {
     }
 }
 
-impl<S: Sink> BinSerializer<S> {
+impl<'v, S: Sink<'v>> BinSerializer<S> {
     fn write_len(&mut self, len: usize) -> Result<(), CodecError> {
         let len =
             u32::try_from(len).map_err(|_| CodecError::Invalid("sequence longer than u32::MAX"))?;
@@ -311,19 +361,102 @@ impl<S: Sink> BinSerializer<S> {
     }
 }
 
-/// Event-stream deserializer reading the compact binary format.
-pub struct BinDeserializer<'a> {
+/// A run cut out of a [`BulkFrame`]'s meta bytes.
+#[derive(Debug)]
+struct Run {
+    /// Offset of the meta bytes at which the run's elements sit on the
+    /// wire: just behind its length prefix.
+    at: usize,
+    values: Vec<f64>,
+    /// Bytes of `values` received.
+    filled: usize,
+}
+
+/// Where a probe over a frame still being received stopped.
+enum Stop {
+    /// At the end of the bytes in so far, in the middle of the frame.
+    Short,
+    /// At a run of `n` elements whose bytes start at meta offset `at` and
+    /// are not all in.
+    Run { at: usize, n: usize },
+}
+
+/// A walk over what is in of a frame that locates its next run.
+struct Probe {
+    run_min: usize,
+    /// Meta bytes walked.
+    walked: usize,
+    stop: Option<Stop>,
+}
+
+/// Event-stream deserializer reading the compact binary format: from one
+/// buffer, or from a frame's meta bytes with its runs cut out of them.
+struct BinDeserializer<'a> {
+    /// The bytes read, less the runs cut out of them.
     bytes: &'a [u8],
     pos: usize,
-    /// Where `f64` sequences are decoded into (see [`from_bytes_into`]).
+    /// The runs cut out, in wire order: each is the `f64` sequence whose
+    /// elements sit at its offset of `bytes`.
+    runs: &'a mut [Run],
+    /// Runs already read, and their bytes.
+    next_run: usize,
+    run_bytes: usize,
+    /// Bytes of the whole input, runs included: no length may claim more
+    /// than what is left of it.
+    total: usize,
+    /// Where `f64` sequences in `bytes` are decoded into (see
+    /// [`from_bytes_into`]).
     storage: &'a mut dyn FnMut(usize) -> Vec<f64>,
+    /// Set while locating the runs of a frame still being received: the
+    /// walk then builds no `f64` sequence and stops at the first run that
+    /// is not all in, or at the end of the bytes in so far.
+    probe: Option<&'a mut Probe>,
 }
 
 impl<'a> BinDeserializer<'a> {
+    fn new(
+        bytes: &'a [u8],
+        runs: &'a mut [Run],
+        total: usize,
+        storage: &'a mut dyn FnMut(usize) -> Vec<f64>,
+        probe: Option<&'a mut Probe>,
+    ) -> Self {
+        BinDeserializer {
+            bytes,
+            pos: 0,
+            runs,
+            next_run: 0,
+            run_bytes: 0,
+            total,
+            storage,
+            probe,
+        }
+    }
+
+    /// Input bytes after the read position, runs included.
+    fn left(&self) -> usize {
+        self.total
+            .saturating_sub(self.pos.saturating_add(self.run_bytes))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(n).ok_or(CodecError::Eof)?;
-        let slice = self.bytes.get(self.pos..end).ok_or(CodecError::Eof)?;
+        if self.runs.get(self.next_run).is_some_and(|run| run.at < end) {
+            return Err(CodecError::Invalid("bytes read across an f64 run"));
+        }
+        let Some(slice) = self.bytes.get(self.pos..end) else {
+            // Past the bytes in so far but inside the frame: a probe waits
+            // for more.
+            let within = n <= self.left();
+            if let Some(probe) = self.probe.as_deref_mut().filter(|_| within) {
+                probe.stop = Some(Stop::Short);
+            }
+            return Err(CodecError::Eof);
+        };
         self.pos = end;
+        if let Some(probe) = self.probe.as_deref_mut() {
+            probe.walked = probe.walked.saturating_add(n);
+        }
         Ok(slice)
     }
 
@@ -341,7 +474,7 @@ impl<'a> BinDeserializer<'a> {
         // byte, so a declared length beyond the remaining input can never
         // complete. Rejecting it here keeps hostile prefixes from sizing
         // allocations or element loops.
-        let available = self.bytes.len() - self.pos;
+        let available = self.left();
         if raw > available {
             return Err(CodecError::LengthOverrun {
                 declared: raw,
@@ -392,12 +525,38 @@ impl Deserializer for BinDeserializer<'_> {
     }
     /// The bulk path of a model vector. The declared count is checked
     /// against the remaining input twice before anything is allocated —
-    /// `read_len` (one byte per element at least) and then `take` of the
-    /// full `8 * n` bytes — so a hostile prefix sizes nothing and draws
-    /// no storage.
+    /// `read_len` (one byte per element at least) and then the full
+    /// `8 * n` bytes — so a hostile prefix sizes nothing and draws no
+    /// storage. A run cut out of the bytes is handed over as it is.
     fn de_f64_seq(&mut self) -> Result<Vec<f64>, CodecError> {
         let n = self.read_len()?;
         let nbytes = n.checked_mul(8).ok_or(CodecError::Eof)?;
+        let (pos, probing) = (self.pos, self.probe.is_some());
+        if let Some(run) = self.runs.get_mut(self.next_run).filter(|run| run.at == pos) {
+            if run.values.len() != n || run.filled != nbytes {
+                return Err(CodecError::Invalid("f64 run out of place"));
+            }
+            let values = if probing {
+                Vec::new()
+            } else {
+                std::mem::take(&mut run.values)
+            };
+            self.next_run += 1;
+            self.run_bytes = self.run_bytes.saturating_add(nbytes);
+            return Ok(values);
+        }
+        if nbytes > self.left() {
+            return Err(CodecError::Eof);
+        }
+        let in_bytes = pos.saturating_add(nbytes) <= self.bytes.len();
+        if let Some(probe) = self.probe.as_deref_mut() {
+            if nbytes >= probe.run_min && !in_bytes {
+                probe.stop = Some(Stop::Run { at: pos, n });
+                return Err(CodecError::Eof);
+            }
+            self.take(nbytes)?;
+            return Ok(Vec::new());
+        }
         let (elems, _) = self.take(nbytes)?.as_chunks::<8>();
         let values = elems.iter().map(|b| f64::from_le_bytes(*b));
         let mut v = (self.storage)(n);
@@ -462,9 +621,9 @@ pub fn frame_bytes(payload: &[u8]) -> Option<Vec<u8>> {
 /// Serializes `value` directly into wire-frame form (length prefix +
 /// payload) in a single exact-size allocation. The reactor queues frames
 /// up to its read chunk in this form and hands them to vectored writes;
-/// a larger one it encodes window by window with [`frame_window`], which
-/// yields the same bytes. Returns `None` when the value cannot be encoded
-/// or exceeds [`MAX_FRAME`].
+/// a larger one it writes from the value itself, piece by piece with
+/// [`frame_pieces`], which yields the same bytes. Returns `None` when the
+/// value cannot be encoded or exceeds [`MAX_FRAME`].
 pub fn to_frame_bytes<T: Serialize + ?Sized>(value: &T) -> Option<Vec<u8>> {
     let mut framed = encode_with_prefix(value, 4)?;
     let len = framed.len().checked_sub(4)?;
@@ -486,24 +645,35 @@ pub fn frame_len<T: Serialize + ?Sized>(value: &T) -> Option<usize> {
     (len <= MAX_FRAME).then_some(len + 4)
 }
 
-/// Appends bytes `window` of `value`'s wire frame to `out`: the bytes
-/// `to_frame_bytes(value)` holds in that range, for a `frame_len` that
-/// [`frame_len`] counted. A window may cut the length prefix, an integer
-/// or an `f64` anywhere. Serialization visits the whole value, but what
-/// lies outside the window is only counted, so a window costs the bytes
-/// it holds plus one walk of the value's fields.
-pub fn frame_window<T: Serialize + ?Sized>(
-    value: &T,
+/// Bytes `from..` of `value`'s wire frame, `frame_len` long as
+/// [`frame_len`] counted it, as pieces for one vectored write: each run of
+/// at least `run_min` bytes borrowed from `value`, every other byte staged
+/// into `staged`, which is cleared first. The pieces stop after `max` of
+/// them or once `stage_cap` bytes are staged, wherever that falls, inside
+/// an integer or an `f64` too; concatenated, they are the bytes
+/// `to_frame_bytes(value)` holds from `from` on, as far as they go.
+/// Serialization visits the whole value, but what lies before `from` or
+/// past the stop is only counted.
+pub fn frame_pieces<'v, T: Serialize + ?Sized>(
+    value: &'v T,
     frame_len: usize,
-    window: std::ops::Range<usize>,
-    out: &mut Vec<u8>,
-) {
+    from: usize,
+    run_min: usize,
+    staged: &mut Vec<u8>,
+    stage_cap: usize,
+    max: usize,
+) -> Vec<Piece<'v>> {
+    staged.clear();
     let mut ser = BinSerializer {
-        out: Window {
+        out: Pieces {
             pos: 0,
-            start: window.start,
-            end: window.end.min(frame_len),
-            out,
+            from,
+            run_min,
+            staged,
+            cap: stage_cap,
+            pieces: Vec::new(),
+            max,
+            full: false,
         },
     };
     let prefix = u32::try_from(frame_len.saturating_sub(4)).unwrap_or(u32::MAX);
@@ -511,6 +681,7 @@ pub fn frame_window<T: Serialize + ?Sized>(
     if value.serialize(&mut ser).is_err() {
         debug_assert!(false, "unencodable value: sequence longer than u32::MAX");
     }
+    ser.out.pieces
 }
 
 /// Writes `payload` as one length-delimited frame. Prefix and payload go
@@ -539,24 +710,15 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// space is reclaimed by the next `extend`, which moves at most as many
 /// bytes as were consumed since the last reclaim.
 ///
-/// A *bulk* frame — one over a threshold the caller names, the reactor's
-/// read chunk — lives in storage lent by a byte [`Pool`], and only while
-/// it is in flight. Once its header is in, [`FrameBuffer::read_bulk`]
-/// reads the rest of it from the source straight into that storage; once
-/// the buffer has handed it out and holds nothing else,
-/// [`FrameBuffer::release`] gives the storage back to the pool. Storage
-/// that carried a buffer's first bulk frame is kept only while the pool
-/// keeps nothing else, as the one spare a one-off burst leaves behind.
-/// Smaller frames keep the buffer's own storage.
+/// A reader that receives large frames elsewhere, as [`BulkFrame`]s, takes
+/// such a frame's header and first bytes out with
+/// [`FrameBuffer::next_bulk`], and sizes the buffer with
+/// [`FrameBuffer::extend_sized`] so it never makes room for one.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Read cursor: everything before it was already handed out.
     head: usize,
-    /// Whether `buf` was lent by the pool and goes back to it.
-    lent: bool,
-    /// Whether a bulk frame has passed through before the one in `buf`.
-    carried_bulk: bool,
 }
 
 impl FrameBuffer {
@@ -567,19 +729,13 @@ impl FrameBuffer {
 
     /// Appends freshly received bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.extend_with_pool(bytes, MAX_FRAME, &mut Pool::new());
+        self.extend_sized(bytes, MAX_FRAME);
     }
 
-    /// Appends freshly received bytes. A frame of more than `bulk` bytes
-    /// that the buffer has no room for takes its storage from `pool`.
-    pub fn extend_with_pool(&mut self, bytes: &[u8], bulk: usize, pool: &mut Pool<u8>) {
-        self.make_room(bytes, bulk, pool);
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Makes room for `bytes` and, once the next frame's header is in,
-    /// for that whole frame.
-    fn make_room(&mut self, bytes: &[u8], bulk: usize, pool: &mut Pool<u8>) {
+    /// Appends freshly received bytes. Once the next frame's header is in,
+    /// room for that whole frame is made in one step if it is at most
+    /// `whole` bytes long, instead of doubling up to it read by read.
+    pub fn extend_sized(&mut self, bytes: &[u8], whole: usize) {
         if self.is_empty() {
             self.buf.clear();
             self.head = 0;
@@ -588,83 +744,11 @@ impl FrameBuffer {
             self.head = 0;
         }
         let held = self.buf.len() - self.head;
-        // With the header in, make room for the whole frame in one step
-        // instead of doubling up to it 64 KiB read by 64 KiB read. The
-        // MAX_FRAME cap bounds what a hostile header can reserve.
-        let frame = self.pending_len_with(bytes).filter(|&len| len <= MAX_FRAME);
+        // The MAX_FRAME cap bounds what a hostile header can reserve.
+        let frame = (self.pending_len_with(bytes)).filter(|&len| len <= whole.min(MAX_FRAME));
         let room = frame.map_or(0, |len| 4 + len).max(held + bytes.len());
-        if self.buf.capacity() < self.head + room {
-            let is_bulk = frame.is_some_and(|len| len > bulk);
-            if is_bulk || self.lent {
-                // Lent storage is swapped, never regrown: the pool counts
-                // it by the capacity it lent.
-                let mut storage = if is_bulk {
-                    let mut lent = pool.take(room);
-                    lent.clear();
-                    lent
-                } else {
-                    Vec::with_capacity(room)
-                };
-                storage.extend_from_slice(self.buf.get(self.head..).unwrap_or_default());
-                let old = std::mem::replace(&mut self.buf, storage);
-                if std::mem::replace(&mut self.lent, is_bulk) {
-                    pool.give(old, self.carried_bulk);
-                }
-                self.head = 0;
-            } else {
-                self.buf.reserve(room - held);
-            }
-        }
-    }
-
-    /// Reads the rest of a pending bulk frame — one of more than `bulk`
-    /// bytes whose header is in — from `src` straight into storage that
-    /// holds the whole frame, taken from `pool` if the buffer has no room
-    /// for it, and not a byte past the frame's end. Reads until the frame
-    /// is whole or `src` fails, keeping every byte that arrived either
-    /// way; a non-blocking `src` fails with `WouldBlock` once it has
-    /// nothing more for now. `None` when no bulk frame is pending;
-    /// otherwise whether the frame is now whole (`Ok(false)`: `src` ended
-    /// first).
-    pub fn read_bulk(
-        &mut self,
-        src: &mut impl Read,
-        bulk: usize,
-        pool: &mut Pool<u8>,
-    ) -> Option<io::Result<bool>> {
-        let len = self
-            .pending_len_with(&[])
-            .filter(|&len| len > bulk && len <= MAX_FRAME)?;
-        let rest = (self.head + 4 + len)
-            .checked_sub(self.buf.len())
-            .filter(|&rest| rest > 0)?;
-        // The header may have come in behind a smaller frame, sized for
-        // that one; making room moves the frame, not where it ends.
-        self.make_room(&[], bulk, pool);
-        let read = src.take(rest as u64).read_to_end(&mut self.buf);
-        Some(read.map(|n| n == rest))
-    }
-
-    /// Gives lent storage back to `pool` once the buffer holds nothing
-    /// else: every bulk frame it carried was handed out. The buffer goes
-    /// on empty. Does nothing while a frame is still in flight, or when
-    /// only smaller frames passed through.
-    pub fn release(&mut self, pool: &mut Pool<u8>) {
-        if self.lent && self.is_empty() {
-            pool.give(std::mem::take(&mut self.buf), self.carried_bulk);
-            self.head = 0;
-            self.lent = false;
-            self.carried_bulk = true;
-        }
-    }
-
-    /// Drops whatever the buffer holds, giving lent storage back to
-    /// `pool`: the stream it read is gone. The buffer goes on empty.
-    pub fn discard(&mut self, pool: &mut Pool<u8>) {
-        let gone = std::mem::take(self);
-        if gone.lent {
-            pool.give(gone.buf, gone.carried_bulk);
-        }
+        self.buf.reserve(room - held);
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Whether every byte received has been handed out: no partial frame
@@ -703,10 +787,336 @@ impl FrameBuffer {
         self.head = start + len;
         Ok(Some(payload))
     }
+
+    /// Pops the header of the next frame if it declares more than `bulk`
+    /// payload bytes (and no more than [`MAX_FRAME`]), returning that
+    /// length and the frame's bytes the buffer holds, for the caller to
+    /// receive the rest elsewhere. Meant for when
+    /// [`FrameBuffer::next_frame`] has nothing more.
+    pub fn next_bulk(&mut self, bulk: usize) -> Option<(usize, &[u8])> {
+        let len = self
+            .pending_len_with(&[])
+            .filter(|&len| len > bulk && len <= MAX_FRAME)?;
+        let start = self.head + 4;
+        let end = self.buf.len().min(start + len);
+        let held = self.buf.get(start..end)?;
+        self.head = end;
+        Some((len, held))
+    }
 }
 
-/// Storage a host lends and takes back: the reactor's bulk receive
-/// buffers (`Pool<u8>`) and each host's model vectors (`Pool<f64>`).
+/// Bytes read into the meta buffer at a time while a run may start in
+/// them: the run's first bytes that come along are copied into its vector,
+/// so this bounds that copy.
+const PROBE_STEP: usize = 4 << 10;
+
+/// Where [`BulkFrame::receive`] lands the next bytes of its frame.
+#[derive(Debug)]
+pub enum Landing<'a> {
+    /// Meta bytes, into this buffer, as many as come.
+    Meta(&'a mut [u8]),
+    /// Bytes of a run, into the memory of its elements from this byte on,
+    /// as many as come: on a little-endian host that memory is the run's
+    /// wire bytes.
+    Run(&'a mut [f64], usize),
+}
+
+/// One frame received as its meta bytes plus its runs: `f64` sequences of
+/// at least a size the receiver names, each received into a vector drawn
+/// from a [`Pool<f64>`] for it, so that a run's wire copy is the decoded
+/// vector.
+///
+/// Runs are located from the meta bytes in so far: after each read of
+/// meta bytes a probe walks the frame from its start, skipping the runs
+/// already filled, until it reaches the end of the bytes in or a run whose
+/// bytes are not all in. That run's vector is drawn there, and the run's
+/// bytes read in that came with the meta ones move into it. Decoding
+/// happens once, when the last byte is in ([`BulkFrame::finish`]): runs
+/// go into the value as they are, and a sequence under the size, or one
+/// whose bytes all came in as meta, is decoded from the meta bytes like
+/// any field.
+#[derive(Debug)]
+pub struct BulkFrame {
+    /// Payload length.
+    len: usize,
+    /// Payload bytes received.
+    got: usize,
+    /// The meta bytes received are `meta[..meta_len]`; the buffer only
+    /// grows, into zeroed storage, so no pass writes a byte a read is
+    /// about to write.
+    meta: Vec<u8>,
+    meta_len: usize,
+    runs: Vec<Run>,
+    run_min: usize,
+    /// Whether a run may still be located: cleared once a probe parsed
+    /// the whole frame or found it malformed.
+    locating: bool,
+    /// Meta bytes the probes walked.
+    parsed: usize,
+    /// Bytes received into runs.
+    in_runs: usize,
+}
+
+impl BulkFrame {
+    /// A frame of `len` payload bytes, none received yet, whose `f64`
+    /// sequences of at least `run_min` bytes are runs.
+    pub fn new(len: usize, run_min: usize) -> BulkFrame {
+        BulkFrame {
+            len,
+            got: 0,
+            meta: Vec::new(),
+            meta_len: 0,
+            runs: Vec::new(),
+            run_min,
+            locating: true,
+            parsed: 0,
+            in_runs: 0,
+        }
+    }
+
+    /// The frame's payload length.
+    pub fn payload_len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether every byte of the frame is in.
+    pub fn is_whole(&self) -> bool {
+        self.got == self.len
+    }
+
+    /// Meta bytes walked so far to locate runs: less than the frame's
+    /// length plus 4 KiB, however its bytes arrive.
+    pub fn parsed(&self) -> usize {
+        self.parsed
+    }
+
+    /// Receives the frame's next bytes: `read` is given where they land
+    /// and returns how many it put there, which locates the next run once
+    /// the run being filled is full. Decoding as `T` locates the runs.
+    /// Returns what `read` returned; `Ok(0)` without calling it once the
+    /// frame is whole.
+    pub fn receive<T: Deserialize>(
+        &mut self,
+        vectors: &mut Pool<f64>,
+        read: impl FnOnce(Landing<'_>) -> io::Result<usize>,
+    ) -> io::Result<usize> {
+        if self.is_whole() {
+            return Ok(0);
+        }
+        let room = self.meta_room();
+        let n = match self
+            .runs
+            .last_mut()
+            .filter(|run| run.filled < 8 * run.values.len())
+        {
+            Some(run) => {
+                let want = 8 * run.values.len() - run.filled;
+                let n = read(Landing::Run(&mut run.values, run.filled))?.min(want);
+                run.filled += n;
+                self.in_runs += n;
+                n
+            }
+            None => {
+                let (at, end) = (self.meta_len, self.meta_len + room);
+                if self.meta.len() < end {
+                    // Zeroed storage, doubling: no pass writes the bytes
+                    // the reads are about to write.
+                    let mut grown = vec![0; end.max(2 * self.meta.len())];
+                    if let (Some(dst), Some(src)) = (grown.get_mut(..at), self.meta.get(..at)) {
+                        dst.copy_from_slice(src);
+                    }
+                    self.meta = grown;
+                }
+                let n = read(Landing::Meta(
+                    self.meta.get_mut(at..end).unwrap_or_default(),
+                ))?;
+                self.meta_len += n.min(room);
+                n.min(room)
+            }
+        };
+        self.got += n;
+        if n > 0 {
+            self.locate::<T>(vectors);
+        }
+        Ok(n)
+    }
+
+    /// Receives bytes already read elsewhere, as far as the frame goes;
+    /// returns how many it took.
+    pub fn feed<T: Deserialize>(&mut self, mut bytes: &[u8], vectors: &mut Pool<f64>) -> usize {
+        let given = bytes.len();
+        while !bytes.is_empty() && !self.is_whole() {
+            let src = bytes;
+            let copied = self.receive::<T>(vectors, |landing| {
+                Ok(match landing {
+                    Landing::Meta(buf) => {
+                        let n = buf.len().min(src.len());
+                        if let (Some(dst), Some(src)) = (buf.get_mut(..n), src.get(..n)) {
+                            dst.copy_from_slice(src);
+                        }
+                        n
+                    }
+                    Landing::Run(run, filled) => copy_into_run(run, filled, src),
+                })
+            });
+            let n = copied.unwrap_or(0);
+            if n == 0 {
+                break;
+            }
+            bytes = bytes.get(n..).unwrap_or_default();
+        }
+        given - bytes.len()
+    }
+
+    /// Decodes the whole frame as one `T`, taking its runs as they are and
+    /// drawing storage for its other `f64` sequences from `vectors`; a run
+    /// the value did not take goes back to `vectors`. `Err(Eof)` while the
+    /// frame is not whole.
+    pub fn finish<T: Deserialize>(mut self, vectors: &mut Pool<f64>) -> Result<T, CodecError> {
+        let decoded = if self.is_whole() {
+            let mut storage = |len| vectors.take(len);
+            let meta = self.meta.get(..self.meta_len).unwrap_or_default();
+            let mut de = BinDeserializer::new(meta, &mut self.runs, self.len, &mut storage, None);
+            match T::deserialize(&mut de) {
+                Ok(value) if de.pos == de.bytes.len() && de.next_run == de.runs.len() => Ok(value),
+                Ok(_) => Err(CodecError::TrailingBytes),
+                Err(e) => Err(e),
+            }
+        } else {
+            Err(CodecError::Eof)
+        };
+        self.discard(vectors);
+        decoded
+    }
+
+    /// Gives the vectors of the frame's runs back to `vectors`: the frame
+    /// will not be decoded.
+    pub fn discard(self, vectors: &mut Pool<f64>) {
+        for run in self.runs {
+            if run.values.capacity() > 0 {
+                vectors.give(run.values);
+            }
+        }
+    }
+
+    /// Meta bytes to read next: a short step while a run may start in
+    /// them, a read chunk (`run_min`) otherwise.
+    fn meta_room(&self) -> usize {
+        let step = if self.locating && self.may_probe() {
+            PROBE_STEP.min(self.run_min)
+        } else {
+            self.run_min
+        };
+        step.clamp(1, (self.len - self.got).max(1))
+    }
+
+    /// Whether a probe may run. A probe walks the frame from its start,
+    /// so one per run or per read would cost a walk of the prefix each,
+    /// quadratic in a frame of many runs or of many meta bytes, and the
+    /// walks only pay off in runs received in place. So a probe runs only
+    /// while the probes so far walked less than one probe step plus the
+    /// bytes received into runs: past that, bytes go to the meta buffer,
+    /// where the decode at the frame's end reads them.
+    fn may_probe(&self) -> bool {
+        self.parsed < PROBE_STEP.saturating_add(self.in_runs)
+    }
+
+    /// Locates runs while the frame goes on, no run is being filled and
+    /// the probes are within their budget.
+    fn locate<T: Deserialize>(&mut self, vectors: &mut Pool<f64>) {
+        while self.locating && !self.is_whole() && self.may_probe() {
+            if self
+                .runs
+                .last()
+                .is_some_and(|run| run.filled < 8 * run.values.len())
+            {
+                return;
+            }
+            let mut probe = Probe {
+                run_min: self.run_min,
+                walked: 0,
+                stop: None,
+            };
+            {
+                let mut no_storage = |_| Vec::new();
+                let meta = self.meta.get(..self.meta_len).unwrap_or_default();
+                let mut de = BinDeserializer::new(
+                    meta,
+                    &mut self.runs,
+                    self.len,
+                    &mut no_storage,
+                    Some(&mut probe),
+                );
+                // The value built is a husk: its sequences are empty.
+                let _ = T::deserialize(&mut de);
+            }
+            self.parsed = self.parsed.saturating_add(probe.walked);
+            match probe.stop {
+                Some(Stop::Short) => return,
+                Some(Stop::Run { at, n }) => self.cut_run(at, n, vectors),
+                // Parsed to the end, or malformed: the decode at the end
+                // reads the rest, or reports the error.
+                None => self.locating = false,
+            }
+        }
+    }
+
+    /// Starts the run of `n` elements at meta offset `at`: draws its
+    /// vector and moves into it the bytes of it that came in as meta.
+    fn cut_run(&mut self, at: usize, n: usize, vectors: &mut Pool<f64>) {
+        let mut values = vectors.take(n);
+        if values.is_empty() && values.capacity() == n {
+            // Fresh storage: zeroed pages cost no pass over memory that
+            // the reads are about to write.
+            values = vec![0.0; n];
+        }
+        // Storage of this length or longer keeps what it holds, unwritten:
+        // every element is received before the frame is decoded.
+        values.truncate(n);
+        values.resize(n, 0.0);
+        let over = self.meta.get(at..self.meta_len).unwrap_or_default();
+        let filled = copy_into_run(&mut values, 0, over);
+        self.meta_len = at;
+        self.in_runs += filled;
+        self.runs.push(Run { at, values, filled });
+    }
+}
+
+/// Writes `bytes` into `run` as the little-endian bytes of its elements,
+/// from byte `filled` of it on, as many as fit; returns how many did.
+fn copy_into_run(run: &mut [f64], filled: usize, bytes: &[u8]) -> usize {
+    let n = bytes.len().min((8 * run.len()).saturating_sub(filled));
+    let mut src = bytes.get(..n).unwrap_or_default();
+    let mut at = filled;
+    while !src.is_empty() {
+        let (i, off) = (at / 8, at % 8);
+        let whole = if off == 0 { src.len() / 8 } else { 0 };
+        let took = if whole > 0 {
+            let (elems, _) = src.as_chunks::<8>();
+            for (x, b) in run.iter_mut().skip(i).zip(elems) {
+                *x = f64::from_le_bytes(*b);
+            }
+            8 * whole
+        } else {
+            let Some(x) = run.get_mut(i) else {
+                break;
+            };
+            let mut b = x.to_le_bytes();
+            let k = (8 - off).min(src.len());
+            for (dst, s) in b.iter_mut().skip(off).zip(src) {
+                *dst = *s;
+            }
+            *x = f64::from_le_bytes(b);
+            k
+        };
+        at += took;
+        src = src.get(took..).unwrap_or_default();
+    }
+    n
+}
+
+/// Storage a host lends and takes back: each host's model vectors, which
+/// the reactor also receives runs into.
 ///
 /// What the pool keeps plus what it has lent, counted by capacity, never
 /// exceeds its high-water mark, the most it has had lent at one time:
@@ -737,6 +1147,11 @@ impl<T: Default> Pool<T> {
     /// Capacity of the storage kept for reuse.
     pub fn kept(&self) -> usize {
         self.kept_cap
+    }
+
+    /// Capacity lent out and not yet given back.
+    pub fn lent(&self) -> usize {
+        self.lent
     }
 
     /// Lends storage that holds `room` elements; what it holds is
@@ -772,14 +1187,13 @@ impl<T: Default> Pool<T> {
         storage
     }
 
-    /// Takes storage back, keeping it if `keep` or if the pool keeps
-    /// nothing else, and only while that stays within the mark: storage
-    /// the pool did not lend cannot make it keep more.
-    pub fn give(&mut self, storage: Vec<T>, keep: bool) {
+    /// Takes storage back, keeping it while what the pool keeps and has
+    /// lent stays within the mark: storage the pool did not lend cannot
+    /// make it keep more.
+    pub fn give(&mut self, storage: Vec<T>) {
         let cap = storage.capacity();
         self.lent = self.lent.saturating_sub(cap);
-        let within = self.kept_cap + self.lent + cap <= self.high_water;
-        if within && (keep || self.kept.is_empty()) {
+        if self.kept_cap + self.lent + cap <= self.high_water {
             let at = if self.kept.last().is_none_or(|s| s.capacity() >= cap) {
                 self.kept.len()
             } else {
@@ -1138,26 +1552,6 @@ mod tests {
     /// The bulk threshold the reactor uses: its read chunk.
     const BULK: usize = 64 << 10;
 
-    fn framed(len: usize, fill: u8) -> Vec<u8> {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &vec![fill; len]).unwrap();
-        wire
-    }
-
-    /// Feeds `wire` in `chunk`-byte reads through `pool`, collecting
-    /// every frame as it completes and releasing lent storage after.
-    fn feed(fb: &mut FrameBuffer, wire: &[u8], chunk: usize, pool: &mut Pool<u8>) -> Vec<Vec<u8>> {
-        let mut frames = Vec::new();
-        for piece in wire.chunks(chunk) {
-            fb.extend_with_pool(piece, BULK, pool);
-            while let Some(f) = fb.next_frame().unwrap() {
-                frames.push(f.to_vec());
-            }
-            fb.release(pool);
-        }
-        frames
-    }
-
     /// A non-blocking source: hands `wire` out a piece at a time, the
     /// pieces cut to `sizes` in turn, and fails with `WouldBlock` between
     /// pieces; `Ok(0)` once `wire` is used up.
@@ -1189,248 +1583,240 @@ mod tests {
         }
     }
 
-    /// One readiness event as the reactor serves it: the rest of a bulk
-    /// frame in place, anything else through a scratch chunk, every
-    /// frame handed out as it completes and lent storage given back once
-    /// the buffer is empty. `Ok` once `src` has ended; `WouldBlock` when
-    /// it has nothing more for now.
-    fn pump(
-        fb: &mut FrameBuffer,
-        src: &mut impl Read,
-        pool: &mut Pool<u8>,
-        frames: &mut Vec<Vec<u8>>,
-    ) -> io::Result<()> {
-        let mut scratch = [0u8; 1000];
-        loop {
-            let more = match fb.read_bulk(src, BULK, pool) {
-                Some(read) => read?,
+    /// A link's receive side as the reactor drives it: frames up to
+    /// `BULK` through a scratch chunk and the frame buffer, a larger one
+    /// as a [`BulkFrame`] once its header is in.
+    struct Link {
+        fb: FrameBuffer,
+        bulk: Option<BulkFrame>,
+        pool: Pool<f64>,
+    }
+
+    impl Link {
+        fn new() -> Link {
+            Link {
+                fb: FrameBuffer::new(),
+                bulk: None,
+                pool: Pool::new(),
+            }
+        }
+
+        /// One read: into the frame in flight, or through a scratch chunk.
+        fn read<T: Deserialize>(&mut self, src: &mut impl Read) -> io::Result<usize> {
+            match self.bulk.as_mut() {
+                Some(bulk) => bulk.receive::<T>(&mut self.pool, |landing| match landing {
+                    Landing::Meta(buf) => src.read(buf),
+                    Landing::Run(run, filled) => {
+                        let mut bytes = vec![0u8; (8 * run.len() - filled).min(BULK)];
+                        let n = src.read(&mut bytes)?;
+                        Ok(copy_into_run(run, filled, &bytes[..n]))
+                    }
+                }),
                 None => {
+                    let mut scratch = vec![0u8; BULK];
                     let n = src.read(&mut scratch)?;
-                    fb.extend_with_pool(&scratch[..n], BULK, pool);
-                    n > 0
+                    self.fb.extend_sized(&scratch[..n], BULK);
+                    Ok(n)
                 }
-            };
-            while let Some(f) = fb.next_frame().unwrap() {
-                frames.push(f.to_vec());
             }
-            fb.release(pool);
-            if !more {
-                return Ok(());
+        }
+
+        /// Every frame whole so far, decoded.
+        fn deliver<T: Deserialize>(&mut self, out: &mut Vec<T>) {
+            loop {
+                match self.bulk.take() {
+                    Some(bulk) if bulk.is_whole() => {
+                        out.push(bulk.finish(&mut self.pool).unwrap());
+                        continue;
+                    }
+                    Some(bulk) => {
+                        self.bulk = Some(bulk);
+                        return;
+                    }
+                    None => {}
+                }
+                while let Some(frame) = self.fb.next_frame().unwrap() {
+                    out.push(from_bytes(frame).unwrap());
+                }
+                let Some((len, held)) = self.fb.next_bulk(BULK) else {
+                    return;
+                };
+                let mut bulk = BulkFrame::new(len, BULK);
+                assert_eq!(bulk.feed::<T>(held, &mut self.pool), held.len());
+                self.bulk = Some(bulk);
+            }
+        }
+
+        /// Reads and delivers until `src` ends.
+        fn pump<T: Deserialize>(&mut self, src: &mut impl Read) -> Vec<T> {
+            let mut out = Vec::new();
+            loop {
+                match self.read::<T>(src) {
+                    Ok(0) => return out,
+                    Ok(_) => self.deliver(&mut out),
+                    Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+                }
             }
         }
     }
 
-    /// Serves readiness events until `src` ends.
-    fn pump_to_end(
-        fb: &mut FrameBuffer,
-        src: &mut impl Read,
-        pool: &mut Pool<u8>,
-        frames: &mut Vec<Vec<u8>>,
-    ) {
-        while let Err(e) = pump(fb, src, pool, frames) {
-            assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
-        }
+    fn wire_of<T: Serialize>(msgs: &[T]) -> Vec<u8> {
+        msgs.iter()
+            .flat_map(|m| to_frame_bytes(m).unwrap())
+            .collect()
     }
 
-    /// Bytes that differ from their neighbours, so a misplaced or
-    /// repeated piece shows.
-    fn numbered(len: usize, salt: u8) -> Vec<u8> {
-        let mut wire = Vec::new();
-        let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8 ^ salt).collect();
-        write_frame(&mut wire, &payload).unwrap();
-        wire
+    fn bits_of<T: Serialize>(msgs: &[T]) -> Vec<Vec<u8>> {
+        msgs.iter().map(to_bytes).collect()
+    }
+
+    /// A share block's shape, with a note: runs between meta fields.
+    #[derive(serde::Serialize, serde::Deserialize, Debug, Clone)]
+    enum Msg {
+        Parts {
+            round: u64,
+            parts: Vec<(u64, Weights)>,
+        },
+        Note(String),
+    }
+
+    fn parts(dims: &[usize]) -> Msg {
+        Msg::Parts {
+            round: 3,
+            parts: (dims.iter().enumerate())
+                .map(|(i, &d)| (i as u64, Weights(patterned(d))))
+                .collect(),
+        }
     }
 
     #[test]
-    fn bulk_frames_read_in_place_arrive_whole() {
+    fn bulk_frames_arrive_whole_through_any_reads() {
         // Bulk frames around small ones, through odd pieces that split
         // every header somewhere, the first one byte at a time.
-        let mut wire = numbered(3 * BULK + 5, 1);
-        wire.extend(numbered(9, 2));
-        wire.extend(numbered(BULK + 1, 3));
-        wire.extend(numbered(BULK, 4));
-        wire.extend(numbered(2 * BULK, 5));
-        for sizes in [&[1, 1, 1, 1, 70_001][..], &[3, 7, 65_537, 13], &[2, 999]] {
-            let mut src = Trickle::new(&wire, sizes);
-            let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), Pool::new(), Vec::new());
-            pump_to_end(&mut fb, &mut src, &mut pool, &mut frames);
-            let want: Vec<Vec<u8>> = [(3 * BULK + 5, 1), (9, 2), (BULK + 1, 3), (BULK, 4)]
-                .into_iter()
-                .chain([(2 * BULK, 5)])
-                .map(|(len, salt)| numbered(len, salt)[4..].to_vec())
-                .collect();
-            assert!(frames == want, "{sizes:?}: frames differ");
-            assert!(fb.is_empty() && !fb.lent, "{sizes:?}");
+        let msgs = [
+            parts(&[3 * BULK / 8 + 5, 2, BULK / 8]),
+            Msg::Note("small".into()),
+            parts(&[BULK / 8 + 1]),
+            parts(&[10, 20_000, 7, 9_000]),
+            Msg::Note("x".repeat(BULK + 9)),
+            parts(&[0, BULK / 4]),
+        ];
+        let wire = wire_of(&msgs);
+        for sizes in [
+            &[1, 1, 1, 1, 70_001][..],
+            &[3, 7, 65_537, 13],
+            &[2, 999],
+            &[usize::MAX],
+        ] {
+            let mut link = Link::new();
+            let got: Vec<Msg> = link.pump(&mut Trickle::new(&wire, sizes));
+            assert!(bits_of(&got) == bits_of(&msgs), "{sizes:?}: frames differ");
+            assert!(link.bulk.is_none() && link.fb.is_empty(), "{sizes:?}");
         }
     }
 
     #[test]
-    fn bulk_frame_read_in_place_keeps_its_storage() {
-        // From the read that brings the header in to the frame's end, the
-        // bytes land in the storage taken then: nothing regrows it.
-        let wire = numbered(5 * BULK, 6);
-        let mut src = Trickle::new(&wire, &[10, 4 * BULK, BULK, 100]);
-        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), Pool::new(), Vec::new());
-        assert!(pump(&mut fb, &mut src, &mut pool, &mut frames).is_err());
-        let (at, cap) = (fb.buf.as_ptr(), fb.buf.capacity());
-        assert_eq!(cap, wire.len(), "sized from the header");
-        let mut reads = 0;
-        while fb.read_bulk(&mut src, BULK, &mut pool).is_some() {
-            assert_eq!((fb.buf.as_ptr(), fb.buf.capacity()), (at, cap), "regrew");
-            reads += 1;
+    fn runs_land_in_pooled_vectors_and_leave_the_meta_bytes() {
+        let msg = parts(&[BULK, 3, 2 * BULK]);
+        let wire = to_frame_bytes(&msg).unwrap();
+        let mut link = Link::new();
+        // Dirty storage of the runs' lengths, as a steady round leaves it.
+        let spare = [link.pool.take(BULK), link.pool.take(2 * BULK)];
+        let at: Vec<*const f64> = spare.iter().map(|s| s.as_ptr()).collect();
+        for mut s in spare {
+            s.resize(s.capacity(), f64::NAN);
+            link.pool.give(s);
         }
-        assert_eq!(reads, 2, "one call per readiness event");
-        assert_eq!(fb.next_frame().unwrap().unwrap(), &wire[4..]);
+        let mut src = Trickle::new(&wire, &[BULK, 5000, 1]);
+        let mut out: Vec<Msg> = Vec::new();
+        while out.is_empty() {
+            if link.read::<Msg>(&mut src).is_ok() {
+                link.deliver(&mut out);
+            }
+            if let Some(bulk) = &link.bulk {
+                // Only the meta bytes, plus the piece of a run read in
+                // with them until the run is located, stay in the buffer.
+                assert!(bulk.meta_len < PROBE_STEP + 64, "{}", bulk.meta_len);
+            }
+        }
+        let Msg::Parts { parts, .. } = &out[0] else {
+            panic!("wrong variant");
+        };
+        assert_eq!(to_bytes(&out[0]), to_bytes(&msg));
+        assert_eq!(parts[0].1 .0.as_ptr(), at[0], "received in place");
+        assert_eq!(parts[2].1 .0.as_ptr(), at[1], "received in place");
+        assert_eq!(link.pool.kept(), 0);
     }
 
     #[test]
-    fn would_block_mid_frame_keeps_the_partial_frame() {
-        let wire = numbered(2 * BULK, 7);
+    fn would_block_mid_run_keeps_what_came() {
+        let msg = parts(&[2 * BULK]);
+        let wire = to_frame_bytes(&msg).unwrap();
         let half = wire.len() / 2;
         let sizes = [half, usize::MAX];
         let mut src = Trickle::new(&wire, &sizes);
-        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), Pool::new(), Vec::new());
-        let blocked = pump(&mut fb, &mut src, &mut pool, &mut frames).unwrap_err();
-        assert_eq!(blocked.kind(), io::ErrorKind::WouldBlock);
-        assert!(frames.is_empty() && !fb.is_empty());
-        assert_eq!(fb.buf.len(), half, "bytes read before the block were kept");
-        fb.release(&mut pool);
-        assert_eq!(pool.kept(), 0, "released a frame in flight");
-        pump(&mut fb, &mut src, &mut pool, &mut frames).unwrap();
-        assert!(frames == [wire[4..].to_vec()]);
-        assert_eq!(pool.kept(), wire.len(), "given back once delivered");
-    }
-
-    #[test]
-    fn bulk_header_behind_a_small_frame_takes_storage_from_the_pool() {
-        // One read ends with a small frame and the next frame's header:
-        // the buffer was sized for the small frame, and the in-place read
-        // must not grow that to the bulk frame's size on the link.
-        let mut wire = numbered(100, 8);
-        let small = wire.len();
-        wire.extend(numbered(3 * BULK, 9));
-        let sizes = [small + 4, usize::MAX];
-        let mut src = Trickle::new(&wire, &sizes);
-        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), Pool::new(), Vec::new());
-        pump(&mut fb, &mut src, &mut pool, &mut frames).unwrap_err();
-        pump(&mut fb, &mut src, &mut pool, &mut frames).unwrap();
-        assert_eq!(frames.len(), 2);
-        assert!(frames[1] == wire[small + 4..]);
-        assert_eq!(pool.kept(), 4 + 3 * BULK, "the frame's storage was lent");
-        assert!(fb.buf.capacity() < BULK, "the link kept bulk storage");
-    }
-
-    #[test]
-    fn bulk_frame_storage_is_given_back_once_delivered() {
-        let wire = framed(3 << 20, 1);
-        let (mut fb, mut pool) = (FrameBuffer::new(), Pool::new());
-        let frames = feed(&mut fb, &wire, BULK, &mut pool);
-        assert_eq!(frames, vec![vec![1u8; 3 << 20]]);
-        assert_eq!(pool.kept(), wire.len());
-        assert_eq!(fb.buf.capacity(), 0, "the buffer goes on empty");
-        fb.release(&mut pool);
-        assert_eq!(pool.kept(), wire.len(), "released twice");
-
-        // The next frames flow as on a fresh buffer.
-        let frames = feed(&mut fb, &framed(5, 2), BULK, &mut pool);
-        assert_eq!(frames, vec![vec![2u8; 5]]);
-    }
-
-    #[test]
-    fn small_frame_storage_stays_on_the_link() {
-        // Frames up to the threshold never release, however many pass,
-        // and never take from the pool.
-        let mut wire = Vec::new();
-        for len in [10_000, BULK, 1, BULK - 4] {
-            wire.extend(framed(len, 3));
+        let mut link = Link::new();
+        let mut out: Vec<Msg> = Vec::new();
+        while link.read::<Msg>(&mut src).is_ok() {
+            link.deliver(&mut out);
         }
-        let mut pool = Pool::new();
-        let lent = pool.take(1 << 20);
-        pool.give(lent, true);
+        let bulk = link.bulk.as_ref().expect("a frame in flight");
+        assert_eq!(bulk.got + 4, half, "bytes read before the block were kept");
+        assert_eq!(link.pool.lent(), 2 * BULK, "its run's vector is drawn");
+        assert_eq!(link.pump::<Msg>(&mut src).len() + out.len(), 1);
+    }
+
+    #[test]
+    fn a_small_frame_behind_a_bulk_one_goes_to_the_frame_buffer() {
+        // Reads into a frame in flight stop at its end, so the next frame
+        // starts in the frame buffer.
+        let msgs = [parts(&[BULK]), Msg::Note("next".into())];
+        let wire = wire_of(&msgs);
+        let (head, tail) = wire.split_at(wire.len() - 1);
+        let mut link = Link::new();
+        let got: Vec<Msg> = link.pump(&mut Trickle::new(head, &[1000]));
+        assert_eq!(got.len(), 1);
+        assert!(link.bulk.is_none() && !link.fb.is_empty());
+        let last: Vec<Msg> = link.pump(&mut Trickle::new(tail, &[1000]));
+        assert!(bits_of(&last) == bits_of(&msgs[1..]));
+    }
+
+    #[test]
+    fn a_discarded_frame_gives_its_vectors_back() {
+        let msg = parts(&[BULK, BULK]);
+        let wire = to_frame_bytes(&msg).unwrap();
+        let mut link = Link::new();
+        let mut out: Vec<Msg> = Vec::new();
+        let mut src = Trickle::new(&wire[..wire.len() - 100], &[usize::MAX]);
+        while link.read::<Msg>(&mut src).is_ok_and(|n| n > 0) {
+            link.deliver(&mut out);
+        }
+        assert_eq!(link.pool.lent(), 2 * BULK, "both runs drawn");
+        link.bulk.take().unwrap().discard(&mut link.pool);
+        assert_eq!((link.pool.lent(), link.pool.kept()), (0, 2 * BULK));
+    }
+
+    #[test]
+    fn frame_buffer_hands_over_a_bulk_frame_and_refuses_an_oversize_one() {
+        let wire = to_frame_bytes(&parts(&[BULK])).unwrap();
         let mut fb = FrameBuffer::new();
-        assert_eq!(feed(&mut fb, &wire, 700, &mut pool).len(), 4);
+        fb.extend_sized(&wire[..BULK], BULK);
+        assert!(fb.buf.capacity() < 2 * BULK, "made room for a bulk frame");
         assert_eq!(fb.next_frame(), Ok(None));
-        assert!(fb.buf.capacity() > 0 && !fb.lent);
-        assert_eq!(pool.kept(), 1 << 20, "pool storage taken");
-    }
+        let (len, held) = fb.next_bulk(BULK).unwrap();
+        assert_eq!((len, held), (wire.len() - 4, &wire[4..BULK]));
+        assert!(fb.is_empty());
+        // A frame up to the threshold is not handed over.
+        let small = to_frame_bytes(&Msg::Note("s".into())).unwrap();
+        fb.extend_sized(&small[..6], BULK);
+        assert_eq!(fb.next_bulk(BULK), None);
 
-    #[test]
-    fn later_bulk_frames_take_released_storage_by_best_fit() {
-        // Three links each carry a bulk frame at once, then another: the
-        // pool keeps what came back and lends each later frame the
-        // smallest storage that holds it.
-        let sizes = [BULK + 1, 3 * BULK, 2 * BULK];
-        let mut pool = Pool::new();
-        let mut links: Vec<FrameBuffer> = sizes.iter().map(|_| FrameBuffer::new()).collect();
-        for round in 0..2 {
-            for (fb, &len) in links.iter_mut().zip(&sizes) {
-                fb.extend_with_pool(&framed(len, 1)[..BULK], BULK, &mut pool);
-            }
-            assert_eq!(pool.high_water, sizes.iter().map(|l| 4 + l).sum::<usize>());
-            for (fb, &len) in links.iter_mut().zip(&sizes) {
-                assert_eq!(feed(fb, &framed(len, 1)[BULK..], BULK, &mut pool).len(), 1);
-            }
-            // A link's first bulk frame leaves one spare; later ones all
-            // come back.
-            let kept = if round == 0 {
-                4 + BULK + 1
-            } else {
-                pool.high_water
-            };
-            assert_eq!(pool.kept(), kept, "round {round}");
-        }
-        let mid = (pool.kept.iter())
-            .find(|s| s.capacity() == 4 + 2 * BULK)
-            .map(|s| s.as_ptr());
-        let (mut fb, kept) = (FrameBuffer::new(), pool.kept());
-        // Fits the two larger; the smaller of those is lent.
-        fb.extend_with_pool(&framed(BULK + 2, 2)[..10], BULK, &mut pool);
-        assert_eq!(Some(fb.buf.as_ptr()), mid);
-        assert_eq!(pool.kept(), kept - (4 + 2 * BULK));
-    }
-
-    #[test]
-    fn pool_never_keeps_more_than_its_high_water_mark() {
-        // Links whose frames grow round by round: nothing kept fits, so
-        // every frame allocates, and the kept storage that would pass the
-        // mark goes, smallest first.
-        let mut pool = Pool::new();
-        let mut links: Vec<FrameBuffer> = (0..4).map(|_| FrameBuffer::new()).collect();
-        for round in 1..=6 {
-            for (i, fb) in links.iter_mut().enumerate() {
-                let len = round * BULK + i * 1000 + 1;
-                fb.extend_with_pool(&framed(len, 0)[..100], BULK, &mut pool);
-                assert!(pool.kept() + pool.lent <= pool.high_water, "round {round}");
-            }
-            for (i, fb) in links.iter_mut().enumerate() {
-                let len = round * BULK + i * 1000 + 1;
-                feed(fb, &framed(len, 0)[100..], BULK, &mut pool);
-                assert!(pool.kept() + pool.lent <= pool.high_water, "round {round}");
-            }
-        }
-        assert_eq!(pool.lent, 0);
-        assert_eq!(pool.kept(), pool.high_water, "the last round's storage");
-        // A link gone mid-frame gives its storage back too.
         let mut fb = FrameBuffer::new();
-        fb.extend_with_pool(&framed(2 * BULK, 0)[..100], BULK, &mut pool);
-        assert!(pool.lent > 0);
-        fb.discard(&mut pool);
-        assert_eq!(pool.lent, 0);
-    }
-
-    #[test]
-    fn oversize_header_takes_nothing_from_the_pool() {
-        let mut pool = Pool::new();
-        let lent = pool.take(1 << 10);
-        pool.give(lent, true);
         let mut header = ((MAX_FRAME as u32) + 1).to_le_bytes().to_vec();
         header.extend([0u8; 64]);
-        let mut fb = FrameBuffer::new();
-        fb.extend_with_pool(&header, BULK, &mut pool);
-        assert!(fb.read_bulk(&mut &[0u8; 64][..], BULK, &mut pool).is_none());
+        fb.extend_sized(&header, BULK);
+        assert_eq!(fb.next_bulk(BULK), None);
         assert!(fb.next_frame().is_err());
-        assert_eq!(pool.kept(), 1 << 10, "an unframeable header took storage");
-        assert_eq!(pool.high_water, 1 << 10);
         assert!(
             fb.buf.capacity() < 1 << 10,
             "reserved from a refused header"
@@ -1438,30 +1824,66 @@ mod tests {
     }
 
     #[test]
-    fn small_frame_queued_behind_a_bulk_one() {
-        // The in-place read stops at the bulk frame's end, so its storage
-        // goes back before the next frame is read, and that one lands in
-        // the buffer's own storage.
-        let mut wire = numbered(2 * BULK, 5);
-        wire.extend(numbered(9, 6));
-        let (mut fb, mut pool, mut frames) = (FrameBuffer::new(), Pool::new(), Vec::new());
-        let (head, tail) = wire.split_at(wire.len() - 1);
-        pump_to_end(
-            &mut fb,
-            &mut Trickle::new(head, &[1000]),
-            &mut pool,
-            &mut frames,
-        );
-        assert_eq!(frames.len(), 1);
-        assert_eq!(pool.kept(), 4 + 2 * BULK, "kept once the bulk frame left");
-        assert!(!fb.is_empty() && !fb.lent);
-        pump_to_end(
-            &mut fb,
-            &mut Trickle::new(tail, &[1000]),
-            &mut pool,
-            &mut frames,
-        );
-        assert!(frames[1] == wire[wire.len() - 9..]);
+    fn frame_pieces_borrow_runs_and_stage_the_rest() {
+        let msg = parts(&[BULK / 8, 3, BULK / 4]);
+        let wire = to_frame_bytes(&msg).unwrap();
+        let Msg::Parts { parts, .. } = &msg else {
+            unreachable!()
+        };
+        let mut staged = Vec::new();
+        let pieces = frame_pieces(&msg, wire.len(), 0, BULK / 8, &mut staged, 1 << 10, 16);
+        let runs: Vec<*const f64> = (pieces.iter())
+            .filter_map(|p| match p {
+                Piece::Run(v, 0) => Some(v.as_ptr()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(runs, [parts[0].1 .0.as_ptr(), parts[2].1 .0.as_ptr()]);
+        assert_eq!(pieces.len(), 4, "meta, run, meta with the small run, run");
+        assert!(staged.len() < 100, "staged {} bytes", staged.len());
+        let joined: Vec<u8> = (pieces.iter())
+            .flat_map(|p| match p {
+                Piece::Staged(r) => staged[r.clone()].to_vec(),
+                Piece::Run(v, skip) => to_bytes(v)[4 + skip..].to_vec(),
+            })
+            .collect();
+        assert!(joined == wire);
+    }
+
+    #[test]
+    fn pool_lends_the_best_fit_and_keeps_no_more_than_its_high_water_mark() {
+        let mut pool: Pool<f64> = Pool::new();
+        // Three vectors out at once, then back: all kept.
+        let sizes = [1001, 3000, 2000];
+        let lent: Vec<Vec<f64>> = sizes.iter().map(|&n| pool.take(n)).collect();
+        assert_eq!(pool.lent(), 6001);
+        for v in lent {
+            pool.give(v);
+        }
+        assert_eq!((pool.kept(), pool.lent()), (6001, 0));
+        // Fits the two larger; the smaller of those is lent.
+        assert_eq!(pool.take(1500).capacity(), 2000);
+        // Requests that nothing fits drop kept storage, smallest first,
+        // while the total would pass the mark.
+        let mut pool: Pool<f64> = Pool::new();
+        for round in 1..=6 {
+            let lent: Vec<Vec<f64>> = (0..4).map(|i| pool.take(round * 100 + i)).collect();
+            assert!(
+                pool.kept() + pool.lent() <= pool.high_water,
+                "round {round}"
+            );
+            for v in lent {
+                pool.give(v);
+                assert!(
+                    pool.kept() + pool.lent() <= pool.high_water,
+                    "round {round}"
+                );
+            }
+        }
+        assert_eq!(pool.kept(), pool.high_water, "the last round's storage");
+        // Storage the pool did not lend cannot make it keep more.
+        pool.give(Vec::with_capacity(10_000));
+        assert_eq!(pool.kept(), pool.high_water);
     }
 
     #[test]

@@ -351,7 +351,7 @@ impl<'a, M: Payload> Transport<M> for Context<'a, M> {
     }
 
     fn give_f64(&mut self, storage: Vec<f64>) {
-        self.inner.vectors.give(storage, true);
+        self.inner.vectors.give(storage);
     }
 }
 

@@ -1,8 +1,11 @@
 //! Receive memory follows the frames in flight, not the links: after one
-//! reactor has delivered a bulk frame on each of sixteen links, the live
-//! heap is back within two frames of where it stood before the sends —
-//! the reactor's one spare receive buffer plus slack. A link that kept
-//! the buffer its largest frame was read into would hold sixteen.
+//! reactor has delivered a bulk frame on each of sixteen links, and the
+//! receivers have dropped the vectors they got, the live heap is back
+//! within two decoded vectors of where it stood before the sends — a
+//! vector the reactor's pool may keep from the burst, plus slack. A
+//! bulk frame's run is received straight into the vector it decodes to,
+//! so a link keeps no storage of a frame's size; one that kept the
+//! buffer its largest frame was read into would hold sixteen.
 
 use p2pfl_bench::testkit::{assert_clean_wire, reactor, spawn_group, wait_for};
 use p2pfl_secagg::{SacMsg, WeightVector};
@@ -12,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Counts the bytes currently allocated, process-wide: the receive
-/// buffers live on the reactor's loop thread, not the test's.
+/// storage lives on the reactor's loop thread, not the test's.
 struct LiveBytes;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -100,12 +103,13 @@ fn delivered_bulk_frames_leave_no_receive_buffer_per_link() {
     });
     assert_clean_wire(&peers);
 
-    let frame = 8 * PARAMS;
+    // The size of a decoded vector, which a frame's run is received into.
+    let vector = 8 * PARAMS;
     let retained = LIVE.load(Ordering::Relaxed).saturating_sub(baseline);
     assert!(
-        retained < 2 * frame,
-        "{retained} B still allocated after {PAIRS} frames of {frame} B were delivered and \
-         dropped: {:.1} frames, expected under 2 (one spare receive buffer plus slack)",
-        retained as f64 / frame as f64
+        retained < 2 * vector,
+        "{retained} B still allocated after {PAIRS} vectors of {vector} B were delivered and \
+         dropped: {:.1} vectors, expected under 2 (one the pool keeps plus slack)",
+        retained as f64 / vector as f64
     );
 }

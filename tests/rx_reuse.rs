@@ -1,19 +1,21 @@
 //! Receive storage is reused from round to round. Four links of one
-//! reactor carry concurrent bulk frames in bursts. The storage of a
-//! link's first bulk frame is kept only as the one spare a one-off burst
-//! may leave (`tests/rx_memory.rs`); from a link's second bulk frame on,
-//! the reactor keeps what its links held at once, so the third burst is
-//! received into the second's storage and allocates none. A reactor that
-//! kept one spare buffer allocates all but one of every burst's receive
-//! buffers afresh, and a sender that encoded each bulk frame whole would
+//! reactor carry concurrent bulk frames in bursts. A bulk frame's vector
+//! is received in place, into storage drawn from the reactor's vector
+//! pool when the frame's header is in, and the receiving actor gives it
+//! back once done, as a round core does; so the reactor keeps what its
+//! links held at once, and the third burst is received into the second's
+//! storage and allocates none. A reactor that received a bulk frame into
+//! a buffer of its own, or into vectors it did not keep, allocates every
+//! burst afresh, and a sender that encoded each bulk frame whole would
 //! allocate one buffer of frame size per frame sent.
 //!
 //! The bursts' frames are written from the test over raw connections, so
 //! that all four are in flight together by construction: each link gets
 //! the first half of its frame, the reactor is seen to have read every
 //! half, and only then do the second halves go out. A last burst is sent
-//! by a hosted peer, into storage the reactor already keeps, so any
-//! buffer of frame size allocated then is the sender's.
+//! by a hosted peer, of messages built before counting starts, into
+//! storage the reactor already keeps, so any buffer allocated then of a
+//! vector's or a frame's size is the reactor's.
 
 use p2pfl_bench::testkit::{assert_clean_wire, reactor, spawn_group, wait_for};
 use p2pfl_net::codec::{read_frame, to_frame_bytes, write_frame};
@@ -26,15 +28,20 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// Counts allocations of exactly [`WATCHED`] bytes, process-wide: the
-/// receive buffers live on the reactor's loop thread, not the test's.
+/// Counts allocations of exactly [`WATCHED`] or [`WATCHED_FRAME`] bytes,
+/// process-wide: the receive storage lives on the reactor's loop thread,
+/// not the test's.
 struct SizeCounter;
 
+/// The size of a decoded vector: the storage a bulk frame's run is
+/// received into.
 static WATCHED: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// The size of the frame carrying it: a buffer that held the whole frame.
+static WATCHED_FRAME: AtomicUsize = AtomicUsize::new(usize::MAX);
 static COUNT: AtomicUsize = AtomicUsize::new(0);
 
 fn note(size: usize) {
-    if size == WATCHED.load(Ordering::Relaxed) {
+    if size == WATCHED.load(Ordering::Relaxed) || size == WATCHED_FRAME.load(Ordering::Relaxed) {
         COUNT.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -70,15 +77,18 @@ const PARAMS: usize = 1_000_000;
 /// burst.
 const BURSTS: usize = 3;
 
-/// Counts what arrives and drops it.
+/// Counts what arrives and gives its vector back to the host.
 #[derive(Default)]
 struct Drain {
     got: usize,
 }
 
 impl Actor<SacMsg> for Drain {
-    fn on_message(&mut self, _ctx: &mut dyn Transport<SacMsg>, _from: NodeId, _msg: SacMsg) {
+    fn on_message(&mut self, ctx: &mut dyn Transport<SacMsg>, _from: NodeId, msg: SacMsg) {
         self.got += 1;
+        if let SacMsg::Subtotal { value, .. } = msg {
+            ctx.give_f64(value.into_inner());
+        }
     }
 }
 
@@ -138,13 +148,16 @@ fn concurrent_bulk_frames_reuse_the_last_bursts_receive_storage() {
         })
         .collect();
 
-    // A frame's receive storage is exactly its wire size, so every
-    // allocation of that size, on either side, counts. The bursts'
-    // bytes are encoded once, before counting starts.
+    // A frame's run is received into storage of exactly the decoded
+    // vector's size, so every allocation of that size, or of the frame's,
+    // on either side, counts. The bursts' bytes are encoded once, and the
+    // hosted sender's messages built, before counting starts.
     let wire = to_frame_bytes(&subtotal(PARAMS)).expect("encodes");
-    let frame = wire.len();
+    let (vector, frame) = (8 * PARAMS, wire.len());
     let (head, tail) = wire.split_at(frame / 2);
-    WATCHED.store(frame, Ordering::Relaxed);
+    let burst: Vec<SacMsg> = (0..LINKS).map(|_| subtotal(PARAMS)).collect();
+    WATCHED.store(vector, Ordering::Relaxed);
+    WATCHED_FRAME.store(frame, Ordering::Relaxed);
     let mut fresh = Vec::new();
     for burst in 0..BURSTS {
         let before = COUNT.load(Ordering::Relaxed);
@@ -162,21 +175,25 @@ fn concurrent_bulk_frames_reuse_the_last_bursts_receive_storage() {
         fresh.push(COUNT.load(Ordering::Relaxed) - before);
     }
 
-    // The first burst is each link's first bulk frame, and the second's
+    // The first burst draws each link's vector, and the second's
     // storage is kept; the third must need nothing new.
     assert_eq!(
         fresh.last(),
         Some(&0),
-        "buffers of {frame} B allocated per burst of {LINKS} frames: {fresh:?}; \
-         the last burst should have reused the storage of the one before \
-         and sent without a frame-sized buffer"
+        "buffers of {vector} or {frame} B allocated per burst of {LINKS} frames: {fresh:?}; \
+         the last burst should have reused the storage of the one before"
     );
 
     // A burst from the hosted sender: the reactor keeps storage for four
-    // frames at once, so nothing of frame size is needed on receipt.
+    // vectors at once, so nothing of their size is needed on receipt,
+    // and the sender writes from the messages' own vectors.
     let before = COUNT.load(Ordering::Relaxed);
     let links = to.clone();
-    sender.with(move |_, ctx| links.iter().for_each(|&d| ctx.send(d, subtotal(PARAMS))));
+    sender.with(move |_, ctx| {
+        for (&d, msg) in links.iter().zip(burst) {
+            ctx.send(d, msg);
+        }
+    });
     wait_for("bulk frames", Duration::from_secs(60), || {
         delivered(BURSTS + 2)
     });
@@ -185,6 +202,10 @@ fn concurrent_bulk_frames_reuse_the_last_bursts_receive_storage() {
     });
     let sent = COUNT.load(Ordering::Relaxed) - before;
     WATCHED.store(usize::MAX, Ordering::Relaxed);
+    WATCHED_FRAME.store(usize::MAX, Ordering::Relaxed);
     assert_clean_wire(&peers);
-    assert_eq!(sent, 0, "the sender allocated {sent} buffers of {frame} B");
+    assert_eq!(
+        sent, 0,
+        "a hosted burst allocated {sent} buffers of {vector} or {frame} B"
+    );
 }
