@@ -65,6 +65,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # vectors over the 2 s runs). Neither ceiling moved: ~8.5 % over those
 # would be 213 and 449, so 215 and 438 leave 9 % and 6 %.
 #
+# session_mlp_30's wire bytes are pinned like the reactor legs': the
+# mean over its first 428 rounds, on virtual time, so deterministic.
+#
 # Since bulk frames' f64 runs are read from the socket straight into
 # pool vectors, the reactor keeps no byte pool, and the bulk leg dropped
 # by its ~114 MiB: ten 2 s runs read 280.2-299.0 MiB (median 280.4) and
@@ -72,7 +75,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # is ~8.5 % over the highest, 325. Ring did not move (ten 2 s runs
 # 192.7-193.1, 25 s runs 192.7-193.5), so its ceiling stays.
 echo "==> repo benchmark: round digests vs sim twin + exact wire bytes + bulk and ring RSS ceilings (4 workloads x 2 s)"
-for spec in session_mlp_30:: sac_bulk_cnn_3:129833796:325 sac_fanout_256:18930176: ring_bulk_16:164008048:215; do
+for spec in session_mlp_30:6576967.626168224: sac_bulk_cnn_3:129833796:325 sac_fanout_256:18930176: ring_bulk_16:164008048:215; do
     IFS=: read -r workload wire_bytes rss_ceiling <<<"$spec"
     result="$(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 2 --trace 0 | tail -n 1)"

@@ -284,7 +284,7 @@ struct Core<M, A> {
     next_epoch: u64,
     timers: TimerQueue<TimerEntry<M>>,
     scratch: Vec<u8>,
-    /// The meta bytes of a bulk frame being written, for whichever link
+    /// The staged bytes of the write batch in flight, for whichever link
     /// writes one.
     stage: Stage,
     /// The model vectors of every hosted actor: received runs are read
@@ -322,22 +322,30 @@ struct ReactorCtx<'a, M> {
     touched: &'a mut Vec<NodeId>,
 }
 
-impl<M> ReactorCtx<'_, M> {
+impl<M: Payload> ReactorCtx<'_, M> {
     /// Queues one frame on the link to `to`, creating the link if needed;
-    /// a full queue counts the frame into `sends_dropped` instead.
+    /// a full queue drops the frame instead.
     fn enqueue(&mut self, to: NodeId, frame: Frame<M>) {
         let caps = self.caps;
         let ol = self.links.entry(to).or_insert_with(|| OutLink::new(caps));
-        if ol.queue.push(frame) {
-            self.stats
-                .send_queue_peak
-                .fetch_max(ol.queue.peak() as u64, Ordering::Relaxed);
-            if !self.touched.contains(&to) {
-                self.touched.push(to);
+        match ol.queue.push(frame) {
+            Ok(()) => {
+                self.stats
+                    .send_queue_peak
+                    .fetch_max(ol.queue.peak() as u64, Ordering::Relaxed);
+                if !self.touched.contains(&to) {
+                    self.touched.push(to);
+                }
             }
-        } else {
-            self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
+            Err(frame) => self.drop_send(frame.into_message()),
         }
+    }
+
+    /// A message that will never be written: counted into
+    /// `sends_dropped`, its vectors given back to the pool.
+    fn drop_send(&mut self, msg: M) {
+        msg.recycle(self.vectors);
+        self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -357,12 +365,12 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
             self.loopback.push_back(msg);
             return;
         }
-        // A bulk frame stays a message until the socket takes it; the
-        // count sizes it for the queue's byte cap all the same.
-        let Some(frame) = Frame::new(msg, conn::READ_CHUNK, self.vectors) else {
+        // A frame stays a message until the socket takes it; the count
+        // sizes it for the queue's byte cap.
+        let frame = match Frame::new(msg) {
+            Ok(frame) => frame,
             // Unencodable or oversized: it could never reach the wire.
-            self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+            Err(msg) => return self.drop_send(msg),
         };
         let Some(lf) = self.faults.as_mut() else {
             self.enqueue(to, frame);
@@ -371,8 +379,7 @@ impl<M: WireMsg> Transport<M> for ReactorCtx<'_, M> {
         let now = sim_elapsed(self.origin);
         let v = lf.on_send(now, self.id, to);
         if v.copies == 0 {
-            self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+            return self.drop_send(frame.into_message());
         }
         // Every copy but the last is a clone; the last takes `frame`.
         for frame in std::iter::repeat_n(frame, v.copies as usize) {
@@ -1949,5 +1956,70 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    use p2pfl_secagg::{SacMsg, WeightVector};
+
+    struct Quiet;
+
+    impl Actor<SacMsg> for Quiet {
+        fn on_message(&mut self, _: &mut dyn Transport<SacMsg>, _: NodeId, _: SacMsg) {}
+    }
+
+    /// Sends to `NodeId(9)`, which never connects, a subtotal of `dim`
+    /// drawn from the host's pool after `first` (a message sent ahead of
+    /// it), and returns whether the pool lends that storage out again at
+    /// once: whether the message's vector came back.
+    fn dropped_vector_comes_back(
+        h: &PeerHandle<SacMsg, Quiet>,
+        first: Option<SacMsg>,
+        dim: usize,
+    ) -> bool {
+        h.with(move |_, ctx| {
+            if let Some(first) = first {
+                ctx.send(NodeId(9), first);
+            }
+            let mut storage = ctx.take_f64(dim);
+            storage.resize(dim, 7.0);
+            let value = WeightVector::new(storage);
+            ctx.send(
+                NodeId(9),
+                SacMsg::Subtotal {
+                    round: 1,
+                    idx: 0,
+                    value,
+                },
+            );
+            // Pooled storage comes back as it was given; fresh storage
+            // is empty.
+            ctx.take_f64(dim).first() == Some(&7.0)
+        })
+    }
+
+    #[test]
+    fn a_frame_dropped_before_the_wire_gives_its_vectors_back() {
+        let begin = || Some(SacMsg::Begin { round: 0 });
+        // Refused by a one-frame queue cap.
+        let cfg = ReactorConfig {
+            max_queue_frames: 1,
+            ..ReactorConfig::default()
+        };
+        let r: Reactor<SacMsg, Quiet> = Reactor::start(cfg).unwrap();
+        let h = r.spawn_peer(NodeId(0), Quiet).unwrap();
+        assert!(dropped_vector_comes_back(&h, begin(), 1000), "queue cap");
+        // Lost to the fault plan.
+        let plan = FaultPlan::new(3).loss(SimTime::ZERO, SimTime::from_secs(3600), 1.0);
+        let r: Reactor<SacMsg, Quiet> = Reactor::start(ReactorConfig::default()).unwrap();
+        let h = r.spawn_peer_with_faults(NodeId(0), Quiet, &plan).unwrap();
+        assert!(dropped_vector_comes_back(&h, None, 1000), "fault plan");
+        // Over `MAX_FRAME`: it has no frame.
+        let h = r.spawn_peer(NodeId(1), Quiet).unwrap();
+        assert!(
+            dropped_vector_comes_back(&h, None, codec::MAX_FRAME / 8),
+            "unframeable"
+        );
+        assert_eq!(h.stats().sends_dropped, 1);
+        // A queued frame keeps its vector until written.
+        assert!(!dropped_vector_comes_back(&h, None, 1000), "queued");
     }
 }

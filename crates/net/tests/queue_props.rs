@@ -5,21 +5,23 @@
 //! the same cap rules, executed naively) is driven through randomized
 //! enqueue/write/disconnect interleavings alongside the real
 //! [`SendQueue`]s of two links that share one [`Stage`], the way a
-//! reactor's links do. Frames are of both kinds: bytes encoded at send
-//! time, and messages whose bytes are staged, at most a stage's size a
-//! write, as the link writes them (their vectors are under the run size,
-//! so every byte is staged). After every operation each queue and its model must agree on length,
-//! byte total, drop count, and what the next vectored batch would offer,
-//! and the bytes a link has written so far must be a prefix of its
-//! accepted frames' `to_frame_bytes`, in push order. The invariants the
-//! reactor relies on:
+//! reactor's links do. Every frame is a message, small ones and ones with
+//! a vector, whose bytes are staged, at most a stage's size a write, as
+//! the link writes them (their vectors are under the run size, so every
+//! byte is staged, and a batch is one staged slice). After every
+//! operation each queue and its model must agree on length, byte total,
+//! drop count, and what the next vectored batch would offer (its bytes
+//! and its frame count), and the bytes a link has written so far must be
+//! a prefix of its accepted frames' `to_frame_bytes`, in push order. The
+//! invariants the reactor relies on:
 //!
 //! * Neither cap is ever exceeded, no matter the interleaving.
 //! * Per-link FIFO: the batch is always a prefix of the accepted frames
 //!   in push order — a reconnect (`reset_progress`) rewinds to the head
 //!   frame's boundary but never reorders or skips, even mid-stage, and
 //!   another link's bytes in the shared stage never leak in.
-//! * Every rejected push is counted, exactly once.
+//! * Every refused push is counted, exactly once, and hands its frame
+//!   back.
 //! * `advance` retires a frame exactly when its full length has been
 //!   written since it became head, and reports whole frames only.
 
@@ -33,12 +35,9 @@ const BATCH: usize = 8;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Push a byte frame of this many bytes (pattern-filled for content
-    /// checks) on a link.
+    /// Push a message on a link: with a vector of this many elements, or
+    /// a small control message for 0.
     Push(usize, usize),
-    /// Push a message with this many elements on a link, kept as the
-    /// message if its frame is over the given length.
-    PushMsg(usize, usize, usize),
     /// A link's kernel accepted this many bytes of its current batch.
     Advance(usize, usize),
     /// A link's connection died: void partial progress on its head frame.
@@ -47,8 +46,7 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0usize..2, 1usize..40).prop_map(|(l, len)| Op::Push(l, len)),
-        (0usize..2, 0usize..12, 0usize..80).prop_map(|(l, dim, eager)| Op::PushMsg(l, dim, eager)),
+        (0usize..2, 0usize..12).prop_map(|(l, dim)| Op::Push(l, dim)),
         (0usize..2, 0usize..80).prop_map(|(l, n)| Op::Advance(l, n)),
         (0usize..2).prop_map(Op::Reset),
     ]
@@ -56,8 +54,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 /// Naive reference: frames as their wire bytes, same cap rules.
 struct Model {
-    /// Wire bytes of each queued frame, and whether it is a message.
-    frames: Vec<(Vec<u8>, bool)>,
+    /// Wire bytes of each queued frame.
+    frames: Vec<Vec<u8>>,
     head_written: usize,
     dropped: u64,
     peak: usize,
@@ -78,15 +76,15 @@ impl Model {
     }
 
     fn bytes(&self) -> usize {
-        self.frames.iter().map(|(f, _)| f.len()).sum()
+        self.frames.iter().map(Vec::len).sum()
     }
 
-    fn push(&mut self, frame: Vec<u8>, message: bool) -> bool {
+    fn push(&mut self, frame: Vec<u8>) -> bool {
         if self.frames.len() >= self.max_frames || self.bytes() + frame.len() > self.max_bytes {
             self.dropped += 1;
             return false;
         }
-        self.frames.push((frame, message));
+        self.frames.push(frame);
         self.peak = self.peak.max(self.frames.len());
         true
     }
@@ -94,10 +92,10 @@ impl Model {
     fn advance(&mut self, mut n: usize) -> (usize, usize) {
         let (mut retired, mut retired_bytes) = (0, 0);
         while n > 0 && !self.frames.is_empty() {
-            let remaining = self.frames[0].0.len() - self.head_written;
+            let remaining = self.frames[0].len() - self.head_written;
             if n >= remaining {
                 n -= remaining;
-                retired_bytes += self.frames[0].0.len();
+                retired_bytes += self.frames[0].len();
                 retired += 1;
                 self.frames.remove(0);
                 self.head_written = 0;
@@ -109,36 +107,36 @@ impl Model {
         (retired, retired_bytes)
     }
 
-    /// What a vectored write would be offered, concatenated: byte frames
-    /// up to the first message, then one window of that message.
-    fn batch_bytes(&self, max: usize, window: usize) -> Vec<u8> {
+    /// What a vectored write would be offered: the first `max` frames
+    /// from the head's first unwritten byte on, cut to `window` bytes,
+    /// and how many frames that reaches into.
+    fn batch(&self, max: usize, window: usize) -> (usize, Vec<u8>) {
         let mut out = Vec::new();
-        for (i, (f, message)) in self.frames.iter().take(max).enumerate() {
-            let skip = if i == 0 { self.head_written } else { 0 };
-            let end = if *message {
-                f.len().min(skip + window)
-            } else {
-                f.len()
-            };
-            out.extend_from_slice(&f[skip..end]);
-            if *message {
+        let mut frames = 0;
+        for (i, f) in self.frames.iter().take(max).enumerate() {
+            let room = window - out.len();
+            if room == 0 {
                 break;
             }
+            let skip = if i == 0 { self.head_written } else { 0 };
+            let rest = &f[skip..];
+            out.extend_from_slice(&rest[..rest.len().min(room)]);
+            frames += 1;
         }
-        out
+        (frames, out)
     }
 }
 
-/// A frame whose content encodes its sequence number, so FIFO violations
-/// show up as content mismatches, not just length mismatches.
-fn frame(seq: usize, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| (seq.wrapping_add(i) & 0xff) as u8)
-        .collect()
-}
-
-/// A subtotal whose round and elements encode its sequence number.
+/// A message whose content encodes its sequence number, so FIFO
+/// violations show up as content mismatches, not just length mismatches:
+/// a subtotal of `dim` elements, or for 0 a small control message.
 fn message(seq: usize, dim: usize) -> SacMsg {
+    if dim == 0 {
+        return SacMsg::SubtotalRequest {
+            round: seq as u64,
+            idx: seq % 7,
+        };
+    }
     SacMsg::Subtotal {
         round: seq as u64,
         idx: dim,
@@ -167,24 +165,33 @@ impl Link {
         }
     }
 
-    fn push(&mut self, frame: Frame<SacMsg>, wire: Vec<u8>) {
-        let message = matches!(frame, Frame::Message { .. });
+    fn push(&mut self, msg: SacMsg) {
+        let wire = to_frame_bytes(&msg).expect("encodes");
+        let frame = Frame::new(msg.clone()).expect("frames");
         assert_eq!(frame.len(), wire.len(), "counted frame length");
-        let accepted = self.q.push(frame);
-        assert_eq!(
-            accepted,
-            self.m.push(wire.clone(), message),
-            "push disagreed"
-        );
-        if accepted {
-            self.accepted.extend_from_slice(&wire);
+        let pushed = self.q.push(frame);
+        assert_eq!(pushed.is_ok(), self.m.push(wire.clone()), "push disagreed");
+        match pushed {
+            Ok(()) => self.accepted.extend_from_slice(&wire),
+            Err(refused) => assert_eq!(refused.into_message(), msg, "the refused frame"),
         }
     }
 
     /// The kernel takes `n` bytes of the batch (at most all of it).
     fn write(&mut self, n: usize, stage: &mut Stage, window: usize) {
-        let offered: Vec<u8> = self.q.batch(BATCH, stage).flatten().copied().collect();
-        assert_eq!(offered, self.m.batch_bytes(BATCH, window), "batch diverged");
+        let (frames, slices) = self.q.batch(BATCH, stage);
+        let slices: Vec<&[u8]> = slices.collect();
+        assert!(
+            slices.len() <= 1,
+            "all staged: one slice, not {}",
+            slices.len()
+        );
+        let offered = slices.concat();
+        assert_eq!(
+            (frames, offered.clone()),
+            self.m.batch(BATCH, window),
+            "batch diverged"
+        );
         let n = n.min(offered.len());
         self.written.extend_from_slice(&offered[..n]);
         let (frames, bytes) = self.q.advance(n, &mut Pool::new());
@@ -225,18 +232,7 @@ fn check_against_model(max_frames: usize, max_bytes: usize, window: usize, ops: 
     ];
     for (seq, op) in ops.iter().enumerate() {
         match *op {
-            Op::Push(l, len) => {
-                let f = frame(seq, len);
-                links[l].push(Frame::Bytes(f.clone()), f);
-            }
-            Op::PushMsg(l, dim, eager) => {
-                let msg = message(seq, dim);
-                let wire = to_frame_bytes(&msg).expect("encodes");
-                links[l].push(
-                    Frame::new(msg, eager, &mut Pool::new()).expect("frames"),
-                    wire,
-                );
-            }
+            Op::Push(l, dim) => links[l].push(message(seq, dim)),
             Op::Advance(l, n) => links[l].write(n, &mut stage, window),
             Op::Reset(l) => links[l].reset(),
         }
@@ -267,14 +263,16 @@ proptest! {
     #[test]
     fn unbounded_advance_always_drains(
         max_frames in 1usize..6,
-        max_bytes in 16usize..120,
-        lens in prop::collection::vec(1usize..30, 0..12),
+        max_bytes in 16usize..400,
+        dims in prop::collection::vec(0usize..12, 0..12),
     ) {
         let mut q = SendQueue::<SacMsg>::new(max_frames, max_bytes);
         let mut accepted_bytes = 0usize;
         let mut accepted = 0usize;
-        for (seq, len) in lens.iter().enumerate() {
-            if q.push(Frame::Bytes(frame(seq, *len))) {
+        for (seq, dim) in dims.iter().enumerate() {
+            let frame = Frame::new(message(seq, *dim)).expect("frames");
+            let len = frame.len();
+            if q.push(frame).is_ok() {
                 accepted += 1;
                 accepted_bytes += len;
             }
@@ -291,23 +289,24 @@ proptest! {
 /// with.
 #[test]
 fn reconnect_resends_partial_head_from_frame_boundary() {
-    let mut stage = Stage::new(64);
+    let mut stage = Stage::new(1 << 10);
     let mut q = SendQueue::<SacMsg>::new(8, 1 << 20);
-    let f0 = frame(0, 10);
-    let f1 = frame(1, 7);
-    assert!(q.push(Frame::Bytes(f0.clone())));
-    assert!(q.push(Frame::Bytes(f1.clone())));
+    let (m0, m1) = (message(0, 3), message(1, 0));
+    let mut want = to_frame_bytes(&m0).expect("encodes");
+    want.extend_from_slice(&to_frame_bytes(&m1).expect("encodes"));
+    assert!(q.push(Frame::new(m0).expect("frames")).is_ok());
+    assert!(q.push(Frame::new(m1).expect("frames")).is_ok());
     assert_eq!(
         q.advance(6, &mut Pool::new()),
         (0, 0),
         "partial head retires nothing"
     );
     q.reset_progress();
-    let offered: Vec<u8> = q.batch(8, &mut stage).fold(Vec::new(), |mut a, s| {
+    let (frames, slices) = q.batch(8, &mut stage);
+    let offered: Vec<u8> = slices.fold(Vec::new(), |mut a, s| {
         a.extend_from_slice(s);
         a
     });
-    let mut want = f0;
-    want.extend_from_slice(&f1);
+    assert_eq!(frames, 2);
     assert_eq!(offered, want, "resend must restart at the frame boundary");
 }

@@ -11,6 +11,12 @@ pub trait Deserializer {
     fn de_bool(&mut self) -> Result<bool, Self::Error>;
     /// Reads an unsigned integer.
     fn de_u64(&mut self) -> Result<u64, Self::Error>;
+    /// Reads a `u8`. Provided through [`Deserializer::de_u64`], range
+    /// checked; a binary backend overrides it to read one byte.
+    fn de_u8(&mut self) -> Result<u8, Self::Error> {
+        let raw = self.de_u64()?;
+        u8::try_from(raw).map_err(|_| self.invalid("integer out of range"))
+    }
     /// Reads a signed integer.
     fn de_i64(&mut self) -> Result<i64, Self::Error>;
     /// Reads an `f32`.
@@ -30,6 +36,12 @@ pub trait Deserializer {
     /// stream; a backend whose sequence encoding is a flat run of fixed-
     /// width elements overrides it with one bounds-checked bulk copy.
     fn de_f64_seq(&mut self) -> Result<Vec<f64>, Self::Error> {
+        element_wise(self)
+    }
+
+    /// Reads a whole `u8` sequence. Provided as the element-wise event
+    /// stream; a binary backend overrides it with one copy of the bytes.
+    fn de_u8_seq(&mut self) -> Result<Vec<u8>, Self::Error> {
         element_wise(self)
     }
 
@@ -93,7 +105,16 @@ macro_rules! de_uint {
         }
     )*};
 }
-de_uint!(u8, u16, u32, usize);
+de_uint!(u16, u32, usize);
+
+impl Deserialize for u8 {
+    fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, D::Error> {
+        d.de_u8()
+    }
+    fn deserialize_vec<D: Deserializer + ?Sized>(d: &mut D) -> Result<Vec<u8>, D::Error> {
+        d.de_u8_seq()
+    }
+}
 
 impl Deserialize for u64 {
     fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, D::Error> {

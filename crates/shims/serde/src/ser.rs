@@ -13,8 +13,14 @@ pub trait Serializer<'v> {
 
     /// Writes a boolean.
     fn ser_bool(&mut self, v: bool) -> Result<(), Self::Error>;
-    /// Writes an unsigned integer (all widths funnel through `u64`).
+    /// Writes an unsigned integer (all widths but `u8` funnel through
+    /// `u64`).
     fn ser_u64(&mut self, v: u64) -> Result<(), Self::Error>;
+    /// Writes a `u8`. Provided through [`Serializer::ser_u64`]; a binary
+    /// backend overrides it to write one byte.
+    fn ser_u8(&mut self, v: u8) -> Result<(), Self::Error> {
+        self.ser_u64(u64::from(v))
+    }
     /// Writes a signed integer (all widths funnel through `i64`).
     fn ser_i64(&mut self, v: i64) -> Result<(), Self::Error>;
     /// Writes an `f32`.
@@ -35,6 +41,12 @@ pub trait Serializer<'v> {
     /// width elements overrides it with one bulk copy producing the same
     /// output.
     fn ser_f64_seq(&mut self, v: &'v [f64]) -> Result<(), Self::Error> {
+        element_wise(v, self)
+    }
+
+    /// Writes a whole `u8` sequence. Provided as the element-wise event
+    /// stream; a binary backend overrides it with one copy of the bytes.
+    fn ser_u8_seq(&mut self, v: &'v [u8]) -> Result<(), Self::Error> {
         element_wise(v, self)
     }
 
@@ -68,8 +80,9 @@ pub trait Serialize {
     fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error>;
 
     /// Streams a slice of `Self` as one sequence — what `[T]` and `Vec<T>`
-    /// serialize through. Provided element by element; `f64` overrides it
-    /// to reach [`Serializer::ser_f64_seq`].
+    /// serialize through. Provided element by element; `f64` and `u8`
+    /// override it to reach [`Serializer::ser_f64_seq`] and
+    /// [`Serializer::ser_u8_seq`].
     fn serialize_slice<'v, S: Serializer<'v> + ?Sized>(
         slice: &'v [Self],
         s: &mut S,
@@ -103,7 +116,19 @@ macro_rules! ser_uint {
         }
     )*};
 }
-ser_uint!(u8, u16, u32, u64, usize);
+ser_uint!(u16, u32, u64, usize);
+
+impl Serialize for u8 {
+    fn serialize<'v, S: Serializer<'v> + ?Sized>(&'v self, s: &mut S) -> Result<(), S::Error> {
+        s.ser_u8(*self)
+    }
+    fn serialize_slice<'v, S: Serializer<'v> + ?Sized>(
+        slice: &'v [u8],
+        s: &mut S,
+    ) -> Result<(), S::Error> {
+        s.ser_u8_seq(slice)
+    }
+}
 
 macro_rules! ser_int {
     ($($t:ty),*) => {$(

@@ -11,19 +11,24 @@
 //! * a pairwise round (3 peers) and a ring round (8 peers) at dim ~80 k on
 //!   one reactor publish the simulator's digest bit for bit, and a
 //!   commit-then-skew sender is still convicted by the new digest while
-//!   the published result stays the plain mean of the honest models.
+//!   the published result stays the plain mean of the honest models;
+//! * small and bulk frames sent to one peer in one dispatch, which the
+//!   reactor writes from their messages in shared batches, arrive in
+//!   send order, each the value its wire bytes decode to.
 
 use p2pfl_bench::testkit::{
     assert_clean_wire, mesh, models, reactor, reactor_round, sac_peers, sim_group, sim_round,
-    spawn_group,
+    spawn_group, wait_for,
 };
 use p2pfl_net::codec::{from_bytes, to_bytes, to_frame_bytes, FrameBuffer};
 use p2pfl_secagg::{
     PairwiseWire, RingSacActor, RingWire, SacEngine, SacMsg, SacPeerActor, WeightVector,
 };
-use p2pfl_simnet::{NodeId, SimDuration};
+use p2pfl_simnet::{Actor, NodeId, SimDuration, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
+use std::time::Duration;
 
 const DIM: usize = 80_003;
 const SEED: u64 = 0xB01C;
@@ -264,5 +269,105 @@ fn ring_round_matches_simulator() {
         want.digest(),
         "reactor digest diverged from the simulator"
     );
+    assert_clean_wire(&handles);
+}
+
+// ---------------------------------------------------------------------
+// Reactor send path: small and bulk frames in shared write batches
+// ---------------------------------------------------------------------
+
+/// Keeps every message it receives, in order.
+#[derive(Default)]
+struct Record {
+    got: Vec<SacMsg>,
+}
+
+impl Actor<SacMsg> for Record {
+    fn on_message(&mut self, _: &mut dyn Transport<SacMsg>, _: NodeId, msg: SacMsg) {
+        self.got.push(msg);
+    }
+}
+
+/// Control frames, share blocks and subtotals, each side of the 64 KiB
+/// read chunk, interleaved as a round core's dispatch might send them.
+fn interleaved() -> Vec<SacMsg> {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut vector = |dim| Arc::new(WeightVector::random(dim, 1e3, &mut rng));
+    let (bulk, small) = (DIM, 100);
+    let mut msgs = Vec::new();
+    for round in 0..3 {
+        msgs.extend([
+            SacMsg::Begin { round },
+            SacMsg::Commit {
+                round,
+                from_pos: 1,
+                digests: vec![round ^ 0xD1, 7, 9],
+            },
+            SacMsg::ShareBlock {
+                round,
+                from_pos: 1,
+                parts: vec![(0, vector(bulk)), (2, vector(small))],
+            },
+            SacMsg::Subtotal {
+                round,
+                idx: 1,
+                value: Arc::unwrap_or_clone(vector(small)),
+            },
+            SacMsg::Abort {
+                round,
+                reason: "interleaved".into(),
+            },
+            SacMsg::Subtotal {
+                round,
+                idx: 0,
+                value: Arc::unwrap_or_clone(vector(bulk)),
+            },
+            SacMsg::ComputeOver {
+                round,
+                contributors: vec![0, 1, 2],
+            },
+            SacMsg::ShareBlock {
+                round,
+                from_pos: 0,
+                parts: vec![(1, vector(small))],
+            },
+            SacMsg::SubtotalRequest { round, idx: 2 },
+        ]);
+    }
+    msgs
+}
+
+#[test]
+fn interleaved_small_and_bulk_frames_arrive_in_order_as_sent() {
+    let msgs = interleaved();
+    let want: Vec<SacMsg> = (msgs.iter())
+        .map(|m| {
+            let wire = to_frame_bytes(m).expect("frames");
+            from_bytes(&wire[4..]).expect("decodes")
+        })
+        .collect();
+    let reactor = reactor::<SacMsg, Record>();
+    let handles = spawn_group(
+        &reactor,
+        [0, 1].map(|i| (NodeId(i), Record::default())),
+        None,
+    );
+    mesh(&handles);
+    let (sender, receiver) = (&handles[0], &handles[1]);
+    let n = msgs.len();
+    sender.with(move |_, ctx| msgs.into_iter().for_each(|m| ctx.send(NodeId(1), m)));
+    wait_for("every frame", Duration::from_secs(30), || {
+        receiver.with(|r, _| r.got.len()) >= n
+    });
+    let got = receiver.with(|r, _| std::mem::take(&mut r.got));
+    assert_eq!(got.len(), n);
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert!(
+            got == want,
+            "message {i} of {n} differs from its wire decoding"
+        );
+    }
+    assert_eq!(sender.stats().frames_sent, receiver.stats().frames_received);
+    assert_eq!(receiver.stats().frames_received as usize, n);
     assert_clean_wire(&handles);
 }
