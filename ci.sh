@@ -194,12 +194,15 @@ else
     echo "==> perf gate: SKIPPED (no BENCH_hotpath.json baseline checked in)"
 fi
 
-# Scale gate: quick two-layer round (64 peers on one reactor)
-# digest-checked against the simulator twin and compared against the
-# checked-in 1000-peer baseline's _quick entries; fails on a >2x median
-# regression above an absolute 250ms floor (1-core scheduler noise).
-# Refresh after an intentional change with the full run on a quiet
-# machine: cargo run --release -p p2pfl-bench --bin scale
+# Scale gate: the quick two-layer round - 8 SAC subgroups of 8 (64
+# peers) on one reactor, then layer 2 as Alg. 3's FedAvg over their
+# results - with every subgroup digest and the combine's checked against
+# the simulator twin (a mismatch panics). Its subgroup_round_quick and
+# whole_round_quick medians are gated against the checked-in baseline's
+# _quick entries through the same check as hotpath: a >2x regression
+# that is also over an absolute 250 ms floor (scheduler noise on a loaded
+# host) exits 2. Refresh after an intentional change with the full run on
+# a quiet machine: cargo run --release -p p2pfl-bench --bin scale
 if [ -f BENCH_scale.json ]; then
     echo "==> scale gate (scale --quick vs BENCH_scale.json)"
     mkdir -p target/bench

@@ -25,7 +25,7 @@
 //! "Performance").
 
 use p2pfl_bench::alloc::CountingAlloc;
-use p2pfl_bench::hotpath::{check_regressions, parse_baseline, Harness, HOST_ORACLE};
+use p2pfl_bench::hotpath::{gate, write_report, Harness};
 use p2pfl_bench::testkit::{ids, sac_config};
 use p2pfl_bench::Args;
 use p2pfl_ml::layers::Conv2d;
@@ -203,40 +203,21 @@ fn main() {
             )
         })
         .collect();
-    let json = h.to_json(
-        quick,
+    write_report(
+        &out_path,
+        "p2pfl-bench/hotpath/v1",
         &[
+            format!("\"quick\": {quick}"),
             format!("\"matmul_speedup_256\": {speedup:.3}"),
             format!("\"ring_crossover_n\": {crossover_n}"),
             format!("\"ring_crossover\": [{}]", sweep_json.join(", ")),
         ],
+        h.results(),
     );
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
 
-    // --- optional regression gate against a checked-in baseline ---
+    // --- optional regression gate against a checked-in baseline, each
+    // median relative to the same run's HOST_ORACLE ---
     if let Some(baseline_path) = baseline_path {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => {
-                let baseline = parse_baseline(&text);
-                let offenders = check_regressions(h.results(), &baseline, factor);
-                if offenders.is_empty() {
-                    println!(
-                        "perf gate: {} benchmarks within {factor}x of {baseline_path} \
-                         (each relative to {HOST_ORACLE})",
-                        baseline.len()
-                    );
-                } else {
-                    eprintln!("perf gate FAILED vs {baseline_path}:");
-                    for line in &offenders {
-                        eprintln!("  {line}");
-                    }
-                    std::process::exit(2);
-                }
-            }
-            Err(_) => {
-                println!("perf gate: baseline {baseline_path} missing, skipping comparison");
-            }
-        }
+        gate(&baseline_path, h.results(), factor, 0);
     }
 }

@@ -1,17 +1,18 @@
 //! Scale benchmark (`BENCH_scale.json`): a 1000-peer, 100-subgroup
-//! two-layer secure-aggregation round on loopback TCP, every peer hosted
-//! by the single-thread reactor runtime.
+//! two-layer round, layer 1 on loopback TCP with every peer hosted by the
+//! single-thread reactor runtime.
 //!
 //! Layer 1 runs 100 independent SAC subgroups (10 peers each, pairwise
-//! masked, k = 5) concurrently on ONE reactor; layer 2 aggregates the 100
-//! subgroup results in a second SAC group. The leader digests of both
-//! layers are checked bit-for-bit against a simulator twin running the
-//! same actors with the same seeds — at every scale, the async runtime
-//! must compute *exactly* what the discrete-event simulator computes.
+//! masked, k = 5) concurrently on ONE reactor; layer 2 is the paper's
+//! Alg. 3 FedAvg over the 100 subgroup results, computed in process as
+//! `ResilientSession` combines. Every subgroup digest and the combine's
+//! are checked bit-for-bit against a simulator twin running the same
+//! actors with the same seeds — at every scale, the async runtime must
+//! compute *exactly* what the discrete-event simulator computes.
 //!
 //! Reported: per-subgroup round-completion latency percentiles
-//! (p50/p95/p99), whole-round wall time, layer-2 latency, and bytes +
-//! frames per peer from the transport's own counters.
+//! (p50/p95/p99), whole-round wall time, and bytes + frames per peer from
+//! the transport's own counters.
 //!
 //! ```text
 //! cargo run -rp p2pfl-bench --bin scale              # full: 1000 peers, writes BENCH_scale.json
@@ -25,19 +26,26 @@
 //! The checked-in `BENCH_scale.json` is the perf-gate baseline; refresh it
 //! with a full (non-`--quick`) run on a quiet machine.
 
-use p2pfl_bench::hotpath::{parse_baseline, BenchResult};
+use p2pfl_bench::hotpath::{gate, write_report, BenchResult};
 use p2pfl_bench::testkit::{
     mesh, models, reactor, sac_peers, sim_group, sim_round, spawn_group, synthetic_session,
 };
 use p2pfl_bench::{banner, Args};
+use p2pfl_fed::fedavg;
 use p2pfl_net::PeerHandle;
 use p2pfl_secagg::{PairwiseWire, SacEngine, SacMsg, SacPeerActor, SacPhase, WeightVector};
 use p2pfl_simnet::{FaultPlan, NodeId, SimDuration, SimTime};
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 0x5CA1E0;
-/// Seed offset separating layer-2 actor seeds from layer-1's.
-const L2_SEED: u64 = SEED + 1_000_000;
+
+/// Nanoseconds below which a median is treated as noise: on a loaded
+/// runner the quick shape's round times are a few milliseconds, where
+/// scheduler jitter alone exceeds 2x. A regression must clear BOTH the
+/// relative factor and this absolute floor — the failure mode the gate
+/// exists for (e.g. listener-backlog overflow turning dials into ~1 s
+/// kernel SYN retransmits) clears the floor by an order of magnitude.
+const GATE_FLOOR_NS: u64 = 250_000_000;
 
 #[derive(Clone, Copy)]
 struct Shape {
@@ -45,7 +53,6 @@ struct Shape {
     sub_size: usize,
     dim: usize,
     k: usize,
-    l2_k: usize,
 }
 
 impl Shape {
@@ -59,14 +66,12 @@ const FULL: Shape = Shape {
     sub_size: 10,
     dim: 256,
     k: 5,
-    l2_k: 5,
 };
 const QUICK: Shape = Shape {
     subgroups: 8,
     sub_size: 8,
     dim: 32,
     k: 3,
-    l2_k: 3,
 };
 
 /// The soak leg's link chaos: loss-free delay spikes + duplication, so
@@ -82,52 +87,47 @@ fn soak_plan() -> FaultPlan {
         .duplicate(SimTime::ZERO, SimTime::from_secs(3600), 0.3)
 }
 
-/// Layer-1 peers: `shape.subgroups` subgroups of `shape.sub_size`, the
+/// The peers: `shape.subgroups` subgroups of `shape.sub_size`, the
 /// leader of each first.
-fn l1_peers(shape: &Shape, deadline: SimDuration) -> Vec<(NodeId, SacPeerActor)> {
+fn peers(shape: &Shape, deadline: SimDuration) -> Vec<(NodeId, SacPeerActor)> {
     let models = models(shape.peers(), shape.dim, SEED + 999);
     let (sub_size, k) = (shape.sub_size, shape.k);
     sac_peers(&models, sub_size, k, SacEngine::Pairwise, deadline, SEED)
 }
 
-/// Layer-2 peers: one group of all subgroup leaders, ids 0..subgroups,
-/// each holding its subgroup's result.
-fn l2_peers(
-    shape: &Shape,
-    results: &[WeightVector],
-    deadline: SimDuration,
-) -> Vec<(NodeId, SacPeerActor)> {
-    let (n, k) = (shape.subgroups, shape.l2_k);
-    sac_peers(results, n, k, SacEngine::Pairwise, deadline, L2_SEED)
+/// Layer 2 (paper Alg. 3): plain FedAvg over the subgroup results, each
+/// weighted by its subgroup's size, all equal here.
+fn combine(shape: &Shape, results: &[WeightVector]) -> WeightVector {
+    let models: Vec<Vec<f64>> = results.iter().map(|r| r.as_slice().to_vec()).collect();
+    WeightVector::new(fedavg(&models, &vec![shape.sub_size; models.len()]))
+}
+
+/// What the simulator twin computed in one round.
+struct Expected {
+    /// Each subgroup leader's result digest, subgroup order.
+    subgroups: Vec<u64>,
+    /// The layer-2 combine's digest.
+    combine: u64,
 }
 
 /// The simulator twin: the full two-layer round under the discrete-event
-/// simulator. Returns (per-round layer-1 leader digests, per-round
-/// layer-2 digest).
-fn sim_twin(shape: &Shape, rounds: u64) -> (Vec<Vec<u64>>, Vec<u64>) {
-    let deadline = SimDuration::from_millis(500);
-    let mut sim = sim_group(SEED, l1_peers(shape, deadline), None);
-    let mut l1_digests = Vec::new();
-    let mut l2_digests = Vec::new();
-    for round in 1..=rounds {
-        let l1 = (0..shape.peers()).step_by(shape.sub_size);
-        let l1 = l1.map(|id| NodeId(id as u32));
-        let results: Vec<WeightVector> = sim_round::<PairwiseWire>(&mut sim, l1, round)
-            .into_iter()
-            .map(|(_, result)| result)
-            .collect();
-        l1_digests.push(results.iter().map(WeightVector::digest).collect());
-
-        // Layer 2 for this round, in its own simulator: the subgroup
-        // results become the leader-layer models.
-        let mut l2 = sim_group(SEED ^ round, l2_peers(shape, &results, deadline), None);
-        l2_digests.push(
-            sim_round::<PairwiseWire>(&mut l2, [NodeId(0)], 1)[0]
-                .1
-                .digest(),
-        );
-    }
-    (l1_digests, l2_digests)
+/// simulator, once per round.
+fn sim_twin(shape: &Shape, rounds: u64) -> Vec<Expected> {
+    let mut sim = sim_group(SEED, peers(shape, SimDuration::from_millis(500)), None);
+    (1..=rounds)
+        .map(|round| {
+            let leaders = (0..shape.peers()).step_by(shape.sub_size);
+            let leaders = leaders.map(|id| NodeId(id as u32));
+            let results: Vec<WeightVector> = sim_round::<PairwiseWire>(&mut sim, leaders, round)
+                .into_iter()
+                .map(|(_, result)| result)
+                .collect();
+            Expected {
+                subgroups: results.iter().map(WeightVector::digest).collect(),
+                combine: combine(shape, &results).digest(),
+            }
+        })
+        .collect()
 }
 
 type Handle = PeerHandle<SacMsg, SacPeerActor>;
@@ -137,13 +137,12 @@ struct RoundOutcome {
     latencies: Vec<f64>,
     /// Start of the round to the last subgroup's completion.
     wall_s: f64,
-    /// Layer-1 results in subgroup order (the layer-2 inputs).
-    results: Vec<WeightVector>,
 }
 
 /// Starts round `round` on every subgroup leader, polls all leaders to
-/// completion, and checks every digest against the sim twin's.
-fn run_l1_round(shape: &Shape, handles: &[Handle], round: u64, expected: &[u64]) -> RoundOutcome {
+/// completion, combines their results, and checks every digest against
+/// the sim twin's.
+fn run_round(shape: &Shape, handles: &[Handle], round: u64, expected: &Expected) -> RoundOutcome {
     let started = Instant::now();
     let mut starts = Vec::with_capacity(shape.subgroups);
     for g in 0..shape.subgroups {
@@ -152,7 +151,7 @@ fn run_l1_round(shape: &Shape, handles: &[Handle], round: u64, expected: &[u64])
     }
 
     // Poll sweep: completion timestamps are quantized by the sweep
-    // period, which is negligible against multi-second rounds.
+    // period, which is small against the subgroup rounds' spread.
     let mut done: Vec<Option<(Duration, u64, WeightVector)>> = vec![None; shape.subgroups];
     let deadline = Instant::now() + Duration::from_secs(600);
     while done.iter().any(Option::is_none) {
@@ -182,86 +181,25 @@ fn run_l1_round(shape: &Shape, handles: &[Handle], round: u64, expected: &[u64])
     for (g, slot) in done.into_iter().enumerate() {
         let (at, digest, result) = slot.expect("polled to completion");
         assert_eq!(
-            digest, expected[g],
+            digest, expected.subgroups[g],
             "round {round} subgroup {g} diverged from the simulator"
         );
         latencies.push((at - starts[g]).as_secs_f64());
         results.push(result);
     }
-    RoundOutcome {
-        latencies,
-        wall_s,
-        results,
-    }
-}
-
-/// Runs layer 2 on a fresh reactor (the layer-1 reactor must already be
-/// dropped — a 100-wide full mesh plus 100 subgroup meshes would crowd
-/// the fd budget). Returns the layer-2 latency in seconds.
-fn run_l2_round(shape: &Shape, results: &[WeightVector], expected: u64) -> f64 {
-    let reactor = reactor::<SacMsg, SacPeerActor>();
-    let peers = l2_peers(shape, results, SimDuration::from_secs(300));
-    let handles = spawn_group(&reactor, peers, None);
-    mesh(&handles);
     let t = Instant::now();
-    handles[0].with(|a, ctx| a.start_round(ctx, 1));
-    // Polled every 2 ms like the layer-1 sweep rather than through
-    // `testkit::wait_done` (10 ms poll, 60 s stall limit): the quick
-    // shape's layer-2 round takes a few milliseconds, so the poll period
-    // is the latency's resolution, and the full shape's runs for tens of
-    // seconds.
-    let deadline = t + Duration::from_secs(600);
-    let digest = loop {
-        match handles[0].with(|a, _| (a.phase.clone(), a.result.as_ref().map(|r| r.digest()))) {
-            (SacPhase::Done, Some(digest)) => break digest,
-            (SacPhase::Failed(e), _) => panic!("layer-2 round failed: {e}"),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "layer-2 round stalled");
-        std::thread::sleep(Duration::from_millis(2));
-    };
-    let latency = t.elapsed().as_secs_f64();
-    assert_eq!(digest, expected, "layer 2 diverged from the simulator");
-    for h in &handles {
-        assert_eq!(
-            h.decode_errors(),
-            0,
-            "layer-2 peer {:?} dropped frames",
-            h.node_id()
-        );
-    }
-    latency
-}
-
-/// Milliseconds below which a median is treated as noise: on a loaded
-/// single-core runner the quick shape's round times are a few
-/// milliseconds, where scheduler jitter alone exceeds 2x. A regression
-/// must clear BOTH the relative factor and this absolute floor — the
-/// failure mode the gate exists for (e.g. listener-backlog overflow
-/// turning dials into ~1 s kernel SYN retransmits) clears the floor by
-/// an order of magnitude.
-const GATE_FLOOR_MS: f64 = 250.0;
-
-/// [`p2pfl_bench::hotpath::check_regressions`] with the absolute floor.
-fn gate(current: &[BenchResult], baseline: &[(String, u64)], factor: f64) -> Vec<String> {
-    let floor_ns = (GATE_FLOOR_MS * 1e6) as u64;
-    let mut offenders = Vec::new();
-    for r in current {
-        let Some((_, base)) = baseline.iter().find(|(n, _)| *n == r.name) else {
-            continue;
-        };
-        let allowed = ((*base as f64 * factor) as u64).max(floor_ns);
-        if *base > 0 && r.median_ns > allowed {
-            offenders.push(format!(
-                "{}: median {} ns vs baseline {} ns ({:.2}x > {factor}x allowed, floor {GATE_FLOOR_MS} ms)",
-                r.name,
-                r.median_ns,
-                base,
-                r.median_ns as f64 / *base as f64
-            ));
-        }
-    }
-    offenders
+    let global = combine(shape, &results);
+    println!(
+        "# round {round} layer 2: FedAvg over {} subgroup results in {:.3} ms",
+        results.len(),
+        t.elapsed().as_secs_f64() * 1e3
+    );
+    assert_eq!(
+        global.digest(),
+        expected.combine,
+        "round {round} layer 2 diverged from the simulator"
+    );
+    RoundOutcome { latencies, wall_s }
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -282,53 +220,10 @@ fn result(name: &str, iters: usize, median_s: f64, p95_s: f64, mean_s: f64) -> B
     }
 }
 
-/// Renders the report with the same `"name"`/`"median_ns"` field order as
-/// the hotpath harness, so `parse_baseline` reads both schemas.
-fn to_json(
-    shape: &Shape,
-    quick: bool,
-    soak: bool,
-    results: &[BenchResult],
-    extra: &[String],
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"schema\": \"p2pfl-bench/scale/v1\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"soak\": {soak},\n"));
-    s.push_str(&format!("  \"peers\": {},\n", shape.peers()));
-    s.push_str(&format!("  \"subgroups\": {},\n", shape.subgroups));
-    s.push_str(&format!("  \"subgroup_size\": {},\n", shape.sub_size));
-    s.push_str(&format!("  \"dim\": {},\n", shape.dim));
-    s.push_str(&format!("  \"k\": {},\n", shape.k));
-    for line in extra {
-        s.push_str(&format!("  {line},\n"));
-    }
-    s.push_str("  \"benchmarks\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \"p95_ns\": {}, \
-             \"mean_ns\": {}, \"bytes_per_iter\": {}, \"bytes_per_sec\": {}, \
-             \"allocs_per_iter\": {}}}{}\n",
-            r.name,
-            r.iters,
-            r.median_ns,
-            r.p95_ns,
-            r.mean_ns,
-            r.bytes_per_iter,
-            r.bytes_per_sec,
-            r.allocs_per_iter,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// One complete two-layer run of `shape`: sim twin, layer-1 round(s) on
-/// the reactor (two rounds with a mid-run blackout when `soak`), layer 2
-/// on a fresh reactor, digests checked throughout. `suffix` tags the
-/// benchmark names, so the quick and full shapes gate independently in
-/// one baseline file.
+/// One complete two-layer run of `shape`: sim twin, then the round(s) on
+/// the reactor (two rounds with a mid-run blackout when `soak`), each
+/// combined and digest-checked. `suffix` tags the benchmark names, so
+/// the quick and full shapes gate independently in one baseline file.
 fn run_shape(shape: &Shape, soak: bool, suffix: &str) -> (Vec<BenchResult>, Vec<String>) {
     let rounds: u64 = if soak { 2 } else { 1 };
     println!(
@@ -341,18 +236,18 @@ fn run_shape(shape: &Shape, soak: bool, suffix: &str) -> (Vec<BenchResult>, Vec<
     );
 
     println!("# simulator twin ({rounds} round(s))...");
-    let (l1_expected, l2_expected) = sim_twin(shape, rounds);
+    let expected = sim_twin(shape, rounds);
 
     println!("# reactor: spawning {} peers...", shape.peers());
     let reactor = reactor::<SacMsg, SacPeerActor>();
     let plan = soak_plan();
-    let peers = l1_peers(shape, SimDuration::from_secs(300));
-    let handles = spawn_group(&reactor, peers, soak.then_some(&plan));
+    let deadline = SimDuration::from_secs(300);
+    let handles = spawn_group(&reactor, peers(shape, deadline), soak.then_some(&plan));
     for subgroup in handles.chunks(shape.sub_size) {
         mesh(subgroup);
     }
 
-    let mut outcome = run_l1_round(shape, &handles, 1, &l1_expected[0]);
+    let mut outcome = run_round(shape, &handles, 1, &expected[0]);
     println!(
         "# round 1: {} subgroups done in {:.2}s",
         shape.subgroups, outcome.wall_s
@@ -364,14 +259,13 @@ fn run_shape(shape: &Shape, soak: bool, suffix: &str) -> (Vec<BenchResult>, Vec<
         // must still match the simulator exactly.
         println!("# soak: severing all connections, running round 2...");
         reactor.kill_connections();
-        outcome = run_l1_round(shape, &handles, 2, &l1_expected[1]);
+        outcome = run_round(shape, &handles, 2, &expected[1]);
         println!("# round 2 (post-blackout): done in {:.2}s", outcome.wall_s);
         let reconnects: u64 = handles.iter().map(|h| h.stats().reconnects).sum();
         assert!(reconnects >= 1, "blackout never exercised the redial path");
         println!("# soak: {reconnects} reconnects");
     }
 
-    // Transport totals BEFORE tearing layer 1 down.
     let (mut bytes, mut frames, mut dropped) = (0u64, 0u64, 0u64);
     for h in &handles {
         let s = h.stats();
@@ -389,13 +283,6 @@ fn run_shape(shape: &Shape, soak: bool, suffix: &str) -> (Vec<BenchResult>, Vec<
     let bytes_per_peer = bytes / shape.peers() as u64;
     let frames_per_peer = frames / shape.peers() as u64;
     println!("# traffic: {bytes_per_peer} bytes/peer, {frames_per_peer} frames/peer");
-
-    // Free layer 1's sockets before the 100-wide layer-2 mesh.
-    drop(handles);
-    drop(reactor);
-
-    let l2_s = run_l2_round(shape, &outcome.results, l2_expected[rounds as usize - 1]);
-    println!("# layer 2: {} leaders done in {l2_s:.2}s", shape.subgroups);
 
     let mut sorted = outcome.latencies.clone();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
@@ -425,7 +312,6 @@ fn run_shape(shape: &Shape, soak: bool, suffix: &str) -> (Vec<BenchResult>, Vec<
             outcome.wall_s,
             outcome.wall_s,
         ),
-        result(&format!("layer2_round{suffix}"), 1, l2_s, l2_s, l2_s),
     ];
     let extra = vec![
         format!("\"subgroup_p99_ms{suffix}\": {:.3}", p99 * 1e3),
@@ -486,19 +372,26 @@ fn main() {
     args.finish();
 
     banner(
-        "Scale: two-layer SAC round on the single-thread reactor runtime",
+        "Scale: two-layer round, layer 1 on the single-thread reactor runtime",
         "1000 peers / 100 subgroups on loopback, digests bit-identical to the simulator",
     );
 
+    let shape = if quick { QUICK } else { FULL };
+    let mut extra = vec![
+        format!("\"quick\": {quick}"),
+        format!("\"soak\": {soak}"),
+        format!("\"peers\": {}", shape.peers()),
+        format!("\"subgroups\": {}", shape.subgroups),
+        format!("\"subgroup_size\": {}", shape.sub_size),
+        format!("\"dim\": {}", shape.dim),
+        format!("\"k\": {}", shape.k),
+    ];
     // Quick runs gate against the baseline's `_quick` entries; a full
     // (baseline-refreshing) run measures BOTH shapes so the quick gate
     // stays meaningful from the same file.
-    let mut bench_results;
-    let mut extra;
-    if quick {
-        (bench_results, extra) = run_shape(&QUICK, soak, "_quick");
-    } else {
-        (bench_results, extra) = run_shape(&QUICK, false, "_quick");
+    let (mut bench_results, shape_extra) = run_shape(&QUICK, soak && quick, "_quick");
+    extra.extend(shape_extra);
+    if !quick {
         let (full_results, full_extra) = run_shape(&FULL, soak, "");
         bench_results.extend(full_results);
         extra.extend(full_extra);
@@ -522,37 +415,8 @@ fn main() {
     extra.push(format!("\"elastic_merges\": {merges}"));
     extra.push(format!("\"elastic_rekeys\": {rekeys}"));
 
-    let shape = if quick { QUICK } else { FULL };
-    let json = to_json(&shape, quick, soak, &bench_results, &extra);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create report dir");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
+    write_report(&out_path, "p2pfl-bench/scale/v1", &extra, &bench_results);
     if let Some(baseline_path) = baseline_path {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => {
-                let baseline = parse_baseline(&text);
-                let offenders = gate(&bench_results, &baseline, factor);
-                if offenders.is_empty() {
-                    println!(
-                        "perf gate: {} benchmarks within {factor}x of {baseline_path}",
-                        baseline.len()
-                    );
-                } else {
-                    eprintln!("perf gate FAILED vs {baseline_path}:");
-                    for line in &offenders {
-                        eprintln!("  {line}");
-                    }
-                    std::process::exit(2);
-                }
-            }
-            Err(_) => {
-                println!("perf gate: baseline {baseline_path} missing, skipping comparison");
-            }
-        }
+        gate(&baseline_path, &bench_results, factor, GATE_FLOOR_NS);
     }
 }

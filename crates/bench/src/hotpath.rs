@@ -1,13 +1,16 @@
-//! Timing harness and regression gate behind the `hotpath` binary.
+//! Timing harness, report and regression gate behind the `hotpath` and
+//! `scale` binaries.
 //!
 //! A deliberately small, dependency-free benchmark core: each benchmark
 //! runs a fixed, seeded workload for a fixed iteration count, recording
 //! per-iteration wall-clock nanoseconds and allocation counts (via
-//! [`crate::alloc`]). Results serialize to the flat JSON trajectory file
-//! `BENCH_hotpath.json`; [`check_regressions`] compares a fresh run
-//! against a checked-in baseline and reports benchmarks whose median,
-//! measured against the same run's [`HOST_ORACLE`], exceeded the allowed
-//! factor — the perf gate `ci.sh` enforces.
+//! [`crate::alloc`]). Both bins write one flat JSON report
+//! ([`write_report`]: `BENCH_hotpath.json`, `BENCH_scale.json`), and
+//! [`gate`] compares a fresh run against a checked-in one through
+//! [`check_regressions`], reporting benchmarks whose median, measured
+//! against the same run's [`HOST_ORACLE`] where both runs have it, grew
+//! past the allowed factor and an absolute floor — the perf gates
+//! `ci.sh` enforces.
 
 use crate::alloc::allocations;
 use std::time::Instant;
@@ -33,7 +36,7 @@ pub struct BenchResult {
     pub allocs_per_iter: u64,
 }
 
-/// Collects [`BenchResult`]s and renders the JSON report.
+/// Times benchmarks and collects their [`BenchResult`]s.
 #[derive(Debug, Default)]
 pub struct Harness {
     results: Vec<BenchResult>,
@@ -105,37 +108,71 @@ impl Harness {
             .find(|r| r.name == name)
             .map(|r| r.median_ns)
     }
+}
 
-    /// Renders the machine-readable report. `extra` lines are injected
-    /// verbatim as top-level fields (already-formatted `"key": value`
-    /// pairs, e.g. derived speedups).
-    pub fn to_json(&self, quick: bool, extra: &[String]) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"schema\": \"p2pfl-bench/hotpath/v1\",\n");
-        s.push_str(&format!("  \"quick\": {quick},\n"));
-        for line in extra {
-            s.push_str(&format!("  {line},\n"));
-        }
-        s.push_str("  \"benchmarks\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \"p95_ns\": {}, \
-                 \"mean_ns\": {}, \"bytes_per_iter\": {}, \"bytes_per_sec\": {}, \
-                 \"allocs_per_iter\": {}}}{}\n",
-                r.name,
-                r.iters,
-                r.median_ns,
-                r.p95_ns,
-                r.mean_ns,
-                r.bytes_per_iter,
-                r.bytes_per_sec,
-                r.allocs_per_iter,
-                if i + 1 < self.results.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+/// The report [`write_report`] writes.
+fn to_json(schema: &str, extra: &[String], results: &[BenchResult]) -> String {
+    let mut s = String::from("{\n");
+    s.push_str(&format!("  \"schema\": \"{schema}\",\n"));
+    for line in extra {
+        s.push_str(&format!("  {line},\n"));
     }
+    s.push_str("  \"benchmarks\": [\n");
+    for (i, r) in results.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \"p95_ns\": {}, \
+             \"mean_ns\": {}, \"bytes_per_iter\": {}, \"bytes_per_sec\": {}, \
+             \"allocs_per_iter\": {}}}{}\n",
+            r.name,
+            r.iters,
+            r.median_ns,
+            r.p95_ns,
+            r.mean_ns,
+            r.bytes_per_iter,
+            r.bytes_per_sec,
+            r.allocs_per_iter,
+            if i + 1 < results.len() { "," } else { "" }
+        ));
+    }
+    s.push_str("  ]\n}\n");
+    s
+}
+
+/// Writes a bench bin's report to `out`, creating its directory: its
+/// `schema`, the `extra` lines verbatim as top-level fields
+/// (already-formatted `"key": value` pairs, e.g. the run's shape or
+/// derived speedups), then one row per result in the field order
+/// [`parse_baseline`] reads.
+pub fn write_report(out: &str, schema: &str, extra: &[String], results: &[BenchResult]) {
+    if let Some(dir) = std::path::Path::new(out).parent() {
+        std::fs::create_dir_all(dir).expect("create report dir");
+    }
+    std::fs::write(out, to_json(schema, extra, results)).expect("write report");
+    println!("wrote {out}");
+}
+
+/// The perf gate: exits 2, naming each offender, if [`check_regressions`]
+/// flags any of `results` against the report at `baseline_path`. A
+/// missing baseline skips the comparison (a fresh checkout has none).
+pub fn gate(baseline_path: &str, results: &[BenchResult], factor: f64, floor_ns: u64) {
+    let Ok(text) = std::fs::read_to_string(baseline_path) else {
+        println!("perf gate: baseline {baseline_path} missing, skipping comparison");
+        return;
+    };
+    let baseline = parse_baseline(&text);
+    let offenders = check_regressions(results, &baseline, factor, floor_ns);
+    if offenders.is_empty() {
+        println!(
+            "perf gate: {} benchmarks within {factor}x of {baseline_path}",
+            baseline.len()
+        );
+        return;
+    }
+    eprintln!("perf gate FAILED vs {baseline_path}:");
+    for line in &offenders {
+        eprintln!("  {line}");
+    }
+    std::process::exit(2);
 }
 
 /// Extracts `(name, median_ns)` pairs from a hotpath JSON report. A tiny
@@ -169,14 +206,17 @@ pub const HOST_ORACLE: &str = "matmul_naive_256";
 /// Compares fresh medians against a baseline, each as a multiple of its
 /// own run's [`HOST_ORACLE`] median (raw medians when either run lacks
 /// it): returns one line per benchmark whose multiple grew by more than
-/// `factor`. A uniformly slower host therefore passes; a kernel that got
-/// slower than the oracle did fails. Benchmarks present on only one side
+/// `factor` and whose median is over `floor_ns`. A uniformly slower host
+/// therefore passes; a kernel that got slower than the oracle did fails.
+/// The floor is for medians of a few milliseconds, where scheduler
+/// jitter alone exceeds the factor. Benchmarks present on only one side
 /// are ignored (new benchmarks must not fail the gate; retired ones must
 /// not block baseline refreshes).
 pub fn check_regressions(
     current: &[BenchResult],
     baseline: &[(String, u64)],
     factor: f64,
+    floor_ns: u64,
 ) -> Vec<String> {
     let oracle_now = current.iter().find(|r| r.name == HOST_ORACLE);
     let oracle_then = baseline.iter().find(|(n, _)| n == HOST_ORACLE);
@@ -192,10 +232,10 @@ pub fn check_regressions(
             continue;
         };
         let growth = r.median_ns as f64 / *base as f64 / host;
-        if *base > 0 && growth > factor {
+        if *base > 0 && growth > factor && r.median_ns > floor_ns {
             offenders.push(format!(
                 "{}: median {} ns vs baseline {} ns, {growth:.2}x after the host's \
-                 {host:.2}x on {HOST_ORACLE} (> {factor}x allowed)",
+                 {host:.2}x on {HOST_ORACLE} (> {factor}x allowed, floor {floor_ns} ns)",
                 r.name, r.median_ns, base,
             ));
         }
@@ -229,12 +269,24 @@ mod tests {
         h.bench("spin2", 3, 0, || {
             std::hint::black_box(2 + 2);
         });
-        let json = h.to_json(true, &["\"matmul_speedup_256\": 4.5".into()]);
+        // `hotpath`'s derived fields and `scale`'s header lines alike.
+        let extra = [
+            "\"matmul_speedup_256\": 4.5",
+            "\"quick\": true",
+            "\"peers\": 64",
+            "\"elastic_subgroup_size_hist\": {\"3\": 4, \"4\": 3}",
+        ]
+        .map(String::from);
+        let json = to_json("p2pfl-bench/scale/v1", &extra, h.results());
         let parsed = parse_baseline(&json);
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "spin");
         assert_eq!(parsed[0].1, h.results()[0].median_ns);
-        assert!(json.contains("\"matmul_speedup_256\": 4.5"));
+        assert_eq!(parsed[1].0, "spin2");
+        assert!(json.starts_with("{\n  \"schema\": \"p2pfl-bench/scale/v1\",\n"));
+        for line in &extra {
+            assert!(json.contains(&format!("\n  {line},\n")), "{line}");
+        }
         assert!(json.contains("\"bytes_per_iter\": 128"));
     }
 
@@ -246,7 +298,7 @@ mod tests {
             ("b".to_string(), 1000),
             ("retired".to_string(), 5),
         ];
-        let bad = check_regressions(&current, &baseline, 2.0);
+        let bad = check_regressions(&current, &baseline, 2.0, 0);
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert!(bad[0].starts_with("b:"), "{}", bad[0]);
     }
@@ -266,7 +318,7 @@ mod tests {
             result("blocked", 8_000),
             result("im2col", 2_000),
         ];
-        let bad = check_regressions(&current, &baseline(), 2.0);
+        let bad = check_regressions(&current, &baseline(), 2.0, 0);
         assert!(bad.is_empty(), "{bad:?}");
         // The raw medians doubled: without the oracle they sit on the
         // threshold, and a little host noise on top fails them.
@@ -275,8 +327,8 @@ mod tests {
             .map(|r| result(&r.name, r.median_ns * 11 / 10))
             .collect();
         let raw: Vec<(String, u64)> = baseline().into_iter().skip(1).collect();
-        assert_eq!(check_regressions(&noisy, &raw, 2.0).len(), 2);
-        assert!(check_regressions(&noisy, &baseline(), 2.0).is_empty());
+        assert_eq!(check_regressions(&noisy, &raw, 2.0, 0).len(), 2);
+        assert!(check_regressions(&noisy, &baseline(), 2.0, 0).is_empty());
     }
 
     #[test]
@@ -287,9 +339,23 @@ mod tests {
             result("blocked", 8_000),
             result("im2col", 5_000),
         ];
-        let bad = check_regressions(&current, &baseline(), 2.0);
+        let bad = check_regressions(&current, &baseline(), 2.0, 0);
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert!(bad[0].starts_with("im2col:"), "{}", bad[0]);
+    }
+
+    #[test]
+    fn a_regression_under_the_floor_passes_and_one_over_it_fails() {
+        let floor_ns = 250_000_000;
+        let baseline = vec![("subgroup_round_quick".to_string(), 7_000_000)];
+        // 3x the baseline, still a few milliseconds: scheduler jitter.
+        let jitter = vec![result("subgroup_round_quick", 21_000_000)];
+        assert!(check_regressions(&jitter, &baseline, 2.0, floor_ns).is_empty());
+        assert_eq!(check_regressions(&jitter, &baseline, 2.0, 0).len(), 1);
+        // Over the floor: a regression of the kind the gate exists for.
+        let stall = vec![result("subgroup_round_quick", 1_000_000_000)];
+        let bad = check_regressions(&stall, &baseline, 2.0, floor_ns);
+        assert_eq!(bad.len(), 1, "{bad:?}");
     }
 
     #[test]

@@ -21,14 +21,16 @@
 //! Writes are vectored: [`flush_link`] offers the kernel up to
 //! [`WRITE_BATCH`] queued frames (plus any unsent hello preamble) in one
 //! `writev`, retiring only completely-written frames so a dying
-//! connection never splits a frame across reconnects. Every frame is
-//! queued as its message and never encoded on the sending side: from the
-//! head frame's first unwritten byte on, the frames of a batch have their
-//! `f64` runs of at least [`READ_CHUNK`] bytes offered from the
-//! messages' own vectors, and their other bytes staged, neighbours' into
-//! one slice, into the reactor's one [`Stage`]. So the kernel copies a
-//! run out of the vector that holds it, and the small frames of a batch
-//! go out as one staged slice.
+//! connection never splits a frame across reconnects. A `writev` that
+//! takes less than it was offered found the socket buffer full, so it
+//! ends the flush pass until the poller reports writability again.
+//! Every frame is queued as its message and never encoded on the
+//! sending side: from the head frame's first unwritten byte on, the
+//! frames of a batch have their `f64` runs of at least [`READ_CHUNK`]
+//! bytes offered from the messages' own vectors, and their other bytes
+//! staged, neighbours' into one slice, into the reactor's one [`Stage`].
+//! So the kernel copies a run out of the vector that holds it, and the
+//! small frames of a batch go out as one staged slice.
 //!
 //! Reads go through the reactor's one [`READ_CHUNK`] scratch buffer into
 //! the link's [`FrameBuffer`]. A read shorter than the chunk drained the
@@ -180,10 +182,13 @@ pub(crate) enum FlushOutcome {
 /// Writes as much of `queue` (preceded by any hello preamble; held back
 /// until the other end's hello is in) as the kernel will take, in
 /// vectored batches, staging the frames' bytes but their runs into
-/// `stage`. Retired frames are counted into `stats` (`frames_sent`,
-/// `bytes_sent`, and `frames_coalesced` for frames whose `writev`
-/// offered another frame too), and retired messages give their vectors
-/// to `vectors`.
+/// `stage`. A batch the kernel takes only part of ends the pass
+/// (`Blocked`), as a short read does in [`read_some`]: the socket buffer
+/// is full, so the next batch is staged once writability is back, not
+/// now to hear `WouldBlock`. Retired frames are counted into `stats`
+/// (`frames_sent`, `bytes_sent`, and `frames_coalesced` for frames whose
+/// `writev` offered another frame too), and retired messages give their
+/// vectors to `vectors`.
 pub(crate) fn flush_link<M: Payload + Serialize>(
     link: &mut Link,
     queue: &mut SendQueue<M>,
@@ -215,6 +220,7 @@ pub(crate) fn flush_link<M: Payload + Serialize>(
             return FlushOutcome::Drained;
         }
         let preamble_len = preamble.len();
+        let offered: usize = bufs.iter().map(|b| b.len()).sum();
         match link.stream.write_vectored(bufs) {
             Ok(0) => return FlushOutcome::Dead,
             Ok(n) => {
@@ -243,6 +249,11 @@ pub(crate) fn flush_link<M: Payload + Serialize>(
                             .frames_coalesced
                             .fetch_add(retired as u64, Ordering::Relaxed);
                     }
+                }
+                // A short write filled the kernel buffer: staging the
+                // next batch now would only hear `WouldBlock`.
+                if n < offered {
+                    return FlushOutcome::Blocked;
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return FlushOutcome::Blocked,
@@ -329,6 +340,8 @@ mod tests {
     use crate::reactor::queue::Frame;
     use p2pfl_secagg::{SacMsg, WeightVector};
     use std::net::TcpListener;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
 
     /// Flushes `msgs` as one queue through a loopback connection whose
     /// blocking socket takes each batch whole, and returns the stats.
@@ -370,6 +383,67 @@ mod tests {
         let stats = flush((0..5).map(|round| SacMsg::Begin { round }).collect());
         assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 5);
         assert_eq!(stats.frames_coalesced.load(Ordering::Relaxed), 5);
+    }
+
+    /// A message whose every serialization is counted.
+    #[derive(Debug, Clone)]
+    struct Walked(Vec<u64>, Arc<AtomicUsize>);
+
+    impl Payload for Walked {
+        fn size_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    impl Serialize for Walked {
+        fn serialize<'v, S: serde::Serializer<'v> + ?Sized>(
+            &'v self,
+            s: &mut S,
+        ) -> Result<(), S::Error> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.serialize(s)
+        }
+    }
+
+    #[test]
+    fn a_short_write_ends_the_pass_with_each_offered_frame_walked_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // Accepted and never read, so the socket buffer fills.
+        let (_reader, _) = listener.accept().unwrap();
+        writer.set_nonblocking(true).unwrap();
+        let mut link = Link::accepted(writer);
+        link.got_hello = true;
+        let (mut stage, mut vectors) = (Stage::new(STAGE_META), Pool::new());
+        let (stats, mut queue) = (
+            StatsCells::default(),
+            SendQueue::new(usize::MAX, usize::MAX),
+        );
+        // 8 KiB frames, 64 at a time, until a pass ends in a short write.
+        for _ in 0..1024 {
+            let walks: Vec<_> = (0..64).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+            for w in &walks {
+                let frame = Frame::new(Walked(vec![7; 1024], w.clone())).unwrap();
+                queue.push(frame).unwrap();
+                w.store(0, Ordering::Relaxed);
+            }
+            match flush_link(&mut link, &mut queue, &mut stage, &mut vectors, &stats) {
+                FlushOutcome::Drained => continue,
+                FlushOutcome::Blocked => {
+                    let walked: Vec<usize> =
+                        walks.iter().map(|w| w.load(Ordering::Relaxed)).collect();
+                    assert!(
+                        walked.iter().all(|&n| n <= 1),
+                        "walks per frame: {walked:?}"
+                    );
+                    assert!(walked.contains(&1), "no frame was offered");
+                    assert!(!queue.is_empty(), "a short write leaves frames queued");
+                    return;
+                }
+                FlushOutcome::Dead => panic!("the connection died"),
+            }
+        }
+        panic!("512 MiB went out and the socket never filled");
     }
 
     #[test]
