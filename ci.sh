@@ -74,8 +74,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # 25 s runs 280.4-299.3 (levels one 10 MB vector apart), so its ceiling
 # is ~8.5 % over the highest, 325. Ring did not move (ten 2 s runs
 # 192.7-193.1, 25 s runs 192.7-193.5), so its ceiling stays.
+#
+# Since a frame lists its f64 runs (sequences of 64 KiB or more) in a
+# table behind its prefix - a u32 count, then a u32 offset and a u32
+# length per run - the two bulk legs carry its bytes, 4 + 8 per run, on
+# each frame with runs: a sac_bulk_cnn_3 round sends 6 share blocks of 2
+# runs and 1 subtotal of 1 run, 6 x 20 + 1 x 12 = 132 B over
+# 129833796; a ring_bulk_16 round 64 frames of 3 runs and 13 of 1 run,
+# 64 x 28 + 13 x 12 = 1948 B over 164008048. Fanout and session frames
+# hold no run, so their pins did not move.
 echo "==> repo benchmark: round digests vs sim twin + exact wire bytes + bulk and ring RSS ceilings (4 workloads x 2 s)"
-for spec in session_mlp_30:6576967.626168224: sac_bulk_cnn_3:129833796:325 sac_fanout_256:18930176: ring_bulk_16:164008048:215; do
+for spec in session_mlp_30:6576967.626168224: sac_bulk_cnn_3:129833928:325 sac_fanout_256:18930176: ring_bulk_16:164009996:215; do
     IFS=: read -r workload wire_bytes rss_ceiling <<<"$spec"
     result="$(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 2 --trace 0 | tail -n 1)"

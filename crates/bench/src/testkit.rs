@@ -24,6 +24,7 @@ use p2pfl_simnet::{Actor, FaultPlan, NodeId, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
 
 /// `NodeId(0)..NodeId(n)`.
@@ -293,4 +294,21 @@ pub fn commit_marker(peers: &HierPeers, subgroups: &[Vec<NodeId>], marker: u64) 
             })
         },
     );
+}
+
+/// Writes `payload` to a test socket as one frame without runs: its
+/// `u32` length, then its bytes.
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(payload)?;
+    w.flush()
+}
+
+/// Reads one frame without runs from a blocking test socket.
+pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
+    let mut header = [0u8; 4];
+    r.read_exact(&mut header)?;
+    let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
+    r.read_exact(&mut payload)?;
+    Ok(payload)
 }

@@ -1,8 +1,8 @@
 //! Rule family 2: **wire-path panic-freedom**.
 //!
 //! Builds an intra-workspace call graph and walks it from the hostile-
-//! input roots — the binary codec decode surface, the `FrameBuffer`
-//! feed, the reactor's socket loop, and every actor callback
+//! input roots — the binary codec decode surface, a link's
+//! `FrameReceiver` (and the `FrameBuffer` that replays frames in tests), the reactor's socket loop, and every actor callback
 //! (`on_start`/`on_message`/`on_timer`, plus raft's `Node::handle`).
 //! Any `unwrap()`, `expect()`, `panic!`, `unreachable!`, `todo!`, or
 //! `unimplemented!` inside a reachable function is a finding: a peer
@@ -113,6 +113,10 @@ impl Config {
             ],
             required_roots: vec![
                 "BinDeserializer::take",
+                // Every received frame: its prefix, run table, runs and
+                // decode.
+                "FrameReceiver::receive",
+                "FrameReceiver::next_frame",
                 "FrameBuffer::next_frame",
                 "reactor_loop",
                 "RaftNode::handle",

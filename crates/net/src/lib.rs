@@ -11,7 +11,8 @@
 //!
 //! * [`codec`] — a compact binary serializer/deserializer for the
 //!   workspace serde data model, plus `u32`-length-delimited framing with
-//!   a [`codec::MAX_FRAME`] guard.
+//!   a [`codec::MAX_FRAME`] guard and a run table for frames that carry
+//!   model vectors.
 //! * [`reactor`] — a [`Reactor`] hosts any number of
 //!   [`Actor`](p2pfl_simnet::Actor)s on one epoll loop thread behind the
 //!   [`Transport`](p2pfl_simnet::Transport) trait: one shared listener,

@@ -26,31 +26,32 @@
 //! ends the flush pass until the poller reports writability again.
 //! Every frame is queued as its message and never encoded on the
 //! sending side: from the head frame's first unwritten byte on, the
-//! frames of a batch have their `f64` runs of at least [`READ_CHUNK`]
-//! bytes offered from the messages' own vectors, and their other bytes
+//! frames of a batch have their `f64` runs (sequences of at least
+//! [`RUN_MIN`](crate::codec::RUN_MIN) bytes, listed in each frame's run
+//! table) offered from the messages' own vectors, and their other bytes
 //! staged, neighbours' into one slice, into the reactor's one [`Stage`].
 //! So the kernel copies a run out of the vector that holds it, and the
 //! small frames of a batch go out as one staged slice.
 //!
-//! Reads go through the reactor's one [`READ_CHUNK`] scratch buffer into
-//! the link's [`FrameBuffer`]. A read shorter than the chunk drained the
-//! socket, and polling is level-triggered, so [`read_some`] says so and,
-//! unless a frame is half in, the reactor stops there instead of paying
-//! an empty `read` to hear `WouldBlock`. A frame over the chunk is
-//! *bulk*: once its header is in, it leaves the frame buffer for the
-//! link's [`BulkFrame`], which reads the rest of it from the socket with
-//! no hop through the scratch chunk: its meta bytes into a small buffer,
-//! and each `f64` run of at least [`READ_CHUNK`] bytes straight into a
-//! vector drawn for it from the reactor's vector pool. That vector is the
-//! one the decoded message carries, so a received run exists once, and
-//! receive memory is the vectors of the frames in flight.
+//! Every frame is received the same way, by the link's
+//! [`FrameReceiver`]: prefixes, run tables and meta bytes through the
+//! reactor's one [`READ_CHUNK`] scratch buffer into the receiver's
+//! buffer, never past the next run of the frame being received, so many
+//! small frames come in with one `read`; and each run straight from the
+//! socket into a vector drawn for it from the reactor's vector pool. That
+//! vector is the one the decoded message carries, so a received run
+//! exists once, and receive memory is the vectors of the frames in
+//! flight. A read shorter than it asked for drained the socket, and
+//! polling is level-triggered, so [`read_some`] says so and, unless a
+//! frame is half in, the reactor stops there instead of paying an empty
+//! `read` to hear `WouldBlock`.
 
 use super::queue::{SendQueue, Stage};
 use super::stats::StatsCells;
 use super::sys;
-use crate::codec::{BulkFrame, FrameBuffer, Landing, Pool, MAX_PIECES};
+use crate::codec::{FrameReceiver, Landing, Pool, MAX_PIECES};
 use p2pfl_simnet::{NodeId, Payload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -62,10 +63,8 @@ const HELLO_MAGIC: &[u8; 4] = b"p2pf";
 /// Max frames, and max slices, offered to one vectored write.
 pub(crate) const WRITE_BATCH: usize = MAX_PIECES;
 
-/// Bytes asked of the kernel per `read`, the size above which a frame
-/// is bulk (received as a [`BulkFrame`]), and the size from which an
-/// `f64` sequence is a run, written from its vector in place and, in a
-/// bulk frame, read into its vector in place.
+/// Most bytes asked of the kernel per `read` of prefixes, run tables and
+/// meta bytes.
 pub(crate) const READ_CHUNK: usize = 64 << 10;
 
 /// Most bytes staged for one write: every byte of a batch's frames but
@@ -74,10 +73,14 @@ pub(crate) const READ_CHUNK: usize = 64 << 10;
 /// for a batch of many such bytes, which is offered this many at a time.
 pub(crate) const STAGE_META: usize = 256 << 10;
 
+/// Bytes of a v2 hello payload: the length prefix of a link's first
+/// frame.
+pub(crate) const HELLO_LEN: u32 = 13;
+
 /// Builds the framed v2 hello announcing `src` dialing `dst`.
 pub(crate) fn hello_frame_v2(src: NodeId, dst: NodeId) -> Vec<u8> {
     let mut framed = Vec::with_capacity(4 + 13);
-    framed.extend_from_slice(&13u32.to_le_bytes());
+    framed.extend_from_slice(&HELLO_LEN.to_le_bytes());
     framed.extend_from_slice(HELLO_MAGIC);
     framed.push(HELLO_V2);
     framed.extend_from_slice(&src.0.to_le_bytes());
@@ -127,9 +130,7 @@ pub(crate) struct Link {
     /// Whether the other end's hello has arrived; payload moves in
     /// neither direction before it.
     pub(crate) got_hello: bool,
-    pub(crate) rx: FrameBuffer,
-    /// The bulk frame being received, once its header is in.
-    pub(crate) bulk: Option<BulkFrame>,
+    pub(crate) rx: FrameReceiver,
     /// Unsent tail of this end's hello: (bytes, offset).
     pub(crate) preamble: Option<(Vec<u8>, usize)>,
     /// Whether the poller registration currently includes writability.
@@ -145,8 +146,7 @@ impl Link {
             remote: Some(remote),
             dialed: true,
             got_hello: false,
-            rx: FrameBuffer::new(),
-            bulk: None,
+            rx: FrameReceiver::new(),
             preamble: Some((hello_frame_v2(local, remote), 0)),
             want_write: true,
         }
@@ -160,8 +160,7 @@ impl Link {
             remote: None,
             dialed: false,
             got_hello: false,
-            rx: FrameBuffer::new(),
-            bulk: None,
+            rx: FrameReceiver::new(),
             preamble: None,
             want_write: false,
         }
@@ -193,7 +192,7 @@ pub(crate) fn flush_link<M: Payload + Serialize>(
     link: &mut Link,
     queue: &mut SendQueue<M>,
     stage: &mut Stage,
-    vectors: &mut Pool<f64>,
+    vectors: &mut Pool,
     stats: &StatsCells,
 ) -> FlushOutcome {
     loop {
@@ -266,10 +265,10 @@ pub(crate) fn flush_link<M: Payload + Serialize>(
 /// Outcome of one read attempt on a readable connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReadStatus {
-    /// The read filled the scratch chunk or went into a bulk frame; more
-    /// may be waiting.
+    /// The read took all it asked for, or went into a run; more may be
+    /// waiting.
     Full,
-    /// The read returned less than the chunk: the kernel buffer was
+    /// The read returned less than it asked for: the kernel buffer was
     /// drained when it ran.
     Short,
     /// The socket has nothing more for now; the connection is still open.
@@ -278,46 +277,31 @@ pub(crate) enum ReadStatus {
     Closed,
 }
 
-/// Reads once: into the link's bulk frame, if one is in flight — meta
-/// bytes into its buffer, run bytes straight into the run's vector, drawn
-/// from `vectors` — and otherwise through `scratch`, the reactor's shared
-/// read chunk, into the link's frame buffer. `M` is what the bulk frame
-/// decodes to, which locates its runs.
-pub(crate) fn read_some<M: Deserialize>(
-    link: &mut Link,
-    scratch: &mut [u8],
-    vectors: &mut Pool<f64>,
-) -> ReadStatus {
+/// Reads once into the link's receiver: a run's bytes straight into the
+/// run's vector, drawn from `vectors`, and other bytes through `scratch`,
+/// the reactor's shared read chunk.
+pub(crate) fn read_some(link: &mut Link, scratch: &mut [u8], vectors: &mut Pool) -> ReadStatus {
     loop {
-        let read = match link.bulk.as_mut() {
-            Some(bulk) => {
-                let stream = &mut link.stream;
-                bulk.receive::<M>(vectors, |landing| match landing {
-                    Landing::Meta(buf) => stream.read(buf),
-                    Landing::Run(run, filled) => {
-                        let bytes = sys::f64_bytes_mut(run);
-                        stream.read(bytes.get_mut(filled..).unwrap_or_default())
-                    }
-                })
-                // Mid-frame, the rest is on its way: read on.
-                .map(|n| (n, ReadStatus::Full))
+        let stream = &mut link.stream;
+        let mut status = ReadStatus::Full;
+        let read = link.rx.receive(vectors, scratch, |landing| match landing {
+            Landing::Meta(buf) => {
+                let asked = buf.len();
+                let n = stream.read(buf)?;
+                if n < asked {
+                    status = ReadStatus::Short;
+                }
+                Ok(n)
             }
-            None => link.stream.read(scratch).map(|n| {
-                // `n <= scratch.len()` per the `Read` contract; `get` keeps
-                // a misbehaving implementation from panicking the reactor.
-                let bytes = scratch.get(..n).unwrap_or_default();
-                link.rx.extend_sized(bytes, READ_CHUNK);
-                let status = if n < scratch.len() {
-                    ReadStatus::Short
-                } else {
-                    ReadStatus::Full
-                };
-                (n, status)
-            }),
-        };
+            // Mid-frame, the rest is on its way: read on.
+            Landing::Run(run, filled) => {
+                let bytes = sys::f64_bytes_mut(run);
+                stream.read(bytes.get_mut(filled..).unwrap_or_default())
+            }
+        });
         return match read {
-            Ok((0, _)) => ReadStatus::Closed,
-            Ok((_, status)) => status,
+            Ok(0) => ReadStatus::Closed,
+            Ok(_) => status,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => ReadStatus::Drained,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => ReadStatus::Closed,
@@ -371,7 +355,7 @@ mod tests {
         let total = SacMsg::Subtotal {
             round: 1,
             idx: 0,
-            value: WeightVector::zeros(READ_CHUNK / 8 + 1),
+            value: WeightVector::zeros(crate::codec::RUN_MIN / 8 + 1),
         };
         let stats = flush(vec![total]);
         assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 1);
@@ -449,11 +433,11 @@ mod tests {
     #[test]
     fn hello_v2_round_trips() {
         let framed = hello_frame_v2(NodeId(7), NodeId(1042));
-        // Strip the length prefix to get the payload a FrameBuffer yields.
-        let mut fb = FrameBuffer::new();
-        fb.extend(&framed);
-        let payload = fb.next_frame().unwrap().unwrap();
-        assert_eq!(parse_hello_v2(payload), Some((NodeId(7), NodeId(1042))));
+        assert_eq!(framed[..4], HELLO_LEN.to_le_bytes());
+        assert_eq!(
+            parse_hello_v2(&framed[4..]),
+            Some((NodeId(7), NodeId(1042)))
+        );
     }
 
     #[test]

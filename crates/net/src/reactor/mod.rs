@@ -41,7 +41,7 @@ mod timer;
 pub use queue::{Frame, SendQueue, Stage};
 pub use stats::NetStats;
 
-use crate::codec::{self, BulkFrame, CodecError, FrameBuffer, Pool};
+use crate::codec::{CodecError, Pool};
 use p2pfl_simnet::{
     Actor, FaultPlan, LinkFaults, NodeId, Payload, SimDuration, SimTime, TimerId, Transport,
 };
@@ -244,7 +244,7 @@ impl<M, A> PeerSlot<M, A> {
         reactor_origin: Instant,
         caps: (usize, usize),
         timers: &'a mut TimerQueue<TimerEntry<M>>,
-        vectors: &'a mut Pool<f64>,
+        vectors: &'a mut Pool,
     ) -> (&'a mut A, ReactorCtx<'a, M>) {
         let offset_ns = self
             .origin
@@ -291,7 +291,7 @@ struct Core<M, A> {
     /// into them and other received vectors decoded into them, actors
     /// draw and give back through their transport, and sent ones come
     /// back once on the wire.
-    vectors: Pool<f64>,
+    vectors: Pool,
     shutdown: bool,
 }
 
@@ -317,7 +317,7 @@ struct ReactorCtx<'a, M> {
     next_timer_id: &'a mut u64,
     cancelled: &'a mut HashSet<u64>,
     timers: &'a mut TimerQueue<TimerEntry<M>>,
-    vectors: &'a mut Pool<f64>,
+    vectors: &'a mut Pool,
     stats: &'a StatsCells,
     touched: &'a mut Vec<NodeId>,
 }
@@ -662,13 +662,11 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
     /// side schedules a redial unless `allow_redial` is off (duplicate
     /// replacement, despawn, shutdown).
     fn close_conn(&mut self, token: u64, allow_redial: bool) {
-        let Some(mut link) = self.conns.remove(&token) else {
+        let Some(link) = self.conns.remove(&token) else {
             return;
         };
         let _ = self.poller.delete(link.stream.as_raw_fd());
-        if let Some(bulk) = link.bulk.take() {
-            bulk.discard(&mut self.vectors);
-        }
+        link.rx.discard(&mut self.vectors);
         let (Some(local), Some(remote)) = (link.local, link.remote) else {
             return;
         };
@@ -758,21 +756,21 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
     }
 
     /// Reads what a connection has, dispatching complete frames as they
-    /// form. A read that fills the scratch chunk, or goes into a bulk
-    /// frame, goes round again. A shorter one drained the socket: at a
-    /// frame boundary that ends the burst, and since polling is
-    /// level-triggered, later bytes (or an EOF) are a fresh readiness, so
-    /// no empty `read` is spent to hear `WouldBlock`. Mid-frame, the rest
-    /// of the frame is already on its way and reading on keeps a bulk
-    /// stream moving: stopping there starved the one `sac_bulk_cnn_3`
-    /// share block a round does not wait for, until the next round's
-    /// block overflowed the send queue.
+    /// form. A read that takes all it asked for, or goes into a run, goes
+    /// round again. A shorter one drained the socket: at a frame boundary
+    /// that ends the burst, and since polling is level-triggered, later
+    /// bytes (or an EOF) are a fresh readiness, so no empty `read` is
+    /// spent to hear `WouldBlock`. Mid-frame, the rest of the frame is
+    /// already on its way and reading on keeps a bulk stream moving:
+    /// stopping there starved the one `sac_bulk_cnn_3` share block a round
+    /// does not wait for, until the next round's block overflowed the send
+    /// queue.
     fn handle_readable(&mut self, token: u64) {
         loop {
             let Some(link) = self.conns.get_mut(&token) else {
                 return;
             };
-            let status = conn::read_some::<M>(link, &mut self.scratch, &mut self.vectors);
+            let status = conn::read_some(link, &mut self.scratch, &mut self.vectors);
             if status == conn::ReadStatus::Closed {
                 self.close_conn(token, true);
                 return;
@@ -781,8 +779,9 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
                 Ok(true) => {}
                 Ok(false) => return,
                 Err(_) => {
-                    // Unframeable input (oversize/corrupt length prefix,
-                    // a bulk frame before the hello) cannot be resynchronized.
+                    // Unframeable input (an oversize length prefix, a
+                    // first frame that is no hello) cannot be
+                    // resynchronized.
                     self.close_conn(token, true);
                     return;
                 }
@@ -792,7 +791,7 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
             };
             let more = match status {
                 conn::ReadStatus::Full => true,
-                conn::ReadStatus::Short => !link.rx.is_empty() || link.bulk.is_some(),
+                conn::ReadStatus::Short => !link.rx.is_empty(),
                 conn::ReadStatus::Drained | conn::ReadStatus::Closed => false,
             };
             if !more {
@@ -801,152 +800,57 @@ impl<M: WireMsg + Send + 'static, A: Actor<M> + Send + 'static> Core<M, A> {
         }
     }
 
-    /// Delivers every frame the connection has whole: those in its frame
-    /// buffer, and its bulk frame once the last byte is in, after which
-    /// the buffer holds the frames that follow. Returns whether the
-    /// connection is still there.
+    /// Delivers every frame the connection has whole: a hello attaches the
+    /// connection to its destination peer, a payload decodes and
+    /// dispatches. Until the hello is in, a frame of any other length is
+    /// refused from its prefix, before a vector is drawn for it. Returns
+    /// whether the connection is still there.
     fn deliver_frames(&mut self, token: u64) -> Result<bool, CodecError> {
         loop {
             let Some(link) = self.conns.get_mut(&token) else {
                 return Ok(false);
             };
-            match link.bulk.take() {
-                Some(bulk) if bulk.is_whole() => {
-                    self.deliver_bulk(token, bulk);
-                    continue;
-                }
-                Some(bulk) => {
-                    link.bulk = Some(bulk);
-                    return Ok(true);
-                }
-                None => {}
+            let (got_hello, ends) = (link.got_hello, link.local.zip(link.remote));
+            if !got_hello && link.rx.next_prefix().is_some_and(|p| p != conn::HELLO_LEN) {
+                return Err(CodecError::Invalid("a first frame that is no hello"));
             }
-            // Frames are decoded in place, borrowed from the link's frame
-            // buffer, while delivery needs `&mut self`: the buffer leaves
-            // the link for the duration and goes back unless delivery
-            // closed the connection.
-            let mut rx = std::mem::take(&mut link.rx);
-            let bulk = self.deliver_buffered(token, &mut rx);
-            let Some(link) = self.conns.get_mut(&token) else {
-                return Ok(false);
+            let Some(frame) = link.rx.next_frame(&mut self.vectors)? else {
+                return Ok(true);
             };
-            link.rx = rx;
-            match bulk? {
-                // It may be whole already: round again.
-                Some(bulk) => link.bulk = Some(bulk),
-                None => return Ok(true),
+            if !got_hello {
+                match (ends, frame.payload().and_then(conn::parse_hello_v2)) {
+                    // Accepted: attach to the hosted peer the dialer named.
+                    (None, Some((src, dst))) if self.peers.contains_key(&dst) => {
+                        self.attach_accepted(token, src, dst);
+                    }
+                    // Dialed: the acceptor answers with the hello reversed.
+                    (Some((local, remote)), Some((src, dst))) if src == remote && dst == local => {
+                        self.on_hello_answered(token, local, remote);
+                    }
+                    _ => {
+                        // Wrong protocol, wrong identity, or a peer this
+                        // reactor does not host (yet): drop the connection;
+                        // a dialer's backoff will retry.
+                        self.close_conn(token, true);
+                        return Ok(false);
+                    }
+                }
+                continue;
             }
-        }
-    }
-
-    /// Delivers the frames `rx` holds whole, stopping early if the
-    /// connection goes away underneath, then starts the bulk frame whose
-    /// header follows them, if there is one, with its bytes `rx` held.
-    fn deliver_buffered(
-        &mut self,
-        token: u64,
-        rx: &mut FrameBuffer,
-    ) -> Result<Option<BulkFrame>, CodecError> {
-        while let Some(frame) = rx.next_frame()? {
-            if !self.deliver_frame(token, frame) {
-                return Ok(None);
-            }
-        }
-        let Some((len, held)) = rx.next_bulk(conn::READ_CHUNK) else {
-            return Ok(None);
-        };
-        if !self.conns.get(&token).is_some_and(|l| l.got_hello) {
-            return Err(CodecError::Invalid("a bulk frame before the hello"));
-        }
-        let mut bulk = BulkFrame::new(len, conn::READ_CHUNK);
-        bulk.feed::<M>(held, &mut self.vectors);
-        Ok(Some(bulk))
-    }
-
-    /// Delivers one frame read from a connection: a hello attaches the
-    /// connection to its destination peer, a payload decodes and
-    /// dispatches. Returns whether the connection is still there.
-    fn deliver_frame(&mut self, token: u64, frame: &[u8]) -> bool {
-        // Re-read the link identity each frame: the hello that attaches
-        // it may arrive in the same read as payloads.
-        let Some((got_hello, local, remote)) = self
-            .conns
-            .get(&token)
-            .map(|l| (l.got_hello, l.local, l.remote))
-        else {
-            return false;
-        };
-        if !got_hello {
-            return match (local.zip(remote), conn::parse_hello_v2(frame)) {
-                // Accepted: attach to the hosted peer the dialer named.
-                (None, Some((src, dst))) if self.peers.contains_key(&dst) => {
-                    self.attach_accepted(token, src, dst);
-                    true
-                }
-                // Dialed: the acceptor answers with the hello reversed.
-                (Some((local, remote)), Some((src, dst))) if src == remote && dst == local => {
-                    self.on_hello_answered(token, local, remote);
-                    true
-                }
-                _ => {
-                    // Wrong protocol, wrong identity, or a peer this
-                    // reactor does not host (yet): drop the connection;
-                    // a dialer's backoff will retry.
-                    self.close_conn(token, true);
-                    false
-                }
+            // Counted into the local peer's stats and decoded, unless the
+            // connection names no hosted peer.
+            let Some((local, remote)) = ends else {
+                continue;
             };
-        }
-        self.deliver_payload(token, frame.len(), |vectors| {
-            codec::from_bytes_into::<M>(frame, &mut |len| vectors.take(len))
-        });
-        true
-    }
-
-    /// Delivers a bulk frame whose last byte is in.
-    fn deliver_bulk(&mut self, token: u64, bulk: BulkFrame) {
-        let len = bulk.payload_len();
-        let mut bulk = Some(bulk);
-        self.deliver_payload(token, len, |vectors| match bulk.take() {
-            Some(bulk) => bulk.finish::<M>(vectors),
-            None => Err(CodecError::Eof),
-        });
-        // Not decoded: no hosted peer to take it.
-        if let Some(bulk) = bulk {
-            bulk.discard(&mut self.vectors);
-        }
-    }
-
-    /// Counts a payload of `len` bytes from an attached connection into
-    /// its local peer's stats, decodes it with `decode` and dispatches it
-    /// to that peer, or counts a decode error. Does not call `decode`
-    /// when the connection names no hosted peer.
-    fn deliver_payload(
-        &mut self,
-        token: u64,
-        len: usize,
-        decode: impl FnOnce(&mut Pool<f64>) -> Result<M, CodecError>,
-    ) {
-        let Some((local, remote)) = self.conns.get(&token).and_then(|l| l.local.zip(l.remote))
-        else {
-            return;
-        };
-        let decoded = {
             let Some(slot) = self.peers.get_mut(&local) else {
-                return;
+                continue;
             };
             slot.stats.frames_received.fetch_add(1, Ordering::Relaxed);
-            slot.stats
-                .bytes_received
-                .fetch_add(len as u64 + 4, Ordering::Relaxed);
-            decode(&mut self.vectors)
-        };
-        match decoded {
-            Ok(msg) => {
-                self.dispatch(local, move |a, ctx| a.on_message(ctx, remote, msg));
-            }
-            Err(_) => {
-                if let Some(slot) = self.peers.get(&local) {
+            let len = frame.wire_len() as u64;
+            slot.stats.bytes_received.fetch_add(len, Ordering::Relaxed);
+            match frame.decode::<M>(&mut self.vectors) {
+                Ok(msg) => self.dispatch(local, move |a, ctx| a.on_message(ctx, remote, msg)),
+                Err(_) => {
                     slot.decode_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -1779,7 +1683,7 @@ mod tests {
         let p = r.spawn_peer(NodeId(0), Log::default()).unwrap();
         let mut wire = conn::hello_frame_v2(NodeId(7), NodeId(0));
         for tag in 0..20 {
-            wire.extend(codec::to_frame_bytes(&WireBlob { size: 8, tag }).unwrap());
+            wire.extend(crate::codec::to_frame_bytes(&WireBlob { size: 8, tag }).unwrap());
         }
         let mut s = std::net::TcpStream::connect(r.local_addr()).unwrap();
         s.set_nodelay(true).unwrap();
@@ -2015,7 +1919,7 @@ mod tests {
         // Over `MAX_FRAME`: it has no frame.
         let h = r.spawn_peer(NodeId(1), Quiet).unwrap();
         assert!(
-            dropped_vector_comes_back(&h, None, codec::MAX_FRAME / 8),
+            dropped_vector_comes_back(&h, None, crate::codec::MAX_FRAME / 8),
             "unframeable"
         );
         assert_eq!(h.stats().sends_dropped, 1);

@@ -3,8 +3,9 @@
 //! Every (local peer, remote peer) link owns one [`SendQueue`] of
 //! [`Frame`]s. A frame is its message, counted but never encoded whole:
 //! as the connection takes it, its bytes are staged into the reactor's one
-//! [`Stage`], except its `f64` runs of at least the 64 KiB read chunk,
-//! which are written straight from the message's vectors. A batch offers
+//! [`Stage`], except its `f64` runs (sequences of at least
+//! [`codec::RUN_MIN`], 64 KiB, listed in the frame's run table), which
+//! are written straight from the message's vectors. A batch offers
 //! consecutive frames, so small frames share a staged slice.
 //! The queue enforces *two* caps — a frame-count cap and a byte cap, on
 //! frame lengths counted at send time — and refuses (never blocks, never
@@ -23,30 +24,30 @@
 //! of randomized enqueue/flush/disconnect interleavings, and the
 //! `p2pfl-lint` purity gate holds it to that.
 
-use super::conn::{READ_CHUNK, WRITE_BATCH};
+use super::conn::WRITE_BATCH;
 use super::sys;
-use crate::codec::{self, Piece, PieceList, Pool};
+use crate::codec::{self, FrameLen, Piece, PieceList, Pool};
 use p2pfl_simnet::Payload;
 use serde::Serialize;
 use std::collections::VecDeque;
 
-/// One queued frame: a message and the length of its wire frame.
+/// One queued frame: a message and its wire frame, counted.
 #[derive(Debug, Clone)]
 pub struct Frame<M> {
     msg: M,
-    len: usize,
+    size: FrameLen,
 }
 
 impl<M> Frame<M> {
-    /// Length of the frame on the wire, prefix included.
+    /// Length of the frame on the wire, prefix and run table included.
     pub fn len(&self) -> usize {
-        self.len
+        self.size.wire_len()
     }
 
     /// Whether the frame has no bytes (never true: a frame has its
     /// prefix).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.size.wire_len() == 0
     }
 
     /// The message, for a frame that will not be written.
@@ -56,18 +57,19 @@ impl<M> Frame<M> {
 }
 
 impl<M: Serialize> Frame<M> {
-    /// `msg`'s frame, counted with [`codec::frame_len`], not encoded; the
-    /// message back when it cannot be framed.
+    /// `msg`'s frame, counted with [`codec::frame_len`] at
+    /// [`codec::RUN_MIN`], not encoded; the message back when it cannot be
+    /// framed.
     pub fn new(msg: M) -> Result<Frame<M>, M> {
-        match codec::frame_len(&msg) {
-            Some(len) => Ok(Frame { msg, len }),
+        match codec::frame_len(&msg, codec::RUN_MIN) {
+            Some(size) => Ok(Frame { msg, size }),
             None => Err(msg),
         }
     }
 }
 
 /// The buffer frames are staged into for a write — every byte but their
-/// `f64` runs of at least the reactor's 64 KiB read chunk — at most a
+/// `f64` runs — at most a
 /// fixed number of bytes a batch, shared by every queue of a reactor: it
 /// holds the bytes of whichever queue offered a batch last.
 #[derive(Debug)]
@@ -123,12 +125,12 @@ impl<M> SendQueue<M> {
     /// oversized frames are refused outright rather than wedging the link.
     pub fn push(&mut self, frame: Frame<M>) -> Result<(), Frame<M>> {
         if self.frames.len() >= self.max_frames
-            || self.bytes.saturating_add(frame.len) > self.max_bytes
+            || self.bytes.saturating_add(frame.len()) > self.max_bytes
         {
             self.dropped = self.dropped.saturating_add(1);
             return Err(frame);
         }
-        self.bytes = self.bytes.saturating_add(frame.len);
+        self.bytes = self.bytes.saturating_add(frame.len());
         self.frames.push_back(frame);
         self.peak_frames = self.peak_frames.max(self.frames.len());
         Ok(())
@@ -140,7 +142,7 @@ impl<M> SendQueue<M> {
     /// the sender's `frames_sent` / `bytes_sent` deltas (bytes count whole
     /// retired frames, so a frame is never double-counted if a partial
     /// write is voided and rewritten after a reconnect).
-    pub fn advance(&mut self, mut n: usize, vectors: &mut Pool<f64>) -> (usize, usize)
+    pub fn advance(&mut self, mut n: usize, vectors: &mut Pool) -> (usize, usize)
     where
         M: Payload,
     {
@@ -150,7 +152,7 @@ impl<M> SendQueue<M> {
             let Some(front) = self.frames.front() else {
                 break;
             };
-            let len = front.len;
+            let len = front.len();
             let remaining = len.saturating_sub(self.head_written);
             if n >= remaining {
                 n -= remaining;
@@ -206,8 +208,8 @@ impl<M: Serialize> SendQueue<M> {
     /// The next vectored write: the frames it offers, and its slices. It
     /// offers consecutive frames from the head frame's first unwritten
     /// byte on, at most `max` of them, in at most 16 slices and as many
-    /// bytes as `stage` takes: each `f64` run of at least the 64 KiB read
-    /// chunk borrowed from its message, every other byte staged into
+    /// bytes as `stage` takes: each `f64` run borrowed from its message,
+    /// every other byte staged into
     /// `stage`, a frame's staged bytes in one slice with its neighbours'.
     /// A frame cut at the batch's end is offered from there by the next
     /// batch.
@@ -223,15 +225,14 @@ impl<M: Serialize> SendQueue<M> {
         for frame in self.frames.iter().take(max) {
             let end = codec::frame_pieces(
                 &frame.msg,
-                frame.len,
+                frame.size,
                 from,
-                READ_CHUNK,
                 &mut stage.buf,
                 stage.cap,
                 &mut pieces,
             );
             offered += usize::from(end > from);
-            if end < frame.len {
+            if end < frame.len() {
                 break;
             }
             from = 0;
@@ -262,13 +263,13 @@ mod tests {
     }
 
     /// A vector of `dim` drawn from `vectors`.
-    fn drawn(vectors: &mut Pool<f64>, dim: usize) -> WeightVector {
+    fn drawn(vectors: &mut Pool, dim: usize) -> WeightVector {
         let mut storage = vectors.take(dim);
         storage.resize(dim, 0.0);
         WeightVector::new(storage)
     }
 
-    fn subtotal(vectors: &mut Pool<f64>, dim: usize) -> SacMsg {
+    fn subtotal(vectors: &mut Pool, dim: usize) -> SacMsg {
         let value = drawn(vectors, dim);
         SacMsg::Subtotal {
             round: 1,
@@ -407,7 +408,7 @@ mod tests {
     #[test]
     fn a_bulk_run_is_offered_from_the_messages_own_vector_between_small_frames() {
         let mut vectors = Pool::new();
-        let total = subtotal(&mut vectors, READ_CHUNK / 8);
+        let total = subtotal(&mut vectors, codec::RUN_MIN / 8);
         let SacMsg::Subtotal { value, .. } = &total else {
             unreachable!()
         };
@@ -445,7 +446,7 @@ mod tests {
         let mut stage = Stage::new(1 << 10);
         let mut q = SendQueue::new(16, 1 << 30);
         for _ in 0..WRITE_BATCH / 2 + 1 {
-            q.push(Frame::new(subtotal(&mut vectors, READ_CHUNK / 8)).unwrap())
+            q.push(Frame::new(subtotal(&mut vectors, codec::RUN_MIN / 8)).unwrap())
                 .unwrap();
         }
         let (frames, slices) = q.batch(WRITE_BATCH, &mut stage);
@@ -473,7 +474,7 @@ mod tests {
         let mut vectors = Pool::new();
         let mut q = SendQueue::new(8, 1 << 20);
         let total = subtotal(&mut vectors, 16);
-        let len = codec::frame_len(&total).unwrap();
+        let len = codec::frame_len(&total, codec::RUN_MIN).unwrap().wire_len();
         q.push(Frame::new(total).unwrap()).unwrap();
         q.push(begin(1)).unwrap();
         assert_eq!(q.advance(len - 1, &mut vectors), (0, 0));
@@ -490,7 +491,7 @@ mod tests {
         let mut vectors = Pool::new();
         let mut q = SendQueue::new(8, 1 << 20);
         let total = subtotal(&mut vectors, 16);
-        let len = codec::frame_len(&total).unwrap();
+        let len = codec::frame_len(&total, codec::RUN_MIN).unwrap().wire_len();
         q.push(Frame::new(total).unwrap()).unwrap();
         assert_eq!(q.advance(len - 1, &mut vectors), (0, 0));
         q.reset_progress();
@@ -513,7 +514,7 @@ mod tests {
             from_pos: 0,
             parts: vec![(0, Arc::clone(&part))],
         };
-        let len = codec::frame_len(&block).unwrap();
+        let len = codec::frame_len(&block, codec::RUN_MIN).unwrap().wire_len();
         let frame = Frame::new(block).unwrap();
         q.push(frame.clone()).unwrap();
         q.push(frame).unwrap();

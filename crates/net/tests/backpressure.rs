@@ -8,6 +8,8 @@
 //! configured frame/byte limits) while the healthy link — and the loop
 //! itself — keeps flowing at full speed.
 
+mod common;
+
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
 use p2pfl_simnet::{Actor, NodeId, Payload, Transport};
 use serde::{Deserialize, Serialize};
@@ -60,7 +62,7 @@ fn slow_sink(listener: TcpListener, stop: Arc<AtomicBool>, drained: Arc<AtomicU6
     let mut answer = b"p2pf\x02".to_vec();
     answer.extend_from_slice(&2u32.to_le_bytes());
     answer.extend_from_slice(&0u32.to_le_bytes());
-    if p2pfl_net::codec::write_frame(&mut sock, &answer).is_err() {
+    if common::write_frame(&mut sock, &answer).is_err() {
         return;
     }
     let _ = sock.set_read_timeout(Some(Duration::from_millis(20)));

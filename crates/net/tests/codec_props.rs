@@ -5,13 +5,16 @@
 //! its value, or received piece by piece into pooled vectors, is the same
 //! bytes and the same value as the whole-buffer paths.
 
+mod common;
+
+use common::{decode_all, feed, write_frame};
 use p2pfl_hierraft::{
     ElasticGroup, FedCmd, FedConfig, FedSnapshot, HierMsg, RobustCombiner, SubCmd, SubMembers,
     SubSnapshot, Topology, TopologyCmd,
 };
 use p2pfl_net::codec::{
-    frame_len, frame_pieces, from_bytes, to_bytes, to_frame_bytes, write_frame, BulkFrame,
-    CodecError, FrameBuffer, Piece, PieceList, Pool, MAX_FRAME,
+    frame_len, frame_pieces, from_bytes, to_bytes, to_frame_bytes, CodecError, FrameBuffer,
+    FrameReceiver, Piece, PieceList, Pool, MAX_FRAME, MAX_PIECES, RUN_MIN as REACTOR_RUN_MIN,
 };
 use p2pfl_net::{Reactor, ReactorConfig};
 use p2pfl_raft::{Entry, LogCmd, PersistOp, RaftMsg};
@@ -441,18 +444,38 @@ fn piece_bytes(piece: &Piece<'_>, staged: &[u8]) -> Vec<u8> {
     }
 }
 
+/// `msg`'s frame at [`RUN_MIN`]: its pieces from offset 0 on, in
+/// batches of [`MAX_PIECES`] with no cap on staged bytes. Its payload,
+/// behind the run table, is exactly `to_bytes(msg)`.
+fn frame_of<T: Serialize>(msg: &T) -> Vec<u8> {
+    let size = frame_len(msg, RUN_MIN).expect("fits a frame");
+    let (mut wire, mut staged) = (Vec::new(), Vec::new());
+    while wire.len() < size.wire_len() {
+        staged.clear();
+        let mut pieces = PieceList::new(MAX_PIECES);
+        frame_pieces(msg, size, wire.len(), &mut staged, usize::MAX, &mut pieces);
+        for piece in pieces.as_slice() {
+            wire.extend(piece_bytes(piece, &staged));
+        }
+    }
+    assert_eq!(wire.len(), size.wire_len(), "counted frame length");
+    let mut fb = FrameBuffer::new();
+    fb.extend(&wire);
+    assert!(fb.next_frame().unwrap() == Some(&to_bytes(msg)[..]));
+    wire
+}
+
 /// Writes `msg`'s frame from byte `from` on the way a send queue does,
 /// batch after batch of at most `max` pieces and `cap` staged bytes, and
-/// checks the bytes are exactly `to_frame_bytes(msg)` from `from` on.
+/// checks the bytes are exactly its frame's from `from` on.
 fn pieces_rebuild_the_frame<T: Serialize>(msg: &T, from: usize, cap: usize, max: usize) {
-    let wire = to_frame_bytes(msg).expect("fits a frame");
-    let len = frame_len(msg).expect("counted");
-    assert_eq!(len, wire.len(), "counted frame length");
+    let wire = frame_of(msg);
+    let size = frame_len(msg, RUN_MIN).expect("counted");
     let (mut at, mut staged) = (from, Vec::new());
-    while at < len {
+    while at < size.wire_len() {
         staged.clear();
         let mut pieces = PieceList::new(max);
-        let end = frame_pieces(msg, len, at, RUN_MIN, &mut staged, cap, &mut pieces);
+        let end = frame_pieces(msg, size, at, &mut staged, cap, &mut pieces);
         let pieces = pieces.as_slice();
         assert!(!pieces.is_empty(), "no pieces from {at}");
         assert!(staged.len() <= cap, "staged {} of {cap}", staged.len());
@@ -465,34 +488,35 @@ fn pieces_rebuild_the_frame<T: Serialize>(msg: &T, from: usize, cap: usize, max:
         at += batch.len();
     }
     let mut past = PieceList::new(max);
-    let end = frame_pieces(msg, len, len, RUN_MIN, &mut staged, cap, &mut past);
+    let end = frame_pieces(msg, size, size.wire_len(), &mut staged, cap, &mut past);
     assert!(past.as_slice().is_empty(), "pieces past the end");
-    assert_eq!(end, len);
+    assert_eq!(end, size.wire_len());
 }
 
-/// Receives `msg`'s payload into a [`BulkFrame`] in the pieces between
-/// `cuts`, and checks it decodes to exactly what `from_bytes` does, with
-/// every run's vector back in the pool or in the value.
+/// Receives `msg`'s frame at [`RUN_MIN`] in the pieces between `cuts`,
+/// meta bytes through a 16-byte chunk, and checks it decodes to exactly
+/// what `from_bytes` does.
 fn piecewise_receive_matches_from_bytes(msg: &SacMsg, cuts: &[usize]) {
-    let bytes = to_bytes(msg);
-    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
-    bounds.extend([0, bytes.len()]);
+    let wire = frame_of(msg);
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+    bounds.extend([0, wire.len()]);
     bounds.sort_unstable();
-    let mut pool = Pool::new();
-    let mut rx = BulkFrame::new(bytes.len(), RUN_MIN);
+    let (mut pool, mut rx) = (Pool::new(), FrameReceiver::new());
+    let mut got = Vec::new();
     for w in bounds.windows(2) {
-        assert!(!rx.is_whole() || w[0] == w[1]);
-        let piece = &bytes[w[0]..w[1]];
-        assert_eq!(rx.feed::<SacMsg>(piece, &mut pool), piece.len());
+        feed(&mut rx, &mut pool, &wire[w[0]..w[1]], 16);
+        got.extend(decode_all::<SacMsg>(&mut rx, &mut pool));
     }
-    assert!(rx.is_whole());
-    let got = rx.finish::<SacMsg>(&mut pool).expect("decodes");
-    let want = from_bytes::<SacMsg>(&bytes).expect("decodes");
+    assert!(rx.is_empty());
+    let [got] = &got[..] else {
+        panic!("{} frames at cuts {bounds:?}", got.len());
+    };
+    let got = got.as_ref().expect("decodes");
+    let want = from_bytes::<SacMsg>(&to_bytes(msg)).expect("decodes");
     assert!(
-        to_bytes(&got) == to_bytes(&want),
+        to_bytes(got) == to_bytes(&want),
         "bits differ at cuts {bounds:?}"
     );
-    assert!(to_bytes(&got) == bytes);
 }
 
 proptest! {
@@ -504,7 +528,7 @@ proptest! {
         cap in 1usize..40,
         max in 1usize..6,
     ) {
-        for from in 0..=frame_len(&msg).expect("counted") {
+        for from in 0..=frame_len(&msg, RUN_MIN).expect("counted").wire_len() {
             pieces_rebuild_the_frame(&msg, from, cap, max);
         }
     }
@@ -516,7 +540,7 @@ proptest! {
     ) {
         piecewise_receive_matches_from_bytes(&msg, &cuts);
         // Small messages: a read boundary at every offset.
-        let len = to_bytes(&msg).len();
+        let len = frame_of(&msg).len();
         if len <= 256 {
             for cut in 0..=len {
                 piecewise_receive_matches_from_bytes(&msg, &[cut]);
@@ -907,13 +931,13 @@ fn pieces_from_every_offset_and_reads_cut_anywhere_rebuild_share_blocks_and_tota
         },
     ];
     for msg in &msgs {
-        let len = frame_len(msg).unwrap();
+        let len = frame_len(msg, RUN_MIN).unwrap().wire_len();
         for from in 0..=len {
             for (cap, max) in [(1, 1), (5, 2), (17, 3), (64, 16)] {
                 pieces_rebuild_the_frame(msg, from, cap, max);
             }
         }
-        for cut in 0..len - 4 {
+        for cut in 0..len {
             piecewise_receive_matches_from_bytes(msg, &[cut, cut + 3, cut + 9]);
         }
     }
@@ -954,10 +978,13 @@ impl Actor<Oversized> for Ignore {
 fn a_message_over_max_frame_is_counted_as_dropped_and_never_queued() {
     // 1024 runs of 64 KiB plus their length fields: just over 64 MiB.
     let huge = Oversized { blocks: 1024 };
-    assert_eq!(frame_len(&huge), None);
+    assert_eq!(frame_len(&huge, REACTOR_RUN_MIN), None);
     assert_eq!(to_frame_bytes(&huge), None);
     let fits = Oversized { blocks: 1 };
-    assert_eq!(frame_len(&fits), to_frame_bytes(&fits).map(|f| f.len()));
+    assert_eq!(
+        frame_len(&fits, REACTOR_RUN_MIN).map(|f| f.wire_len()),
+        to_frame_bytes(&fits).map(|f| f.len())
+    );
 
     let reactor: Reactor<Oversized, Ignore> = Reactor::start(ReactorConfig::default()).unwrap();
     let a = reactor.spawn_peer(NodeId(0), Ignore).unwrap();

@@ -1,14 +1,17 @@
 //! Negative-path hardening: truncated, oversized, and garbage input on
 //! every untrusted surface — the binary codec, the incremental
-//! [`FrameBuffer`], the piecewise receive of a bulk frame into pooled
-//! vectors ([`BulkFrame`]), and a live [`Reactor`] peer fed raw hostile
-//! frames and hellos over TCP — must produce typed errors (or counted
-//! drops, or a closed connection), never a panic.
+//! [`FrameBuffer`], a link's [`FrameReceiver`] with its run tables and
+//! pooled vectors, and a live [`Reactor`] peer fed raw hostile frames and
+//! hellos over TCP — must produce typed errors (or counted drops, or a
+//! closed connection), never a panic.
 
+mod common;
+
+use common::{decode_all, feed, frame_bytes, read_frame, write_frame, READ_CHUNK};
 use p2pfl_hierraft::{FedConfig, HierMsg, RobustCombiner, SubCmd};
 use p2pfl_net::codec::{
-    from_bytes, read_frame, to_bytes, to_frame_bytes, write_frame, BulkFrame, CodecError,
-    FrameBuffer, Pool, MAX_FRAME,
+    from_bytes, to_bytes, to_frame_bytes, CodecError, FrameBuffer, FrameReceiver, Pool, MAX_FRAME,
+    MAX_RUNS, RUNS_FLAG,
 };
 use p2pfl_net::{PeerHandle, Reactor, ReactorConfig};
 use p2pfl_raft::{Entry, LogCmd, RaftMsg};
@@ -386,10 +389,6 @@ fn bad_hellos_close_only_their_own_connection() {
     assert_eq!(sink.stats().frames_received, 2);
 }
 
-/// The reactor's read chunk: frames over it are received as
-/// [`BulkFrame`]s, and `f64` sequences of at least it are runs.
-const READ_CHUNK: usize = 64 << 10;
-
 /// The payload of a bulk `Subtotal` frame of `len` bytes whose vector
 /// declares `n` elements: more than the frame can hold when `8 * n`
 /// passes what is left of it, though `n` alone does not.
@@ -413,12 +412,13 @@ fn a_run_declared_past_its_frame_is_refused_before_a_vector_is_drawn() {
     let mut pool = Pool::new();
     let kept = pool.take(n as usize);
     pool.give(kept);
-    let mut rx = BulkFrame::new(len, READ_CHUNK);
-    for piece in payload.chunks(4096) {
-        assert_eq!(rx.feed::<SacMsg>(piece, &mut pool), piece.len());
+    let mut rx = FrameReceiver::new();
+    for piece in frame_bytes(&payload).chunks(4096) {
+        feed(&mut rx, &mut pool, piece, READ_CHUNK);
         assert_eq!(pool.lent(), 0, "a vector was drawn for the run");
     }
-    assert_eq!(rx.finish::<SacMsg>(&mut pool), Err(CodecError::Eof));
+    let got = decode_all::<SacMsg>(&mut rx, &mut pool);
+    assert_eq!(got, [Err(CodecError::Eof)]);
     assert_eq!((pool.lent(), pool.kept()), (0, n as usize));
 
     // On a live reactor: a decode error, and the link goes on.
@@ -442,17 +442,18 @@ fn a_connection_cut_mid_run_gives_the_drawn_vectors_back() {
             (1, WeightVector::zeros(dim).into()),
         ],
     };
-    let payload = to_bytes(&block);
+    let wire = to_frame_bytes(&block).expect("fits a frame");
     // Baseline: vectors already out, as a round core holds them.
     let mut pool = Pool::new();
     let held: Vec<Vec<f64>> = (0..3).map(|_| pool.take(dim)).collect();
     let baseline = pool.lent();
-    for cut in [40, payload.len() / 2, payload.len() - 1] {
-        let mut rx = BulkFrame::new(payload.len(), READ_CHUNK);
-        for piece in payload[..cut].chunks(1500) {
-            rx.feed::<SacMsg>(piece, &mut pool);
+    for cut in [40, wire.len() / 2, wire.len() - 1] {
+        let mut rx = FrameReceiver::new();
+        for piece in wire[..cut].chunks(1500) {
+            feed(&mut rx, &mut pool, piece, READ_CHUNK);
+            assert!(decode_all::<SacMsg>(&mut rx, &mut pool).is_empty());
         }
-        assert!(!rx.is_whole());
+        assert!(!rx.is_empty());
         assert!(
             pool.lent() > baseline || cut == 40,
             "cut {cut}: no run drawn"
@@ -469,7 +470,6 @@ fn a_connection_cut_mid_run_gives_the_drawn_vectors_back() {
     // On a live reactor, cut after half a run, over and over: each cut
     // closes only its link.
     let (reactor, sink) = sink_reactor();
-    let wire = to_frame_bytes(&block).expect("fits a frame");
     for _ in 0..20 {
         let mut conn = TcpStream::connect(reactor.local_addr()).expect("connect");
         write_frame(&mut conn, &hello_v2(9, 0)).unwrap();
@@ -484,25 +484,33 @@ fn a_connection_cut_mid_run_gives_the_drawn_vectors_back() {
     assert_eq!(sink.decode_errors(), 0);
 }
 
-/// Receives `msg` as a bulk frame in 4 KiB reads and checks the probes
-/// that locate its runs walked at most its length plus a read chunk, and
-/// that it decodes as `from_bytes` does.
-fn parses_linearly(what: &str, msg: &SacMsg) {
-    let payload = to_bytes(msg);
-    let mut pool = Pool::new();
-    let mut rx = BulkFrame::new(payload.len(), READ_CHUNK);
-    for piece in payload.chunks(4096) {
-        rx.feed::<SacMsg>(piece, &mut pool);
-    }
-    let bound = payload.len() + READ_CHUNK;
+/// Receives `msg`'s frame, a socket's worth at a time through the read
+/// chunk, and checks it decodes as `from_bytes` does in at most one
+/// receive call per read chunk of its bytes and one per run, plus two.
+fn receives_linearly(what: &str, msg: &SacMsg) {
+    let wire = to_frame_bytes(msg).expect("fits a frame");
+    let runs = match wire[..4] {
+        [.., flags] if u32::from(flags) << 24 & RUNS_FLAG != 0 => {
+            u32::from_le_bytes(wire[4..8].try_into().unwrap()) as usize
+        }
+        _ => 0,
+    };
+    let (mut pool, mut rx) = (Pool::new(), FrameReceiver::new());
+    let calls = feed(&mut rx, &mut pool, &wire, READ_CHUNK);
+    let bound = wire.len() / READ_CHUNK + runs + 2;
     assert!(
-        rx.parsed() <= bound,
-        "{what}: {} bytes parsed for a frame of {}: the prefix was re-parsed",
-        rx.parsed(),
-        payload.len()
+        calls <= bound,
+        "{what}: {calls} receive calls for {} bytes and {runs} runs",
+        wire.len()
     );
-    let got = rx.finish::<SacMsg>(&mut pool).expect("decodes");
-    assert!(to_bytes(&got) == payload, "{what}: decoded differently");
+    let got = decode_all::<SacMsg>(&mut rx, &mut pool);
+    let [Ok(got)] = &got[..] else {
+        panic!("{what}: {got:?}");
+    };
+    assert!(
+        to_bytes(got) == to_bytes(msg),
+        "{what}: decoded differently"
+    );
 }
 
 #[test]
@@ -513,10 +521,9 @@ fn meta_heavy_and_many_run_frames_parse_in_linear_work() {
         from_pos: 0,
         digests: (0..200_000).collect(),
     };
-    parses_linearly("meta bytes", &commit);
-    // Runs between ever longer meta: each run sits behind a small part,
-    // decoded from the meta bytes, so a walk of the prefix per run would
-    // cost ~16x the frame.
+    receives_linearly("meta bytes", &commit);
+    // Runs between meta: each run sits behind a small part, decoded from
+    // the meta bytes.
     let parts = (0..300)
         .map(|i| {
             let dim = if i % 2 == 0 { READ_CHUNK / 8 + 8 } else { 1000 };
@@ -528,5 +535,132 @@ fn meta_heavy_and_many_run_frames_parse_in_linear_work() {
         from_pos: 0,
         parts,
     };
-    parses_linearly("many runs", &block);
+    receives_linearly("many runs", &block);
+}
+
+/// A share block with two runs, its frame, and the offset of its table.
+fn two_runs() -> (SacMsg, Vec<u8>) {
+    let dim = READ_CHUNK / 8;
+    let block = SacMsg::ShareBlock {
+        round: 5,
+        from_pos: 1,
+        parts: vec![
+            (0, WeightVector::new(vec![1.5; dim]).into()),
+            (2, WeightVector::new(vec![-2.5; dim]).into()),
+        ],
+    };
+    let wire = to_frame_bytes(&block).expect("fits a frame");
+    assert_eq!(wire[4..8], 2u32.to_le_bytes(), "two runs");
+    (block, wire)
+}
+
+/// Table entry `i` of `wire`: a run's payload offset and byte length.
+fn entry(wire: &[u8], i: usize) -> [u32; 2] {
+    let at = 8 + 8 * i;
+    let word = |k: usize| u32::from_le_bytes(wire[at + k..at + k + 4].try_into().unwrap());
+    [word(0), word(4)]
+}
+
+fn set_entry(wire: &mut [u8], i: usize, [at, len]: [u32; 2]) {
+    let k = 8 + 8 * i;
+    wire[k..k + 4].copy_from_slice(&at.to_le_bytes());
+    wire[k + 4..k + 8].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Frames whose run tables lie, each with what it is.
+fn hostile_tables() -> Vec<(&'static str, Vec<u8>)> {
+    let (_, wire) = two_runs();
+    let (first, second) = (entry(&wire, 0), entry(&wire, 1));
+    let payload = wire.len() as u32 - 8 - 16;
+    let with = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut w = wire.clone();
+        edit(&mut w);
+        w
+    };
+    // A frame of 10 bytes whose table would need 20.
+    let mut short = (RUNS_FLAG | 10).to_le_bytes().to_vec();
+    short.extend(2u32.to_le_bytes());
+    short.extend([0; 6]);
+    vec![
+        (
+            "overlapping",
+            with(&|w| set_entry(w, 1, [first[0] + 8, second[1]])),
+        ),
+        (
+            "unsorted",
+            with(&|w| {
+                set_entry(w, 0, second);
+                set_entry(w, 1, first);
+            }),
+        ),
+        (
+            "a run past the frame's end",
+            with(&|w| set_entry(w, 1, [payload - 8, second[1]])),
+        ),
+        ("a table past the frame's end", short),
+        (
+            "a run length that is not a multiple of 8",
+            with(&|w| set_entry(w, 0, [first[0], first[1] - 4])),
+        ),
+        (
+            "a count over its bound",
+            with(&|w| w[4..8].copy_from_slice(&(MAX_RUNS as u32 + 1).to_le_bytes())),
+        ),
+        (
+            "flagged with zero runs",
+            with(&|w| w[4..8].copy_from_slice(&0u32.to_le_bytes())),
+        ),
+        (
+            "a run the meta bytes place elsewhere",
+            with(&|w| set_entry(w, 0, [first[0] - 4, first[1]])),
+        ),
+    ]
+}
+
+#[test]
+fn hostile_run_tables_reach_a_typed_error_and_leave_the_link_up() {
+    let (block, wire) = two_runs();
+    let mut pool = Pool::new();
+    let held = pool.take(7);
+    let hostile = hostile_tables();
+    for (what, frame) in &hostile {
+        // The valid frames decoded before hold vectors too.
+        let baseline = pool.lent();
+        let mut rx = FrameReceiver::new();
+        feed(&mut rx, &mut pool, frame, READ_CHUNK);
+        assert!(
+            (pool.lent() - baseline) * 8 <= frame.len(),
+            "{what}: drew more than its frame"
+        );
+        let got = decode_all::<SacMsg>(&mut rx, &mut pool);
+        assert!(
+            matches!(
+                got[..],
+                [Err(CodecError::Invalid(_) | CodecError::TrailingBytes)]
+            ),
+            "{what}: {got:?}"
+        );
+        assert_eq!(pool.lent(), baseline, "{what}: vectors not given back");
+        // The frame behind it arrives whole.
+        feed(&mut rx, &mut pool, &wire, READ_CHUNK);
+        let got = decode_all::<SacMsg>(&mut rx, &mut pool);
+        assert!(
+            matches!(&got[..], [Ok(m)] if *m == block),
+            "{what}: next frame"
+        );
+    }
+    drop(held);
+
+    // On a live reactor: each a decode error on one link, which goes on.
+    let (reactor, sink) = sink_reactor();
+    let mut conn = TcpStream::connect(reactor.local_addr()).expect("connect");
+    write_frame(&mut conn, &hello_v2(9, 0)).unwrap();
+    for (_, frame) in &hostile {
+        conn.write_all(frame).unwrap();
+    }
+    conn.write_all(&wire).unwrap();
+    wait_until("the valid frame behind the hostile ones", || {
+        sink.with(|a, _| a.got) == 1
+    });
+    assert_eq!(sink.decode_errors(), hostile.len() as u64);
 }

@@ -281,7 +281,7 @@ impl Payload for SacMsg {
         }
     }
 
-    fn recycle(self, vectors: &mut Pool<f64>) {
+    fn recycle(self, vectors: &mut Pool) {
         match self {
             SacMsg::ShareBlock { parts, .. } => {
                 for (_, part) in parts {

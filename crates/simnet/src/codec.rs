@@ -14,33 +14,50 @@
 //!   variant table on decode;
 //! * options are a one-byte presence flag.
 //!
-//! On the wire each message is one *frame*: a `u32` little-endian payload
-//! length followed by the payload, capped at [`MAX_FRAME`] so a corrupt or
-//! hostile length prefix cannot trigger an unbounded allocation.
+//! On the wire each message is one *frame*: a `u32` little-endian length
+//! of the bytes that follow it, capped at [`MAX_FRAME`] so a corrupt or
+//! hostile length prefix cannot trigger an unbounded allocation, then the
+//! payload [`to_bytes`] writes.
 //!
-//! A frame that carries model vectors is mostly `f64` sequences. For such
-//! frames the codec tells a sequence of at least a size the caller names —
-//! a *run* — from the rest of the frame, its *meta* bytes, so that the
-//! wire copy of a run can be its only copy:
+//! A frame that carries model vectors is mostly `f64` sequences. The
+//! sender lists each sequence of at least a size it names — a *run* — in
+//! a *run table* between the prefix and the payload, so that the wire
+//! copy of a run can be its only copy. Such a frame sets [`RUNS_FLAG`] in
+//! its prefix, and the table is a `u32` run count, then per run the `u32`
+//! payload offset of its first element and its `u32` byte length. The
+//! payload bytes outside the runs are the frame's *meta* bytes. A frame
+//! without runs is its prefix and its payload.
 //!
 //! * on send, [`frame_pieces`] appends a frame from any byte offset on to
-//!   the pieces of a vectored write: meta bytes staged into a buffer
-//!   that the frames of one write share, runs borrowed from the value;
-//! * on receive, a [`BulkFrame`] locates each run from the meta bytes in
-//!   so far, lands the run's bytes in a vector drawn from a [`Pool`], and
-//!   decodes the frame once, at its end, from its meta bytes plus its
-//!   filled runs.
+//!   the pieces of a vectored write: its header and meta bytes staged
+//!   into a buffer that the frames of one write share, runs borrowed from
+//!   the value;
+//! * on receive, a [`FrameReceiver`] takes a link's frames: headers and
+//!   meta bytes through a read chunk into its buffer, never past a frame's
+//!   next run, and each run straight into a vector drawn from a [`Pool`];
+//!   it decodes a frame once, when it is whole.
 //!
-//! Both carry exactly the bytes [`to_frame_bytes`] writes.
+//! Both carry exactly the bytes [`to_frame_bytes`] writes at [`RUN_MIN`].
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
-use std::io::{self, Read, Write};
+use std::io;
 use std::ops::Range;
 
-/// Hard upper bound on a frame payload (64 MiB). The largest legitimate
-/// message in this workspace is a `ShareBlock` of CNN-sized weight
-/// partitions, well under this.
+/// Hard upper bound on the bytes after a frame's length prefix (64 MiB).
+/// The largest legitimate message in this workspace is a `ShareBlock` of
+/// CNN-sized weight partitions, well under this.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// The bit of a frame's length prefix that says a run table follows it.
+pub const RUNS_FLAG: u32 = 1 << 31;
+
+/// The smallest `f64` sequence, in bytes, that [`to_frame_bytes`] lists as
+/// a run: the reactor's 64 KiB read chunk.
+pub const RUN_MIN: usize = 64 << 10;
+
+/// Most runs one frame lists: as many as [`MAX_FRAME`] holds at
+/// [`RUN_MIN`]. A sender sends any `f64` sequence past them as meta bytes.
+pub const MAX_RUNS: usize = MAX_FRAME / RUN_MIN;
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,53 +102,35 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Serializes `value` into a fresh byte buffer.
+/// Serializes `value` into a buffer allocated once at its exact final
+/// size: a counting pass over the same serializer sizes it, so a 20 MB
+/// share block costs one allocation and one copy, like a 20-byte control
+/// message.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    encode_with_prefix(value, 0).unwrap_or_default()
+    let Ok((len, _)) = tally(value, usize::MAX, |_| Ok(())) else {
+        debug_assert!(false, "unencodable value: sequence longer than u32::MAX");
+        return Vec::new();
+    };
+    let mut out = Vec::with_capacity(len);
+    if value
+        .serialize(&mut BinSerializer { out: &mut out })
+        .is_err()
+    {
+        return Vec::new();
+    }
+    out
 }
 
 /// Deserializes one `T` from `bytes`, requiring the value to consume the
 /// whole buffer.
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
-    from_bytes_into(bytes, &mut Vec::with_capacity)
-}
-
-/// [`from_bytes`], decoding each `f64` sequence into the storage
-/// `storage` gives for its length. Whatever that storage held is
-/// overwritten; storage is asked for only once the sequence's bytes are
-/// known to be there.
-pub fn from_bytes_into<T: Deserialize>(
-    bytes: &[u8],
-    storage: &mut dyn FnMut(usize) -> Vec<f64>,
-) -> Result<T, CodecError> {
-    let mut de = BinDeserializer::new(bytes, &mut [], bytes.len(), storage, None);
+    let mut storage = Vec::<f64>::with_capacity;
+    let mut de = BinDeserializer::new(bytes, &mut [], bytes.len(), &mut storage);
     let value = T::deserialize(&mut de)?;
     if de.pos != bytes.len() {
         return Err(CodecError::TrailingBytes);
     }
     Ok(value)
-}
-
-/// Encodes `value` behind `prefix` zero bytes (room for a frame header)
-/// into a buffer allocated once at its exact final size: a counting pass
-/// over the same serializer sizes it, so a 20 MB share block costs one
-/// allocation and one copy, like a 20-byte control message.
-///
-/// Encoding fails only for a sequence longer than `u32::MAX` elements,
-/// which could never fit inside a MAX_FRAME-capped frame anyway; `None`
-/// lets the failure surface as a framing / decode error instead of a
-/// crash in the send path.
-fn encode_with_prefix<T: Serialize + ?Sized>(value: &T, prefix: usize) -> Option<Vec<u8>> {
-    let mut count = BinSerializer { out: ByteCount(0) };
-    if value.serialize(&mut count).is_err() {
-        debug_assert!(false, "unencodable value: sequence longer than u32::MAX");
-        return None;
-    }
-    let mut out = Vec::with_capacity(prefix.checked_add(count.out.0)?);
-    out.resize(prefix, 0);
-    let mut ser = BinSerializer { out };
-    value.serialize(&mut ser).ok()?;
-    Some(ser.out)
 }
 
 /// Why serialization into a [`Sink`] ended before the value did.
@@ -151,6 +150,16 @@ trait Sink<'v> {
     fn put(&mut self, bytes: &[u8]) -> Result<(), Halt>;
     /// A run of `f64`s as consecutive little-endian bit patterns.
     fn put_f64s(&mut self, v: &'v [f64]) -> Result<(), Halt>;
+}
+
+impl<'v, S: Sink<'v> + ?Sized> Sink<'v> for &mut S {
+    fn put(&mut self, bytes: &[u8]) -> Result<(), Halt> {
+        (**self).put(bytes)
+    }
+
+    fn put_f64s(&mut self, v: &'v [f64]) -> Result<(), Halt> {
+        (**self).put_f64s(v)
+    }
 }
 
 impl Sink<'_> for Vec<u8> {
@@ -175,18 +184,105 @@ impl Sink<'_> for Vec<u8> {
     }
 }
 
-struct ByteCount(usize);
+/// Whether an `f64` sequence of `len` bytes is a run, behind `runs` runs,
+/// at threshold `run_min`.
+fn is_run(len: usize, run_min: usize, runs: usize) -> bool {
+    len > 0 && len >= run_min && runs < MAX_RUNS
+}
 
-impl Sink<'_> for ByteCount {
+/// A counting pass: sizes a payload and counts its runs, handing each
+/// run's table entry to `entry`.
+struct Tally<F> {
+    bytes: usize,
+    run_min: usize,
+    runs: usize,
+    entry: F,
+}
+
+impl<F: FnMut(&[u8]) -> Result<(), Halt>> Sink<'_> for Tally<F> {
     fn put(&mut self, bytes: &[u8]) -> Result<(), Halt> {
-        self.0 = self.0.saturating_add(bytes.len());
+        self.bytes = self.bytes.saturating_add(bytes.len());
         Ok(())
     }
 
     fn put_f64s(&mut self, v: &[f64]) -> Result<(), Halt> {
-        self.0 = self.0.saturating_add(v.len().saturating_mul(8));
+        let len = v.len().saturating_mul(8);
+        if is_run(len, self.run_min, self.runs) {
+            let wide = |n: usize| u32::try_from(n).map_err(|_| Halt::Unencodable);
+            let (at, len) = (wide(self.bytes)?, wide(len)?);
+            (self.entry)(&(u64::from(at) | u64::from(len) << 32).to_le_bytes())?;
+            self.runs += 1;
+        }
+        self.bytes = self.bytes.saturating_add(len);
         Ok(())
     }
+}
+
+/// `value`'s payload length and run count at threshold `run_min`; each
+/// run's table entry goes to `entry`.
+fn tally<T: Serialize + ?Sized>(
+    value: &T,
+    run_min: usize,
+    entry: impl FnMut(&[u8]) -> Result<(), Halt>,
+) -> Result<(usize, usize), Halt> {
+    let mut ser = BinSerializer {
+        out: Tally {
+            bytes: 0,
+            run_min,
+            runs: 0,
+            entry,
+        },
+    };
+    value.serialize(&mut ser)?;
+    Ok((ser.out.bytes, ser.out.runs))
+}
+
+/// Bytes of a run table listing `runs` runs: none for a frame without.
+fn table_len(runs: usize) -> usize {
+    4 * usize::from(runs > 0) + 8 * runs
+}
+
+/// A value's frame as [`frame_len`] counts it: what [`frame_pieces`]
+/// needs to write it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameLen {
+    len: usize,
+    /// Runs its table lists.
+    runs: usize,
+    /// The smallest `f64` sequence, in bytes, it lists as a run.
+    run_min: usize,
+}
+
+impl FrameLen {
+    /// Bytes of the frame on the wire, prefix and run table included.
+    pub fn wire_len(&self) -> usize {
+        self.len
+    }
+}
+
+/// Puts `value`'s frame, as `size` counts it, into `out`: prefix, run
+/// table, payload. The table's entries take a counting pass over the
+/// value, left out when `out` keeps nothing before `from` anyway.
+fn put_frame<'v, T: Serialize + ?Sized>(
+    value: &'v T,
+    size: FrameLen,
+    from: usize,
+    out: &mut impl Sink<'v>,
+) -> Result<(), Halt> {
+    let flag = if size.runs > 0 { RUNS_FLAG } else { 0 };
+    let prefix = u32::try_from(size.len.saturating_sub(4)).map_err(|_| Halt::Unencodable)?;
+    out.put(&(prefix | flag).to_le_bytes())?;
+    if size.runs > 0 {
+        out.put(&(size.runs as u32).to_le_bytes())?;
+        if from < 4 + table_len(size.runs) {
+            tally(value, size.run_min, |entry| out.put(entry))?;
+        } else {
+            for _ in 0..size.runs {
+                out.put(&[0; 8])?;
+            }
+        }
+    }
+    value.serialize(&mut BinSerializer { out })
 }
 
 /// One piece of a frame as [`frame_pieces`] gives it.
@@ -255,10 +351,9 @@ impl<'v> IntoIterator for PieceList<'v> {
 }
 
 /// The sink behind [`frame_pieces`]: appends what is put at stream offset
-/// `from` and after to `pieces`, runs of at least `run_min` bytes as
-/// borrowed pieces and everything else staged, extending a staged piece
-/// that ends the list, until the list is full or `cap` bytes are staged.
-/// Then it halts serialization.
+/// `from` and after to `pieces`, runs as borrowed pieces and everything
+/// else staged, extending a staged piece that ends the list, until the
+/// list is full or `cap` bytes are staged. Then it halts serialization.
 struct PieceSink<'v, 'b> {
     /// Stream offset of the next byte put.
     pos: usize,
@@ -266,6 +361,8 @@ struct PieceSink<'v, 'b> {
     /// Stream offset just past the last byte kept.
     end: usize,
     run_min: usize,
+    /// Runs put so far.
+    runs: usize,
     staged: &'b mut Vec<u8>,
     cap: usize,
     pieces: &'b mut PieceList<'v>,
@@ -320,7 +417,7 @@ impl<'v> Sink<'v> for PieceSink<'v, '_> {
     fn put_f64s(&mut self, v: &'v [f64]) -> Result<(), Halt> {
         let len = v.len().saturating_mul(8);
         let skip = self.from.saturating_sub(self.pos);
-        if len == 0 || len < self.run_min {
+        if !is_run(len, self.run_min, self.runs) {
             // Staged from the first element `from` reaches, a block of
             // elements at a time.
             let first = (skip / 8).min(v.len());
@@ -336,6 +433,7 @@ impl<'v> Sink<'v> for PieceSink<'v, '_> {
             return Ok(());
         }
         self.go_on()?;
+        self.runs += 1;
         self.pos = self.pos.saturating_add(len);
         if skip < len {
             self.open(Piece::Run(v, skip))?;
@@ -435,32 +533,18 @@ impl<'v, S: Sink<'v>> BinSerializer<S> {
     }
 }
 
-/// A run cut out of a [`BulkFrame`]'s meta bytes.
+/// A run of the frame a [`FrameReceiver`] is receiving.
 #[derive(Debug)]
 struct Run {
-    /// Offset of the meta bytes at which the run's elements sit on the
-    /// wire: just behind its length prefix.
+    /// Offset of the frame's meta bytes at which the run's elements sit
+    /// on the wire: just behind its length prefix.
     at: usize,
+    /// Its bytes.
+    len: usize,
+    /// Drawn once the meta bytes before the run are in.
     values: Vec<f64>,
     /// Bytes of `values` received.
     filled: usize,
-}
-
-/// Where a probe over a frame still being received stopped.
-enum Stop {
-    /// At the end of the bytes in so far, in the middle of the frame.
-    Short,
-    /// At a run of `n` elements whose bytes start at meta offset `at` and
-    /// are not all in.
-    Run { at: usize, n: usize },
-}
-
-/// A walk over what is in of a frame that locates its next run.
-struct Probe {
-    run_min: usize,
-    /// Meta bytes walked, plus those of a byte sequence not all in.
-    walked: usize,
-    stop: Option<Stop>,
 }
 
 /// Event-stream deserializer reading the compact binary format: from one
@@ -478,13 +562,9 @@ struct BinDeserializer<'a> {
     /// Bytes of the whole input, runs included: no length may claim more
     /// than what is left of it.
     total: usize,
-    /// Where `f64` sequences in `bytes` are decoded into (see
-    /// [`from_bytes_into`]).
+    /// Where `f64` sequences in `bytes` are decoded into: storage for a
+    /// length, whatever it held overwritten.
     storage: &'a mut dyn FnMut(usize) -> Vec<f64>,
-    /// Set while locating the runs of a frame still being received: the
-    /// walk then builds no `f64` sequence and stops at the first run that
-    /// is not all in, or at the end of the bytes in so far.
-    probe: Option<&'a mut Probe>,
 }
 
 impl<'a> BinDeserializer<'a> {
@@ -493,7 +573,6 @@ impl<'a> BinDeserializer<'a> {
         runs: &'a mut [Run],
         total: usize,
         storage: &'a mut dyn FnMut(usize) -> Vec<f64>,
-        probe: Option<&'a mut Probe>,
     ) -> Self {
         BinDeserializer {
             bytes,
@@ -503,7 +582,6 @@ impl<'a> BinDeserializer<'a> {
             run_bytes: 0,
             total,
             storage,
-            probe,
         }
     }
 
@@ -518,19 +596,8 @@ impl<'a> BinDeserializer<'a> {
         if self.runs.get(self.next_run).is_some_and(|run| run.at < end) {
             return Err(CodecError::Invalid("bytes read across an f64 run"));
         }
-        let Some(slice) = self.bytes.get(self.pos..end) else {
-            // Past the bytes in so far but inside the frame: a probe waits
-            // for more.
-            let within = n <= self.left();
-            if let Some(probe) = self.probe.as_deref_mut().filter(|_| within) {
-                probe.stop = Some(Stop::Short);
-            }
-            return Err(CodecError::Eof);
-        };
+        let slice = self.bytes.get(self.pos..end).ok_or(CodecError::Eof)?;
         self.pos = end;
-        if let Some(probe) = self.probe.as_deref_mut() {
-            probe.walked = probe.walked.saturating_add(n);
-        }
         Ok(slice)
     }
 
@@ -602,19 +669,7 @@ impl Deserializer for BinDeserializer<'_> {
     }
     fn de_u8_seq(&mut self) -> Result<Vec<u8>, CodecError> {
         let n = self.read_len()?;
-        let in_bytes = self.pos.saturating_add(n) <= self.bytes.len();
-        let Some(probe) = self.probe.as_deref_mut() else {
-            return Ok(self.take(n)?.to_vec());
-        };
-        // A probe only locates runs, and a byte sequence holds none: its
-        // bytes not in yet are meta bytes to come, counted as walked so
-        // that they spend the probe budget and the reads that bring them
-        // in step a whole read chunk, with no probe after each.
-        if !in_bytes {
-            probe.walked = probe.walked.saturating_add(n);
-        }
-        self.take(n)?;
-        Ok(Vec::new())
+        Ok(self.take(n)?.to_vec())
     }
     /// The bulk path of a model vector. The declared count is checked
     /// against the remaining input twice before anything is allocated —
@@ -624,31 +679,17 @@ impl Deserializer for BinDeserializer<'_> {
     fn de_f64_seq(&mut self) -> Result<Vec<f64>, CodecError> {
         let n = self.read_len()?;
         let nbytes = n.checked_mul(8).ok_or(CodecError::Eof)?;
-        let (pos, probing) = (self.pos, self.probe.is_some());
+        let pos = self.pos;
         if let Some(run) = self.runs.get_mut(self.next_run).filter(|run| run.at == pos) {
-            if run.values.len() != n || run.filled != nbytes {
+            if run.len != nbytes {
                 return Err(CodecError::Invalid("f64 run out of place"));
             }
-            let values = if probing {
-                Vec::new()
-            } else {
-                std::mem::take(&mut run.values)
-            };
             self.next_run += 1;
             self.run_bytes = self.run_bytes.saturating_add(nbytes);
-            return Ok(values);
+            return Ok(std::mem::take(&mut run.values));
         }
         if nbytes > self.left() {
             return Err(CodecError::Eof);
-        }
-        let in_bytes = pos.saturating_add(nbytes) <= self.bytes.len();
-        if let Some(probe) = self.probe.as_deref_mut() {
-            if nbytes >= probe.run_min && !in_bytes {
-                probe.stop = Some(Stop::Run { at: pos, n });
-                return Err(CodecError::Eof);
-            }
-            self.take(nbytes)?;
-            return Ok(Vec::new());
         }
         let (elems, _) = self.take(nbytes)?.as_chunks::<8>();
         let values = elems.iter().map(|b| f64::from_le_bytes(*b));
@@ -698,118 +739,82 @@ impl Deserializer for BinDeserializer<'_> {
     }
 }
 
-/// Wraps an already-encoded payload into wire-frame form: the 4-byte
-/// little-endian length prefix followed by the payload, in one buffer.
-/// Returns `None` for payloads over [`MAX_FRAME`].
-pub fn frame_bytes(payload: &[u8]) -> Option<Vec<u8>> {
-    if payload.len() > MAX_FRAME {
-        return None;
-    }
-    let mut framed = Vec::with_capacity(payload.len() + 4);
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(payload);
-    Some(framed)
-}
-
-/// Serializes `value` directly into wire-frame form (length prefix +
-/// payload) in a single exact-size allocation. The reactor does not: it
-/// writes every frame from its value, piece by piece with
-/// [`frame_pieces`], which yields the same bytes. Returns `None` when the
-/// value cannot be encoded or exceeds [`MAX_FRAME`].
+/// Serializes `value` directly into wire-frame form, its `f64` sequences
+/// of at least [`RUN_MIN`] bytes listed as runs, in a single exact-size
+/// allocation. The reactor does not: it writes every frame from its
+/// value, piece by piece with [`frame_pieces`], which yields the same
+/// bytes. Returns `None` when the value cannot be encoded or exceeds
+/// [`MAX_FRAME`].
 pub fn to_frame_bytes<T: Serialize + ?Sized>(value: &T) -> Option<Vec<u8>> {
-    let mut framed = encode_with_prefix(value, 4)?;
-    let len = framed.len().checked_sub(4)?;
-    if len > MAX_FRAME {
-        return None;
-    }
-    let prefix = (len as u32).to_le_bytes();
-    framed.get_mut(..4)?.copy_from_slice(&prefix);
-    Some(framed)
+    let size = frame_len(value, RUN_MIN)?;
+    let mut out = Vec::with_capacity(size.len);
+    put_frame(value, size, 0, &mut out).ok()?;
+    Some(out)
 }
 
-/// Length of `value`'s wire frame, its 4-byte prefix included, counted
-/// without encoding it. `None` exactly when [`to_frame_bytes`] would
-/// return `None`.
-pub fn frame_len<T: Serialize + ?Sized>(value: &T) -> Option<usize> {
-    let mut count = BinSerializer { out: ByteCount(0) };
-    value.serialize(&mut count).ok()?;
-    let len = count.out.0;
-    (len <= MAX_FRAME).then_some(len + 4)
+/// `value`'s wire frame with its `f64` sequences of at least `run_min`
+/// bytes listed as runs (its first [`MAX_RUNS`]), counted without
+/// encoding it. `None` exactly when the value cannot be encoded or its
+/// frame exceeds [`MAX_FRAME`].
+pub fn frame_len<T: Serialize + ?Sized>(value: &T, run_min: usize) -> Option<FrameLen> {
+    let (payload, runs) = tally(value, run_min, |_| Ok(())).ok()?;
+    let len = payload.checked_add(table_len(runs))?;
+    (len <= MAX_FRAME).then_some(FrameLen {
+        len: len + 4,
+        runs,
+        run_min,
+    })
 }
 
-/// Appends bytes `from..` of `value`'s wire frame, `frame_len` long as
-/// [`frame_len`] counted it, to `pieces`, for one vectored write: each run
-/// of at least `run_min` bytes borrowed from `value`, every other byte
-/// appended to `staged`, into the staged piece that ends the list if
-/// there is one. It stops once the list is full or `staged` holds
-/// `stage_cap` bytes, wherever that falls, inside an integer or an `f64`
-/// too, and serialization ends there. Returns the frame offset the
-/// appended pieces reach: `frame_len` if they hold the frame to its end,
-/// `from` if nothing could be appended. Concatenated, the appended pieces
-/// are the bytes `to_frame_bytes(value)` holds from `from` on, as far as
-/// they go.
+/// Appends bytes `from..` of `value`'s wire frame, as [`frame_len`]
+/// counted it into `size`, to `pieces`, for one vectored write: each run
+/// borrowed from `value`, every other byte appended to `staged`, into the
+/// staged piece that ends the list if there is one. It stops once the
+/// list is full or `staged` holds `stage_cap` bytes, wherever that falls,
+/// inside an integer or an `f64` too, and serialization ends there.
+/// Returns the frame offset the appended pieces reach: `size.wire_len()` if they
+/// hold the frame to its end, `from` if nothing could be appended.
+/// Concatenated, the appended pieces are the frame's bytes from `from`
+/// on, as far as they go: at [`RUN_MIN`], the bytes `to_frame_bytes`
+/// writes.
 pub fn frame_pieces<'v, T: Serialize + ?Sized>(
     value: &'v T,
-    frame_len: usize,
+    size: FrameLen,
     from: usize,
-    run_min: usize,
     staged: &mut Vec<u8>,
     stage_cap: usize,
     pieces: &mut PieceList<'v>,
 ) -> usize {
-    let mut ser = BinSerializer {
-        out: PieceSink {
-            pos: 0,
-            from,
-            end: from,
-            run_min,
-            staged,
-            cap: stage_cap,
-            pieces,
-            full: false,
-        },
+    let mut sink = PieceSink {
+        pos: 0,
+        from,
+        end: from,
+        run_min: size.run_min,
+        runs: 0,
+        staged,
+        cap: stage_cap,
+        pieces,
+        full: false,
     };
-    let prefix = u32::try_from(frame_len.saturating_sub(4)).unwrap_or(u32::MAX);
-    let halt = match ser.out.put(&prefix.to_le_bytes()) {
-        Ok(()) => value.serialize(&mut ser).err(),
-        Err(halt) => Some(halt),
-    };
-    if let Some(Halt::Unencodable) = halt {
+    if let Err(Halt::Unencodable) = put_frame(value, size, from, &mut sink) {
         debug_assert!(false, "unencodable value: sequence longer than u32::MAX");
     }
-    ser.out.end
+    sink.end
 }
 
-/// Writes `payload` as one length-delimited frame. Prefix and payload go
-/// out in a single `write_all`, so a `TCP_NODELAY` socket emits one
-/// segment per frame instead of two.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let Some(framed) = frame_bytes(payload) else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
-        ));
-    };
-    w.write_all(&framed)?;
-    w.flush()
-}
-
-/// Incremental frame parser for non-blocking / timeout-driven readers.
+/// Incremental frame parser over bytes read elsewhere, for replaying
+/// frames in tests and benchmarks (the reactor receives with a
+/// [`FrameReceiver`]).
 ///
 /// [`FrameBuffer::extend`] appends raw received bytes;
-/// [`FrameBuffer::next_frame`] yields complete frames as they become
-/// available, preserving partial frames across reads so a read timeout in
-/// the middle of a frame never desynchronizes the stream.
+/// [`FrameBuffer::next_frame`] yields each whole frame's payload, its run
+/// table skipped, preserving partial frames across reads so a read in the
+/// middle of a frame never desynchronizes the stream.
 ///
 /// Frames are handed out in place, behind a read cursor, so popping the
 /// `k` frames of one read costs `O(1)` each and moves no bytes; consumed
 /// space is reclaimed by the next `extend`, which moves at most as many
 /// bytes as were consumed since the last reclaim.
-///
-/// A reader that receives large frames elsewhere, as [`BulkFrame`]s, takes
-/// such a frame's header and first bytes out with
-/// [`FrameBuffer::next_bulk`], and sizes the buffer with
-/// [`FrameBuffer::extend_sized`] so it never makes room for one.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -823,15 +828,10 @@ impl FrameBuffer {
         Self::default()
     }
 
-    /// Appends freshly received bytes.
+    /// Appends freshly received bytes. Once the next frame's header is
+    /// in, room for that whole frame is made in one step instead of
+    /// doubling up to it read by read.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.extend_sized(bytes, MAX_FRAME);
-    }
-
-    /// Appends freshly received bytes. Once the next frame's header is in,
-    /// room for that whole frame is made in one step if it is at most
-    /// `whole` bytes long, instead of doubling up to it read by read.
-    pub fn extend_sized(&mut self, bytes: &[u8], whole: usize) {
         if self.is_empty() {
             self.buf.clear();
             self.head = 0;
@@ -841,7 +841,9 @@ impl FrameBuffer {
         }
         let held = self.buf.len() - self.head;
         // The MAX_FRAME cap bounds what a hostile header can reserve.
-        let frame = (self.pending_len_with(bytes)).filter(|&len| len <= whole.min(MAX_FRAME));
+        let frame = (self.prefix_with(bytes))
+            .map(|prefix| (prefix & !RUNS_FLAG) as usize)
+            .filter(|&len| len <= MAX_FRAME);
         let room = frame.map_or(0, |len| 4 + len).max(held + bytes.len());
         self.buf.reserve(room - held);
         self.buf.extend_from_slice(bytes);
@@ -853,9 +855,9 @@ impl FrameBuffer {
         self.head == self.buf.len()
     }
 
-    /// Payload length declared by the next frame's header, reading past
-    /// what is buffered into `bytes` when the header is split.
-    fn pending_len_with(&self, bytes: &[u8]) -> Option<usize> {
+    /// The next frame's length prefix, reading past what is buffered into
+    /// `bytes` when the prefix is split.
+    fn prefix_with(&self, bytes: &[u8]) -> Option<u32> {
         let held = self.buf.get(self.head..).unwrap_or_default();
         let mut header = held.iter().chain(bytes).copied();
         let header = [
@@ -864,52 +866,43 @@ impl FrameBuffer {
             header.next()?,
             header.next()?,
         ];
-        Some(u32::from_le_bytes(header) as usize)
+        Some(u32::from_le_bytes(header))
     }
 
-    /// Pops the next complete frame, if one is buffered. The payload is
-    /// borrowed from the buffer and stays valid until the next `extend`.
+    /// Pops the next complete frame, if one is buffered: its payload,
+    /// behind its run table if it has one, borrowed from the buffer and
+    /// valid until the next `extend`.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, CodecError> {
-        let Some(len) = self.pending_len_with(&[]) else {
+        let Some(prefix) = self.prefix_with(&[]) else {
             return Ok(None);
         };
+        let len = (prefix & !RUNS_FLAG) as usize;
         if len > MAX_FRAME {
             return Err(CodecError::Invalid("frame exceeds MAX_FRAME"));
         }
         let start = self.head + 4;
-        let Some(payload) = self.buf.get(start..start + len) else {
+        let Some(frame) = self.buf.get(start..start + len) else {
             return Ok(None);
         };
+        let table = match frame.first_chunk::<4>() {
+            Some(count) if prefix & RUNS_FLAG != 0 => {
+                table_len(u32::from_le_bytes(*count) as usize)
+            }
+            _ => 0,
+        };
+        if table > len || (prefix & RUNS_FLAG != 0 && table == 0) {
+            return Err(CodecError::Invalid("run table past its frame"));
+        }
         self.head = start + len;
-        Ok(Some(payload))
-    }
-
-    /// Pops the header of the next frame if it declares more than `bulk`
-    /// payload bytes (and no more than [`MAX_FRAME`]), returning that
-    /// length and the frame's bytes the buffer holds, for the caller to
-    /// receive the rest elsewhere. Meant for when
-    /// [`FrameBuffer::next_frame`] has nothing more.
-    pub fn next_bulk(&mut self, bulk: usize) -> Option<(usize, &[u8])> {
-        let len = self
-            .pending_len_with(&[])
-            .filter(|&len| len > bulk && len <= MAX_FRAME)?;
-        let start = self.head + 4;
-        let end = self.buf.len().min(start + len);
-        let held = self.buf.get(start..end)?;
-        self.head = end;
-        Some((len, held))
+        Ok(self.buf.get(start + table..start + len))
     }
 }
 
-/// Bytes read into the meta buffer at a time while a run may start in
-/// them: the run's first bytes that come along are copied into its vector,
-/// so this bounds that copy.
-const PROBE_STEP: usize = 4 << 10;
-
-/// Where [`BulkFrame::receive`] lands the next bytes of its frame.
+/// Where [`FrameReceiver::receive`] lands a link's next bytes.
 #[derive(Debug)]
 pub enum Landing<'a> {
-    /// Meta bytes, into this buffer, as many as come.
+    /// Prefixes, run tables and meta bytes, into this part of the read
+    /// chunk, as many as come.
     Meta(&'a mut [u8]),
     /// Bytes of a run, into the memory of its elements from this byte on,
     /// as many as come: on a little-endian host that memory is the run's
@@ -917,303 +910,294 @@ pub enum Landing<'a> {
     Run(&'a mut [f64], usize),
 }
 
-/// One frame received as its meta bytes plus its runs: `f64` sequences of
-/// at least a size the receiver names, each received into a vector drawn
-/// from a [`Pool<f64>`] for it, so that a run's wire copy is the decoded
-/// vector.
-///
-/// Runs are located from the meta bytes in so far: after each read of
-/// meta bytes a probe walks the frame from its start, skipping the runs
-/// already filled, until it reaches the end of the bytes in or a run whose
-/// bytes are not all in. That run's vector is drawn there, and the run's
-/// bytes read in that came with the meta ones move into it. Decoding
-/// happens once, when the last byte is in ([`BulkFrame::finish`]): runs
-/// go into the value as they are, and a sequence under the size, or one
-/// whose bytes all came in as meta, is decoded from the meta bytes like
-/// any field.
-#[derive(Debug)]
-pub struct BulkFrame {
-    /// Payload length.
-    len: usize,
-    /// Payload bytes received.
-    got: usize,
-    /// The meta bytes received are `meta[..meta_len]`; the buffer only
-    /// grows, into zeroed storage, so no pass writes a byte a read is
-    /// about to write.
-    meta: Vec<u8>,
-    meta_len: usize,
+/// One link's receive side, which every frame takes. A frame's prefix,
+/// run table and meta bytes come in through the caller's read chunk into
+/// a buffer, never past the frame's next run; past its last run a read
+/// may take the frames behind it too, so many small frames arrive in one
+/// read. Each run is read straight into a vector drawn for it from a
+/// [`Pool`] once the meta bytes before it are in: the vector the decoded
+/// value carries. A frame is decoded once, when it is whole. A run table
+/// is checked before any vector is drawn; a frame whose table is refused
+/// is received as meta bytes and decodes to the refusal.
+#[derive(Debug, Default)]
+pub struct FrameReceiver {
+    /// Bytes received and not handed out, from `head` on: the frame being
+    /// received, its runs cut out, then whatever followed it.
+    buf: Vec<u8>,
+    head: usize,
+    /// Of the frame being received, once its prefix and run table are in:
+    /// their bytes (0 before), its meta bytes, and why its table was
+    /// refused.
+    body: usize,
+    meta: usize,
+    refused: Option<CodecError>,
+    /// Its runs, in wire order, and how many of them are all in.
     runs: Vec<Run>,
-    run_min: usize,
-    /// Whether a run may still be located: cleared once a probe parsed
-    /// the whole frame or found it malformed.
-    locating: bool,
-    /// Meta bytes the probes walked.
-    parsed: usize,
-    /// Bytes received into runs.
-    in_runs: usize,
+    full: usize,
 }
 
-impl BulkFrame {
-    /// A frame of `len` payload bytes, none received yet, whose `f64`
-    /// sequences of at least `run_min` bytes are runs.
-    pub fn new(len: usize, run_min: usize) -> BulkFrame {
-        BulkFrame {
-            len,
-            got: 0,
-            meta: Vec::new(),
-            meta_len: 0,
-            runs: Vec::new(),
-            run_min,
-            locating: true,
-            parsed: 0,
-            in_runs: 0,
-        }
+impl FrameReceiver {
+    /// A receiver with nothing in.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// The frame's payload length.
-    pub fn payload_len(&self) -> usize {
-        self.len
+    /// Whether no frame is partly in.
+    pub fn is_empty(&self) -> bool {
+        self.head == self.buf.len()
     }
 
-    /// Whether every byte of the frame is in.
-    pub fn is_whole(&self) -> bool {
-        self.got == self.len
+    /// The length prefix of the next frame, once its four bytes are in.
+    pub fn next_prefix(&self) -> Option<u32> {
+        let bytes = self.buf.get(self.head..)?.first_chunk::<4>()?;
+        Some(u32::from_le_bytes(*bytes))
     }
 
-    /// Meta bytes walked so far to locate runs, a byte sequence not all
-    /// in counted whole: less than the frame's length plus 4 KiB, however
-    /// its bytes arrive.
-    pub fn parsed(&self) -> usize {
-        self.parsed
-    }
-
-    /// Receives the frame's next bytes: `read` is given where they land
-    /// and returns how many it put there, which locates the next run once
-    /// the run being filled is full. Decoding as `T` locates the runs.
-    /// Returns what `read` returned; `Ok(0)` without calling it once the
-    /// frame is whole.
-    pub fn receive<T: Deserialize>(
+    /// Receives the link's next bytes: `read` is given where they land —
+    /// `chunk`, as much of it as reaches the next run, or that run's
+    /// vector — and returns how many it put there. Returns what `read`
+    /// did, or `InvalidData` for a prefix over [`MAX_FRAME`].
+    pub fn receive(
         &mut self,
-        vectors: &mut Pool<f64>,
+        vectors: &mut Pool,
+        chunk: &mut [u8],
         read: impl FnOnce(Landing<'_>) -> io::Result<usize>,
     ) -> io::Result<usize> {
-        if self.is_whole() {
-            return Ok(0);
-        }
-        let room = self.meta_room();
-        let n = match self
-            .runs
-            .last_mut()
-            .filter(|run| run.filled < 8 * run.values.len())
-        {
-            Some(run) => {
-                let want = 8 * run.values.len() - run.filled;
-                let n = read(Landing::Run(&mut run.values, run.filled))?.min(want);
-                run.filled += n;
-                self.in_runs += n;
-                n
+        self.settle(vectors)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let mut room = chunk.len();
+        if let Some(run) = self.runs.get_mut(self.full) {
+            let meta_in = self.buf.len() - self.head - self.body;
+            if meta_in == run.at {
+                let n = read(Landing::Run(&mut run.values, run.filled))?;
+                run.filled = (run.filled + n).min(run.len);
+                return Ok(n);
             }
-            None => {
-                let (at, end) = (self.meta_len, self.meta_len + room);
-                if self.meta.len() < end {
-                    // Zeroed storage, doubling: no pass writes the bytes
-                    // the reads are about to write.
-                    let mut grown = vec![0; end.max(2 * self.meta.len())];
-                    if let (Some(dst), Some(src)) = (grown.get_mut(..at), self.meta.get(..at)) {
-                        dst.copy_from_slice(src);
-                    }
-                    self.meta = grown;
-                }
-                let n = read(Landing::Meta(
-                    self.meta.get_mut(at..end).unwrap_or_default(),
-                ))?;
-                self.meta_len += n.min(room);
-                n.min(room)
-            }
-        };
-        self.got += n;
-        if n > 0 {
-            self.locate::<T>(vectors);
+            room = room.min(run.at - meta_in);
         }
+        let n = read(Landing::Meta(chunk.get_mut(..room).unwrap_or_default()))?;
+        if self.is_empty() {
+            // A frame's storage goes with it, past a read chunk's room.
+            self.buf.clear();
+            self.buf.shrink_to(chunk.len());
+            self.head = 0;
+        } else if self.head > self.buf.len() / 2 {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        let bytes = chunk.get(..n.min(room)).unwrap_or_default();
+        self.buf.extend_from_slice(bytes);
         Ok(n)
     }
 
-    /// Receives bytes already read elsewhere, as far as the frame goes;
-    /// returns how many it took.
-    pub fn feed<T: Deserialize>(&mut self, mut bytes: &[u8], vectors: &mut Pool<f64>) -> usize {
-        let given = bytes.len();
-        while !bytes.is_empty() && !self.is_whole() {
-            let src = bytes;
-            let copied = self.receive::<T>(vectors, |landing| {
-                Ok(match landing {
-                    Landing::Meta(buf) => {
-                        let n = buf.len().min(src.len());
-                        if let (Some(dst), Some(src)) = (buf.get_mut(..n), src.get(..n)) {
-                            dst.copy_from_slice(src);
-                        }
-                        n
-                    }
-                    Landing::Run(run, filled) => copy_into_run(run, filled, src),
-                })
-            });
-            let n = copied.unwrap_or(0);
-            if n == 0 {
-                break;
-            }
-            bytes = bytes.get(n..).unwrap_or_default();
+    /// The next frame, once it is whole. The vectors of runs a frame
+    /// handed out earlier did not take go back to `vectors` first. `Err`
+    /// only for a prefix over [`MAX_FRAME`].
+    pub fn next_frame(&mut self, vectors: &mut Pool) -> Result<Option<Whole<'_>>, CodecError> {
+        self.settle(vectors)?;
+        let (start, end) = (self.head + self.body, self.head + self.body + self.meta);
+        if self.body == 0 || self.full < self.runs.len() || self.buf.len() < end {
+            return Ok(None);
         }
-        given - bytes.len()
+        let runs: usize = self.runs.iter().map(|run| run.len).sum();
+        let wire_len = self.body + self.meta + runs;
+        (self.head, self.body) = (end, 0);
+        Ok(Some(Whole {
+            meta: self.buf.get(start..end).unwrap_or_default(),
+            runs: &mut self.runs,
+            wire_len,
+            refused: self.refused.take(),
+        }))
     }
 
-    /// Decodes the whole frame as one `T`, taking its runs as they are and
+    /// Gives the vectors drawn for the frame being received back to
+    /// `vectors`: the link is closed.
+    pub fn discard(mut self, vectors: &mut Pool) {
+        self.recycle(vectors);
+    }
+
+    /// Gives back the vectors of runs no value took, and forgets the runs.
+    fn recycle(&mut self, vectors: &mut Pool) {
+        for run in self.runs.drain(..) {
+            if run.values.capacity() > 0 {
+                vectors.give(run.values);
+            }
+        }
+        self.full = 0;
+    }
+
+    /// Takes the frame being received as far as the bytes in allow: reads
+    /// its prefix and run table once they are in, and moves into each run
+    /// it reaches the bytes of it that came in as meta, drawing the run's
+    /// vector.
+    fn settle(&mut self, vectors: &mut Pool) -> Result<(), CodecError> {
+        if self.body == 0 {
+            self.recycle(vectors);
+            self.read_header()?;
+        }
+        let start = self.head + self.body;
+        while let Some(run) = self.runs.get_mut(self.full).filter(|_| self.body > 0) {
+            let at = start + run.at;
+            let Some(over) = self.buf.get(at..) else {
+                return Ok(());
+            };
+            if run.values.is_empty() {
+                run.values = draw(vectors, run.len / 8);
+                run.filled = copy_into_run(&mut run.values, over);
+                self.buf.drain(at..at + run.filled);
+            }
+            if run.filled < run.len {
+                return Ok(());
+            }
+            self.full += 1;
+        }
+        Ok(())
+    }
+
+    /// Reads the prefix and run table of the frame at `head` once they are
+    /// in, its runs into `runs` with no vector drawn.
+    fn read_header(&mut self) -> Result<(), CodecError> {
+        let bytes = self.buf.get(self.head..).unwrap_or_default();
+        let Some((prefix, body)) = bytes.split_first_chunk::<4>() else {
+            return Ok(());
+        };
+        let prefix = u32::from_le_bytes(*prefix);
+        let len = (prefix & !RUNS_FLAG) as usize;
+        if len > MAX_FRAME {
+            return Err(CodecError::Invalid("frame exceeds MAX_FRAME"));
+        }
+        let table = match prefix & RUNS_FLAG {
+            0 => Ok(0),
+            _ => match read_table(len, body.get(..len).unwrap_or(body), &mut self.runs) {
+                Some(table) => table,
+                None => return Ok(()),
+            },
+        };
+        let runs: usize = self.runs.iter().map(|run| run.len).sum();
+        (self.body, self.meta, self.refused) = match table {
+            Ok(table) => (4 + table, len - table - runs, None),
+            // Received as meta bytes, table and all.
+            Err(refused) => {
+                self.runs.clear();
+                (4, len, Some(refused))
+            }
+        };
+        Ok(())
+    }
+}
+
+/// The length of the run table of a flagged frame of `len` bytes, read
+/// from `body`, its bytes in after its prefix, with its runs put in
+/// `runs`; or why it is refused; `None` while it is not all in. Its runs
+/// must be of whole `f64`s, in order, inside the frame.
+fn read_table(len: usize, body: &[u8], runs: &mut Vec<Run>) -> Option<Result<usize, CodecError>> {
+    let refuse = |why| Some(Err(CodecError::Invalid(why)));
+    if len < 4 {
+        return refuse("run table past its frame");
+    }
+    let table = match u32::from_le_bytes(*body.first_chunk::<4>()?) as usize {
+        0 => return refuse("a run table without runs"),
+        n if n > MAX_RUNS => return refuse("more runs than a frame holds"),
+        n if table_len(n) > len => return refuse("run table past its frame"),
+        n => table_len(n),
+    };
+    // Payload offset past the last run, and the bytes of the runs so far.
+    let (mut end, mut cut) = (0, 0);
+    for entry in body.get(4..table)?.as_chunks::<8>().0 {
+        let entry = u64::from_le_bytes(*entry);
+        let (at, n) = (entry as u32 as usize, (entry >> 32) as usize);
+        if n == 0 || !n.is_multiple_of(8) || at < end || at + n > len - table {
+            return refuse("runs not of whole f64s, in order, inside the frame");
+        }
+        runs.push(Run {
+            at: at - cut,
+            len: n,
+            values: Vec::new(),
+            filled: 0,
+        });
+        (end, cut) = (at + n, cut + n);
+    }
+    Some(Ok(table))
+}
+
+/// A run's vector of `n` elements, drawn from `vectors`. Storage of this
+/// length or longer keeps what it holds, unwritten: every element is
+/// received before the frame is decoded.
+fn draw(vectors: &mut Pool, n: usize) -> Vec<f64> {
+    let mut values = vectors.take(n);
+    if values.is_empty() && values.capacity() == n {
+        // Fresh storage: zeroed pages cost no pass over memory that the
+        // reads are about to write.
+        return vec![0.0; n];
+    }
+    values.truncate(n);
+    values.resize(n, 0.0);
+    values
+}
+
+/// Writes `bytes` into `run`'s elements as their little-endian bytes,
+/// from its first on, as many as fit; returns how many did.
+fn copy_into_run(run: &mut [f64], bytes: &[u8]) -> usize {
+    let bytes = bytes.get(..8 * run.len()).unwrap_or(bytes);
+    let (elems, tail) = bytes.as_chunks::<8>();
+    for (x, b) in run.iter_mut().zip(elems) {
+        *x = f64::from_le_bytes(*b);
+    }
+    if let Some(x) = run.get_mut(elems.len()).filter(|_| !tail.is_empty()) {
+        let mut b = x.to_le_bytes();
+        b.iter_mut().zip(tail).for_each(|(dst, src)| *dst = *src);
+        *x = f64::from_le_bytes(b);
+    }
+    bytes.len()
+}
+
+/// A whole frame, as [`FrameReceiver::next_frame`] hands it out.
+#[derive(Debug)]
+pub struct Whole<'a> {
+    meta: &'a [u8],
+    runs: &'a mut [Run],
+    wire_len: usize,
+    refused: Option<CodecError>,
+}
+
+impl Whole<'_> {
+    /// The frame's bytes on the wire, its prefix and run table included.
+    pub fn wire_len(&self) -> usize {
+        self.wire_len
+    }
+
+    /// The payload, for a frame without runs.
+    pub fn payload(&self) -> Option<&[u8]> {
+        (self.runs.is_empty() && self.refused.is_none()).then_some(self.meta)
+    }
+
+    /// Decodes the frame as one `T`, taking its runs as they are and
     /// drawing storage for its other `f64` sequences from `vectors`; a run
-    /// the value did not take goes back to `vectors`. `Err(Eof)` while the
-    /// frame is not whole.
-    pub fn finish<T: Deserialize>(mut self, vectors: &mut Pool<f64>) -> Result<T, CodecError> {
-        let decoded = if self.is_whole() {
+    /// the value did not take goes back to `vectors`.
+    pub fn decode<T: Deserialize>(self, vectors: &mut Pool) -> Result<T, CodecError> {
+        if let Some(refused) = self.refused {
+            return Err(refused);
+        }
+        let total = self.meta.len() + self.runs.iter().map(|run| run.len).sum::<usize>();
+        let decoded = {
             let mut storage = |len| vectors.take(len);
-            let meta = self.meta.get(..self.meta_len).unwrap_or_default();
-            let mut de = BinDeserializer::new(meta, &mut self.runs, self.len, &mut storage, None);
+            let runs = &mut *self.runs;
+            let mut de = BinDeserializer::new(self.meta, runs, total, &mut storage);
             match T::deserialize(&mut de) {
                 Ok(value) if de.pos == de.bytes.len() && de.next_run == de.runs.len() => Ok(value),
                 Ok(_) => Err(CodecError::TrailingBytes),
                 Err(e) => Err(e),
             }
-        } else {
-            Err(CodecError::Eof)
         };
-        self.discard(vectors);
+        for run in self.runs.iter_mut().filter(|run| run.values.capacity() > 0) {
+            vectors.give(std::mem::take(&mut run.values));
+        }
         decoded
     }
-
-    /// Gives the vectors of the frame's runs back to `vectors`: the frame
-    /// will not be decoded.
-    pub fn discard(self, vectors: &mut Pool<f64>) {
-        for run in self.runs {
-            if run.values.capacity() > 0 {
-                vectors.give(run.values);
-            }
-        }
-    }
-
-    /// Meta bytes to read next: a short step while a run may start in
-    /// them, a read chunk (`run_min`) otherwise.
-    fn meta_room(&self) -> usize {
-        let step = if self.locating && self.may_probe() {
-            PROBE_STEP.min(self.run_min)
-        } else {
-            self.run_min
-        };
-        step.clamp(1, (self.len - self.got).max(1))
-    }
-
-    /// Whether a probe may run. A probe walks the frame from its start,
-    /// so one per run or per read would cost a walk of the prefix each,
-    /// quadratic in a frame of many runs or of many meta bytes, and the
-    /// walks only pay off in runs received in place. So a probe runs only
-    /// while the probes so far walked less than one probe step plus the
-    /// bytes received into runs: past that, bytes go to the meta buffer,
-    /// where the decode at the frame's end reads them.
-    fn may_probe(&self) -> bool {
-        self.parsed < PROBE_STEP.saturating_add(self.in_runs)
-    }
-
-    /// Locates runs while the frame goes on, no run is being filled and
-    /// the probes are within their budget.
-    fn locate<T: Deserialize>(&mut self, vectors: &mut Pool<f64>) {
-        while self.locating && !self.is_whole() && self.may_probe() {
-            if self
-                .runs
-                .last()
-                .is_some_and(|run| run.filled < 8 * run.values.len())
-            {
-                return;
-            }
-            let mut probe = Probe {
-                run_min: self.run_min,
-                walked: 0,
-                stop: None,
-            };
-            {
-                let mut no_storage = |_| Vec::new();
-                let meta = self.meta.get(..self.meta_len).unwrap_or_default();
-                let mut de = BinDeserializer::new(
-                    meta,
-                    &mut self.runs,
-                    self.len,
-                    &mut no_storage,
-                    Some(&mut probe),
-                );
-                // The value built is a husk: its sequences are empty.
-                let _ = T::deserialize(&mut de);
-            }
-            self.parsed = self.parsed.saturating_add(probe.walked);
-            match probe.stop {
-                Some(Stop::Short) => return,
-                Some(Stop::Run { at, n }) => self.cut_run(at, n, vectors),
-                // Parsed to the end, or malformed: the decode at the end
-                // reads the rest, or reports the error.
-                None => self.locating = false,
-            }
-        }
-    }
-
-    /// Starts the run of `n` elements at meta offset `at`: draws its
-    /// vector and moves into it the bytes of it that came in as meta.
-    fn cut_run(&mut self, at: usize, n: usize, vectors: &mut Pool<f64>) {
-        let mut values = vectors.take(n);
-        if values.is_empty() && values.capacity() == n {
-            // Fresh storage: zeroed pages cost no pass over memory that
-            // the reads are about to write.
-            values = vec![0.0; n];
-        }
-        // Storage of this length or longer keeps what it holds, unwritten:
-        // every element is received before the frame is decoded.
-        values.truncate(n);
-        values.resize(n, 0.0);
-        let over = self.meta.get(at..self.meta_len).unwrap_or_default();
-        let filled = copy_into_run(&mut values, 0, over);
-        self.meta_len = at;
-        self.in_runs += filled;
-        self.runs.push(Run { at, values, filled });
-    }
 }
 
-/// Writes `bytes` into `run` as the little-endian bytes of its elements,
-/// from byte `filled` of it on, as many as fit; returns how many did.
-fn copy_into_run(run: &mut [f64], filled: usize, bytes: &[u8]) -> usize {
-    let n = bytes.len().min((8 * run.len()).saturating_sub(filled));
-    let mut src = bytes.get(..n).unwrap_or_default();
-    let mut at = filled;
-    while !src.is_empty() {
-        let (i, off) = (at / 8, at % 8);
-        let whole = if off == 0 { src.len() / 8 } else { 0 };
-        let took = if whole > 0 {
-            let (elems, _) = src.as_chunks::<8>();
-            for (x, b) in run.iter_mut().skip(i).zip(elems) {
-                *x = f64::from_le_bytes(*b);
-            }
-            8 * whole
-        } else {
-            let Some(x) = run.get_mut(i) else {
-                break;
-            };
-            let mut b = x.to_le_bytes();
-            let k = (8 - off).min(src.len());
-            for (dst, s) in b.iter_mut().skip(off).zip(src) {
-                *dst = *s;
-            }
-            *x = f64::from_le_bytes(b);
-            k
-        };
-        at += took;
-        src = src.get(took..).unwrap_or_default();
-    }
-    n
-}
-
-/// Storage a host lends and takes back: each host's model vectors, which
-/// the reactor also receives runs into.
+/// The `f64` storage a host lends and takes back: each host's model
+/// vectors, which the reactor also receives runs into.
 ///
 /// What the pool keeps plus what it has lent, counted by capacity, never
 /// exceeds its high-water mark, the most it has had lent at one time:
@@ -1224,9 +1208,9 @@ fn copy_into_run(run: &mut [f64], filled: usize, bytes: &[u8]) -> usize {
 /// the mark. Kept storage is ordered by capacity, so a request or a
 /// return of the smallest size kept costs `O(1)`.
 #[derive(Debug, Default)]
-pub struct Pool<T> {
+pub struct Pool {
     /// Kept storage, largest capacity first.
-    kept: Vec<Vec<T>>,
+    kept: Vec<Vec<f64>>,
     /// Capacity kept.
     kept_cap: usize,
     /// Capacity lent out and not yet given back.
@@ -1235,7 +1219,7 @@ pub struct Pool<T> {
     high_water: usize,
 }
 
-impl<T: Default> Pool<T> {
+impl Pool {
     /// An empty pool.
     pub fn new() -> Self {
         Self::default()
@@ -1253,7 +1237,7 @@ impl<T: Default> Pool<T> {
 
     /// Lends storage that holds `room` elements; what it holds is
     /// unspecified.
-    pub fn take(&mut self, room: usize) -> Vec<T> {
+    pub fn take(&mut self, room: usize) -> Vec<f64> {
         // The smallest that fits is the last of those that fit: most
         // often the last of all, found without a search.
         let fits = if self.kept.last().is_some_and(|s| s.capacity() >= room) {
@@ -1287,7 +1271,7 @@ impl<T: Default> Pool<T> {
     /// Takes storage back, keeping it while what the pool keeps and has
     /// lent stays within the mark: storage the pool did not lend cannot
     /// make it keep more.
-    pub fn give(&mut self, storage: Vec<T>) {
+    pub fn give(&mut self, storage: Vec<f64>) {
         let cap = storage.capacity();
         self.lent = self.lent.saturating_sub(cap);
         if self.kept_cap + self.lent + cap <= self.high_water {
@@ -1302,26 +1286,10 @@ impl<T: Default> Pool<T> {
     }
 }
 
-/// Reads one frame from a blocking reader (test helper; the reactor
-/// uses [`FrameBuffer`], which never blocks).
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
-    let mut header = [0u8; 4];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame exceeds MAX_FRAME",
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq, Clone)]
     enum Probe {
@@ -1397,11 +1365,13 @@ mod tests {
                 "dim {dim}"
             );
 
-            // The frame form is the same payload behind its length.
+            // The frame form is the same payload behind its header.
             let framed = to_frame_bytes(&bulk).unwrap();
             assert_eq!(framed.len(), framed.capacity(), "frame not exact-size");
-            assert_eq!(framed[..4], (bytes.len() as u32).to_le_bytes());
-            assert_eq!(framed[4..], bytes[..]);
+            assert_eq!(payload_of(&framed), bytes);
+            if 8 * dim < RUN_MIN {
+                assert_eq!(framed[..4], (bytes.len() as u32).to_le_bytes());
+            }
         }
     }
 
@@ -1489,37 +1459,6 @@ mod tests {
     }
 
     #[test]
-    fn f64_runs_decode_into_offered_storage() {
-        fn bits(v: &[f64]) -> Vec<u64> {
-            v.iter().map(|x| x.to_bits()).collect()
-        }
-        let sent = Weights(patterned(4097));
-        let bytes = to_bytes(&sent);
-        // Dirty storage of the run's length, and its address.
-        let mut spare = vec![f64::NAN; 4097];
-        let at = spare.as_ptr();
-        let mut asked = Vec::new();
-        let got: Weights = from_bytes_into(&bytes, &mut |len| {
-            asked.push(len);
-            std::mem::take(&mut spare)
-        })
-        .unwrap();
-        assert_eq!(asked, [4097]);
-        assert_eq!(got.0.as_ptr(), at, "decoded in place");
-        assert!(bits(&got.0) == bits(&sent.0), "bit for bit");
-        // Fresh storage: the same bits.
-        let fresh: Weights = from_bytes(&bytes).unwrap();
-        assert!(bits(&fresh.0) == bits(&sent.0));
-        // A prefix the input cannot back asks for no storage.
-        let mut asked = 0;
-        let cut = from_bytes_into::<Weights>(&bytes[..bytes.len() - 1], &mut |_| {
-            asked += 1;
-            Vec::new()
-        });
-        assert_eq!((cut, asked), (Err(CodecError::Eof), 0));
-    }
-
-    #[test]
     fn rejects_trailing_and_truncated() {
         let mut bytes = to_bytes(&Probe::Unit);
         bytes.push(0);
@@ -1539,13 +1478,23 @@ mod tests {
         assert_eq!(from_bytes::<Probe>(&bytes), Err(CodecError::InvalidVariant));
     }
 
+    /// `payload` as a frame without runs.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        [&(payload.len() as u32).to_le_bytes()[..], payload].concat()
+    }
+
+    /// The payload of the one frame `wire` holds, behind its run table.
+    fn payload_of(wire: &[u8]) -> Vec<u8> {
+        let mut fb = FrameBuffer::new();
+        fb.extend(wire);
+        let payload = fb.next_frame().unwrap().expect("a whole frame").to_vec();
+        assert!(fb.is_empty());
+        payload
+    }
+
     #[test]
     fn frame_buffer_reassembles_split_frames() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"hello").unwrap();
-        write_frame(&mut wire, b"").unwrap();
-        write_frame(&mut wire, b"world!").unwrap();
-
+        let wire = [framed(b"hello"), framed(b""), framed(b"world!")].concat();
         let mut fb = FrameBuffer::new();
         let mut frames = Vec::new();
         // Feed one byte at a time: every split point must be survivable.
@@ -1565,10 +1514,7 @@ mod tests {
         // the offsets they were received at, so no pop can have shifted
         // the bytes behind it (a shift per pop is O(k^2) over the read).
         let k = 10_000usize;
-        let mut wire = Vec::new();
-        for i in 0..k {
-            write_frame(&mut wire, &vec![i as u8; i % 7]).unwrap();
-        }
+        let wire: Vec<u8> = (0..k).flat_map(|i| framed(&vec![i as u8; i % 7])).collect();
         let mut fb = FrameBuffer::new();
         fb.extend(&wire);
         let base = fb.buf.as_ptr() as usize;
@@ -1593,10 +1539,7 @@ mod tests {
         // consumed bytes are reclaimed on `extend`, and each reclaim
         // moves less than what was consumed since the previous one.
         let payload = vec![0xabu8; 1000];
-        let mut wire = Vec::new();
-        for _ in 0..5_000 {
-            write_frame(&mut wire, &payload).unwrap();
-        }
+        let wire = framed(&payload).repeat(5_000);
         let mut fb = FrameBuffer::new();
         let mut frames = 0usize;
         for piece in wire.chunks(700) {
@@ -1620,8 +1563,7 @@ mod tests {
         // The first read of a bulk frame carries its header; the buffer
         // must take its final size then, not by doubling read after read.
         let payload = vec![7u8; 3 << 20];
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
+        let wire = framed(&payload);
         let mut fb = FrameBuffer::new();
         let mut pieces = wire.chunks(64 << 10);
         fb.extend(pieces.next().unwrap());
@@ -1646,7 +1588,7 @@ mod tests {
         assert!(fb.next_frame().is_err());
     }
 
-    /// The bulk threshold the reactor uses: its read chunk.
+    /// The reactor's read chunk, and the run threshold it sends at.
     const BULK: usize = 64 << 10;
 
     /// A non-blocking source: hands `wire` out a piece at a time, the
@@ -1680,67 +1622,52 @@ mod tests {
         }
     }
 
-    /// A link's receive side as the reactor drives it: frames up to
-    /// `BULK` through a scratch chunk and the frame buffer, a larger one
-    /// as a [`BulkFrame`] once its header is in.
+    /// A link's receive side as the reactor drives it: a read through a
+    /// chunk of `BULK` bytes or into a run, then every whole frame
+    /// decoded.
     struct Link {
-        fb: FrameBuffer,
-        bulk: Option<BulkFrame>,
-        pool: Pool<f64>,
+        rx: FrameReceiver,
+        pool: Pool,
+        chunk: Vec<u8>,
+        /// Calls to `receive`.
+        reads: usize,
     }
 
     impl Link {
         fn new() -> Link {
             Link {
-                fb: FrameBuffer::new(),
-                bulk: None,
+                rx: FrameReceiver::new(),
                 pool: Pool::new(),
+                chunk: vec![0; BULK],
+                reads: 0,
             }
         }
 
-        /// One read: into the frame in flight, or through a scratch chunk.
-        fn read<T: Deserialize>(&mut self, src: &mut impl Read) -> io::Result<usize> {
-            match self.bulk.as_mut() {
-                Some(bulk) => bulk.receive::<T>(&mut self.pool, |landing| match landing {
+        /// One read.
+        fn read(&mut self, src: &mut impl Read) -> io::Result<usize> {
+            self.reads += 1;
+            let chunk = &mut self.chunk;
+            self.rx
+                .receive(&mut self.pool, chunk, |landing| match landing {
                     Landing::Meta(buf) => src.read(buf),
                     Landing::Run(run, filled) => {
                         let mut bytes = vec![0u8; (8 * run.len() - filled).min(BULK)];
                         let n = src.read(&mut bytes)?;
-                        Ok(copy_into_run(run, filled, &bytes[..n]))
+                        for (k, &b) in bytes[..n].iter().enumerate() {
+                            let (i, off) = ((filled + k) / 8, (filled + k) % 8);
+                            let mut x = run[i].to_le_bytes();
+                            x[off] = b;
+                            run[i] = f64::from_le_bytes(x);
+                        }
+                        Ok(n)
                     }
-                }),
-                None => {
-                    let mut scratch = vec![0u8; BULK];
-                    let n = src.read(&mut scratch)?;
-                    self.fb.extend_sized(&scratch[..n], BULK);
-                    Ok(n)
-                }
-            }
+                })
         }
 
         /// Every frame whole so far, decoded.
         fn deliver<T: Deserialize>(&mut self, out: &mut Vec<T>) {
-            loop {
-                match self.bulk.take() {
-                    Some(bulk) if bulk.is_whole() => {
-                        out.push(bulk.finish(&mut self.pool).unwrap());
-                        continue;
-                    }
-                    Some(bulk) => {
-                        self.bulk = Some(bulk);
-                        return;
-                    }
-                    None => {}
-                }
-                while let Some(frame) = self.fb.next_frame().unwrap() {
-                    out.push(from_bytes(frame).unwrap());
-                }
-                let Some((len, held)) = self.fb.next_bulk(BULK) else {
-                    return;
-                };
-                let mut bulk = BulkFrame::new(len, BULK);
-                assert_eq!(bulk.feed::<T>(held, &mut self.pool), held.len());
-                self.bulk = Some(bulk);
+            while let Some(frame) = self.rx.next_frame(&mut self.pool).unwrap() {
+                out.push(frame.decode(&mut self.pool).unwrap());
             }
         }
 
@@ -1748,12 +1675,17 @@ mod tests {
         fn pump<T: Deserialize>(&mut self, src: &mut impl Read) -> Vec<T> {
             let mut out = Vec::new();
             loop {
-                match self.read::<T>(src) {
+                match self.read(src) {
                     Ok(0) => return out,
                     Ok(_) => self.deliver(&mut out),
                     Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
                 }
             }
+        }
+
+        /// Bytes the receiver holds past the frames it handed out.
+        fn held(&self) -> usize {
+            self.rx.buf.len() - self.rx.head
         }
     }
 
@@ -1787,7 +1719,31 @@ mod tests {
     }
 
     #[test]
-    fn bulk_frames_arrive_whole_through_any_reads() {
+    fn a_frame_lists_its_runs_and_one_without_runs_keeps_its_bytes() {
+        // Runs of BULK / 8 and BULK / 4 elements around a short vector.
+        let msg = parts(&[BULK / 8, 3, BULK / 4]);
+        let payload = to_bytes(&msg);
+        let wire = to_frame_bytes(&msg).unwrap();
+        let word = |at: usize| u32::from_le_bytes(wire[at..at + 4].try_into().unwrap());
+        let table = 4 + 2 * 8;
+        assert_eq!(wire.len(), 4 + table + payload.len());
+        assert_eq!(word(0), RUNS_FLAG | (table + payload.len()) as u32);
+        assert_eq!(word(4), 2, "run count");
+        // Variant, round, parts length, then per part its tuple length,
+        // index and vector length.
+        let first = 4 + 8 + 4 + (4 + 8 + 4);
+        let second = first + BULK + (4 + 8 + 4 + 24) + (4 + 8 + 4);
+        assert_eq!([word(8), word(12)], [first as u32, BULK as u32]);
+        assert_eq!([word(16), word(20)], [second as u32, 2 * BULK as u32]);
+        assert_eq!(wire[4 + table..], payload[..]);
+        assert_eq!(frame_len(&msg, RUN_MIN).unwrap().wire_len(), wire.len());
+        // Under the threshold: prefix and payload.
+        let small = parts(&[BULK / 8 - 1]);
+        assert_eq!(to_frame_bytes(&small).unwrap(), framed(&to_bytes(&small)));
+    }
+
+    #[test]
+    fn frames_arrive_whole_through_any_reads() {
         // Bulk frames around small ones, through odd pieces that split
         // every header somewhere, the first one byte at a time.
         let msgs = [
@@ -1808,8 +1764,21 @@ mod tests {
             let mut link = Link::new();
             let got: Vec<Msg> = link.pump(&mut Trickle::new(&wire, sizes));
             assert!(bits_of(&got) == bits_of(&msgs), "{sizes:?}: frames differ");
-            assert!(link.bulk.is_none() && link.fb.is_empty(), "{sizes:?}");
+            assert!(link.rx.is_empty(), "{sizes:?}");
         }
+    }
+
+    #[test]
+    fn many_small_frames_arrive_in_one_read() {
+        let msgs: Vec<Msg> = (0..1000).map(|i| Msg::Note(format!("{i}"))).collect();
+        let wire = wire_of(&msgs);
+        assert!(wire.len() < BULK);
+        let mut link = Link::new();
+        let mut got: Vec<Msg> = Vec::new();
+        assert_eq!(link.read(&mut &wire[..]).unwrap(), wire.len());
+        link.deliver(&mut got);
+        assert!(bits_of(&got) == bits_of(&msgs));
+        assert!(link.rx.is_empty());
     }
 
     #[test]
@@ -1827,14 +1796,11 @@ mod tests {
         let mut src = Trickle::new(&wire, &[BULK, 5000, 1]);
         let mut out: Vec<Msg> = Vec::new();
         while out.is_empty() {
-            if link.read::<Msg>(&mut src).is_ok() {
+            if link.read(&mut src).is_ok() {
                 link.deliver(&mut out);
             }
-            if let Some(bulk) = &link.bulk {
-                // Only the meta bytes, plus the piece of a run read in
-                // with them until the run is located, stay in the buffer.
-                assert!(bulk.meta_len < PROBE_STEP + 64, "{}", bulk.meta_len);
-            }
+            // Only the header and meta bytes stay in the buffer.
+            assert!(link.held() < 128, "{}", link.held());
         }
         let Msg::Parts { parts, .. } = &out[0] else {
             panic!("wrong variant");
@@ -1846,6 +1812,32 @@ mod tests {
     }
 
     #[test]
+    fn meta_bytes_are_read_up_to_the_next_run_and_no_further() {
+        let msg = parts(&[7, BULK, 5, BULK / 2]);
+        let wire = to_frame_bytes(&msg).unwrap();
+        let mut link = Link::new();
+        let mut src = Trickle::new(&wire, &[usize::MAX]);
+        let mut out: Vec<Msg> = Vec::new();
+        // The first read takes the header and as much as the chunk holds.
+        link.read(&mut src).unwrap();
+        link.deliver(&mut out);
+        while out.is_empty() {
+            let before = link.rx.runs.iter().map(|r| r.filled).sum::<usize>();
+            let meta = link.held();
+            let n = link.read(&mut src).unwrap();
+            let into_runs = link.rx.runs.iter().map(|r| r.filled).sum::<usize>() - before;
+            // A read goes to a run or to meta bytes, and meta reads stop
+            // at the next run.
+            assert!(into_runs == n || link.held() == meta + n, "read {n}");
+            if let Some(run) = (link.rx.runs.get(link.rx.full)).filter(|r| r.filled < r.len) {
+                assert!(link.held() - link.rx.body <= run.at, "read past a run");
+            }
+            link.deliver(&mut out);
+        }
+        assert_eq!(to_bytes(&out[0]), to_bytes(&msg));
+    }
+
+    #[test]
     fn would_block_mid_run_keeps_what_came() {
         let msg = parts(&[2 * BULK]);
         let wire = to_frame_bytes(&msg).unwrap();
@@ -1854,26 +1846,28 @@ mod tests {
         let mut src = Trickle::new(&wire, &sizes);
         let mut link = Link::new();
         let mut out: Vec<Msg> = Vec::new();
-        while link.read::<Msg>(&mut src).is_ok() {
+        while link.read(&mut src).is_ok() {
             link.deliver(&mut out);
         }
-        let bulk = link.bulk.as_ref().expect("a frame in flight");
-        assert_eq!(bulk.got + 4, half, "bytes read before the block were kept");
+        let run = &link.rx.runs[0];
+        assert_eq!(
+            link.held() + run.filled,
+            half,
+            "bytes read before the block were kept"
+        );
         assert_eq!(link.pool.lent(), 2 * BULK, "its run's vector is drawn");
         assert_eq!(link.pump::<Msg>(&mut src).len() + out.len(), 1);
     }
 
     #[test]
-    fn a_small_frame_behind_a_bulk_one_goes_to_the_frame_buffer() {
-        // Reads into a frame in flight stop at its end, so the next frame
-        // starts in the frame buffer.
+    fn a_small_frame_behind_a_bulk_one_waits_in_the_buffer() {
         let msgs = [parts(&[BULK]), Msg::Note("next".into())];
         let wire = wire_of(&msgs);
         let (head, tail) = wire.split_at(wire.len() - 1);
         let mut link = Link::new();
         let got: Vec<Msg> = link.pump(&mut Trickle::new(head, &[1000]));
         assert_eq!(got.len(), 1);
-        assert!(link.bulk.is_none() && !link.fb.is_empty());
+        assert!(!link.rx.is_empty() && link.rx.runs.is_empty());
         let last: Vec<Msg> = link.pump(&mut Trickle::new(tail, &[1000]));
         assert!(bits_of(&last) == bits_of(&msgs[1..]));
     }
@@ -1885,34 +1879,37 @@ mod tests {
         let mut link = Link::new();
         let mut out: Vec<Msg> = Vec::new();
         let mut src = Trickle::new(&wire[..wire.len() - 100], &[usize::MAX]);
-        while link.read::<Msg>(&mut src).is_ok_and(|n| n > 0) {
+        while link.read(&mut src).is_ok_and(|n| n > 0) {
             link.deliver(&mut out);
         }
         assert_eq!(link.pool.lent(), 2 * BULK, "both runs drawn");
-        link.bulk.take().unwrap().discard(&mut link.pool);
+        link.rx.discard(&mut link.pool);
         assert_eq!((link.pool.lent(), link.pool.kept()), (0, 2 * BULK));
     }
 
     #[test]
-    fn frame_buffer_hands_over_a_bulk_frame_and_refuses_an_oversize_one() {
-        let wire = to_frame_bytes(&parts(&[BULK])).unwrap();
-        let mut fb = FrameBuffer::new();
-        fb.extend_sized(&wire[..BULK], BULK);
-        assert!(fb.buf.capacity() < 2 * BULK, "made room for a bulk frame");
-        assert_eq!(fb.next_frame(), Ok(None));
-        let (len, held) = fb.next_bulk(BULK).unwrap();
-        assert_eq!((len, held), (wire.len() - 4, &wire[4..BULK]));
-        assert!(fb.is_empty());
-        // A frame up to the threshold is not handed over.
-        let small = to_frame_bytes(&Msg::Note("s".into())).unwrap();
-        fb.extend_sized(&small[..6], BULK);
-        assert_eq!(fb.next_bulk(BULK), None);
+    fn sequences_under_the_threshold_decode_into_pooled_storage() {
+        let sent = Weights(patterned(4097));
+        let wire = to_frame_bytes(&sent).unwrap();
+        let mut link = Link::new();
+        // Dirty storage of the sequence's length, and its address.
+        let mut spare = link.pool.take(4097);
+        spare.resize(4097, f64::NAN);
+        let at = spare.as_ptr();
+        link.pool.give(spare);
+        let got: Vec<Weights> = link.pump(&mut &wire[..]);
+        assert_eq!(got[0].0.as_ptr(), at, "decoded in place");
+        assert_eq!(to_bytes(&got[0]), to_bytes(&sent), "bit for bit");
+    }
 
+    #[test]
+    fn frame_buffer_skips_the_run_table_and_refuses_an_oversize_frame() {
+        let msg = parts(&[BULK]);
+        assert_eq!(payload_of(&to_frame_bytes(&msg).unwrap()), to_bytes(&msg));
         let mut fb = FrameBuffer::new();
         let mut header = ((MAX_FRAME as u32) + 1).to_le_bytes().to_vec();
         header.extend([0u8; 64]);
-        fb.extend_sized(&header, BULK);
-        assert_eq!(fb.next_bulk(BULK), None);
+        fb.extend(&header);
         assert!(fb.next_frame().is_err());
         assert!(
             fb.buf.capacity() < 1 << 10,
@@ -1923,22 +1920,14 @@ mod tests {
     #[test]
     fn frame_pieces_borrow_runs_and_stage_the_rest() {
         let msg = parts(&[BULK / 8, 3, BULK / 4]);
-        let wire = to_frame_bytes(&msg).unwrap();
+        let size = frame_len(&msg, BULK / 8).unwrap();
         let Msg::Parts { parts, .. } = &msg else {
             unreachable!()
         };
         let mut staged = Vec::new();
         let mut pieces = PieceList::new(16);
-        let end = frame_pieces(
-            &msg,
-            wire.len(),
-            0,
-            BULK / 8,
-            &mut staged,
-            1 << 10,
-            &mut pieces,
-        );
-        assert_eq!(end, wire.len());
+        let end = frame_pieces(&msg, size, 0, &mut staged, 1 << 10, &mut pieces);
+        assert_eq!(end, size.wire_len());
         let runs: Vec<*const f64> = (pieces.as_slice().iter())
             .filter_map(|p| match p {
                 Piece::Run(v, 0) => Some(v.as_ptr()),
@@ -1949,10 +1938,14 @@ mod tests {
         assert_eq!(
             pieces.as_slice().len(),
             4,
-            "meta, run, meta with the small run, run"
+            "header and meta, run, meta with the small run, run"
         );
-        assert!(staged.len() < 100, "staged {} bytes", staged.len());
-        assert!(joined(&pieces, &staged) == wire);
+        assert!(staged.len() < 128, "staged {} bytes", staged.len());
+        // At the reactor's threshold these are `to_frame_bytes`' bytes.
+        let size = frame_len(&msg, RUN_MIN).unwrap();
+        let (mut staged, mut pieces) = (Vec::new(), PieceList::new(16));
+        frame_pieces(&msg, size, 0, &mut staged, 1 << 10, &mut pieces);
+        assert!(joined(&pieces, &staged) == to_frame_bytes(&msg).unwrap());
     }
 
     /// The bytes `pieces` stand for.
@@ -1969,30 +1962,25 @@ mod tests {
     fn frame_pieces_append_frames_into_one_staged_piece_until_full() {
         let (a, b) = (Msg::Note("first".into()), Msg::Note("second".into()));
         let (wa, wb) = (to_frame_bytes(&a).unwrap(), to_frame_bytes(&b).unwrap());
+        let (sa, sb) = (frame_len(&a, 8).unwrap(), frame_len(&b, 8).unwrap());
         let cap = wa.len() + 5;
         let mut staged = Vec::new();
         let mut pieces = PieceList::new(4);
         assert_eq!(
-            frame_pieces(&a, wa.len(), 2, 8, &mut staged, cap, &mut pieces),
+            frame_pieces(&a, sa, 2, &mut staged, cap, &mut pieces),
             wa.len()
         );
-        assert_eq!(
-            frame_pieces(&b, wb.len(), 0, 8, &mut staged, cap, &mut pieces),
-            7
-        );
+        assert_eq!(frame_pieces(&b, sb, 0, &mut staged, cap, &mut pieces), 7);
         assert_eq!(pieces.as_slice(), [Piece::Staged(0..cap)]);
         assert_eq!(staged, [&wa[2..], &wb[..7]].concat());
         // Full: nothing more is appended, and the offset stays put.
-        assert_eq!(
-            frame_pieces(&b, wb.len(), 7, 8, &mut staged, cap, &mut pieces),
-            7
-        );
+        assert_eq!(frame_pieces(&b, sb, 7, &mut staged, cap, &mut pieces), 7);
         assert_eq!(staged.len(), cap);
         // A full list takes no new piece either.
         let msg = parts(&[BULK / 8]);
-        let len = frame_len(&msg).unwrap();
+        let size = frame_len(&msg, BULK / 8).unwrap();
         let (mut staged, mut pieces) = (Vec::new(), PieceList::new(1));
-        let end = frame_pieces(&msg, len, 0, BULK / 8, &mut staged, 1 << 10, &mut pieces);
+        let end = frame_pieces(&msg, size, 0, &mut staged, 1 << 10, &mut pieces);
         assert_eq!(end, staged.len(), "the header, not the run");
         assert_eq!(pieces.into_iter().count(), 1);
     }
@@ -2019,10 +2007,10 @@ mod tests {
     fn frame_pieces_stop_walking_the_value_at_the_batch_end() {
         let visits = std::cell::Cell::new(0);
         let value = Counted(vec![7; 10_000], &visits);
-        let len = frame_len(&value).unwrap();
+        let size = frame_len(&value, BULK).unwrap();
         visits.set(0);
         let (mut staged, mut pieces) = (Vec::new(), PieceList::new(4));
-        let end = frame_pieces(&value, len, 0, BULK, &mut staged, 64, &mut pieces);
+        let end = frame_pieces(&value, size, 0, &mut staged, 64, &mut pieces);
         assert_eq!(end, 64);
         assert!(
             visits.get() <= 64 / 8 + 1,
@@ -2036,7 +2024,10 @@ mod tests {
         let data: Vec<u8> = (0..32 << 10).map(|i| i as u8).collect();
         let wire = to_frame_bytes(&data).unwrap();
         assert_eq!(wire.len(), (32 << 10) + 4 + 4);
-        assert_eq!(frame_len(&data), Some(wire.len()));
+        assert_eq!(
+            frame_len(&data, RUN_MIN).map(|f| f.wire_len()),
+            Some(wire.len())
+        );
         assert_eq!(&wire[8..], &data[..]);
         assert_eq!(from_bytes::<Vec<u8>>(&wire[4..]), Ok(data));
     }
@@ -2045,31 +2036,17 @@ mod tests {
     fn a_long_byte_sequence_is_received_a_read_chunk_at_a_time() {
         // A Raft snapshot's shape: meta bytes only, one long `Vec<u8>`.
         let data: Vec<u8> = (0..256 << 10).map(|i| i as u8).collect();
-        let payload = to_bytes(&data);
-        let (mut pool, mut rx) = (Pool::new(), BulkFrame::new(payload.len(), BULK));
-        let (mut at, mut reads) = (0, 0);
-        while !rx.is_whole() {
-            reads += 1;
-            at += rx
-                .receive::<Vec<u8>>(&mut pool, |landing| match landing {
-                    Landing::Meta(buf) => {
-                        let n = buf.len().min(payload.len() - at);
-                        buf[..n].copy_from_slice(&payload[at..at + n]);
-                        Ok(n)
-                    }
-                    Landing::Run(..) => unreachable!("a byte sequence holds no run"),
-                })
-                .unwrap();
-        }
-        // One probe step, then read chunks: 4 KiB + 4 x 64 KiB.
-        assert!(reads <= 6, "{reads} reads, {} bytes parsed", rx.parsed());
-        assert!(rx.parsed() <= payload.len() + PROBE_STEP);
-        assert_eq!(rx.finish::<Vec<u8>>(&mut pool), Ok(data));
+        let wire = to_frame_bytes(&data).unwrap();
+        let mut link = Link::new();
+        let got: Vec<Vec<u8>> = link.pump(&mut &wire[..]);
+        // Four read chunks and the last 8 bytes, then the end of input.
+        assert_eq!(link.reads - 1, 5);
+        assert_eq!(got, [data]);
     }
 
     #[test]
     fn pool_lends_the_best_fit_and_keeps_no_more_than_its_high_water_mark() {
-        let mut pool: Pool<f64> = Pool::new();
+        let mut pool = Pool::new();
         // Three vectors out at once, then back: all kept.
         let sizes = [1001, 3000, 2000];
         let lent: Vec<Vec<f64>> = sizes.iter().map(|&n| pool.take(n)).collect();
@@ -2082,7 +2059,7 @@ mod tests {
         assert_eq!(pool.take(1500).capacity(), 2000);
         // Requests that nothing fits drop kept storage, smallest first,
         // while the total would pass the mark.
-        let mut pool: Pool<f64> = Pool::new();
+        let mut pool = Pool::new();
         for round in 1..=6 {
             let lent: Vec<Vec<f64>> = (0..4).map(|i| pool.take(round * 100 + i)).collect();
             assert!(
@@ -2101,13 +2078,5 @@ mod tests {
         // Storage the pool did not lend cannot make it keep more.
         pool.give(Vec::with_capacity(10_000));
         assert_eq!(pool.kept(), pool.high_water);
-    }
-
-    #[test]
-    fn blocking_read_frame_round_trip() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"abc").unwrap();
-        let mut cursor = std::io::Cursor::new(wire);
-        assert_eq!(read_frame(&mut cursor).unwrap(), b"abc");
     }
 }

@@ -31,7 +31,7 @@ pub trait Payload: Clone + Send + 'static {
     /// Gives the `f64` storage of a message that is on the wire to
     /// `vectors`, except what another holder still shares. The default
     /// gives nothing.
-    fn recycle(self, _vectors: &mut Pool<f64>) {}
+    fn recycle(self, _vectors: &mut Pool) {}
 }
 
 /// Blanket helper payload for tests and simple examples: a labeled blob with

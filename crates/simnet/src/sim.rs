@@ -192,7 +192,7 @@ struct SimInner<M> {
     // model is configured).
     tx_free: Vec<SimTime>,
     // The model vectors every actor of this simulator draws and gives back.
-    vectors: Pool<f64>,
+    vectors: Pool,
 }
 
 impl<M: Payload> SimInner<M> {

@@ -17,8 +17,10 @@
 //! storage the reactor already keeps, so any buffer allocated then of a
 //! vector's or a frame's size is the reactor's.
 
-use p2pfl_bench::testkit::{assert_clean_wire, reactor, spawn_group, wait_for};
-use p2pfl_net::codec::{read_frame, to_frame_bytes, write_frame};
+use p2pfl_bench::testkit::{
+    assert_clean_wire, reactor, read_frame, spawn_group, wait_for, write_frame,
+};
+use p2pfl_net::codec::to_frame_bytes;
 use p2pfl_net::PeerHandle;
 use p2pfl_secagg::{SacMsg, WeightVector};
 use p2pfl_simnet::{Actor, NodeId, Transport};
